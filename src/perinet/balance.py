@@ -156,7 +156,8 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
         w = 1.0 / d
         p_new = (pts * w[:, None]).sum(axis=0) / w.sum()
         new_obj = _star_length(p_new, pts)
-        assert new_obj <= obj * (1 + 1e-12) + 1e-15, "Weiszfeld objective increased"
+        if not new_obj <= obj * (1 + 1e-12) + 1e-15:
+            raise RuntimeError("Weiszfeld objective increased")
         if on_step is not None:
             on_step(p_new, new_obj)
         step = float(np.linalg.norm(p_new - p))

@@ -20,7 +20,6 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .intlinalg import det_int, solve_unimodular
 from .netcore import PeriodicNetwork, edge_vectors, length_quotient, validate
-from .reduction import greedy_reduce
 from .topology import TopologyClass, classify
 
 SLACK_TOL = 1e-9         # inequality slack tolerance
@@ -299,37 +298,13 @@ def _cert_regular_simplex(net: PeriodicNetwork) -> CertificateResult:
         "simplex_angles": float(np.abs(off + 1.0 / n).max()) <= CERT_TOL,
     }
     if n == 3:
-        checks["fcc_lattice"] = _gram_similar(net.lattice.basis,
-                                              _FCC_BASIS)
+        # the differences b_i - b_0 are cycle translations, so they span a
+        # sublattice of index |det D| / |det B|; with a regular-simplex star
+        # the lattice is the diamond's FCC lattice exactly when that is 1
+        diffs = star[1:] - star[0]
+        vol = abs(float(np.linalg.det(net.lattice.basis)))
+        checks["fcc_lattice"] = abs(abs(float(np.linalg.det(diffs))) - vol) <= CERT_TOL * vol
     return CertificateResult("regular-simplex", all(checks.values()), checks)
-
-
-_FCC_BASIS = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]).T
-
-
-def _gram_similar(basis: np.ndarray, target: np.ndarray, tol: float = CERT_TOL) -> bool:
-    """Similarity test of two lattices via reduced, normalized Gram data.
-
-    Both bases are greedily reduced and scaled to unit determinant; the
-    sorted Gram eigenvalues and the multiset of pairwise angle cosines are
-    then compared.  A heuristic canonical form, adequate for the highly
-    symmetric target lattices used here.
-    """
-    def invariants(b):
-        red, _ = greedy_reduce(b)
-        red = red / abs(np.linalg.det(red)) ** (1.0 / len(red))
-        gram = red.T @ red
-        norms = np.sqrt(np.diag(gram))
-        cos = gram / np.outer(norms, norms)
-        iu = np.triu_indices(len(red), 1)
-        return (np.sort(np.linalg.eigvalsh(gram)),
-                np.sort(np.abs(cos[iu])), np.sort(norms))
-
-    ev_a, cos_a, n_a = invariants(np.asarray(basis, float))
-    ev_b, cos_b, n_b = invariants(np.asarray(target, float))
-    return (np.abs(ev_a - ev_b).max() <= tol
-            and np.abs(cos_a - cos_b).max() <= tol
-            and np.abs(n_a - n_b).max() <= tol)
 
 
 def _two_vertex_parts(net: PeriodicNetwork):

@@ -1,7 +1,8 @@
 """Exact integer linear algebra for cycle-shift matrices.
 
-Everything here runs on Python integers, so there is no overflow to
-detect; results are exact for arbitrary entry sizes.
+Everything here except :func:`det_int_batch` runs on Python integers, so
+there is no overflow to detect; results are exact for arbitrary entry
+sizes.  ``det_int_batch`` vectorizes over many small matrices in int64.
 """
 
 from math import gcd
@@ -113,19 +114,6 @@ def smith_invariant_factors(mat) -> tuple[int, ...]:
     return tuple(d for d in diag if d != 0)
 
 
-def generates_full_lattice(mat, n: int) -> bool:
-    """True iff the integer rows of ``mat`` generate all of Z^n.
-
-    Equivalent to the Smith normal form having n invariant factors equal
-    to 1, and to the gcd of all n x n minors being 1.
-    """
-    a = _as_int_rows(mat)
-    if len(a) < n:
-        return False
-    factors = smith_invariant_factors(a)
-    return len(factors) == n and all(d == 1 for d in factors)
-
-
 def _det_int(rows) -> int:
     m = len(rows)
     if m == 1:
@@ -141,6 +129,24 @@ def _det_int(rows) -> int:
             continue
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         det += (-1) ** j * rows[0][j] * _det_int(minor)
+    return det
+
+
+def det_int_batch(mats) -> np.ndarray:
+    """Exact determinants of a stack of small square integer matrices.
+
+    Cofactor expansion along the first row, vectorized over the leading
+    axes in int64; exact while the products fit, which they do by far for
+    shift matrices with small entries.
+    """
+    a = np.asarray(mats, dtype=np.int64)
+    m = a.shape[-1]
+    if m == 1:
+        return a[..., 0, 0]
+    det = np.zeros(a.shape[:-2], dtype=np.int64)
+    for j in range(m):
+        minor = np.delete(a[..., 1:, :], j, axis=-1)
+        det += (-1) ** j * a[..., 0, j] * det_int_batch(minor)
     return det
 
 

@@ -12,11 +12,13 @@ collapse stops a run instead of being traversed.
 Restarts are vectorized: a batch holds many instances of the same
 skeleton (possibly with different shift assignments) and all of them
 take descent steps simultaneously, each with its own backtracking step
-size.  The multistart search over enumerated shift assignments runs
-every (assignment, restart) pair for a capped exploration stage, then
-keeps descending the most promising instances until convergence; traces
-record where every restart stopped.  Results are deterministic functions
-of (seed, config).
+size.  There is one multistart: every shift assignment it is given is
+descended from ``restarts`` random starts to convergence, and traces
+record where every restart stopped.  A topology search hands it one
+representative per orbit of equivalent assignments (``shift_orbits``),
+since the assignments of an orbit share one landscape; a fixed graph is
+the case of a single assignment.  Results are deterministic functions of
+(seed, config).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .netcore import Lattice, PeriodicNetwork, QuotientGraph, validate
 from .reduction import greedy_reduce
-from .topology import TopologyClass, build_abstract, enumerate_shift_arrays, min_vertex_count
+from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits
 
 TERM_CONVERGED = "converged"
 TERM_COLLAPSED = "collapsed_edge"
@@ -37,11 +39,9 @@ TERM_MAXITER = "max_iter"
 _STATUS_LABELS = {0: TERM_MAXITER, 1: TERM_CONVERGED, 2: TERM_COLLAPSED,
                   3: TERM_DEGENERATE, 4: TERM_MAXITER}
 
-_CHUNK = 1 << 16
-_EXPLORE_STEPS = 12          # capped first stage of the multistart search
-_TOPUP_STEPS = 48            # second stage on surviving instances
-_GLOBAL_KEEP = 2048          # survivors kept by value across all assignments
+_CHUNK = 1 << 16             # most instances descended in one batch
 _SERVICE_EVERY = 8           # iterations between basis-safeguard services
+_STALL_PATIENCE = 128        # services without progress before a plateau stop
 _COND_LIMIT = 1e6
 _RATIO_LIMIT = 3.0
 
@@ -225,7 +225,7 @@ class _Batch:
 
     # -- safeguard services --------------------------------------------------
 
-    def _service(self, idx, check_cond: bool, patience: int):
+    def _service(self, idx, check_cond: bool):
         B = self.B[idx]
         norms = np.sqrt(np.einsum('aij,aij->aj', B, B))
         ratio = norms.max(1) / norms.min(1)
@@ -250,17 +250,17 @@ class _Batch:
             <= 1e-14 * np.maximum(1.0, np.abs(self.f[idx]))
         self._stall[idx[drop]] += 1
         self._stall[idx[~drop]] = 0
-        self.status[idx[(self._stall[idx] >= patience) & (self.status[idx] == 0)]] = 4
+        self.status[idx[(self._stall[idx] >= _STALL_PATIENCE) & (self.status[idx] == 0)]] = 4
         self._f_snap[idx] = self.f[idx]
 
     # -- descent -------------------------------------------------------------
 
-    def run(self, extra_steps: int, g_tol: float, stall_patience: int = 8):
-        """Advance every active instance by up to ``extra_steps`` accepted steps."""
+    def run(self):
+        """Advance every active instance by up to ``cfg.max_iter`` accepted steps."""
         cfg = self.cfg
         n = self.n
-        for step in range(extra_steps):
-            idx = np.flatnonzero((self.status == 0) & (self.iters < cfg.max_iter))
+        for step in range(cfg.max_iter):
+            idx = np.flatnonzero(self.status == 0)
             if len(idx) == 0:
                 return
             X, B, ST = self.X[idx], self.B[idx], self.ST[idx]
@@ -279,7 +279,7 @@ class _Batch:
             ginf = np.maximum(np.abs(gX).reshape(len(idx), -1).max(1),
                               np.abs(gB).reshape(len(idx), -1).max(1))
 
-            done = (ginf <= g_tol) & (force_max <= g_tol)
+            done = (ginf <= cfg.g_tol) & (force_max <= cfg.g_tol)
             self.status[idx[done]] = 1
             live = ~done
             if not live.any():
@@ -329,8 +329,8 @@ class _Batch:
             acc = sub[moved]
             if len(acc) == 0:
                 continue
-            assert (ft[moved] <= f[moved] + 1e-12 * np.abs(f[moved]) + 1e-12).all(), \
-                "objective increased on an accepted step"
+            if not (ft[moved] <= f[moved] + 1e-12 * np.abs(f[moved]) + 1e-12).all():
+                raise RuntimeError("objective increased on an accepted step")
             self.t[acc] = t[moved]
             self.X[acc] = Xt[moved]
             self.B[acc] = Bt[moved]
@@ -348,8 +348,8 @@ class _Batch:
             self.X[acc] *= c[:, None, None]
             ell_new = ellt[moved] * c[:, None]
             f_new = n * np.log(ell_new.sum(1))
-            assert (np.abs(f_new - ft[moved]) <= 1e-11 * np.maximum(1.0, np.abs(f_new))).all(), \
-                "scale gauge changed the objective"
+            if not (np.abs(f_new - ft[moved]) <= 1e-11 * np.maximum(1.0, np.abs(f_new))).all():
+                raise RuntimeError("scale gauge changed the objective")
             self.f[acc] = f_new
             self.ell[acc] = ell_new
             collapsed = ell_new.min(1) < cfg.eps_edge
@@ -358,14 +358,7 @@ class _Batch:
                 alive = np.flatnonzero(self.status == 0)
                 if len(alive):
                     self._service(alive,
-                                  check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0,
-                                  patience=stall_patience)
-
-    def finalize(self):
-        self.status[self.status == 0] = 4
-
-    def values(self) -> np.ndarray:
-        return np.exp(self.f)
+                                  check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
 
     def network_at(self, i: int) -> PeriodicNetwork:
         g = QuotientGraph(self.n, self.V, self.tails, self.heads, self.S_int[i])
@@ -395,18 +388,15 @@ def _sample_starts(rng, count: int, n: int, V: int, tails, heads, S_int):
         frac = rng.uniform(0.0, 1.0, (m, V, n))
         Xc = np.einsum('aij,avj->avi', Bc, frac)
         B[todo], X[todo] = Bc, Xc
-        ok = _starts_valid(Bc, Xc, n, tails, heads, S_int[todo] if S_int.ndim == 3 else S_int)
+        ok = _starts_valid(Bc, Xc, tails, heads, S_int[todo])
         todo = todo[~ok]
     if len(todo):
         raise RuntimeError("failed to draw a valid starting network in 100 rounds")
     return B, X
 
 
-def _starts_valid(B, X, n, tails, heads, S_int) -> np.ndarray:
-    S = np.asarray(S_int, dtype=np.float64)
-    if S.ndim == 2:
-        S = np.broadcast_to(S, (len(B),) + S.shape)
-    ST = S.transpose(0, 2, 1)
+def _starts_valid(B, X, tails, heads, S_int) -> np.ndarray:
+    ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
     vec = (B @ ST).transpose(0, 2, 1) + X[:, heads] - X[:, tails]
     ell = np.sqrt(np.einsum('aei,aei->ae', vec, vec))
     ok = (ell > 1e-9).all(axis=1)
@@ -482,41 +472,19 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     """
     cfg = cfg or OptimizeConfig()
     _require_valid_graph(g)
-    n, V = g.dim, g.vertex_count
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-    S = np.broadcast_to(g.shifts, (cfg.restarts,) + g.shifts.shape)
-    B, X = _sample_starts(rng, cfg.restarts, n, V, g.tails, g.heads, S)
-    batch = _Batch(n, g.tails, g.heads, S, B, X, cfg)
-    batch.run(cfg.max_iter, cfg.g_tol, stall_patience=128)
-    batch.finalize()
-    values = batch.values()
-    best = _pick_best(values, np.zeros(len(values), dtype=np.int64),
-                      np.arange(len(values)))
-    traces = TraceTable(np.zeros(len(values), dtype=np.int64),
-                        np.arange(len(values)), values,
-                        batch.iters.copy(), batch.status.copy())
-    return OptimizeResult(network=batch.network_at(best), value=float(values[best]),
-                          termination=_STATUS_LABELS[int(batch.status[best])],
-                          shifts=np.array(g.shifts), traces=traces,
-                          assignment_index=0, restart_index=int(best))
-
-
-def _pick_best(values, assignment_idx, restart_idx) -> int:
-    v = np.where(np.isfinite(values), values, np.inf)
-    vmin = v.min()
-    cand = np.flatnonzero(v <= vmin + 1e-9)
-    order = np.lexsort((restart_idx[cand], assignment_idx[cand]))
-    return int(cand[order[0]])
+    return _multistart(g, np.array(g.shifts)[None], np.zeros(1, dtype=np.int64), cfg)
 
 
 def minimize_topology(tag: TopologyClass | str, n: int,
                       cfg: OptimizeConfig | None = None) -> OptimizeResult:
-    """Global search over all enumerated shift assignments of a topology.
+    """Global search over the shift assignments of a topology.
 
-    Every (assignment, restart) pair is descended; a capped exploration
-    stage ranks the instances, after which the per-assignment best and the
-    best instances overall continue to full convergence.  The returned
-    best is deterministic in (seed, config).
+    Assignments related by a lattice basis change or a skeleton
+    automorphism share one landscape, so only one representative per
+    orbit (``shift_orbits``) is descended, from ``cfg.restarts`` starts
+    each.  Trace records name the representative by its index in
+    ``enumerate_shift_arrays``.  The returned best is deterministic in
+    (seed, config); ties go to the lowest (assignment, restart) pair.
     """
     cfg = cfg or OptimizeConfig()
     top = TopologyClass.from_tag(tag) if isinstance(tag, str) else tag
@@ -525,90 +493,58 @@ def minimize_topology(tag: TopologyClass | str, n: int,
         raise ValueError(f"topology {top.tag} is not admissible for "
                          f"(n={n}, d={top.degree})")
     skeleton = build_abstract(top, n)
-    assignments = enumerate_shift_arrays(skeleton, n, cfg.s_max)
-    if not assignments:
+    orbits = shift_orbits(skeleton, n, cfg.s_max)
+    if not orbits:
         raise ValueError("no valid shift assignment exists for this topology")
-    A, R = len(assignments), cfg.restarts
-    N = A * R
-    tails, heads = skeleton.tails, skeleton.heads
-    V, E = skeleton.vertex_count, skeleton.edge_count
-    S_all = np.repeat(np.stack(assignments), R, axis=0)
+    reps = np.stack([o.shifts for o in orbits])
+    return _multistart(skeleton, reps, np.array([o.index for o in orbits]), cfg)
 
-    f = np.full(N, np.inf)
-    status = np.zeros(N, dtype=np.uint8)
-    iters = np.zeros(N, dtype=np.int32)
-    keep_states: dict[int, tuple] = {}
 
-    # stage 1: capped exploration of every (assignment, restart) instance
+def _multistart(g: QuotientGraph, reps: np.ndarray, rep_index: np.ndarray,
+                cfg: OptimizeConfig) -> OptimizeResult:
+    """Descend ``cfg.restarts`` random starts of every assignment in ``reps``.
+
+    Instances are ordered (assignment, restart) and descended to
+    convergence in batches of at most ``_CHUNK``; their starts come from
+    one ``SeedSequence((seed, 0))`` stream, drawn batch by batch.  The
+    best is the lowest value, ties within 1e-9 going to the first
+    instance, first within each batch and then across batches;
+    ``rep_index`` labels the assignments in the traces.
+    """
+    n, V, R = g.dim, g.vertex_count, cfg.restarts
+    S_all = np.repeat(reps, R, axis=0)
+    N = len(S_all)
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
+    values = np.empty(N)
+    iters = np.empty(N, dtype=np.int32)
+    status = np.empty(N, dtype=np.uint8)
+    leaders, networks = [], []      # best instance of each batch
     for lo in range(0, N, _CHUNK):
         hi = min(lo + _CHUNK, N)
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, lo)))
-        B, X = _sample_starts(rng, hi - lo, n, V, tails, heads, S_all[lo:hi])
-        batch = _Batch(n, tails, heads, S_all[lo:hi], B, X, cfg)
-        batch.run(min(_EXPLORE_STEPS, cfg.max_iter), cfg.g_tol)
-        f[lo:hi] = batch.f
-        status[lo:hi] = batch.status
+        B, X = _sample_starts(rng, hi - lo, n, V, g.tails, g.heads, S_all[lo:hi])
+        batch = _Batch(n, g.tails, g.heads, S_all[lo:hi], B, X, cfg)
+        batch.run()
+        batch.status[batch.status == 0] = 4         # ran out of iterations
+        with np.errstate(over='ignore'):
+            values[lo:hi] = np.exp(batch.f)
         iters[lo:hi] = batch.iters
-        keep_states[lo] = (batch.S_int, batch.B, batch.X, batch.t)
-
-    assignment_idx = np.repeat(np.arange(A, dtype=np.int64), R)
-    restart_idx = np.tile(np.arange(R, dtype=np.int64), A)
-
-    # survivors: best restart of each assignment plus the best overall
-    fkey = np.where(np.isfinite(f), f, np.inf)
-    order = np.lexsort((fkey, assignment_idx))
-    first = np.ones(N, dtype=bool)
-    first[1:] = assignment_idx[order][1:] != assignment_idx[order][:-1]
-    survivors = set(order[first].tolist())
-    survivors.update(np.argsort(fkey, kind='stable')[:_GLOBAL_KEEP].tolist())
-    surv = np.array(sorted(survivors), dtype=np.int64)
-
-    Ssur = S_all[surv]
-    Bsur = np.empty((len(surv), n, n))
-    Xsur = np.empty((len(surv), V, n))
-    tsur = np.empty(len(surv))
-    for k, i in enumerate(surv):
-        lo = (i // _CHUNK) * _CHUNK
-        Sc, Bc, Xc, tc = keep_states[lo]
-        Ssur[k] = Sc[i - lo]
-        Bsur[k] = Bc[i - lo]
-        Xsur[k] = Xc[i - lo]
-        tsur[k] = tc[i - lo]
-    keep_states.clear()
-
-    polish = _Batch(n, tails, heads, Ssur, Bsur, Xsur, cfg)
-    polish.t = tsur
-    polish.status = status[surv].copy()
-    polish.iters = iters[surv].copy()
-    polish.f, polish.ell = polish._eval(polish.X, polish.B, polish.ST)
-    polish.run(min(_TOPUP_STEPS, cfg.max_iter), cfg.g_tol)
-    # final full-precision pass on the leaders
-    lead = np.argsort(np.where(np.isfinite(polish.f), polish.f, np.inf),
-                      kind='stable')[:max(64, _GLOBAL_KEEP // 8)]
-    mask_hold = np.ones(len(surv), dtype=bool)
-    mask_hold[lead] = False
-    held = polish.status[mask_hold].copy()
-    polish.status[mask_hold] = np.where(held == 0, 5, held)  # park non-leaders
-    polish.run(cfg.max_iter, cfg.g_tol, stall_patience=128)
-    parked = polish.status == 5
-    polish.status[parked] = 0
-    polish.finalize()
-
-    f[surv] = polish.f
-    status[surv] = polish.status
-    iters[surv] = polish.iters
-
-    with np.errstate(over='ignore'):
-        values = np.exp(f)
-    best = _pick_best(values, assignment_idx, restart_idx)
-    where = int(np.searchsorted(surv, best))
-    if where >= len(surv) or surv[where] != best:
-        raise RuntimeError("best instance missing from survivor set")
-    traces = TraceTable(assignment_idx, restart_idx, values, iters, status)
-    return OptimizeResult(network=polish.network_at(where),
-                          value=float(values[best]),
+        status[lo:hi] = batch.status
+        i = int(_near_best(values[lo:hi])[0])
+        leaders.append(lo + i)
+        networks.append(batch.network_at(i))
+    lead = int(_near_best(values[leaders])[0])
+    best = leaders[lead]
+    assignment = np.repeat(np.arange(len(reps)), R)
+    restart = np.tile(np.arange(R, dtype=np.int64), len(reps))
+    traces = TraceTable(rep_index[assignment], restart, values, iters, status)
+    return OptimizeResult(network=networks[lead], value=float(values[best]),
                           termination=_STATUS_LABELS[int(status[best])],
-                          shifts=np.stack(assignments)[assignment_idx[best]],
-                          traces=traces,
-                          assignment_index=int(assignment_idx[best]),
-                          restart_index=int(restart_idx[best]))
+                          shifts=np.array(reps[assignment[best]]), traces=traces,
+                          assignment_index=int(rep_index[assignment[best]]),
+                          restart_index=int(restart[best]))
+
+
+def _near_best(values: np.ndarray) -> np.ndarray:
+    """Indices within 1e-9 of the least finite value (all, if none is finite)."""
+    v = np.where(np.isfinite(values), values, np.inf)
+    return np.flatnonzero(v <= v.min() + 1e-9)

@@ -2,7 +2,8 @@
 
 Covers circuit rank, classification into bouquet/double-bouquet/dipole
 families, admissible topologies for given (dimension, degree), abstract
-graph builders, and enumeration of integer shift assignments.
+graph builders, and enumeration of integer shift assignments and of
+their orbits.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from math import ceil, comb
 
 import numpy as np
 
-from math import gcd
-
-from .intlinalg import _det_int
+from .intlinalg import det_int_batch
 from .netcore import QuotientGraph
 
 ENUMERATION_LIMIT = 10 ** 7
+_ENUM_BLOCK = 1 << 13         # candidates screened per vectorized block
 
 
 @dataclass(frozen=True)
@@ -173,14 +173,29 @@ def _loop_classes(n: int, s_max: int) -> list[tuple[int, ...]]:
     return sorted(set(_sign_canonical(s) for s in _nonzero_shifts(n, s_max)))
 
 
-def _rows_generate_zn(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
+def _combinations(m: int, k: int) -> np.ndarray:
+    """All k-subsets of range(m) as rows, in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
+    return np.fromiter(flat, dtype=np.int64, count=comb(m, k) * k).reshape(comb(m, k), k)
+
+
+def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise lexicographic a <= b."""
+    # a sentinel column, smaller in a, settles rows that are equal
+    a = np.hstack([a, np.zeros((len(a), 1), a.dtype)])
+    b = np.hstack([b, np.ones((len(b), 1), b.dtype)])
+    col = (a != b).argmax(axis=1)
+    rows = np.arange(len(a))
+    return a[rows, col] < b[rows, col]
+
+
+def _rows_generate_zn(rows: np.ndarray, n: int) -> np.ndarray:
+    """Per stacked row set: do the integer rows generate Z^n?"""
     # gcd of all n x n minors equals 1 <=> rank n and all Smith factors 1
-    g = 0
-    for sub in itertools.combinations(rows, n):
-        g = gcd(g, abs(_det_int([list(r) for r in sub])))
-        if g == 1:
-            return True
-    return False
+    g = np.zeros(len(rows), dtype=np.int64)
+    for sub in itertools.combinations(range(rows.shape[1]), n):
+        g = np.gcd(g, det_int_batch(rows[:, sub]))
+    return g == 1
 
 
 def enumerate_shifts(g: QuotientGraph, n: int, s_max: int = 1) -> list[QuotientGraph]:
@@ -193,11 +208,8 @@ def enumerate_shifts(g: QuotientGraph, n: int, s_max: int = 1) -> list[QuotientG
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    arrays = enumerate_shift_arrays(g, n, s_max)
-    out = []
-    for S in arrays:
-        out.append(QuotientGraph(n, g.vertex_count, g.tails, g.heads, S))
-    return out
+    return [QuotientGraph(n, g.vertex_count, g.tails, g.heads, S)
+            for S in enumerate_shift_arrays(g, n, s_max)]
 
 
 def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> list[np.ndarray]:
@@ -214,41 +226,107 @@ def iter_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1):
     loops1 = [e for e, (t, h, _) in enumerate(g.edges) if t == h and t == 1]
     bridges = [e for e, (t, h, _) in enumerate(g.edges) if t != h]
 
-    classes = _loop_classes(n, s_max)
-    nonzero = _nonzero_shifts(n, s_max)
-    zero = tuple([0] * n)
-
-    raw = (comb(len(classes), len(loops0))
-           * (comb(len(classes), len(loops1)) if loops1 else 1)
-           * (comb(len(nonzero), len(bridges) - 1) if len(bridges) >= 2 else 1))
+    classes = np.array(_loop_classes(n, s_max))
+    nonzero = np.array(_nonzero_shifts(n, s_max))
+    k = (len(loops0), len(loops1), max(len(bridges) - 1, 0))
+    raw = comb(len(classes), k[0]) * comb(len(classes), k[1]) * comb(len(nonzero), k[2])
     if raw > ENUMERATION_LIMIT:
         raise RuntimeError(
             f"raw shift-assignment count {raw} exceeds limit {ENUMERATION_LIMIT}")
 
-    loop_sets0 = list(itertools.combinations(classes, len(loops0)))
-    loop_sets1 = (list(itertools.combinations(classes, len(loops1)))
-                  if loops1 else [()])
-    free_bridge_sets = (list(itertools.combinations(nonzero, len(bridges) - 1))
-                        if len(bridges) >= 2 else [()])
+    # candidates in product order (loop set at 0, loop set at 1, free
+    # bridge set), screened in blocks; negating the free bridges reverses
+    # the order of ``nonzero``, so of a set and its negation (the same
+    # assignment) the lexicographically first index tuple is kept
+    sets = (_combinations(len(classes), k[0]), _combinations(len(classes), k[1]),
+            _combinations(len(nonzero), k[2]))
+    first = _lex_le(sets[2], (len(nonzero) - 1 - sets[2])[:, ::-1])
+    free = loops0 + loops1 + bridges[1:]
+    for lo in range(0, raw, _ENUM_BLOCK):
+        flat = np.arange(lo, min(lo + _ENUM_BLOCK, raw))
+        i0, i1, ib = np.unravel_index(flat, [len(x) for x in sets])
+        i0, i1, ib = i0[first[ib]], i1[first[ib]], ib[first[ib]]
+        S = np.zeros((len(ib), g.edge_count, n), dtype=np.int64)
+        S[:, loops0] = classes[sets[0][i0]]
+        S[:, loops1] = classes[sets[1][i1]]
+        S[:, bridges[1:]] = nonzero[sets[2][ib]]
+        yield from S[_rows_generate_zn(S[:, free], n)]
 
-    seen = set()
-    for la in loop_sets0:
-        for lb in loop_sets1:
-            for br in free_bridge_sets:
-                if not _rows_generate_zn(la + lb + br, n):
-                    continue
-                neg = tuple(sorted(tuple(-x for x in s) for s in br))
-                key = (la, lb, min(tuple(sorted(br)), neg))
-                if key in seen:
-                    continue
-                seen.add(key)
-                S = np.zeros((g.edge_count, n), dtype=np.int64)
-                for e, s in zip(loops0, la):
-                    S[e] = s
-                for e, s in zip(loops1, lb):
-                    S[e] = s
-                if bridges:
-                    S[bridges[0]] = zero
-                    for e, s in zip(bridges[1:], br):
-                        S[e] = s
-                yield S
+
+@dataclass(frozen=True)
+class ShiftOrbit:
+    """A class of equivalent shift assignments: ascending positions in
+    :func:`enumerate_shift_arrays`, and the shifts of the first."""
+
+    members: np.ndarray
+    shifts: np.ndarray
+
+    @property
+    def index(self) -> int:
+        return int(self.members[0])
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> list[ShiftOrbit]:
+    """Enumerated shift assignments grouped into classes of equal landscape.
+
+    Assignments are equivalent when a unimodular basis change (S -> S U^T)
+    and a skeleton automorphism (permuting the loops at a vertex or the
+    bridges, reversing loops, swapping the vertices) map one onto the
+    other; L^n/V takes the same values on both.  Circuit rank r = n gives
+    one class, as any two unimodular cycle-shift matrices differ by a basis
+    change; r = n + 1 is classified by :func:`_relation_keys`; for larger r
+    every assignment is its own class.  Classes come in representative order.
+    """
+    arrays = enumerate_shift_arrays(g, n, s_max)
+    if not arrays:
+        return []
+    r = circuit_rank(g)
+    if r == n:
+        labels = np.zeros(len(arrays), dtype=np.int64)
+    elif r == n + 1:
+        _, labels = np.unique(_relation_keys(g, np.stack(arrays)), return_inverse=True)
+    else:
+        labels = np.arange(len(arrays))
+    members = np.split(np.argsort(labels, kind='stable'),
+                       np.cumsum(np.bincount(labels))[:-1])
+    members.sort(key=lambda m: m[0])
+    return [ShiftOrbit(m, arrays[m[0]]) for m in members]
+
+
+def _relation_keys(g: QuotientGraph, S: np.ndarray) -> np.ndarray:
+    """Orbit key of each assignment in ``S``, for circuit rank n + 1.
+
+    The signed maximal minors of the (n+1) x n cycle-shift matrix span its
+    left kernel; carried to the edges they give the primitive relation mu
+    (mu^T S = 0), free of the spanning tree and fixed up to sign by a basis
+    change.  Automorphisms act on mu by reversing loops (|mu| on loops),
+    permuting within an edge class (sorting) and, on two vertices,
+    exchanging the loop classes and reversing the bridges.  The key is the
+    lexicographic rank of the least image.
+    """
+    E = g.edge_count
+    # the cycle-shift matrix of unit edge shifts is the cycle-edge incidence Z
+    Z = QuotientGraph(E, g.vertex_count, g.tails, g.heads,
+                      np.eye(E, dtype=np.int64)).cycle_shift_matrix()
+    C = np.einsum('ce,aei->aci', Z, S)
+    minors = np.stack([(-1) ** i * det_int_batch(np.delete(C, i, axis=1))
+                       for i in range(len(Z))], axis=1)
+    mu = minors @ Z
+    mu //= np.gcd.reduce(mu, axis=1, keepdims=True)
+
+    tails, heads = g.tails, g.heads
+    bridges = np.flatnonzero(tails != heads)
+    mu_b = mu[:, bridges] * np.where(tails[bridges] == 0, 1, -1)   # oriented 0 -> 1
+    loops = [np.sort(np.abs(mu[:, (tails == v) & (heads == v)]), axis=1)
+             for v in range(g.vertex_count)]
+    pos, neg = np.sort(mu_b, axis=1), np.sort(-mu_b, axis=1)
+    images = [np.hstack(loops + [pos]), np.hstack(loops + [neg])]
+    if g.vertex_count == 2:
+        images += [np.hstack(loops[::-1] + [neg]), np.hstack(loops[::-1] + [pos])]
+    images = np.stack(images, axis=1)
+    _, rank = np.unique(images.reshape(-1, images.shape[2]), axis=0, return_inverse=True)
+    return rank.reshape(images.shape[:2]).min(axis=1)

@@ -95,6 +95,8 @@ RECOVERY = [
     ("D5", 3, 405.0 / 8.0, 1e-3),
     ("B3", 3, 27.0, 1e-6),
     ("D3", 2, 2 * math.sqrt(3), 1e-4),
+    ("D5", 4, math.sqrt(32000), 1e-4),     # simplex_net(4)
+    ("B4", 4, 256.0, 1e-6),                # pcu(4)
 ]
 
 

@@ -252,6 +252,71 @@ def test_verify_report_serializes():
     assert doc["equality_certificate"]["passed"] is True
 
 
+SHARP_CATALOG = [("dia", {}), ("cds", {"t": 0.35}), ("bnn", {}), ("sqp", {}),
+                 ("pcu", {"n": 3}), ("hcb", {}), ("sql", {}),
+                 ("simplex_net", {"n": 4}), ("cube_net", {"n": 4})]
+
+
+def _rewritten(net, rng):
+    """The same network under a random basis change, rotation and relabelling.
+
+    B' = Q B U and s' = U^-1 s leave every edge vector rotated by Q;
+    edges are then permuted and some reversed, and two vertices swapped.
+    """
+    g, n = net.graph, net.dim
+    U = np.eye(n, dtype=np.int64)
+    for _ in range(3 * n):
+        i, j = rng.choice(n, 2, replace=False)
+        U[:, j] += int(rng.integers(-2, 3)) * U[:, i]
+    U_inv = np.rint(np.linalg.inv(U)).astype(np.int64)
+    assert np.array_equal(U @ U_inv, np.eye(n, dtype=np.int64))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    shifts = g.shifts @ U_inv.T
+    tails, heads = g.tails.copy(), g.heads.copy()
+    positions = net.positions @ Q.T
+    flip = rng.random(g.edge_count) < 0.5
+    tails[flip], heads[flip] = g.heads[flip], g.tails[flip]
+    shifts[flip] = -shifts[flip]
+    if g.vertex_count == 2 and rng.random() < 0.5:
+        tails, heads, positions = 1 - tails, 1 - heads, positions[::-1]
+    order = rng.permutation(g.edge_count)
+    graph = QuotientGraph(n, g.vertex_count, tails[order], heads[order], shifts[order])
+    return PeriodicNetwork(graph, Lattice(Q @ net.lattice.basis @ U), positions)
+
+
+@pytest.mark.parametrize("name,params", SHARP_CATALOG,
+                         ids=[name for name, _ in SHARP_CATALOG])
+def test_verify_independent_of_presentation(name, params):
+    net, _ = catalog(name, **params)
+    ref = verify(net)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(40):
+        rep = verify(_rewritten(net, rng))
+        assert rep.theorem == ref.theorem
+        assert abs(rep.slack - ref.slack) <= 1e-12 * ref.bound
+        assert rep.equality_certificate is not None
+        assert rep.equality_certificate.passed, rep.equality_certificate.checks
+
+
+def test_fcc_check_rejects_sublattice():
+    # the diamond star over a lattice twice as fine: the cycle translations
+    # span an index-2 sublattice, so the lift is two interpenetrating copies
+    # of dia, with every local check passing
+    from perinet.bounds import _cert_regular_simplex
+    net, _ = catalog("dia")
+    A = np.array([[1, 1, 0], [-1, 1, 0], [0, 0, 1]])     # det 2
+    g = net.graph
+    twin = PeriodicNetwork(QuotientGraph(3, 2, g.tails, g.heads, g.shifts @ A.T),
+                             Lattice(net.lattice.basis @ np.linalg.inv(A)),
+                             net.positions)
+    assert length_quotient(twin) == pytest.approx(2 * length_quotient(net))
+    cert = _cert_regular_simplex(twin)
+    assert cert.checks["equal_edge_lengths"] and cert.checks["simplex_angles"]
+    assert not cert.checks["fcc_lattice"] and not cert.passed
+    rep = verify(twin)
+    assert rep.equality_certificate is None or not rep.equality_certificate.passed
+
+
 # ---------------------------------------------------------------------------
 # integer coefficients for D5
 

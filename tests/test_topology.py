@@ -1,3 +1,5 @@
+from itertools import combinations, permutations, product
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from perinet import (
     min_vertex_count,
     validate,
 )
+from perinet.intlinalg import smith_invariant_factors
 from perinet.netcore import Lattice, PeriodicNetwork
-from perinet.topology import enumerate_shift_arrays
+from perinet.topology import enumerate_shift_arrays, shift_orbits
 
 
 def test_circuit_rank_bouquet():
@@ -173,6 +176,49 @@ def test_enumerate_assignment_counts():
         assert len(enumerate_shift_arrays(build_abstract(tag, n), n, 1)) == count
 
 
+def _reference_shift_arrays(skeleton, n, s_max):
+    """The enumeration written out candidate by candidate.
+
+    Loop sets at each vertex (sign-canonical classes), then free bridge
+    sets (the first bridge fixed at zero), all in lexicographic order; a
+    candidate is kept when its free rows have Smith factors all 1 and no
+    earlier candidate is its bridge negation.
+    """
+    nonzero = [s for s in product(range(-s_max, s_max + 1), repeat=n) if any(s)]
+    classes = sorted({max(s, tuple(-x for x in s)) for s in nonzero})
+    edges = list(zip(skeleton.tails.tolist(), skeleton.heads.tolist()))
+    loops0 = [e for e, (t, h) in enumerate(edges) if t == h == 0]
+    loops1 = [e for e, (t, h) in enumerate(edges) if t == h == 1]
+    bridges = [e for e, (t, h) in enumerate(edges) if t != h]
+    out, seen = [], set()
+    for la in combinations(classes, len(loops0)):
+        for lb in combinations(classes, len(loops1)):
+            for br in combinations(nonzero, max(len(bridges) - 1, 0)):
+                rows = la + lb + br
+                if len(rows) < n or smith_invariant_factors(rows) != (1,) * n:
+                    continue
+                if (la, lb, frozenset(tuple(-x for x in s) for s in br)) in seen:
+                    continue
+                seen.add((la, lb, frozenset(br)))
+                S = np.zeros((skeleton.edge_count, n), dtype=np.int64)
+                for e, s in zip(loops0 + loops1 + bridges[1:], rows):
+                    S[e] = s
+                out.append(S)
+    return out
+
+
+@pytest.mark.parametrize("tag,n,s_max", [
+    ("B3", 3, 1), ("D4", 3, 1), ("D1,2", 3, 1), ("D5", 3, 1),
+    ("D3", 2, 1), ("D3", 2, 2), ("B2", 2, 2), ("D1,1", 2, 2),
+])
+def test_enumerate_matches_reference(tag, n, s_max):
+    skeleton = build_abstract(tag, n)
+    ref = _reference_shift_arrays(skeleton, n, s_max)
+    got = enumerate_shift_arrays(skeleton, n, s_max)
+    assert len(got) == len(ref)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 def test_enumerate_guard_trips():
     with pytest.raises(RuntimeError, match="exceeds"):
         enumerate_shift_arrays(build_abstract("D5", 3), 3, 3)
@@ -199,3 +245,86 @@ def test_admissible_topologies_have_assignments():
                 g = QuotientGraph(n, top.vertex_count, skeleton.tails,
                                   skeleton.heads, arrays[0])
                 assert circuit_rank(g) >= n
+
+
+@pytest.mark.parametrize("tag,n,count", [
+    ("B3", 3, 1), ("D4", 3, 1), ("D1,2", 3, 1), ("D5", 3, 30), ("D1,3", 3, 46),
+    ("B4", 3, 10), ("D5", 4, 1), ("B4", 4, 1), ("D3", 2, 1),
+])
+def test_shift_orbit_counts(tag, n, count):
+    skeleton = build_abstract(tag, n)
+    orbits = shift_orbits(skeleton, n, 1)
+    assert len(orbits) == count
+    arrays = enumerate_shift_arrays(skeleton, n, 1)
+    members = np.sort(np.concatenate([o.members for o in orbits]))
+    assert np.array_equal(members, np.arange(len(arrays)))
+    assert sum(o.size for o in orbits) == len(arrays)
+    for o in orbits:
+        assert o.index == o.members.min()
+        assert np.array_equal(o.shifts, arrays[o.index])
+    assert [o.index for o in orbits] == sorted(o.index for o in orbits)
+
+
+def _dipole_automorphisms(loops: int, bridges: int):
+    """(edge order, edge signs) of each automorphism of the D_{l,k} skeleton.
+
+    Edge order as in build_abstract: loops at vertex 0, loops at vertex 1,
+    bridges 0 -> 1.  Loops may be permuted and reversed at their vertex,
+    bridges permuted; swapping the vertices exchanges the loops and
+    reverses every bridge.
+    """
+    at0 = list(range(loops))
+    at1 = list(range(loops, 2 * loops))
+    br = list(range(2 * loops, 2 * loops + bridges))
+    for swap in (False, True):
+        first, second = (at1, at0) if swap else (at0, at1)
+        for p0 in permutations(first):
+            for p1 in permutations(second):
+                for pb in permutations(br):
+                    for flips in product((1, -1), repeat=2 * loops):
+                        yield (list(p0) + list(p1) + list(pb),
+                               list(flips) + [-1 if swap else 1] * bridges)
+
+
+def _cycle_rows(S, loops):
+    # loops, then each further bridge against the first: one row per cycle
+    bridges = S[:, 2 * loops:]
+    return np.concatenate([S[:, :2 * loops], bridges[:, 1:] - bridges[:, :1]], axis=1)
+
+
+def _unimodular_match(C, T):
+    """Per row: is there a unimodular integer X with C X = T exactly?"""
+    Ct = C.transpose(0, 2, 1).astype(float)
+    X = np.rint(np.linalg.solve(Ct @ C, Ct @ T)).astype(np.int64)
+    exact = (np.einsum('acj,ajk->ack', C, X) == T).all(axis=(1, 2))
+    return exact & (np.abs(np.rint(np.linalg.det(X))) == 1)
+
+
+@pytest.mark.parametrize("tag,loops,bridges", [("D5", 0, 5), ("D1,3", 1, 3)])
+def test_shift_orbits_brute_force(tag, loops, bridges):
+    # oracle without relation vectors: every assignment maps onto the
+    # cycle-shift matrix of its representative by an automorphism and a
+    # unimodular basis change, and no two representatives are related
+    skeleton = build_abstract(tag, 3)
+    S = np.stack(enumerate_shift_arrays(skeleton, 3, 1))
+    orbits = shift_orbits(skeleton, 3, 1)
+    rep = np.empty(len(S), dtype=np.int64)
+    for o in orbits:
+        rep[o.members] = o.index
+    target = _cycle_rows(S[rep], loops)
+    reps = S[[o.index for o in orbits]]
+    K = len(reps)
+    found = np.zeros(len(S), dtype=bool)
+    related = np.zeros((K, K), dtype=bool)
+    for order, signs in _dipole_automorphisms(loops, bridges):
+        signs = np.array(signs)[None, :, None]
+        todo = np.flatnonzero(~found)
+        if len(todo):
+            C = _cycle_rows(signs * S[todo][:, order], loops)
+            found[todo] = _unimodular_match(C, target[todo])
+        C = _cycle_rows(signs * reps[:, order], loops)
+        Cr = np.repeat(C, K, axis=0)
+        Tr = np.tile(_cycle_rows(reps, loops), (K, 1, 1))
+        related |= _unimodular_match(Cr, Tr).reshape(K, K)
+    assert found.all(), np.flatnonzero(~found)[:10]
+    assert np.array_equal(related, np.eye(K, dtype=bool))
