@@ -7,6 +7,7 @@ every vertex, which is exactly criticality of the star length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ MEDIAN_TOL = 1e-10
 MEDIAN_MAX_ITER = 10_000
 _SNAP = 1e-12          # iterate this close to an input point is treated as on it
 _NUDGE = 1e-6          # restart displacement off a non-optimal input point
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -60,37 +62,38 @@ def is_balanced(net: PeriodicNetwork, tol: float = 1e-9) -> bool:
     return force_all(net).max_norm <= tol
 
 
-def _star_length(p: np.ndarray, points: np.ndarray) -> float:
-    return float(np.linalg.norm(points - p, axis=1).sum())
+def _distances(p: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    diff = pts - p
+    return np.sqrt(np.einsum('ki,ki->k', diff, diff))
 
 
-def _vertex_gap(points: np.ndarray, i: int) -> tuple[float, np.ndarray]:
-    """Norm of the unit-vector sum over the other points, and that sum."""
-    rest = np.delete(points, i, axis=0)
-    d = rest - points[i]
-    norms = np.linalg.norm(d, axis=1)
-    keep = norms > 0
-    s = (d[keep] / norms[keep, None]).sum(axis=0)
-    return float(np.linalg.norm(s)), s
+def _vertex_gaps(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex gaps of all points: for each, the unit-vector sum towards the
+    other points (coincident ones skipped) and its norm; <= 1 iff optimal."""
+    diff = pts[None, :, :] - pts[:, None, :]
+    norms = np.sqrt(np.einsum('ijk,ijk->ij', diff, diff))
+    norms[norms == 0.0] = np.inf
+    sums = (diff / norms[:, :, None]).sum(axis=1)
+    return np.sqrt(np.einsum('ik,ik->i', sums, sums)), sums
 
 
-def _newton_polish(p: np.ndarray, pts: np.ndarray, gtol: float,
-                   rounds: int = 60) -> np.ndarray:
+def _newton_polish(p: np.ndarray, pts: np.ndarray, d: np.ndarray, gtol: float,
+                   rounds: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """Guarded Newton steps on the smooth star-length around ``p``.
 
+    Takes and returns the point with its distances ``d`` to the points.
     Weiszfeld slows to a crawl when the minimizer sits very close to an
     input point; Newton is immune to that conditioning.  Steps that fail
     to decrease the objective are halved away, so the polish never moves
-    uphill.
+    uphill, until the trial step falls below the floating-point
+    resolution of ``p``, where no candidate is more than a rounding away.
     """
     dim = pts.shape[1]
-    obj = _star_length(p, pts)
+    obj = d.sum()
     for _ in range(rounds):
-        diff = pts - p
-        d = np.linalg.norm(diff, axis=1)
         if d.min() == 0.0:
             break
-        u = diff / d[:, None]
+        u = (pts - p) / d[:, None]
         grad = -u.sum(axis=0)
         if np.linalg.norm(grad) <= gtol:
             break
@@ -101,19 +104,19 @@ def _newton_polish(p: np.ndarray, pts: np.ndarray, gtol: float,
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
             break
+        size, resolution = np.linalg.norm(step), _EPS * np.linalg.norm(p)
         t = 1.0
-        improved = False
-        for _ in range(40):
+        while t > 2.0 ** -40 and t * size > resolution:
             cand = p - t * step
-            val = _star_length(cand, pts)
+            d_cand = _distances(cand, pts)
+            val = d_cand.sum()
             if val < obj:
-                p, obj = cand, val
-                improved = True
+                p, d, obj = cand, d_cand, val
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
-    return p
+    return p, d
 
 
 def geometric_median(points, tol: float = MEDIAN_TOL,
@@ -124,8 +127,11 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
     Returns the minimizer and, when it coincides with an input point, the
     index of that point (vertex optimality: the unit vectors towards the
     remaining points sum to norm <= 1).  Uses Weiszfeld iteration with the
-    standard restart off non-optimal input points.  ``on_step(p, obj)``,
-    when given, is called after every iterate.
+    standard restart off non-optimal input points.  The vertex gaps depend
+    on the input points only, so they are tabulated once per call and every
+    iterate costs one distance evaluation, shared by the nearest-point
+    test, the weights, the monotonicity check and the objective.
+    ``on_step(p, obj)``, when given, is called after every iterate.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or len(pts) < 2:
@@ -139,43 +145,41 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
         # every point of the segment minimizes; take the midpoint
         return pts.mean(axis=0), None
 
+    gaps, sums = _vertex_gaps(pts)
     p = pts.mean(axis=0)
-    obj = _star_length(p, pts)
+    d = _distances(p, pts)
+    obj = float(d.sum())
     for it in range(max_iter):
-        d = np.linalg.norm(pts - p, axis=1)
         # the vertex condition is a global optimality certificate, so the
         # nearest input point can be returned as soon as it holds; without
         # this, iterates approach a vertex-optimal point only sublinearly
-        i = int(np.argmin(d))
-        gap, s = _vertex_gap(pts, i)
-        if gap <= 1.0 + 1e-12:
+        i = int(d.argmin())
+        if gaps[i] <= 1.0 + 1e-12:
             return pts[i].copy(), i
         if d[i] < _SNAP * max(scale, 1.0):
-            p = pts[i] + _NUDGE * s / gap
-            d = np.linalg.norm(pts - p, axis=1)
+            p = pts[i] + _NUDGE * sums[i] / gaps[i]
+            d = _distances(p, pts)
         w = 1.0 / d
-        p_new = (pts * w[:, None]).sum(axis=0) / w.sum()
-        new_obj = _star_length(p_new, pts)
+        p_new = w @ pts / w.sum()
+        d_new = _distances(p_new, pts)
+        new_obj = float(d_new.sum())
         if not new_obj <= obj * (1 + 1e-12) + 1e-15:
             raise RuntimeError("Weiszfeld objective increased")
         if on_step is not None:
             on_step(p_new, new_obj)
-        step = float(np.linalg.norm(p_new - p))
-        p, obj = p_new, new_obj
+        step = math.sqrt((p_new - p) @ (p_new - p))
+        p, d, obj = p_new, d_new, new_obj
         if step < tol or (it + 1) % 500 == 0:
             # interior tail: a minimizer close to an input point drags the
             # Weiszfeld rate towards one, so finish with guarded Newton and
             # return once the criticality certificate holds
-            p = _newton_polish(p, pts, gtol=tol)
-            obj = _star_length(p, pts)
+            p, d = _newton_polish(p, pts, d, gtol=tol)
+            obj = float(d.sum())
             if on_step is not None:
                 on_step(p, obj)
-            d = np.linalg.norm(pts - p, axis=1)
-            i = int(np.argmin(d))
-            if d[i] <= 1e-6 * max(scale, 1.0):
-                gap, _ = _vertex_gap(pts, i)
-                if gap <= 1.0 + 1e-12:
-                    return pts[i].copy(), i
+            i = int(d.argmin())
+            if d[i] <= 1e-6 * max(scale, 1.0) and gaps[i] <= 1.0 + 1e-12:
+                return pts[i].copy(), i
             units = (pts - p) / d[:, None]
             if np.linalg.norm(units.sum(axis=0)) <= max(tol, 1e-12):
                 return p, None
@@ -183,24 +187,17 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
 
 
 def lifted_neighbours(net: PeriodicNetwork, v: int) -> np.ndarray:
-    """Positions of v's neighbours in the lift, loops excluded.
+    """Positions of v's neighbours in the lift, loops excluded, in edge order.
 
     Loop edges keep their length under any move of v, so they play no
     role in rebalancing.
     """
     g = net.graph
-    B = net.lattice.basis
-    pts = []
-    for e in range(g.edge_count):
-        t, h = int(g.tails[e]), int(g.heads[e])
-        if t == h:
-            continue
-        s = g.shifts[e].astype(np.float64)
-        if t == v:
-            pts.append(net.positions[h] + B @ s)
-        if h == v:
-            pts.append(net.positions[t] - B @ s)
-    return np.array(pts) if pts else np.zeros((0, g.dim))
+    out = (g.tails == v) & (g.heads != v)
+    keep = out | ((g.heads == v) & (g.tails != v))
+    sign = np.where(out[keep], 1.0, -1.0)[:, None]
+    ends = np.where(out[keep], g.heads[keep], g.tails[keep])
+    return net.positions[ends] + sign * (g.shifts[keep] @ net.lattice.basis.T)
 
 
 def rebalance_vertex(net: PeriodicNetwork, v: int) -> tuple[PeriodicNetwork, bool]:

@@ -35,9 +35,12 @@ TERM_CONVERGED = "converged"
 TERM_COLLAPSED = "collapsed_edge"
 TERM_DEGENERATE = "degenerate_lattice"
 TERM_MAXITER = "max_iter"
+TERM_STALLED = "stalled"
+TERM_LINE_SEARCH = "line_search_failed"
 
 _STATUS_LABELS = {0: TERM_MAXITER, 1: TERM_CONVERGED, 2: TERM_COLLAPSED,
-                  3: TERM_DEGENERATE, 4: TERM_MAXITER}
+                  3: TERM_DEGENERATE, 4: TERM_MAXITER, 5: TERM_STALLED,
+                  6: TERM_LINE_SEARCH}
 
 _CHUNK = 1 << 16             # most instances descended in one batch
 _SERVICE_EVERY = 8           # iterations between basis-safeguard services
@@ -250,7 +253,7 @@ class _Batch:
             <= 1e-14 * np.maximum(1.0, np.abs(self.f[idx]))
         self._stall[idx[drop]] += 1
         self._stall[idx[~drop]] = 0
-        self.status[idx[(self._stall[idx] >= _STALL_PATIENCE) & (self.status[idx] == 0)]] = 4
+        self.status[idx[(self._stall[idx] >= _STALL_PATIENCE) & (self.status[idx] == 0)]] = 5
         self._f_snap[idx] = self.f[idx]
 
     # -- descent -------------------------------------------------------------
@@ -320,12 +323,12 @@ class _Batch:
                     break
                 need = need[~ok]
                 t[need] *= cfg.backtrack
-            stalled = np.zeros(len(sub), dtype=bool)
+            failed = np.zeros(len(sub), dtype=bool)
             if len(need):
                 # the line search exhausted its budget without a usable step
-                stalled[need] = True
-                self.status[sub[need]] = 4
-            moved = ~stalled
+                failed[need] = True
+                self.status[sub[need]] = 6
+            moved = ~failed
             acc = sub[moved]
             if len(acc) == 0:
                 continue

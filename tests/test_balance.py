@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from perinet import (
+    CATALOG_NAMES,
     PeriodicNetwork,
+    QuotientGraph,
     catalog,
     force,
     force_all,
@@ -12,9 +14,12 @@ from perinet import (
     is_balanced,
     length,
     lifted_neighbours,
+    random_network,
     rebalance_vertex,
     with_positions,
 )
+from perinet.balance import _vertex_gaps
+from perinet.topology import build_abstract, enumerate_shift_arrays
 
 
 def perturbed_dia():
@@ -139,6 +144,196 @@ def test_median_monotone_and_certified():
             assert np.linalg.norm(units.sum(axis=0)) <= 1.0 + 1e-10
 
 
+# The median as written before the gap table: one _vertex_gap call and two
+# star-length evaluations per iterate, and a Newton tail that halves 40
+# times whatever the step size.  Kept as the reference the fast path must
+# reproduce: the same at_vertex, and the same point up to rounding.
+
+
+def _reference_star_length(p, points):
+    return float(np.linalg.norm(points - p, axis=1).sum())
+
+
+def _reference_vertex_gap(points, i):
+    rest = np.delete(points, i, axis=0)
+    d = rest - points[i]
+    norms = np.linalg.norm(d, axis=1)
+    keep = norms > 0
+    s = (d[keep] / norms[keep, None]).sum(axis=0)
+    return float(np.linalg.norm(s)), s
+
+
+def _reference_newton_polish(p, pts, gtol, rounds=60):
+    dim = pts.shape[1]
+    obj = _reference_star_length(p, pts)
+    for _ in range(rounds):
+        diff = pts - p
+        d = np.linalg.norm(diff, axis=1)
+        if d.min() == 0.0:
+            break
+        u = diff / d[:, None]
+        grad = -u.sum(axis=0)
+        if np.linalg.norm(grad) <= gtol:
+            break
+        w = 1.0 / d
+        H = w.sum() * np.eye(dim) - np.einsum('k,ki,kj->ij', w, u, u)
+        H = H + 1e-14 * np.trace(H) * np.eye(dim)
+        try:
+            step = np.linalg.solve(H, grad)
+        except np.linalg.LinAlgError:
+            break
+        t = 1.0
+        improved = False
+        for _ in range(40):
+            cand = p - t * step
+            val = _reference_star_length(cand, pts)
+            if val < obj:
+                p, obj = cand, val
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    return p
+
+
+def _reference_geometric_median(points, tol=1e-10, max_iter=10_000):
+    pts = np.asarray(points, dtype=np.float64)
+    scale = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
+    if len(pts) == 2:
+        return pts.mean(axis=0), None
+    p = pts.mean(axis=0)
+    obj = _reference_star_length(p, pts)
+    for it in range(max_iter):
+        d = np.linalg.norm(pts - p, axis=1)
+        i = int(np.argmin(d))
+        gap, s = _reference_vertex_gap(pts, i)
+        if gap <= 1.0 + 1e-12:
+            return pts[i].copy(), i
+        if d[i] < 1e-12 * max(scale, 1.0):
+            p = pts[i] + 1e-6 * s / gap
+            d = np.linalg.norm(pts - p, axis=1)
+        w = 1.0 / d
+        p_new = (pts * w[:, None]).sum(axis=0) / w.sum()
+        new_obj = _reference_star_length(p_new, pts)
+        if not new_obj <= obj * (1 + 1e-12) + 1e-15:
+            raise RuntimeError("Weiszfeld objective increased")
+        step = float(np.linalg.norm(p_new - p))
+        p, obj = p_new, new_obj
+        if step < tol or (it + 1) % 500 == 0:
+            p = _reference_newton_polish(p, pts, gtol=tol)
+            d = np.linalg.norm(pts - p, axis=1)
+            i = int(np.argmin(d))
+            if d[i] <= 1e-6 * max(scale, 1.0):
+                gap, _ = _reference_vertex_gap(pts, i)
+                if gap <= 1.0 + 1e-12:
+                    return pts[i].copy(), i
+            units = (pts - p) / d[:, None]
+            if np.linalg.norm(units.sum(axis=0)) <= max(tol, 1e-12):
+                return p, None
+    raise RuntimeError(f"geometric median did not converge in {max_iter} iterations")
+
+
+def _assert_matches_reference(pts, **kw):
+    p, at_vertex = geometric_median(pts, **kw)
+    p_ref, at_ref = _reference_geometric_median(pts, **kw)
+    assert at_vertex == at_ref, (pts, at_vertex, at_ref)
+    scale = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
+    assert np.linalg.norm(p - p_ref) <= 1e-8 * max(scale, 1.0), (pts, p, p_ref)
+    return p, at_vertex
+
+
+def _vertex_optimal_set(rng):
+    """A point with antipodal neighbour pairs, so its unit vectors cancel."""
+    dim = int(rng.integers(2, 5))
+    centre = rng.normal(size=dim)
+    dirs = rng.normal(size=(int(rng.integers(1, 5)), dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = rng.uniform(0.2, 3.0, size=(len(dirs), 2))
+    pts = np.vstack([centre, centre + radii[:, :1] * dirs, centre - radii[:, 1:] * dirs])
+    return pts[rng.permutation(len(pts))]
+
+
+def test_median_matches_reference():
+    sets = []
+    for k, tag in enumerate(["D4", "D1,2", "D5", "D1,3", "B3"]):
+        skeleton = build_abstract(tag, 3)
+        shifts = enumerate_shift_arrays(skeleton, 3, 1)
+        rng = np.random.default_rng((23, k))
+        for _ in range(100):
+            g = QuotientGraph(3, skeleton.vertex_count, skeleton.tails, skeleton.heads,
+                              shifts[int(rng.integers(len(shifts)))])
+            net = random_network(g, seed=int(rng.integers(1 << 62)))
+            for v in range(g.vertex_count):
+                nbrs = lifted_neighbours(net, v)
+                if len(nbrs):
+                    sets.append(nbrs)
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        m, dim = int(rng.integers(3, 10)), int(rng.integers(2, 5))
+        sets.append(rng.normal(size=(m, dim)) * rng.uniform(0.2, 5.0))
+    vertex_sets = [_vertex_optimal_set(rng) for _ in range(100)]
+    assert len(sets) + len(vertex_sets) >= 1000
+    for pts in sets:
+        _assert_matches_reference(pts)
+    for pts in vertex_sets:
+        _, at_vertex = _assert_matches_reference(pts)
+        assert at_vertex is not None
+
+
+def test_vertex_gaps_skip_coincident_points():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.2, 1.0], [-1.0, -0.4]])
+    gaps, sums = _vertex_gaps(pts)
+    for i in range(len(pts)):
+        gap, s = _reference_vertex_gap(pts, i)
+        assert gaps[i] == pytest.approx(gap, abs=1e-14)
+        assert np.allclose(sums[i], s, atol=1e-14)
+    _assert_matches_reference(pts)
+
+
+def test_median_collinear_two_optimal_points():
+    # on a line through four points every point between the inner two is a
+    # minimizer and both inner points pass the vertex test; the one nearer
+    # the mean (first on one line, second on the other) is returned
+    rng = np.random.default_rng(31)
+    for k in range(20):
+        dim = int(rng.integers(2, 5))
+        u = rng.normal(size=dim)
+        ts = rng.permutation([0.0, 1.0, 2.6, 3.1] if k % 2 else [0.0, 0.5, 2.0, 3.0])
+        pts = rng.normal(size=dim) + np.outer(ts, u)
+        gaps, _ = _vertex_gaps(pts)
+        assert (gaps <= 1.0 + 1e-12).sum() == 2
+        _, at_vertex = _assert_matches_reference(pts)
+        assert at_vertex == int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
+        assert gaps[at_vertex] <= 1.0 + 1e-12
+
+
+def test_median_certified_at_first_iterate_without_steps():
+    pts = np.array([[0.0, 0.0], [1.0, 0.05], [-1.0, 0.05]])
+    calls = []
+    p, at_vertex = geometric_median(pts, on_step=lambda *a: calls.append(a))
+    assert at_vertex == 0 and np.array_equal(p, pts[0])
+    assert calls == []
+
+
+def test_median_iteration_cap_raises():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 1.0]])
+    with pytest.raises(RuntimeError, match="did not converge"):
+        geometric_median(pts, max_iter=1)
+    _assert_matches_reference(pts)
+
+
+def test_median_fermat_tripod_at_tight_tolerance():
+    # the tripod of construct_odd: 0 and two reduced lattice vectors
+    for g1, g2 in [([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([1.0, 0.0], [0.5, 0.9])]:
+        tripod = np.array([np.zeros(len(g1)), g1, g2])
+        q, at_vertex = geometric_median(tripod, tol=1e-13)
+        assert at_vertex is None
+        units = (tripod - q) / np.linalg.norm(tripod - q, axis=1)[:, None]
+        assert np.linalg.norm(units.sum(axis=0)) <= 1e-12
+        assert np.allclose(units @ units.T, 1.5 * np.eye(3) - 0.5, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # rebalancing
 
@@ -162,7 +357,7 @@ def test_rebalance_fixed_point():
 def test_rebalance_collinear_degenerates():
     # the three bridge neighbours of vertex 0 sit on a line, so the median
     # lands on the middle one and an edge collapses
-    from perinet import QuotientGraph, Lattice
+    from perinet import Lattice
     g = QuotientGraph.from_edges(3, 2, [(0, 1, (0, 0, 0)), (0, 1, (-1, 0, 0)),
                                         (0, 1, (1, 0, 0)),
                                         (0, 0, (0, 0, 1)), (1, 1, (0, 0, 1))])
@@ -175,6 +370,42 @@ def test_rebalance_collinear_degenerates():
     assert degenerate
 
 
+def _reference_lifted_neighbours(net, v):
+    g = net.graph
+    B = net.lattice.basis
+    pts = []
+    for e in range(g.edge_count):
+        t, h = int(g.tails[e]), int(g.heads[e])
+        if t == h:
+            continue
+        s = g.shifts[e].astype(np.float64)
+        if t == v:
+            pts.append(net.positions[h] + B @ s)
+        if h == v:
+            pts.append(net.positions[t] - B @ s)
+    return np.array(pts) if pts else np.zeros((0, g.dim))
+
+
+def test_lifted_neighbours_match_edge_loop():
+    nets = [catalog(name)[0] for name in CATALOG_NAMES]
+    nets += [catalog(name, n=n)[0] for name in ("pcu", "cube_net", "simplex_net")
+             for n in (2, 4, 5)]
+    rng = np.random.default_rng(37)
+    for tag in ("D5", "D1,3"):
+        skeleton = build_abstract(tag, 3)
+        shifts = enumerate_shift_arrays(skeleton, 3, 1)
+        for _ in range(25):
+            g = QuotientGraph(3, 2, skeleton.tails, skeleton.heads,
+                              shifts[int(rng.integers(len(shifts)))])
+            nets.append(random_network(g, seed=int(rng.integers(1 << 62))))
+    for net in nets:
+        for v in range(net.graph.vertex_count):
+            got = lifted_neighbours(net, v)
+            want = _reference_lifted_neighbours(net, v)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
 def test_rebalance_loop_only_vertex_noop():
     net, _ = catalog("pcu", n=3)
     out, degenerate = rebalance_vertex(net, 0)
@@ -183,7 +414,7 @@ def test_rebalance_loop_only_vertex_noop():
 
 
 def test_rebalance_identical_neighbours_raises():
-    from perinet import QuotientGraph, Lattice
+    from perinet import Lattice
     g = QuotientGraph.from_edges(2, 2, [(0, 1, (0, 0)), (0, 1, (0, 0)),
                                         (0, 0, (1, 0)), (1, 1, (0, 1))])
     net = PeriodicNetwork(g, Lattice(np.eye(2)), np.array([[0.0, 0.0], [0.4, 0.3]]))
@@ -215,7 +446,6 @@ def star_length(net, v, p):
 
 
 def test_force_is_star_length_gradient():
-    from perinet import random_network
     rng = np.random.default_rng(12)
     nets = []
     for seed in range(10):

@@ -140,8 +140,20 @@ def test_minimize_fixed_shifts_traces_and_best():
     assert res.value <= finals.min() + 1e-12
     rec = res.traces.record(res.restart_index)
     assert rec["final_value"] == pytest.approx(res.value)
-    assert rec["termination"] in ("converged", "max_iter", "collapsed_edge",
+    assert rec["termination"] in ("converged", "max_iter", "stalled",
+                                  "line_search_failed", "collapsed_edge",
                                   "degenerate_lattice")
+
+
+def test_termination_labels_name_their_outcome():
+    # the iteration cap, a plateau (an Armijo constant so strict that only
+    # negligible steps pass) and a line search that never finds a step
+    g = dia_graph()
+    for kw, label in [({"max_iter": 3}, "max_iter"), ({}, "converged"),
+                      ({"armijo": 1e6}, "stalled"), ({"armijo": 1e30}, "line_search_failed")]:
+        res = minimize_fixed_shifts(g, OptimizeConfig(seed=2, restarts=4, **kw))
+        assert {r["termination"] for r in res.traces.to_json_records()} == {label}, kw
+        assert res.termination == label
 
 
 def test_minimize_fixed_shifts_rejects_bad_graph():
