@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import PeriodicNetwork, edge_vectors, with_positions
+from .netcore import (PeriodicNetwork, as_stack, edge_norms, incidence, lifted_edges,
+                      oriented_star, vertex_forces, with_positions)
 
 MEDIAN_TOL = 1e-10
 MEDIAN_MAX_ITER = 10_000
@@ -42,16 +43,11 @@ def force(net: PeriodicNetwork, v: int) -> np.ndarray:
 
 def force_all(net: PeriodicNetwork) -> ForceResult:
     g = net.graph
-    vecs = edge_vectors(net)
-    ell = np.linalg.norm(vecs, axis=1)
+    vecs = lifted_edges(*as_stack(net), g.tails, g.heads)
+    ell = edge_norms(vecs)
     if np.any(ell == 0.0):
         raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
-    units = vecs / ell[:, None]
-    out = np.zeros((g.vertex_count, g.dim))
-    # edge vector points tail -> head, so the head end pulls +u and the
-    # tail end pulls -u in the force convention
-    np.add.at(out, g.heads, units)
-    np.add.at(out, g.tails, -units)
+    out = vertex_forces(incidence(g.tails, g.heads, g.vertex_count), vecs / ell[..., None])[0]
     return ForceResult(forces=out, max_norm=float(np.linalg.norm(out, axis=1).max()))
 
 
@@ -69,7 +65,8 @@ def _distances(p: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _vertex_gaps(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertex gaps of all points: for each, the unit-vector sum towards the
-    other points (coincident ones skipped) and its norm; <= 1 iff optimal."""
+    other points (coincident ones skipped) and its norm; a point is optimal
+    iff its norm is at most its multiplicity."""
     diff = pts[None, :, :] - pts[:, None, :]
     norms = np.sqrt(np.einsum('ijk,ijk->ij', diff, diff))
     norms[norms == 0.0] = np.inf
@@ -126,11 +123,12 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
 
     Returns the minimizer and, when it coincides with an input point, the
     index of that point (vertex optimality: the unit vectors towards the
-    remaining points sum to norm <= 1).  Uses Weiszfeld iteration with the
-    standard restart off non-optimal input points.  The vertex gaps depend
-    on the input points only, so they are tabulated once per call and every
-    iterate costs one distance evaluation, shared by the nearest-point
-    test, the weights, the monotonicity check and the objective.
+    remaining points sum to norm <= the point's multiplicity).  Uses
+    Weiszfeld iteration with the standard restart off non-optimal input
+    points.  The vertex gaps and multiplicities depend on the input points
+    only, so they are tabulated once per call and every iterate costs one
+    distance evaluation, shared by the nearest-point test, the weights,
+    the monotonicity check and the objective.
     ``on_step(p, obj)``, when given, is called after every iterate.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -146,6 +144,8 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
         return pts.mean(axis=0), None
 
     gaps, sums = _vertex_gaps(pts)
+    # a point given m times is optimal iff its gap is at most m
+    optimal = gaps <= (pts[:, None, :] == pts[None, :, :]).all(axis=2).sum(axis=1) + 1e-12
     p = pts.mean(axis=0)
     d = _distances(p, pts)
     obj = float(d.sum())
@@ -154,7 +154,7 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
         # nearest input point can be returned as soon as it holds; without
         # this, iterates approach a vertex-optimal point only sublinearly
         i = int(d.argmin())
-        if gaps[i] <= 1.0 + 1e-12:
+        if optimal[i]:
             return pts[i].copy(), i
         if d[i] < _SNAP * max(scale, 1.0):
             p = pts[i] + _NUDGE * sums[i] / gaps[i]
@@ -178,7 +178,7 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
             if on_step is not None:
                 on_step(p, obj)
             i = int(d.argmin())
-            if d[i] <= 1e-6 * max(scale, 1.0) and gaps[i] <= 1.0 + 1e-12:
+            if d[i] <= 1e-6 * max(scale, 1.0) and optimal[i]:
                 return pts[i].copy(), i
             units = (pts - p) / d[:, None]
             if np.linalg.norm(units.sum(axis=0)) <= max(tol, 1e-12):
@@ -193,11 +193,9 @@ def lifted_neighbours(net: PeriodicNetwork, v: int) -> np.ndarray:
     role in rebalancing.
     """
     g = net.graph
-    out = (g.tails == v) & (g.heads != v)
-    keep = out | ((g.heads == v) & (g.tails != v))
-    sign = np.where(out[keep], 1.0, -1.0)[:, None]
-    ends = np.where(out[keep], g.heads[keep], g.tails[keep])
-    return net.positions[ends] + sign * (g.shifts[keep] @ net.lattice.basis.T)
+    edges, sign, _ = oriented_star(g, v)
+    ends = np.where(sign > 0, g.heads[edges], g.tails[edges])
+    return net.positions[ends] + sign[:, None] * (g.shifts[edges] @ net.lattice.basis.T)
 
 
 def rebalance_vertex(net: PeriodicNetwork, v: int) -> tuple[PeriodicNetwork, bool]:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .intlinalg import det_int, solve_unimodular
-from .netcore import PeriodicNetwork, edge_vectors, length_quotient, validate
+from .netcore import PeriodicNetwork, edge_vectors, length_quotient, oriented_star, validate
 from .topology import TopologyClass, classify
 
 SLACK_TOL = 1e-9         # inequality slack tolerance
@@ -269,20 +269,9 @@ class CertificateResult:
 
 def _oriented_star(net: PeriodicNetwork, v: int) -> tuple[np.ndarray, np.ndarray]:
     """Outgoing non-loop edge vectors at v, and loop vectors at v."""
-    g = net.graph
+    edges, sign, loops = oriented_star(net.graph, v)
     vecs = edge_vectors(net)
-    stars, loops = [], []
-    for e in range(g.edge_count):
-        t, h = int(g.tails[e]), int(g.heads[e])
-        if t == h:
-            if t == v:
-                loops.append(vecs[e])
-            continue
-        if t == v:
-            stars.append(vecs[e])
-        elif h == v:
-            stars.append(-vecs[e])
-    return np.array(stars), np.array(loops)
+    return sign[:, None] * vecs[edges], vecs[loops]
 
 
 def _cert_regular_simplex(net: PeriodicNetwork) -> CertificateResult:
@@ -307,23 +296,10 @@ def _cert_regular_simplex(net: PeriodicNetwork) -> CertificateResult:
     return CertificateResult("regular-simplex", all(checks.values()), checks)
 
 
-def _two_vertex_parts(net: PeriodicNetwork):
-    """Bridge vectors (oriented 0 -> 1) and loop vectors at each vertex."""
-    g = net.graph
-    vecs = edge_vectors(net)
-    bridges, loops0, loops1 = [], [], []
-    for e in range(g.edge_count):
-        t, h = int(g.tails[e]), int(g.heads[e])
-        if t == h:
-            (loops0 if t == 0 else loops1).append(vecs[e])
-        else:
-            bridges.append(vecs[e] if t == 0 else -vecs[e])
-    return np.array(bridges), np.array(loops0), np.array(loops1)
-
-
 def _cert_cds_family(net: PeriodicNetwork) -> CertificateResult:
     """One-parameter equality family: x1 = x2 = x3 + x4, orthogonal axes."""
-    bridges, loops0, loops1 = _two_vertex_parts(net)
+    bridges, loops0 = _oriented_star(net, 0)
+    _, loops1 = _oriented_star(net, 1)
     a, b = loops0[0], loops1[0]
     c1, c2 = bridges[0], bridges[1]
     axis = c1 - c2          # net bridge-cycle vector, a lattice generator
@@ -344,7 +320,8 @@ def _cert_cds_family(net: PeriodicNetwork) -> CertificateResult:
 
 def _cert_bnn(net: PeriodicNetwork) -> CertificateResult:
     """Prismatic honeycomb relations 2y + 2z = 3 x1 = 3 x2 = 3 x3, y = z."""
-    bridges, loops0, loops1 = _two_vertex_parts(net)
+    bridges, loops0 = _oriented_star(net, 0)
+    _, loops1 = _oriented_star(net, 1)
     x = np.linalg.norm(bridges, axis=1)
     y = float(np.linalg.norm(loops0[0]))
     z = float(np.linalg.norm(loops1[0]))
@@ -544,11 +521,8 @@ def dipole5_coefficients(net: PeriodicNetwork) -> tuple[tuple[int, int, int], fl
     top = classify(net.graph)
     if net.dim != 3 or top.tag != "D5":
         raise ValueError("integer coefficients are defined for D5 quotients in R^3")
-    g = net.graph
-    shifts = []
-    for t, h, s in g.edges:
-        shifts.append(np.array(s) if t == 0 else -np.array(s))
-    shifts = np.array(shifts, dtype=np.int64)
+    edges, sign, _ = oriented_star(net.graph, 0)
+    shifts = sign[:, None] * net.graph.shifts[edges]
     for origin in range(5):
         rel = np.delete(shifts, origin, axis=0) - shifts[origin]
         for trio in itertools.combinations(range(4), 3):

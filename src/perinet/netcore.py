@@ -85,20 +85,27 @@ class QuotientGraph:
         return deg
 
     def is_connected(self) -> bool:
-        seen = np.zeros(self.vertex_count, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for t, h in zip(self.tails, self.heads):
-            adj[t].append(int(h))
-            adj[h].append(int(t))
-        while stack:
+        return len(self._spanning_tree()[0]) == self.vertex_count
+
+    def _spanning_tree(self) -> tuple[set[int], list[int], np.ndarray]:
+        """Depth-first spanning tree from vertex 0: the vertices reached, the
+        tree edges, and each reached vertex's shift potential along the tree."""
+        potential = np.zeros((self.vertex_count, self.dim), dtype=np.int64)
+        tails, heads = self.tails.tolist(), self.heads.tolist()
+        reached, tree, stack = {0}, [], [0]
+        # once every vertex is reached, no edge is left to join the tree
+        while stack and len(reached) < self.vertex_count:
             v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return bool(seen.all())
+            edges, signs, _ = oriented_star(self, v)
+            for e, sign in zip(edges.tolist(), signs.tolist()):
+                w = heads[e] if sign > 0 else tails[e]
+                if w in reached:
+                    continue
+                reached.add(w)
+                tree.append(e)
+                potential[w] = potential[v] + sign * self.shifts[e]
+                stack.append(w)
+        return reached, tree, potential
 
     def cycle_shift_matrix(self) -> np.ndarray:
         """Net shifts around the fundamental cycles of a spanning tree.
@@ -107,37 +114,9 @@ class QuotientGraph:
         non-tree edge closes.  For a connected graph the row count is the
         circuit rank.
         """
-        V = self.vertex_count
-        potential = np.zeros((V, self.dim), dtype=np.int64)
-        in_tree = np.zeros(self.edge_count, dtype=bool)
-        visited = np.zeros(V, dtype=bool)
-        visited[0] = True
-        incident: list[list[int]] = [[] for _ in range(V)]
-        for e, (t, h) in enumerate(zip(self.tails, self.heads)):
-            incident[t].append(e)
-            incident[h].append(e)
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for e in incident[v]:
-                t, h = int(self.tails[e]), int(self.heads[e])
-                w = h if t == v else t
-                if visited[w] or w == v:
-                    continue
-                visited[w] = True
-                in_tree[e] = True
-                sign = 1 if t == v else -1
-                potential[w] = potential[v] + sign * self.shifts[e]
-                stack.append(w)
-        rows = []
-        for e in range(self.edge_count):
-            if in_tree[e]:
-                continue
-            t, h = int(self.tails[e]), int(self.heads[e])
-            rows.append(self.shifts[e] + potential[t] - potential[h])
-        if not rows:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
+        _, tree, potential = self._spanning_tree()
+        rest = np.delete(np.arange(self.edge_count), tree)
+        return self.shifts[rest] + potential[self.tails[rest]] - potential[self.heads[rest]]
 
 
 @dataclass(frozen=True)
@@ -205,26 +184,83 @@ class ValidityReport:
         return not self.violations
 
 
+# ---------------------------------------------------------------------------
+# geometry kernel
+#
+# Every measure of a network is built from its lifted edges
+# x_head + B s - x_tail.  The kernel works on a stack of N networks over
+# one skeleton (tails, heads): positions X (N, V, n), bases B (N, n, n)
+# and transposed shifts ST (N, n, E).  A single network is a stack of one.
+
+def lifted_edges(X: np.ndarray, B: np.ndarray, ST: np.ndarray,
+                 tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Edge vectors x_head + B s - x_tail of every stacked network, (N, E, n)."""
+    return (B @ ST).transpose(0, 2, 1) + X[:, heads] - X[:, tails]
+
+
+def edge_norms(vec: np.ndarray) -> np.ndarray:
+    """Lengths (N, E) of stacked edge vectors (N, E, n)."""
+    return np.sqrt(np.einsum('aei,aei->ae', vec, vec))
+
+
+def incidence(tails: np.ndarray, heads: np.ndarray, V: int) -> np.ndarray:
+    """(E, V) signed incidence: +1 at the head, -1 at the tail, loops 0."""
+    vs = np.arange(V)
+    return (heads[:, None] == vs).astype(np.float64) - (tails[:, None] == vs)
+
+
+def vertex_forces(P: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Forces P^T u (N, V, n): the head end of an edge pulls +u, the tail -u."""
+    return np.einsum('ev,aei->avi', P, units)
+
+
+def oriented_star(g: QuotientGraph, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges at vertex ``v``: its non-loop edges in edge order, their
+    signs (+1 where the edge leaves v, -1 where it enters), and its loops."""
+    at_tail, at_head = g.tails == v, g.heads == v
+    edges = (at_tail ^ at_head).nonzero()[0]
+    return edges, 2 * at_tail[edges] - 1, (at_tail & at_head).nonzero()[0]
+
+
+def parallel_ends(vec: np.ndarray, ell: np.ndarray, tails: np.ndarray,
+                  heads: np.ndarray, V: int) -> np.ndarray:
+    """(N, V) flags of the vertices where two edge ends leave in one direction.
+
+    Edge e leaves its tail along u_e = vec_e / ell_e and its head along
+    -u_e (a loop does both at one vertex).  Two ends at a vertex are
+    parallel when their directions differ by less than ``DIRECTION_TOL``
+    in max norm; zero-length edges have NaN directions, parallel to none.
+    """
+    with np.errstate(divide='ignore', invalid='ignore'):
+        units = vec / ell[..., None]
+    at = np.concatenate([tails, heads])
+    k = np.arange(len(at))
+    i, j = ((at[:, None] == at) & (k[:, None] < k)).nonzero()
+    dirs = np.concatenate([units, -units], axis=1)
+    par = np.abs(dirs[:, i] - dirs[:, j]).max(axis=2) < DIRECTION_TOL
+    return par @ (at[i, None] == np.arange(V))
+
+
+def as_stack(net: PeriodicNetwork):
+    """(X, B, ST) of one network, as a stack of one."""
+    return (net.positions[None], net.lattice.basis[None],
+            net.graph.shifts.T[None].astype(np.float64))
+
+
 def edge_vector(net: PeriodicNetwork, e: int) -> np.ndarray:
     """Cartesian vector of quotient edge ``e``: pos[head] + B shift - pos[tail]."""
-    g = net.graph
-    if not 0 <= e < g.edge_count:
+    if not 0 <= e < net.graph.edge_count:
         raise ValueError(f"unknown edge id {e}")
-    return (net.positions[g.heads[e]]
-            + net.lattice.basis @ g.shifts[e].astype(np.float64)
-            - net.positions[g.tails[e]])
+    return edge_vectors(net)[e]
 
 
 def edge_vectors(net: PeriodicNetwork) -> np.ndarray:
     """All edge vectors as an (E, dim) array."""
-    g = net.graph
-    return (net.positions[g.heads]
-            + g.shifts.astype(np.float64) @ net.lattice.basis.T
-            - net.positions[g.tails])
+    return lifted_edges(*as_stack(net), net.graph.tails, net.graph.heads)[0]
 
 
 def edge_lengths(net: PeriodicNetwork) -> np.ndarray:
-    return np.linalg.norm(edge_vectors(net), axis=1)
+    return edge_norms(edge_vectors(net)[None])[0]
 
 
 def length(net: PeriodicNetwork) -> float:
@@ -243,21 +279,6 @@ def volume(net: PeriodicNetwork) -> float:
 def length_quotient(net: PeriodicNetwork) -> float:
     """Scaling-invariant objective L^n / V."""
     return length(net) ** net.dim / volume(net)
-
-
-def _outgoing_units(net: PeriodicNetwork, vecs: np.ndarray, ell: np.ndarray,
-                    v: int) -> list[np.ndarray]:
-    g = net.graph
-    units = []
-    for e in range(g.edge_count):
-        if ell[e] == 0.0:
-            continue
-        u = vecs[e] / ell[e]
-        if g.tails[e] == v:
-            units.append(u)
-        if g.heads[e] == v:
-            units.append(-u)
-    return units
 
 
 def validate(net: PeriodicNetwork) -> ValidityReport:
@@ -289,24 +310,16 @@ def validate(net: PeriodicNetwork) -> ValidityReport:
             violations.append(f"loop {e} has zero shift")
 
     vecs = edge_vectors(net)
-    ell = np.linalg.norm(vecs, axis=1)
+    ell = edge_norms(vecs[None])[0]
     zero_edges = np.flatnonzero(ell == 0.0)
     for e in zero_edges:
         violations.append(f"zero-length edge {int(e)}")
 
-    immersed = True
-    for v in range(g.vertex_count):
-        units = _outgoing_units(net, vecs, ell, v)
-        for i in range(len(units)):
-            for j in range(i + 1, len(units)):
-                if np.max(np.abs(units[i] - units[j])) < DIRECTION_TOL:
-                    immersed = False
-                    violations.append(f"parallel outgoing edges at vertex {v}")
-                    break
-            if not immersed:
-                break
-        if not immersed:
-            break
+    crossed = np.flatnonzero(parallel_ends(vecs[None], ell[None], g.tails, g.heads,
+                                           g.vertex_count)[0])
+    immersed = len(crossed) == 0
+    if not immersed:
+        violations.append(f"parallel outgoing edges at vertex {crossed[0]}")
 
     seen: set[tuple] = set()
     simple = True

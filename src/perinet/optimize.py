@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import Lattice, PeriodicNetwork, QuotientGraph, validate
+from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, as_stack, edge_norms,
+                      incidence, lifted_edges, parallel_ends, validate, vertex_forces)
 from .reduction import greedy_reduce
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits
 
@@ -172,7 +173,6 @@ class _Batch:
         self.tails = np.asarray(tails)
         self.heads = np.asarray(heads)
         self.V = int(max(self.tails.max(), self.heads.max())) + 1 if len(tails) else 1
-        self.E = len(tails)
         self.cfg = cfg
         N = len(B)
         self.S_int = np.array(S_int, dtype=np.int64)
@@ -182,11 +182,7 @@ class _Batch:
         self.t = np.full(N, cfg.step0)
         self.status = np.zeros(N, dtype=np.uint8)
         self.iters = np.zeros(N, dtype=np.int32)
-        P = np.zeros((self.E, self.V))
-        for e in range(self.E):
-            P[e, self.heads[e]] += 1.0
-            P[e, self.tails[e]] -= 1.0
-        self.P = P
+        self.P = incidence(self.tails, self.heads, self.V)
         self._refresh_shift_floats()
         self._gauge(np.arange(N))
         self.f, self.ell = self._eval(self.X, self.B, self.ST)
@@ -210,11 +206,8 @@ class _Batch:
         self.ST = np.ascontiguousarray(self.S.transpose(0, 2, 1))
 
     def _eval(self, X, B, ST):
-        vec = (B @ ST).transpose(0, 2, 1) + X[:, self.heads] - X[:, self.tails]
-        ell = np.sqrt(np.einsum('aei,aei->ae', vec, vec))
-        with np.errstate(divide='ignore', invalid='ignore'):
-            f = self.n * np.log(ell.sum(1)) - np.log(np.abs(_det_batch(B)))
-        return f, ell
+        ell = edge_norms(lifted_edges(X, B, ST, self.tails, self.heads))
+        return _objective(self.n, ell, B), ell
 
     def _gauge(self, idx):
         det = _det_batch(self.B[idx])
@@ -268,16 +261,9 @@ class _Batch:
                 return
             X, B, ST = self.X[idx], self.B[idx], self.ST[idx]
             f, ell = self.f[idx], self.ell[idx]
-            vec = (B @ ST).transpose(0, 2, 1) + X[:, self.heads] - X[:, self.tails]
-            u = vec / ell[..., None]
-            L = ell.sum(1)
-            F = np.einsum('ev,aei->avi', self.P, u)
+            u = lifted_edges(X, B, ST, self.tails, self.heads) / ell[..., None]
+            F, gX, gB = _gradient(n, self.P, self.S[idx], B, u, ell.sum(1))
             force_max = np.sqrt(np.einsum('avi,avi->av', F, F)).max(1)
-            gX = (n / L)[:, None, None] * F
-            gX[:, 0, :] = 0.0
-            det = _det_batch(B)
-            gB = (n / L)[:, None, None] * (u.transpose(0, 2, 1) @ self.S[idx]) \
-                - _invT_batch(B, det)
             gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
             ginf = np.maximum(np.abs(gX).reshape(len(idx), -1).max(1),
                               np.abs(gB).reshape(len(idx), -1).max(1))
@@ -400,22 +386,27 @@ def _sample_starts(rng, count: int, n: int, V: int, tails, heads, S_int):
 
 def _starts_valid(B, X, tails, heads, S_int) -> np.ndarray:
     ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
-    vec = (B @ ST).transpose(0, 2, 1) + X[:, heads] - X[:, tails]
-    ell = np.sqrt(np.einsum('aei,aei->ae', vec, vec))
-    ok = (ell > 1e-9).all(axis=1)
-    u = vec / np.maximum(ell, 1e-300)[..., None]
-    V = X.shape[1]
-    for v in range(V):
-        dirs = []
-        for e in range(len(tails)):
-            if tails[e] == v:
-                dirs.append(u[:, e])
-            if heads[e] == v:
-                dirs.append(-u[:, e])
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                ok &= np.abs(dirs[i] - dirs[j]).max(axis=1) >= 1e-9
-    return ok
+    vec = lifted_edges(X, B, ST, tails, heads)
+    ell = edge_norms(vec)
+    crossed = parallel_ends(vec, ell, tails, heads, X.shape[1]).any(axis=1)
+    return (ell > 1e-9).all(axis=1) & ~crossed
+
+
+def _objective(n: int, ell: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """n log L - log|det B| of stacked networks with edge lengths ``ell``."""
+    with np.errstate(divide='ignore', invalid='ignore'):
+        return n * np.log(ell.sum(1)) - np.log(np.abs(_det_batch(B)))
+
+
+def _gradient(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray,
+              L: np.ndarray):
+    """Vertex forces and the gradient (gX, gB) of n log L - log|det B| at unit
+    edge vectors ``u``; the gradient of the pinned vertex 0 is zeroed."""
+    F = vertex_forces(P, u)
+    gX = (n / L)[:, None, None] * F
+    gX[:, 0, :] = 0.0
+    gB = (n / L)[:, None, None] * (u.transpose(0, 2, 1) @ S) - _invT_batch(B, _det_batch(B))
+    return F, gX, gB
 
 
 def objective_and_gradient(net: PeriodicNetwork):
@@ -426,27 +417,14 @@ def objective_and_gradient(net: PeriodicNetwork):
     descent.  The position gradient of L itself is the vertex force.
     """
     g = net.graph
-    n = g.dim
-    S = g.shifts.astype(np.float64)[None, :, :]
-    ST = np.ascontiguousarray(S.transpose(0, 2, 1))
-    B = net.lattice.basis[None, :, :]
-    X = net.positions[None, :, :]
-    vec = (B @ ST).transpose(0, 2, 1) + X[:, g.heads] - X[:, g.tails]
-    ell = np.sqrt(np.einsum('aei,aei->ae', vec, vec))
+    X, B, ST = as_stack(net)
+    vec = lifted_edges(X, B, ST, g.tails, g.heads)
+    ell = edge_norms(vec)
     if np.any(ell == 0.0):
         raise ValueError("zero-length edge")
-    L = ell.sum(1)
-    det = _det_batch(B)
-    f = n * np.log(L) - np.log(np.abs(det))
-    u = vec / ell[..., None]
-    P = np.zeros((g.edge_count, g.vertex_count))
-    for e in range(g.edge_count):
-        P[e, g.heads[e]] += 1.0
-        P[e, g.tails[e]] -= 1.0
-    gX = (n / L)[:, None, None] * np.einsum('ev,aei->avi', P, u)
-    gX[:, 0, :] = 0.0
-    gB = (n / L)[:, None, None] * (u.transpose(0, 2, 1) @ S) - _invT_batch(B, det)
-    return float(f[0]), gX[0], gB[0]
+    _, gX, gB = _gradient(g.dim, incidence(g.tails, g.heads, g.vertex_count),
+                          ST.transpose(0, 2, 1), B, vec / ell[..., None], ell.sum(1))
+    return float(_objective(g.dim, ell, B)[0]), gX[0], gB[0]
 
 
 def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:

@@ -15,7 +15,7 @@ from math import ceil, comb
 import numpy as np
 
 from .intlinalg import det_int_batch
-from .netcore import QuotientGraph
+from .netcore import QuotientGraph, oriented_star
 
 ENUMERATION_LIMIT = 10 ** 7
 _ENUM_BLOCK = 1 << 13         # candidates screened per vectorized block
@@ -98,8 +98,8 @@ def classify(g: QuotientGraph) -> TopologyClass:
     if len(set(deg.tolist())) != 1:
         raise ValueError(f"graph is not regular: degrees {deg.tolist()}")
     d = int(deg[0])
-    rank = circuit_rank(g)
     V = g.vertex_count
+    rank = g.edge_count - V + 1         # the circuit rank, g being connected
     loops_at = np.zeros(V, dtype=int)
     bridges = 0
     for t, h, _ in g.edges:
@@ -222,9 +222,8 @@ def iter_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1):
     top = classify(g)
     if top.kind == "other":
         raise ValueError("shift enumeration supports one- and two-vertex skeletons only")
-    loops0 = [e for e, (t, h, _) in enumerate(g.edges) if t == h and t == 0]
-    loops1 = [e for e, (t, h, _) in enumerate(g.edges) if t == h and t == 1]
-    bridges = [e for e, (t, h, _) in enumerate(g.edges) if t != h]
+    bridges, _, loops0 = oriented_star(g, 0)
+    loops1 = oriented_star(g, 1)[2]
 
     classes = np.array(_loop_classes(n, s_max))
     nonzero = np.array(_nonzero_shifts(n, s_max))
@@ -241,7 +240,7 @@ def iter_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1):
     sets = (_combinations(len(classes), k[0]), _combinations(len(classes), k[1]),
             _combinations(len(nonzero), k[2]))
     first = _lex_le(sets[2], (len(nonzero) - 1 - sets[2])[:, ::-1])
-    free = loops0 + loops1 + bridges[1:]
+    free = np.concatenate([loops0, loops1, bridges[1:]])
     for lo in range(0, raw, _ENUM_BLOCK):
         flat = np.arange(lo, min(lo + _ENUM_BLOCK, raw))
         i0, i1, ib = np.unravel_index(flat, [len(x) for x in sets])
@@ -318,10 +317,9 @@ def _relation_keys(g: QuotientGraph, S: np.ndarray) -> np.ndarray:
     mu = minors @ Z
     mu //= np.gcd.reduce(mu, axis=1, keepdims=True)
 
-    tails, heads = g.tails, g.heads
-    bridges = np.flatnonzero(tails != heads)
-    mu_b = mu[:, bridges] * np.where(tails[bridges] == 0, 1, -1)   # oriented 0 -> 1
-    loops = [np.sort(np.abs(mu[:, (tails == v) & (heads == v)]), axis=1)
+    bridges, sign, _ = oriented_star(g, 0)
+    mu_b = mu[:, bridges] * sign        # oriented 0 -> 1
+    loops = [np.sort(np.abs(mu[:, oriented_star(g, v)[2]]), axis=1)
              for v in range(g.vertex_count)]
     pos, neg = np.sort(mu_b, axis=1), np.sort(-mu_b, axis=1)
     images = [np.hstack(loops + [pos]), np.hstack(loops + [neg])]

@@ -291,6 +291,17 @@ def test_vertex_gaps_skip_coincident_points():
     _assert_matches_reference(pts)
 
 
+def test_median_doubled_point_is_optimal():
+    # the origin is given twice: its vertex gap 1.0995 exceeds 1 but not its
+    # multiplicity 2, so the doubled point is the minimizer
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-1.0, 0.1], [0.0, 1.0]])
+    gaps, _ = _vertex_gaps(pts)
+    assert 1.0 < gaps[0] <= 2.0
+    p, at_vertex = geometric_median(pts)
+    assert at_vertex == 0
+    assert np.array_equal(p, pts[0])
+
+
 def test_median_collinear_two_optimal_points():
     # on a line through four points every point between the inner two is a
     # minimizer and both inner points pass the vertex test; the one nearer

@@ -4,19 +4,33 @@ import numpy as np
 import pytest
 
 from perinet import (
+    CATALOG_NAMES,
+    DIRECTION_TOL,
     Lattice,
     PeriodicNetwork,
     QuotientGraph,
     catalog,
     edge_vector,
+    edge_vectors,
     edge_lengths,
+    force_all,
     length,
     length_quotient,
+    random_network,
     scaled,
     validate,
     volume,
 )
 from perinet.intlinalg import integer_rank, smith_invariant_factors
+from perinet.netcore import (
+    edge_norms,
+    incidence,
+    lifted_edges,
+    parallel_ends,
+    vertex_forces,
+)
+from perinet.topology import build_abstract, enumerate_shift_arrays
+from test_bounds import SHARP_CATALOG, _rewritten
 
 
 def pcu3():
@@ -228,3 +242,197 @@ def test_positions_are_immutable():
     net = pcu3()
     with pytest.raises(ValueError):
         net.positions[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# geometry kernel: one immersion predicate, and a network as a stack of one
+
+def _reference_immersed(net):
+    """The former per-vertex pair loop of ``validate``, on the former edge
+    arithmetic: (immersed, first vertex with two parallel outgoing ends)."""
+    g = net.graph
+    vecs = (net.positions[g.heads] + g.shifts.astype(np.float64) @ net.lattice.basis.T
+            - net.positions[g.tails])
+    ell = np.linalg.norm(vecs, axis=1)
+    for v in range(g.vertex_count):
+        units = []
+        for e in range(g.edge_count):
+            if ell[e] == 0.0:
+                continue
+            u = vecs[e] / ell[e]
+            if g.tails[e] == v:
+                units.append(u)
+            if g.heads[e] == v:
+                units.append(-u)
+        for i in range(len(units)):
+            for j in range(i + 1, len(units)):
+                if np.max(np.abs(units[i] - units[j])) < DIRECTION_TOL:
+                    return False, v
+    return True, None
+
+
+def _assert_immersion_matches_reference(net):
+    want, vertex = _reference_immersed(net)
+    g = net.graph
+    vec = edge_vectors(net)[None]
+    flags = parallel_ends(vec, edge_norms(vec), g.tails, g.heads, g.vertex_count)[0]
+    rep = validate(net)
+    assert rep.immersed == want == (not flags.any())
+    if not want:
+        assert int(np.flatnonzero(flags)[0]) == vertex
+        assert f"parallel outgoing edges at vertex {vertex}" in rep.violations
+    return want
+
+
+def _loop_pair(eps):
+    # loops along b1 = (1, 0) and b2 = (1, eps): unit directions eps apart
+    # in max norm up to O(eps^2), at both ends of each loop
+    g = QuotientGraph.from_edges(2, 1, [(0, 0, (1, 0)), (0, 0, (0, 1))])
+    return PeriodicNetwork(g, Lattice(np.array([[1.0, 1.0], [0.0, eps]])), np.zeros((1, 2)))
+
+
+def test_immersion_matches_reference_on_catalog_and_rewrites():
+    nets = [catalog(name, **params)[0] for name, params in SHARP_CATALOG]
+    nets += [catalog(name, n=n)[0] for name in ("pcu", "cube_net", "simplex_net")
+             for n in (2, 4, 5)]
+    rng = np.random.default_rng(41)
+    for net in nets:
+        assert _assert_immersion_matches_reference(net)
+        for _ in range(10):
+            assert _assert_immersion_matches_reference(_rewritten(net, rng))
+
+
+def test_immersion_matches_reference_on_random_networks():
+    rng = np.random.default_rng(43)
+    for tag in ("D4", "D1,2", "D5", "D1,3", "B3"):
+        skeleton = build_abstract(tag, 3)
+        shifts = enumerate_shift_arrays(skeleton, 3, 1)
+        for _ in range(40):
+            g = QuotientGraph(3, skeleton.vertex_count, skeleton.tails, skeleton.heads,
+                              shifts[int(rng.integers(len(shifts)))])
+            net = random_network(g, seed=int(rng.integers(1 << 62)))
+            assert validate(net).immersed
+            assert _assert_immersion_matches_reference(net)
+
+
+def test_immersion_matches_reference_on_small_graphs():
+    # arbitrary multigraphs: disconnected, non-regular, with loops, repeated
+    # edges and zero-length edges; validate must not raise on any of them
+    rng = np.random.default_rng(47)
+    verdicts = set()
+    for _ in range(300):
+        V, E = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        g = QuotientGraph(2, V, rng.integers(0, V, E), rng.integers(0, V, E),
+                          rng.integers(-1, 2, (E, 2)))
+        positions = rng.integers(0, 2, (V, 2)) * 0.5
+        verdicts.add(_assert_immersion_matches_reference(
+            PeriodicNetwork(g, Lattice(np.eye(2)), positions)))
+    assert verdicts == {True, False}
+
+
+def test_parallel_loops_not_immersed():
+    g = QuotientGraph.from_edges(2, 1, [(0, 0, (1, 0)), (0, 0, (2, 0))])
+    assert not _assert_immersion_matches_reference(
+        PeriodicNetwork(g, Lattice(np.eye(2)), np.zeros((1, 2))))
+
+
+def test_near_parallel_ends_at_direction_tolerance():
+    assert not _assert_immersion_matches_reference(_loop_pair(0.9 * DIRECTION_TOL))
+    assert _assert_immersion_matches_reference(_loop_pair(1.1 * DIRECTION_TOL))
+
+
+def test_zero_length_edges_are_not_parallel():
+    # edges 0 and 1 both have length zero (NaN directions); the ends of
+    # edge 2 point along +-(1, 0) and stay distinct
+    g = QuotientGraph.from_edges(2, 2, [(0, 1, (0, 0)), (0, 1, (0, 0)), (0, 1, (1, 0))])
+    net = PeriodicNetwork(g, Lattice(np.eye(2)), np.zeros((2, 2)))
+    assert _assert_immersion_matches_reference(net)
+    assert any("zero-length" in v for v in validate(net).violations)
+
+
+def test_non_regular_graph_validates_without_raising():
+    g = QuotientGraph.from_edges(2, 3, [(0, 1, (0, 0)), (1, 2, (0, 0)), (2, 0, (1, 0)),
+                                        (0, 0, (0, 1)), (1, 1, (0, 1)), (1, 1, (0, 2))])
+    net = PeriodicNetwork(g, Lattice(np.eye(2)),
+                          np.array([[0.0, 0.0], [0.3, 0.1], [0.6, 0.4]]))
+    assert not _assert_immersion_matches_reference(net)    # the two loops at vertex 1
+    rep = validate(net)
+    assert not rep.degree_regular
+    assert "parallel outgoing edges at vertex 1" in rep.violations
+
+
+def _gauge_moved(net, rng):
+    """The same skeleton with jittered positions and basis, and one vertex
+    moved by a lattice vector (so that the shifts change too)."""
+    g, n = net.graph, net.dim
+    v = int(rng.integers(g.vertex_count))
+    k = rng.integers(-2, 3, size=n)
+    shifts = np.array(g.shifts)
+    shifts[(g.tails == v) & (g.heads != v)] += k
+    shifts[(g.heads == v) & (g.tails != v)] -= k
+    B = net.lattice.basis + rng.uniform(-0.05, 0.05, (n, n))
+    positions = net.positions + rng.uniform(-0.05, 0.05, net.positions.shape)
+    positions[v] += B @ k
+    return PeriodicNetwork(QuotientGraph(n, g.vertex_count, g.tails, g.heads, shifts),
+                           Lattice(B), positions)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_kernel_equals_single_networks(n):
+    fixed = [catalog(name, **({"t": 0.3} if name == "cds" else {}))[0]
+             for name in CATALOG_NAMES if name not in ("pcu", "cube_net", "simplex_net")]
+    nets = [net for net in fixed if net.dim == n]
+    nets += [catalog(name, n=n)[0] for name in ("pcu", "cube_net", "simplex_net")]
+    rng = np.random.default_rng(53 + n)
+    for net in nets:
+        g = net.graph
+        stack = [net] + [_gauge_moved(net, rng) for _ in range(4)]
+        X = np.stack([m.positions for m in stack])
+        B = np.stack([m.lattice.basis for m in stack])
+        ST = np.stack([m.graph.shifts.T.astype(np.float64) for m in stack])
+        vec = lifted_edges(X, B, ST, g.tails, g.heads)
+        ell = edge_norms(vec)
+        F = vertex_forces(incidence(g.tails, g.heads, g.vertex_count), vec / ell[..., None])
+        for k, m in enumerate(stack):
+            assert np.array_equal(vec[k], edge_vectors(m))
+            assert np.array_equal(ell[k], edge_lengths(m))
+            assert np.array_equal(F[k], force_all(m).forces)
+
+
+def _reference_cycle_shift_matrix(g):
+    """The former spanning-tree walk over per-vertex incidence lists."""
+    V = g.vertex_count
+    potential = np.zeros((V, g.dim), dtype=np.int64)
+    in_tree = np.zeros(g.edge_count, dtype=bool)
+    visited = np.zeros(V, dtype=bool)
+    visited[0] = True
+    incident = [[] for _ in range(V)]
+    for e, (t, h) in enumerate(zip(g.tails, g.heads)):
+        incident[t].append(e)
+        incident[h].append(e)
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for e in incident[v]:
+            t, h = int(g.tails[e]), int(g.heads[e])
+            w = h if t == v else t
+            if visited[w] or w == v:
+                continue
+            visited[w] = True
+            in_tree[e] = True
+            potential[w] = potential[v] + (1 if t == v else -1) * g.shifts[e]
+            stack.append(w)
+    rows = [g.shifts[e] + potential[g.tails[e]] - potential[g.heads[e]]
+            for e in range(g.edge_count) if not in_tree[e]]
+    return np.array(rows, dtype=np.int64).reshape(-1, g.dim), bool(visited.all())
+
+
+def test_spanning_tree_matches_reference():
+    rng = np.random.default_rng(59)
+    for _ in range(300):
+        V, E = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        g = QuotientGraph(3, V, rng.integers(0, V, E), rng.integers(0, V, E),
+                          rng.integers(-2, 3, (E, 3)))
+        rows, connected = _reference_cycle_shift_matrix(g)
+        assert np.array_equal(g.cycle_shift_matrix(), rows)
+        assert g.is_connected() == connected
