@@ -83,7 +83,8 @@ def _newton_polish(p: np.ndarray, pts: np.ndarray, d: np.ndarray, gtol: float,
     input point; Newton is immune to that conditioning.  Steps that fail
     to decrease the objective are halved away, so the polish never moves
     uphill, until the trial step falls below the floating-point
-    resolution of ``p``, where no candidate is more than a rounding away.
+    resolution of ``p``, where no candidate is more than a rounding away,
+    or its predicted decrease ``t |grad . step|`` below the objective's.
     """
     dim = pts.shape[1]
     obj = d.sum()
@@ -102,7 +103,7 @@ def _newton_polish(p: np.ndarray, pts: np.ndarray, d: np.ndarray, gtol: float,
         except np.linalg.LinAlgError:
             break
         size, resolution = np.linalg.norm(step), _EPS * np.linalg.norm(p)
-        t = 1.0
+        slope, t = abs(grad @ step), 1.0
         while t > 2.0 ** -40 and t * size > resolution:
             cand = p - t * step
             d_cand = _distances(cand, pts)
@@ -111,6 +112,8 @@ def _newton_polish(p: np.ndarray, pts: np.ndarray, d: np.ndarray, gtol: float,
                 p, d, obj = cand, d_cand, val
                 break
             t *= 0.5
+            if t * slope < _EPS * obj:
+                return p, d     # no halved step can decrease by more than a rounding
         else:
             break
     return p, d

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balance import geometric_median
-from .netcore import Lattice, PeriodicNetwork, QuotientGraph
+from .netcore import DIRECTION_TOL, Lattice, PeriodicNetwork, QuotientGraph
 from .reduction import lagrange_reduce_pair
 from .topology import TopologyClass, classify
 
@@ -101,7 +101,7 @@ def _pick_loops(n: int, basis: np.ndarray, per_vertex: int, required: list,
                 continue
             vec = basis @ np.array(cand, float)
             u = vec / np.linalg.norm(vec)
-            if any(min(np.max(np.abs(u - w)), np.max(np.abs(u + w))) < 1e-9
+            if any(min(np.max(np.abs(u - w)), np.max(np.abs(u + w))) < DIRECTION_TOL
                    for w in avoid_dirs):
                 continue
             chosen[v].append(cand)

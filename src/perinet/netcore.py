@@ -300,7 +300,9 @@ def validate(net: PeriodicNetwork) -> ValidityReport:
     elif degree < 3:
         violations.append(f"degree {degree} < 3")
 
-    connected = g.is_connected()
+    # one spanning-tree walk: it closes E - V + 1 cycles iff it reaches every vertex
+    M = g.cycle_shift_matrix()
+    connected = len(M) == g.edge_count - g.vertex_count + 1
     if not connected:
         violations.append("quotient graph disconnected")
 
@@ -330,7 +332,6 @@ def validate(net: PeriodicNetwork) -> ValidityReport:
             violations.append(f"duplicate edge {(t, h, s)}")
         seen.add(key)
 
-    M = g.cycle_shift_matrix()
     cycle_rank = integer_rank(M)
     rank_full = cycle_rank == g.dim
     if not rank_full:

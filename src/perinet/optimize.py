@@ -24,6 +24,7 @@ the case of a single assignment.  Results are deterministic functions of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +49,9 @@ _SERVICE_EVERY = 8           # iterations between basis-safeguard services
 _STALL_PATIENCE = 128        # services without progress before a plateau stop
 _COND_LIMIT = 1e6
 _RATIO_LIMIT = 3.0
+# per-instance state that a descent step reads and writes
+_LIVE = ("X", "B", "S", "ST", "f", "ell", "t", "iters",
+         "_gXo", "_gBo", "_gsqo", "_tacc", "_has_prev")
 
 
 @dataclass(frozen=True)
@@ -132,27 +136,16 @@ def _det_batch(B: np.ndarray) -> np.ndarray:
 def _invT_batch(B: np.ndarray, det: np.ndarray) -> np.ndarray:
     n = B.shape[-1]
     if n == 2:
-        out = np.empty_like(B)
-        out[:, 0, 0] = B[:, 1, 1]
-        out[:, 0, 1] = -B[:, 1, 0]
-        out[:, 1, 0] = -B[:, 0, 1]
-        out[:, 1, 1] = B[:, 0, 0]
-        return out / det[:, None, None]
+        out = np.stack([B[:, 1, 1], -B[:, 1, 0], -B[:, 0, 1], B[:, 0, 0]], axis=1)
+        return out.reshape(-1, 2, 2) / det[:, None, None]
     if n == 3:
         a, b, c = B[:, 0, 0], B[:, 0, 1], B[:, 0, 2]
         d, e, f = B[:, 1, 0], B[:, 1, 1], B[:, 1, 2]
         g, h, i = B[:, 2, 0], B[:, 2, 1], B[:, 2, 2]
-        out = np.empty_like(B)
-        out[:, 0, 0] = e * i - f * h
-        out[:, 0, 1] = f * g - d * i
-        out[:, 0, 2] = d * h - e * g
-        out[:, 1, 0] = c * h - b * i
-        out[:, 1, 1] = a * i - c * g
-        out[:, 1, 2] = b * g - a * h
-        out[:, 2, 0] = b * f - c * e
-        out[:, 2, 1] = c * d - a * f
-        out[:, 2, 2] = a * e - b * d
-        return out / det[:, None, None]
+        out = np.stack([e * i - f * h, f * g - d * i, d * h - e * g,
+                        c * h - b * i, a * i - c * g, b * g - a * h,
+                        b * f - c * e, c * d - a * f, a * e - b * d], axis=1)
+        return out.reshape(-1, 3, 3) / det[:, None, None]
     return np.transpose(np.linalg.inv(B), (0, 2, 1))
 
 
@@ -184,10 +177,13 @@ class _Batch:
         self.iters = np.zeros(N, dtype=np.int32)
         self.P = incidence(self.tails, self.heads, self.V)
         self._refresh_shift_floats()
-        self._gauge(np.arange(N))
-        self.f, self.ell = self._eval(self.X, self.B, self.ST)
-        bad = ~np.isfinite(self.f)
-        self.status[bad] = 3
+        with np.errstate(divide='ignore', invalid='ignore'):
+            c = np.abs(_det_batch(self.B)) ** (-1.0 / n)     # scale gauge
+            ok = np.isfinite(c)
+            self.B[ok] *= c[ok, None, None]
+            self.X[ok] *= c[ok, None, None]
+            self.f, self.ell, _ = self._eval(self.X, self.B, self.ST)
+        self.status[~ok | ~np.isfinite(self.f)] = 3
         collapsed = (self.ell.min(axis=1) < cfg.eps_edge) & (self.status == 0)
         self.status[collapsed] = 2
         self._f_snap = self.f.copy()
@@ -206,18 +202,9 @@ class _Batch:
         self.ST = np.ascontiguousarray(self.S.transpose(0, 2, 1))
 
     def _eval(self, X, B, ST):
-        ell = edge_norms(lifted_edges(X, B, ST, self.tails, self.heads))
-        return _objective(self.n, ell, B), ell
-
-    def _gauge(self, idx):
-        det = _det_batch(self.B[idx])
-        with np.errstate(divide='ignore', invalid='ignore'):
-            c = np.abs(det) ** (-1.0 / self.n)
-        ok = np.isfinite(c)
-        self.status[idx[~ok]] = 3
-        idxok = idx[ok]
-        self.B[idxok] *= c[ok, None, None]
-        self.X[idxok] *= c[ok, None, None]
+        """Objective, edge lengths and basis determinant of stacked states."""
+        ell, det = edge_norms(lifted_edges(X, B, ST, self.tails, self.heads)), _det_batch(B)
+        return _objective(self.n, ell, det), ell, det
 
     # -- safeguard services --------------------------------------------------
 
@@ -252,102 +239,102 @@ class _Batch:
     # -- descent -------------------------------------------------------------
 
     def run(self):
-        """Advance every active instance by up to ``cfg.max_iter`` accepted steps."""
-        cfg = self.cfg
-        n = self.n
-        for step in range(cfg.max_iter):
-            idx = np.flatnonzero(self.status == 0)
-            if len(idx) == 0:
-                return
-            X, B, ST = self.X[idx], self.B[idx], self.ST[idx]
-            f, ell = self.f[idx], self.ell[idx]
-            u = lifted_edges(X, B, ST, self.tails, self.heads) / ell[..., None]
-            F, gX, gB = _gradient(n, self.P, self.S[idx], B, u, ell.sum(1))
-            force_max = np.sqrt(np.einsum('avi,avi->av', F, F)).max(1)
-            gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
-            ginf = np.maximum(np.abs(gX).reshape(len(idx), -1).max(1),
-                              np.abs(gB).reshape(len(idx), -1).max(1))
+        """Advance every active instance by up to ``cfg.max_iter`` accepted steps.
 
-            done = (ginf <= cfg.g_tol) & (force_max <= cfg.g_tol)
-            self.status[idx[done]] = 1
-            live = ~done
-            if not live.any():
-                continue
-            sub = idx[live]
-            X, B, gX, gB, gsq, f = X[live], B[live], gX[live], gB[live], gsq[live], f[live]
-            ST = ST[live]
+        The live instances' state is held in contiguous working arrays; an
+        instance's state is written back when it leaves the live set, and
+        all of it around a service and on return.  The bookkeeping changes
+        no instance's arithmetic.
+        """
+        cfg, n = self.cfg, self.n
+        w = None
+        with np.errstate(divide='ignore', invalid='ignore'):
+            for step in range(cfg.max_iter):
+                if w is None:
+                    idx = np.flatnonzero(self.status == 0)
+                    w = SimpleNamespace(**{k: getattr(self, k)[idx] for k in _LIVE})
+                if len(idx) == 0:
+                    return
+                u = lifted_edges(w.X, w.B, w.ST, self.tails, self.heads) / w.ell[..., None]
+                F, gX, gB = _gradient(n, self.P, w.S, w.B, u, w.ell.sum(1))
+                force_max = np.sqrt(np.einsum('avi,avi->av', F, F)).max(1)
+                gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
+                ginf = np.maximum(np.abs(gX).reshape(len(idx), -1).max(1),
+                                  np.abs(gB).reshape(len(idx), -1).max(1))
+                done = (ginf <= cfg.g_tol) & (force_max <= cfg.g_tol)
+                if done.any():
+                    idx, w = self._retire(idx, w, done, 1)
+                    gX, gB, gsq = gX[~done], gB[~done], gsq[~done]
+                    if len(idx) == 0:
+                        continue
+                # Barzilai-Borwein step estimate from the last accepted step,
+                # with doubling of the previous step as the fallback; the line
+                # search below safeguards both
+                cross = (np.einsum('avi,avi->a', gX, w._gXo)
+                         + np.einsum('aij,aij->a', gB, w._gBo))
+                t_bb = -w._tacc * (cross - w._gsqo) / (gsq - 2.0 * cross + w._gsqo)
+                use_bb = w._has_prev & np.isfinite(t_bb) & (t_bb > 0)
+                t = np.where(use_bb, np.clip(t_bb, 1e-12, 1e3), np.minimum(w.t * 2.0, 1e3))
+                # 80 trials at most: the first on every live instance, the
+                # rest on those that failed the Armijo test at their own t
+                tol = 1e-15 * np.maximum(1.0, np.abs(w.f))
+                Xt, Bt = w.X - t[:, None, None] * gX, w.B - t[:, None, None] * gB
+                ft, ellt, dett = self._eval(Xt, Bt, w.ST)
+                need = np.flatnonzero(~((ft <= w.f - cfg.armijo * t * gsq + tol)
+                                        & np.isfinite(ft)))
+                for _ in range(79):
+                    if len(need) == 0:
+                        break
+                    t[need] *= cfg.backtrack
+                    Xt[need] = w.X[need] - t[need, None, None] * gX[need]
+                    Bt[need] = w.B[need] - t[need, None, None] * gB[need]
+                    ft[need], ellt[need], dett[need] = self._eval(Xt[need], Bt[need], w.ST[need])
+                    ok = ft[need] <= w.f[need] - cfg.armijo * t[need] * gsq[need] + tol[need]
+                    need = need[~(ok & np.isfinite(ft[need]))]
+                if len(need):
+                    # the line search exhausted its budget without a usable step
+                    failed = np.isin(np.arange(len(idx)), need)
+                    idx, w = self._retire(idx, w, failed, 6)
+                    if len(idx) == 0:
+                        continue
+                    t, Xt, Bt, ft, ellt, dett, gX, gB, gsq = (
+                        a[~failed] for a in (t, Xt, Bt, ft, ellt, dett, gX, gB, gsq))
+                if not (ft <= w.f + 1e-12 * np.abs(w.f) + 1e-12).all():
+                    raise RuntimeError("objective increased on an accepted step")
+                # scale gauge: renormalize to unit cell volume; f is invariant,
+                # and the stored step memory transforms as g -> g/c, t -> c^2 t
+                c = np.abs(dett) ** (-1.0 / n)
+                c2, c3 = c ** 2, c[:, None, None]
+                w.t, w.iters, w._has_prev = t, w.iters + 1, np.ones(len(idx), dtype=bool)
+                w._gXo, w._gBo, w._gsqo, w._tacc = gX / c3, gB / c3, gsq / c2, t * c2
+                w.B, w.X, w.ell = Bt * c3, Xt * c3, ellt * c[:, None]
+                w.f = n * np.log(w.ell.sum(1))
+                if not (np.abs(w.f - ft) <= 1e-11 * np.maximum(1.0, np.abs(w.f))).all():
+                    raise RuntimeError("scale gauge changed the objective")
+                collapsed = w.ell.min(1) < cfg.eps_edge
+                if collapsed.any():
+                    idx, w = self._retire(idx, w, collapsed, 2)
+                if (step + 1) % _SERVICE_EVERY == 0:
+                    self._put(idx, w)
+                    w = None
+                    alive = np.flatnonzero(self.status == 0)
+                    if len(alive):
+                        self._service(alive,
+                                      check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
+        if w is not None:
+            self._put(idx, w)
 
-            # Barzilai-Borwein step estimate from the last accepted step,
-            # with doubling of the previous step as the fallback; the line
-            # search below safeguards both
-            cross = (np.einsum('avi,avi->a', gX, self._gXo[sub])
-                     + np.einsum('aij,aij->a', gB, self._gBo[sub]))
-            dxdg = -self._tacc[sub] * (cross - self._gsqo[sub])
-            dgdg = gsq - 2.0 * cross + self._gsqo[sub]
-            with np.errstate(divide='ignore', invalid='ignore'):
-                t_bb = dxdg / dgdg
-            fallback = np.minimum(self.t[sub] * 2.0, 1e3)
-            use_bb = self._has_prev[sub] & np.isfinite(t_bb) & (t_bb > 0)
-            t = np.where(use_bb, np.clip(t_bb, 1e-12, 1e3), fallback)
-            need = np.arange(len(sub))
-            ft = np.empty_like(f)
-            Xt = np.empty_like(X)
-            Bt = np.empty_like(B)
-            ellt = np.empty_like(self.ell[sub])
-            for _ in range(80):
-                Xt[need] = X[need] - t[need, None, None] * gX[need]
-                Bt[need] = B[need] - t[need, None, None] * gB[need]
-                ft_need, ell_need = self._eval(Xt[need], Bt[need], ST[need])
-                ft[need] = ft_need
-                ellt[need] = ell_need
-                with np.errstate(invalid='ignore'):
-                    ok = ft[need] <= (f[need] - cfg.armijo * t[need] * gsq[need]
-                                      + 1e-15 * np.maximum(1.0, np.abs(f[need])))
-                ok &= np.isfinite(ft[need])
-                if ok.all():
-                    need = need[:0]
-                    break
-                need = need[~ok]
-                t[need] *= cfg.backtrack
-            failed = np.zeros(len(sub), dtype=bool)
-            if len(need):
-                # the line search exhausted its budget without a usable step
-                failed[need] = True
-                self.status[sub[need]] = 6
-            moved = ~failed
-            acc = sub[moved]
-            if len(acc) == 0:
-                continue
-            if not (ft[moved] <= f[moved] + 1e-12 * np.abs(f[moved]) + 1e-12).all():
-                raise RuntimeError("objective increased on an accepted step")
-            self.t[acc] = t[moved]
-            self.X[acc] = Xt[moved]
-            self.B[acc] = Bt[moved]
-            self.iters[acc] += 1
-            # scale gauge: renormalize to unit cell volume; f is invariant,
-            # and the stored step memory transforms as g -> g/c, t -> c^2 t
-            detn = _det_batch(Bt[moved])
-            c = np.abs(detn) ** (-1.0 / n)
-            self._gXo[acc] = gX[moved] / c[:, None, None]
-            self._gBo[acc] = gB[moved] / c[:, None, None]
-            self._gsqo[acc] = gsq[moved] / c ** 2
-            self._tacc[acc] = t[moved] * c ** 2
-            self._has_prev[acc] = True
-            self.B[acc] *= c[:, None, None]
-            self.X[acc] *= c[:, None, None]
-            ell_new = ellt[moved] * c[:, None]
-            f_new = n * np.log(ell_new.sum(1))
-            if not (np.abs(f_new - ft[moved]) <= 1e-11 * np.maximum(1.0, np.abs(f_new))).all():
-                raise RuntimeError("scale gauge changed the objective")
-            self.f[acc] = f_new
-            self.ell[acc] = ell_new
-            collapsed = ell_new.min(1) < cfg.eps_edge
-            self.status[acc[collapsed]] = 2
-            if (step + 1) % _SERVICE_EVERY == 0:
-                alive = np.flatnonzero(self.status == 0)
-                if len(alive):
-                    self._service(alive,
-                                  check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
+    def _put(self, idx, w):
+        """Write the working state ``w`` of instances ``idx`` back into the batch."""
+        for k in _LIVE:
+            getattr(self, k)[idx] = getattr(w, k)
+
+    def _retire(self, idx, w, out, code: int):
+        """Write back the state of the instances ``out`` with status ``code``
+        and return the indices and working state of the others."""
+        self._put(idx[out], SimpleNamespace(**{k: getattr(w, k)[out] for k in _LIVE}))
+        self.status[idx[out]] = code
+        return idx[~out], SimpleNamespace(**{k: getattr(w, k)[~out] for k in _LIVE})
 
     def network_at(self, i: int) -> PeriodicNetwork:
         g = QuotientGraph(self.n, self.V, self.tails, self.heads, self.S_int[i])
@@ -392,10 +379,10 @@ def _starts_valid(B, X, tails, heads, S_int) -> np.ndarray:
     return (ell > 1e-9).all(axis=1) & ~crossed
 
 
-def _objective(n: int, ell: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """n log L - log|det B| of stacked networks with edge lengths ``ell``."""
-    with np.errstate(divide='ignore', invalid='ignore'):
-        return n * np.log(ell.sum(1)) - np.log(np.abs(_det_batch(B)))
+def _objective(n: int, ell: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """n log L - log|det B| of stacked networks with edge lengths ``ell`` and
+    basis determinants ``det``."""
+    return n * np.log(ell.sum(1)) - np.log(np.abs(det))
 
 
 def _gradient(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray,
@@ -424,7 +411,7 @@ def objective_and_gradient(net: PeriodicNetwork):
         raise ValueError("zero-length edge")
     _, gX, gB = _gradient(g.dim, incidence(g.tails, g.heads, g.vertex_count),
                           ST.transpose(0, 2, 1), B, vec / ell[..., None], ell.sum(1))
-    return float(_objective(g.dim, ell, B)[0]), gX[0], gB[0]
+    return float(_objective(g.dim, ell, _det_batch(B))[0]), gX[0], gB[0]
 
 
 def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:

@@ -18,7 +18,8 @@ from perinet import (
     rebalance_vertex,
     with_positions,
 )
-from perinet.balance import _vertex_gaps
+from perinet import balance
+from perinet.balance import _newton_polish, _vertex_gaps
 from perinet.topology import build_abstract, enumerate_shift_arrays
 
 
@@ -473,3 +474,23 @@ def test_force_is_star_length_gradient():
             fd = (star_length(net, v, p + step * w)
                   - star_length(net, v, p - step * w)) / (2 * step)
             assert abs(fd - F @ w) <= 1e-6
+
+
+def test_polish_ends_when_no_halving_can_pay(monkeypatch):
+    # 1e-9 off the median the Newton decrease is below the objective's
+    # rounding, so once the full step fails no halving of it is tried
+    calls = []
+    distances = balance._distances
+    monkeypatch.setattr(balance, "_distances", lambda p, pts: calls.append(1) or distances(p, pts))
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        pts = rng.normal(size=(5, 3))
+        p, at_vertex = geometric_median(pts)
+        if at_vertex is not None:
+            continue
+        p = p + 1e-9 * rng.normal(size=3)
+        d = np.linalg.norm(pts - p, axis=1)
+        calls.clear()
+        _, d_out = _newton_polish(p, pts, d, gtol=1e-300)
+        assert d_out.sum() <= d.sum()
+        assert len(calls) <= 2

@@ -436,3 +436,33 @@ def test_spanning_tree_matches_reference():
         rows, connected = _reference_cycle_shift_matrix(g)
         assert np.array_equal(g.cycle_shift_matrix(), rows)
         assert g.is_connected() == connected
+
+
+def test_validate_connectivity_matches_reference():
+    # validate reads connectivity off its one walk: a spanning tree closes
+    # E - V + 1 cycles exactly when it reaches every vertex
+    rng = np.random.default_rng(61)
+    seen = set()
+    for _ in range(300):
+        V, E = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        g = QuotientGraph(3, V, rng.integers(0, V, E), rng.integers(0, V, E),
+                          rng.integers(-2, 3, (E, 3)))
+        rows, connected = _reference_cycle_shift_matrix(g)
+        rep = validate(PeriodicNetwork(g, Lattice(np.eye(3)), rng.normal(size=(V, 3))))
+        assert rep.quotient_connected == connected
+        assert ("quotient graph disconnected" in rep.violations) == (not connected)
+        assert rep.cycle_rank == integer_rank(rows)
+        seen.add(connected)
+    assert seen == {True, False}
+
+
+def test_validate_walks_the_spanning_tree_once(monkeypatch):
+    calls = []
+    walk = QuotientGraph._spanning_tree
+    monkeypatch.setattr(QuotientGraph, "_spanning_tree",
+                        lambda self: calls.append(1) or walk(self))
+    for name, params in SHARP_CATALOG:
+        net, _ = catalog(name, **params)
+        calls.clear()
+        assert validate(net).ok
+        assert len(calls) == 1, name

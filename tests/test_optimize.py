@@ -17,7 +17,9 @@ from perinet import (
     validate,
 )
 from perinet.balance import force, force_all
-from perinet.optimize import _Batch, _sample_starts
+from perinet.netcore import lifted_edges
+from perinet.optimize import _SERVICE_EVERY, _Batch, _det_batch, _gradient, _sample_starts
+from test_bounds import _rewritten
 
 
 def dia_graph():
@@ -273,3 +275,180 @@ def test_scale_gauge_exactness():
                                  net.positions * c)
     f1, _, _ = objective_and_gradient(scaled_net)
     assert abs(f1 - f0) <= 1e-12 * max(1.0, abs(f0))
+
+
+def _reference_run(self):
+    """The former ``_Batch.run``: every step gathers the live instances'
+    state from the batch and scatters it back, and the accepted basis's
+    determinant is computed a second time for the scale gauge."""
+    cfg = self.cfg
+    n = self.n
+    for step in range(cfg.max_iter):
+        idx = np.flatnonzero(self.status == 0)
+        if len(idx) == 0:
+            return
+        X, B, ST = self.X[idx], self.B[idx], self.ST[idx]
+        f, ell = self.f[idx], self.ell[idx]
+        u = lifted_edges(X, B, ST, self.tails, self.heads) / ell[..., None]
+        F, gX, gB = _gradient(n, self.P, self.S[idx], B, u, ell.sum(1))
+        force_max = np.sqrt(np.einsum('avi,avi->av', F, F)).max(1)
+        gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
+        ginf = np.maximum(np.abs(gX).reshape(len(idx), -1).max(1),
+                          np.abs(gB).reshape(len(idx), -1).max(1))
+
+        done = (ginf <= cfg.g_tol) & (force_max <= cfg.g_tol)
+        self.status[idx[done]] = 1
+        live = ~done
+        if not live.any():
+            continue
+        sub = idx[live]
+        X, B, gX, gB, gsq, f = X[live], B[live], gX[live], gB[live], gsq[live], f[live]
+        ST = ST[live]
+
+        cross = (np.einsum('avi,avi->a', gX, self._gXo[sub])
+                 + np.einsum('aij,aij->a', gB, self._gBo[sub]))
+        dxdg = -self._tacc[sub] * (cross - self._gsqo[sub])
+        dgdg = gsq - 2.0 * cross + self._gsqo[sub]
+        with np.errstate(divide='ignore', invalid='ignore'):
+            t_bb = dxdg / dgdg
+        fallback = np.minimum(self.t[sub] * 2.0, 1e3)
+        use_bb = self._has_prev[sub] & np.isfinite(t_bb) & (t_bb > 0)
+        t = np.where(use_bb, np.clip(t_bb, 1e-12, 1e3), fallback)
+        need = np.arange(len(sub))
+        ft = np.empty_like(f)
+        Xt = np.empty_like(X)
+        Bt = np.empty_like(B)
+        ellt = np.empty_like(self.ell[sub])
+        for _ in range(80):
+            Xt[need] = X[need] - t[need, None, None] * gX[need]
+            Bt[need] = B[need] - t[need, None, None] * gB[need]
+            with np.errstate(divide='ignore', invalid='ignore'):
+                ft_need, ell_need, _ = self._eval(Xt[need], Bt[need], ST[need])
+            ft[need] = ft_need
+            ellt[need] = ell_need
+            with np.errstate(invalid='ignore'):
+                ok = ft[need] <= (f[need] - cfg.armijo * t[need] * gsq[need]
+                                  + 1e-15 * np.maximum(1.0, np.abs(f[need])))
+            ok &= np.isfinite(ft[need])
+            if ok.all():
+                need = need[:0]
+                break
+            need = need[~ok]
+            t[need] *= cfg.backtrack
+        failed = np.zeros(len(sub), dtype=bool)
+        if len(need):
+            failed[need] = True
+            self.status[sub[need]] = 6
+        moved = ~failed
+        acc = sub[moved]
+        if len(acc) == 0:
+            continue
+        if not (ft[moved] <= f[moved] + 1e-12 * np.abs(f[moved]) + 1e-12).all():
+            raise RuntimeError("objective increased on an accepted step")
+        self.t[acc] = t[moved]
+        self.X[acc] = Xt[moved]
+        self.B[acc] = Bt[moved]
+        self.iters[acc] += 1
+        detn = _det_batch(Bt[moved])
+        c = np.abs(detn) ** (-1.0 / n)
+        self._gXo[acc] = gX[moved] / c[:, None, None]
+        self._gBo[acc] = gB[moved] / c[:, None, None]
+        self._gsqo[acc] = gsq[moved] / c ** 2
+        self._tacc[acc] = t[moved] * c ** 2
+        self._has_prev[acc] = True
+        self.B[acc] *= c[:, None, None]
+        self.X[acc] *= c[:, None, None]
+        ell_new = ellt[moved] * c[:, None]
+        f_new = n * np.log(ell_new.sum(1))
+        if not (np.abs(f_new - ft[moved]) <= 1e-11 * np.maximum(1.0, np.abs(f_new))).all():
+            raise RuntimeError("scale gauge changed the objective")
+        self.f[acc] = f_new
+        self.ell[acc] = ell_new
+        collapsed = ell_new.min(1) < cfg.eps_edge
+        self.status[acc[collapsed]] = 2
+        if (step + 1) % _SERVICE_EVERY == 0:
+            alive = np.flatnonzero(self.status == 0)
+            if len(alive):
+                self._service(alive, check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
+
+
+def _twin_batches(g, cfg, B=None, X=None):
+    """Two equal batches over ``g``: from (B, X), or from ``cfg.restarts``
+    random starts drawn with ``cfg.seed``."""
+    N = cfg.restarts if B is None else len(B)
+    S = np.broadcast_to(g.shifts, (N,) + g.shifts.shape)
+    if B is None:
+        B, X = _sample_starts(np.random.default_rng(cfg.seed), N, g.dim,
+                              g.vertex_count, g.tails, g.heads, S)
+    return tuple(_Batch(g.dim, g.tails, g.heads, S, B, X, cfg) for _ in range(2))
+
+
+def _assert_same_descent(a, b):
+    for name in ("f", "ell", "X", "B", "S_int", "iters", "status", "t"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+FIXED_SOLVE_GRAPHS = [("hcb", {}), ("dia", {}), ("cds", {"t": 0.5}), ("bnn", {}), ("sqp", {}),
+                      ("pcu", {"n": 3}), ("simplex_net", {"n": 4}), ("pcu", {"n": 4}),
+                      ("simplex_net", {"n": 5})]
+
+
+@pytest.mark.parametrize("name,params", FIXED_SOLVE_GRAPHS,
+                         ids=[f"{name}{params.get('n', '')}" for name, params in FIXED_SOLVE_GRAPHS])
+def test_descent_matches_reference_on_rewritten_catalog(name, params):
+    net, _ = catalog(name, **params)
+    rng = np.random.default_rng(sum(map(ord, name)) + net.dim)
+    for k in range(2):
+        a, b = _twin_batches(_rewritten(net, rng).graph, OptimizeConfig(seed=k, restarts=8))
+        a.run()
+        _reference_run(b)
+        _assert_same_descent(a, b)
+        assert (a.iters > 0).all()
+
+
+@pytest.mark.parametrize("kw,code", [({"max_iter": 3}, 0), ({}, 1), ({"armijo": 1e6}, 5),
+                                     ({"armijo": 1e30}, 6)])
+def test_descent_matches_reference_at_each_termination(kw, code):
+    a, b = _twin_batches(dia_graph(), OptimizeConfig(seed=2, restarts=4, **kw))
+    a.run()
+    _reference_run(b)
+    _assert_same_descent(a, b)
+    assert (a.status == code).all()
+
+
+def test_descent_matches_reference_on_edge_collapse():
+    net, _ = catalog("cds", t=0.01)
+    a, b = _twin_batches(net.graph, OptimizeConfig(eps_edge=0.1, max_iter=50),
+                         net.lattice.basis[None], net.positions[None])
+    a.run()
+    _reference_run(b)
+    _assert_same_descent(a, b)
+    assert a.status[0] == 2
+
+
+def test_descent_matches_reference_through_basis_reduction():
+    # dia written in a sheared basis (ratio of column norms > 3) with
+    # jittered positions: a service reduces the basis and rewrites the shifts
+    net, _ = catalog("dia")
+    U = np.array([[1, 6, 0], [0, 1, 0], [0, 0, 1]])
+    g = net.graph
+    g = QuotientGraph(3, g.vertex_count, g.tails, g.heads,
+                      g.shifts @ np.rint(np.linalg.inv(U)).astype(np.int64).T)
+    rng = np.random.default_rng(17)
+    X = net.positions[None] + rng.normal(scale=0.05, size=(6,) + net.positions.shape)
+    B = np.broadcast_to(net.lattice.basis @ U, (6, 3, 3))
+    a, b = _twin_batches(g, OptimizeConfig(), B, X)
+    a.run()
+    _reference_run(b)
+    _assert_same_descent(a, b)
+    assert (a.status == 1).all()
+    assert not (a.S_int == g.shifts).all(axis=(1, 2)).any()
+
+
+def test_descent_matches_reference_when_resumed_step_by_step():
+    a, b = _twin_batches(dia_graph(), OptimizeConfig(seed=2, restarts=4, max_iter=1))
+    for _ in range(60):
+        a.run()
+        _reference_run(b)
+        _assert_same_descent(a, b)
+    assert (a.status == 1).all() and a.iters.max() > 1
