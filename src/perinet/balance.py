@@ -45,7 +45,7 @@ def force_all(net: PeriodicNetwork) -> ForceResult:
     g = net.graph
     vecs = lifted_edges(*as_stack(net), g.tails, g.heads)
     ell = edge_norms(vecs)
-    if np.any(ell == 0.0):
+    if not ell.all():
         raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
     out = vertex_forces(incidence(g.tails, g.heads, g.vertex_count), vecs / ell[..., None])[0]
     return ForceResult(forces=out, max_norm=float(np.linalg.norm(out, axis=1).max()))

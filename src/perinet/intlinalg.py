@@ -135,14 +135,16 @@ def _det_int(rows) -> int:
 def det_int_batch(mats) -> np.ndarray:
     """Exact determinants of a stack of small square integer matrices.
 
-    Cofactor expansion along the first row, vectorized over the leading
-    axes in int64; exact while the products fit, which they do by far for
-    shift matrices with small entries.
+    The closed forms of :func:`_det_int` up to 3 x 3, cofactor expansion
+    along the first row above, vectorized over the leading axes in int64;
+    exact while the products fit, which they do by far for shift matrices
+    with small entries.
     """
     a = np.asarray(mats, dtype=np.int64)
     m = a.shape[-1]
-    if m == 1:
-        return a[..., 0, 0]
+    if 0 < m <= 3:
+        # entry (i, j) of every stacked matrix at once, as rows[i][j]
+        return _det_int(np.moveaxis(a, (-2, -1), (0, 1)))
     det = np.zeros(a.shape[:-2], dtype=np.int64)
     for j in range(m):
         minor = np.delete(a[..., 1:, :], j, axis=-1)

@@ -195,7 +195,7 @@ class ValidityReport:
 def lifted_edges(X: np.ndarray, B: np.ndarray, ST: np.ndarray,
                  tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Edge vectors x_head + B s - x_tail of every stacked network, (N, E, n)."""
-    return (B @ ST).transpose(0, 2, 1) + X[:, heads] - X[:, tails]
+    return (B @ ST).transpose(0, 2, 1) + X.take(heads, axis=1) - X.take(tails, axis=1)
 
 
 def edge_norms(vec: np.ndarray) -> np.ndarray:
@@ -205,8 +205,8 @@ def edge_norms(vec: np.ndarray) -> np.ndarray:
 
 def incidence(tails: np.ndarray, heads: np.ndarray, V: int) -> np.ndarray:
     """(E, V) signed incidence: +1 at the head, -1 at the tail, loops 0."""
-    vs = np.arange(V)
-    return (heads[:, None] == vs).astype(np.float64) - (tails[:, None] == vs)
+    unit = np.eye(V)
+    return unit.take(heads, axis=0) - unit.take(tails, axis=0)
 
 
 def vertex_forces(P: np.ndarray, units: np.ndarray) -> np.ndarray:

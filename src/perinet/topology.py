@@ -212,14 +212,25 @@ def enumerate_shifts(g: QuotientGraph, n: int, s_max: int = 1) -> list[QuotientG
             for S in enumerate_shift_arrays(g, n, s_max)]
 
 
-def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> list[np.ndarray]:
-    """Shift matrices for :func:`enumerate_shifts`, in the skeleton's edge order."""
-    return list(iter_shift_arrays(g, n, s_max))
+def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
+    """Shift matrices for :func:`enumerate_shifts`, stacked (N, E, n) in the
+    skeleton's edge order."""
+    return _shift_stack(g, n, s_max, classify(g))
 
 
 def iter_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1):
     """Lazy form of :func:`enumerate_shift_arrays`; same guard and order."""
-    top = classify(g)
+    for block in _shift_blocks(g, n, s_max, classify(g)):
+        yield from block
+
+
+def _shift_stack(g: QuotientGraph, n: int, s_max: int, top: TopologyClass) -> np.ndarray:
+    return np.concatenate([np.zeros((0, g.edge_count, n), dtype=np.int64),
+                           *_shift_blocks(g, n, s_max, top)])
+
+
+def _shift_blocks(g: QuotientGraph, n: int, s_max: int, top: TopologyClass):
+    """The screened assignments of skeleton ``g`` (of class ``top``) in blocks."""
     if top.kind == "other":
         raise ValueError("shift enumeration supports one- and two-vertex skeletons only")
     bridges, _, loops0 = oriented_star(g, 0)
@@ -249,7 +260,7 @@ def iter_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1):
         S[:, loops0] = classes[sets[0][i0]]
         S[:, loops1] = classes[sets[1][i1]]
         S[:, bridges[1:]] = nonzero[sets[2][ib]]
-        yield from S[_rows_generate_zn(S[:, free], n)]
+        yield S[_rows_generate_zn(S[:, free], n)]
 
 
 @dataclass(frozen=True)
@@ -280,20 +291,21 @@ def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> list[ShiftOrbit]:
     change; r = n + 1 is classified by :func:`_relation_keys`; for larger r
     every assignment is its own class.  Classes come in representative order.
     """
-    arrays = enumerate_shift_arrays(g, n, s_max)
-    if not arrays:
+    top = classify(g)
+    S = _shift_stack(g, n, s_max, top)
+    if not len(S):
         return []
-    r = circuit_rank(g)
+    r = top.circuit_rank
     if r == n:
-        labels = np.zeros(len(arrays), dtype=np.int64)
+        labels = np.zeros(len(S), dtype=np.int64)
     elif r == n + 1:
-        _, labels = np.unique(_relation_keys(g, np.stack(arrays)), return_inverse=True)
+        _, labels = np.unique(_relation_keys(g, S), return_inverse=True)
     else:
-        labels = np.arange(len(arrays))
+        labels = np.arange(len(S))
     members = np.split(np.argsort(labels, kind='stable'),
                        np.cumsum(np.bincount(labels))[:-1])
     members.sort(key=lambda m: m[0])
-    return [ShiftOrbit(m, arrays[m[0]]) for m in members]
+    return [ShiftOrbit(m, S[m[0]]) for m in members]
 
 
 def _relation_keys(g: QuotientGraph, S: np.ndarray) -> np.ndarray:
@@ -305,13 +317,13 @@ def _relation_keys(g: QuotientGraph, S: np.ndarray) -> np.ndarray:
     change.  Automorphisms act on mu by reversing loops (|mu| on loops),
     permuting within an edge class (sorting) and, on two vertices,
     exchanging the loop classes and reversing the bridges.  The key is the
-    lexicographic rank of the least image.
+    lexicographic rank of the least image, ranked by one sort and a scan.
     """
     E = g.edge_count
     # the cycle-shift matrix of unit edge shifts is the cycle-edge incidence Z
     Z = QuotientGraph(E, g.vertex_count, g.tails, g.heads,
                       np.eye(E, dtype=np.int64)).cycle_shift_matrix()
-    C = np.einsum('ce,aei->aci', Z, S)
+    C = Z @ S
     minors = np.stack([(-1) ** i * det_int_batch(np.delete(C, i, axis=1))
                        for i in range(len(Z))], axis=1)
     mu = minors @ Z
@@ -326,5 +338,9 @@ def _relation_keys(g: QuotientGraph, S: np.ndarray) -> np.ndarray:
     if g.vertex_count == 2:
         images += [np.hstack(loops[::-1] + [neg]), np.hstack(loops[::-1] + [pos])]
     images = np.stack(images, axis=1)
-    _, rank = np.unique(images.reshape(-1, images.shape[2]), axis=0, return_inverse=True)
+    rows = images.reshape(-1, images.shape[2])
+    order = np.lexsort(rows.T[::-1])            # the first column is the primary key
+    ranked = rows[order]
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.diff(ranked, axis=0, prepend=ranked[:1]).any(axis=1).cumsum()
     return rank.reshape(images.shape[:2]).min(axis=1)

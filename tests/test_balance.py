@@ -67,6 +67,33 @@ def test_two_vertex_forces_opposite():
         assert np.linalg.norm(res.forces[0] + res.forces[1]) <= 1e-12
 
 
+def _reference_forces(net):
+    """Vertex forces edge by edge: the head end of each edge pulls along its
+    unit vector, the tail end against it."""
+    g = net.graph
+    B = net.lattice.basis
+    out = np.zeros((g.vertex_count, g.dim))
+    for t, h, s in g.edges:
+        vec = net.positions[h] + B @ np.array(s, dtype=float) - net.positions[t]
+        u = vec / np.linalg.norm(vec)
+        out[h] += u
+        out[t] -= u
+    return out
+
+
+def test_force_all_matches_edge_loop_on_catalog():
+    nets = [catalog(name)[0] for name in CATALOG_NAMES]
+    nets += [catalog(name, n=n)[0] for name in ("pcu", "cube_net", "simplex_net")
+             for n in (2, 4, 5)]
+    nets += [random_network(net.graph, seed=seed) for seed in range(3) for net in nets]
+    for net in nets:
+        res = force_all(net)
+        want = _reference_forces(net)
+        assert np.allclose(res.forces, want, rtol=0, atol=1e-14)
+        assert res.max_norm == pytest.approx(np.linalg.norm(res.forces, axis=1).max(),
+                                             rel=1e-15, abs=1e-300)
+
+
 def test_force_zero_length_edge_raises():
     net, _ = catalog("cds", t=0.5)
     positions = np.array(net.positions)

@@ -14,9 +14,9 @@ from perinet import (
     min_vertex_count,
     validate,
 )
-from perinet.intlinalg import smith_invariant_factors
+from perinet.intlinalg import det_int, det_int_batch, smith_invariant_factors
 from perinet.netcore import Lattice, PeriodicNetwork
-from perinet.topology import enumerate_shift_arrays, shift_orbits
+from perinet.topology import enumerate_shift_arrays, oriented_star, shift_orbits
 
 
 def test_circuit_rank_bouquet():
@@ -328,3 +328,61 @@ def test_shift_orbits_brute_force(tag, loops, bridges):
         related |= _unimodular_match(Cr, Tr).reshape(K, K)
     assert found.all(), np.flatnonzero(~found)[:10]
     assert np.array_equal(related, np.eye(K, dtype=bool))
+
+
+def _reference_relation_keys(g, S):
+    """The relation-vector keying as first written: the images of every
+    assignment ranked as rows by ``np.unique(axis=0)``."""
+    E = g.edge_count
+    Z = QuotientGraph(E, g.vertex_count, g.tails, g.heads,
+                      np.eye(E, dtype=np.int64)).cycle_shift_matrix()
+    C = np.einsum('ce,aei->aci', Z, S)
+    minors = np.stack([(-1) ** i * det_int_batch(np.delete(C, i, axis=1))
+                       for i in range(len(Z))], axis=1)
+    mu = minors @ Z
+    mu //= np.gcd.reduce(mu, axis=1, keepdims=True)
+    bridges, sign, _ = oriented_star(g, 0)
+    mu_b = mu[:, bridges] * sign
+    loops = [np.sort(np.abs(mu[:, oriented_star(g, v)[2]]), axis=1)
+             for v in range(g.vertex_count)]
+    pos, neg = np.sort(mu_b, axis=1), np.sort(-mu_b, axis=1)
+    images = [np.hstack(loops + [pos]), np.hstack(loops + [neg])]
+    if g.vertex_count == 2:
+        images += [np.hstack(loops[::-1] + [neg]), np.hstack(loops[::-1] + [pos])]
+    images = np.stack(images, axis=1)
+    _, rank = np.unique(images.reshape(-1, images.shape[2]), axis=0, return_inverse=True)
+    return rank.reshape(images.shape[:2]).min(axis=1)
+
+
+# every one- and two-vertex skeleton of circuit rank n + 1 in dimensions 2
+# and 3 under ENUMERATION_LIMIT, at each s_max whose enumeration takes
+# about a second or less; left out for time and memory are D5 and D2,1 at
+# s_max = 2 (1.9 M and 1.5 M assignments) and B5 in R^4 (427 k)
+@pytest.mark.parametrize("tag,n,s_max", [
+    ("D4", 2, 1), ("D4", 2, 2), ("D4", 2, 3), ("D1,2", 2, 1), ("D1,2", 2, 2),
+    ("D1,2", 2, 3), ("B3", 2, 1), ("B3", 2, 2), ("B3", 2, 3),
+    ("D5", 3, 1), ("D1,3", 3, 1), ("D2,1", 3, 1), ("B4", 3, 1), ("B4", 3, 2),
+])
+def test_shift_orbits_match_reference_keying(tag, n, s_max):
+    skeleton = build_abstract(tag, n)
+    assert circuit_rank(skeleton) == n + 1
+    S = enumerate_shift_arrays(skeleton, n, s_max)
+    _, labels = np.unique(_reference_relation_keys(skeleton, S), return_inverse=True)
+    ref = np.split(np.argsort(labels, kind='stable'), np.cumsum(np.bincount(labels))[:-1])
+    ref.sort(key=lambda m: m[0])
+    got = shift_orbits(skeleton, n, s_max)
+    assert len(got) == len(ref)
+    for o, m in zip(got, ref):
+        assert np.array_equal(o.members, m)
+        assert np.array_equal(o.shifts, S[m[0]])
+
+
+def test_det_int_batch_matches_det_int():
+    rng = np.random.default_rng(61)
+    for m in range(1, 6):
+        for lead in [(40,), (3, 7), (0,), (2, 0, 3)]:
+            mats = rng.integers(-4, 5, size=lead + (m, m))
+            got = det_int_batch(mats)
+            assert got.shape == lead
+            ref = [det_int(a) for a in mats.reshape(-1, m, m)]
+            assert got.ravel().tolist() == ref
