@@ -34,9 +34,7 @@ from .balance import (
 from .topology import (
     TopologyClass,
     build_abstract,
-    circuit_rank,
     classify,
-    enumerate_shifts,
     min_vertex_count,
 )
 from .construct import (

@@ -51,17 +51,10 @@ def bound_degree3d(d: int, topology: TopologyClass | str) -> float:
     top = TopologyClass.from_tag(topology) if isinstance(topology, str) else topology
     if d >= 7:
         return 405.0 / 8.0
-    table = {
-        (4, "D4"): 12 * math.sqrt(3),
-        (4, "D1,2"): 27.0,
-        (5, "D1,3"): 27 * math.sqrt(3),
-        (5, "D5"): 405.0 / 8.0,
-        (6, "B3"): 27.0,
-    }
-    try:
-        return table[(d, top.tag)]
-    except KeyError:
-        raise ValueError(f"no bound for degree {d} with topology {top.tag}") from None
+    sel = _select_bound(3, d, top)
+    if sel is None:
+        raise ValueError(f"no bound for degree {d} with topology {top.tag}")
+    return sel[1]
 
 
 def monotonicity_table(n: int, d_max: int) -> list[tuple[int, float]]:
@@ -106,14 +99,8 @@ def check_simplex(points) -> SimplexCheck:
     lhs = float(radii.sum()) ** n / vol
     rhs = math.factorial(n) * math.sqrt((n + 1) ** (n - 1) * n ** n)
     holds = lhs >= rhs * (1 - 1e-12)
-    equality = abs(lhs - rhs) <= EQUALITY_VALUE_TOL * rhs
-    if equality:
-        r = radii.mean()
-        units = pts / radii[:, None]
-        dots = units @ units.T
-        off = dots[~np.eye(n + 1, dtype=bool)]
-        equality = (np.abs(radii - r).max() <= CERT_TOL * r
-                    and np.abs(off + 1.0 / n).max() <= CERT_TOL)
+    equality = (abs(lhs - rhs) <= EQUALITY_VALUE_TOL * rhs
+                and all(_regular_simplex_checks(pts).values()))
     return SimplexCheck(lhs, rhs, holds, bool(equality))
 
 
@@ -274,19 +261,25 @@ def _oriented_star(net: PeriodicNetwork, v: int) -> tuple[np.ndarray, np.ndarray
     return sign[:, None] * vecs[edges], vecs[loops]
 
 
-def _cert_regular_simplex(net: PeriodicNetwork) -> CertificateResult:
-    """Neighbours of each vertex form a regular simplex centred on it."""
-    star, _ = _oriented_star(net, 0)
-    n = net.dim
+def _regular_simplex_checks(star: np.ndarray) -> dict:
+    """Are the n+1 vectors of ``star`` the corners of a regular simplex
+    centred on their origin: equal lengths, pairwise cosines -1/n?"""
+    n = star.shape[1]
     r = np.linalg.norm(star, axis=1)
     units = star / r[:, None]
-    dots = units @ units.T
-    off = dots[~np.eye(len(star), dtype=bool)]
-    checks = {
+    off = (units @ units.T)[~np.eye(len(star), dtype=bool)]
+    return {
         "equal_edge_lengths": float(r.max() - r.min()) <= CERT_TOL * r.mean(),
         "simplex_angles": float(np.abs(off + 1.0 / n).max()) <= CERT_TOL,
     }
-    if n == 3:
+
+
+def _cert_regular_simplex(net: PeriodicNetwork) -> CertificateResult:
+    """Neighbours of each vertex form a regular simplex centred on it (for
+    n = 2, the planar tripod with equal legs at 120 degrees)."""
+    star, _ = _oriented_star(net, 0)
+    checks = _regular_simplex_checks(star)
+    if net.dim == 3:
         # the differences b_i - b_0 are cycle translations, so they span a
         # sublattice of index |det D| / |det B|; with a regular-simplex star
         # the lattice is the diamond's FCC lattice exactly when that is 1
@@ -384,19 +377,6 @@ def _cert_sqp(net: PeriodicNetwork) -> CertificateResult:
     return CertificateResult("square-pyramid", all(checks.values()), checks)
 
 
-def _cert_hexagonal(net: PeriodicNetwork) -> CertificateResult:
-    """Planar tripod at 120 degrees with equal legs (n = 2 dipole)."""
-    star, _ = _oriented_star(net, 0)
-    r = np.linalg.norm(star, axis=1)
-    units = star / r[:, None]
-    dots = (units @ units.T)[~np.eye(3, dtype=bool)]
-    checks = {
-        "equal_edges": float(r.max() - r.min()) <= CERT_TOL * r.mean(),
-        "tripod_angles": float(np.abs(dots + 0.5).max()) <= CERT_TOL,
-    }
-    return CertificateResult("hexagonal-tripod", all(checks.values()), checks)
-
-
 # ---------------------------------------------------------------------------
 # verification report
 
@@ -467,9 +447,8 @@ def _select_bound(n: int, d: int, top: TopologyClass):
                 f"({d // 2}-{n}+1)*{n}^{n}", False, d == 2 * n,
                 _cert_primitive if d == 2 * n else None)
     if d == n + 1 and top.tag == f"D{n + 1}":
-        cert = _cert_hexagonal if n == 2 else _cert_regular_simplex
         return ("dipole-simplex", bound_dipole(n),
-                f"sqrt({n + 1}^{n - 1} * {n}^{n})", False, True, cert)
+                f"sqrt({n + 1}^{n - 1} * {n}^{n})", False, True, _cert_regular_simplex)
     if d >= n + 1:
         return ("degree-floor", bound_dipole(n),
                 f"sqrt({n + 1}^{n - 1} * {n}^{n})", d > n + 1, False, None)

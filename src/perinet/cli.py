@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as netio
 from .balance import force_all
-from .bounds import verify
+from .bounds import SLACK_TOL, verify
 from .construct import CATALOG_NAMES, catalog
 from .netcore import length, length_quotient, validate, volume
 from .optimize import OptimizeConfig, minimize_topology
@@ -132,7 +132,7 @@ def _cmd_verify(args) -> int:
             doc[key] = float(_f(doc[key]))
     print(json.dumps(doc, indent=2))
     return 0 if report.applicable and (report.slack is None or
-                                       report.slack >= -1e-9) else 1
+                                       report.slack >= -SLACK_TOL) else 1
 
 
 def _cmd_table(args) -> int:

@@ -8,7 +8,6 @@ length quotients stored as exact expressions evaluated on demand.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 from .balance import geometric_median
 from .netcore import DIRECTION_TOL, Lattice, PeriodicNetwork, QuotientGraph
 from .reduction import lagrange_reduce_pair
-from .topology import TopologyClass, classify
+from .topology import TopologyClass, _loop_classes, classify
 
 
 @dataclass(frozen=True)
@@ -50,22 +49,9 @@ def _parallel_int(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
 
 def _shift_pool(n: int, basis: np.ndarray, span: int = 2) -> list[tuple[int, ...]]:
     """Sign-canonical candidate shifts ordered by lattice-vector norm."""
-    cands = []
-    for s in itertools.product(range(-span, span + 1), repeat=n):
-        if not any(s):
-            continue
-        for x in s:
-            if x > 0:
-                break
-            if x < 0:
-                s = tuple(-v for v in s)
-                break
-        cands.append(s)
-    cands = sorted(set(cands))
-    norms = [float(np.linalg.norm(basis @ np.array(s, float))) for s in cands]
-    order = sorted(range(len(cands)),
-                   key=lambda i: (norms[i], tuple(-x for x in cands[i])))
-    return [cands[i] for i in order]
+    return sorted(_loop_classes(n, span),
+                  key=lambda s: (float(np.linalg.norm(basis @ np.array(s, float))),
+                                 tuple(-x for x in s)))
 
 
 def _pick_loops(n: int, basis: np.ndarray, per_vertex: int, required: list,

@@ -2,7 +2,9 @@
 
 Everything here except :func:`det_int_batch` runs on Python integers, so
 there is no overflow to detect; results are exact for arbitrary entry
-sizes.  ``det_int_batch`` vectorizes over many small matrices in int64.
+sizes.  ``det_int_batch`` vectorizes over many small matrices in int64,
+and the descent takes the determinants of its float bases from the same
+closed forms (``_det_int``).
 """
 
 from math import gcd
@@ -11,45 +13,19 @@ import numpy as np
 
 
 def _as_int_rows(mat) -> list[list[int]]:
-    rows = [[int(x) for x in row] for row in np.asarray(mat).tolist()]
-    return rows
-
-
-def integer_rank(mat) -> int:
-    """Rank over the rationals, via fraction-free (Bareiss) elimination."""
-    a = _as_int_rows(mat)
-    if not a or not a[0]:
-        return 0
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+    return [[int(x) for x in row] for row in np.asarray(mat).tolist()]
 
 
 def smith_invariant_factors(mat) -> tuple[int, ...]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    Diagonalizes by repeated pivoting on the smallest nonzero entry;
-    intended for the small matrices arising from quotient-graph cycles.
+    Their count is the rank.  Diagonalizes by repeated pivoting on the
+    smallest nonzero entry: exact, and polynomial in the matrix size, so
+    it decides lattice generation for networks that come from outside the
+    program (``validate``), where a bouquet read from a file may have many
+    cycles.  The gcd of the maximal minors (``topology._rows_generate_zn``)
+    answers the same question faster on small matrices but needs
+    C(r, n) minors of an r x n matrix.
     """
     a = _as_int_rows(mat)
     if not a or not a[0]:
@@ -119,7 +95,8 @@ def _det_int(rows) -> int:
     if m == 1:
         return rows[0][0]
     if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        (a, b), (c, d) = rows
+        return a * d - b * c
     if m == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

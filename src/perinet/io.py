@@ -56,38 +56,43 @@ def network_from_json(text: str) -> PeriodicNetwork:
         dim = int(doc["dim"])
         vertices = doc["vertices"]
         lattice = np.array(doc["lattice"], dtype=np.float64)
-        edges = doc["edges"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"missing or malformed network field: {exc}") from exc
-    ids = [int(v["id"]) for v in vertices]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate vertex ids")
-    index = {vid: i for i, vid in enumerate(sorted(ids))}
-    positions = np.zeros((len(ids), dim))
-    for v in vertices:
-        pos = np.asarray(v["pos"], dtype=np.float64)
-        if pos.shape != (dim,):
-            raise ValueError(f"vertex {v['id']} position has wrong dimension")
-        positions[index[int(v["id"])]] = pos
-    if lattice.shape != (dim, dim):
-        raise ValueError("lattice must hold dim columns of length dim")
-    edge_list = []
-    for e in edges:
-        shift = [int(x) for x in e["shift"]]
-        if len(shift) != dim:
-            raise ValueError("edge shift has wrong dimension")
-        edge_list.append((index[int(e["tail"])], index[int(e["head"])], shift))
-    graph = QuotientGraph.from_edges(dim, len(ids), edge_list)
+        ids = [int(v["id"]) for v in vertices]
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate vertex ids")
+        index = {vid: i for i, vid in enumerate(sorted(ids))}
+        positions = np.zeros((len(ids), dim))
+        for vid, v in zip(ids, vertices):
+            pos = np.asarray(v["pos"], dtype=np.float64)
+            if pos.shape != (dim,):
+                raise ValueError(f"vertex {vid} position has wrong dimension")
+            positions[index[vid]] = pos
+        if lattice.shape != (dim, dim):
+            raise ValueError("lattice must hold dim columns of length dim")
+        edge_list = []
+        for e in doc["edges"]:
+            shift = [int(x) for x in e["shift"]]
+            if len(shift) != dim:
+                raise ValueError("edge shift has wrong dimension")
+            edge_list.append((index[int(e["tail"])], index[int(e["head"])], shift))
+        graph = QuotientGraph.from_edges(dim, len(ids), edge_list)
+    except KeyError as exc:
+        raise ValueError(f"missing network field or unknown vertex id: {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed network field: {exc}") from exc
     # stored column by column; transpose back into a basis matrix
     return PeriodicNetwork(graph, Lattice(lattice.T), positions)
 
 
-def write_network(net: PeriodicNetwork, path_or_file: str | IO[str]) -> None:
+def _write_text(path_or_file: str | IO[str], text: str) -> None:
     if hasattr(path_or_file, "write"):
-        path_or_file.write(network_to_json(net))
+        path_or_file.write(text)
     else:
         with open(path_or_file, "w") as fh:
-            fh.write(network_to_json(net))
+            fh.write(text)
+
+
+def write_network(net: PeriodicNetwork, path_or_file: str | IO[str]) -> None:
+    _write_text(path_or_file, network_to_json(net))
 
 
 def read_network(path_or_file: str | IO[str]) -> PeriodicNetwork:
@@ -137,10 +142,5 @@ def export_obj(net: PeriodicNetwork, path_or_file: str | IO[str],
         out.append("v %s %s %s\n" % tuple(format(x, ".12g") for x in v))
     for a, b in lines:
         out.append("l %d %d\n" % (a, b))
-    text = "".join(out)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
+    _write_text(path_or_file, "".join(out))
     return len(lines)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .intlinalg import integer_rank, smith_invariant_factors
+from .intlinalg import smith_invariant_factors
 
 # Two unit directions closer than this in max norm count as positively
 # parallel; straight segments sharing an endpoint overlap exactly then.
@@ -87,9 +87,14 @@ class QuotientGraph:
     def is_connected(self) -> bool:
         return len(self._spanning_tree()[0]) == self.vertex_count
 
-    def _spanning_tree(self) -> tuple[set[int], list[int], np.ndarray]:
+    def _spanning_tree(self) -> tuple[frozenset[int], tuple[int, ...], np.ndarray]:
         """Depth-first spanning tree from vertex 0: the vertices reached, the
-        tree edges, and each reached vertex's shift potential along the tree."""
+        tree edges, and each reached vertex's shift potential along the tree.
+
+        The graph is immutable, so the tree is walked once and kept.
+        """
+        if "_tree" in self.__dict__:
+            return self.__dict__["_tree"]
         potential = np.zeros((self.vertex_count, self.dim), dtype=np.int64)
         tails, heads = self.tails.tolist(), self.heads.tolist()
         reached, tree, stack = {0}, [], [0]
@@ -105,7 +110,9 @@ class QuotientGraph:
                 tree.append(e)
                 potential[w] = potential[v] + sign * self.shifts[e]
                 stack.append(w)
-        return reached, tree, potential
+        tree = (frozenset(reached), tuple(tree), _freeze(potential))
+        object.__setattr__(self, "_tree", tree)
+        return tree
 
     def cycle_shift_matrix(self) -> np.ndarray:
         """Net shifts around the fundamental cycles of a spanning tree.
@@ -332,12 +339,12 @@ def validate(net: PeriodicNetwork) -> ValidityReport:
             violations.append(f"duplicate edge {(t, h, s)}")
         seen.add(key)
 
-    cycle_rank = integer_rank(M)
+    factors = smith_invariant_factors(M)
+    cycle_rank = len(factors)
     rank_full = cycle_rank == g.dim
     if not rank_full:
         violations.append(f"cycle-shift rank {cycle_rank} < dimension {g.dim}")
-    factors = smith_invariant_factors(M)
-    lift_connected = len(factors) == g.dim and all(d == 1 for d in factors)
+    lift_connected = factors == (1,) * g.dim
     if rank_full and not lift_connected:
         violations.append(f"lift disconnected: invariant factors {factors}")
 

@@ -28,8 +28,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .intlinalg import _det_int, smith_invariant_factors
 from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, as_stack, edge_norms,
-                      incidence, lifted_edges, parallel_ends, validate, vertex_forces)
+                      incidence, lifted_edges, parallel_ends, vertex_forces)
 from .reduction import greedy_reduce
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits
 
@@ -122,14 +123,9 @@ class OptimizeResult:
 
 
 def _det_batch(B: np.ndarray) -> np.ndarray:
-    n = B.shape[-1]
-    if n == 2:
-        return B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    if n == 3:
-        a, b, c = B[:, 0, 0], B[:, 0, 1], B[:, 0, 2]
-        d, e, f = B[:, 1, 0], B[:, 1, 1], B[:, 1, 2]
-        g, h, i = B[:, 2, 0], B[:, 2, 1], B[:, 2, 2]
-        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+    if B.shape[-1] <= 3:
+        # the closed forms, on entry (i, j) of every stacked basis at once
+        return _det_int(B.transpose(1, 2, 0))
     return np.linalg.det(B)
 
 
@@ -422,16 +418,6 @@ def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:
     return PeriodicNetwork(g, Lattice(B[0]), X[0])
 
 
-def _require_valid_graph(g: QuotientGraph):
-    probe = PeriodicNetwork(g, Lattice(np.eye(g.dim)),
-                            np.zeros((g.vertex_count, g.dim)))
-    rep = validate(probe)
-    if not rep.rank_full or not rep.lift_connected:
-        raise ValueError(
-            f"graph is not a valid n-periodic quotient: rank {rep.cycle_rank} of "
-            f"{g.dim}, invariant factors {rep.invariant_factors}")
-
-
 def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -> OptimizeResult:
     """Minimize L^n/V over positions and lattice for one shift assignment.
 
@@ -439,7 +425,11 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     the best; ties go to the lowest restart index.
     """
     cfg = cfg or OptimizeConfig()
-    _require_valid_graph(g)
+    factors = smith_invariant_factors(g.cycle_shift_matrix())
+    if factors != (1,) * g.dim:
+        raise ValueError(
+            f"graph is not a valid n-periodic quotient: rank {len(factors)} of "
+            f"{g.dim}, invariant factors {factors}")
     return _multistart(g, np.array(g.shifts)[None], np.zeros(1, dtype=np.int64), cfg)
 
 

@@ -1,9 +1,9 @@
 """Combinatorics of quotient graphs on one or two vertices.
 
-Covers circuit rank, classification into bouquet/double-bouquet/dipole
-families, admissible topologies for given (dimension, degree), abstract
-graph builders, and enumeration of integer shift assignments and of
-their orbits.
+Covers classification into bouquet/double-bouquet/dipole families (with
+the circuit rank), admissible topologies for given (dimension, degree),
+abstract graph builders, and enumeration of integer shift assignments
+and of their orbits.
 """
 
 from __future__ import annotations
@@ -83,13 +83,6 @@ class TopologyClass:
         raise ValueError(f"cannot parse topology tag {tag!r}")
 
 
-def circuit_rank(g: QuotientGraph) -> int:
-    """1 - #vertices + #edges; the number of independent cycles."""
-    if not g.is_connected():
-        raise ValueError("circuit rank requires a connected graph")
-    return 1 - g.vertex_count + g.edge_count
-
-
 def classify(g: QuotientGraph) -> TopologyClass:
     """Exact structural match against the bouquet/double-bouquet families."""
     if not g.is_connected():
@@ -100,13 +93,9 @@ def classify(g: QuotientGraph) -> TopologyClass:
     d = int(deg[0])
     V = g.vertex_count
     rank = g.edge_count - V + 1         # the circuit rank, g being connected
-    loops_at = np.zeros(V, dtype=int)
-    bridges = 0
-    for t, h, _ in g.edges:
-        if t == h:
-            loops_at[t] += 1
-        else:
-            bridges += 1
+    is_loop = g.tails == g.heads
+    loops_at = np.bincount(g.tails[is_loop], minlength=V)
+    bridges = int(np.count_nonzero(~is_loop))
     if V == 1:
         return TopologyClass("bouquet", int(loops_at[0]), 0, rank, d, 1)
     if V == 2 and loops_at[0] == loops_at[1]:
@@ -160,17 +149,10 @@ def _nonzero_shifts(n: int, s_max: int) -> list[tuple[int, ...]]:
             if any(s)]
 
 
-def _sign_canonical(s: tuple[int, ...]) -> tuple[int, ...]:
-    for x in s:
-        if x > 0:
-            return s
-        if x < 0:
-            return tuple(-v for v in s)
-    return s
-
-
 def _loop_classes(n: int, s_max: int) -> list[tuple[int, ...]]:
-    return sorted(set(_sign_canonical(s) for s in _nonzero_shifts(n, s_max)))
+    # of s and -s, the sign-canonical one (first nonzero entry positive) is
+    # the lexicographically larger
+    return sorted({max(s, tuple(-x for x in s)) for s in _nonzero_shifts(n, s_max)})
 
 
 def _combinations(m: int, k: int) -> np.ndarray:
@@ -190,31 +172,29 @@ def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _rows_generate_zn(rows: np.ndarray, n: int) -> np.ndarray:
-    """Per stacked row set: do the integer rows generate Z^n?"""
-    # gcd of all n x n minors equals 1 <=> rank n and all Smith factors 1
+    """Per stacked row set: do the integer rows generate Z^n?
+
+    The gcd of all n x n minors is 1 exactly when the rank is n and every
+    Smith invariant factor is 1.  It screens up to ``ENUMERATION_LIMIT``
+    candidates with small bounded entries, vectorized in int64, which the
+    one-matrix-at-a-time Smith form of ``validate`` could not do at speed;
+    its C(r, n) minors stay few because enumerated skeletons are small.
+    """
     g = np.zeros(len(rows), dtype=np.int64)
     for sub in itertools.combinations(range(rows.shape[1]), n):
         g = np.gcd(g, det_int_batch(rows[:, sub]))
     return g == 1
 
 
-def enumerate_shifts(g: QuotientGraph, n: int, s_max: int = 1) -> list[QuotientGraph]:
+def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
     """All valid shift assignments for a one- or two-vertex skeleton.
 
-    The first bridge is gauge-fixed to shift zero; loop shifts are taken
-    sign-canonically (a loop and its reverse are the same edge).  Kept
-    assignments have full-rank, lattice-generating cycle shifts; exact
-    duplicates and global-negation duplicates are removed.
+    Returns the shift matrices stacked (N, E, n) in the skeleton's edge
+    order.  The first bridge is gauge-fixed to shift zero; loop shifts are
+    taken sign-canonically (a loop and its reverse are the same edge).
+    Kept assignments have full-rank, lattice-generating cycle shifts;
+    exact duplicates and global-negation duplicates are removed.
     """
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
-    return [QuotientGraph(n, g.vertex_count, g.tails, g.heads, S)
-            for S in enumerate_shift_arrays(g, n, s_max)]
-
-
-def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
-    """Shift matrices for :func:`enumerate_shifts`, stacked (N, E, n) in the
-    skeleton's edge order."""
     return _shift_stack(g, n, s_max, classify(g))
 
 

@@ -215,3 +215,32 @@ def test_cli_eval_invalid_network_exit_code(tmp_path, capsys):
     assert run(["eval", str(path)]) == 1
     out = capsys.readouterr().out
     assert "violation" in out
+
+
+def _dia_doc_with(edit):
+    doc = json.loads(network_to_json(catalog("dia")[0]))
+    edit(doc)
+    return json.dumps(doc)
+
+
+MALFORMED = {
+    "unknown_vertex_id": lambda doc: doc["edges"][0].update(head=5),
+    "vertex_without_id": lambda doc: doc["vertices"][1].pop("id"),
+    "edge_without_shift": lambda doc: doc["edges"][0].pop("shift"),
+    "shift_beyond_int64": lambda doc: doc["edges"][0].update(shift=[2 ** 70, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_json_reader_malformed_raises_value_error(case):
+    with pytest.raises(ValueError):
+        network_from_json(_dia_doc_with(MALFORMED[case]))
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_network_fails_cleanly(tmp_path, capsys, command, case):
+    path = tmp_path / "bad.json"
+    path.write_text(_dia_doc_with(MALFORMED[case]))
+    assert run([command, str(path)]) == 1
+    assert "cannot read network" in capsys.readouterr().err

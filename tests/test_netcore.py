@@ -10,6 +10,7 @@ from perinet import (
     PeriodicNetwork,
     QuotientGraph,
     catalog,
+    classify,
     edge_vector,
     edge_vectors,
     edge_lengths,
@@ -19,9 +20,10 @@ from perinet import (
     random_network,
     scaled,
     validate,
+    verify,
     volume,
 )
-from perinet.intlinalg import integer_rank, smith_invariant_factors
+from perinet.intlinalg import smith_invariant_factors
 from perinet.netcore import (
     edge_norms,
     incidence,
@@ -234,7 +236,7 @@ def test_lift_connected_implies_full_rank():
         factors = smith_invariant_factors(M)
         if len(factors) == n and all(x == 1 for x in factors):
             hits += 1
-            assert integer_rank(M) == n
+            assert np.linalg.matrix_rank(M) == n
     assert hits > 10
 
 
@@ -451,7 +453,7 @@ def test_validate_connectivity_matches_reference():
         rep = validate(PeriodicNetwork(g, Lattice(np.eye(3)), rng.normal(size=(V, 3))))
         assert rep.quotient_connected == connected
         assert ("quotient graph disconnected" in rep.violations) == (not connected)
-        assert rep.cycle_rank == integer_rank(rows)
+        assert rep.cycle_rank == np.linalg.matrix_rank(rows)
         seen.add(connected)
     assert seen == {True, False}
 
@@ -466,3 +468,52 @@ def test_validate_walks_the_spanning_tree_once(monkeypatch):
         calls.clear()
         assert validate(net).ok
         assert len(calls) == 1, name
+
+
+@pytest.mark.parametrize("name,params", SHARP_CATALOG,
+                         ids=[name for name, _ in SHARP_CATALOG])
+def test_validate_classify_verify_walk_the_spanning_tree_once(monkeypatch, name, params):
+    # the graph is frozen, so every later request gets the one walked tree
+    trees = []
+    walk = QuotientGraph._spanning_tree
+    monkeypatch.setattr(QuotientGraph, "_spanning_tree",
+                        lambda self: trees.append(walk(self)) or trees[-1])
+    net, _ = catalog(name, **params)
+    assert validate(net).ok
+    classify(net.graph)
+    assert verify(net).applicable
+    assert len(trees) > 1 and all(t is trees[0] for t in trees)
+
+
+def _random_unimodular(rng, m):
+    """Product of random elementary integer operations on the m x m identity."""
+    U = np.eye(m, dtype=np.int64)
+    for _ in range(2 * m):
+        i, j = rng.choice(m, 2, replace=False) if m > 1 else (0, 0)
+        if i != j:
+            U[i] += int(rng.integers(-2, 3)) * U[j]
+        U[[i, j]] = U[[j, i]]
+        if rng.random() < 0.3:
+            U[i] = -U[i]
+    return U
+
+
+def test_smith_factors_match_a_planted_divisor_chain():
+    # M = U D V with unimodular U, V has the Smith factors of D: its nonzero
+    # diagonal, a divisor chain, whose length is the rank of M
+    rng = np.random.default_rng(67)
+    deficient = 0
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        chain = [int(rng.integers(1, 4))]
+        for _ in range(k - 1):
+            chain.append(chain[-1] * int(rng.integers(1, 4)))
+        D = np.zeros((rows, cols), dtype=np.int64)
+        D[range(k), range(k)] = chain[:k]
+        M = _random_unimodular(rng, rows) @ D @ _random_unimodular(rng, cols)
+        factors = smith_invariant_factors(M)
+        assert factors == tuple(chain[:k]), (M, chain[:k])
+        assert len(factors) == np.linalg.matrix_rank(M)
+        deficient += k < min(rows, cols)
+    assert deficient > 50
