@@ -19,6 +19,7 @@ MEDIAN_TOL = 1e-10
 MEDIAN_MAX_ITER = 10_000
 _SNAP = 1e-12          # iterate this close to an input point is treated as on it
 _NUDGE = 1e-6          # restart displacement off a non-optimal input point
+_NEWTON_ENTRY = 1e-3   # Weiszfeld step / point-set scale that starts the Newton tail
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -76,15 +77,17 @@ def _vertex_gaps(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _newton_polish(p: np.ndarray, pts: np.ndarray, d: np.ndarray, gtol: float,
                    rounds: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Guarded Newton steps on the smooth star-length around ``p``.
+    """Guarded Newton steps on the smooth star-length from ``p``.
 
     Takes and returns the point with its distances ``d`` to the points.
     Weiszfeld slows to a crawl when the minimizer sits very close to an
-    input point; Newton is immune to that conditioning.  Steps that fail
-    to decrease the objective are halved away, so the polish never moves
-    uphill, until the trial step falls below the floating-point
-    resolution of ``p``, where no candidate is more than a rounding away,
-    or its predicted decrease ``t |grad . step|`` below the objective's.
+    input point; Newton is immune to that conditioning and converges
+    quadratically once ``p`` is in the basin of an interior minimum.
+    Steps that fail to decrease the objective are halved away, so the
+    polish never moves uphill, until the trial step falls below the
+    floating-point resolution of ``p``, where no candidate is more than a
+    rounding away, or its predicted decrease ``t |grad . step|`` below
+    the objective's.
     """
     dim = pts.shape[1]
     obj = d.sum()
@@ -131,7 +134,12 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
     points.  The vertex gaps and multiplicities depend on the input points
     only, so they are tabulated once per call and every iterate costs one
     distance evaluation, shared by the nearest-point test, the weights,
-    the monotonicity check and the objective.
+    the monotonicity check and the objective.  Weiszfeld converges only
+    linearly, at a rate near one when the minimizer is close to an input
+    point.  Once its step falls below ``_NEWTON_ENTRY`` times the
+    point-set scale (or below ``tol``, and at every 500th iterate) the
+    iterate is taken to be in Newton's basin and a guarded Newton polish
+    finishes it; a polish that does not certify hands back to Weiszfeld.
     ``on_step(p, obj)``, when given, is called after every iterate.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -172,10 +180,9 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
             on_step(p_new, new_obj)
         step = math.sqrt((p_new - p) @ (p_new - p))
         p, d, obj = p_new, d_new, new_obj
-        if step < tol or (it + 1) % 500 == 0:
-            # interior tail: a minimizer close to an input point drags the
-            # Weiszfeld rate towards one, so finish with guarded Newton and
-            # return once the criticality certificate holds
+        if step < max(tol, _NEWTON_ENTRY * scale) or (it + 1) % 500 == 0:
+            # Newton tail: return once the criticality certificate holds,
+            # else resume Weiszfeld from the polished point
             p, d = _newton_polish(p, pts, d, gtol=tol)
             obj = float(d.sum())
             if on_step is not None:

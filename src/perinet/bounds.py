@@ -460,18 +460,24 @@ def verify(net: PeriodicNetwork) -> BoundReport:
 
     Computes the slack (measured minus bound) and, when the network sits
     at the bound, attaches the structural equality certificate of the
-    corresponding theorem.
+    corresponding theorem.  A network that fails validation gets the
+    not-applicable report with the violations; its topology reads
+    ``"unclassified"`` when the graph is disconnected or irregular.
     """
     rep = validate(net)
-    top = classify(net.graph)
     try:
         measured = length_quotient(net)
     except ValueError:
         measured = float("nan")
     if not rep.ok:
+        try:
+            tag = classify(net.graph).tag
+        except ValueError:
+            tag = "unclassified"
         return BoundReport(False, None, None, None, measured, None, False,
-                           False, None, top.tag,
+                           False, None, tag,
                            note="network fails validation: " + "; ".join(rep.violations))
+    top = classify(net.graph)
     sel = _select_bound(net.dim, top.degree, top)
     if sel is None:
         return BoundReport(False, None, None, None, measured, None, False,

@@ -309,6 +309,28 @@ def test_median_matches_reference():
         assert at_vertex is not None
 
 
+def test_median_iterates_on_criterion_4_sets():
+    # the Newton tail starts once Weiszfeld is in its basin, so a median of
+    # a sweep vertex's neighbours takes a few iterates, not dozens
+    calls = []
+    for k, tag in enumerate(["D4", "D1,2", "D5", "D1,3", "B3"]):
+        skeleton = build_abstract(tag, 3)
+        shifts = enumerate_shift_arrays(skeleton, 3, 1)
+        rng = np.random.default_rng((23, k))
+        for _ in range(100):
+            g = QuotientGraph(3, skeleton.vertex_count, skeleton.tails, skeleton.heads,
+                              shifts[int(rng.integers(len(shifts)))])
+            net = random_network(g, seed=int(rng.integers(1 << 62)))
+            for v in range(g.vertex_count):
+                nbrs = lifted_neighbours(net, v)
+                if len(nbrs):
+                    steps = []
+                    geometric_median(nbrs, on_step=lambda *a: steps.append(a))
+                    calls.append(len(steps))
+    assert len(calls) == 800
+    assert np.mean(calls) <= 15, np.mean(calls)
+
+
 def test_vertex_gaps_skip_coincident_points():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.2, 1.0], [-1.0, -0.4]])
     gaps, sums = _vertex_gaps(pts)

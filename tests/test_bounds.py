@@ -224,6 +224,31 @@ def test_verify_invalid_network_reports():
     rep = verify(bad)
     assert not rep.applicable
     assert "validation" in rep.note
+    assert rep.topology == "B3"
+
+
+# two separate two-loop bouquets, and two vertices of degrees 5 and 3
+UNCLASSIFIABLE = {
+    "disconnected": ([(0, 0, (1, 0)), (0, 0, (0, 1)), (1, 1, (1, 0)), (1, 1, (0, 1))],
+                     "quotient graph disconnected"),
+    "irregular": ([(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 1, (0, 0)), (1, 1, (1, 1))],
+                  "degrees not regular"),
+}
+
+
+def _unclassifiable_network(case):
+    edges, _ = UNCLASSIFIABLE[case]
+    return PeriodicNetwork(QuotientGraph.from_edges(2, 2, edges), Lattice(np.eye(2)),
+                           np.array([[0.0, 0.0], [0.3, 0.4]]))
+
+
+@pytest.mark.parametrize("case", sorted(UNCLASSIFIABLE))
+def test_verify_unclassifiable_network_reports(case):
+    rep = verify(_unclassifiable_network(case))
+    assert not rep.applicable
+    assert rep.topology == "unclassified"
+    assert rep.note.startswith("network fails validation")
+    assert UNCLASSIFIABLE[case][1] in rep.note
 
 
 def test_verify_no_applicable_bound():

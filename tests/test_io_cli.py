@@ -8,6 +8,7 @@ import pytest
 from perinet import catalog, length, length_quotient, volume
 from perinet.cli import run
 from perinet.io import export_obj, network_from_json, network_to_json, read_network, write_network
+from test_bounds import UNCLASSIFIABLE, _unclassifiable_network
 
 
 def test_json_roundtrip_preserves_measures():
@@ -152,6 +153,17 @@ def test_cli_verify(tmp_path, capsys):
     assert doc["theorem"] == "dipole-simplex"
     assert abs(doc["slack"]) <= 1e-9
     assert doc["equality_certificate"]["passed"] is True
+
+
+@pytest.mark.parametrize("case", sorted(UNCLASSIFIABLE))
+def test_cli_verify_invalid_network_exits_1(tmp_path, capsys, case):
+    path = tmp_path / "bad.json"
+    write_network(_unclassifiable_network(case), str(path))
+    assert run(["verify", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["applicable"] is False
+    assert doc["topology"] == "unclassified"
+    assert doc["note"].startswith("network fails validation")
 
 
 def test_cli_export(tmp_path, capsys):
