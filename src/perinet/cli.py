@@ -92,8 +92,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = OptimizeConfig(seed=args.seed, restarts=args.restarts, s_max=args.smax)
     try:
+        cfg = OptimizeConfig(seed=args.seed, restarts=args.restarts, s_max=args.smax)
         result = minimize_topology(args.topology, args.dim, cfg)
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc))

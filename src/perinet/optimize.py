@@ -9,6 +9,14 @@ accepted step (scale gauge).  Lattice non-compactness is handled by a
 greedy reduction safeguard plus a condition-number bailout, and edge
 collapse stops a run instead of being traversed.
 
+Steps follow the negative gradient with Barzilai-Borwein step sizes until
+an instance's gradient max-norm falls below ``_NEWTON_ENTRY``; from there
+its direction is the damped-Newton step -(H + |g| I)^-1 g on the analytic
+Hessian, which converges quadratically near a nondegenerate minimizer.
+Both are safeguarded by one Armijo backtracking line search, and a row
+whose damped system gives no descent direction, or a step that moves an
+edge vector by its length or more, takes the gradient step.
+
 Restarts are vectorized: a batch holds many instances of the same
 skeleton (possibly with different shift assignments) and all of them
 take descent steps simultaneously, each with its own backtracking step
@@ -50,8 +58,10 @@ _SERVICE_EVERY = 8           # iterations between basis-safeguard services
 _STALL_PATIENCE = 128        # services without progress before a plateau stop
 _COND_LIMIT = 1e6
 _RATIO_LIMIT = 3.0
+_NEWTON_ENTRY = 3e-2         # gradient max-norm below which a step is damped Newton
+_HESSIAN_BLOCK = 1 << 19     # Hessian entries assembled at once in the Newton tail
 # per-instance state that a descent step reads and writes
-_LIVE = ("X", "B", "S", "ST", "f", "ell", "t", "iters",
+_LIVE = ("X", "B", "S", "ST", "f", "ell", "t", "iters", "tail_steps",
          "_gXo", "_gBo", "_gsqo", "_tacc", "_has_prev")
 
 
@@ -76,6 +86,8 @@ class OptimizeConfig:
         for name in ("restarts", "max_iter", "s_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.eps_edge >= 0.5:
             raise ValueError("eps_edge must be below 0.5")
         if not 0 < self.backtrack < 1:
@@ -89,8 +101,9 @@ class TraceTable:
     assignment_index: np.ndarray
     restart_index: np.ndarray
     final_value: np.ndarray
-    iterations: np.ndarray
+    iterations: np.ndarray       # accepted steps, Newton steps included
     termination: np.ndarray      # status codes, see _STATUS_LABELS
+    tail_steps: np.ndarray       # accepted damped-Newton steps
 
     def __len__(self) -> int:
         return len(self.final_value)
@@ -102,6 +115,7 @@ class TraceTable:
             "final_value": float(self.final_value[i]),
             "iterations": int(self.iterations[i]),
             "termination": _STATUS_LABELS[int(self.termination[i])],
+            "tail_steps": int(self.tail_steps[i]),
         }
 
     def to_json_records(self, limit: int | None = None) -> list[dict]:
@@ -171,6 +185,7 @@ class _Batch:
         self.t = np.full(N, cfg.step0)
         self.status = np.zeros(N, dtype=np.uint8)
         self.iters = np.zeros(N, dtype=np.int32)
+        self.tail_steps = np.zeros(N, dtype=np.int32)
         self.P = incidence(self.tails, self.heads, self.V)
         self._refresh_shift_floats()
         with np.errstate(divide='ignore', invalid='ignore'):
@@ -260,7 +275,7 @@ class _Batch:
                 done = (ginf <= cfg.g_tol) & (force_max <= cfg.g_tol)
                 if done.any():
                     idx, w = self._retire(idx, w, done, 1)
-                    gX, gB, gsq = gX[~done], gB[~done], gsq[~done]
+                    u, gX, gB, gsq, ginf = (a[~done] for a in (u, gX, gB, gsq, ginf))
                     if len(idx) == 0:
                         continue
                 # Barzilai-Borwein step estimate from the last accepted step,
@@ -271,21 +286,39 @@ class _Batch:
                 t_bb = -w._tacc * (cross - w._gsqo) / (gsq - 2.0 * cross + w._gsqo)
                 use_bb = w._has_prev & np.isfinite(t_bb) & (t_bb > 0)
                 t = np.where(use_bb, np.clip(t_bb, 1e-12, 1e3), np.minimum(w.t * 2.0, 1e3))
+                # a trial state is (X, B) - t (qX, qB) with slope q.g: the
+                # gradient itself, or a damped-Newton step at t = 1 in the tail.
+                # The Taylor series of |v| converges only for |dv| < |v|, so a
+                # Newton step that moves an edge vector by its length or more
+                # is outside its model, and the row takes the gradient step
+                qX, qB, slope = gX, gB, gsq
+                newton = ginf < _NEWTON_ENTRY
+                if newton.any():
+                    rows = np.flatnonzero(newton)
+                    pX, pB, gp = _newton_steps(n, self.P, w.S[rows], w.B[rows], u[rows],
+                                               w.ell[rows], gX[rows], gB[rows], gsq[rows])
+                    moved = edge_norms(lifted_edges(pX, pB, w.ST[rows], self.tails, self.heads))
+                    ok = np.isfinite(gp) & (moved < w.ell[rows]).all(1)
+                    newton[rows[~ok]] = False
+                    rows = rows[ok]
+                    qX, qB, slope = gX.copy(), gB.copy(), gsq.copy()
+                    qX[rows], qB[rows], slope[rows] = -pX[ok], -pB[ok], -gp[ok]
+                    t[rows] = 1.0
                 # 80 trials at most: the first on every live instance, the
                 # rest on those that failed the Armijo test at their own t
                 tol = 1e-15 * np.maximum(1.0, np.abs(w.f))
-                Xt, Bt = w.X - t[:, None, None] * gX, w.B - t[:, None, None] * gB
+                Xt, Bt = w.X - t[:, None, None] * qX, w.B - t[:, None, None] * qB
                 ft, ellt, dett = self._eval(Xt, Bt, w.ST)
-                need = np.flatnonzero(~((ft <= w.f - cfg.armijo * t * gsq + tol)
+                need = np.flatnonzero(~((ft <= w.f - cfg.armijo * t * slope + tol)
                                         & np.isfinite(ft)))
                 for _ in range(79):
                     if len(need) == 0:
                         break
                     t[need] *= cfg.backtrack
-                    Xt[need] = w.X[need] - t[need, None, None] * gX[need]
-                    Bt[need] = w.B[need] - t[need, None, None] * gB[need]
+                    Xt[need] = w.X[need] - t[need, None, None] * qX[need]
+                    Bt[need] = w.B[need] - t[need, None, None] * qB[need]
                     ft[need], ellt[need], dett[need] = self._eval(Xt[need], Bt[need], w.ST[need])
-                    ok = ft[need] <= w.f[need] - cfg.armijo * t[need] * gsq[need] + tol[need]
+                    ok = ft[need] <= w.f[need] - cfg.armijo * t[need] * slope[need] + tol[need]
                     need = need[~(ok & np.isfinite(ft[need]))]
                 if len(need):
                     # the line search exhausted its budget without a usable step
@@ -293,15 +326,17 @@ class _Batch:
                     idx, w = self._retire(idx, w, failed, 6)
                     if len(idx) == 0:
                         continue
-                    t, Xt, Bt, ft, ellt, dett, gX, gB, gsq = (
-                        a[~failed] for a in (t, Xt, Bt, ft, ellt, dett, gX, gB, gsq))
+                    t, Xt, Bt, ft, ellt, dett, gX, gB, gsq, newton = (
+                        a[~failed] for a in (t, Xt, Bt, ft, ellt, dett, gX, gB, gsq, newton))
                 if not (ft <= w.f + 1e-12 * np.abs(w.f) + 1e-12).all():
                     raise RuntimeError("objective increased on an accepted step")
                 # scale gauge: renormalize to unit cell volume; f is invariant,
-                # and the stored step memory transforms as g -> g/c, t -> c^2 t
+                # and the stored step memory transforms as g -> g/c, t -> c^2 t;
+                # no Barzilai-Borwein estimate is taken across a Newton step
                 c = np.abs(dett) ** (-1.0 / n)
                 c2, c3 = c ** 2, c[:, None, None]
-                w.t, w.iters, w._has_prev = t, w.iters + 1, np.ones(len(idx), dtype=bool)
+                w.t, w.iters, w._has_prev = t, w.iters + 1, ~newton
+                w.tail_steps = w.tail_steps + newton
                 w._gXo, w._gBo, w._gsqo, w._tacc = gX / c3, gB / c3, gsq / c2, t * c2
                 w.B, w.X, w.ell = Bt * c3, Xt * c3, ellt * c[:, None]
                 w.f = n * np.log(w.ell.sum(1))
@@ -392,6 +427,67 @@ def _gradient(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray
     return F, gX, gB
 
 
+def _hessian(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray,
+             ell: np.ndarray) -> np.ndarray:
+    """Hessian (N, D, D) of n log L - log|det B| at unit edge vectors ``u``
+    and edge lengths ``ell``, over the variables Z = (X[1:]; B^T) flattened
+    row-major: the free vertex positions, then the columns of B.
+
+    Edge e's vector is c_e^T Z with c_e = (P_e without vertex 0, s_e), so
+    the Hessian of L is sum_e c_e c_e^T (x) M_e with M_e = (I - u_e u_e^T)
+    / ell_e; that of -log|det B| is (B^-1)_jk (B^-1)_li at the entries
+    (B_ij, B_kl).
+    """
+    N, E, _ = u.shape
+    R = P.shape[1] - 1 + n                  # rows of Z
+    C = np.concatenate([np.broadcast_to(P[:, 1:], (N, E, R - n)), S], axis=2)
+    M = (np.eye(n) - u[..., :, None] * u[..., None, :]) / ell[..., None, None]
+    CC = (C[..., :, None] * C[..., None, :]).reshape(N, E, R * R)
+    H = (CC.transpose(0, 2, 1) @ M.reshape(N, E, n * n)).reshape(N, R, R, n, n)
+    H = H.transpose(0, 1, 3, 2, 4).reshape(N, R * n, R * n)
+    gL = (C.transpose(0, 2, 1) @ u).reshape(N, R * n)      # gradient of L
+    L = ell.sum(1)[:, None, None]
+    H = (n / L) * (H - np.einsum('ai,aj->aij', gL, gL) / L)
+    Binv = np.linalg.inv(B)
+    m = (R - n) * n
+    H[:, m:, m:] += np.einsum('ajk,ali->ajilk', Binv, Binv).reshape(N, n * n, n * n)
+    return H
+
+
+def _newton_steps(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray,
+                  ell: np.ndarray, gX: np.ndarray, gB: np.ndarray, gsq: np.ndarray):
+    """Damped-Newton steps p = -(H + |g| I)^-1 g of stacked instances.
+
+    Returns the position and basis parts of p and the slope g.p, which is
+    NaN on rows whose damped system is singular, or whose p is not finite
+    or no descent direction.  The Hessians are assembled a block of rows at
+    a time, so their memory stays bounded on wide batches.
+    """
+    N, V = len(B), P.shape[1]
+    g = np.concatenate([gX[:, 1:].reshape(N, -1), gB.transpose(0, 2, 1).reshape(N, -1)], axis=1)
+    D = g.shape[1]
+    p = np.full_like(g, np.nan)
+    per = max(1, _HESSIAN_BLOCK // (D * D))
+    for lo in range(0, N, per):
+        hi = min(lo + per, N)
+        A = _hessian(n, P, S[lo:hi], B[lo:hi], u[lo:hi], ell[lo:hi])
+        A.reshape(hi - lo, -1)[:, ::D + 1] += np.sqrt(gsq[lo:hi])[:, None]
+        try:
+            p[lo:hi] = np.linalg.solve(A, -g[lo:hi, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            # one singular system fails the whole stack: solve row by row
+            for k in range(hi - lo):
+                try:
+                    p[lo + k] = np.linalg.solve(A[k], -g[lo + k])
+                except np.linalg.LinAlgError:
+                    pass
+    gp = np.einsum('ad,ad->a', g, p)
+    gp[~(np.isfinite(p).all(1) & (gp < 0))] = np.nan
+    pX = np.zeros_like(gX)
+    pX[:, 1:] = p[:, :(V - 1) * n].reshape(N, V - 1, n)
+    return pX, p[:, (V - 1) * n:].reshape(N, n, n).transpose(0, 2, 1), gp
+
+
 def objective_and_gradient(net: PeriodicNetwork):
     """Descent objective n log L - log|det B| with its analytic gradient.
 
@@ -475,6 +571,7 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, rep_index: np.ndarray,
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     values = np.empty(N)
     iters = np.empty(N, dtype=np.int32)
+    tail = np.empty(N, dtype=np.int32)
     status = np.empty(N, dtype=np.uint8)
     leaders, networks = [], []      # best instance of each batch
     for lo in range(0, N, _CHUNK):
@@ -486,6 +583,7 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, rep_index: np.ndarray,
         with np.errstate(over='ignore'):
             values[lo:hi] = np.exp(batch.f)
         iters[lo:hi] = batch.iters
+        tail[lo:hi] = batch.tail_steps
         status[lo:hi] = batch.status
         i = int(_near_best(values[lo:hi])[0])
         leaders.append(lo + i)
@@ -494,7 +592,7 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, rep_index: np.ndarray,
     best = leaders[lead]
     assignment = np.repeat(np.arange(len(reps)), R)
     restart = np.tile(np.arange(R, dtype=np.int64), len(reps))
-    traces = TraceTable(rep_index[assignment], restart, values, iters, status)
+    traces = TraceTable(rep_index[assignment], restart, values, iters, status, tail)
     return OptimizeResult(network=networks[lead], value=float(values[best]),
                           termination=_STATUS_LABELS[int(status[best])],
                           shifts=np.array(reps[assignment[best]]), traces=traces,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 _MAX_SWEEPS = 1000   # in practice a handful suffice
+_TIE_TOL = 1e-9      # a projection this close to 1/2 counts as size-reduced
 
 
 def lagrange_reduce_pair(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -44,7 +45,10 @@ def greedy_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Repeatedly subtracts rounded projections of longer columns onto
     shorter ones; adequate as a degeneracy safeguard in the dimensions
-    used here.  Returns (new_basis, U) with new_basis = basis @ U.
+    used here.  A projection within ``_TIE_TOL`` of +-1/2 is left alone:
+    in a symmetric lattice, columns of equal length would otherwise trade
+    a rounding-level 1/2 back and forth forever.  Returns (new_basis, U)
+    with new_basis = basis @ U.
     """
     B = np.array(basis, dtype=np.float64)
     n = B.shape[1]
@@ -57,8 +61,9 @@ def greedy_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 i, j = int(order[a]), int(order[b])
                 if i == j:
                     continue
-                mu = round(float(np.dot(B[:, i], B[:, j]) / np.dot(B[:, i], B[:, i])))
-                if mu != 0:
+                proj = float(np.dot(B[:, i], B[:, j]) / np.dot(B[:, i], B[:, i]))
+                if abs(proj) > 0.5 + _TIE_TOL:
+                    mu = round(proj)
                     B[:, j] -= mu * B[:, i]
                     U[:, j] -= mu * U[:, i]
                     changed = True

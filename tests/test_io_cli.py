@@ -200,6 +200,17 @@ def test_cli_optimize_documented_example(tmp_path, capsys):
     assert length_quotient(back) == pytest.approx(value, rel=1e-9)
 
 
+@pytest.mark.parametrize("flag,value,message", [("--restarts", "0", "restarts must be at least 1"),
+                                                 ("--smax", "0", "s_max must be at least 1"),
+                                                 ("--seed", "-1", "seed must be non-negative")])
+def test_cli_optimize_bad_config_fails_cleanly(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "never.json"
+    assert run(["optimize", "--topology", "D3", "--dim", "2", flag, value,
+                "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_catalog_bad_param(capsys):
     assert run(["catalog", "--name", "cds", "--param", "zebra"]) == 1
     assert "cannot parse" in capsys.readouterr().err

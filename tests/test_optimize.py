@@ -16,9 +16,11 @@ from perinet import (
     random_network,
     validate,
 )
+from perinet import optimize
 from perinet.balance import force, force_all
-from perinet.netcore import lifted_edges
-from perinet.optimize import _SERVICE_EVERY, _Batch, _det_batch, _gradient, _sample_starts
+from perinet.netcore import as_stack, edge_norms, incidence, lifted_edges
+from perinet.optimize import (_SERVICE_EVERY, _Batch, _det_batch, _gradient, _hessian,
+                              _newton_steps, _sample_starts)
 from test_bounds import _rewritten
 
 
@@ -388,11 +390,18 @@ def _assert_same_descent(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
+@pytest.fixture
+def tail_off(monkeypatch):
+    """``_Batch.run`` without its Newton tail, the descent ``_reference_run`` pins."""
+    monkeypatch.setattr(optimize, "_NEWTON_ENTRY", 0.0)
+
+
 FIXED_SOLVE_GRAPHS = [("hcb", {}), ("dia", {}), ("cds", {"t": 0.5}), ("bnn", {}), ("sqp", {}),
                       ("pcu", {"n": 3}), ("simplex_net", {"n": 4}), ("pcu", {"n": 4}),
                       ("simplex_net", {"n": 5})]
 
 
+@pytest.mark.usefixtures("tail_off")
 @pytest.mark.parametrize("name,params", FIXED_SOLVE_GRAPHS,
                          ids=[f"{name}{params.get('n', '')}" for name, params in FIXED_SOLVE_GRAPHS])
 def test_descent_matches_reference_on_rewritten_catalog(name, params):
@@ -406,6 +415,7 @@ def test_descent_matches_reference_on_rewritten_catalog(name, params):
         assert (a.iters > 0).all()
 
 
+@pytest.mark.usefixtures("tail_off")
 @pytest.mark.parametrize("kw,code", [({"max_iter": 3}, 0), ({}, 1), ({"armijo": 1e6}, 5),
                                      ({"armijo": 1e30}, 6)])
 def test_descent_matches_reference_at_each_termination(kw, code):
@@ -416,6 +426,7 @@ def test_descent_matches_reference_at_each_termination(kw, code):
     assert (a.status == code).all()
 
 
+@pytest.mark.usefixtures("tail_off")
 def test_descent_matches_reference_on_edge_collapse():
     net, _ = catalog("cds", t=0.01)
     a, b = _twin_batches(net.graph, OptimizeConfig(eps_edge=0.1, max_iter=50),
@@ -426,6 +437,7 @@ def test_descent_matches_reference_on_edge_collapse():
     assert a.status[0] == 2
 
 
+@pytest.mark.usefixtures("tail_off")
 def test_descent_matches_reference_through_basis_reduction():
     # dia written in a sheared basis (ratio of column norms > 3) with
     # jittered positions: a service reduces the basis and rewrites the shifts
@@ -445,6 +457,7 @@ def test_descent_matches_reference_through_basis_reduction():
     assert not (a.S_int == g.shifts).all(axis=(1, 2)).any()
 
 
+@pytest.mark.usefixtures("tail_off")
 def test_descent_matches_reference_when_resumed_step_by_step():
     a, b = _twin_batches(dia_graph(), OptimizeConfig(seed=2, restarts=4, max_iter=1))
     for _ in range(60):
@@ -452,3 +465,233 @@ def test_descent_matches_reference_when_resumed_step_by_step():
         _reference_run(b)
         _assert_same_descent(a, b)
     assert (a.status == 1).all() and a.iters.max() > 1
+
+
+def test_greedy_reduce_terminates_on_half_projections():
+    # a basis of the simplex_net(5) lattice as a Newton tail leaves it, to
+    # machine precision: once its columns have equal lengths, their
+    # projections sit a rounding error above or below 1/2 and used to be
+    # traded back and forth until the sweep limit raised
+    from perinet.reduction import greedy_reduce
+    B = np.array([
+        [1.270239269442784, 0.25787393842660566, -0.18388298505948775, 0.6780830192810892,
+         -0.48522790912763847],
+        [0.1256286709251941, 0.6856940913588935, 0.3057790325975806, 0.27303143651867096,
+         -0.6657465028101542],
+        [-0.4590616585072939, -0.4609854195428376, 3.4339794125708107, -1.3310167594087066,
+         -0.750022619545907],
+        [0.8350643573126167, 0.5945411369583433, -1.4040230584776894, 0.6994512490928557,
+         0.32162225147701623],
+        [-0.5078858369042689, -0.5431318089858175, -0.29280241078868896, -0.01131658239491544,
+         1.204437272260509]])
+    reduced, U = greedy_reduce(B)
+    assert abs(round(np.linalg.det(U))) == 1
+    assert np.allclose(B @ U, reduced, atol=1e-12)
+    norms = np.linalg.norm(reduced, axis=0)
+    assert norms.max() / norms.min() < 1 + 1e-9
+    gram = reduced.T @ reduced / norms[:, None] ** 2
+    assert (np.abs(gram - np.eye(5)) <= 0.5 + 1e-9).all()
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        OptimizeConfig(seed=-1)
+
+
+# -- the damped-Newton tail ----------------------------------------------------
+
+def _tail_state(g, X, B):
+    """Unit edge vectors, edge lengths, the gradient (gX, gB) and its squared
+    norm of stacked states over ``g``, the way ``_Batch.run`` computes them."""
+    S = np.broadcast_to(g.shifts, (len(B),) + g.shifts.shape)
+    vec = lifted_edges(X, B, S.transpose(0, 2, 1), g.tails, g.heads)
+    ell = edge_norms(vec)
+    u = vec / ell[..., None]
+    _, gX, gB = _gradient(g.dim, incidence(g.tails, g.heads, g.vertex_count), S, B, u,
+                          ell.sum(1))
+    gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
+    return S, u, ell, gX, gB, gsq
+
+
+def _flat_gradient(g, X, B):
+    """The gradient in the variable order of ``_hessian``: X[1:] row-major,
+    then B column by column."""
+    _, _, _, gX, gB, _ = _tail_state(g, X, B)
+    return np.concatenate([gX[:, 1:].reshape(len(B), -1),
+                           gB.transpose(0, 2, 1).reshape(len(B), -1)], axis=1)
+
+
+HESSIAN_GRAPHS = [("hcb", {}), ("pcu", {"n": 2}), ("simplex_net", {"n": 2}), ("dia", {}),
+                  ("cds", {"t": 0.5}), ("bnn", {}), ("sqp", {}), ("pcu", {"n": 4}),
+                  ("simplex_net", {"n": 4}), ("pcu", {"n": 5}), ("simplex_net", {"n": 5})]
+
+
+@pytest.mark.parametrize("name,params", HESSIAN_GRAPHS,
+                         ids=[f"{name}{params.get('n', '')}" for name, params in HESSIAN_GRAPHS])
+def test_hessian_matches_finite_differences(name, params):
+    # the catalog minimizer, a rewritten copy, two random (off-minimum)
+    # states and the minimizer in a sheared basis, against central
+    # differences of the analytic gradient
+    net, _ = catalog(name, **params)
+    n, V = net.dim, net.graph.vertex_count
+    rng = np.random.default_rng(sum(map(ord, name)) + n)
+    U = np.eye(n, dtype=np.int64)
+    U[0, 1] = 3
+    sheared = PeriodicNetwork(
+        QuotientGraph(n, V, net.graph.tails, net.graph.heads,
+                      net.graph.shifts @ np.rint(np.linalg.inv(U)).astype(np.int64).T),
+        Lattice(net.lattice.basis @ U), net.positions)
+    cases = [net, _rewritten(net, rng), random_network(net.graph, seed=1),
+             random_network(net.graph, seed=2), sheared]
+    step = 1e-6
+    for case in cases:
+        g = case.graph
+        X, B, _ = as_stack(case)
+        X = X - X[:, :1]
+        S, u, ell, _, _, _ = _tail_state(g, X, B)
+        H = _hessian(n, incidence(g.tails, g.heads, V), S, B, u, ell)[0]
+        D = (V - 1 + n) * n
+        assert H.shape == (D, D)
+        Xs = np.repeat(X, 2 * D, axis=0)
+        Bs = np.repeat(B, 2 * D, axis=0)
+        for k in range(D):
+            for sgn, row in ((1, 2 * k), (-1, 2 * k + 1)):
+                if k < (V - 1) * n:
+                    Xs[row, 1 + k // n, k % n] += sgn * step
+                else:
+                    j, i = divmod(k - (V - 1) * n, n)
+                    Bs[row, i, j] += sgn * step
+        grads = _flat_gradient(g, Xs, Bs)
+        fd = ((grads[0::2] - grads[1::2]) / (2 * step)).T
+        assert np.abs(fd - H).max() <= 1e-5 * max(1.0, np.abs(H).max())
+
+
+ORACLE_GRAPHS = FIXED_SOLVE_GRAPHS + [("pcu", {"n": 2}), ("simplex_net", {"n": 2})]
+
+
+@pytest.fixture(scope="module")
+def tail_oracle():
+    """``minimize_fixed_shifts`` without and with the Newton tail on 792
+    instances: 11 catalog graphs x 3 rewrites x seeds 0-2 x 8 restarts."""
+    graphs = []
+    for name, params in ORACLE_GRAPHS:
+        net, _ = catalog(name, **params)
+        rng = np.random.default_rng(sum(map(ord, name)) + net.dim)
+        graphs += [_rewritten(net, rng).graph for _ in range(3)]
+
+    def solve_all():
+        return [minimize_fixed_shifts(g, OptimizeConfig(seed=seed, restarts=8))
+                for g in graphs for seed in range(3)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_NEWTON_ENTRY", 0.0)
+        off = solve_all()
+    return off, solve_all()
+
+
+def test_newton_tail_matches_tail_off_descent(tail_oracle):
+    off, on = tail_oracle
+    assert sum(len(r.traces) for r in on) == 792
+    for a, b in zip(off, on):
+        assert b.value == pytest.approx(a.value, rel=1e-9)
+        both = (a.traces.termination == 1) & (b.traces.termination == 1)
+        assert np.allclose(b.traces.final_value[both], a.traces.final_value[both],
+                           rtol=1e-12, atol=0.0)
+
+    def converged(results):
+        return sum(int((r.traces.termination == 1).sum()) for r in results)
+    assert converged(on) >= converged(off)
+
+
+def test_newton_tail_halves_instance_steps(tail_oracle):
+    off, on = tail_oracle
+
+    def steps(results):
+        return sum(int(r.traces.iterations.sum()) for r in results)
+    assert 2 * steps(on) <= steps(off)
+    assert all((r.traces.tail_steps == 0).all() for r in off)
+    assert all((r.traces.tail_steps <= r.traces.iterations).all() for r in on)
+    assert sum(int(r.traces.tail_steps.sum()) for r in on) > 0
+
+
+def _near_dia(count, seed):
+    """``count`` jittered copies of the dia minimizer, stacked."""
+    net, _ = catalog("dia")
+    rng = np.random.default_rng(seed)
+    X = net.positions[None] + rng.normal(scale=0.01, size=(count,) + net.positions.shape)
+    return net.graph, X - X[:, :1], np.repeat(net.lattice.basis[None], count, axis=0)
+
+
+def test_newton_steps_guard_singular_and_ascent_rows(monkeypatch):
+    g, X, B = _near_dia(4, seed=3)
+    S, u, ell, gX, gB, gsq = _tail_state(g, X, B)
+    P = incidence(g.tails, g.heads, g.vertex_count)
+    H = _hessian(3, P, S, B, u, ell)
+    eye, lam = np.eye(H.shape[1]), np.sqrt(gsq)
+    H[1] = -lam[1] * eye                # H + |g| I is the zero matrix
+    H[2] = np.nan
+    H[3] = -(lam[3] + 1.0) * eye        # H + |g| I = -I: p = g goes uphill
+    monkeypatch.setattr(optimize, "_hessian", lambda *args: H)
+    pX, pB, gp = _newton_steps(3, P, S, B, u, ell, gX, gB, gsq)
+    assert gp[0] < 0 and np.isnan(gp[1:]).all()
+    assert np.isfinite(pX[0]).all() and np.isfinite(pB[0]).all()
+    assert (pX[:, 0] == 0).all()
+
+
+@pytest.mark.parametrize("bad", ["nan", "ascent", "far"])
+def test_newton_fallback_rows_take_the_gradient_step(monkeypatch, bad):
+    # every row is in the tail, and every Newton step is unusable: its
+    # damped system is not finite, it goes uphill, or it moves edge vectors
+    # by more than their length; the descent is then the tail-off descent
+    g, X, B = _near_dia(6, seed=4)
+    a, b = _twin_batches(g, OptimizeConfig(max_iter=40), B, X)
+    newton_steps = optimize._newton_steps
+
+    def hessian(n, P, S, B, u, ell):
+        D = (P.shape[1] - 1 + n) * n
+        if bad == "nan":
+            return np.full((len(B), D, D), np.nan)
+        return np.broadcast_to(-1e6 * np.eye(D), (len(B), D, D)).copy()
+
+    def far_steps(*args):
+        # the Newton directions, stretched to a max-norm of 10
+        pX, pB, gp = newton_steps(*args)
+        c = 10.0 / np.maximum(np.abs(pX).max(axis=(1, 2)), np.abs(pB).max(axis=(1, 2)))
+        return c[:, None, None] * pX, c[:, None, None] * pB, c * gp
+
+    with monkeypatch.context() as mp:
+        mp.setattr(optimize, "_NEWTON_ENTRY", np.inf)
+        if bad == "far":
+            mp.setattr(optimize, "_newton_steps", far_steps)
+        else:
+            mp.setattr(optimize, "_hessian", hessian)
+        f0 = a.f.copy()
+        a.run()
+    with monkeypatch.context() as mp:
+        mp.setattr(optimize, "_NEWTON_ENTRY", 0.0)
+        b.run()
+    _assert_same_descent(a, b)
+    assert (a.tail_steps == 0).all() and (a.iters > 0).all()
+    assert (a.f <= f0).all()
+
+
+def test_newton_step_clears_barzilai_borwein_memory(monkeypatch):
+    # a step size estimated across a Newton step would mix two models
+    g, X, B = _near_dia(4, seed=5)
+    a, b = _twin_batches(g, OptimizeConfig(max_iter=1), B, X)
+    monkeypatch.setattr(optimize, "_NEWTON_ENTRY", np.inf)
+    a.run()
+    monkeypatch.setattr(optimize, "_NEWTON_ENTRY", 0.0)
+    b.run()
+    assert (a.tail_steps == 1).all() and not a._has_prev.any()
+    assert (b.tail_steps == 0).all() and b._has_prev.all()
+
+
+def test_traces_count_tail_steps():
+    res = minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=3, restarts=6))
+    t = res.traces
+    assert t.tail_steps.shape == t.iterations.shape
+    assert (t.tail_steps > 0).any() and (t.tail_steps < t.iterations).all()
+    records = t.to_json_records()
+    assert [r["tail_steps"] for r in records] == t.tail_steps.tolist()
+    assert [r["iterations"] for r in records] == t.iterations.tolist()
