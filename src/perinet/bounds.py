@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .intlinalg import det_int, solve_unimodular
 from .netcore import PeriodicNetwork, edge_vectors, length_quotient, oriented_star, validate
@@ -49,8 +48,6 @@ def bound_even(n: int, d: int) -> float:
 def bound_degree3d(d: int, topology: TopologyClass | str) -> float:
     """Three-dimensional bounds by degree and quotient topology."""
     top = TopologyClass.from_tag(topology) if isinstance(topology, str) else topology
-    if d >= 7:
-        return 405.0 / 8.0
     sel = _select_bound(3, d, top)
     if sel is None:
         raise ValueError(f"no bound for degree {d} with topology {top.tag}")
@@ -203,6 +200,7 @@ class PyramidInstance:
 
 def _polytope_volume(coords: np.ndarray) -> float:
     """Volume of the convex hull of points given in their own dimension."""
+    from scipy.spatial import ConvexHull, QhullError    # costly to import, needed here only
     m = coords.shape[1]
     if m == 0:
         return 0.0

@@ -54,6 +54,11 @@ _STATUS_LABELS = {0: TERM_MAXITER, 1: TERM_CONVERGED, 2: TERM_COLLAPSED,
                   6: TERM_LINE_SEARCH}
 
 _CHUNK = 1 << 16             # most instances descended in one batch
+_G_TOL = 1e-9                # gradient and force max-norm at convergence
+_EPS_EDGE = 1e-4             # edge length below which a run stops as collapsed
+_STEP0 = 0.5                 # first trial step size
+_BACKTRACK = 0.5             # step factor after a failed Armijo test
+_ARMIJO = 1e-4               # sufficient-decrease constant of the Armijo test
 _SERVICE_EVERY = 8           # iterations between basis-safeguard services
 _STALL_PATIENCE = 128        # services without progress before a plateau stop
 _COND_LIMIT = 1e6
@@ -67,36 +72,29 @@ _LIVE = ("X", "B", "S", "ST", "f", "ell", "t", "iters", "tail_steps",
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Step control and search budget for the descent engine."""
+    """Search budget of the descent engine."""
 
-    g_tol: float = 1e-9
-    eps_edge: float = 1e-4
     restarts: int = 50
     seed: int = 0
     max_iter: int = 50_000
     s_max: int = 1
-    step0: float = 0.5
-    backtrack: float = 0.5
-    armijo: float = 1e-4
 
     def __post_init__(self):
-        for name in ("g_tol", "eps_edge", "step0", "backtrack", "armijo"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         for name in ("restarts", "max_iter", "s_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.eps_edge >= 0.5:
-            raise ValueError("eps_edge must be below 0.5")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class TraceTable:
-    """Per-restart outcomes, stored columnwise."""
+    """Per-restart outcomes, stored columnwise.
+
+    ``assignment_index`` is the position of the descended assignment in
+    the list handed to the multistart: the orbit representative from
+    ``shift_orbits`` in a topology search, and 0 for a fixed graph.
+    """
 
     assignment_index: np.ndarray
     restart_index: np.ndarray
@@ -130,9 +128,9 @@ class OptimizeResult:
     network: PeriodicNetwork
     value: float
     termination: str
-    shifts: np.ndarray           # enumerated shift assignment that seeded the best
+    shifts: np.ndarray           # shift assignment that seeded the best
     traces: TraceTable
-    assignment_index: int = 0
+    assignment_index: int = 0    # its position among the descended assignments
     restart_index: int = 0
 
 
@@ -182,7 +180,7 @@ class _Batch:
         self.B = np.array(B, dtype=np.float64)
         self.X = np.array(X, dtype=np.float64)
         self.X -= self.X[:, :1, :]          # translation gauge
-        self.t = np.full(N, cfg.step0)
+        self.t = np.full(N, _STEP0)
         self.status = np.zeros(N, dtype=np.uint8)
         self.iters = np.zeros(N, dtype=np.int32)
         self.tail_steps = np.zeros(N, dtype=np.int32)
@@ -195,7 +193,7 @@ class _Batch:
             self.X[ok] *= c[ok, None, None]
             self.f, self.ell, _ = self._eval(self.X, self.B, self.ST)
         self.status[~ok | ~np.isfinite(self.f)] = 3
-        collapsed = (self.ell.min(axis=1) < cfg.eps_edge) & (self.status == 0)
+        collapsed = (self.ell.min(axis=1) < _EPS_EDGE) & (self.status == 0)
         self.status[collapsed] = 2
         self._f_snap = self.f.copy()
         self._stall = np.zeros(N, dtype=np.int16)
@@ -272,7 +270,7 @@ class _Batch:
                 gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
                 ginf = np.maximum(np.abs(gX).reshape(len(idx), -1).max(1),
                                   np.abs(gB).reshape(len(idx), -1).max(1))
-                done = (ginf <= cfg.g_tol) & (force_max <= cfg.g_tol)
+                done = (ginf <= _G_TOL) & (force_max <= _G_TOL)
                 if done.any():
                     idx, w = self._retire(idx, w, done, 1)
                     u, gX, gB, gsq, ginf = (a[~done] for a in (u, gX, gB, gsq, ginf))
@@ -309,16 +307,16 @@ class _Batch:
                 tol = 1e-15 * np.maximum(1.0, np.abs(w.f))
                 Xt, Bt = w.X - t[:, None, None] * qX, w.B - t[:, None, None] * qB
                 ft, ellt, dett = self._eval(Xt, Bt, w.ST)
-                need = np.flatnonzero(~((ft <= w.f - cfg.armijo * t * slope + tol)
+                need = np.flatnonzero(~((ft <= w.f - _ARMIJO * t * slope + tol)
                                         & np.isfinite(ft)))
                 for _ in range(79):
                     if len(need) == 0:
                         break
-                    t[need] *= cfg.backtrack
+                    t[need] *= _BACKTRACK
                     Xt[need] = w.X[need] - t[need, None, None] * qX[need]
                     Bt[need] = w.B[need] - t[need, None, None] * qB[need]
                     ft[need], ellt[need], dett[need] = self._eval(Xt[need], Bt[need], w.ST[need])
-                    ok = ft[need] <= w.f[need] - cfg.armijo * t[need] * slope[need] + tol[need]
+                    ok = ft[need] <= w.f[need] - _ARMIJO * t[need] * slope[need] + tol[need]
                     need = need[~(ok & np.isfinite(ft[need]))]
                 if len(need):
                     # the line search exhausted its budget without a usable step
@@ -342,7 +340,7 @@ class _Batch:
                 w.f = n * np.log(w.ell.sum(1))
                 if not (np.abs(w.f - ft) <= 1e-11 * np.maximum(1.0, np.abs(w.f))).all():
                     raise RuntimeError("scale gauge changed the objective")
-                collapsed = w.ell.min(1) < cfg.eps_edge
+                collapsed = w.ell.min(1) < _EPS_EDGE
                 if collapsed.any():
                     idx, w = self._retire(idx, w, collapsed, 2)
                 if (step + 1) % _SERVICE_EVERY == 0:
@@ -526,7 +524,7 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
         raise ValueError(
             f"graph is not a valid n-periodic quotient: rank {len(factors)} of "
             f"{g.dim}, invariant factors {factors}")
-    return _multistart(g, np.array(g.shifts)[None], np.zeros(1, dtype=np.int64), cfg)
+    return _multistart(g, np.array(g.shifts)[None], cfg)
 
 
 def minimize_topology(tag: TopologyClass | str, n: int,
@@ -536,9 +534,9 @@ def minimize_topology(tag: TopologyClass | str, n: int,
     Assignments related by a lattice basis change or a skeleton
     automorphism share one landscape, so only one representative per
     orbit (``shift_orbits``) is descended, from ``cfg.restarts`` starts
-    each.  Trace records name the representative by its index in
-    ``enumerate_shift_arrays``.  The returned best is deterministic in
-    (seed, config); ties go to the lowest (assignment, restart) pair.
+    each.  Trace records name the representative by its position in
+    ``shift_orbits``.  The returned best is deterministic in (seed,
+    config); ties go to the lowest (assignment, restart) pair.
     """
     cfg = cfg or OptimizeConfig()
     top = TopologyClass.from_tag(tag) if isinstance(tag, str) else tag
@@ -547,23 +545,21 @@ def minimize_topology(tag: TopologyClass | str, n: int,
         raise ValueError(f"topology {top.tag} is not admissible for "
                          f"(n={n}, d={top.degree})")
     skeleton = build_abstract(top, n)
-    orbits = shift_orbits(skeleton, n, cfg.s_max)
-    if not orbits:
+    reps = shift_orbits(skeleton, n, cfg.s_max)
+    if not len(reps):
         raise ValueError("no valid shift assignment exists for this topology")
-    reps = np.stack([o.shifts for o in orbits])
-    return _multistart(skeleton, reps, np.array([o.index for o in orbits]), cfg)
+    return _multistart(skeleton, reps, cfg)
 
 
-def _multistart(g: QuotientGraph, reps: np.ndarray, rep_index: np.ndarray,
-                cfg: OptimizeConfig) -> OptimizeResult:
+def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> OptimizeResult:
     """Descend ``cfg.restarts`` random starts of every assignment in ``reps``.
 
     Instances are ordered (assignment, restart) and descended to
     convergence in batches of at most ``_CHUNK``; their starts come from
     one ``SeedSequence((seed, 0))`` stream, drawn batch by batch.  The
     best is the lowest value, ties within 1e-9 going to the first
-    instance, first within each batch and then across batches;
-    ``rep_index`` labels the assignments in the traces.
+    instance, first within each batch and then across batches.  Traces
+    label each assignment by its position in ``reps``.
     """
     n, V, R = g.dim, g.vertex_count, cfg.restarts
     S_all = np.repeat(reps, R, axis=0)
@@ -592,11 +588,11 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, rep_index: np.ndarray,
     best = leaders[lead]
     assignment = np.repeat(np.arange(len(reps)), R)
     restart = np.tile(np.arange(R, dtype=np.int64), len(reps))
-    traces = TraceTable(rep_index[assignment], restart, values, iters, status, tail)
+    traces = TraceTable(assignment, restart, values, iters, status, tail)
     return OptimizeResult(network=networks[lead], value=float(values[best]),
                           termination=_STATUS_LABELS[int(status[best])],
                           shifts=np.array(reps[assignment[best]]), traces=traces,
-                          assignment_index=int(rep_index[assignment[best]]),
+                          assignment_index=int(assignment[best]),
                           restart_index=int(restart[best]))
 
 

@@ -3,7 +3,7 @@
 Covers classification into bouquet/double-bouquet/dipole families (with
 the circuit rank), admissible topologies for given (dimension, degree),
 abstract graph builders, and enumeration of integer shift assignments
-and of their orbits.
+and one representative per orbit of them.
 """
 
 from __future__ import annotations
@@ -198,12 +198,6 @@ def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarr
     return _shift_stack(g, n, s_max, classify(g))
 
 
-def iter_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1):
-    """Lazy form of :func:`enumerate_shift_arrays`; same guard and order."""
-    for block in _shift_blocks(g, n, s_max, classify(g)):
-        yield from block
-
-
 def _shift_stack(g: QuotientGraph, n: int, s_max: int, top: TopologyClass) -> np.ndarray:
     return np.concatenate([np.zeros((0, g.edge_count, n), dtype=np.int64),
                            *_shift_blocks(g, n, s_max, top)])
@@ -243,49 +237,31 @@ def _shift_blocks(g: QuotientGraph, n: int, s_max: int, top: TopologyClass):
         yield S[_rows_generate_zn(S[:, free], n)]
 
 
-@dataclass(frozen=True)
-class ShiftOrbit:
-    """A class of equivalent shift assignments: ascending positions in
-    :func:`enumerate_shift_arrays`, and the shifts of the first."""
-
-    members: np.ndarray
-    shifts: np.ndarray
-
-    @property
-    def index(self) -> int:
-        return int(self.members[0])
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> list[ShiftOrbit]:
-    """Enumerated shift assignments grouped into classes of equal landscape.
+def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
+    """One representative shift assignment per class of equal landscape.
 
     Assignments are equivalent when a unimodular basis change (S -> S U^T)
     and a skeleton automorphism (permuting the loops at a vertex or the
     bridges, reversing loops, swapping the vertices) map one onto the
-    other; L^n/V takes the same values on both.  Circuit rank r = n gives
-    one class, as any two unimodular cycle-shift matrices differ by a basis
-    change; r = n + 1 is classified by :func:`_relation_keys`; for larger r
-    every assignment is its own class.  Classes come in representative order.
+    other; L^n/V takes the same values on both.  Returns the
+    representatives stacked (K, E, n).  At circuit rank r = n there is one
+    class, as a surjection Z^r -> Z^n is fixed up to a basis change by its
+    kernel; its representative is built on the spanning tree, nothing
+    enumerated: shift 0 on the tree edges and e_1..e_n on the others, so
+    its cycle-shift matrix is I_n.  At r = n + 1 the enumerated
+    assignments are classed by :func:`_relation_keys`, the first member of
+    each class representing it; at larger r every enumerated assignment is
+    its own class.  Enumerated classes come in first-member order.
     """
     top = classify(g)
+    if top.circuit_rank == n:
+        S = np.zeros((1, g.edge_count, n), dtype=np.int64)
+        S[0, np.delete(np.arange(g.edge_count), g._spanning_tree()[1])] = np.eye(n, dtype=np.int64)
+        return S
     S = _shift_stack(g, n, s_max, top)
-    if not len(S):
-        return []
-    r = top.circuit_rank
-    if r == n:
-        labels = np.zeros(len(S), dtype=np.int64)
-    elif r == n + 1:
-        _, labels = np.unique(_relation_keys(g, S), return_inverse=True)
-    else:
-        labels = np.arange(len(S))
-    members = np.split(np.argsort(labels, kind='stable'),
-                       np.cumsum(np.bincount(labels))[:-1])
-    members.sort(key=lambda m: m[0])
-    return [ShiftOrbit(m, S[m[0]]) for m in members]
+    if top.circuit_rank == n + 1 and len(S):
+        S = S[np.sort(np.unique(_relation_keys(g, S), return_index=True)[1])]
+    return S
 
 
 def _relation_keys(g: QuotientGraph, S: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from perinet import (
     catalog,
     check_pyramid,
     check_simplex,
+    construct_bouquet,
     dipole5_coefficients,
     length_quotient,
     monotonicity_table,
@@ -51,6 +55,10 @@ def test_bound_degree3d_table():
     assert bound_degree3d(6, "B3") == 27.0
     assert bound_degree3d(7, "D7") == 50.625
     assert bound_degree3d(9, "D3,3") == 50.625
+    # even bouquets keep their own bound above degree 6, the one verify applies
+    b4 = construct_bouquet(3, 8, Lattice(np.eye(3)))
+    assert bound_degree3d(8, "B4") == 54 == verify(b4).bound
+    assert bound_degree3d(10, "B5") == 81
     with pytest.raises(ValueError):
         bound_degree3d(4, "B3")
 
@@ -377,3 +385,15 @@ def test_dipole5_generator_permutation_invariant():
 def test_dipole5_wrong_topology():
     with pytest.raises(ValueError):
         dipole5_coefficients(catalog("dia")[0])
+
+
+def test_import_leaves_scipy_spatial_out():
+    # scipy.spatial serves only the pyramid base volume and is imported there
+    import perinet
+
+    src = os.path.dirname(os.path.dirname(perinet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, perinet; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

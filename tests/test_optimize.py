@@ -149,13 +149,22 @@ def test_minimize_fixed_shifts_traces_and_best():
                                   "degenerate_lattice")
 
 
-def test_termination_labels_name_their_outcome():
+def _config(monkeypatch, **kw):
+    """The config of the keywords that name its fields; keywords that start
+    with an underscore patch the engine constant of that name instead."""
+    for name in [k for k in kw if k.startswith("_")]:
+        monkeypatch.setattr(optimize, name, kw.pop(name))
+    return OptimizeConfig(**kw)
+
+
+def test_termination_labels_name_their_outcome(monkeypatch):
     # the iteration cap, a plateau (an Armijo constant so strict that only
     # negligible steps pass) and a line search that never finds a step
     g = dia_graph()
     for kw, label in [({"max_iter": 3}, "max_iter"), ({}, "converged"),
-                      ({"armijo": 1e6}, "stalled"), ({"armijo": 1e30}, "line_search_failed")]:
-        res = minimize_fixed_shifts(g, OptimizeConfig(seed=2, restarts=4, **kw))
+                      ({"_ARMIJO": 1e6}, "stalled"), ({"_ARMIJO": 1e30}, "line_search_failed")]:
+        with monkeypatch.context() as m:
+            res = minimize_fixed_shifts(g, _config(m, seed=2, restarts=4, **kw))
         assert {r["termination"] for r in res.traces.to_json_records()} == {label}, kw
         assert res.termination == label
 
@@ -183,11 +192,11 @@ def test_minimize_fixed_shifts_descent_monotone():
         f_prev = batch.f.copy()
 
 
-def test_engine_detects_edge_collapse():
+def test_engine_detects_edge_collapse(monkeypatch):
     # a cds network with a nearly collapsed bridge trips the edge floor
     net, _ = catalog("cds", t=0.01)
     g = net.graph
-    cfg = OptimizeConfig(seed=0, restarts=1, eps_edge=0.1, max_iter=50)
+    cfg = _config(monkeypatch, seed=0, restarts=1, _EPS_EDGE=0.1, max_iter=50)
     S = g.shifts[None, :, :]
     batch = _Batch(3, g.tails, g.heads, S, net.lattice.basis[None],
                    net.positions[None], cfg)
@@ -230,7 +239,7 @@ def test_minimize_topology_result_invariants():
     assert res.value <= finite.min() + 1e-9
     assert validate(res.network).ok
     if res.termination == "converged":
-        assert force_all(res.network).max_norm <= cfg.g_tol * 10
+        assert force_all(res.network).max_norm <= optimize._G_TOL * 10
     assert res.shifts.shape == (4, 3)
     records = res.traces.to_json_records(limit=5)
     assert len(records) == 5 and {"assignment", "restart", "final_value",
@@ -240,8 +249,7 @@ def test_minimize_topology_result_invariants():
 def test_minimize_topology_across_batches(monkeypatch):
     # D5 in R^3 has 30 orbits; batches of 2 put its 60 instances in 30
     # batches, and the sharp value 405/8 lies on the second orbit
-    from perinet import optimize
-    from perinet.topology import build_abstract, enumerate_shift_arrays
+    from perinet.topology import build_abstract, shift_orbits
 
     monkeypatch.setattr(optimize, "_CHUNK", 2)
     res = minimize_topology("D5", 3, OptimizeConfig(seed=3, restarts=2))
@@ -254,8 +262,8 @@ def test_minimize_topology_across_batches(monkeypatch):
     i = np.flatnonzero((t.assignment_index == res.assignment_index)
                        & (t.restart_index == res.restart_index))
     assert len(i) == 1 and i[0] >= 2 and t.final_value[i[0]] == res.value
-    arrays = enumerate_shift_arrays(build_abstract("D5", 3), 3, 1)
-    assert np.array_equal(res.shifts, arrays[res.assignment_index])
+    reps = shift_orbits(build_abstract("D5", 3), 3, 1)
+    assert np.array_equal(res.shifts, reps[res.assignment_index])
 
 
 def test_minimize_topology_b4_strictly_above_even_bound():
@@ -283,7 +291,7 @@ def _reference_run(self):
     """The former ``_Batch.run``: every step gathers the live instances'
     state from the batch and scatters it back, and the accepted basis's
     determinant is computed a second time for the scale gauge."""
-    cfg = self.cfg
+    cfg, o = self.cfg, optimize
     n = self.n
     for step in range(cfg.max_iter):
         idx = np.flatnonzero(self.status == 0)
@@ -298,7 +306,7 @@ def _reference_run(self):
         ginf = np.maximum(np.abs(gX).reshape(len(idx), -1).max(1),
                           np.abs(gB).reshape(len(idx), -1).max(1))
 
-        done = (ginf <= cfg.g_tol) & (force_max <= cfg.g_tol)
+        done = (ginf <= o._G_TOL) & (force_max <= o._G_TOL)
         self.status[idx[done]] = 1
         live = ~done
         if not live.any():
@@ -329,14 +337,14 @@ def _reference_run(self):
             ft[need] = ft_need
             ellt[need] = ell_need
             with np.errstate(invalid='ignore'):
-                ok = ft[need] <= (f[need] - cfg.armijo * t[need] * gsq[need]
+                ok = ft[need] <= (f[need] - o._ARMIJO * t[need] * gsq[need]
                                   + 1e-15 * np.maximum(1.0, np.abs(f[need])))
             ok &= np.isfinite(ft[need])
             if ok.all():
                 need = need[:0]
                 break
             need = need[~ok]
-            t[need] *= cfg.backtrack
+            t[need] *= o._BACKTRACK
         failed = np.zeros(len(sub), dtype=bool)
         if len(need):
             failed[need] = True
@@ -366,7 +374,7 @@ def _reference_run(self):
             raise RuntimeError("scale gauge changed the objective")
         self.f[acc] = f_new
         self.ell[acc] = ell_new
-        collapsed = ell_new.min(1) < cfg.eps_edge
+        collapsed = ell_new.min(1) < o._EPS_EDGE
         self.status[acc[collapsed]] = 2
         if (step + 1) % _SERVICE_EVERY == 0:
             alive = np.flatnonzero(self.status == 0)
@@ -416,10 +424,10 @@ def test_descent_matches_reference_on_rewritten_catalog(name, params):
 
 
 @pytest.mark.usefixtures("tail_off")
-@pytest.mark.parametrize("kw,code", [({"max_iter": 3}, 0), ({}, 1), ({"armijo": 1e6}, 5),
-                                     ({"armijo": 1e30}, 6)])
-def test_descent_matches_reference_at_each_termination(kw, code):
-    a, b = _twin_batches(dia_graph(), OptimizeConfig(seed=2, restarts=4, **kw))
+@pytest.mark.parametrize("kw,code", [({"max_iter": 3}, 0), ({}, 1), ({"_ARMIJO": 1e6}, 5),
+                                     ({"_ARMIJO": 1e30}, 6)])
+def test_descent_matches_reference_at_each_termination(monkeypatch, kw, code):
+    a, b = _twin_batches(dia_graph(), _config(monkeypatch, seed=2, restarts=4, **kw))
     a.run()
     _reference_run(b)
     _assert_same_descent(a, b)
@@ -427,9 +435,9 @@ def test_descent_matches_reference_at_each_termination(kw, code):
 
 
 @pytest.mark.usefixtures("tail_off")
-def test_descent_matches_reference_on_edge_collapse():
+def test_descent_matches_reference_on_edge_collapse(monkeypatch):
     net, _ = catalog("cds", t=0.01)
-    a, b = _twin_batches(net.graph, OptimizeConfig(eps_edge=0.1, max_iter=50),
+    a, b = _twin_batches(net.graph, _config(monkeypatch, _EPS_EDGE=0.1, max_iter=50),
                          net.lattice.basis[None], net.positions[None])
     a.run()
     _reference_run(b)

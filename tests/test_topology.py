@@ -14,7 +14,9 @@ from perinet import (
 )
 from perinet.intlinalg import det_int, det_int_batch, smith_invariant_factors
 from perinet.netcore import Lattice, PeriodicNetwork
-from perinet.topology import enumerate_shift_arrays, oriented_star, shift_orbits
+from perinet import topology
+from perinet.optimize import OptimizeConfig, minimize_topology
+from perinet.topology import _relation_keys, enumerate_shift_arrays, oriented_star, shift_orbits
 
 
 def test_circuit_rank_bouquet():
@@ -226,11 +228,7 @@ def test_enumerate_guard_trips():
 
 def test_admissible_topologies_have_assignments():
     # existence of a full-rank, lattice-generating assignment for every
-    # admissible type; lazily, so the large n = 4 spaces stay cheap
-    from itertools import islice
-
-    from perinet.topology import iter_shift_arrays
-
+    # admissible type whose orbits are found under ENUMERATION_LIMIT
     for n in (2, 3, 4):
         for d in range(n + 1, 2 * n + 1):
             _, admissible = min_vertex_count(n, d)
@@ -238,13 +236,14 @@ def test_admissible_topologies_have_assignments():
             for top in admissible:
                 skeleton = build_abstract(top, n)
                 try:
-                    arrays = list(islice(iter_shift_arrays(skeleton, n, 1), 1))
+                    reps = shift_orbits(skeleton, n, 1)
                 except RuntimeError:
                     continue
-                assert arrays, f"no assignment for {top.tag} at n={n}"
+                assert len(reps), f"no assignment for {top.tag} at n={n}"
                 g = QuotientGraph(n, top.vertex_count, skeleton.tails,
-                                  skeleton.heads, arrays[0])
+                                  skeleton.heads, reps[0])
                 assert classify(g).circuit_rank >= n
+                assert smith_invariant_factors(g.cycle_shift_matrix()) == (1,) * n
 
 
 @pytest.mark.parametrize("tag,n,count", [
@@ -253,16 +252,48 @@ def test_admissible_topologies_have_assignments():
 ])
 def test_shift_orbit_counts(tag, n, count):
     skeleton = build_abstract(tag, n)
-    orbits = shift_orbits(skeleton, n, 1)
-    assert len(orbits) == count
+    reps = shift_orbits(skeleton, n, 1)
+    assert reps.shape == (count, skeleton.edge_count, n)
     arrays = enumerate_shift_arrays(skeleton, n, 1)
-    members = np.sort(np.concatenate([o.members for o in orbits]))
-    assert np.array_equal(members, np.arange(len(arrays)))
-    assert sum(o.size for o in orbits) == len(arrays)
-    for o in orbits:
-        assert o.index == o.members.min()
-        assert np.array_equal(o.shifts, arrays[o.index])
-    assert [o.index for o in orbits] == sorted(o.index for o in orbits)
+    labels = _orbit_labels(skeleton, n, reps, arrays)
+    # every enumerated assignment falls in exactly one class, every class
+    # is met, and an enumerated class is represented by its first member
+    assert np.array_equal(np.unique(labels), np.arange(count))
+    if classify(skeleton).circuit_rank == n + 1:
+        first = np.unique(labels, return_index=True)[1]
+        assert np.array_equal(reps, arrays[first])
+        assert np.array_equal(first, np.sort(first))
+
+
+def _cycle_matrices(g, S):
+    """Cycle-shift matrices (N, r, n) of the stacked assignments ``S`` of ``g``."""
+    E = g.edge_count
+    Z = QuotientGraph(E, g.vertex_count, g.tails, g.heads,
+                      np.eye(E, dtype=np.int64)).cycle_shift_matrix()
+    return np.einsum('ce,aei->aci', Z, S)
+
+
+def _orbit_labels(g, n, reps, S):
+    """Position in ``reps`` of the class of each assignment in ``S``.
+
+    At circuit rank n every valid assignment is one class with the single
+    representative: its cycle-shift matrix is unimodular, and the
+    representative's is I_n.  At rank n + 1 classes are read from the
+    relation keys of ``reps`` and ``S`` ranked together, which must give
+    the representatives distinct keys.
+    """
+    if classify(g).circuit_rank == n:
+        assert len(reps) == 1
+        assert np.array_equal(_cycle_matrices(g, reps)[0], np.eye(n, dtype=np.int64))
+        assert (np.abs(det_int_batch(_cycle_matrices(g, S))) == 1).all()
+        return np.zeros(len(S), dtype=np.int64)
+    keys = _relation_keys(g, np.concatenate([reps, S]))
+    rep_keys, keys = keys[:len(reps)], keys[len(reps):]
+    order = np.argsort(rep_keys)
+    assert len(np.unique(rep_keys)) == len(reps)
+    pos = np.minimum(np.searchsorted(rep_keys[order], keys), len(reps) - 1)
+    assert np.array_equal(rep_keys[order][pos], keys)
+    return order[pos]
 
 
 def _dipole_automorphisms(loops: int, bridges: int):
@@ -300,19 +331,17 @@ def _unimodular_match(C, T):
     return exact & (np.abs(np.rint(np.linalg.det(X))) == 1)
 
 
-@pytest.mark.parametrize("tag,loops,bridges", [("D5", 0, 5), ("D1,3", 1, 3)])
+@pytest.mark.parametrize("tag,loops,bridges", [("D5", 0, 5), ("D1,3", 1, 3),
+                                               ("D4", 0, 4), ("D1,2", 1, 2)])
 def test_shift_orbits_brute_force(tag, loops, bridges):
     # oracle without relation vectors: every assignment maps onto the
     # cycle-shift matrix of its representative by an automorphism and a
-    # unimodular basis change, and no two representatives are related
+    # unimodular basis change, and no two representatives are related;
+    # at circuit rank n (D4, D1,2) the representative is built, not enumerated
     skeleton = build_abstract(tag, 3)
-    S = np.stack(enumerate_shift_arrays(skeleton, 3, 1))
-    orbits = shift_orbits(skeleton, 3, 1)
-    rep = np.empty(len(S), dtype=np.int64)
-    for o in orbits:
-        rep[o.members] = o.index
-    target = _cycle_rows(S[rep], loops)
-    reps = S[[o.index for o in orbits]]
+    S = enumerate_shift_arrays(skeleton, 3, 1)
+    reps = shift_orbits(skeleton, 3, 1)
+    target = _cycle_rows(reps[_orbit_labels(skeleton, 3, reps, S)], loops)
     K = len(reps)
     found = np.zeros(len(S), dtype=bool)
     related = np.zeros((K, K), dtype=bool)
@@ -367,14 +396,38 @@ def test_shift_orbits_match_reference_keying(tag, n, s_max):
     skeleton = build_abstract(tag, n)
     assert classify(skeleton).circuit_rank == n + 1
     S = enumerate_shift_arrays(skeleton, n, s_max)
-    _, labels = np.unique(_reference_relation_keys(skeleton, S), return_inverse=True)
-    ref = np.split(np.argsort(labels, kind='stable'), np.cumsum(np.bincount(labels))[:-1])
-    ref.sort(key=lambda m: m[0])
+    ref = _first_member_labels(_reference_relation_keys(skeleton, S))
+    assert np.array_equal(_first_member_labels(_relation_keys(skeleton, S)), ref)
     got = shift_orbits(skeleton, n, s_max)
-    assert len(got) == len(ref)
-    for o, m in zip(got, ref):
-        assert np.array_equal(o.members, m)
-        assert np.array_equal(o.shifts, S[m[0]])
+    first = np.unique(ref, return_index=True)[1]
+    assert np.array_equal(got, S[first])
+    assert np.array_equal(_orbit_labels(skeleton, n, got, S), ref)
+
+
+def _first_member_labels(keys):
+    """The partition that ``keys`` define, each class numbered by the order
+    of its first member; equal arrays mean equal partitions."""
+    _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[labels]
+
+
+@pytest.mark.parametrize("tag,n", [("D4", 3), ("D1,2", 3), ("B3", 3), ("D3", 2),
+                                   ("D5", 4), ("D1,3", 4), ("B4", 4)])
+def test_circuit_rank_n_orbit_is_built_not_enumerated(monkeypatch, tag, n):
+    def no_enumeration(*args):
+        raise AssertionError("shift assignments enumerated")
+
+    monkeypatch.setattr(topology, "_shift_blocks", no_enumeration)
+    skeleton = build_abstract(tag, n)
+    reps = shift_orbits(skeleton, n, 1)
+    assert len(reps) == 1
+    g = QuotientGraph(n, skeleton.vertex_count, skeleton.tails, skeleton.heads, reps[0])
+    assert np.array_equal(g.cycle_shift_matrix(), np.eye(n, dtype=np.int64))
+    res = minimize_topology(tag, n, OptimizeConfig(seed=0, restarts=4))
+    assert np.array_equal(res.shifts, reps[0]) and res.assignment_index == 0
+    assert np.isfinite(res.value) and validate(res.network).ok
 
 
 def test_det_int_batch_matches_det_int():
