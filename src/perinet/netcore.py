@@ -75,44 +75,29 @@ class QuotientGraph:
 
     @property
     def edges(self) -> list[tuple[int, int, tuple[int, ...]]]:
-        return [(int(t), int(h), tuple(int(x) for x in s))
-                for t, h, s in zip(self.tails, self.heads, self.shifts)]
+        return [(t, h, tuple(s)) for t, h, s in
+                zip(self.tails.tolist(), self.heads.tolist(), self.shifts.tolist())]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.vertex_count, dtype=np.int64)
-        np.add.at(deg, self.tails, 1)
-        np.add.at(deg, self.heads, 1)
-        return deg
+        V = self.vertex_count
+        return np.bincount(self.tails, minlength=V) + np.bincount(self.heads, minlength=V)
 
     def is_connected(self) -> bool:
         return len(self._spanning_tree()[0]) == self.vertex_count
 
+    def _kept(self, key: str, build):
+        """``build(self)``, computed on the first request and kept on the
+        graph; the graph is frozen, so nothing kept ever goes stale."""
+        if key not in self.__dict__:
+            object.__setattr__(self, key, build(self))
+        return self.__dict__[key]
+
     def _spanning_tree(self) -> tuple[frozenset[int], tuple[int, ...], np.ndarray]:
         """Depth-first spanning tree from vertex 0: the vertices reached, the
-        tree edges, and each reached vertex's shift potential along the tree.
-
-        The graph is immutable, so the tree is walked once and kept.
+        tree edges in the order the walk takes them, and each reached
+        vertex's shift potential along the tree.  Walked once and kept.
         """
-        if "_tree" in self.__dict__:
-            return self.__dict__["_tree"]
-        potential = np.zeros((self.vertex_count, self.dim), dtype=np.int64)
-        tails, heads = self.tails.tolist(), self.heads.tolist()
-        reached, tree, stack = {0}, [], [0]
-        # once every vertex is reached, no edge is left to join the tree
-        while stack and len(reached) < self.vertex_count:
-            v = stack.pop()
-            edges, signs, _ = oriented_star(self, v)
-            for e, sign in zip(edges.tolist(), signs.tolist()):
-                w = heads[e] if sign > 0 else tails[e]
-                if w in reached:
-                    continue
-                reached.add(w)
-                tree.append(e)
-                potential[w] = potential[v] + sign * self.shifts[e]
-                stack.append(w)
-        tree = (frozenset(reached), tuple(tree), _freeze(potential))
-        object.__setattr__(self, "_tree", tree)
-        return tree
+        return self._kept("_tree", _walk)
 
     def cycle_shift_matrix(self) -> np.ndarray:
         """Net shifts around the fundamental cycles of a spanning tree.
@@ -122,8 +107,37 @@ class QuotientGraph:
         circuit rank.
         """
         _, tree, potential = self._spanning_tree()
-        rest = np.delete(np.arange(self.edge_count), tree)
+        rest = np.ones(self.edge_count, dtype=bool)
+        rest[list(tree)] = False
         return self.shifts[rest] + potential[self.tails[rest]] - potential[self.heads[rest]]
+
+    def facts(self) -> "GraphFacts":
+        """The graph's combinatorial facts, computed once and kept."""
+        return self._kept("_facts", _graph_facts)
+
+    def cut_edges(self) -> tuple[int, ...]:
+        """The edges on no cycle (bridges) of a connected graph, in edge
+        order; computed on the first request and kept."""
+        return self._kept("_cut_edges", _cut_edges)
+
+
+def _walk(g: QuotientGraph) -> tuple[frozenset[int], tuple[int, ...], np.ndarray]:
+    potential = np.zeros((g.vertex_count, g.dim), dtype=np.int64)
+    tails, heads = g.tails.tolist(), g.heads.tolist()
+    reached, tree, stack = {0}, [], [0]
+    # once every vertex is reached, no edge is left to join the tree
+    while stack and len(reached) < g.vertex_count:
+        v = stack.pop()
+        edges, signs, _ = oriented_star(g, v)
+        for e, sign in zip(edges.tolist(), signs.tolist()):
+            w = heads[e] if sign > 0 else tails[e]
+            if w in reached:
+                continue
+            reached.add(w)
+            tree.append(e)
+            potential[w] = potential[v] + sign * g.shifts[e]
+            stack.append(w)
+    return frozenset(reached), tuple(tree), _freeze(potential)
 
 
 @dataclass(frozen=True)
@@ -191,6 +205,25 @@ class ValidityReport:
         return not self.violations
 
 
+@dataclass(frozen=True)
+class GraphFacts:
+    """What the checks ask of a quotient graph alone (``QuotientGraph.facts``).
+
+    ``degree`` is the common degree, None for an irregular graph;
+    ``end_pairs`` indexes the pairs of edge ends that meet at a vertex (see
+    :func:`end_pairs`).  ``violations`` holds the graph's violation strings
+    in two parts, those that ``validate`` lists before the geometric ones
+    and those it lists after them.
+    """
+
+    degree: int | None
+    connected: bool
+    simple: bool
+    invariant_factors: tuple[int, ...]
+    end_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    violations: tuple[tuple[str, ...], tuple[str, ...]]
+
+
 # ---------------------------------------------------------------------------
 # geometry kernel
 #
@@ -229,6 +262,16 @@ def oriented_star(g: QuotientGraph, v: int) -> tuple[np.ndarray, np.ndarray, np.
     return edges, 2 * at_tail[edges] - 1, (at_tail & at_head).nonzero()[0]
 
 
+def end_pairs(tails: np.ndarray, heads: np.ndarray,
+              V: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of edge ends that meet at a vertex: end indices i < j into
+    (tails, heads) concatenated, and the (pairs, V) indicator of the vertex."""
+    at = np.concatenate([tails, heads])
+    k = np.arange(len(at))
+    i, j = ((at[:, None] == at) & (k[:, None] < k)).nonzero()
+    return i, j, at[i, None] == np.arange(V)
+
+
 def parallel_ends(vec: np.ndarray, ell: np.ndarray, tails: np.ndarray,
                   heads: np.ndarray, V: int) -> np.ndarray:
     """(N, V) flags of the vertices where two edge ends leave in one direction.
@@ -238,14 +281,17 @@ def parallel_ends(vec: np.ndarray, ell: np.ndarray, tails: np.ndarray,
     parallel when their directions differ by less than ``DIRECTION_TOL``
     in max norm; zero-length edges have NaN directions, parallel to none.
     """
+    return _parallel_at(vec, ell, end_pairs(tails, heads, V))
+
+
+def _parallel_at(vec: np.ndarray, ell: np.ndarray, pairs) -> np.ndarray:
+    """``parallel_ends`` on the end pairs of :func:`end_pairs`."""
+    i, j, vertex = pairs
     with np.errstate(divide='ignore', invalid='ignore'):
         units = vec / ell[..., None]
-    at = np.concatenate([tails, heads])
-    k = np.arange(len(at))
-    i, j = ((at[:, None] == at) & (k[:, None] < k)).nonzero()
     dirs = np.concatenate([units, -units], axis=1)
     par = np.abs(dirs[:, i] - dirs[:, j]).max(axis=2) < DIRECTION_TOL
-    return par @ (at[i, None] == np.arange(V))
+    return par @ vertex
 
 
 def as_stack(net: PeriodicNetwork):
@@ -288,77 +334,102 @@ def length_quotient(net: PeriodicNetwork) -> float:
     return length(net) ** net.dim / volume(net)
 
 
+def _graph_facts(g: QuotientGraph) -> GraphFacts:
+    """The facts of ``g``, its violation strings in ``validate``'s order."""
+    before: list[str] = []
+    after: list[str] = []
+
+    deg = g.degrees().tolist()
+    regular = deg.count(deg[0]) == len(deg)
+    degree = deg[0] if regular else None
+    if not regular:
+        before.append(f"degrees not regular: {deg}")
+    elif degree < 3:
+        before.append(f"degree {degree} < 3")
+
+    # one spanning-tree walk: it closes E - V + 1 cycles iff it reaches every vertex
+    M = g.cycle_shift_matrix()
+    connected = len(M) == g.edge_count - g.vertex_count + 1
+    if not connected:
+        before.append("quotient graph disconnected")
+
+    # loops must carry a nonzero shift (zero-length lift edge otherwise)
+    bare = (g.tails == g.heads) & ~g.shifts.any(axis=1)
+    before += [f"loop {e} has zero shift" for e in np.flatnonzero(bare).tolist()]
+
+    repeated = _repeated_edges(g).tolist()
+    if repeated:
+        edges = g.edges
+        after += [f"duplicate edge {edges[e]}" for e in repeated]
+
+    factors = smith_invariant_factors(M)
+    if len(factors) != g.dim:
+        after.append(f"cycle-shift rank {len(factors)} < dimension {g.dim}")
+    elif factors != (1,) * g.dim:
+        after.append(f"lift disconnected: invariant factors {factors}")
+
+    pairs = tuple(map(_freeze, end_pairs(g.tails, g.heads, g.vertex_count)))
+    return GraphFacts(degree, connected, not repeated, factors, pairs,
+                      (tuple(before), tuple(after)))
+
+
+def _repeated_edges(g: QuotientGraph) -> np.ndarray:
+    """Edges equal to an earlier edge, up to reading (t, h, s) as (h, t, -s)."""
+    t, h = g.tails[:, None], g.heads[:, None]
+    fwd = np.concatenate([t, h, g.shifts], axis=1)
+    rev = np.concatenate([h, t, -g.shifts], axis=1)
+    same = (fwd[:, None] == fwd).all(axis=2) | (fwd[:, None] == rev).all(axis=2)
+    return np.flatnonzero(np.triu(same, 1).any(axis=0))
+
+
+def _cut_edges(g: QuotientGraph) -> tuple[int, ...]:
+    """The bridges: the tree edges that are the only edge with exactly one
+    end in the subtree below them."""
+    _, tree, _ = g._spanning_tree()
+    tails, heads = g.tails.tolist(), g.heads.tolist()
+    above = np.eye(g.vertex_count, dtype=bool)   # above[u, c]: c on the root path of u
+    placed, below = {0}, []                      # below: the lower end of each tree edge
+    for e in tree:          # in walk order, a tree edge's upper end is placed already
+        p, c = (tails[e], heads[e]) if tails[e] in placed else (heads[e], tails[e])
+        above[c] |= above[p]
+        placed.add(c)
+        below.append(c)
+    leaving = (above[g.tails] ^ above[g.heads]).sum(axis=0)   # edges out of each subtree
+    return tuple(sorted(e for e, c in zip(tree, below) if leaving[c] == 1))
+
+
 def validate(net: PeriodicNetwork) -> ValidityReport:
     """Run every structural and geometric check; never raises.
 
     Covers degree regularity, immersion of the lift (pairwise distinct
     outgoing directions at each vertex), quotient connectivity,
     quotient-level simplicity, the rational rank of the cycle-shift
-    matrix, and lift connectivity (all Smith invariant factors 1).
+    matrix, and lift connectivity (all Smith invariant factors 1).  The
+    checks on the graph alone are its kept ``facts``; only the edge
+    vectors are measured on every call.
     """
     g = net.graph
-    violations: list[str] = []
-
-    deg = g.degrees()
-    degree_regular = bool(len(set(deg.tolist())) == 1)
-    degree = int(deg[0]) if degree_regular else None
-    if not degree_regular:
-        violations.append(f"degrees not regular: {deg.tolist()}")
-    elif degree < 3:
-        violations.append(f"degree {degree} < 3")
-
-    # one spanning-tree walk: it closes E - V + 1 cycles iff it reaches every vertex
-    M = g.cycle_shift_matrix()
-    connected = len(M) == g.edge_count - g.vertex_count + 1
-    if not connected:
-        violations.append("quotient graph disconnected")
-
-    # loops must carry a nonzero shift (zero-length lift edge otherwise)
-    for e in range(g.edge_count):
-        if g.tails[e] == g.heads[e] and not g.shifts[e].any():
-            violations.append(f"loop {e} has zero shift")
-
+    facts = g.facts()
     vecs = edge_vectors(net)
     ell = edge_norms(vecs[None])[0]
-    zero_edges = np.flatnonzero(ell == 0.0)
-    for e in zero_edges:
-        violations.append(f"zero-length edge {int(e)}")
+    geometric = [f"zero-length edge {e}" for e in np.flatnonzero(ell == 0.0).tolist()]
+    crossed = np.flatnonzero(_parallel_at(vecs[None], ell[None], facts.end_pairs)[0])
+    if len(crossed):
+        geometric.append(f"parallel outgoing edges at vertex {crossed[0]}")
 
-    crossed = np.flatnonzero(parallel_ends(vecs[None], ell[None], g.tails, g.heads,
-                                           g.vertex_count)[0])
-    immersed = len(crossed) == 0
-    if not immersed:
-        violations.append(f"parallel outgoing edges at vertex {crossed[0]}")
-
-    seen: set[tuple] = set()
-    simple = True
-    for t, h, s in g.edges:
-        key = min((t, h, s), (h, t, tuple(-x for x in s)))
-        if key in seen:
-            simple = False
-            violations.append(f"duplicate edge {(t, h, s)}")
-        seen.add(key)
-
-    factors = smith_invariant_factors(M)
-    cycle_rank = len(factors)
-    rank_full = cycle_rank == g.dim
-    if not rank_full:
-        violations.append(f"cycle-shift rank {cycle_rank} < dimension {g.dim}")
-    lift_connected = factors == (1,) * g.dim
-    if rank_full and not lift_connected:
-        violations.append(f"lift disconnected: invariant factors {factors}")
-
+    factors = facts.invariant_factors
+    before, after = facts.violations
     return ValidityReport(
-        degree_regular=degree_regular,
-        degree=degree,
-        immersed=immersed,
-        quotient_connected=connected,
-        simple=simple,
-        cycle_rank=cycle_rank,
-        rank_full=rank_full,
-        lift_connected=lift_connected,
+        degree_regular=facts.degree is not None,
+        degree=facts.degree,
+        immersed=not len(crossed),
+        quotient_connected=facts.connected,
+        simple=facts.simple,
+        cycle_rank=len(factors),
+        rank_full=len(factors) == g.dim,
+        lift_connected=factors == (1,) * g.dim,
         invariant_factors=factors,
-        violations=tuple(violations),
+        violations=before + tuple(geometric) + after,
     )
 
 

@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .intlinalg import _det_int, smith_invariant_factors
+from .intlinalg import _det_int
 from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, as_stack, edge_norms,
                       incidence, lifted_edges, parallel_ends, vertex_forces)
 from .reduction import greedy_reduce
@@ -516,14 +516,20 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     """Minimize L^n/V over positions and lattice for one shift assignment.
 
     Runs ``cfg.restarts`` random initializations to convergence and keeps
-    the best; ties go to the lowest restart index.
+    the best; ties go to the lowest restart index.  A graph with a cut edge
+    is refused before any descent: summing the vertex forces over the
+    vertices on one side of the cut edge e, every other edge cancels and
+    +-u_e is left, so no realization with positive edge lengths is
+    balanced and every restart would collapse.
     """
     cfg = cfg or OptimizeConfig()
-    factors = smith_invariant_factors(g.cycle_shift_matrix())
+    factors = g.facts().invariant_factors
     if factors != (1,) * g.dim:
         raise ValueError(
             f"graph is not a valid n-periodic quotient: rank {len(factors)} of "
             f"{g.dim}, invariant factors {factors}")
+    if g.cut_edges():
+        raise ValueError(f"no balanced realization: cut edge {g.cut_edges()[0]}")
     return _multistart(g, np.array(g.shifts)[None], cfg)
 
 

@@ -84,13 +84,25 @@ class TopologyClass:
 
 
 def classify(g: QuotientGraph) -> TopologyClass:
-    """Exact structural match against the bouquet/double-bouquet families."""
-    if not g.is_connected():
-        raise ValueError("classification requires a connected graph")
-    deg = g.degrees()
-    if len(set(deg.tolist())) != 1:
-        raise ValueError(f"graph is not regular: degrees {deg.tolist()}")
-    d = int(deg[0])
+    """Exact structural match against the bouquet/double-bouquet families.
+
+    Reads the graph's kept ``facts``; the outcome, a refusal included, is
+    kept on the graph too.
+    """
+    top = g._kept("_topology", _classify)
+    if isinstance(top, str):
+        raise ValueError(top)
+    return top
+
+
+def _classify(g: QuotientGraph) -> TopologyClass | str:
+    """The class of ``g``, or why it has none."""
+    facts = g.facts()
+    if not facts.connected:
+        return "classification requires a connected graph"
+    if facts.degree is None:
+        return f"graph is not regular: degrees {g.degrees().tolist()}"
+    d = facts.degree
     V = g.vertex_count
     rank = g.edge_count - V + 1         # the circuit rank, g being connected
     is_loop = g.tails == g.heads
@@ -111,7 +123,11 @@ def min_vertex_count(n: int, d: int) -> tuple[int, list[TopologyClass]]:
     For even d >= 2n a single vertex suffices (bouquet); for the other
     d >= n+1 two vertices with the double-bouquet types D_{l,k}, k >= 2,
     2l + k = d.  For d <= n only the counting bound is reported, with no
-    structural candidates.
+    structural candidates.  k = 1 is excluded by the cut-edge lemma: sum
+    the vertex forces over the vertices on one side of a cut edge; every
+    other edge, loops included, has both ends there and cancels, leaving
+    +-u_e, so a quotient with a cut edge has no balanced realization with
+    positive edge lengths and no minimizer.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,15 +24,17 @@ from perinet import (
     verify,
     volume,
 )
+from perinet import bounds, netcore, topology
 from perinet.intlinalg import smith_invariant_factors
 from perinet.netcore import (
+    ValidityReport,
     edge_norms,
     incidence,
     lifted_edges,
     parallel_ends,
     vertex_forces,
 )
-from perinet.topology import build_abstract, enumerate_shift_arrays
+from perinet.topology import TopologyClass, build_abstract, enumerate_shift_arrays
 from test_bounds import SHARP_CATALOG, _rewritten
 
 
@@ -458,14 +461,23 @@ def test_validate_connectivity_matches_reference():
     assert seen == {True, False}
 
 
+def _fresh(net):
+    """The same network on a new graph object with equal content, so that
+    nothing computed on the original graph is kept on it."""
+    g = net.graph
+    return PeriodicNetwork(QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, g.shifts),
+                           net.lattice, net.positions)
+
+
 def test_validate_walks_the_spanning_tree_once(monkeypatch):
     calls = []
     walk = QuotientGraph._spanning_tree
     monkeypatch.setattr(QuotientGraph, "_spanning_tree",
                         lambda self: calls.append(1) or walk(self))
     for name, params in SHARP_CATALOG:
-        net, _ = catalog(name, **params)
+        net = _fresh(catalog(name, **params)[0])
         calls.clear()
+        assert validate(net).ok
         assert validate(net).ok
         assert len(calls) == 1, name
 
@@ -473,16 +485,233 @@ def test_validate_walks_the_spanning_tree_once(monkeypatch):
 @pytest.mark.parametrize("name,params", SHARP_CATALOG,
                          ids=[name for name, _ in SHARP_CATALOG])
 def test_validate_classify_verify_walk_the_spanning_tree_once(monkeypatch, name, params):
-    # the graph is frozen, so every later request gets the one walked tree
+    # the graph is frozen: its facts are computed from one walk and kept,
+    # so classify and verify ask for the tree no more
     trees = []
     walk = QuotientGraph._spanning_tree
     monkeypatch.setattr(QuotientGraph, "_spanning_tree",
                         lambda self: trees.append(walk(self)) or trees[-1])
-    net, _ = catalog(name, **params)
+    net = _fresh(catalog(name, **params)[0])
+    trees.clear()
     assert validate(net).ok
     classify(net.graph)
     assert verify(net).applicable
-    assert len(trees) > 1 and all(t is trees[0] for t in trees)
+    assert len(trees) == 1
+
+
+@pytest.mark.parametrize("name,params", SHARP_CATALOG,
+                         ids=[name for name, _ in SHARP_CATALOG])
+def test_graph_facts_computed_once_per_graph(monkeypatch, name, params):
+    calls = []
+    smith, pairs, match = netcore.smith_invariant_factors, netcore.end_pairs, topology._classify
+    monkeypatch.setattr(netcore, "smith_invariant_factors",
+                        lambda M: calls.append("smith") or smith(M))
+    monkeypatch.setattr(netcore, "end_pairs",
+                        lambda *args: calls.append("pairs") or pairs(*args))
+    monkeypatch.setattr(topology, "_classify", lambda g: calls.append("class") or match(g))
+    net = _fresh(catalog(name, **params)[0])
+    calls.clear()
+    for _ in range(2):
+        assert validate(net).ok
+        classify(net.graph)
+        assert verify(net).applicable
+    assert sorted(calls) == ["class", "pairs", "smith"]
+    # an equal graph is another object: it computes its own, nothing is shared
+    twin = _fresh(net)
+    assert validate(twin) == validate(net)
+    assert classify(twin.graph) == classify(net.graph)
+    assert verify(twin) == verify(net)
+    assert sorted(calls) == ["class", "class", "pairs", "pairs", "smith", "smith"]
+
+
+def test_classify_refusal_is_kept(monkeypatch):
+    calls = []
+    match = topology._classify
+    monkeypatch.setattr(topology, "_classify", lambda g: calls.append(1) or match(g))
+    g = QuotientGraph.from_edges(2, 2, [(0, 0, (1, 0)), (0, 0, (0, 1)),
+                                        (1, 1, (1, 0)), (1, 1, (0, 1))])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="requires a connected graph"):
+            classify(g)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# graph facts against the former validate, classify and verify
+
+def _reference_validate(net):
+    """The former ``validate``: every check recomputed on every call, with
+    its per-edge loops and the former degree and edge-list helpers."""
+    g = net.graph
+    violations: list[str] = []
+
+    deg = np.zeros(g.vertex_count, dtype=np.int64)
+    np.add.at(deg, g.tails, 1)
+    np.add.at(deg, g.heads, 1)
+    degree_regular = bool(len(set(deg.tolist())) == 1)
+    degree = int(deg[0]) if degree_regular else None
+    if not degree_regular:
+        violations.append(f"degrees not regular: {deg.tolist()}")
+    elif degree < 3:
+        violations.append(f"degree {degree} < 3")
+
+    M = g.cycle_shift_matrix()
+    connected = len(M) == g.edge_count - g.vertex_count + 1
+    if not connected:
+        violations.append("quotient graph disconnected")
+
+    for e in range(g.edge_count):
+        if g.tails[e] == g.heads[e] and not g.shifts[e].any():
+            violations.append(f"loop {e} has zero shift")
+
+    vecs = edge_vectors(net)
+    ell = edge_norms(vecs[None])[0]
+    zero_edges = np.flatnonzero(ell == 0.0)
+    for e in zero_edges:
+        violations.append(f"zero-length edge {int(e)}")
+
+    crossed = np.flatnonzero(parallel_ends(vecs[None], ell[None], g.tails, g.heads,
+                                           g.vertex_count)[0])
+    immersed = len(crossed) == 0
+    if not immersed:
+        violations.append(f"parallel outgoing edges at vertex {crossed[0]}")
+
+    seen: set[tuple] = set()
+    simple = True
+    for t, h, s in [(int(t), int(h), tuple(int(x) for x in s))
+                    for t, h, s in zip(g.tails, g.heads, g.shifts)]:
+        key = min((t, h, s), (h, t, tuple(-x for x in s)))
+        if key in seen:
+            simple = False
+            violations.append(f"duplicate edge {(t, h, s)}")
+        seen.add(key)
+
+    factors = smith_invariant_factors(M)
+    cycle_rank = len(factors)
+    rank_full = cycle_rank == g.dim
+    if not rank_full:
+        violations.append(f"cycle-shift rank {cycle_rank} < dimension {g.dim}")
+    lift_connected = factors == (1,) * g.dim
+    if rank_full and not lift_connected:
+        violations.append(f"lift disconnected: invariant factors {factors}")
+
+    return ValidityReport(
+        degree_regular=degree_regular, degree=degree, immersed=immersed,
+        quotient_connected=connected, simple=simple, cycle_rank=cycle_rank,
+        rank_full=rank_full, lift_connected=lift_connected,
+        invariant_factors=factors, violations=tuple(violations))
+
+
+def _reference_classify(g):
+    """The former ``classify``, recomputed on every call."""
+    if not g.is_connected():
+        raise ValueError("classification requires a connected graph")
+    deg = g.degrees()
+    if len(set(deg.tolist())) != 1:
+        raise ValueError(f"graph is not regular: degrees {deg.tolist()}")
+    d, V = int(deg[0]), g.vertex_count
+    rank = g.edge_count - V + 1
+    is_loop = g.tails == g.heads
+    loops_at = np.bincount(g.tails[is_loop], minlength=V)
+    bridges = int(np.count_nonzero(~is_loop))
+    if V == 1:
+        return TopologyClass("bouquet", int(loops_at[0]), 0, rank, d, 1)
+    if V == 2 and loops_at[0] == loops_at[1]:
+        l = int(loops_at[0])
+        return TopologyClass("dipole" if l == 0 else "double_bouquet", l, bridges, rank, d, 2)
+    return TopologyClass("other", int(loops_at.sum()), bridges, rank, d, V)
+
+
+def _assert_verify_matches_reference(net, monkeypatch):
+    """``verify`` equals itself run through the former ``validate`` and
+    ``classify``; a network with a zero-length edge measures NaN."""
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "validate", _reference_validate)
+        m.setattr(bounds, "classify", _reference_classify)
+        want = verify(_fresh(net))
+    got = verify(net)
+    assert replace(got, measured=0.0) == replace(want, measured=0.0)
+    assert np.array_equal(got.measured, want.measured, equal_nan=True)
+
+
+def _catalog_and_rewrites(copies, seed):
+    rng = np.random.default_rng(seed)
+    for name in CATALOG_NAMES:
+        params = {"t": 0.35} if name == "cds" else {}
+        for n in ((2, 3, 4, 5) if name in ("pcu", "cube_net", "simplex_net") else (None,)):
+            net = catalog(name, **params, **({} if n is None else {"n": n}))[0]
+            yield net
+            for _ in range(copies):
+                yield _rewritten(net, rng)
+
+
+def test_validate_matches_reference_on_catalog_and_rewrites():
+    count = 0
+    for net in _catalog_and_rewrites(10, 71):
+        rep = validate(net)
+        assert rep == _reference_validate(net)
+        assert rep.ok
+        assert validate(net) == rep
+        count += 1
+    assert count > 100
+
+
+def test_classify_and_verify_match_reference_on_catalog(monkeypatch):
+    for net in _catalog_and_rewrites(2, 73):
+        assert classify(net.graph) == _reference_classify(net.graph)
+        _assert_verify_matches_reference(net, monkeypatch)
+
+
+def _random_multigraph(rng):
+    """A small multigraph in R^2, often invalid: disconnected, irregular,
+    with bare or repeated loops, repeated edges, shifts that span a
+    sublattice, zero-length and parallel edges."""
+    V, E = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+    shifts = rng.integers(-1, 2, (E, 2)) * (2 if rng.random() < 0.25 else 1)
+    g = QuotientGraph(2, V, rng.integers(0, V, E), rng.integers(0, V, E), shifts)
+    return PeriodicNetwork(g, Lattice(np.eye(2)), rng.integers(0, 2, (V, 2)) * 0.5)
+
+
+def test_validate_matches_reference_on_random_multigraphs(monkeypatch):
+    rng = np.random.default_rng(79)
+    verdicts = set()
+    for _ in range(300):
+        net = _random_multigraph(rng)
+        rep = validate(net)
+        assert rep == _reference_validate(net)
+        try:
+            top = _reference_classify(net.graph)
+        except ValueError as exc:
+            for _ in range(2):        # a refusal is kept, and raised again
+                with pytest.raises(ValueError, match=str(exc).replace("[", r"\[")):
+                    classify(net.graph)
+        else:
+            assert classify(net.graph) == top
+        _assert_verify_matches_reference(net, monkeypatch)
+        verdicts |= {("irregular", not rep.degree_regular),
+                     ("disconnected", not rep.quotient_connected),
+                     ("zero-shift loop", any("zero shift" in v for v in rep.violations)),
+                     ("duplicate edge", not rep.simple),
+                     ("rank-deficient", not rep.rank_full),
+                     ("lift-disconnected", rep.rank_full and not rep.lift_connected)}
+    assert len(verdicts) == 12, sorted(verdicts)
+
+
+def test_cut_edges_are_the_edges_whose_removal_disconnects():
+    rng = np.random.default_rng(83)
+    seen = set()
+    for _ in range(300):
+        V, E = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        tails, heads = rng.integers(0, V, E), rng.integers(0, V, E)
+        g = QuotientGraph(2, V, tails, heads, np.zeros((E, 2), dtype=np.int64))
+        if not g.is_connected():
+            continue
+        want = tuple(e for e in range(E)
+                     if not QuotientGraph(2, V, np.delete(tails, e), np.delete(heads, e),
+                                          np.zeros((E - 1, 2), dtype=np.int64)).is_connected())
+        assert g.cut_edges() == want
+        seen.add(len(want) > 0)
+    assert seen == {True, False}
 
 
 def _random_unimodular(rng, m):

@@ -18,6 +18,7 @@ from perinet import (
 )
 from perinet import optimize
 from perinet.balance import force, force_all
+from perinet.topology import shift_orbits
 from perinet.netcore import as_stack, edge_norms, incidence, lifted_edges
 from perinet.optimize import (_SERVICE_EVERY, _Batch, _det_batch, _gradient, _hessian,
                               _newton_steps, _sample_starts)
@@ -147,6 +148,42 @@ def test_minimize_fixed_shifts_traces_and_best():
     assert rec["termination"] in ("converged", "max_iter", "stalled",
                                   "line_search_failed", "collapsed_edge",
                                   "degenerate_lattice")
+
+
+# the five connected cubic skeletons on four vertices; the last three hang
+# a loop vertex on a cut edge (listed after the edges)
+CUBIC4 = {
+    "K4": ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], ()),
+    "C4-doubled": ([(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 0)], ()),
+    "loop-double-loop": ([(0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (3, 3)], (1, 4)),
+    "claw": ([(0, 0), (0, 1), (1, 2), (2, 2), (1, 3), (3, 3)], (1, 2, 4)),
+    "loop-triangle": ([(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)], (1,)),
+}
+
+
+def _cubic4(name):
+    """The skeleton with its r = n shift representative in R^3."""
+    edges, _ = CUBIC4[name]
+    skeleton = QuotientGraph.from_edges(3, 4, [(t, h, (0, 0, 0)) for t, h in edges])
+    return QuotientGraph(3, 4, skeleton.tails, skeleton.heads, shift_orbits(skeleton, 3)[0])
+
+
+@pytest.mark.parametrize("name", ["loop-double-loop", "claw", "loop-triangle"])
+def test_cut_edge_graph_is_refused_before_descent(monkeypatch, name):
+    g = _cubic4(name)
+    cut = CUBIC4[name][1]
+    assert g.cut_edges() == cut
+    monkeypatch.setattr(optimize, "_multistart", None)      # no descent may start
+    with pytest.raises(ValueError, match=f"no balanced realization: cut edge {cut[0]}$"):
+        minimize_fixed_shifts(g)
+
+
+def test_bridgeless_cubic_skeletons_still_descend():
+    k4 = _cubic4("K4")
+    assert k4.cut_edges() == () == _cubic4("C4-doubled").cut_edges()
+    res = minimize_fixed_shifts(k4, OptimizeConfig(seed=1, restarts=4))
+    assert res.termination == "converged"
+    assert res.value == pytest.approx(13.5 * math.sqrt(2), rel=1e-9)   # srs
 
 
 def _config(monkeypatch, **kw):
