@@ -8,6 +8,7 @@ every vertex, which is exactly criticality of the star length.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,67 +60,92 @@ def is_balanced(net: PeriodicNetwork, tol: float = 1e-9) -> bool:
     return force_all(net).max_norm <= tol
 
 
-def _distances(p: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    diff = pts - p
-    return np.sqrt(np.einsum('ki,ki->k', diff, diff))
-
-
-def _vertex_gaps(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_gaps(P: list[list[float]]) -> tuple[list[float], list[list[float]]]:
     """Vertex gaps of all points: for each, the unit-vector sum towards the
     other points (coincident ones skipped) and its norm; a point is optimal
-    iff its norm is at most its multiplicity."""
-    diff = pts[None, :, :] - pts[:, None, :]
-    norms = np.sqrt(np.einsum('ijk,ijk->ij', diff, diff))
-    norms[norms == 0.0] = np.inf
-    sums = (diff / norms[:, :, None]).sum(axis=1)
-    return np.sqrt(np.einsum('ik,ik->i', sums, sums)), sums
+    iff its norm is at most its multiplicity.  Each pair is measured once."""
+    sums = [[0.0] * len(q) for q in P]
+    for j, qj in enumerate(P):
+        for i in range(j):
+            r = math.dist(qj, P[i])
+            if r:
+                si, sj = sums[i], sums[j]
+                for c, (a, b) in enumerate(zip(qj, P[i])):
+                    u = (a - b) / r
+                    si[c] += u
+                    sj[c] -= u
+    return [math.hypot(*s) for s in sums], sums
 
 
-def _newton_polish(p: np.ndarray, pts: np.ndarray, d: np.ndarray, gtol: float,
-                   rounds: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def _solve(H: list[list[float]], g: list[float]) -> list[float] | None:
+    """x with H x = g for a symmetric positive definite H, by elimination
+    without pivoting; None when a pivot is not positive or x not finite."""
+    n = len(g)
+    A = [row + [gi] for row, gi in zip(H, g)]
+    for c, top in enumerate(A):
+        if not top[c] > 0.0:
+            return None
+        for r in range(c + 1, n):
+            f = A[r][c] / top[c]
+            A[r] = [a - f * b for a, b in zip(A[r], top)]
+    x = [0.0] * n
+    for c in reversed(range(n)):
+        row = A[c]
+        x[c] = (row[n] - sum(map(operator.mul, row[c + 1:n], x[c + 1:]))) / row[c]
+    return x if all(map(math.isfinite, x)) else None
+
+
+def _newton_tail(p: list[float], P: list[list[float]], d: list[float], gtol: float,
+                 rounds: int = 60) -> tuple[list[float], list[float], float]:
     """Guarded Newton steps on the smooth star-length from ``p``.
 
-    Takes and returns the point with its distances ``d`` to the points.
-    Weiszfeld slows to a crawl when the minimizer sits very close to an
-    input point; Newton is immune to that conditioning and converges
-    quadratically once ``p`` is in the basin of an interior minimum.
-    Steps that fail to decrease the objective are halved away, so the
-    polish never moves uphill, until the trial step falls below the
-    floating-point resolution of ``p``, where no candidate is more than a
-    rounding away, or its predicted decrease ``t |grad . step|`` below
-    the objective's.
+    Takes the point with its distances ``d`` to the points; returns them
+    with the norm of the star-length gradient at the point (inf on an
+    input point).  Weiszfeld slows to a crawl when the minimizer sits
+    very close to an input point; Newton is immune to that conditioning
+    and converges quadratically once ``p`` is in the basin of an interior
+    minimum.  A step p' = p + delta is accepted when it decreases the
+    objective, measured term by term:
+    d'_k - d_k = (|delta|^2 - 2 b_k . delta) / (d'_k + d_k) with
+    b_k = q_k - p.  This sees decreases far below the rounding of sum d,
+    which near the minimum is all a Newton step can gain.  Steps that do
+    not decrease are halved until they fall below the floating-point
+    resolution of ``p``.
     """
-    dim = pts.shape[1]
-    obj = d.sum()
-    for _ in range(rounds):
-        if d.min() == 0.0:
-            break
-        u = (pts - p) / d[:, None]
-        grad = -u.sum(axis=0)
-        if np.linalg.norm(grad) <= gtol:
-            break
-        w = 1.0 / d
-        H = w.sum() * np.eye(dim) - np.einsum('k,ki,kj->ij', w, u, u)
-        H = H + 1e-14 * np.trace(H) * np.eye(dim)
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            break
-        size, resolution = np.linalg.norm(step), _EPS * np.linalg.norm(p)
-        slope, t = abs(grad @ step), 1.0
+    for r in range(rounds + 1):
+        if min(d) == 0.0:
+            return p, d, math.inf
+        b = [[a - x for a, x in zip(q, p)] for q in P]
+        w = [1.0 / dk for dk in d]
+        U = [list(map(operator.mul, w, col)) for col in zip(*b)]   # unit vectors, by axis
+        grad = [-sum(col) for col in U]
+        gnorm = math.hypot(*grad)
+        if gnorm <= gtol or r == rounds:
+            return p, d, gnorm
+        # H = sum_k w_k (I - u_k u_k^T), positive definite once regularized
+        wsum = sum(w)
+        WU = [list(map(operator.mul, w, col)) for col in U]
+        H = [[-sum(map(operator.mul, wu, col)) for col in U] for wu in WU]
+        trace = len(p) * wsum + sum(H[i][i] for i in range(len(p)))
+        for i, row in enumerate(H):
+            row[i] += wsum + 1e-14 * trace
+        step = _solve(H, grad)
+        if step is None:
+            return p, d, gnorm
+        size, resolution, t = math.hypot(*step), _EPS * math.hypot(*p), 1.0
         while t > 2.0 ** -40 and t * size > resolution:
-            cand = p - t * step
-            d_cand = _distances(cand, pts)
-            val = d_cand.sum()
-            if val < obj:
-                p, d, obj = cand, d_cand, val
+            cand = [x - t * s for x, s in zip(p, step)]
+            delta = [c - x for c, x in zip(cand, p)]
+            dd = sum(e * e for e in delta)
+            d_cand = [math.dist(cand, q) for q in P]
+            change = sum((dd - 2.0 * sum(map(operator.mul, bk, delta))) / (dc + dk)
+                         for bk, dc, dk in zip(b, d_cand, d))
+            if change < 0.0:
+                p, d = cand, d_cand
                 break
             t *= 0.5
-            if t * slope < _EPS * obj:
-                return p, d     # no halved step can decrease by more than a rounding
         else:
-            break
-    return p, d
+            return p, d, gnorm
 
 
 def geometric_median(points, tol: float = MEDIAN_TOL,
@@ -130,69 +156,77 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
     Returns the minimizer and, when it coincides with an input point, the
     index of that point (vertex optimality: the unit vectors towards the
     remaining points sum to norm <= the point's multiplicity).  Uses
-    Weiszfeld iteration with the standard restart off non-optimal input
-    points.  The vertex gaps and multiplicities depend on the input points
-    only, so they are tabulated once per call and every iterate costs one
-    distance evaluation, shared by the nearest-point test, the weights,
-    the monotonicity check and the objective.  Weiszfeld converges only
-    linearly, at a rate near one when the minimizer is close to an input
-    point.  Once its step falls below ``_NEWTON_ENTRY`` times the
-    point-set scale (or below ``tol``, and at every 500th iterate) the
-    iterate is taken to be in Newton's basin and a guarded Newton polish
-    finishes it; a polish that does not certify hands back to Weiszfeld.
-    ``on_step(p, obj)``, when given, is called after every iterate.
+    Weiszfeld iteration from the mean with the standard restart off
+    non-optimal input points.  The vertex gaps and multiplicities depend
+    on the input points only, so they are tabulated once per call and
+    every iterate costs one distance evaluation, shared by the
+    nearest-point test, the weights, the monotonicity check and the
+    objective.  Weiszfeld converges only linearly, at a rate near one when
+    the minimizer is close to an input point.  Once its step falls below
+    ``_NEWTON_ENTRY`` times the point-set scale (or below ``tol``, and at
+    every 500th iterate) the iterate is taken to be in Newton's basin and
+    a guarded Newton tail finishes it; a tail that does not certify
+    |sum of unit vectors| <= max(tol, 1e-12) hands back to Weiszfeld.
+    The point sets are vertex stars of a few points in a few dimensions,
+    so the work is done in plain floats, where numpy's per-call overhead
+    would dominate.  ``on_step(p, obj)``, when given, is called after
+    every iterate.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or len(pts) < 2:
         raise ValueError("need at least two points")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    scale = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
+    P = pts.tolist()
+    cols = list(zip(*P))
+    mean = [sum(col) / len(P) for col in cols]
+    scale = max(math.dist(q, mean) for q in P)
     if scale == 0.0:
         raise ValueError("all points identical")
-    if len(pts) == 2:
+    if len(P) == 2:
         # every point of the segment minimizes; take the midpoint
-        return pts.mean(axis=0), None
+        return np.array(mean), None
 
-    gaps, sums = _vertex_gaps(pts)
+    gaps, sums = _vertex_gaps(P)
     # a point given m times is optimal iff its gap is at most m
-    optimal = gaps <= (pts[:, None, :] == pts[None, :, :]).all(axis=2).sum(axis=1) + 1e-12
-    p = pts.mean(axis=0)
-    d = _distances(p, pts)
-    obj = float(d.sum())
+    optimal = [gap <= P.count(q) + 1e-12 for gap, q in zip(gaps, P)]
+    unit_scale = max(scale, 1.0)
+    p = mean
+    d = [math.dist(p, q) for q in P]
+    obj = sum(d)
     for it in range(max_iter):
         # the vertex condition is a global optimality certificate, so the
         # nearest input point can be returned as soon as it holds; without
         # this, iterates approach a vertex-optimal point only sublinearly
-        i = int(d.argmin())
+        i = d.index(min(d))
         if optimal[i]:
             return pts[i].copy(), i
-        if d[i] < _SNAP * max(scale, 1.0):
-            p = pts[i] + _NUDGE * sums[i] / gaps[i]
-            d = _distances(p, pts)
-        w = 1.0 / d
-        p_new = w @ pts / w.sum()
-        d_new = _distances(p_new, pts)
-        new_obj = float(d_new.sum())
+        if d[i] < _SNAP * unit_scale:
+            p = [x + _NUDGE * s / gaps[i] for x, s in zip(P[i], sums[i])]
+            d = [math.dist(p, q) for q in P]
+        w = [1.0 / dk for dk in d]
+        wsum = sum(w)
+        p_new = [sum(map(operator.mul, w, col)) / wsum for col in cols]
+        d_new = [math.dist(p_new, q) for q in P]
+        new_obj = sum(d_new)
         if not new_obj <= obj * (1 + 1e-12) + 1e-15:
             raise RuntimeError("Weiszfeld objective increased")
         if on_step is not None:
-            on_step(p_new, new_obj)
-        step = math.sqrt((p_new - p) @ (p_new - p))
+            on_step(np.array(p_new), new_obj)
+        step = math.dist(p_new, p)
         p, d, obj = p_new, d_new, new_obj
         if step < max(tol, _NEWTON_ENTRY * scale) or (it + 1) % 500 == 0:
             # Newton tail: return once the criticality certificate holds,
             # else resume Weiszfeld from the polished point
-            p, d = _newton_polish(p, pts, d, gtol=tol)
-            obj = float(d.sum())
+            p, d, gnorm = _newton_tail(p, P, d, gtol=tol)
+            obj = sum(d)
             if on_step is not None:
-                on_step(p, obj)
-            i = int(d.argmin())
-            if d[i] <= 1e-6 * max(scale, 1.0) and optimal[i]:
+                on_step(np.array(p), obj)
+            i = d.index(min(d))
+            if d[i] <= 1e-6 * unit_scale and optimal[i]:
                 return pts[i].copy(), i
-            units = (pts - p) / d[:, None]
-            if np.linalg.norm(units.sum(axis=0)) <= max(tol, 1e-12):
-                return p, None
+            if gnorm <= max(tol, 1e-12):
+                return np.array(p), None
     raise RuntimeError(f"geometric median did not converge in {max_iter} iterations")
 
 

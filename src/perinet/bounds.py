@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .intlinalg import det_int, solve_unimodular
-from .netcore import PeriodicNetwork, edge_vectors, length_quotient, oriented_star, validate
+from .netcore import PeriodicNetwork, _length_quotient, _validate, edge_vectors, oriented_star
 from .topology import TopologyClass, classify
 
 SLACK_TOL = 1e-9         # inequality slack tolerance
@@ -462,9 +462,9 @@ def verify(net: PeriodicNetwork) -> BoundReport:
     not-applicable report with the violations; its topology reads
     ``"unclassified"`` when the graph is disconnected or irregular.
     """
-    rep = validate(net)
+    rep, ell = _validate(net)
     try:
-        measured = length_quotient(net)
+        measured = _length_quotient(net, ell)
     except ValueError:
         measured = float("nan")
     if not rep.ok:

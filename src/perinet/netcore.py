@@ -115,6 +115,12 @@ class QuotientGraph:
         """The graph's combinatorial facts, computed once and kept."""
         return self._kept("_facts", _graph_facts)
 
+    def end_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The graph's pairs of edge ends that meet at a vertex (see
+        :func:`end_pairs`), built on the first request and kept; the
+        immersion test of ``validate`` and of the start sampler reads them."""
+        return self._kept("_end_pairs", _graph_end_pairs)
+
     def cut_edges(self) -> tuple[int, ...]:
         """The edges on no cycle (bridges) of a connected graph, in edge
         order; computed on the first request and kept."""
@@ -209,18 +215,18 @@ class ValidityReport:
 class GraphFacts:
     """What the checks ask of a quotient graph alone (``QuotientGraph.facts``).
 
-    ``degree`` is the common degree, None for an irregular graph;
-    ``end_pairs`` indexes the pairs of edge ends that meet at a vertex (see
-    :func:`end_pairs`).  ``violations`` holds the graph's violation strings
-    in two parts, those that ``validate`` lists before the geometric ones
-    and those it lists after them.
+    ``degree`` is the common degree, None for an irregular graph.
+    ``violations`` holds the graph's violation strings in two parts, those
+    that ``validate`` lists before the geometric ones and those it lists
+    after them.  The end pairs of the immersion test are a fact of their
+    own (``QuotientGraph.end_pairs``), so that the start sampler can read
+    them without computing these.
     """
 
     degree: int | None
     connected: bool
     simple: bool
     invariant_factors: tuple[int, ...]
-    end_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
     violations: tuple[tuple[str, ...], tuple[str, ...]]
 
 
@@ -272,6 +278,10 @@ def end_pairs(tails: np.ndarray, heads: np.ndarray,
     return i, j, at[i, None] == np.arange(V)
 
 
+def _graph_end_pairs(g: QuotientGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return tuple(map(_freeze, end_pairs(g.tails, g.heads, g.vertex_count)))
+
+
 def parallel_ends(vec: np.ndarray, ell: np.ndarray, tails: np.ndarray,
                   heads: np.ndarray, V: int) -> np.ndarray:
     """(N, V) flags of the vertices where two edge ends leave in one direction.
@@ -318,7 +328,10 @@ def edge_lengths(net: PeriodicNetwork) -> np.ndarray:
 
 def length(net: PeriodicNetwork) -> float:
     """Total length of the quotient network; raises on a zero-length edge."""
-    ell = edge_lengths(net)
+    return _total_length(edge_lengths(net))
+
+
+def _total_length(ell: np.ndarray) -> float:
     if np.any(ell == 0.0):
         raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
     return float(ell.sum())
@@ -331,7 +344,13 @@ def volume(net: PeriodicNetwork) -> float:
 
 def length_quotient(net: PeriodicNetwork) -> float:
     """Scaling-invariant objective L^n / V."""
-    return length(net) ** net.dim / volume(net)
+    return _length_quotient(net, edge_lengths(net))
+
+
+def _length_quotient(net: PeriodicNetwork, ell: np.ndarray) -> float:
+    """L^n / V of ``net`` from its edge lengths ``ell``; raises on a
+    zero-length edge or a singular basis."""
+    return _total_length(ell) ** net.dim / volume(net)
 
 
 def _graph_facts(g: QuotientGraph) -> GraphFacts:
@@ -368,8 +387,7 @@ def _graph_facts(g: QuotientGraph) -> GraphFacts:
     elif factors != (1,) * g.dim:
         after.append(f"lift disconnected: invariant factors {factors}")
 
-    pairs = tuple(map(_freeze, end_pairs(g.tails, g.heads, g.vertex_count)))
-    return GraphFacts(degree, connected, not repeated, factors, pairs,
+    return GraphFacts(degree, connected, not repeated, factors,
                       (tuple(before), tuple(after)))
 
 
@@ -408,12 +426,17 @@ def validate(net: PeriodicNetwork) -> ValidityReport:
     checks on the graph alone are its kept ``facts``; only the edge
     vectors are measured on every call.
     """
+    return _validate(net)[0]
+
+
+def _validate(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray]:
+    """``validate`` and the edge lengths it measured."""
     g = net.graph
     facts = g.facts()
     vecs = edge_vectors(net)
     ell = edge_norms(vecs[None])[0]
     geometric = [f"zero-length edge {e}" for e in np.flatnonzero(ell == 0.0).tolist()]
-    crossed = np.flatnonzero(_parallel_at(vecs[None], ell[None], facts.end_pairs)[0])
+    crossed = np.flatnonzero(_parallel_at(vecs[None], ell[None], g.end_pairs())[0])
     if len(crossed):
         geometric.append(f"parallel outgoing edges at vertex {crossed[0]}")
 
@@ -430,7 +453,7 @@ def validate(net: PeriodicNetwork) -> ValidityReport:
         lift_connected=factors == (1,) * g.dim,
         invariant_factors=factors,
         violations=before + tuple(geometric) + after,
-    )
+    ), ell
 
 
 def with_positions(net: PeriodicNetwork, positions: np.ndarray) -> PeriodicNetwork:

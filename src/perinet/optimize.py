@@ -37,8 +37,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .intlinalg import _det_int
-from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, as_stack, edge_norms,
-                      incidence, lifted_edges, parallel_ends, vertex_forces)
+from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _parallel_at, as_stack,
+                      edge_norms, incidence, lifted_edges, vertex_forces)
 from .reduction import greedy_reduce
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits
 
@@ -165,15 +165,13 @@ def _int_inverse(U: np.ndarray) -> np.ndarray:
 
 
 class _Batch:
-    """A batch of descent instances over one graph skeleton."""
+    """A batch of descent instances over the skeleton of graph ``g``."""
 
-    def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray,
-                 S_int: np.ndarray, B: np.ndarray, X: np.ndarray,
+    def __init__(self, g: QuotientGraph, S_int: np.ndarray, B: np.ndarray, X: np.ndarray,
                  cfg: OptimizeConfig):
-        self.n = n
-        self.tails = np.asarray(tails)
-        self.heads = np.asarray(heads)
-        self.V = int(max(self.tails.max(), self.heads.max())) + 1 if len(tails) else 1
+        self.graph = g
+        n = self.n = g.dim
+        self.tails, self.heads, self.V = g.tails, g.heads, g.vertex_count
         self.cfg = cfg
         N = len(B)
         self.S_int = np.array(S_int, dtype=np.int64)
@@ -366,17 +364,23 @@ class _Batch:
         return idx[~out], SimpleNamespace(**{k: getattr(w, k)[~out] for k in _LIVE})
 
     def network_at(self, i: int) -> PeriodicNetwork:
-        g = QuotientGraph(self.n, self.V, self.tails, self.heads, self.S_int[i])
+        """Instance ``i`` as a network; on the batch's own graph object, with
+        the facts kept on it, while its shifts are that graph's."""
+        g = self.graph
+        if not np.array_equal(self.S_int[i], g.shifts):
+            g = QuotientGraph(self.n, self.V, self.tails, self.heads, self.S_int[i])
         return PeriodicNetwork(g, Lattice(self.B[i]), self.X[i])
 
 
-def _sample_starts(rng, count: int, n: int, V: int, tails, heads, S_int):
-    """Random valid starting states, matching :func:`random_network`.
+def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
+    """Random valid starting states over the skeleton of ``g``, matching
+    :func:`random_network`.
 
     Basis: identity plus uniform(-0.3, 0.3) entries, redrawn until
     |det| > 0.1; positions uniform in the unit cell; instances with a
     collapsed or non-immersed star are redrawn, up to 100 rounds.
     """
+    n, V = g.dim, g.vertex_count
     B = np.empty((count, n, n))
     X = np.empty((count, V, n))
     todo = np.arange(count)
@@ -393,18 +397,18 @@ def _sample_starts(rng, count: int, n: int, V: int, tails, heads, S_int):
         frac = rng.uniform(0.0, 1.0, (m, V, n))
         Xc = np.einsum('aij,avj->avi', Bc, frac)
         B[todo], X[todo] = Bc, Xc
-        ok = _starts_valid(Bc, Xc, tails, heads, S_int[todo])
+        ok = _starts_valid(Bc, Xc, g, S_int[todo])
         todo = todo[~ok]
     if len(todo):
         raise RuntimeError("failed to draw a valid starting network in 100 rounds")
     return B, X
 
 
-def _starts_valid(B, X, tails, heads, S_int) -> np.ndarray:
+def _starts_valid(B, X, g: QuotientGraph, S_int) -> np.ndarray:
     ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
-    vec = lifted_edges(X, B, ST, tails, heads)
+    vec = lifted_edges(X, B, ST, g.tails, g.heads)
     ell = edge_norms(vec)
-    crossed = parallel_ends(vec, ell, tails, heads, X.shape[1]).any(axis=1)
+    crossed = _parallel_at(vec, ell, g.end_pairs()).any(axis=1)
     return (ell > 1e-9).all(axis=1) & ~crossed
 
 
@@ -507,8 +511,7 @@ def objective_and_gradient(net: PeriodicNetwork):
 def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:
     """One random valid network on the given quotient graph (deterministic in seed)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA5)))
-    B, X = _sample_starts(rng, 1, g.dim, g.vertex_count, g.tails, g.heads,
-                          g.shifts[None, :, :])
+    B, X = _sample_starts(rng, 1, g, g.shifts[None, :, :])
     return PeriodicNetwork(g, Lattice(B[0]), X[0])
 
 
@@ -516,14 +519,18 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     """Minimize L^n/V over positions and lattice for one shift assignment.
 
     Runs ``cfg.restarts`` random initializations to convergence and keeps
-    the best; ties go to the lowest restart index.  A graph with a cut edge
-    is refused before any descent: summing the vertex forces over the
-    vertices on one side of the cut edge e, every other edge cancels and
-    +-u_e is left, so no realization with positive edge lengths is
-    balanced and every restart would collapse.
+    the best; ties go to the lowest restart index.  A disconnected graph
+    is refused before any descent, since its rank test reads the cycles of
+    one component only.  So is a graph with a cut edge: summing the vertex
+    forces over the vertices on one side of the cut edge e, every other
+    edge cancels and +-u_e is left, so no realization with positive edge
+    lengths is balanced and every restart would collapse.
     """
     cfg = cfg or OptimizeConfig()
-    factors = g.facts().invariant_factors
+    facts = g.facts()
+    if not facts.connected:
+        raise ValueError("quotient graph disconnected: no periodic network")
+    factors = facts.invariant_factors
     if factors != (1,) * g.dim:
         raise ValueError(
             f"graph is not a valid n-periodic quotient: rank {len(factors)} of "
@@ -567,7 +574,7 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     instance, first within each batch and then across batches.  Traces
     label each assignment by its position in ``reps``.
     """
-    n, V, R = g.dim, g.vertex_count, cfg.restarts
+    R = cfg.restarts
     S_all = np.repeat(reps, R, axis=0)
     N = len(S_all)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
@@ -578,8 +585,8 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     leaders, networks = [], []      # best instance of each batch
     for lo in range(0, N, _CHUNK):
         hi = min(lo + _CHUNK, N)
-        B, X = _sample_starts(rng, hi - lo, n, V, g.tails, g.heads, S_all[lo:hi])
-        batch = _Batch(n, g.tails, g.heads, S_all[lo:hi], B, X, cfg)
+        B, X = _sample_starts(rng, hi - lo, g, S_all[lo:hi])
+        batch = _Batch(g, S_all[lo:hi], B, X, cfg)
         batch.run()
         batch.status[batch.status == 0] = 4         # ran out of iterations
         with np.errstate(over='ignore'):

@@ -19,7 +19,7 @@ from perinet import (
     with_positions,
 )
 from perinet import balance
-from perinet.balance import _newton_polish, _vertex_gaps
+from perinet.balance import _newton_tail, _vertex_gaps
 from perinet.topology import build_abstract, enumerate_shift_arrays
 
 
@@ -309,10 +309,9 @@ def test_median_matches_reference():
         assert at_vertex is not None
 
 
-def test_median_iterates_on_criterion_4_sets():
-    # the Newton tail starts once Weiszfeld is in its basin, so a median of
-    # a sweep vertex's neighbours takes a few iterates, not dozens
-    calls = []
+def _criterion_4_sets():
+    """The lifted neighbour sets of criterion 4's random networks, 800 in all."""
+    sets = []
     for k, tag in enumerate(["D4", "D1,2", "D5", "D1,3", "B3"]):
         skeleton = build_abstract(tag, 3)
         shifts = enumerate_shift_arrays(skeleton, 3, 1)
@@ -324,16 +323,40 @@ def test_median_iterates_on_criterion_4_sets():
             for v in range(g.vertex_count):
                 nbrs = lifted_neighbours(net, v)
                 if len(nbrs):
-                    steps = []
-                    geometric_median(nbrs, on_step=lambda *a: steps.append(a))
-                    calls.append(len(steps))
-    assert len(calls) == 800
+                    sets.append(nbrs)
+    assert len(sets) == 800
+    return sets
+
+
+def test_median_iterates_on_criterion_4_sets():
+    # the Newton tail starts once Weiszfeld is in its basin, so a median of
+    # a sweep vertex's neighbours takes a few iterates, not dozens
+    calls = []
+    for nbrs in _criterion_4_sets():
+        steps = []
+        geometric_median(nbrs, on_step=lambda *a: steps.append(a))
+        calls.append(len(steps))
     assert np.mean(calls) <= 15, np.mean(calls)
+
+
+def test_criterion_4_sets_enter_the_newton_tail_at_most_twice(monkeypatch):
+    # the tail sees decreases below the rounding of the objective, so it
+    # certifies where it starts and is not re-entered after a Weiszfeld step
+    tails = []
+    tail = balance._newton_tail
+    monkeypatch.setattr(balance, "_newton_tail",
+                        lambda *a, **kw: tails.append(1) or tail(*a, **kw))
+    for nbrs in _criterion_4_sets():
+        tails.clear()
+        objs = []
+        geometric_median(nbrs, on_step=lambda _, obj: objs.append(obj))
+        assert len(tails) <= 2, (nbrs, len(tails))
+        assert all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(objs, objs[1:]))
 
 
 def test_vertex_gaps_skip_coincident_points():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.2, 1.0], [-1.0, -0.4]])
-    gaps, sums = _vertex_gaps(pts)
+    gaps, sums = _vertex_gaps(pts.tolist())
     for i in range(len(pts)):
         gap, s = _reference_vertex_gap(pts, i)
         assert gaps[i] == pytest.approx(gap, abs=1e-14)
@@ -345,7 +368,7 @@ def test_median_doubled_point_is_optimal():
     # the origin is given twice: its vertex gap 1.0995 exceeds 1 but not its
     # multiplicity 2, so the doubled point is the minimizer
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-1.0, 0.1], [0.0, 1.0]])
-    gaps, _ = _vertex_gaps(pts)
+    gaps, _ = _vertex_gaps(pts.tolist())
     assert 1.0 < gaps[0] <= 2.0
     p, at_vertex = geometric_median(pts)
     assert at_vertex == 0
@@ -362,7 +385,7 @@ def test_median_collinear_two_optimal_points():
         u = rng.normal(size=dim)
         ts = rng.permutation([0.0, 1.0, 2.6, 3.1] if k % 2 else [0.0, 0.5, 2.0, 3.0])
         pts = rng.normal(size=dim) + np.outer(ts, u)
-        gaps, _ = _vertex_gaps(pts)
+        gaps = np.array(_vertex_gaps(pts.tolist())[0])
         assert (gaps <= 1.0 + 1e-12).sum() == 2
         _, at_vertex = _assert_matches_reference(pts)
         assert at_vertex == int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
@@ -525,21 +548,24 @@ def test_force_is_star_length_gradient():
             assert abs(fd - F @ w) <= 1e-6
 
 
-def test_polish_ends_when_no_halving_can_pay(monkeypatch):
-    # 1e-9 off the median the Newton decrease is below the objective's
-    # rounding, so once the full step fails no halving of it is tried
-    calls = []
-    distances = balance._distances
-    monkeypatch.setattr(balance, "_distances", lambda p, pts: calls.append(1) or distances(p, pts))
+def test_newton_tail_certifies_from_near_the_median():
+    # 1e-9 off the median a Newton step lowers the objective by about
+    # |g|^2/H, far below the rounding of sum d; measured term by term the
+    # decrease is seen, and the tail certifies in at most two rounds
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        pts = rng.normal(size=(5, 3))
+    certified = 0
+    for _ in range(40):
+        pts = rng.normal(size=(int(rng.integers(3, 8)), int(rng.integers(2, 6))))
         p, at_vertex = geometric_median(pts)
         if at_vertex is not None:
             continue
-        p = p + 1e-9 * rng.normal(size=3)
+        p = p + 1e-9 * rng.normal(size=pts.shape[1])
         d = np.linalg.norm(pts - p, axis=1)
-        calls.clear()
-        _, d_out = _newton_polish(p, pts, d, gtol=1e-300)
-        assert d_out.sum() <= d.sum()
-        assert len(calls) <= 2
+        p_out, d_out, gnorm = _newton_tail(p.tolist(), pts.tolist(), d.tolist(),
+                                           gtol=1e-10, rounds=2)
+        units = (pts - p_out) / np.linalg.norm(pts - p_out, axis=1)[:, None]
+        assert gnorm <= 1e-10
+        assert np.linalg.norm(units.sum(axis=0)) <= 1e-10
+        assert sum(d_out) <= d.sum() * (1 + 1e-12) + 1e-15
+        certified += 1
+    assert certified >= 20

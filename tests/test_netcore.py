@@ -19,6 +19,7 @@ from perinet import (
     length,
     length_quotient,
     random_network,
+    rebalance_vertex,
     scaled,
     validate,
     verify,
@@ -524,6 +525,56 @@ def test_graph_facts_computed_once_per_graph(monkeypatch, name, params):
     assert sorted(calls) == ["class", "class", "pairs", "pairs", "smith", "smith"]
 
 
+def test_sweep_operation_builds_end_pairs_once(monkeypatch):
+    # random_network -> rebalance -> verify on a fresh graph: the sampler's
+    # immersion test and verify's read one kept index, and the sampler
+    # computes none of the other facts
+    pairs, facts = netcore.end_pairs, netcore._graph_facts
+    calls = []
+    monkeypatch.setattr(netcore, "end_pairs", lambda *a: calls.append("pairs") or pairs(*a))
+    monkeypatch.setattr(netcore, "_graph_facts", lambda g: calls.append("facts") or facts(g))
+    rng = np.random.default_rng(43)
+    for tag in ("D4", "D1,2", "D5", "D1,3", "B3"):
+        skeleton = build_abstract(tag, 3)
+        shifts = enumerate_shift_arrays(skeleton, 3, 1)
+        for _ in range(5):
+            g = QuotientGraph(3, skeleton.vertex_count, skeleton.tails, skeleton.heads,
+                              shifts[int(rng.integers(len(shifts)))])
+            calls.clear()
+            net = random_network(g, seed=int(rng.integers(1 << 62)))
+            assert calls == ["pairs"]
+            if g.vertex_count == 2:
+                net, _ = rebalance_vertex(net, 1)
+            verify(net)
+            assert calls == ["pairs", "facts"], tag
+
+
+def _measured_cases():
+    """Catalog networks, their rewrites and random networks on their graphs."""
+    nets = list(_catalog_and_rewrites(2, 79))
+    nets += [random_network(net.graph, seed=seed) for seed in range(2) for net in nets[::3]]
+    return nets
+
+
+def test_verify_measures_the_length_quotient_bit_for_bit():
+    count = 0
+    for net in _measured_cases():
+        assert verify(net).measured == length_quotient(net)
+        count += 1
+    assert count >= 90
+    # a zero-length edge and a singular basis measure NaN, where
+    # length_quotient raises
+    net, _ = catalog("cds", t=0.5)
+    positions = np.array(net.positions)
+    positions[1] = positions[0]
+    collapsed = PeriodicNetwork(net.graph, net.lattice, positions)
+    flat = PeriodicNetwork(net.graph, Lattice(np.diag([1.0, 1.0, 0.0])), net.positions)
+    for bad in (collapsed, flat):
+        with pytest.raises(ValueError):
+            length_quotient(bad)
+        assert math.isnan(verify(bad).measured)
+
+
 def test_classify_refusal_is_kept(monkeypatch):
     calls = []
     match = topology._classify
@@ -626,7 +677,8 @@ def _assert_verify_matches_reference(net, monkeypatch):
     """``verify`` equals itself run through the former ``validate`` and
     ``classify``; a network with a zero-length edge measures NaN."""
     with monkeypatch.context() as m:
-        m.setattr(bounds, "validate", _reference_validate)
+        m.setattr(bounds, "_validate", lambda net: (_reference_validate(net),
+                                                    edge_norms(edge_vectors(net)[None])[0]))
         m.setattr(bounds, "classify", _reference_classify)
         want = verify(_fresh(net))
     got = verify(net)

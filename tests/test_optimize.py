@@ -15,8 +15,9 @@ from perinet import (
     objective_and_gradient,
     random_network,
     validate,
+    verify,
 )
-from perinet import optimize
+from perinet import netcore, optimize
 from perinet.balance import force, force_all
 from perinet.topology import shift_orbits
 from perinet.netcore import as_stack, edge_norms, incidence, lifted_edges
@@ -178,6 +179,39 @@ def test_cut_edge_graph_is_refused_before_descent(monkeypatch, name):
         minimize_fixed_shifts(g)
 
 
+def test_disconnected_graph_is_refused_before_descent(monkeypatch):
+    # two separate three-loop bouquets: the spanning tree from vertex 0 sees
+    # only the first, whose loops alone have Smith factors (1, 1, 1)
+    loops = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    g = QuotientGraph.from_edges(3, 2, [(v, v, s) for v in (0, 1) for s in loops])
+    assert g.facts().invariant_factors == (1, 1, 1) and g.cut_edges() == ()
+    monkeypatch.setattr(optimize, "_multistart", None)      # no descent may start
+    with pytest.raises(ValueError, match="quotient graph disconnected"):
+        minimize_fixed_shifts(g)
+
+
+def test_result_network_keeps_the_input_graph(monkeypatch):
+    # the best instance's network is put on the input graph object while its
+    # shifts are the input's, so verify reads the facts sampling kept there
+    builds = []
+    facts = netcore._graph_facts
+    monkeypatch.setattr(netcore, "_graph_facts", lambda g: builds.append(g) or facts(g))
+    kept = 0
+    for name, params in [("dia", {}), ("bnn", {}), ("cds", {"t": 0.5}), ("sqp", {}),
+                         ("pcu", {"n": 3})]:
+        net = catalog(name, **params)[0]
+        g = QuotientGraph(3, net.graph.vertex_count, net.graph.tails, net.graph.heads,
+                          net.graph.shifts)
+        builds.clear()
+        res = minimize_fixed_shifts(g, OptimizeConfig(seed=3, restarts=4))
+        same = np.array_equal(res.network.graph.shifts, g.shifts)
+        assert (res.network.graph is g) == same, name
+        assert verify(res.network).applicable
+        assert len(builds) == (1 if same else 2), name
+        kept += same
+    assert kept >= 3
+
+
 def test_bridgeless_cubic_skeletons_still_descend():
     k4 = _cubic4("K4")
     assert k4.cut_edges() == () == _cubic4("C4-doubled").cut_edges()
@@ -219,8 +253,8 @@ def test_minimize_fixed_shifts_descent_monotone():
     cfg = OptimizeConfig(seed=2, restarts=4, max_iter=1)
     S = np.broadcast_to(g.shifts, (4,) + g.shifts.shape)
     rng = np.random.default_rng(0)
-    B, X = _sample_starts(rng, 4, 3, 2, g.tails, g.heads, S)
-    batch = _Batch(3, g.tails, g.heads, S, B, X, cfg)
+    B, X = _sample_starts(rng, 4, g, S)
+    batch = _Batch(g, S, B, X, cfg)
     f_prev = batch.f.copy()
     for _ in range(60):
         batch.run()
@@ -235,8 +269,7 @@ def test_engine_detects_edge_collapse(monkeypatch):
     g = net.graph
     cfg = _config(monkeypatch, seed=0, restarts=1, _EPS_EDGE=0.1, max_iter=50)
     S = g.shifts[None, :, :]
-    batch = _Batch(3, g.tails, g.heads, S, net.lattice.basis[None],
-                   net.positions[None], cfg)
+    batch = _Batch(g, S, net.lattice.basis[None], net.positions[None], cfg)
     batch.run()
     assert batch.status[0] == 2
 
@@ -425,9 +458,8 @@ def _twin_batches(g, cfg, B=None, X=None):
     N = cfg.restarts if B is None else len(B)
     S = np.broadcast_to(g.shifts, (N,) + g.shifts.shape)
     if B is None:
-        B, X = _sample_starts(np.random.default_rng(cfg.seed), N, g.dim,
-                              g.vertex_count, g.tails, g.heads, S)
-    return tuple(_Batch(g.dim, g.tails, g.heads, S, B, X, cfg) for _ in range(2))
+        B, X = _sample_starts(np.random.default_rng(cfg.seed), N, g, S)
+    return tuple(_Batch(g, S, B, X, cfg) for _ in range(2))
 
 
 def _assert_same_descent(a, b):
