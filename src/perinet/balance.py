@@ -175,6 +175,8 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or len(pts) < 2:
         raise ValueError("need at least two points")
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite point coordinates")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     P = pts.tolist()

@@ -462,11 +462,12 @@ def verify(net: PeriodicNetwork) -> BoundReport:
     not-applicable report with the violations; its topology reads
     ``"unclassified"`` when the graph is disconnected or irregular.
     """
-    rep, ell = _validate(net)
-    try:
-        measured = _length_quotient(net, ell)
-    except ValueError:
-        measured = float("nan")
+    with np.errstate(invalid='ignore'):     # non-finite geometry fails validation
+        rep, ell = _validate(net)
+        try:
+            measured = _length_quotient(net, ell)
+        except ValueError:
+            measured = float("nan")
     if not rep.ok:
         try:
             tag = classify(net.graph).tag

@@ -3,13 +3,16 @@
 The JSON document holds the dimension, the vertices with positions, the
 lattice basis column by column, and the shift-labeled edges.  Floats are
 written with 17 significant digits, which round-trips IEEE doubles
-exactly; the writer output is byte-stable for a given network.
+exactly; the writer output is byte-stable for a given network.  JSON has
+no non-finite numbers: the writer refuses them and the reader refuses the
+``NaN`` and ``Infinity`` literals that Python's json module would accept.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from typing import IO
 
 import numpy as np
@@ -18,7 +21,16 @@ from .netcore import Lattice, PeriodicNetwork, QuotientGraph
 
 
 def _fnum(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x} has no JSON form")
     return format(float(x), ".17g")
+
+
+def _no_constant(name: str):
+    raise ValueError(f"not valid JSON: {name} is not a number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_no_constant)
 
 
 def network_to_json(net: PeriodicNetwork) -> str:
@@ -26,14 +38,15 @@ def network_to_json(net: PeriodicNetwork) -> str:
     g = net.graph
     parts = ['{\n  "dim": %d,\n  "vertices": [\n' % g.dim]
     vrows = []
-    for v in range(g.vertex_count):
-        pos = ", ".join(_fnum(x) for x in net.positions[v])
+    # Python floats: the finiteness check and the formatting cost less on them
+    for v, row in enumerate(net.positions.tolist()):
+        pos = ", ".join(_fnum(x) for x in row)
         vrows.append('    {"id": %d, "pos": [%s]}' % (v, pos))
     parts.append(",\n".join(vrows))
     parts.append('\n  ],\n  "lattice": [\n')
     cols = []
-    for j in range(g.dim):
-        col = ", ".join(_fnum(x) for x in net.lattice.basis[:, j])
+    for column in net.lattice.basis.T.tolist():
+        col = ", ".join(_fnum(x) for x in column)
         cols.append("    [%s]" % col)
     parts.append(",\n".join(cols))
     parts.append('\n  ],\n  "edges": [\n')
@@ -49,7 +62,7 @@ def network_to_json(net: PeriodicNetwork) -> str:
 def network_from_json(text: str) -> PeriodicNetwork:
     """Parse the canonical JSON network format; unknown keys are ignored."""
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
     try:

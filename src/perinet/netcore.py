@@ -9,6 +9,7 @@ for every integer vector k, where B is the basis matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -83,21 +84,7 @@ class QuotientGraph:
         return np.bincount(self.tails, minlength=V) + np.bincount(self.heads, minlength=V)
 
     def is_connected(self) -> bool:
-        return len(self._spanning_tree()[0]) == self.vertex_count
-
-    def _kept(self, key: str, build):
-        """``build(self)``, computed on the first request and kept on the
-        graph; the graph is frozen, so nothing kept ever goes stale."""
-        if key not in self.__dict__:
-            object.__setattr__(self, key, build(self))
-        return self.__dict__[key]
-
-    def _spanning_tree(self) -> tuple[frozenset[int], tuple[int, ...], np.ndarray]:
-        """Depth-first spanning tree from vertex 0: the vertices reached, the
-        tree edges in the order the walk takes them, and each reached
-        vertex's shift potential along the tree.  Walked once and kept.
-        """
-        return self._kept("_tree", _walk)
+        return self.facts().connected
 
     def cycle_shift_matrix(self) -> np.ndarray:
         """Net shifts around the fundamental cycles of a spanning tree.
@@ -106,44 +93,14 @@ class QuotientGraph:
         non-tree edge closes.  For a connected graph the row count is the
         circuit rank.
         """
-        _, tree, potential = self._spanning_tree()
-        rest = np.ones(self.edge_count, dtype=bool)
-        rest[list(tree)] = False
-        return self.shifts[rest] + potential[self.tails[rest]] - potential[self.heads[rest]]
+        return self.facts().cycles @ self.shifts
 
     def facts(self) -> "GraphFacts":
-        """The graph's combinatorial facts, computed once and kept."""
-        return self._kept("_facts", _graph_facts)
-
-    def end_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The graph's pairs of edge ends that meet at a vertex (see
-        :func:`end_pairs`), built on the first request and kept; the
-        immersion test of ``validate`` and of the start sampler reads them."""
-        return self._kept("_end_pairs", _graph_end_pairs)
-
-    def cut_edges(self) -> tuple[int, ...]:
-        """The edges on no cycle (bridges) of a connected graph, in edge
-        order; computed on the first request and kept."""
-        return self._kept("_cut_edges", _cut_edges)
-
-
-def _walk(g: QuotientGraph) -> tuple[frozenset[int], tuple[int, ...], np.ndarray]:
-    potential = np.zeros((g.vertex_count, g.dim), dtype=np.int64)
-    tails, heads = g.tails.tolist(), g.heads.tolist()
-    reached, tree, stack = {0}, [], [0]
-    # once every vertex is reached, no edge is left to join the tree
-    while stack and len(reached) < g.vertex_count:
-        v = stack.pop()
-        edges, signs, _ = oriented_star(g, v)
-        for e, sign in zip(edges.tolist(), signs.tolist()):
-            w = heads[e] if sign > 0 else tails[e]
-            if w in reached:
-                continue
-            reached.add(w)
-            tree.append(e)
-            potential[w] = potential[v] + sign * g.shifts[e]
-            stack.append(w)
-    return frozenset(reached), tuple(tree), _freeze(potential)
+        """The graph's combinatorial facts, computed in one pass on the first
+        request and kept; the graph is frozen, so they never go stale."""
+        if "_facts" not in self.__dict__:
+            object.__setattr__(self, "_facts", _graph_facts(self))
+        return self.__dict__["_facts"]
 
 
 @dataclass(frozen=True)
@@ -211,16 +168,22 @@ class ValidityReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphFacts:
     """What the checks ask of a quotient graph alone (``QuotientGraph.facts``).
 
     ``degree`` is the common degree, None for an irregular graph.
     ``violations`` holds the graph's violation strings in two parts, those
     that ``validate`` lists before the geometric ones and those it lists
-    after them.  The end pairs of the immersion test are a fact of their
-    own (``QuotientGraph.end_pairs``), so that the start sampler can read
-    them without computing these.
+    after them.  ``tree`` holds the edges of a depth-first spanning tree
+    from vertex 0 in walk order.  ``cycles`` is the signed cycle-edge
+    incidence: row i is the cycle that the i-th non-tree edge e closes,
+    unit(e) + path(tail) - path(head) with path(v) the signed tree path
+    from vertex 0 to v, so ``cycles @ shifts`` are the cycle shifts.
+    ``cut_edges`` are the tree edges on no cycle (the bridges of a
+    connected graph), in edge order; ``end_pairs`` are the pairs of edge
+    ends of the immersion test (see :func:`end_pairs`); ``loops`` counts
+    the loops at each vertex.
     """
 
     degree: int | None
@@ -228,6 +191,11 @@ class GraphFacts:
     simple: bool
     invariant_factors: tuple[int, ...]
     violations: tuple[tuple[str, ...], tuple[str, ...]]
+    tree: tuple[int, ...]
+    cycles: np.ndarray
+    cut_edges: tuple[int, ...]
+    end_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    loops: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +244,6 @@ def end_pairs(tails: np.ndarray, heads: np.ndarray,
     k = np.arange(len(at))
     i, j = ((at[:, None] == at) & (k[:, None] < k)).nonzero()
     return i, j, at[i, None] == np.arange(V)
-
-
-def _graph_end_pairs(g: QuotientGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return tuple(map(_freeze, end_pairs(g.tails, g.heads, g.vertex_count)))
 
 
 def parallel_ends(vec: np.ndarray, ell: np.ndarray, tails: np.ndarray,
@@ -354,89 +318,102 @@ def _length_quotient(net: PeriodicNetwork, ell: np.ndarray) -> float:
 
 
 def _graph_facts(g: QuotientGraph) -> GraphFacts:
-    """The facts of ``g``, its violation strings in ``validate``'s order."""
-    before: list[str] = []
-    after: list[str] = []
+    """The facts of ``g`` from one pass over its edge list and one
+    spanning-tree walk, its violation strings in ``validate``'s order.
+    Tiny graphs are the common case, so the walk runs on Python ints."""
+    V, E = g.vertex_count, g.edge_count
+    tails, heads = g.tails.tolist(), g.heads.tolist()
+    deg, loops, bare, repeated, seen = [0] * V, [0] * V, [], [], set()
+    star = [[] for _ in range(V)]       # (edge, +1 leaving / -1 entering, far end)
+    for e, (t, h, s) in enumerate(zip(tails, heads, map(tuple, g.shifts.tolist()))):
+        deg[t] += 1
+        deg[h] += 1
+        if t == h:
+            loops[t] += 1
+            if not any(s):      # a zero-length lift edge
+                bare.append(e)
+        else:
+            star[t].append((e, 1, h))
+            star[h].append((e, -1, t))
+        # an edge read backwards, (h, t, -s), is the same edge
+        key = min((t, h, s), (h, t, tuple(-x for x in s)))
+        if key in seen:
+            repeated.append((t, h, s))
+        seen.add(key)
 
-    deg = g.degrees().tolist()
-    regular = deg.count(deg[0]) == len(deg)
+    # path[v]: the signed edges of the tree path from vertex 0 to v
+    path = [[0] * E for _ in range(V)]
+    reached, tree, stack = {0}, [], [0]
+    # once every vertex is reached, no edge is left to join the tree
+    while stack and len(reached) < V:
+        v = stack.pop()
+        for e, sign, w in star[v]:
+            if w in reached:
+                continue
+            reached.add(w)
+            tree.append(e)
+            path[w] = path[v].copy()
+            path[w][e] += sign
+            stack.append(w)
+    in_tree = set(tree)
+    rows = []
+    for e in range(E):
+        if e not in in_tree:
+            rows.append([p - q for p, q in zip(path[tails[e]], path[heads[e]])])
+            rows[-1][e] += 1
+    cycles = np.array(rows, dtype=np.int64).reshape(len(rows), E)
+    factors = smith_invariant_factors(cycles @ g.shifts)
+    connected = len(reached) == V
+
+    before: list[str] = []
+    after = [f"duplicate edge {edge}" for edge in repeated]
+    regular = deg.count(deg[0]) == V
     degree = deg[0] if regular else None
     if not regular:
         before.append(f"degrees not regular: {deg}")
     elif degree < 3:
         before.append(f"degree {degree} < 3")
-
-    # one spanning-tree walk: it closes E - V + 1 cycles iff it reaches every vertex
-    M = g.cycle_shift_matrix()
-    connected = len(M) == g.edge_count - g.vertex_count + 1
     if not connected:
         before.append("quotient graph disconnected")
-
-    # loops must carry a nonzero shift (zero-length lift edge otherwise)
-    bare = (g.tails == g.heads) & ~g.shifts.any(axis=1)
-    before += [f"loop {e} has zero shift" for e in np.flatnonzero(bare).tolist()]
-
-    repeated = _repeated_edges(g).tolist()
-    if repeated:
-        edges = g.edges
-        after += [f"duplicate edge {edges[e]}" for e in repeated]
-
-    factors = smith_invariant_factors(M)
+    before += [f"loop {e} has zero shift" for e in bare]
     if len(factors) != g.dim:
         after.append(f"cycle-shift rank {len(factors)} < dimension {g.dim}")
     elif factors != (1,) * g.dim:
         after.append(f"lift disconnected: invariant factors {factors}")
 
-    return GraphFacts(degree, connected, not repeated, factors,
-                      (tuple(before), tuple(after)))
-
-
-def _repeated_edges(g: QuotientGraph) -> np.ndarray:
-    """Edges equal to an earlier edge, up to reading (t, h, s) as (h, t, -s)."""
-    t, h = g.tails[:, None], g.heads[:, None]
-    fwd = np.concatenate([t, h, g.shifts], axis=1)
-    rev = np.concatenate([h, t, -g.shifts], axis=1)
-    same = (fwd[:, None] == fwd).all(axis=2) | (fwd[:, None] == rev).all(axis=2)
-    return np.flatnonzero(np.triu(same, 1).any(axis=0))
-
-
-def _cut_edges(g: QuotientGraph) -> tuple[int, ...]:
-    """The bridges: the tree edges that are the only edge with exactly one
-    end in the subtree below them."""
-    _, tree, _ = g._spanning_tree()
-    tails, heads = g.tails.tolist(), g.heads.tolist()
-    above = np.eye(g.vertex_count, dtype=bool)   # above[u, c]: c on the root path of u
-    placed, below = {0}, []                      # below: the lower end of each tree edge
-    for e in tree:          # in walk order, a tree edge's upper end is placed already
-        p, c = (tails[e], heads[e]) if tails[e] in placed else (heads[e], tails[e])
-        above[c] |= above[p]
-        placed.add(c)
-        below.append(c)
-    leaving = (above[g.tails] ^ above[g.heads]).sum(axis=0)   # edges out of each subtree
-    return tuple(sorted(e for e, c in zip(tree, below) if leaving[c] == 1))
+    return GraphFacts(
+        degree, connected, not repeated, factors, (tuple(before), tuple(after)),
+        tuple(tree), _freeze(cycles),
+        tuple(sorted(e for e in tree if not any(row[e] for row in rows))),
+        tuple(map(_freeze, end_pairs(g.tails, g.heads, V))), tuple(loops))
 
 
 def validate(net: PeriodicNetwork) -> ValidityReport:
     """Run every structural and geometric check; never raises.
 
-    Covers degree regularity, immersion of the lift (pairwise distinct
-    outgoing directions at each vertex), quotient connectivity,
-    quotient-level simplicity, the rational rank of the cycle-shift
-    matrix, and lift connectivity (all Smith invariant factors 1).  The
-    checks on the graph alone are its kept ``facts``; only the edge
-    vectors are measured on every call.
+    Covers degree regularity, finite and nonzero edge lengths, immersion
+    of the lift (pairwise distinct outgoing directions at each vertex),
+    quotient connectivity, quotient-level simplicity, the rational rank of
+    the cycle-shift matrix, and lift connectivity (all Smith invariant
+    factors 1).  The checks on the graph alone are its kept ``facts``;
+    only the edge vectors are measured on every call.
     """
-    return _validate(net)[0]
+    with np.errstate(invalid='ignore'):     # an infinite entry gives NaN, reported as such
+        return _validate(net)[0]
 
 
 def _validate(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray]:
-    """``validate`` and the edge lengths it measured."""
+    """``validate`` and the edge lengths it measured; its callers silence
+    the invalid-value warnings that infinite entries raise."""
     g = net.graph
     facts = g.facts()
     vecs = edge_vectors(net)
     ell = edge_norms(vecs[None])[0]
-    geometric = [f"zero-length edge {e}" for e in np.flatnonzero(ell == 0.0).tolist()]
-    crossed = np.flatnonzero(_parallel_at(vecs[None], ell[None], g.end_pairs())[0])
+    lengths = ell.tolist()
+    geometric = [f"zero-length edge {e}" for e, x in enumerate(lengths) if x == 0.0]
+    geometric += [f"non-finite edge length {e}" for e, x in enumerate(lengths)
+                  if not math.isfinite(x)]
+    crossed = np.flatnonzero(_parallel_at(vecs[None], ell[None], facts.end_pairs)[0])
     if len(crossed):
         geometric.append(f"parallel outgoing edges at vertex {crossed[0]}")
 

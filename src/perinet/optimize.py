@@ -408,7 +408,7 @@ def _starts_valid(B, X, g: QuotientGraph, S_int) -> np.ndarray:
     ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
     vec = lifted_edges(X, B, ST, g.tails, g.heads)
     ell = edge_norms(vec)
-    crossed = _parallel_at(vec, ell, g.end_pairs()).any(axis=1)
+    crossed = _parallel_at(vec, ell, g.facts().end_pairs).any(axis=1)
     return (ell > 1e-9).all(axis=1) & ~crossed
 
 
@@ -535,8 +535,8 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
         raise ValueError(
             f"graph is not a valid n-periodic quotient: rank {len(factors)} of "
             f"{g.dim}, invariant factors {factors}")
-    if g.cut_edges():
-        raise ValueError(f"no balanced realization: cut edge {g.cut_edges()[0]}")
+    if facts.cut_edges:
+        raise ValueError(f"no balanced realization: cut edge {facts.cut_edges[0]}")
     return _multistart(g, np.array(g.shifts)[None], cfg)
 
 

@@ -84,37 +84,22 @@ class TopologyClass:
 
 
 def classify(g: QuotientGraph) -> TopologyClass:
-    """Exact structural match against the bouquet/double-bouquet families.
-
-    Reads the graph's kept ``facts``; the outcome, a refusal included, is
-    kept on the graph too.
-    """
-    top = g._kept("_topology", _classify)
-    if isinstance(top, str):
-        raise ValueError(top)
-    return top
-
-
-def _classify(g: QuotientGraph) -> TopologyClass | str:
-    """The class of ``g``, or why it has none."""
+    """Exact structural match against the bouquet/double-bouquet families,
+    read off the graph's kept ``facts``."""
     facts = g.facts()
     if not facts.connected:
-        return "classification requires a connected graph"
+        raise ValueError("classification requires a connected graph")
     if facts.degree is None:
-        return f"graph is not regular: degrees {g.degrees().tolist()}"
-    d = facts.degree
-    V = g.vertex_count
+        raise ValueError(f"graph is not regular: degrees {g.degrees().tolist()}")
+    d, V, loops = facts.degree, g.vertex_count, facts.loops
     rank = g.edge_count - V + 1         # the circuit rank, g being connected
-    is_loop = g.tails == g.heads
-    loops_at = np.bincount(g.tails[is_loop], minlength=V)
-    bridges = int(np.count_nonzero(~is_loop))
+    bridges = g.edge_count - sum(loops)
     if V == 1:
-        return TopologyClass("bouquet", int(loops_at[0]), 0, rank, d, 1)
-    if V == 2 and loops_at[0] == loops_at[1]:
-        l = int(loops_at[0])
-        kind = "dipole" if l == 0 else "double_bouquet"
-        return TopologyClass(kind, l, bridges, rank, d, 2)
-    return TopologyClass("other", int(loops_at.sum()), bridges, rank, d, V)
+        return TopologyClass("bouquet", loops[0], 0, rank, d, 1)
+    if V == 2 and loops[0] == loops[1]:
+        kind = "dipole" if loops[0] == 0 else "double_bouquet"
+        return TopologyClass(kind, loops[0], bridges, rank, d, 2)
+    return TopologyClass("other", sum(loops), bridges, rank, d, V)
 
 
 def min_vertex_count(n: int, d: int) -> tuple[int, list[TopologyClass]]:
@@ -211,12 +196,8 @@ def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarr
     Kept assignments have full-rank, lattice-generating cycle shifts;
     exact duplicates and global-negation duplicates are removed.
     """
-    return _shift_stack(g, n, s_max, classify(g))
-
-
-def _shift_stack(g: QuotientGraph, n: int, s_max: int, top: TopologyClass) -> np.ndarray:
     return np.concatenate([np.zeros((0, g.edge_count, n), dtype=np.int64),
-                           *_shift_blocks(g, n, s_max, top)])
+                           *_shift_blocks(g, n, s_max, classify(g))])
 
 
 def _shift_blocks(g: QuotientGraph, n: int, s_max: int, top: TopologyClass):
@@ -272,9 +253,9 @@ def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
     top = classify(g)
     if top.circuit_rank == n:
         S = np.zeros((1, g.edge_count, n), dtype=np.int64)
-        S[0, np.delete(np.arange(g.edge_count), g._spanning_tree()[1])] = np.eye(n, dtype=np.int64)
+        S[0, np.delete(np.arange(g.edge_count), g.facts().tree)] = np.eye(n, dtype=np.int64)
         return S
-    S = _shift_stack(g, n, s_max, top)
+    S = enumerate_shift_arrays(g, n, s_max)
     if top.circuit_rank == n + 1 and len(S):
         S = S[np.sort(np.unique(_relation_keys(g, S), return_index=True)[1])]
     return S
@@ -291,10 +272,7 @@ def _relation_keys(g: QuotientGraph, S: np.ndarray) -> np.ndarray:
     exchanging the loop classes and reversing the bridges.  The key is the
     lexicographic rank of the least image, ranked by one sort and a scan.
     """
-    E = g.edge_count
-    # the cycle-shift matrix of unit edge shifts is the cycle-edge incidence Z
-    Z = QuotientGraph(E, g.vertex_count, g.tails, g.heads,
-                      np.eye(E, dtype=np.int64)).cycle_shift_matrix()
+    Z = g.facts().cycles
     C = Z @ S
     minors = np.stack([(-1) ** i * det_int_batch(np.delete(C, i, axis=1))
                        for i in range(len(Z))], axis=1)

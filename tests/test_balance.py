@@ -152,6 +152,12 @@ def test_median_requires_two_points():
         geometric_median(np.array([[1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_median_refuses_non_finite_points(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        geometric_median(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, value]]))
+
+
 def test_median_monotone_and_certified():
     rng = np.random.default_rng(11)
     for _ in range(200):

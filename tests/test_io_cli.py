@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from perinet import catalog, length, length_quotient, volume
+from perinet import Lattice, PeriodicNetwork, catalog, length, length_quotient, volume
 from perinet.cli import run
 from perinet.io import export_obj, network_from_json, network_to_json, read_network, write_network
 from test_bounds import UNCLASSIFIABLE, _unclassifiable_network
@@ -46,6 +46,23 @@ def test_json_reader_rejects_malformed():
     doc["edges"][0]["shift"] = [1, 0]
     with pytest.raises(ValueError, match="dimension"):
         network_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["position", "basis"])
+def test_json_writer_refuses_non_finite_numbers(entry, value):
+    net, _ = catalog("dia")
+    positions, basis = np.array(net.positions), np.array(net.lattice.basis)
+    (positions if entry == "position" else basis)[1, 0] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        network_to_json(PeriodicNetwork(net.graph, Lattice(basis), positions))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_json_reader_refuses_non_finite_literals(literal):
+    text = network_to_json(catalog("dia")[0])
+    with pytest.raises(ValueError, match=f"not valid JSON: {literal} is not a number"):
+        network_from_json(text.replace("0.25", literal, 1))
 
 
 def test_json_file_io(tmp_path):
@@ -166,6 +183,16 @@ def test_cli_verify_invalid_network_exits_1(tmp_path, capsys, case):
     assert doc["note"].startswith("network fails validation")
 
 
+def test_cli_verify_infinite_position_exits_1(tmp_path, capsys):
+    # 1e999 is a JSON number, read as an infinite coordinate
+    path = tmp_path / "far.json"
+    path.write_text(network_to_json(catalog("dia")[0]).replace("0.25", "1e999", 1))
+    assert run(["verify", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["applicable"] is False
+    assert doc["note"].startswith("network fails validation: non-finite edge length 0")
+
+
 def test_cli_export(tmp_path, capsys):
     net, _ = catalog("pcu", n=3)
     path = tmp_path / "pcu.json"
@@ -251,6 +278,7 @@ MALFORMED = {
     "vertex_without_id": lambda doc: doc["vertices"][1].pop("id"),
     "edge_without_shift": lambda doc: doc["edges"][0].pop("shift"),
     "shift_beyond_int64": lambda doc: doc["edges"][0].update(shift=[2 ** 70, 0, 0]),
+    "nan_position": lambda doc: doc["vertices"][1]["pos"].__setitem__(0, math.nan),
 }
 
 

@@ -25,7 +25,7 @@ from perinet import (
     verify,
     volume,
 )
-from perinet import bounds, netcore, topology
+from perinet import bounds, netcore
 from perinet.intlinalg import smith_invariant_factors
 from perinet.netcore import (
     ValidityReport,
@@ -444,6 +444,32 @@ def test_spanning_tree_matches_reference():
         assert g.is_connected() == connected
 
 
+def test_cycles_are_the_fundamental_cycles():
+    # drawn as in test_spanning_tree_matches_reference, edgeless graphs included
+    rng = np.random.default_rng(89)
+    seen = set()
+    for _ in range(400):
+        V, E = int(rng.integers(1, 6)), int(rng.integers(0, 9))
+        tails, heads = rng.integers(0, V, E), rng.integers(0, V, E)
+        g = QuotientGraph(3, V, tails, heads, rng.integers(-2, 3, (E, 3)))
+        if not g.is_connected():
+            continue
+        facts = g.facts()
+        Z = facts.cycles
+        assert Z.shape == (E - V + 1, E)
+        assert not (Z @ incidence(g.tails, g.heads, V)).any()       # every row is closed
+        assert len(Z) == 0 or np.linalg.matrix_rank(Z) == len(Z)
+        rest = np.delete(np.arange(E), facts.tree)
+        assert np.array_equal(Z[:, rest], np.eye(len(rest), dtype=np.int64))
+        assert np.array_equal(Z @ g.shifts, _reference_cycle_shift_matrix(g)[0])
+        bridges = tuple(e for e in range(E)
+                        if not QuotientGraph(3, V, np.delete(tails, e), np.delete(heads, e),
+                                             np.zeros((E - 1, 3), dtype=np.int64)).is_connected())
+        assert facts.cut_edges == bridges
+        seen |= {("edgeless", E == 0), ("bridged", len(bridges) > 0)}
+    assert len(seen) == 4, sorted(seen)
+
+
 def test_validate_connectivity_matches_reference():
     # validate reads connectivity off its one walk: a spanning tree closes
     # E - V + 1 cycles exactly when it reaches every vertex
@@ -472,9 +498,8 @@ def _fresh(net):
 
 def test_validate_walks_the_spanning_tree_once(monkeypatch):
     calls = []
-    walk = QuotientGraph._spanning_tree
-    monkeypatch.setattr(QuotientGraph, "_spanning_tree",
-                        lambda self: calls.append(1) or walk(self))
+    build = netcore._graph_facts
+    monkeypatch.setattr(netcore, "_graph_facts", lambda g: calls.append(1) or build(g))
     for name, params in SHARP_CATALOG:
         net = _fresh(catalog(name, **params)[0])
         calls.clear()
@@ -487,48 +512,45 @@ def test_validate_walks_the_spanning_tree_once(monkeypatch):
                          ids=[name for name, _ in SHARP_CATALOG])
 def test_validate_classify_verify_walk_the_spanning_tree_once(monkeypatch, name, params):
     # the graph is frozen: its facts are computed from one walk and kept,
-    # so classify and verify ask for the tree no more
-    trees = []
-    walk = QuotientGraph._spanning_tree
-    monkeypatch.setattr(QuotientGraph, "_spanning_tree",
-                        lambda self: trees.append(walk(self)) or trees[-1])
+    # so classify and verify walk the tree no more
+    calls = []
+    build = netcore._graph_facts
+    monkeypatch.setattr(netcore, "_graph_facts", lambda g: calls.append(1) or build(g))
     net = _fresh(catalog(name, **params)[0])
-    trees.clear()
+    calls.clear()
     assert validate(net).ok
     classify(net.graph)
     assert verify(net).applicable
-    assert len(trees) == 1
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name,params", SHARP_CATALOG,
                          ids=[name for name, _ in SHARP_CATALOG])
 def test_graph_facts_computed_once_per_graph(monkeypatch, name, params):
     calls = []
-    smith, pairs, match = netcore.smith_invariant_factors, netcore.end_pairs, topology._classify
+    smith, pairs = netcore.smith_invariant_factors, netcore.end_pairs
     monkeypatch.setattr(netcore, "smith_invariant_factors",
                         lambda M: calls.append("smith") or smith(M))
     monkeypatch.setattr(netcore, "end_pairs",
                         lambda *args: calls.append("pairs") or pairs(*args))
-    monkeypatch.setattr(topology, "_classify", lambda g: calls.append("class") or match(g))
     net = _fresh(catalog(name, **params)[0])
     calls.clear()
     for _ in range(2):
         assert validate(net).ok
         classify(net.graph)
         assert verify(net).applicable
-    assert sorted(calls) == ["class", "pairs", "smith"]
+    assert sorted(calls) == ["pairs", "smith"]
     # an equal graph is another object: it computes its own, nothing is shared
     twin = _fresh(net)
     assert validate(twin) == validate(net)
     assert classify(twin.graph) == classify(net.graph)
     assert verify(twin) == verify(net)
-    assert sorted(calls) == ["class", "class", "pairs", "pairs", "smith", "smith"]
+    assert sorted(calls) == ["pairs", "pairs", "smith", "smith"]
 
 
-def test_sweep_operation_builds_end_pairs_once(monkeypatch):
+def test_sweep_operation_builds_facts_once(monkeypatch):
     # random_network -> rebalance -> verify on a fresh graph: the sampler's
-    # immersion test and verify's read one kept index, and the sampler
-    # computes none of the other facts
+    # immersion test builds the graph's facts, and verify reads them
     pairs, facts = netcore.end_pairs, netcore._graph_facts
     calls = []
     monkeypatch.setattr(netcore, "end_pairs", lambda *a: calls.append("pairs") or pairs(*a))
@@ -542,11 +564,11 @@ def test_sweep_operation_builds_end_pairs_once(monkeypatch):
                               shifts[int(rng.integers(len(shifts)))])
             calls.clear()
             net = random_network(g, seed=int(rng.integers(1 << 62)))
-            assert calls == ["pairs"]
+            assert calls == ["facts", "pairs"]
             if g.vertex_count == 2:
                 net, _ = rebalance_vertex(net, 1)
             verify(net)
-            assert calls == ["pairs", "facts"], tag
+            assert calls == ["facts", "pairs"], tag
 
 
 def _measured_cases():
@@ -573,18 +595,6 @@ def test_verify_measures_the_length_quotient_bit_for_bit():
         with pytest.raises(ValueError):
             length_quotient(bad)
         assert math.isnan(verify(bad).measured)
-
-
-def test_classify_refusal_is_kept(monkeypatch):
-    calls = []
-    match = topology._classify
-    monkeypatch.setattr(topology, "_classify", lambda g: calls.append(1) or match(g))
-    g = QuotientGraph.from_edges(2, 2, [(0, 0, (1, 0)), (0, 0, (0, 1)),
-                                        (1, 1, (1, 0)), (1, 1, (0, 1))])
-    for _ in range(3):
-        with pytest.raises(ValueError, match="requires a connected graph"):
-            classify(g)
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -761,9 +771,26 @@ def test_cut_edges_are_the_edges_whose_removal_disconnects():
         want = tuple(e for e in range(E)
                      if not QuotientGraph(2, V, np.delete(tails, e), np.delete(heads, e),
                                           np.zeros((E - 1, 2), dtype=np.int64)).is_connected())
-        assert g.cut_edges() == want
+        assert g.facts().cut_edges == want
         seen.add(len(want) > 0)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["position", "basis"])
+def test_non_finite_geometry_is_invalid(entry, value):
+    net, _ = catalog("dia")
+    positions, basis = np.array(net.positions), np.array(net.lattice.basis)
+    (positions if entry == "position" else basis)[0, 0] = value
+    bad = PeriodicNetwork(net.graph, Lattice(basis), positions)
+    rep = validate(bad)
+    assert rep.violations and all(v.startswith("non-finite edge length ")
+                                  for v in rep.violations)
+    if entry == "position":         # every edge of dia meets vertex 0
+        assert rep.violations == tuple(f"non-finite edge length {e}" for e in range(4))
+    report = verify(bad)
+    assert not report.applicable and report.slack is None and report.topology == "D4"
+    assert report.note == "network fails validation: " + "; ".join(rep.violations)
 
 
 def _random_unimodular(rng, m):

@@ -173,7 +173,7 @@ def _cubic4(name):
 def test_cut_edge_graph_is_refused_before_descent(monkeypatch, name):
     g = _cubic4(name)
     cut = CUBIC4[name][1]
-    assert g.cut_edges() == cut
+    assert g.facts().cut_edges == cut
     monkeypatch.setattr(optimize, "_multistart", None)      # no descent may start
     with pytest.raises(ValueError, match=f"no balanced realization: cut edge {cut[0]}$"):
         minimize_fixed_shifts(g)
@@ -184,7 +184,7 @@ def test_disconnected_graph_is_refused_before_descent(monkeypatch):
     # only the first, whose loops alone have Smith factors (1, 1, 1)
     loops = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     g = QuotientGraph.from_edges(3, 2, [(v, v, s) for v in (0, 1) for s in loops])
-    assert g.facts().invariant_factors == (1, 1, 1) and g.cut_edges() == ()
+    assert g.facts().invariant_factors == (1, 1, 1) and g.facts().cut_edges == ()
     monkeypatch.setattr(optimize, "_multistart", None)      # no descent may start
     with pytest.raises(ValueError, match="quotient graph disconnected"):
         minimize_fixed_shifts(g)
@@ -214,7 +214,7 @@ def test_result_network_keeps_the_input_graph(monkeypatch):
 
 def test_bridgeless_cubic_skeletons_still_descend():
     k4 = _cubic4("K4")
-    assert k4.cut_edges() == () == _cubic4("C4-doubled").cut_edges()
+    assert k4.facts().cut_edges == () == _cubic4("C4-doubled").facts().cut_edges
     res = minimize_fixed_shifts(k4, OptimizeConfig(seed=1, restarts=4))
     assert res.termination == "converged"
     assert res.value == pytest.approx(13.5 * math.sqrt(2), rel=1e-9)   # srs
