@@ -458,7 +458,9 @@ def verify(net: PeriodicNetwork) -> BoundReport:
 
     Computes the slack (measured minus bound) and, when the network sits
     at the bound, attaches the structural equality certificate of the
-    corresponding theorem.  A network that fails validation gets the
+    corresponding theorem.  A network whose quotient has a cut edge is
+    measured like any other, and its note says that no realization of its
+    quotient is balanced.  A network that fails validation gets the
     not-applicable report with the violations; its topology reads
     ``"unclassified"`` when the graph is disconnected or irregular.
     """
@@ -483,14 +485,17 @@ def verify(net: PeriodicNetwork) -> BoundReport:
                            False, None, top.tag, note="no applicable bound")
     theorem, value, expr, strict, sharp, cert_builder = sel
     slack = measured - value
-    note = ""
+    notes = []
     if strict and slack <= 0:
-        note = "strict bound violated: slack must be positive"
+        notes.append("strict bound violated: slack must be positive")
+    cut = net.graph.facts().cut_edges
+    if cut:         # the cut-edge lemma, see ``min_vertex_count``
+        notes.append(f"no balanced realization: cut edge {cut[0]}")
     cert = None
     if cert_builder is not None and slack <= 1e-6:
         cert = cert_builder(net)
     return BoundReport(True, theorem, value, expr, measured, slack, strict,
-                       sharp, cert, top.tag, note=note)
+                       sharp, cert, top.tag, note="; ".join(notes))
 
 
 def dipole5_coefficients(net: PeriodicNetwork) -> tuple[tuple[int, int, int], float]:

@@ -120,7 +120,9 @@ class Lattice:
         return self.basis.shape[0]
 
     def volume(self) -> float:
-        """|det(basis)|; raises on a singular basis."""
+        """|det(basis)|; raises on a non-finite or singular basis."""
+        if not np.isfinite(self.basis).all():
+            raise ValueError("non-finite lattice basis")
         d = abs(float(np.linalg.det(self.basis)))
         if d == 0.0 or not np.isfinite(d):
             raise ValueError("singular lattice basis")
@@ -287,17 +289,22 @@ def edge_vectors(net: PeriodicNetwork) -> np.ndarray:
 
 
 def edge_lengths(net: PeriodicNetwork) -> np.ndarray:
-    return edge_norms(edge_vectors(net)[None])[0]
+    """All edge lengths; NaN or inf, with no warning, for non-finite geometry."""
+    with np.errstate(invalid='ignore'):     # an infinite entry gives NaN
+        return edge_norms(edge_vectors(net)[None])[0]
 
 
 def length(net: PeriodicNetwork) -> float:
-    """Total length of the quotient network; raises on a zero-length edge."""
+    """Total length of the quotient network; raises on a zero-length or
+    non-finite edge length."""
     return _total_length(edge_lengths(net))
 
 
 def _total_length(ell: np.ndarray) -> float:
     if np.any(ell == 0.0):
         raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
+    if not np.isfinite(ell).all():
+        raise ValueError(f"non-finite edge length {int(np.argmin(np.isfinite(ell)))}")
     return float(ell.sum())
 
 
@@ -307,13 +314,14 @@ def volume(net: PeriodicNetwork) -> float:
 
 
 def length_quotient(net: PeriodicNetwork) -> float:
-    """Scaling-invariant objective L^n / V."""
+    """Scaling-invariant objective L^n / V; raises where ``length`` or
+    ``volume`` does."""
     return _length_quotient(net, edge_lengths(net))
 
 
 def _length_quotient(net: PeriodicNetwork, ell: np.ndarray) -> float:
     """L^n / V of ``net`` from its edge lengths ``ell``; raises on a
-    zero-length edge or a singular basis."""
+    zero-length or non-finite edge length or a non-finite or singular basis."""
     return _total_length(ell) ** net.dim / volume(net)
 
 

@@ -25,13 +25,14 @@ descended from ``restarts`` random starts to convergence, and traces
 record where every restart stopped.  A topology search hands it one
 representative per orbit of equivalent assignments (``shift_orbits``),
 since the assignments of an orbit share one landscape; a fixed graph is
-the case of a single assignment.  Results are deterministic functions of
+the case of a single assignment, written in its reduced frame for the
+descent and mapped back after.  Results are deterministic functions of
 (seed, config).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,7 +41,7 @@ from .intlinalg import _det_int
 from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _parallel_at, as_stack,
                       edge_norms, incidence, lifted_edges, vertex_forces)
 from .reduction import greedy_reduce
-from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits
+from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits, tree_gauge
 
 TERM_CONVERGED = "converged"
 TERM_COLLAPSED = "collapsed_edge"
@@ -157,11 +158,31 @@ def _invT_batch(B: np.ndarray, det: np.ndarray) -> np.ndarray:
     return np.transpose(np.linalg.inv(B), (0, 2, 1))
 
 
-def _int_inverse(U: np.ndarray) -> np.ndarray:
-    inv = np.rint(np.linalg.inv(U)).astype(np.int64)
-    if not np.array_equal(U @ inv, np.eye(len(U), dtype=np.int64)):
-        raise RuntimeError("unimodular inverse failed")
-    return inv
+def _int_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integer solution x of A x = b, for A of full column rank; raises
+    unless it exists.  With b = I it is the inverse of a unimodular A."""
+    x = np.rint(np.linalg.lstsq(A, b, rcond=None)[0]).astype(np.int64)
+    if not np.array_equal(A @ x, b):
+        raise RuntimeError("integer solve failed: no integer solution")
+    return x
+
+
+def _in_frame_of(g: QuotientGraph, net: PeriodicNetwork) -> PeriodicNetwork:
+    """``net``, over the skeleton of ``g`` in another frame, as the same
+    periodic network on ``g`` itself.
+
+    The integer U with C_g U = C_net (the cycle-shift matrices) gives the
+    basis B U^T, which carries every cycle to the same translation.  Then
+    S_g U - S_net has no cycle shift, so it is the coboundary of an integer
+    vertex potential k with k_0 = 0, and x_v - B k_v keeps every edge
+    vector.  Both solutions are checked exactly.
+    """
+    Z, S, B = g.facts().cycles, net.graph.shifts, net.lattice.basis
+    U = _int_solve(Z @ g.shifts, Z @ S)
+    k = _int_solve(incidence(g.tails, g.heads, g.vertex_count)[:, 1:], g.shifts @ U - S)
+    X = net.positions.copy()
+    X[1:] -= k @ B.T
+    return PeriodicNetwork(g, Lattice(B @ U.T), X)
 
 
 class _Batch:
@@ -169,7 +190,6 @@ class _Batch:
 
     def __init__(self, g: QuotientGraph, S_int: np.ndarray, B: np.ndarray, X: np.ndarray,
                  cfg: OptimizeConfig):
-        self.graph = g
         n = self.n = g.dim
         self.tails, self.heads, self.V = g.tails, g.heads, g.vertex_count
         self.cfg = cfg
@@ -226,7 +246,7 @@ class _Batch:
             if np.array_equal(U, np.eye(self.n, dtype=np.int64)):
                 continue
             self.B[i] = reduced
-            self.S_int[i] = self.S_int[i] @ _int_inverse(U).T
+            self.S_int[i] = self.S_int[i] @ _int_solve(U, np.eye(self.n, dtype=np.int64)).T
             self._has_prev[i] = False       # old gradient lives in old coordinates
             changed = True
         if changed:
@@ -364,11 +384,8 @@ class _Batch:
         return idx[~out], SimpleNamespace(**{k: getattr(w, k)[~out] for k in _LIVE})
 
     def network_at(self, i: int) -> PeriodicNetwork:
-        """Instance ``i`` as a network; on the batch's own graph object, with
-        the facts kept on it, while its shifts are that graph's."""
-        g = self.graph
-        if not np.array_equal(self.S_int[i], g.shifts):
-            g = QuotientGraph(self.n, self.V, self.tails, self.heads, self.S_int[i])
+        """Instance ``i`` as a network on its own shifts."""
+        g = QuotientGraph(self.n, self.V, self.tails, self.heads, self.S_int[i])
         return PeriodicNetwork(g, Lattice(self.B[i]), self.X[i])
 
 
@@ -519,7 +536,13 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     """Minimize L^n/V over positions and lattice for one shift assignment.
 
     Runs ``cfg.restarts`` random initializations to convergence and keeps
-    the best; ties go to the lowest restart index.  A disconnected graph
+    the best; ties go to the lowest restart index.  L^n/V does not depend
+    on the lattice basis or vertex gauge the shifts are written in, so the
+    starts near B = I are drawn, and descended, in the graph's reduced
+    frame rather than in the caller's, and the best network is mapped back
+    exactly onto ``g``, whose shifts the result keeps.  At circuit rank
+    r = n every basis has the same reduced frame, so the traces do not
+    depend on it at all.  A disconnected graph
     is refused before any descent, since its rank test reads the cycles of
     one component only.  So is a graph with a cut edge: summing the vertex
     forces over the vertices on one side of the cut edge e, every other
@@ -537,7 +560,12 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
             f"{g.dim}, invariant factors {factors}")
     if facts.cut_edges:
         raise ValueError(f"no balanced realization: cut edge {facts.cut_edges[0]}")
-    return _multistart(g, np.array(g.shifts)[None], cfg)
+    # the reduced frame: the tree gauge of C = facts.cycles @ shifts in the
+    # basis C U that is I_n at circuit rank r = n and greedily reduced at r > n
+    C = facts.cycles @ g.shifts
+    U = _int_solve(C, np.eye(g.dim, dtype=np.int64)) if len(C) == g.dim else greedy_reduce(C)[1]
+    res = _multistart(g, tree_gauge(g, C @ U)[None], cfg)
+    return replace(res, network=_in_frame_of(g, res.network), shifts=np.array(g.shifts))
 
 
 def minimize_topology(tag: TopologyClass | str, n: int,

@@ -252,12 +252,20 @@ def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
     """
     top = classify(g)
     if top.circuit_rank == n:
-        S = np.zeros((1, g.edge_count, n), dtype=np.int64)
-        S[0, np.delete(np.arange(g.edge_count), g.facts().tree)] = np.eye(n, dtype=np.int64)
-        return S
+        return tree_gauge(g, np.eye(n, dtype=np.int64))[None]
     S = enumerate_shift_arrays(g, n, s_max)
     if top.circuit_rank == n + 1 and len(S):
         S = S[np.sort(np.unique(_relation_keys(g, S), return_index=True)[1])]
+    return S
+
+
+def tree_gauge(g: QuotientGraph, C: np.ndarray) -> np.ndarray:
+    """The shift assignment (E, n) of ``g`` whose cycle-shift matrix is ``C``
+    in the vertex gauge of its spanning tree: shift 0 on the tree edges and
+    the rows of ``C``, in order, on the others (the order of the rows of
+    ``facts().cycles``)."""
+    S = np.zeros((g.edge_count, C.shape[1]), dtype=np.int64)
+    S[np.delete(np.arange(g.edge_count), g.facts().tree)] = C
     return S
 
 

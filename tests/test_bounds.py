@@ -354,6 +354,20 @@ def test_fcc_check_rejects_sublattice():
 # integer coefficients for D5
 
 
+def test_verify_notes_a_cut_edge():
+    # D1,1 in R^2: a loop at each vertex and one bridge, which is a cut edge,
+    # so no realization is balanced; the network is measured like any other
+    g = QuotientGraph.from_edges(2, 2, [(0, 0, (1, 0)), (1, 1, (0, 1)), (0, 1, (0, 0))])
+    net = PeriodicNetwork(g, Lattice(np.eye(2)), np.array([[0.0, 0.0], [0.5, 0.3]]))
+    rep = verify(net)
+    assert rep.applicable and rep.theorem == "degree-floor" and rep.topology == "D1,1"
+    assert rep.bound == bound_dipole(2)
+    assert rep.slack == length_quotient(net) - bound_dipole(2) > 0
+    assert rep.note == "no balanced realization: cut edge 2"
+    # a bridgeless network of the same degree keeps an empty note
+    assert verify(catalog("hcb")[0]).note == ""
+
+
 def test_dipole5_sqp():
     net, _ = catalog("sqp")
     lam, vol = dipole5_coefficients(net)

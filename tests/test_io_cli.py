@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,18 @@ def test_cli_verify_infinite_position_exits_1(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["applicable"] is False
     assert doc["note"].startswith("network fails validation: non-finite edge length 0")
+
+
+def test_cli_eval_infinite_position_exits_1(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(network_to_json(catalog("dia")[0]).replace("0.25", "1e999", 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eval", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "measures unavailable: non-finite edge length 0" in out
+    assert "L   =" not in out and "force[" not in out
+    assert "  violation: non-finite edge length 0" in out
 
 
 def test_cli_export(tmp_path, capsys):

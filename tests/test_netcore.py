@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -791,6 +792,15 @@ def test_non_finite_geometry_is_invalid(entry, value):
     report = verify(bad)
     assert not report.applicable and report.slack is None and report.topology == "D4"
     assert report.note == "network fails validation: " + "; ".join(rep.violations)
+    # the measures raise, with no floating-point warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure in (length, length_quotient):
+            with pytest.raises(ValueError, match=r"^non-finite edge length \d+$"):
+                measure(bad)
+        if entry == "basis":
+            with pytest.raises(ValueError, match="^non-finite lattice basis$"):
+                bad.lattice.volume()
 
 
 def _random_unimodular(rng, m):
