@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .intlinalg import det_int, solve_unimodular
+from .intlinalg import det_int, int_solve
 from .netcore import PeriodicNetwork, _length_quotient, _validate, edge_vectors, oriented_star
 from .topology import TopologyClass, classify
 
@@ -71,11 +71,7 @@ class SimplexCheck(NamedTuple):
     equality: bool
 
 
-class PyramidCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-    equality: bool
+PyramidCheck = SimplexCheck
 
 
 def check_simplex(points) -> SimplexCheck:
@@ -94,7 +90,7 @@ def check_simplex(points) -> SimplexCheck:
         raise ValueError("degenerate simplex")
     radii = np.linalg.norm(pts, axis=1)
     lhs = float(radii.sum()) ** n / vol
-    rhs = math.factorial(n) * math.sqrt((n + 1) ** (n - 1) * n ** n)
+    rhs = math.factorial(n) * bound_dipole(n)
     holds = lhs >= rhs * (1 - 1e-12)
     equality = (abs(lhs - rhs) <= EQUALITY_VALUE_TOL * rhs
                 and all(_regular_simplex_checks(pts).values()))
@@ -202,8 +198,6 @@ def _polytope_volume(coords: np.ndarray) -> float:
     """Volume of the convex hull of points given in their own dimension."""
     from scipy.spatial import ConvexHull, QhullError    # costly to import, needed here only
     m = coords.shape[1]
-    if m == 0:
-        return 0.0
     if m == 1:
         return float(coords.max() - coords.min())
     try:
@@ -390,32 +384,20 @@ class BoundReport:
     slack: float | None
     strict: bool
     sharp: bool
-    equality_certificate: CertificateResult | None
     topology: str
+    equality_certificate: CertificateResult | None
     note: str = ""
 
     def to_json(self) -> dict:
-        cert = None
-        if self.equality_certificate is not None:
-            cert = {
-                "name": self.equality_certificate.name,
-                "passed": self.equality_certificate.passed,
-                "checks": {k: bool(v) for k, v in
-                           self.equality_certificate.checks.items()},
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        cert = self.equality_certificate
+        if cert is not None:
+            out["equality_certificate"] = {
+                "name": cert.name,
+                "passed": cert.passed,
+                "checks": {k: bool(v) for k, v in cert.checks.items()},
             }
-        return {
-            "applicable": self.applicable,
-            "theorem": self.theorem,
-            "bound": self.bound,
-            "bound_expr": self.bound_expr,
-            "measured": self.measured,
-            "slack": self.slack,
-            "strict": self.strict,
-            "sharp": self.sharp,
-            "topology": self.topology,
-            "equality_certificate": cert,
-            "note": self.note,
-        }
+        return out
 
 
 def _select_bound(n: int, d: int, top: TopologyClass):
@@ -476,13 +458,13 @@ def verify(net: PeriodicNetwork) -> BoundReport:
         except ValueError:
             tag = "unclassified"
         return BoundReport(False, None, None, None, measured, None, False,
-                           False, None, tag,
+                           False, tag, None,
                            note="network fails validation: " + "; ".join(rep.violations))
     top = classify(net.graph)
     sel = _select_bound(net.dim, top.degree, top)
     if sel is None:
         return BoundReport(False, None, None, None, measured, None, False,
-                           False, None, top.tag, note="no applicable bound")
+                           False, top.tag, None, note="no applicable bound")
     theorem, value, expr, strict, sharp, cert_builder = sel
     slack = measured - value
     notes = []
@@ -495,7 +477,7 @@ def verify(net: PeriodicNetwork) -> BoundReport:
     if cert_builder is not None and slack <= 1e-6:
         cert = cert_builder(net)
     return BoundReport(True, theorem, value, expr, measured, slack, strict,
-                       sharp, cert, top.tag, note="; ".join(notes))
+                       sharp, top.tag, cert, note="; ".join(notes))
 
 
 def dipole5_coefficients(net: PeriodicNetwork) -> tuple[tuple[int, int, int], float]:
@@ -519,7 +501,7 @@ def dipole5_coefficients(net: PeriodicNetwork) -> tuple[tuple[int, int, int], fl
             if abs(det_int(gen)) != 1:
                 continue
             rest = [i for i in range(4) if i not in trio][0]
-            lam = solve_unimodular(gen, rel[rest])
+            lam = int_solve(gen.T, rel[rest]).tolist()
             cols = (net.lattice.basis @ gen.T.astype(np.float64))
             vol = float(np.linalg.det(cols))
             return tuple(sorted(lam)), vol

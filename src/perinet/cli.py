@@ -50,10 +50,8 @@ def _cmd_catalog(args) -> int:
         return 0
     params = {}
     if args.param is not None:
-        key = "t" if args.name == "cds" else "n"
         try:
-            value = float(args.param)
-            params[key] = value if key == "t" else int(value)
+            params["t" if args.name == "cds" else "n"] = float(args.param)
         except ValueError:
             return _fail(f"cannot parse --param value {args.param!r}")
     try:

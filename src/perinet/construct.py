@@ -8,8 +8,9 @@ length quotients stored as exact expressions evaluated on demand.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,11 +41,7 @@ def _net(dim, vertex_count, edges, basis, positions) -> PeriodicNetwork:
 
 def _parallel_int(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
     # integer vectors are parallel iff all 2x2 cross terms vanish
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if s[i] * t[j] != s[j] * t[i]:
-                return False
-    return True
+    return all(s[i] * t[j] == s[j] * t[i] for i in range(len(s)) for j in range(i + 1, len(s)))
 
 
 def _shift_pool(n: int, basis: np.ndarray, span: int = 2) -> list[tuple[int, ...]]:
@@ -56,43 +53,44 @@ def _shift_pool(n: int, basis: np.ndarray, span: int = 2) -> list[tuple[int, ...
 
 def _pick_loops(n: int, basis: np.ndarray, per_vertex: int, required: list,
                 *, skip_axes: tuple[int, ...] = (), out_of_plane: bool = False,
-                avoid_dirs: tuple[np.ndarray, ...] = ()) -> list[list[tuple[int, ...]]]:
-    """Distribute loop shifts over two vertices.
+                avoid_dirs: tuple[np.ndarray, ...] = ()) -> list[tuple]:
+    """Distribute loop shifts over two vertices, as the loop edges at
+    vertex 0 and then at vertex 1.
 
-    Required generator shifts are dealt round-robin, then the pool tops up
+    Required generator shifts are dealt alternately, then the pool tops up
     each vertex; within a vertex no two loop vectors may be parallel, and
-    none may be parallel to a direction in ``avoid_dirs``.
+    none may be parallel to a direction in ``avoid_dirs``.  Every
+    admissible degree leaves each vertex room for its half of ``required``.
     """
-    chosen: list[list[tuple[int, ...]]] = [[], []]
-    queue = list(required)
-    slot = 0
-    while queue:
-        v = slot % 2
-        if len(chosen[v]) < per_vertex:
-            chosen[v].append(queue.pop(0))
-        slot += 1
-        if slot > 4 * per_vertex + 8:
-            raise RuntimeError("cannot place required loop shifts")
     pool = _shift_pool(n, basis)
     if out_of_plane:
         pool = [s for s in pool if any(s[i] for i in range(n) if i not in skip_axes)]
     else:
         pool = [s for s in pool
                 if not any(_parallel_int(s, _unit_shift(n, i)) for i in skip_axes)]
-    for v in range(2):
-        for cand in pool:
-            if len(chosen[v]) == per_vertex:
-                break
-            if any(_parallel_int(cand, s) for s in chosen[v]):
-                continue
-            vec = basis @ np.array(cand, float)
-            u = vec / np.linalg.norm(vec)
-            if any(min(np.max(np.abs(u - w)), np.max(np.abs(u + w))) < DIRECTION_TOL
-                   for w in avoid_dirs):
-                continue
-            chosen[v].append(cand)
-        if len(chosen[v]) < per_vertex:
-            raise RuntimeError("shift pool exhausted while placing loops")
+    return [(v, v, s) for v in range(2)
+            for s in _top_up(required[v::2], per_vertex, pool, basis, avoid_dirs)]
+
+
+def _top_up(chosen: list, count: int, pool: list, basis: np.ndarray,
+            avoid_dirs: tuple[np.ndarray, ...] = ()) -> list[tuple[int, ...]]:
+    """``chosen`` extended in pool order to ``count`` shifts, skipping those
+    parallel to a shift already chosen or, as lattice vectors, to a
+    direction in ``avoid_dirs``."""
+    chosen = list(chosen)
+    for cand in pool:
+        if len(chosen) == count:
+            break
+        if any(_parallel_int(cand, s) for s in chosen):
+            continue
+        vec = basis @ np.array(cand, float)
+        u = vec / np.linalg.norm(vec)
+        if any(min(np.max(np.abs(u - w)), np.max(np.abs(u + w))) < DIRECTION_TOL
+               for w in avoid_dirs):
+            continue
+        chosen.append(cand)
+    if len(chosen) < count:
+        raise RuntimeError("shift pool exhausted while placing loops")
     return chosen
 
 
@@ -112,15 +110,7 @@ def construct_bouquet(n: int, d: int, lattice: Lattice) -> PeriodicNetwork:
     if lattice.dim != n:
         raise ValueError("lattice dimension mismatch")
     B = lattice.basis
-    chosen = [_unit_shift(n, i) for i in range(n)]
-    for cand in _shift_pool(n, B):
-        if len(chosen) == d // 2:
-            break
-        if any(_parallel_int(cand, s) for s in chosen):
-            continue
-        chosen.append(cand)
-    if len(chosen) < d // 2:
-        raise RuntimeError("shift pool exhausted while extending the bouquet")
+    chosen = _top_up([_unit_shift(n, i) for i in range(n)], d // 2, _shift_pool(n, B), B)
     edges = [(0, 0, s) for s in chosen]
     return _net(n, 1, edges, B, np.zeros((1, n)))
 
@@ -145,17 +135,10 @@ def construct_odd(n: int, d: int, lattice: Lattice) -> PeriodicNetwork:
         raise RuntimeError("Fermat point degenerated to a triangle vertex")
 
     per_vertex = (d - 3) // 2
-    edges = []
-    loops = [[], []]
-    if per_vertex:
-        dirs0 = tuple(u / np.linalg.norm(u) for u in (q, q - g1, q - g2))
-        required = [_unit_shift(n, i) for i in range(2, n)]
-        loops = _pick_loops(n, B, per_vertex, required, skip_axes=(0, 1),
-                            out_of_plane=(n > 2), avoid_dirs=dirs0)
-    for s in loops[0]:
-        edges.append((0, 0, s))
-    for s in loops[1]:
-        edges.append((1, 1, s))
+    dirs0 = tuple(u / np.linalg.norm(u) for u in (q, q - g1, q - g2))
+    required = [_unit_shift(n, i) for i in range(2, n)]
+    edges = _pick_loops(n, B, per_vertex, required, skip_axes=(0, 1),
+                        out_of_plane=(n > 2), avoid_dirs=dirs0)
     edges.append((0, 1, tuple([0] * n)))
     edges.append((0, 1, tuple(-x for x in _unit_shift(n, 0))))
     edges.append((0, 1, tuple(-x for x in _unit_shift(n, 1))))
@@ -180,13 +163,8 @@ def construct_even_two_vertex(n: int, d: int, lattice: Lattice,
     B = lattice.basis
     per_vertex = d // 2 - 1
     required = [_unit_shift(n, i) for i in range(1, n)]
-    loops = _pick_loops(n, B, per_vertex, required, skip_axes=(0,),
+    edges = _pick_loops(n, B, per_vertex, required, skip_axes=(0,),
                         out_of_plane=False)
-    edges = []
-    for s in loops[0]:
-        edges.append((0, 0, s))
-    for s in loops[1]:
-        edges.append((1, 1, s))
     zero = tuple([0] * n)
     edges.append((0, 1, zero))
     edges.append((0, 1, tuple(-x for x in _unit_shift(n, 0))))
@@ -205,7 +183,7 @@ def _entry(name, net, params, expected, expr) -> tuple[PeriodicNetwork, CatalogE
                              expected_quotient=expected, expected_expr=expr)
 
 
-def _catalog_hcb(**_):
+def _catalog_hcb():
     net = _net(2, 2,
                [(0, 1, (0, 0)), (0, 1, (-1, 0)), (0, 1, (0, -1))],
                [[1.5, 1.5], [math.sqrt(3) / 2, -math.sqrt(3) / 2]],
@@ -213,7 +191,7 @@ def _catalog_hcb(**_):
     return _entry("hcb", net, {}, 2 * math.sqrt(3), "2*sqrt(3)")
 
 
-def _catalog_pcu(n: int = 3, **_):
+def _catalog_pcu(n: int = 3):
     if n < 2:
         raise ValueError("pcu needs dimension n >= 2")
     net = _net(n, 1, [(0, 0, _unit_shift(n, i)) for i in range(n)],
@@ -221,22 +199,17 @@ def _catalog_pcu(n: int = 3, **_):
     return _entry("pcu", net, {"n": n}, float(n) ** n, f"{n}^{n}")
 
 
-def _catalog_cube_net(n: int = 3, **_):
+def _catalog_cube_net(n: int = 3):
     net, entry = _catalog_pcu(n=n)
-    return net, CatalogEntry(name="cube_net", dim=entry.dim, degree=entry.degree,
-                             topology=entry.topology, parameters=entry.parameters,
-                             expected_quotient=entry.expected_quotient,
-                             expected_expr=entry.expected_expr)
+    return net, replace(entry, name="cube_net")
 
 
-def _catalog_sql(**_):
+def _catalog_sql():
     net, entry = _catalog_pcu(n=2)
-    return net, CatalogEntry(name="sql", dim=2, degree=4, topology=entry.topology,
-                             parameters={}, expected_quotient=4.0,
-                             expected_expr="2^2")
+    return net, replace(entry, name="sql", parameters={})
 
 
-def _catalog_dia(**_):
+def _catalog_dia():
     net = _net(3, 2,
                [(0, 1, (0, 0, 0)), (0, 1, (-1, 0, 0)),
                 (0, 1, (0, -1, 0)), (0, 1, (0, 0, -1))],
@@ -245,7 +218,7 @@ def _catalog_dia(**_):
     return _entry("dia", net, {}, 12 * math.sqrt(3), "12*sqrt(3)")
 
 
-def _catalog_cds(t: float = 0.5, **_):
+def _catalog_cds(t: float = 0.5):
     if not 0.0 < t < 1.0:
         raise ValueError("cds parameter t must lie strictly in (0, 1)")
     net = _net(3, 2,
@@ -256,7 +229,7 @@ def _catalog_cds(t: float = 0.5, **_):
     return _entry("cds", net, {"t": t}, 27.0, "3^3")
 
 
-def _catalog_bnn(**_):
+def _catalog_bnn():
     r3 = math.sqrt(3)
     net = _net(3, 2,
                [(0, 0, (0, 0, 1)), (1, 1, (0, 0, 1)),
@@ -266,7 +239,7 @@ def _catalog_bnn(**_):
     return _entry("bnn", net, {}, 27 * r3, "27*sqrt(3)")
 
 
-def _catalog_sqp(**_):
+def _catalog_sqp():
     rho = math.sqrt(15) / 4
     z = -15.0 / 8.0
     net = _net(3, 2,
@@ -290,7 +263,7 @@ def regular_simplex_vertices(n: int) -> np.ndarray:
     return np.vstack([v0, verts])
 
 
-def _catalog_simplex_net(n: int = 3, **_):
+def _catalog_simplex_net(n: int = 3):
     if n < 2:
         raise ValueError("simplex_net needs dimension n >= 2")
     verts = regular_simplex_vertices(n)
@@ -324,11 +297,19 @@ def catalog(name: str, **params) -> tuple[PeriodicNetwork, CatalogEntry]:
     """Build a catalog network by name.
 
     Parameters: ``cds`` takes ``t`` in (0,1); ``pcu``, ``cube_net`` and
-    ``simplex_net`` take the dimension ``n``.
+    ``simplex_net`` take the dimension ``n``, an integer.  A parameter the
+    network does not take raises ``ValueError``.
     """
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown catalog name {name!r}; "
                          f"known: {', '.join(CATALOG_NAMES)}") from None
+    for key in params:
+        if key not in inspect.signature(builder).parameters:
+            raise ValueError(f"catalog network {name!r} takes no parameter {key!r}")
+    if "n" in params:
+        if not float(params["n"]).is_integer():
+            raise ValueError(f"dimension n must be an integer, not {params['n']!r}")
+        params["n"] = int(params["n"])
     return builder(**params)

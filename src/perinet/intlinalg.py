@@ -1,10 +1,11 @@
 """Exact integer linear algebra for cycle-shift matrices.
 
-Everything here except :func:`det_int_batch` runs on Python integers, so
-there is no overflow to detect; results are exact for arbitrary entry
-sizes.  ``det_int_batch`` vectorizes over many small matrices in int64,
-and the descent takes the determinants of its float bases from the same
-closed forms (``_det_int``).
+Everything here except :func:`det_int_batch` and :func:`int_solve` runs on
+Python integers, so there is no overflow to detect; results are exact for
+arbitrary entry sizes.  ``det_int_batch`` vectorizes over many small
+matrices in int64, and the descent takes the determinants of its float
+bases from the same closed forms (``_det_int``).  ``int_solve`` solves in
+floats, rounds, and checks the rounded solution exactly.
 """
 
 from math import gcd
@@ -137,20 +138,10 @@ def det_int(mat) -> int:
     return _det_int(rows)
 
 
-def solve_unimodular(basis, target) -> tuple[int, ...]:
-    """Solve ``basis^T x = target`` over the integers via Cramer's rule.
-
-    ``basis`` holds n generator rows with determinant +-1, so the solution
-    is integral; raises if the determinant is not a unit.
-    """
-    rows = _as_int_rows(basis)
-    t = [int(x) for x in np.asarray(target).tolist()]
-    n = len(rows)
-    d = _det_int(rows)
-    if abs(d) != 1:
-        raise ValueError("generator rows are not a basis of Z^n (det != +-1)")
-    coeffs = []
-    for i in range(n):
-        rep = [rows[j] if j != i else t for j in range(n)]
-        coeffs.append(_det_int(rep) // d)
-    return tuple(coeffs)
+def int_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integer solution x of A x = b, for A of full column rank; raises
+    unless it exists.  With b = I it is the inverse of a unimodular A."""
+    x = np.rint(np.linalg.lstsq(A, b, rcond=None)[0]).astype(np.int64)
+    if not np.array_equal(A @ x, b):
+        raise RuntimeError("integer solve failed: no integer solution")
+    return x

@@ -248,20 +248,15 @@ def end_pairs(tails: np.ndarray, heads: np.ndarray,
     return i, j, at[i, None] == np.arange(V)
 
 
-def parallel_ends(vec: np.ndarray, ell: np.ndarray, tails: np.ndarray,
-                  heads: np.ndarray, V: int) -> np.ndarray:
+def parallel_ends(vec: np.ndarray, ell: np.ndarray, pairs) -> np.ndarray:
     """(N, V) flags of the vertices where two edge ends leave in one direction.
 
+    ``pairs`` are the end pairs of :func:`end_pairs` (``facts().end_pairs``).
     Edge e leaves its tail along u_e = vec_e / ell_e and its head along
     -u_e (a loop does both at one vertex).  Two ends at a vertex are
     parallel when their directions differ by less than ``DIRECTION_TOL``
     in max norm; zero-length edges have NaN directions, parallel to none.
     """
-    return _parallel_at(vec, ell, end_pairs(tails, heads, V))
-
-
-def _parallel_at(vec: np.ndarray, ell: np.ndarray, pairs) -> np.ndarray:
-    """``parallel_ends`` on the end pairs of :func:`end_pairs`."""
     i, j, vertex = pairs
     with np.errstate(divide='ignore', invalid='ignore'):
         units = vec / ell[..., None]
@@ -421,7 +416,7 @@ def _validate(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray]:
     geometric = [f"zero-length edge {e}" for e, x in enumerate(lengths) if x == 0.0]
     geometric += [f"non-finite edge length {e}" for e, x in enumerate(lengths)
                   if not math.isfinite(x)]
-    crossed = np.flatnonzero(_parallel_at(vecs[None], ell[None], facts.end_pairs)[0])
+    crossed = np.flatnonzero(parallel_ends(vecs[None], ell[None], facts.end_pairs)[0])
     if len(crossed):
         geometric.append(f"parallel outgoing edges at vertex {crossed[0]}")
 

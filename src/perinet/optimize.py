@@ -37,9 +37,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .intlinalg import _det_int
-from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _parallel_at, as_stack,
-                      edge_norms, incidence, lifted_edges, vertex_forces)
+from .intlinalg import _det_int, int_solve
+from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, as_stack, edge_norms,
+                      incidence, lifted_edges, parallel_ends, vertex_forces)
 from .reduction import greedy_reduce
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits, tree_gauge
 
@@ -51,8 +51,7 @@ TERM_STALLED = "stalled"
 TERM_LINE_SEARCH = "line_search_failed"
 
 _STATUS_LABELS = {0: TERM_MAXITER, 1: TERM_CONVERGED, 2: TERM_COLLAPSED,
-                  3: TERM_DEGENERATE, 4: TERM_MAXITER, 5: TERM_STALLED,
-                  6: TERM_LINE_SEARCH}
+                  3: TERM_DEGENERATE, 5: TERM_STALLED, 6: TERM_LINE_SEARCH}
 
 _CHUNK = 1 << 16             # most instances descended in one batch
 _G_TOL = 1e-9                # gradient and force max-norm at convergence
@@ -158,15 +157,6 @@ def _invT_batch(B: np.ndarray, det: np.ndarray) -> np.ndarray:
     return np.transpose(np.linalg.inv(B), (0, 2, 1))
 
 
-def _int_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The integer solution x of A x = b, for A of full column rank; raises
-    unless it exists.  With b = I it is the inverse of a unimodular A."""
-    x = np.rint(np.linalg.lstsq(A, b, rcond=None)[0]).astype(np.int64)
-    if not np.array_equal(A @ x, b):
-        raise RuntimeError("integer solve failed: no integer solution")
-    return x
-
-
 def _in_frame_of(g: QuotientGraph, net: PeriodicNetwork) -> PeriodicNetwork:
     """``net``, over the skeleton of ``g`` in another frame, as the same
     periodic network on ``g`` itself.
@@ -178,8 +168,8 @@ def _in_frame_of(g: QuotientGraph, net: PeriodicNetwork) -> PeriodicNetwork:
     vector.  Both solutions are checked exactly.
     """
     Z, S, B = g.facts().cycles, net.graph.shifts, net.lattice.basis
-    U = _int_solve(Z @ g.shifts, Z @ S)
-    k = _int_solve(incidence(g.tails, g.heads, g.vertex_count)[:, 1:], g.shifts @ U - S)
+    U = int_solve(Z @ g.shifts, Z @ S)
+    k = int_solve(incidence(g.tails, g.heads, g.vertex_count)[:, 1:], g.shifts @ U - S)
     X = net.positions.copy()
     X[1:] -= k @ B.T
     return PeriodicNetwork(g, Lattice(B @ U.T), X)
@@ -246,7 +236,7 @@ class _Batch:
             if np.array_equal(U, np.eye(self.n, dtype=np.int64)):
                 continue
             self.B[i] = reduced
-            self.S_int[i] = self.S_int[i] @ _int_solve(U, np.eye(self.n, dtype=np.int64)).T
+            self.S_int[i] = self.S_int[i] @ int_solve(U, np.eye(self.n, dtype=np.int64)).T
             self._has_prev[i] = False       # old gradient lives in old coordinates
             changed = True
         if changed:
@@ -393,9 +383,9 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
     """Random valid starting states over the skeleton of ``g``, matching
     :func:`random_network`.
 
-    Basis: identity plus uniform(-0.3, 0.3) entries, redrawn until
-    |det| > 0.1; positions uniform in the unit cell; instances with a
-    collapsed or non-immersed star are redrawn, up to 100 rounds.
+    Basis: identity plus uniform(-0.3, 0.3) entries; positions uniform in
+    the unit cell; instances with |det B| <= 0.1 or a collapsed or
+    non-immersed star are redrawn, up to 100 rounds.
     """
     n, V = g.dim, g.vertex_count
     B = np.empty((count, n, n))
@@ -406,11 +396,6 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
             break
         m = len(todo)
         Bc = np.eye(n) + rng.uniform(-0.3, 0.3, (m, n, n))
-        for _ in range(100):
-            bad = np.abs(_det_batch(Bc)) <= 0.1
-            if not bad.any():
-                break
-            Bc[bad] = np.eye(n) + rng.uniform(-0.3, 0.3, (int(bad.sum()), n, n))
         frac = rng.uniform(0.0, 1.0, (m, V, n))
         Xc = np.einsum('aij,avj->avi', Bc, frac)
         B[todo], X[todo] = Bc, Xc
@@ -425,8 +410,8 @@ def _starts_valid(B, X, g: QuotientGraph, S_int) -> np.ndarray:
     ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
     vec = lifted_edges(X, B, ST, g.tails, g.heads)
     ell = edge_norms(vec)
-    crossed = _parallel_at(vec, ell, g.facts().end_pairs).any(axis=1)
-    return (ell > 1e-9).all(axis=1) & ~crossed
+    crossed = parallel_ends(vec, ell, g.facts().end_pairs).any(axis=1)
+    return (np.abs(_det_batch(B)) > 0.1) & (ell > 1e-9).all(axis=1) & ~crossed
 
 
 def _objective(n: int, ell: np.ndarray, det: np.ndarray) -> np.ndarray:
@@ -563,7 +548,7 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     # the reduced frame: the tree gauge of C = facts.cycles @ shifts in the
     # basis C U that is I_n at circuit rank r = n and greedily reduced at r > n
     C = facts.cycles @ g.shifts
-    U = _int_solve(C, np.eye(g.dim, dtype=np.int64)) if len(C) == g.dim else greedy_reduce(C)[1]
+    U = int_solve(C, np.eye(g.dim, dtype=np.int64)) if len(C) == g.dim else greedy_reduce(C)[1]
     res = _multistart(g, tree_gauge(g, C @ U)[None], cfg)
     return replace(res, network=_in_frame_of(g, res.network), shifts=np.array(g.shifts))
 
@@ -616,7 +601,6 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
         B, X = _sample_starts(rng, hi - lo, g, S_all[lo:hi])
         batch = _Batch(g, S_all[lo:hi], B, X, cfg)
         batch.run()
-        batch.status[batch.status == 0] = 4         # ran out of iterations
         with np.errstate(over='ignore'):
             values[lo:hi] = np.exp(batch.f)
         iters[lo:hi] = batch.iters

@@ -411,3 +411,25 @@ def test_import_leaves_scipy_spatial_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_dipole5_coefficients_on_rewritten_copies():
+    # the coefficients as the Cramer's-rule solve gave them, with their
+    # generator triple found on the rewritten shifts of each copy
+    net, _ = catalog("sqp")
+    rng = np.random.default_rng(31)
+    got = [dipole5_coefficients(net)[0]]
+    got += [dipole5_coefficients(_rewritten(net, rng))[0] for _ in range(8)]
+    assert got == [(-1, 1, 1), (-1, 1, 1), (-1, 0, 1), (-1, 1, 1), (-1, 1, 1),
+                   (-1, 0, 1), (-1, 1, 1), (-1, 0, 1), (0, 1, 1)]
+    assert all(type(x) is int for lam in got for x in lam)
+
+
+def test_bound_report_json_key_order():
+    keys = ["applicable", "theorem", "bound", "bound_expr", "measured", "slack",
+            "strict", "sharp", "topology", "equality_certificate", "note"]
+    at_bound = verify(catalog("dia")[0]).to_json()
+    assert list(at_bound) == keys
+    assert list(at_bound["equality_certificate"]) == ["name", "passed", "checks"]
+    invalid = verify(with_positions(catalog("dia")[0], np.zeros((2, 3)))).to_json()
+    assert list(invalid) == keys and invalid["equality_certificate"] is None

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from perinet import (
     validate,
     volume,
 )
+from perinet import construct
 from perinet.construct import CATALOG_NAMES, regular_simplex_vertices
+from perinet.io import network_to_json
+from perinet.netcore import DIRECTION_TOL
 
 EXPECTED = {
     ("hcb", ()): 2 * math.sqrt(3),
@@ -50,6 +54,25 @@ def test_catalog_networks_fully_valid():
 def test_catalog_unknown_name():
     with pytest.raises(ValueError, match="unknown catalog name"):
         catalog("gyroid")
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("dia", {"n": 3}, "'dia' takes no parameter 'n'"),
+    ("sql", {"n": 2}, "'sql' takes no parameter 'n'"),
+    ("pcu", {"t": 0.5}, "'pcu' takes no parameter 't'"),
+    ("cds", {"t": 0.5, "n": 3}, "'cds' takes no parameter 'n'"),
+    ("pcu", {"n": 3.7}, "n must be an integer, not 3.7"),
+    ("simplex_net", {"n": float("inf")}, "n must be an integer, not inf"),
+])
+def test_catalog_refuses_parameters_it_does_not_take(name, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        catalog(name, **params)
+
+
+def test_catalog_takes_an_integral_dimension():
+    net, entry = catalog("pcu", n=4.0)
+    assert entry.parameters == {"n": 4} and type(entry.parameters["n"]) is int
+    assert network_to_json(net) == network_to_json(catalog("pcu", n=4)[0])
 
 
 def test_catalog_cds_parameter_range():
@@ -217,3 +240,92 @@ def test_construction_nonidentity_lattice():
         rep = validate(net)
         assert rep.ok and is_balanced(net, 1e-9)
         assert volume(net) == pytest.approx(abs(np.linalg.det(B)), rel=1e-12)
+
+
+def _reference_parallel(s, t):
+    return all(s[i] * t[j] == s[j] * t[i] for i in range(len(s)) for j in range(i + 1, len(s)))
+
+
+def _reference_pick_loops(n, basis, per_vertex, required, *, skip_axes=(),
+                          out_of_plane=False, avoid_dirs=()):
+    """The two-vertex loop placement as first written: the required shifts
+    dealt round-robin, then each vertex topped up from the shift pool."""
+    chosen = [[], []]
+    queue = list(required)
+    slot = 0
+    while queue:
+        v = slot % 2
+        if len(chosen[v]) < per_vertex:
+            chosen[v].append(queue.pop(0))
+        slot += 1
+        if slot > 4 * per_vertex + 8:
+            raise RuntimeError("cannot place required loop shifts")
+    pool = construct._shift_pool(n, basis)
+    if out_of_plane:
+        pool = [s for s in pool if any(s[i] for i in range(n) if i not in skip_axes)]
+    else:
+        pool = [s for s in pool
+                if not any(_reference_parallel(s, construct._unit_shift(n, i))
+                           for i in skip_axes)]
+    for v in range(2):
+        for cand in pool:
+            if len(chosen[v]) == per_vertex:
+                break
+            if any(_reference_parallel(cand, s) for s in chosen[v]):
+                continue
+            vec = basis @ np.array(cand, float)
+            u = vec / np.linalg.norm(vec)
+            if any(min(np.max(np.abs(u - w)), np.max(np.abs(u + w))) < DIRECTION_TOL
+                   for w in avoid_dirs):
+                continue
+            chosen[v].append(cand)
+        if len(chosen[v]) < per_vertex:
+            raise RuntimeError("shift pool exhausted while placing loops")
+    return chosen
+
+
+def _reference_loop_edges(n, basis, per_vertex, required, **kw):
+    # the constructors skipped the placement when no loop was needed
+    loops = _reference_pick_loops(n, basis, per_vertex, required, **kw) \
+        if per_vertex else [[], []]
+    return [(0, 0, s) for s in loops[0]] + [(1, 1, s) for s in loops[1]]
+
+
+def _reference_bouquet(n, d, lattice):
+    B = lattice.basis
+    chosen = [construct._unit_shift(n, i) for i in range(n)]
+    for cand in construct._shift_pool(n, B):
+        if len(chosen) == d // 2:
+            break
+        if any(_reference_parallel(cand, s) for s in chosen):
+            continue
+        chosen.append(cand)
+    return construct._net(n, 1, [(0, 0, s) for s in chosen], B, np.zeros((1, n)))
+
+
+def _outcome(builder, *args):
+    try:
+        return network_to_json(builder(*args))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_construction_grid_matches_reference_placement(monkeypatch):
+    builders = (construct_odd, construct_even_two_vertex)
+    built = 0
+    for n in range(2, 6):
+        for d in range(n + 1, 2 * n + 4):
+            for k in range(3):
+                rng = np.random.default_rng((n, d, k))
+                lat = Lattice(np.eye(n) + rng.uniform(-0.4, 0.4, (n, n)))
+                if d % 2 == 0 and d >= 2 * n:
+                    assert _outcome(construct_bouquet, n, d, lat) \
+                        == network_to_json(_reference_bouquet(n, d, lat))
+                    built += 1
+                got = [_outcome(b, n, d, lat) for b in builders]
+                with monkeypatch.context() as m:
+                    m.setattr(construct, "_pick_loops", _reference_loop_edges)
+                    want = [_outcome(b, n, d, lat) for b in builders]
+                assert got == want, (n, d, k)
+                built += sum(isinstance(x, str) for x in got)
+    assert built == 102

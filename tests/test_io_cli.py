@@ -256,6 +256,16 @@ def test_cli_catalog_bad_param(capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,param,message", [
+    ("dia", "3", "catalog network 'dia' takes no parameter 'n'"),
+    ("pcu", "3.7", "dimension n must be an integer, not 3.7"),
+])
+def test_cli_catalog_refuses_a_parameter_it_does_not_take(capsys, name, param, message):
+    assert run(["catalog", "--name", name, "--param", param]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_cli_bad_file(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{oops")

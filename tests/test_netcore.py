@@ -282,7 +282,8 @@ def _assert_immersion_matches_reference(net):
     want, vertex = _reference_immersed(net)
     g = net.graph
     vec = edge_vectors(net)[None]
-    flags = parallel_ends(vec, edge_norms(vec), g.tails, g.heads, g.vertex_count)[0]
+    pairs = netcore.end_pairs(g.tails, g.heads, g.vertex_count)
+    flags = parallel_ends(vec, edge_norms(vec), pairs)[0]
     rep = validate(net)
     assert rep.immersed == want == (not flags.any())
     if not want:
@@ -632,8 +633,8 @@ def _reference_validate(net):
     for e in zero_edges:
         violations.append(f"zero-length edge {int(e)}")
 
-    crossed = np.flatnonzero(parallel_ends(vecs[None], ell[None], g.tails, g.heads,
-                                           g.vertex_count)[0])
+    crossed = np.flatnonzero(parallel_ends(vecs[None], ell[None],
+                                           netcore.end_pairs(g.tails, g.heads, g.vertex_count))[0])
     immersed = len(crossed) == 0
     if not immersed:
         violations.append(f"parallel outgoing edges at vertex {crossed[0]}")
@@ -835,3 +836,32 @@ def test_smith_factors_match_a_planted_divisor_chain():
         assert len(factors) == np.linalg.matrix_rank(M)
         deficient += k < min(rows, cols)
     assert deficient > 50
+
+
+def test_int_solve_exact_solution_and_unimodular_inverse():
+    from perinet.intlinalg import int_solve
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        rows = int(rng.integers(1, 7))
+        cols = int(rng.integers(1, rows + 1))
+        A = _random_unimodular(rng, rows)[:, :cols]       # full column rank
+        x = rng.integers(-5, 6, (cols, 3))
+        solved = int_solve(A, A @ x)
+        assert solved.dtype == np.int64 and np.array_equal(solved, x)
+        U = _random_unimodular(rng, cols)
+        inv = int_solve(U, np.eye(cols, dtype=np.int64))
+        assert np.array_equal(U @ inv, np.eye(cols, dtype=np.int64))
+        assert np.array_equal(inv @ U, np.eye(cols, dtype=np.int64))
+
+
+def test_int_solve_raises_without_an_integer_solution():
+    from perinet.intlinalg import int_solve
+    # a rational solution that is not integral
+    with pytest.raises(RuntimeError, match="no integer solution"):
+        int_solve(np.array([[2, 0], [0, 1]]), np.array([1, 4]))
+    # no solution at all: the least-squares point misses b
+    with pytest.raises(RuntimeError, match="no integer solution"):
+        int_solve(np.array([[1], [1]]), np.array([0, 2]))
+    # the inverse of a basis of a proper sublattice
+    with pytest.raises(RuntimeError, match="no integer solution"):
+        int_solve(np.array([[1, 1], [-1, 1]]), np.eye(2, dtype=np.int64))

@@ -273,6 +273,32 @@ def test_termination_labels_name_their_outcome(monkeypatch):
         assert res.termination == label
 
 
+def test_iteration_cap_is_trace_code_0():
+    res = minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=2, restarts=4, max_iter=3))
+    assert (res.traces.termination == 0).all()
+    assert res.termination == "max_iter"
+
+
+def test_start_basis_below_the_determinant_floor_is_redrawn():
+    class SingularFirstBasis:
+        """A generator whose first draw makes start basis 0 the zero matrix."""
+
+        def __init__(self):
+            self.rng, self.calls = np.random.default_rng(0), 0
+
+        def uniform(self, lo, hi, size):
+            out = self.rng.uniform(lo, hi, size)
+            if self.calls == 0:
+                out[0] = -np.eye(size[-1])
+            self.calls += 1
+            return out
+
+    g = dia_graph()
+    rng = SingularFirstBasis()
+    B, X = _sample_starts(rng, 4, g, np.broadcast_to(g.shifts, (4,) + g.shifts.shape))
+    assert rng.calls > 2 and (np.abs(np.linalg.det(B)) > 0.1).all()
+
+
 def test_minimize_fixed_shifts_rejects_bad_graph():
     g = QuotientGraph.from_edges(3, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0)),
                                         (0, 0, (1, 1, 0))])
