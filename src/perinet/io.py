@@ -33,6 +33,12 @@ def _no_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_no_constant)
 
 
+def _int(x, field: str) -> int:
+    if type(x) not in (int, float) or not float(x).is_integer():
+        raise ValueError(f"{field} must be an integer, not {json.dumps(x)}")
+    return int(x)
+
+
 def network_to_json(net: PeriodicNetwork) -> str:
     """Serialize a network to its canonical JSON text."""
     g = net.graph
@@ -66,10 +72,10 @@ def network_from_json(text: str) -> PeriodicNetwork:
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
     try:
-        dim = int(doc["dim"])
+        dim = _int(doc["dim"], "dim")
         vertices = doc["vertices"]
         lattice = np.array(doc["lattice"], dtype=np.float64)
-        ids = [int(v["id"]) for v in vertices]
+        ids = [_int(v["id"], "id") for v in vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
         index = {vid: i for i, vid in enumerate(sorted(ids))}
@@ -83,10 +89,10 @@ def network_from_json(text: str) -> PeriodicNetwork:
             raise ValueError("lattice must hold dim columns of length dim")
         edge_list = []
         for e in doc["edges"]:
-            shift = [int(x) for x in e["shift"]]
+            shift = [_int(x, "shift") for x in e["shift"]]
             if len(shift) != dim:
                 raise ValueError("edge shift has wrong dimension")
-            edge_list.append((index[int(e["tail"])], index[int(e["head"])], shift))
+            edge_list.append((*(index[_int(e[k], k)] for k in ("tail", "head")), shift))
         graph = QuotientGraph.from_edges(dim, len(ids), edge_list)
     except KeyError as exc:
         raise ValueError(f"missing network field or unknown vertex id: {exc}") from exc

@@ -5,9 +5,9 @@ log form, f = n log L - log|det B|, over vertex positions and the basis
 B jointly; the log form makes the scale gauge exact and keeps large
 dimensions away from overflow.  One vertex is pinned at the origin
 (translation gauge) and the basis is rescaled to unit volume after every
-accepted step (scale gauge).  Lattice non-compactness is handled by a
-greedy reduction safeguard plus a condition-number bailout, and edge
-collapse stops a run instead of being traversed.
+accepted step (scale gauge).  Each instance keeps the shifts it was
+handed; a degenerating lattice stops its run at a condition-number bailout,
+and edge collapse stops a run instead of being traversed.
 
 Steps follow the negative gradient with Barzilai-Borwein step sizes until
 an instance's gradient max-norm falls below ``_NEWTON_ENTRY``; from there
@@ -43,15 +43,8 @@ from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, as_stack, edge_no
 from .reduction import greedy_reduce
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits, tree_gauge
 
-TERM_CONVERGED = "converged"
-TERM_COLLAPSED = "collapsed_edge"
-TERM_DEGENERATE = "degenerate_lattice"
-TERM_MAXITER = "max_iter"
-TERM_STALLED = "stalled"
-TERM_LINE_SEARCH = "line_search_failed"
-
-_STATUS_LABELS = {0: TERM_MAXITER, 1: TERM_CONVERGED, 2: TERM_COLLAPSED,
-                  3: TERM_DEGENERATE, 5: TERM_STALLED, 6: TERM_LINE_SEARCH}
+_STATUS_LABELS = {0: "max_iter", 1: "converged", 2: "collapsed_edge",
+                  3: "degenerate_lattice", 5: "stalled", 6: "line_search_failed"}
 
 _CHUNK = 1 << 16             # most instances descended in one batch
 _G_TOL = 1e-9                # gradient and force max-norm at convergence
@@ -59,10 +52,9 @@ _EPS_EDGE = 1e-4             # edge length below which a run stops as collapsed
 _STEP0 = 0.5                 # first trial step size
 _BACKTRACK = 0.5             # step factor after a failed Armijo test
 _ARMIJO = 1e-4               # sufficient-decrease constant of the Armijo test
-_SERVICE_EVERY = 8           # iterations between basis-safeguard services
+_SERVICE_EVERY = 8           # iterations between stall and condition checks
 _STALL_PATIENCE = 128        # services without progress before a plateau stop
 _COND_LIMIT = 1e6
-_RATIO_LIMIT = 3.0
 _NEWTON_ENTRY = 3e-2         # gradient max-norm below which a step is damped Newton
 _HESSIAN_BLOCK = 1 << 19     # Hessian entries assembled at once in the Newton tail
 # per-instance state that a descent step reads and writes
@@ -193,7 +185,8 @@ class _Batch:
         self.iters = np.zeros(N, dtype=np.int32)
         self.tail_steps = np.zeros(N, dtype=np.int32)
         self.P = incidence(self.tails, self.heads, self.V)
-        self._refresh_shift_floats()
+        self.S = self.S_int.astype(np.float64)
+        self.ST = np.ascontiguousarray(self.S.transpose(0, 2, 1))
         with np.errstate(divide='ignore', invalid='ignore'):
             c = np.abs(_det_batch(self.B)) ** (-1.0 / n)     # scale gauge
             ok = np.isfinite(c)
@@ -214,33 +207,14 @@ class _Batch:
 
     # -- low-level evaluation ------------------------------------------------
 
-    def _refresh_shift_floats(self):
-        self.S = self.S_int.astype(np.float64)
-        self.ST = np.ascontiguousarray(self.S.transpose(0, 2, 1))
-
     def _eval(self, X, B, ST):
         """Objective, edge lengths and basis determinant of stacked states."""
         ell, det = edge_norms(lifted_edges(X, B, ST, self.tails, self.heads)), _det_batch(B)
         return _objective(self.n, ell, det), ell, det
 
-    # -- safeguard services --------------------------------------------------
+    # -- stall and condition checks ------------------------------------------
 
     def _service(self, idx, check_cond: bool):
-        B = self.B[idx]
-        norms = np.sqrt(np.einsum('aij,aij->aj', B, B))
-        ratio = norms.max(1) / norms.min(1)
-        changed = False
-        for k in np.flatnonzero(ratio > _RATIO_LIMIT):
-            i = idx[k]
-            reduced, U = greedy_reduce(self.B[i])
-            if np.array_equal(U, np.eye(self.n, dtype=np.int64)):
-                continue
-            self.B[i] = reduced
-            self.S_int[i] = self.S_int[i] @ int_solve(U, np.eye(self.n, dtype=np.int64)).T
-            self._has_prev[i] = False       # old gradient lives in old coordinates
-            changed = True
-        if changed:
-            self._refresh_shift_floats()
         if check_cond:
             sv = np.linalg.svd(self.B[idx], compute_uv=False)
             degen = sv[:, 0] / sv[:, -1] > _COND_LIMIT
@@ -354,10 +328,8 @@ class _Batch:
                 if (step + 1) % _SERVICE_EVERY == 0:
                     self._put(idx, w)
                     w = None
-                    alive = np.flatnonzero(self.status == 0)
-                    if len(alive):
-                        self._service(alive,
-                                      check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
+                    if len(idx):
+                        self._service(idx, check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
         if w is not None:
             self._put(idx, w)
 

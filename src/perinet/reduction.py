@@ -2,7 +2,7 @@
 
 Plane (Lagrange-Gauss) reduction for two generators, and a greedy
 size-reduction sweep for full bases.  Both return the unimodular
-transform actually applied, so callers can rewrite shift labels.
+transform actually applied, so callers can carry it to shift labels.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ def greedy_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise size-reduction sweep over all basis columns.
 
     Repeatedly subtracts rounded projections of longer columns onto
-    shorter ones; adequate as a degeneracy safeguard in the dimensions
-    used here.  A projection within ``_TIE_TOL`` of +-1/2 is left alone:
-    in a symmetric lattice, columns of equal length would otherwise trade
-    a rounding-level 1/2 back and forth forever.  Returns (new_basis, U)
+    shorter ones; adequate for the reduced frame of a cycle-shift matrix.
+    A projection within ``_TIE_TOL`` of +-1/2 is left alone: in a
+    symmetric lattice, columns of equal length would otherwise trade a
+    rounding-level 1/2 back and forth forever.  Returns (new_basis, U)
     with new_basis = basis @ U.
     """
     B = np.array(basis, dtype=np.float64)

@@ -196,13 +196,7 @@ def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarr
     Kept assignments have full-rank, lattice-generating cycle shifts;
     exact duplicates and global-negation duplicates are removed.
     """
-    return np.concatenate([np.zeros((0, g.edge_count, n), dtype=np.int64),
-                           *_shift_blocks(g, n, s_max, classify(g))])
-
-
-def _shift_blocks(g: QuotientGraph, n: int, s_max: int, top: TopologyClass):
-    """The screened assignments of skeleton ``g`` (of class ``top``) in blocks."""
-    if top.kind == "other":
+    if classify(g).kind == "other":
         raise ValueError("shift enumeration supports one- and two-vertex skeletons only")
     bridges, _, loops0 = oriented_star(g, 0)
     loops1 = oriented_star(g, 1)[2]
@@ -223,6 +217,7 @@ def _shift_blocks(g: QuotientGraph, n: int, s_max: int, top: TopologyClass):
             _combinations(len(nonzero), k[2]))
     first = _lex_le(sets[2], (len(nonzero) - 1 - sets[2])[:, ::-1])
     free = np.concatenate([loops0, loops1, bridges[1:]])
+    blocks = [np.zeros((0, g.edge_count, n), dtype=np.int64)]
     for lo in range(0, raw, _ENUM_BLOCK):
         flat = np.arange(lo, min(lo + _ENUM_BLOCK, raw))
         i0, i1, ib = np.unravel_index(flat, [len(x) for x in sets])
@@ -231,7 +226,8 @@ def _shift_blocks(g: QuotientGraph, n: int, s_max: int, top: TopologyClass):
         S[:, loops0] = classes[sets[0][i0]]
         S[:, loops1] = classes[sets[1][i1]]
         S[:, bridges[1:]] = nonzero[sets[2][ib]]
-        yield S[_rows_generate_zn(S[:, free], n)]
+        blocks.append(S[_rows_generate_zn(S[:, free], n)])
+    return np.concatenate(blocks)
 
 
 def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:

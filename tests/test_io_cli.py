@@ -302,6 +302,14 @@ MALFORMED = {
     "edge_without_shift": lambda doc: doc["edges"][0].pop("shift"),
     "shift_beyond_int64": lambda doc: doc["edges"][0].update(shift=[2 ** 70, 0, 0]),
     "nan_position": lambda doc: doc["vertices"][1]["pos"].__setitem__(0, math.nan),
+    "fractional_shift": lambda doc: doc["edges"][1].update(shift=[-1.6, 0, 0]),
+    "boolean_shift": lambda doc: doc["edges"][1]["shift"].__setitem__(0, True),
+    "string_shift": lambda doc: doc["edges"][1]["shift"].__setitem__(0, "-1"),
+    "fractional_dim": lambda doc: doc.update(dim=3.9),
+    "boolean_dim": lambda doc: doc.update(dim=True),
+    "fractional_tail": lambda doc: doc["edges"][0].update(tail=0.5),
+    "boolean_head": lambda doc: doc["edges"][0].update(head=True),
+    "fractional_vertex_id": lambda doc: doc["vertices"][1].update(id=1.5),
 }
 
 
@@ -309,6 +317,29 @@ MALFORMED = {
 def test_json_reader_malformed_raises_value_error(case):
     with pytest.raises(ValueError):
         network_from_json(_dia_doc_with(MALFORMED[case]))
+
+
+@pytest.mark.parametrize("case,field", [
+    ("fractional_shift", "shift"), ("boolean_shift", "shift"), ("string_shift", "shift"),
+    ("fractional_dim", "dim"), ("boolean_dim", "dim"), ("fractional_tail", "tail"),
+    ("boolean_head", "head"), ("fractional_vertex_id", "id")])
+def test_json_reader_names_the_non_integral_field(case, field):
+    # int() used to truncate -1.6 to -1 and read true as 1
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        network_from_json(_dia_doc_with(MALFORMED[case]))
+
+
+def test_json_reader_accepts_integral_floats():
+    net = catalog("dia")[0]
+
+    def as_floats(doc):
+        doc["dim"] = 3.0
+        doc["vertices"][1]["id"] = 1.0
+        doc["edges"][1].update(tail=0.0, shift=[float(x) for x in doc["edges"][1]["shift"]])
+
+    got = network_from_json(_dia_doc_with(as_floats))
+    assert got.graph.edges == net.graph.edges
+    assert network_to_json(got) == network_to_json(net)
 
 
 @pytest.mark.parametrize("command", ["eval", "verify"])

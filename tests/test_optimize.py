@@ -19,7 +19,7 @@ from perinet import (
 )
 from perinet import netcore, optimize
 from perinet.balance import force, force_all
-from perinet.topology import shift_orbits
+from perinet.topology import build_abstract, shift_orbits
 from perinet.netcore import as_stack, edge_norms, incidence, lifted_edges
 from perinet.optimize import (_SERVICE_EVERY, _Batch, _det_batch, _gradient, _hessian,
                               _newton_steps, _sample_starts)
@@ -589,9 +589,10 @@ def test_descent_matches_reference_on_edge_collapse(monkeypatch):
 
 
 @pytest.mark.usefixtures("tail_off")
-def test_descent_matches_reference_through_basis_reduction():
+def test_descent_matches_reference_from_a_sheared_start():
     # dia written in a sheared basis (ratio of column norms > 3) with
-    # jittered positions: a service reduces the basis and rewrites the shifts
+    # jittered positions: the descent keeps the shifts it was handed and
+    # still converges on every restart
     net, _ = catalog("dia")
     U = np.array([[1, 6, 0], [0, 1, 0], [0, 0, 1]])
     g = net.graph
@@ -605,7 +606,28 @@ def test_descent_matches_reference_through_basis_reduction():
     _reference_run(b)
     _assert_same_descent(a, b)
     assert (a.status == 1).all()
-    assert not (a.S_int == g.shifts).all(axis=(1, 2)).any()
+    assert (a.S_int == g.shifts).all()
+
+
+def test_batch_descends_the_shifts_it_was_handed():
+    # no instance's shifts are rewritten during the descent, on a topology
+    # search's whole batch
+    g = build_abstract("D1,3", 3)
+    reps = shift_orbits(g, 3)
+    assert len(reps) == 46
+    S = np.repeat(reps, 10, axis=0)
+    rng = np.random.default_rng(np.random.SeedSequence((1, 0)))
+    B, X = _sample_starts(rng, len(S), g, S)
+    batch = _Batch(g, S, B, X, OptimizeConfig(seed=1, restarts=10))
+    batch.run()
+    assert np.array_equal(batch.S_int, S)
+    assert (batch.status != 0).all()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_topology_result_network_carries_the_result_shifts(seed):
+    res = minimize_topology("D1,3", 3, OptimizeConfig(seed=seed, restarts=10))
+    assert np.array_equal(res.network.graph.shifts, res.shifts)
 
 
 @pytest.mark.usefixtures("tail_off")

@@ -419,7 +419,7 @@ def test_circuit_rank_n_orbit_is_built_not_enumerated(monkeypatch, tag, n):
     def no_enumeration(*args):
         raise AssertionError("shift assignments enumerated")
 
-    monkeypatch.setattr(topology, "_shift_blocks", no_enumeration)
+    monkeypatch.setattr(topology, "enumerate_shift_arrays", no_enumeration)
     skeleton = build_abstract(tag, n)
     reps = shift_orbits(skeleton, n, 1)
     assert len(reps) == 1
