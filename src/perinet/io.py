@@ -39,6 +39,14 @@ def _int(x, field: str) -> int:
     return int(x)
 
 
+def _floats(xs, field: str) -> list[float]:
+    """A JSON list of numbers as floats; booleans and strings are refused,
+    where ``np.asarray`` would read them as 1.0 and as their value."""
+    if type(xs) is not list or not all(type(x) in (int, float) for x in xs):
+        raise ValueError(f"{field} must be a list of numbers, not {json.dumps(xs)}")
+    return [float(x) for x in xs]
+
+
 def network_to_json(net: PeriodicNetwork) -> str:
     """Serialize a network to its canonical JSON text."""
     g = net.graph
@@ -74,18 +82,18 @@ def network_from_json(text: str) -> PeriodicNetwork:
     try:
         dim = _int(doc["dim"], "dim")
         vertices = doc["vertices"]
-        lattice = np.array(doc["lattice"], dtype=np.float64)
+        lattice = [_floats(column, "lattice") for column in doc["lattice"]]
         ids = [_int(v["id"], "id") for v in vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
         index = {vid: i for i, vid in enumerate(sorted(ids))}
         positions = np.zeros((len(ids), dim))
         for vid, v in zip(ids, vertices):
-            pos = np.asarray(v["pos"], dtype=np.float64)
-            if pos.shape != (dim,):
+            pos = _floats(v["pos"], "pos")
+            if len(pos) != dim:
                 raise ValueError(f"vertex {vid} position has wrong dimension")
             positions[index[vid]] = pos
-        if lattice.shape != (dim, dim):
+        if len(lattice) != dim or any(len(column) != dim for column in lattice):
             raise ValueError("lattice must hold dim columns of length dim")
         edge_list = []
         for e in doc["edges"]:
@@ -99,7 +107,7 @@ def network_from_json(text: str) -> PeriodicNetwork:
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed network field: {exc}") from exc
     # stored column by column; transpose back into a basis matrix
-    return PeriodicNetwork(graph, Lattice(lattice.T), positions)
+    return PeriodicNetwork(graph, Lattice(np.array(lattice).T), positions)
 
 
 def _write_text(path_or_file: str | IO[str], text: str) -> None:

@@ -120,13 +120,16 @@ class Lattice:
         return self.basis.shape[0]
 
     def volume(self) -> float:
-        """|det(basis)|; raises on a non-finite or singular basis."""
-        if not np.isfinite(self.basis).all():
-            raise ValueError("non-finite lattice basis")
-        d = abs(float(np.linalg.det(self.basis)))
-        if d == 0.0 or not np.isfinite(d):
-            raise ValueError("singular lattice basis")
-        return d
+        """|det(basis)|, kept once computed (the basis is read-only); raises
+        on a non-finite or singular basis."""
+        if "_volume" not in self.__dict__:
+            if not np.isfinite(self.basis).all():
+                raise ValueError("non-finite lattice basis")
+            d = abs(float(np.linalg.det(self.basis)))
+            if d == 0.0 or not np.isfinite(d):
+                raise ValueError("singular lattice basis")
+            object.__setattr__(self, "_volume", d)
+        return self.__dict__["_volume"]
 
 
 @dataclass(frozen=True)
@@ -394,12 +397,13 @@ def _graph_facts(g: QuotientGraph) -> GraphFacts:
 def validate(net: PeriodicNetwork) -> ValidityReport:
     """Run every structural and geometric check; never raises.
 
-    Covers degree regularity, finite and nonzero edge lengths, immersion
-    of the lift (pairwise distinct outgoing directions at each vertex),
-    quotient connectivity, quotient-level simplicity, the rational rank of
-    the cycle-shift matrix, and lift connectivity (all Smith invariant
-    factors 1).  The checks on the graph alone are its kept ``facts``;
-    only the edge vectors are measured on every call.
+    Covers degree regularity, finite and nonzero edge lengths, a finite
+    nonsingular lattice basis, immersion of the lift (pairwise distinct
+    outgoing directions at each vertex), quotient connectivity,
+    quotient-level simplicity, the rational rank of the cycle-shift
+    matrix, and lift connectivity (all Smith invariant factors 1).  The
+    checks on the graph alone are its kept ``facts``; only the edge vectors
+    (and, once per lattice, its volume) are measured on every call.
     """
     with np.errstate(invalid='ignore'):     # an infinite entry gives NaN, reported as such
         return _validate(net)[0]
@@ -416,6 +420,10 @@ def _validate(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray]:
     geometric = [f"zero-length edge {e}" for e, x in enumerate(lengths) if x == 0.0]
     geometric += [f"non-finite edge length {e}" for e, x in enumerate(lengths)
                   if not math.isfinite(x)]
+    try:
+        net.lattice.volume()
+    except ValueError as exc:       # a non-finite or singular basis
+        geometric.append(str(exc))
     crossed = np.flatnonzero(parallel_ends(vecs[None], ell[None], facts.end_pairs)[0])
     if len(crossed):
         geometric.append(f"parallel outgoing edges at vertex {crossed[0]}")

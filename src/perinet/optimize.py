@@ -21,18 +21,18 @@ Restarts are vectorized: a batch holds many instances of the same
 skeleton (possibly with different shift assignments) and all of them
 take descent steps simultaneously, each with its own backtracking step
 size.  There is one multistart: every shift assignment it is given is
-descended from ``restarts`` random starts to convergence, and traces
-record where every restart stopped.  A topology search hands it one
-representative per orbit of equivalent assignments (``shift_orbits``),
-since the assignments of an orbit share one landscape; a fixed graph is
-the case of a single assignment, written in its reduced frame for the
-descent and mapped back after.  Results are deterministic functions of
-(seed, config).
+written in its reduced frame, descended there from ``restarts`` random
+starts to convergence, and the best network mapped back onto the
+assignment; traces record where every restart stopped.  A topology search
+hands it one representative per orbit of equivalent assignments
+(``shift_orbits``), since the assignments of an orbit share one
+landscape; a fixed graph is the case of a single assignment.  Results are
+deterministic functions of (seed, config).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -493,12 +493,11 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     """Minimize L^n/V over positions and lattice for one shift assignment.
 
     Runs ``cfg.restarts`` random initializations to convergence and keeps
-    the best; ties go to the lowest restart index.  L^n/V does not depend
-    on the lattice basis or vertex gauge the shifts are written in, so the
-    starts near B = I are drawn, and descended, in the graph's reduced
-    frame rather than in the caller's, and the best network is mapped back
-    exactly onto ``g``, whose shifts the result keeps.  At circuit rank
-    r = n every basis has the same reduced frame, so the traces do not
+    the best; ties go to the lowest restart index.  The starts near B = I
+    are drawn, and descended, in the graph's reduced frame rather than in
+    the caller's (``_multistart``), and the best network is mapped back
+    exactly onto ``g`` itself, whose shifts the result keeps.  At circuit
+    rank r = n every basis has the same reduced frame, so the traces do not
     depend on it at all.  A disconnected graph
     is refused before any descent, since its rank test reads the cycles of
     one component only.  So is a graph with a cut edge: summing the vertex
@@ -517,12 +516,7 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
             f"{g.dim}, invariant factors {factors}")
     if facts.cut_edges:
         raise ValueError(f"no balanced realization: cut edge {facts.cut_edges[0]}")
-    # the reduced frame: the tree gauge of C = facts.cycles @ shifts in the
-    # basis C U that is I_n at circuit rank r = n and greedily reduced at r > n
-    C = facts.cycles @ g.shifts
-    U = int_solve(C, np.eye(g.dim, dtype=np.int64)) if len(C) == g.dim else greedy_reduce(C)[1]
-    res = _multistart(g, tree_gauge(g, C @ U)[None], cfg)
-    return replace(res, network=_in_frame_of(g, res.network), shifts=np.array(g.shifts))
+    return _multistart(g, g.shifts[None], cfg)
 
 
 def minimize_topology(tag: TopologyClass | str, n: int,
@@ -532,9 +526,11 @@ def minimize_topology(tag: TopologyClass | str, n: int,
     Assignments related by a lattice basis change or a skeleton
     automorphism share one landscape, so only one representative per
     orbit (``shift_orbits``) is descended, from ``cfg.restarts`` starts
-    each.  Trace records name the representative by its position in
-    ``shift_orbits``.  The returned best is deterministic in (seed,
-    config); ties go to the lowest (assignment, restart) pair.
+    each, in its reduced frame; the best network is mapped back onto its
+    representative.  Trace records and ``shifts`` name the representative
+    by its position in ``shift_orbits``.  The returned best is
+    deterministic in (seed, config); ties go to the lowest (assignment,
+    restart) pair.
     """
     cfg = cfg or OptimizeConfig()
     top = TopologyClass.from_tag(tag) if isinstance(tag, str) else tag
@@ -549,18 +545,32 @@ def minimize_topology(tag: TopologyClass | str, n: int,
     return _multistart(skeleton, reps, cfg)
 
 
+def _reduced_frame(g: QuotientGraph, S: np.ndarray) -> np.ndarray:
+    """The assignment ``S`` of ``g`` as the tree gauge of C U, with C its
+    cycle-shift matrix and U = C^-1 at circuit rank r = n, greedily
+    reducing the columns of C at r > n."""
+    C = g.facts().cycles @ S
+    U = int_solve(C, np.eye(g.dim, dtype=np.int64)) if len(C) == g.dim else greedy_reduce(C)[1]
+    return tree_gauge(g, C @ U)
+
+
 def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> OptimizeResult:
     """Descend ``cfg.restarts`` random starts of every assignment in ``reps``.
 
-    Instances are ordered (assignment, restart) and descended to
-    convergence in batches of at most ``_CHUNK``; their starts come from
-    one ``SeedSequence((seed, 0))`` stream, drawn batch by batch.  The
-    best is the lowest value, ties within 1e-9 going to the first
-    instance, first within each batch and then across batches.  Traces
-    label each assignment by its position in ``reps``.
+    L^n/V does not depend on the lattice basis or vertex gauge an
+    assignment is written in, so each is descended in its reduced frame
+    (``_reduced_frame``), where the starts near B = I are drawn, and the
+    best network is mapped back exactly onto its own assignment, on ``g``
+    itself when that is ``g``'s.  Instances are ordered (assignment,
+    restart) and descended to convergence in batches of at most
+    ``_CHUNK``; their starts come from one ``SeedSequence((seed, 0))``
+    stream, drawn batch by batch.  The best is the lowest value, ties
+    within 1e-9 going to the first instance, first within each batch and
+    then across batches.  Traces and ``shifts`` name each assignment by
+    its position in ``reps``.
     """
     R = cfg.restarts
-    S_all = np.repeat(reps, R, axis=0)
+    S_all = np.repeat(np.stack([_reduced_frame(g, S) for S in reps]), R, axis=0)
     N = len(S_all)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     values = np.empty(N)
@@ -586,9 +596,13 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     assignment = np.repeat(np.arange(len(reps)), R)
     restart = np.tile(np.arange(R, dtype=np.int64), len(reps))
     traces = TraceTable(assignment, restart, values, iters, status, tail)
-    return OptimizeResult(network=networks[lead], value=float(values[best]),
+    shifts = np.array(reps[assignment[best]])
+    home = g if np.array_equal(g.shifts, shifts) else \
+        QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, shifts)
+    return OptimizeResult(network=_in_frame_of(home, networks[lead]),
+                          value=float(values[best]),
                           termination=_STATUS_LABELS[int(status[best])],
-                          shifts=np.array(reps[assignment[best]]), traces=traces,
+                          shifts=shifts, traces=traces,
                           assignment_index=int(assignment[best]),
                           restart_index=int(restart[best]))
 

@@ -206,6 +206,23 @@ def test_cli_eval_infinite_position_exits_1(tmp_path, capsys):
     assert "  violation: non-finite edge length 0" in out
 
 
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_cli_singular_basis_exits_1(tmp_path, capsys, command):
+    def flatten(doc):
+        doc["lattice"] = [[1.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+
+    path = tmp_path / "flat.json"
+    path.write_text(_dia_doc_with(flatten))
+    assert run([command, str(path)]) == 1
+    out = capsys.readouterr().out
+    if command == "eval":
+        assert "  violation: singular lattice basis" in out
+    else:
+        doc = json.loads(out)
+        assert doc["applicable"] is False
+        assert doc["note"] == "network fails validation: singular lattice basis"
+
+
 def test_cli_export(tmp_path, capsys):
     net, _ = catalog("pcu", n=3)
     path = tmp_path / "pcu.json"
@@ -310,6 +327,11 @@ MALFORMED = {
     "fractional_tail": lambda doc: doc["edges"][0].update(tail=0.5),
     "boolean_head": lambda doc: doc["edges"][0].update(head=True),
     "fractional_vertex_id": lambda doc: doc["vertices"][1].update(id=1.5),
+    "boolean_position": lambda doc: doc["vertices"][1]["pos"].__setitem__(0, True),
+    "string_position": lambda doc: doc["vertices"][1]["pos"].__setitem__(0, "0.25"),
+    "boolean_lattice": lambda doc: doc["lattice"][0].__setitem__(0, True),
+    "string_lattice": lambda doc: doc["lattice"][2].__setitem__(1, "0.5"),
+    "lattice_column_not_a_list": lambda doc: doc["lattice"].__setitem__(1, "0.5"),
 }
 
 
@@ -326,6 +348,15 @@ def test_json_reader_malformed_raises_value_error(case):
 def test_json_reader_names_the_non_integral_field(case, field):
     # int() used to truncate -1.6 to -1 and read true as 1
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        network_from_json(_dia_doc_with(MALFORMED[case]))
+
+
+@pytest.mark.parametrize("case,field", [
+    ("boolean_position", "pos"), ("string_position", "pos"), ("boolean_lattice", "lattice"),
+    ("string_lattice", "lattice"), ("lattice_column_not_a_list", "lattice")])
+def test_json_reader_names_the_non_numeric_field(case, field):
+    # np.asarray used to read "0.25" as 0.25 and true as 1.0
+    with pytest.raises(ValueError, match=f"^{field} must "):
         network_from_json(_dia_doc_with(MALFORMED[case]))
 
 

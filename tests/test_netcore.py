@@ -125,6 +125,18 @@ def test_singular_basis_raises():
         volume(net)
 
 
+def test_singular_basis_is_a_violation():
+    # a singular basis used to validate as ok and measure NaN as applicable
+    net, _ = catalog("dia")
+    columns = np.array([[1.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    flat = PeriodicNetwork(net.graph, Lattice(columns.T), net.positions)
+    rep = validate(flat)
+    assert rep.violations == ("singular lattice basis",)
+    report = verify(flat)
+    assert not report.applicable and report.slack is None
+    assert report.note == "network fails validation: singular lattice basis"
+
+
 def test_validate_pcu():
     rep = validate(pcu3())
     assert rep.ok and rep.degree == 6 and rep.cycle_rank == 3
@@ -786,10 +798,10 @@ def test_non_finite_geometry_is_invalid(entry, value):
     (positions if entry == "position" else basis)[0, 0] = value
     bad = PeriodicNetwork(net.graph, Lattice(basis), positions)
     rep = validate(bad)
-    assert rep.violations and all(v.startswith("non-finite edge length ")
-                                  for v in rep.violations)
-    if entry == "position":         # every edge of dia meets vertex 0
-        assert rep.violations == tuple(f"non-finite edge length {e}" for e in range(4))
+    # every edge of dia meets vertex 0, and B s is not finite even at s = 0;
+    # a non-finite basis is reported as such besides its edges
+    basis_fault = ("non-finite lattice basis",) if entry == "basis" else ()
+    assert rep.violations == tuple(f"non-finite edge length {e}" for e in range(4)) + basis_fault
     report = verify(bad)
     assert not report.applicable and report.slack is None and report.topology == "D4"
     assert report.note == "network fails validation: " + "; ".join(rep.violations)

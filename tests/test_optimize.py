@@ -630,6 +630,52 @@ def test_topology_result_network_carries_the_result_shifts(seed):
     assert np.array_equal(res.network.graph.shifts, res.shifts)
 
 
+def _presentation_rewrite(g, S, rng):
+    """The assignment ``S`` of skeleton ``g`` written down differently on the
+    same skeleton: a random unimodular basis change, reversed loops and, on
+    two vertices, vertex 1 moved by a lattice vector."""
+    n = g.dim
+    U = np.eye(n, dtype=np.int64)
+    for _ in range(3 * n):
+        i, j = rng.choice(n, 2, replace=False)
+        U[:, j] += int(rng.integers(-2, 3)) * U[:, i]
+    U_inv = np.rint(np.linalg.inv(U)).astype(np.int64)
+    assert np.array_equal(U @ U_inv, np.eye(n, dtype=np.int64))
+    S = S @ U_inv.T
+    loops = g.tails == g.heads
+    S[loops & (rng.random(g.edge_count) < 0.5)] *= -1
+    k = rng.integers(-2, 3, size=n)
+    S[g.tails == 1] += k
+    S[g.heads == 1] -= k
+    return S
+
+
+@pytest.mark.parametrize("tag,n,orbit", [("D4", 3, 0), ("D1,2", 3, 0), ("B3", 3, 0),
+                                         ("D3", 2, 0), ("D1,3", 3, 0), ("D5", 3, 1),
+                                         ("B4", 3, 0)])
+def test_multistart_does_not_depend_on_the_presentation(tag, n, orbit):
+    # every assignment is descended in its reduced frame: at circuit rank
+    # r = n the frame of any presentation is the same, so the descent is the
+    # same to the bit; at r > n the greedy frames may differ, the value not
+    g = build_abstract(tag, n)
+    rep = shift_orbits(g, n)[orbit]
+    cfg = OptimizeConfig(seed=4, restarts=8)
+    ref = optimize._multistart(g, rep[None], cfg)
+    rng = np.random.default_rng(sum(map(ord, tag)) + n)
+    exact = len(g.facts().cycles) == n
+    for _ in range(3):
+        S = _presentation_rewrite(g, rep, rng)
+        res = optimize._multistart(g, S[None], cfg)
+        assert res.value == pytest.approx(ref.value, rel=1e-9)
+        if exact:
+            for name in ("final_value", "iterations", "termination", "tail_steps"):
+                assert np.array_equal(getattr(res.traces, name), getattr(ref.traces, name))
+        assert np.array_equal(res.shifts, S)
+        assert np.array_equal(res.network.graph.shifts, S)
+        assert length_quotient(res.network) == pytest.approx(res.value, rel=1e-12)
+        assert validate(res.network).ok
+
+
 @pytest.mark.usefixtures("tail_off")
 def test_descent_matches_reference_when_resumed_step_by_step():
     a, b = _twin_batches(dia_graph(), OptimizeConfig(seed=2, restarts=4, max_iter=1))

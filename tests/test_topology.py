@@ -265,6 +265,20 @@ def test_shift_orbit_counts(tag, n, count):
         assert np.array_equal(first, np.sort(first))
 
 
+@pytest.mark.parametrize("tag,keyed,enumerated", [("D1,3", 984, 19380), ("D5", 654, 5590)])
+def test_shift_orbits_key_distinct_relation_vectors_only(monkeypatch, tag, keyed, enumerated):
+    # the relation vector is a function of the maximal minors the
+    # enumeration's screen takes, so one assignment per distinct minor
+    # vector is keyed, not every enumerated one
+    rows = []
+    keys = topology._relation_keys
+    monkeypatch.setattr(topology, "_relation_keys", lambda g, S: rows.append(len(S)) or keys(g, S))
+    skeleton = build_abstract(tag, 3)
+    shift_orbits(skeleton, 3, 1)
+    assert rows == [keyed]
+    assert len(enumerate_shift_arrays(skeleton, 3, 1)) == enumerated
+
+
 def _cycle_matrices(g, S):
     """Cycle-shift matrices (N, r, n) of the stacked assignments ``S`` of ``g``."""
     E = g.edge_count
