@@ -47,6 +47,7 @@ _STATUS_LABELS = {0: "max_iter", 1: "converged", 2: "collapsed_edge",
                   3: "degenerate_lattice", 5: "stalled", 6: "line_search_failed"}
 
 _CHUNK = 1 << 16             # most instances descended in one batch
+_MAX_ITER = 50_000           # accepted steps at most per instance
 _G_TOL = 1e-9                # gradient and force max-norm at convergence
 _EPS_EDGE = 1e-4             # edge length below which a run stops as collapsed
 _STEP0 = 0.5                 # first trial step size
@@ -59,7 +60,7 @@ _NEWTON_ENTRY = 3e-2         # gradient max-norm below which a step is damped Ne
 _HESSIAN_BLOCK = 1 << 19     # Hessian entries assembled at once in the Newton tail
 # per-instance state that a descent step reads and writes
 _LIVE = ("X", "B", "S", "ST", "f", "ell", "t", "iters", "tail_steps",
-         "_gXo", "_gBo", "_gsqo", "_tacc", "_has_prev")
+         "_gXo", "_gBo", "_gsqo", "_tacc", "_has_prev", "_stall", "_f_snap")
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,10 @@ class OptimizeConfig:
 
     restarts: int = 50
     seed: int = 0
-    max_iter: int = 50_000
     s_max: int = 1
 
     def __post_init__(self):
-        for name in ("restarts", "max_iter", "s_max"):
+        for name in ("restarts", "s_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.seed < 0:
@@ -170,11 +170,9 @@ def _in_frame_of(g: QuotientGraph, net: PeriodicNetwork) -> PeriodicNetwork:
 class _Batch:
     """A batch of descent instances over the skeleton of graph ``g``."""
 
-    def __init__(self, g: QuotientGraph, S_int: np.ndarray, B: np.ndarray, X: np.ndarray,
-                 cfg: OptimizeConfig):
+    def __init__(self, g: QuotientGraph, S_int: np.ndarray, B: np.ndarray, X: np.ndarray):
         n = self.n = g.dim
         self.tails, self.heads, self.V = g.tails, g.heads, g.vertex_count
-        self.cfg = cfg
         N = len(B)
         self.S_int = np.array(S_int, dtype=np.int64)
         self.B = np.array(B, dtype=np.float64)
@@ -214,36 +212,36 @@ class _Batch:
 
     # -- stall and condition checks ------------------------------------------
 
-    def _service(self, idx, check_cond: bool):
+    @staticmethod
+    def _service(w, check_cond: bool) -> np.ndarray:
+        """The code each instance of the working state ``w`` leaves with, its
+        stall count updated: 3 degenerate lattice, 5 plateau, 0 stays."""
+        code = np.zeros(len(w.f), dtype=np.uint8)
         if check_cond:
-            sv = np.linalg.svd(self.B[idx], compute_uv=False)
-            degen = sv[:, 0] / sv[:, -1] > _COND_LIMIT
-            self.status[idx[degen]] = 3
+            sv = np.linalg.svd(w.B, compute_uv=False)
+            code[sv[:, 0] / sv[:, -1] > _COND_LIMIT] = 3
         # plateau cutoff: instances that stopped improving burn no more budget
-        drop = np.abs(self.f[idx] - self._f_snap[idx]) \
-            <= 1e-14 * np.maximum(1.0, np.abs(self.f[idx]))
-        self._stall[idx[drop]] += 1
-        self._stall[idx[~drop]] = 0
-        self.status[idx[(self._stall[idx] >= _STALL_PATIENCE) & (self.status[idx] == 0)]] = 5
-        self._f_snap[idx] = self.f[idx]
+        drop = np.abs(w.f - w._f_snap) <= 1e-14 * np.maximum(1.0, np.abs(w.f))
+        w._stall = np.where(drop, w._stall + 1, 0)
+        code[(w._stall >= _STALL_PATIENCE) & (code == 0)] = 5
+        w._f_snap = w.f
+        return code
 
     # -- descent -------------------------------------------------------------
 
     def run(self):
-        """Advance every active instance by up to ``cfg.max_iter`` accepted steps.
+        """Advance every active instance by up to ``_MAX_ITER`` accepted steps.
 
-        The live instances' state is held in contiguous working arrays; an
-        instance's state is written back when it leaves the live set, and
-        all of it around a service and on return.  The bookkeeping changes
-        no instance's arithmetic.
+        The live instances' state is gathered once into contiguous working
+        arrays, and an instance's state is written back when it leaves the
+        live set, by one path whatever its code.  The bookkeeping changes no
+        instance's arithmetic.
         """
-        cfg, n = self.cfg, self.n
-        w = None
+        n = self.n
+        idx = np.flatnonzero(self.status == 0)
+        w = SimpleNamespace(**{k: getattr(self, k)[idx] for k in _LIVE})
         with np.errstate(divide='ignore', invalid='ignore'):
-            for step in range(cfg.max_iter):
-                if w is None:
-                    idx = np.flatnonzero(self.status == 0)
-                    w = SimpleNamespace(**{k: getattr(self, k)[idx] for k in _LIVE})
+            for step in range(_MAX_ITER):
                 if len(idx) == 0:
                     return
                 u = lifted_edges(w.X, w.B, w.ST, self.tails, self.heads) / w.ell[..., None]
@@ -325,23 +323,17 @@ class _Batch:
                 collapsed = w.ell.min(1) < _EPS_EDGE
                 if collapsed.any():
                     idx, w = self._retire(idx, w, collapsed, 2)
-                if (step + 1) % _SERVICE_EVERY == 0:
-                    self._put(idx, w)
-                    w = None
-                    if len(idx):
-                        self._service(idx, check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
-        if w is not None:
-            self._put(idx, w)
+                if (step + 1) % _SERVICE_EVERY == 0 and len(idx):
+                    code = self._service(w, check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
+                    if code.any():
+                        idx, w = self._retire(idx, w, code > 0, code[code > 0])
+        self._retire(idx, w, np.ones(len(idx), dtype=bool), 0)    # the iteration cap
 
-    def _put(self, idx, w):
-        """Write the working state ``w`` of instances ``idx`` back into the batch."""
-        for k in _LIVE:
-            getattr(self, k)[idx] = getattr(w, k)
-
-    def _retire(self, idx, w, out, code: int):
+    def _retire(self, idx, w, out, code):
         """Write back the state of the instances ``out`` with status ``code``
-        and return the indices and working state of the others."""
-        self._put(idx[out], SimpleNamespace(**{k: getattr(w, k)[out] for k in _LIVE}))
+        (one or one each) and return the indices and working state of the others."""
+        for k in _LIVE:
+            getattr(self, k)[idx[out]] = getattr(w, k)[out]
         self.status[idx[out]] = code
         return idx[~out], SimpleNamespace(**{k: getattr(w, k)[~out] for k in _LIVE})
 
@@ -482,8 +474,18 @@ def objective_and_gradient(net: PeriodicNetwork):
     return float(_objective(g.dim, ell, _det_batch(B))[0]), gX[0], gB[0]
 
 
+def _refuse_unrealizable(g: QuotientGraph) -> None:
+    """Refuse a zero-shift loop or a duplicate edge (a reversed copy included),
+    which no valid realization has, with the violation ``facts()`` lists."""
+    for fault in sum(g.facts().violations, ()):
+        if fault.startswith(("loop ", "duplicate edge ")):
+            raise ValueError(f"no valid realization: {fault}")
+
+
 def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:
-    """One random valid network on the given quotient graph (deterministic in seed)."""
+    """One random valid network on the given quotient graph (deterministic in
+    seed); a graph that has none is refused (``_refuse_unrealizable``)."""
+    _refuse_unrealizable(g)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA5)))
     B, X = _sample_starts(rng, 1, g, g.shifts[None, :, :])
     return PeriodicNetwork(g, Lattice(B[0]), X[0])
@@ -503,7 +505,8 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     one component only.  So is a graph with a cut edge: summing the vertex
     forces over the vertices on one side of the cut edge e, every other
     edge cancels and +-u_e is left, so no realization with positive edge
-    lengths is balanced and every restart would collapse.
+    lengths is balanced and every restart would collapse.  So is a graph
+    with no valid start to draw (``_refuse_unrealizable``).
     """
     cfg = cfg or OptimizeConfig()
     facts = g.facts()
@@ -516,6 +519,7 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
             f"{g.dim}, invariant factors {factors}")
     if facts.cut_edges:
         raise ValueError(f"no balanced realization: cut edge {facts.cut_edges[0]}")
+    _refuse_unrealizable(g)
     return _multistart(g, g.shifts[None], cfg)
 
 
@@ -545,13 +549,14 @@ def minimize_topology(tag: TopologyClass | str, n: int,
     return _multistart(skeleton, reps, cfg)
 
 
-def _reduced_frame(g: QuotientGraph, S: np.ndarray) -> np.ndarray:
-    """The assignment ``S`` of ``g`` as the tree gauge of C U, with C its
-    cycle-shift matrix and U = C^-1 at circuit rank r = n, greedily
-    reducing the columns of C at r > n."""
-    C = g.facts().cycles @ S
-    U = int_solve(C, np.eye(g.dim, dtype=np.int64)) if len(C) == g.dim else greedy_reduce(C)[1]
-    return tree_gauge(g, C @ U)
+def _reduced_frame(g: QuotientGraph, reps: np.ndarray) -> np.ndarray:
+    """The stacked assignments ``reps`` of ``g``, each as the tree gauge of
+    C U, with C its cycle-shift matrix and U = C^-1 at circuit rank r = n,
+    greedily reducing the columns of C at r > n."""
+    C = g.facts().cycles @ reps
+    U = [int_solve(c, np.eye(g.dim, dtype=np.int64)) if len(c) == g.dim else greedy_reduce(c)[1]
+         for c in C]
+    return tree_gauge(g, C @ np.stack(U))
 
 
 def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> OptimizeResult:
@@ -570,7 +575,7 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     its position in ``reps``.
     """
     R = cfg.restarts
-    S_all = np.repeat(np.stack([_reduced_frame(g, S) for S in reps]), R, axis=0)
+    S_all = np.repeat(_reduced_frame(g, reps), R, axis=0)
     N = len(S_all)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     values = np.empty(N)
@@ -581,7 +586,7 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     for lo in range(0, N, _CHUNK):
         hi = min(lo + _CHUNK, N)
         B, X = _sample_starts(rng, hi - lo, g, S_all[lo:hi])
-        batch = _Batch(g, S_all[lo:hi], B, X, cfg)
+        batch = _Batch(g, S_all[lo:hi], B, X)
         batch.run()
         with np.errstate(over='ignore'):
             values[lo:hi] = np.exp(batch.f)

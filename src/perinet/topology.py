@@ -193,22 +193,21 @@ def _rows_generate_zn(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
     """All valid shift assignments for a one- or two-vertex skeleton.
 
-    Returns the shift matrices stacked (N, E, n) in the skeleton's edge
-    order.  The first bridge is gauge-fixed to shift zero; loop shifts are
+    Returns the shift matrices stacked (N, E, n), each the tree gauge of
+    its cycle-shift matrix (shift 0 on the first bridge); loop shifts are
     taken sign-canonically (a loop and its reverse are the same edge).
     Kept assignments have full-rank, lattice-generating cycle shifts;
     exact duplicates and global-negation duplicates are removed.
     """
-    free, rows, _ = _screened_rows(g, n, s_max)
-    return _assignments(g, free, rows)
+    return tree_gauge(g, _screened_rows(g, n, s_max)[0])
 
 
 def _screened_rows(g: QuotientGraph, n: int,
-                   s_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The assignments of :func:`enumerate_shift_arrays` before they are put
-    on the edges: the free edges (all but the first bridge), the shifts on
-    them stacked (N, len(free), n), and the n x n minors of those that the
-    lattice-generation screen took (``_rows_generate_zn``)."""
+                   s_max: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The assignments of :func:`enumerate_shift_arrays` as cycle-shift
+    matrices (N, r, n), rows in ``facts().cycles`` order, and the n x n
+    minors the lattice-generation screen took of them (``_rows_generate_zn``)
+    at r = n + 1, where the orbit fold reads them; None at other ranks."""
     if classify(g).kind == "other":
         raise ValueError("shift enumeration supports one- and two-vertex skeletons only")
     bridges, _, loops0 = oriented_star(g, 0)
@@ -230,26 +229,21 @@ def _screened_rows(g: QuotientGraph, n: int,
             _combinations(len(nonzero), k[2]))
     first = _lex_le(sets[2], (len(nonzero) - 1 - sets[2])[:, ::-1])
     tables = (classes[sets[0]], classes[sets[1]], nonzero[sets[2]])    # the shifts of each set
-    free = np.concatenate([loops0, loops1, bridges[1:]])
-    blocks = [np.zeros((0, len(free), n), dtype=np.int64)]
-    minors = [np.zeros((comb(len(free), n), 0), dtype=np.int64)]
+    # the tree is the first bridge, at shift 0: a cycle has its edge's shift
+    to_cycles = np.argsort(np.concatenate([loops0, loops1, bridges[1:]]))
+    r = len(to_cycles)
+    blocks = [np.zeros((0, r, n), dtype=np.int64)]
+    minors = [np.zeros((r, 0), dtype=np.int64)] if r == n + 1 else None
     for lo in range(0, raw, _ENUM_BLOCK):
         flat = np.arange(lo, min(lo + _ENUM_BLOCK, raw))
         i0, i1, ib = np.unravel_index(flat, [len(x) for x in sets])
         i0, i1, ib = i0[first[ib]], i1[first[ib]], ib[first[ib]]
-        rows = np.concatenate([tables[0][i0], tables[1][i1], tables[2][ib]], axis=1)
-        ok, m = _rows_generate_zn(rows, n)
-        blocks.append(rows[ok])
-        minors.append(m[:, ok])
-    return free, np.concatenate(blocks), np.concatenate(minors, axis=1)
-
-
-def _assignments(g: QuotientGraph, free: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Stacked assignments (N, E, n) of ``g``: ``rows`` on the edges ``free``
-    and shift 0 on the others."""
-    S = np.zeros((len(rows), g.edge_count, rows.shape[2]), dtype=np.int64)
-    S[:, free] = rows
-    return S
+        C = np.concatenate([tables[0][i0], tables[1][i1], tables[2][ib]], axis=1)[:, to_cycles]
+        ok, m = _rows_generate_zn(C, n)
+        blocks.append(C[ok])
+        if minors is not None:
+            minors.append(m[:, ok])
+    return np.concatenate(blocks), None if minors is None else np.concatenate(minors, axis=1)
 
 
 def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
@@ -259,51 +253,54 @@ def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
     and a skeleton automorphism (permuting the loops at a vertex or the
     bridges, reversing loops, swapping the vertices) map one onto the
     other; L^n/V takes the same values on both.  Returns the
-    representatives stacked (K, E, n).  At circuit rank r = n there is one
-    class, as a surjection Z^r -> Z^n is fixed up to a basis change by its
-    kernel; its representative is built on the spanning tree, nothing
-    enumerated: shift 0 on the tree edges and e_1..e_n on the others, so
-    its cycle-shift matrix is I_n.  At r = n + 1 the enumerated
-    assignments are classed by :func:`_relation_keys`, the first member of
-    each class representing it; at larger r every enumerated assignment is
-    its own class.  Enumerated classes come in first-member order.
+    representatives stacked (K, E, n), each the tree gauge of its
+    cycle-shift matrix (:func:`tree_gauge`).  At circuit rank r = n there
+    is one class, as a surjection Z^r -> Z^n is fixed up to a basis change
+    by its kernel; its representative is built, nothing enumerated: its
+    cycle-shift matrix is I_n.  At r = n + 1 the enumerated assignments
+    are classed by :func:`_relation_keys`, the first member of each class
+    representing it; at larger r every enumerated assignment is its own
+    class.  Enumerated classes come in first-member order.
 
     The relation vector is a function of the maximal minors the
     enumeration's screen took, so only the first assignment with each
     distinct minor vector is keyed (984 of the 19,380 assignments of D1,3
     in R^3, 654 of the 5,590 of D5), found by a stable sort and a scan.
     """
-    top = classify(g)
-    if top.circuit_rank == n:
-        return tree_gauge(g, np.eye(n, dtype=np.int64))[None]
-    free, rows, minors = _screened_rows(g, n, s_max)
-    if top.circuit_rank != n + 1 or not len(rows):
-        return _assignments(g, free, rows)
+    if classify(g).circuit_rank == n:
+        return tree_gauge(g, np.eye(n, dtype=np.int64)[None])
+    C, minors = _screened_rows(g, n, s_max)
+    if minors is None or not len(C):
+        return tree_gauge(g, C)
     if np.abs(minors).max() < 2 ** 15:
         minors = minors.astype(np.int16)    # exact, and sorted by radix
     order = np.lexsort(minors[::-1])
     ranked = minors[:, order]
-    new = np.ones(len(rows), dtype=bool)
+    new = np.ones(len(C), dtype=bool)
     new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-    S = _assignments(g, free, rows[np.sort(order[new])])   # the least index of each
-    return S[np.sort(np.unique(_relation_keys(g, S), return_index=True)[1])]
+    keyed = np.sort(order[new])             # the least index of each
+    first = np.unique(_relation_keys(g, minors[:, keyed]), return_index=True)[1]
+    return tree_gauge(g, C[keyed[np.sort(first)]])
 
 
 def tree_gauge(g: QuotientGraph, C: np.ndarray) -> np.ndarray:
-    """The shift assignment (E, n) of ``g`` whose cycle-shift matrix is ``C``
-    in the vertex gauge of its spanning tree: shift 0 on the tree edges and
-    the rows of ``C``, in order, on the others (the order of the rows of
-    ``facts().cycles``)."""
-    S = np.zeros((g.edge_count, C.shape[1]), dtype=np.int64)
-    S[np.delete(np.arange(g.edge_count), g.facts().tree)] = C
+    """The assignments (..., E, n) of ``g`` with the stacked cycle-shift
+    matrices ``C`` (..., r, n), in the vertex gauge of its spanning tree:
+    shift 0 on the tree edges and the rows of each C, in order, on the
+    others (the order of the rows of ``facts().cycles``)."""
+    S = np.zeros(C.shape[:-2] + (g.edge_count, C.shape[-1]), dtype=np.int64)
+    S[..., np.delete(np.arange(g.edge_count), g.facts().tree), :] = C
     return S
 
 
-def _relation_keys(g: QuotientGraph, S: np.ndarray) -> np.ndarray:
-    """Orbit key of each assignment in ``S``, for circuit rank n + 1.
+def _relation_keys(g: QuotientGraph, minors: np.ndarray) -> np.ndarray:
+    """Orbit key of each assignment, for circuit rank r = n + 1, from the
+    n x n minors of its cycle-shift matrix C as ``_rows_generate_zn`` lays
+    them out, one column per assignment.
 
-    The signed maximal minors of the (n+1) x n cycle-shift matrix span its
-    left kernel; carried to the edges they give the primitive relation mu
+    The signed maximal minors span the left kernel of C: mu_i is (-1)^i
+    times the minor that leaves out row i, the (r-1-i)-th subset.  Carried
+    to the edges by ``facts().cycles`` they give the primitive relation mu
     (mu^T S = 0), free of the spanning tree and fixed up to sign by a basis
     change.  Automorphisms act on mu by reversing loops (|mu| on loops),
     permuting within an edge class (sorting) and, on two vertices,
@@ -311,10 +308,7 @@ def _relation_keys(g: QuotientGraph, S: np.ndarray) -> np.ndarray:
     lexicographic rank of the least image, ranked by one sort and a scan.
     """
     Z = g.facts().cycles
-    C = Z @ S
-    minors = np.stack([(-1) ** i * det_int_batch(np.delete(C, i, axis=1))
-                       for i in range(len(Z))], axis=1)
-    mu = minors @ Z
+    mu = ((-1) ** np.arange(len(Z)) * minors[::-1].T) @ Z
     mu //= np.gcd.reduce(mu, axis=1, keepdims=True)
 
     bridges, sign, _ = oriented_star(g, 0)

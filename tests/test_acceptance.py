@@ -38,6 +38,7 @@ from perinet import (
     validate,
     volume,
 )
+from perinet import optimize
 from perinet.construct import regular_simplex_vertices
 from perinet.io import export_obj, network_from_json, network_to_json
 from perinet.netcore import Lattice, PeriodicNetwork
@@ -137,7 +138,7 @@ def _balanced_random_network(assignments, skeleton, rng, seed):
     return net
 
 
-def test_criterion_4_bound_soundness_sweep():
+def test_criterion_4_bound_soundness_sweep(monkeypatch):
     with criterion(4, "bound soundness on random balanced networks", 300.0):
         topologies = [("D4", 4), ("D1,2", 4), ("D5", 5), ("D1,3", 5), ("B3", 6)]
         for tag, degree in topologies:
@@ -159,8 +160,8 @@ def test_criterion_4_bound_soundness_sweep():
             g = QuotientGraph(3, skeleton.vertex_count, skeleton.tails,
                               skeleton.heads, assignments[0])
             for max_iter in (3, 12, 50, 50_000):
-                cfg = OptimizeConfig(seed=17, restarts=6, max_iter=max_iter)
-                res = minimize_fixed_shifts(g, cfg)
+                monkeypatch.setattr(optimize, "_MAX_ITER", max_iter)
+                res = minimize_fixed_shifts(g, OptimizeConfig(seed=17, restarts=6))
                 assert res.value >= bound - 1e-9, (tag, max_iter, res.value)
                 finite = res.traces.final_value[
                     np.isfinite(res.traces.final_value)]

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -255,6 +258,24 @@ def test_cli_optimize_documented_example(tmp_path, capsys):
     assert abs(value - 20.7846097) <= 1e-4 * 20.7846097
     back = read_network(str(out))
     assert length_quotient(back) == pytest.approx(value, rel=1e-9)
+
+
+def test_module_entry_point_runs_table_optimize_verify(tmp_path):
+    # ``python -m perinet`` end to end: each command exits 0, and verify
+    # reads the network that optimize wrote
+    import perinet
+
+    src = os.path.dirname(os.path.dirname(perinet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "best.json"
+    for args in (["table", "--dim", "3"],
+                 ["optimize", "--topology", "D3", "--dim", "2", "--restarts", "2",
+                  "--out", str(out)],
+                 ["verify", str(out)]):
+        proc = subprocess.run([sys.executable, "-m", "perinet", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (args, proc.stdout, proc.stderr)
+    assert json.loads(proc.stdout)["applicable"]
 
 
 @pytest.mark.parametrize("flag,value,message", [("--restarts", "0", "restarts must be at least 1"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_termination_labels_name_their_outcome(monkeypatch):
     # the iteration cap, a plateau (an Armijo constant so strict that only
     # negligible steps pass) and a line search that never finds a step
     g = dia_graph()
-    for kw, label in [({"max_iter": 3}, "max_iter"), ({}, "converged"),
+    for kw, label in [({"_MAX_ITER": 3}, "max_iter"), ({}, "converged"),
                       ({"_ARMIJO": 1e6}, "stalled"), ({"_ARMIJO": 1e30}, "line_search_failed")]:
         with monkeypatch.context() as m:
             res = minimize_fixed_shifts(g, _config(m, seed=2, restarts=4, **kw))
@@ -273,8 +274,8 @@ def test_termination_labels_name_their_outcome(monkeypatch):
         assert res.termination == label
 
 
-def test_iteration_cap_is_trace_code_0():
-    res = minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=2, restarts=4, max_iter=3))
+def test_iteration_cap_is_trace_code_0(monkeypatch):
+    res = minimize_fixed_shifts(dia_graph(), _config(monkeypatch, seed=2, restarts=4, _MAX_ITER=3))
     assert (res.traces.termination == 0).all()
     assert res.termination == "max_iter"
 
@@ -306,14 +307,35 @@ def test_minimize_fixed_shifts_rejects_bad_graph():
         minimize_fixed_shifts(g)
 
 
-def test_minimize_fixed_shifts_descent_monotone():
+@pytest.mark.parametrize("vertices,edges,fault", [
+    (1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0)), (0, 0, (0, 0, 1)), (0, 0, (0, 0, 0))],
+     "loop 3 has zero shift"),
+    (2, [(0, 1, (0, 0, 0)), (0, 1, (1, 0, 0)), (0, 1, (0, 1, 0)), (0, 1, (0, 0, 1)),
+         (0, 1, (0, 0, 1))], "duplicate edge (0, 1, (0, 0, 1))"),
+    (1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0)), (0, 0, (0, 0, 1)), (0, 0, (0, 0, -1))],
+     "duplicate edge (0, 0, (0, 0, -1))"),
+], ids=["zero-loop", "doubled-bridge", "reversed-loop-copy"])
+def test_unrealizable_graphs_are_refused_before_sampling(monkeypatch, vertices, edges, fault):
+    # a zero-shift loop has length zero, and an edge with a copy (reversed
+    # or not) leaves its end vertices in one direction, in every realization
+    def no_sampling(*args):
+        raise AssertionError("starts sampled")
+
+    monkeypatch.setattr(optimize, "_sample_starts", no_sampling)
+    g = QuotientGraph.from_edges(3, vertices, edges)
+    for solve in (random_network, minimize_fixed_shifts):
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            solve(g)
+
+
+def test_minimize_fixed_shifts_descent_monotone(monkeypatch):
     # the per-step check lives in the engine; drive it one step per run here
     g = dia_graph()
-    cfg = OptimizeConfig(seed=2, restarts=4, max_iter=1)
+    monkeypatch.setattr(optimize, "_MAX_ITER", 1)
     S = np.broadcast_to(g.shifts, (4,) + g.shifts.shape)
     rng = np.random.default_rng(0)
     B, X = _sample_starts(rng, 4, g, S)
-    batch = _Batch(g, S, B, X, cfg)
+    batch = _Batch(g, S, B, X)
     f_prev = batch.f.copy()
     for _ in range(60):
         batch.run()
@@ -326,9 +348,10 @@ def test_engine_detects_edge_collapse(monkeypatch):
     # a cds network with a nearly collapsed bridge trips the edge floor
     net, _ = catalog("cds", t=0.01)
     g = net.graph
-    cfg = _config(monkeypatch, seed=0, restarts=1, _EPS_EDGE=0.1, max_iter=50)
+    monkeypatch.setattr(optimize, "_EPS_EDGE", 0.1)
+    monkeypatch.setattr(optimize, "_MAX_ITER", 50)
     S = g.shifts[None, :, :]
-    batch = _Batch(g, S, net.lattice.basis[None], net.positions[None], cfg)
+    batch = _Batch(g, S, net.lattice.basis[None], net.positions[None])
     batch.run()
     assert batch.status[0] == 2
 
@@ -416,13 +439,29 @@ def test_scale_gauge_exactness():
     assert abs(f1 - f0) <= 1e-12 * max(1.0, abs(f0))
 
 
+def _reference_service(self, idx, check_cond: bool):
+    """The former ``_Batch._service``: stall and condition checks that read
+    and write the batch's own arrays at the instances ``idx``."""
+    o = optimize
+    if check_cond:
+        sv = np.linalg.svd(self.B[idx], compute_uv=False)
+        degen = sv[:, 0] / sv[:, -1] > o._COND_LIMIT
+        self.status[idx[degen]] = 3
+    drop = np.abs(self.f[idx] - self._f_snap[idx]) \
+        <= 1e-14 * np.maximum(1.0, np.abs(self.f[idx]))
+    self._stall[idx[drop]] += 1
+    self._stall[idx[~drop]] = 0
+    self.status[idx[(self._stall[idx] >= o._STALL_PATIENCE) & (self.status[idx] == 0)]] = 5
+    self._f_snap[idx] = self.f[idx]
+
+
 def _reference_run(self):
     """The former ``_Batch.run``: every step gathers the live instances'
     state from the batch and scatters it back, and the accepted basis's
     determinant is computed a second time for the scale gauge."""
-    cfg, o = self.cfg, optimize
+    o = optimize
     n = self.n
-    for step in range(cfg.max_iter):
+    for step in range(o._MAX_ITER):
         idx = np.flatnonzero(self.status == 0)
         if len(idx) == 0:
             return
@@ -508,7 +547,7 @@ def _reference_run(self):
         if (step + 1) % _SERVICE_EVERY == 0:
             alive = np.flatnonzero(self.status == 0)
             if len(alive):
-                self._service(alive, check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
+                _reference_service(self, alive, check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
 
 
 def _twin_batches(g, cfg, B=None, X=None):
@@ -518,7 +557,7 @@ def _twin_batches(g, cfg, B=None, X=None):
     S = np.broadcast_to(g.shifts, (N,) + g.shifts.shape)
     if B is None:
         B, X = _sample_starts(np.random.default_rng(cfg.seed), N, g, S)
-    return tuple(_Batch(g, S, B, X, cfg) for _ in range(2))
+    return tuple(_Batch(g, S, B, X) for _ in range(2))
 
 
 def _assert_same_descent(a, b):
@@ -567,7 +606,7 @@ def test_descent_matches_reference_on_rewritten_catalog(name, params):
 
 
 @pytest.mark.usefixtures("tail_off")
-@pytest.mark.parametrize("kw,code", [({"max_iter": 3}, 0), ({}, 1), ({"_ARMIJO": 1e6}, 5),
+@pytest.mark.parametrize("kw,code", [({"_MAX_ITER": 3}, 0), ({}, 1), ({"_ARMIJO": 1e6}, 5),
                                      ({"_ARMIJO": 1e30}, 6)])
 def test_descent_matches_reference_at_each_termination(monkeypatch, kw, code):
     a, b = _twin_batches(dia_graph(), _config(monkeypatch, seed=2, restarts=4, **kw))
@@ -580,7 +619,7 @@ def test_descent_matches_reference_at_each_termination(monkeypatch, kw, code):
 @pytest.mark.usefixtures("tail_off")
 def test_descent_matches_reference_on_edge_collapse(monkeypatch):
     net, _ = catalog("cds", t=0.01)
-    a, b = _twin_batches(net.graph, _config(monkeypatch, _EPS_EDGE=0.1, max_iter=50),
+    a, b = _twin_batches(net.graph, _config(monkeypatch, _EPS_EDGE=0.1, _MAX_ITER=50),
                          net.lattice.basis[None], net.positions[None])
     a.run()
     _reference_run(b)
@@ -618,7 +657,7 @@ def test_batch_descends_the_shifts_it_was_handed():
     S = np.repeat(reps, 10, axis=0)
     rng = np.random.default_rng(np.random.SeedSequence((1, 0)))
     B, X = _sample_starts(rng, len(S), g, S)
-    batch = _Batch(g, S, B, X, OptimizeConfig(seed=1, restarts=10))
+    batch = _Batch(g, S, B, X)
     batch.run()
     assert np.array_equal(batch.S_int, S)
     assert (batch.status != 0).all()
@@ -677,8 +716,8 @@ def test_multistart_does_not_depend_on_the_presentation(tag, n, orbit):
 
 
 @pytest.mark.usefixtures("tail_off")
-def test_descent_matches_reference_when_resumed_step_by_step():
-    a, b = _twin_batches(dia_graph(), OptimizeConfig(seed=2, restarts=4, max_iter=1))
+def test_descent_matches_reference_when_resumed_step_by_step(monkeypatch):
+    a, b = _twin_batches(dia_graph(), _config(monkeypatch, seed=2, restarts=4, _MAX_ITER=1))
     for _ in range(60):
         a.run()
         _reference_run(b)
@@ -863,7 +902,7 @@ def test_newton_fallback_rows_take_the_gradient_step(monkeypatch, bad):
     # damped system is not finite, it goes uphill, or it moves edge vectors
     # by more than their length; the descent is then the tail-off descent
     g, X, B = _near_dia(6, seed=4)
-    a, b = _twin_batches(g, OptimizeConfig(max_iter=40), B, X)
+    a, b = _twin_batches(g, _config(monkeypatch, _MAX_ITER=40), B, X)
     newton_steps = optimize._newton_steps
 
     def hessian(n, P, S, B, u, ell):
@@ -897,7 +936,7 @@ def test_newton_fallback_rows_take_the_gradient_step(monkeypatch, bad):
 def test_newton_step_clears_barzilai_borwein_memory(monkeypatch):
     # a step size estimated across a Newton step would mix two models
     g, X, B = _near_dia(4, seed=5)
-    a, b = _twin_batches(g, OptimizeConfig(max_iter=1), B, X)
+    a, b = _twin_batches(g, _config(monkeypatch, _MAX_ITER=1), B, X)
     monkeypatch.setattr(optimize, "_NEWTON_ENTRY", np.inf)
     a.run()
     monkeypatch.setattr(optimize, "_NEWTON_ENTRY", 0.0)

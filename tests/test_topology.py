@@ -178,6 +178,16 @@ def test_enumerate_assignment_counts():
         assert len(enumerate_shift_arrays(build_abstract(tag, n), n, 1)) == count
 
 
+def _skeleton(tag, n):
+    """``build_abstract(tag, n)``, or for "D1,2 reordered" a D1,2 skeleton
+    with its edges out of that order: the loop at vertex 1, a bridge
+    1 -> 0, the loop at vertex 0, then a bridge 0 -> 1."""
+    if tag != "D1,2 reordered":
+        return build_abstract(tag, n)
+    z = [0] * n
+    return QuotientGraph.from_edges(n, 2, [(1, 1, z), (1, 0, z), (0, 0, z), (0, 1, z)])
+
+
 def _reference_shift_arrays(skeleton, n, s_max):
     """The enumeration written out candidate by candidate.
 
@@ -212,9 +222,10 @@ def _reference_shift_arrays(skeleton, n, s_max):
 @pytest.mark.parametrize("tag,n,s_max", [
     ("B3", 3, 1), ("D4", 3, 1), ("D1,2", 3, 1), ("D5", 3, 1),
     ("D3", 2, 1), ("D3", 2, 2), ("B2", 2, 2), ("D1,1", 2, 2),
+    ("D1,2 reordered", 2, 1), ("D1,2 reordered", 2, 2),
 ])
 def test_enumerate_matches_reference(tag, n, s_max):
-    skeleton = build_abstract(tag, n)
+    skeleton = _skeleton(tag, n)
     ref = _reference_shift_arrays(skeleton, n, s_max)
     got = enumerate_shift_arrays(skeleton, n, s_max)
     assert len(got) == len(ref)
@@ -272,7 +283,8 @@ def test_shift_orbits_key_distinct_relation_vectors_only(monkeypatch, tag, keyed
     # vector is keyed, not every enumerated one
     rows = []
     keys = topology._relation_keys
-    monkeypatch.setattr(topology, "_relation_keys", lambda g, S: rows.append(len(S)) or keys(g, S))
+    monkeypatch.setattr(topology, "_relation_keys",
+                        lambda g, minors: rows.append(minors.shape[1]) or keys(g, minors))
     skeleton = build_abstract(tag, 3)
     shift_orbits(skeleton, 3, 1)
     assert rows == [keyed]
@@ -285,6 +297,29 @@ def _cycle_matrices(g, S):
     Z = QuotientGraph(E, g.vertex_count, g.tails, g.heads,
                       np.eye(E, dtype=np.int64)).cycle_shift_matrix()
     return np.einsum('ce,aei->aci', Z, S)
+
+
+def _minors(g, S):
+    """The n x n minors of the cycle-shift matrices of the stacked
+    assignments ``S``, laid out as ``_relation_keys`` reads them: one row
+    per n-subset of the cycles in lexicographic order, one column per
+    assignment."""
+    C = _cycle_matrices(g, S)
+    return np.stack([det_int_batch(C[:, list(sub)])
+                     for sub in combinations(range(C.shape[1]), g.dim)])
+
+
+@pytest.mark.parametrize("tag,kept", [("D4", False), ("D5", True), ("D6", False)])
+def test_screen_keeps_minors_only_at_rank_n_plus_1(tag, kept):
+    # only the orbit fold at circuit rank n + 1 reads the screen's minors:
+    # none are kept at r = n (D4 in R^3) or r = n + 2 (D6)
+    g = build_abstract(tag, 3)
+    C, minors = topology._screened_rows(g, 3, 1)
+    S = enumerate_shift_arrays(g, 3, 1)
+    assert np.array_equal(C, _cycle_matrices(g, S))
+    assert (minors is not None) == kept
+    if kept:
+        assert np.array_equal(minors, _minors(g, S))
 
 
 def _orbit_labels(g, n, reps, S):
@@ -301,7 +336,7 @@ def _orbit_labels(g, n, reps, S):
         assert np.array_equal(_cycle_matrices(g, reps)[0], np.eye(n, dtype=np.int64))
         assert (np.abs(det_int_batch(_cycle_matrices(g, S))) == 1).all()
         return np.zeros(len(S), dtype=np.int64)
-    keys = _relation_keys(g, np.concatenate([reps, S]))
+    keys = _relation_keys(g, _minors(g, np.concatenate([reps, S])))
     rep_keys, keys = keys[:len(reps)], keys[len(reps):]
     order = np.argsort(rep_keys)
     assert len(np.unique(rep_keys)) == len(reps)
@@ -399,19 +434,21 @@ def _reference_relation_keys(g, S):
 
 # every one- and two-vertex skeleton of circuit rank n + 1 in dimensions 2
 # and 3 under ENUMERATION_LIMIT, at each s_max whose enumeration takes
-# about a second or less; left out for time and memory are D5 and D2,1 at
-# s_max = 2 (1.9 M and 1.5 M assignments) and B5 in R^4 (427 k)
+# about a second or less, and a D1,2 with its edges out of build_abstract
+# order; left out for time and memory are D5 and D2,1 at s_max = 2 (1.9 M
+# and 1.5 M assignments) and B5 in R^4 (427 k)
 @pytest.mark.parametrize("tag,n,s_max", [
     ("D4", 2, 1), ("D4", 2, 2), ("D4", 2, 3), ("D1,2", 2, 1), ("D1,2", 2, 2),
     ("D1,2", 2, 3), ("B3", 2, 1), ("B3", 2, 2), ("B3", 2, 3),
     ("D5", 3, 1), ("D1,3", 3, 1), ("D2,1", 3, 1), ("B4", 3, 1), ("B4", 3, 2),
+    ("D1,2 reordered", 2, 1), ("D1,2 reordered", 2, 2), ("D1,2 reordered", 2, 3),
 ])
 def test_shift_orbits_match_reference_keying(tag, n, s_max):
-    skeleton = build_abstract(tag, n)
+    skeleton = _skeleton(tag, n)
     assert classify(skeleton).circuit_rank == n + 1
     S = enumerate_shift_arrays(skeleton, n, s_max)
     ref = _first_member_labels(_reference_relation_keys(skeleton, S))
-    assert np.array_equal(_first_member_labels(_relation_keys(skeleton, S)), ref)
+    assert np.array_equal(_first_member_labels(_relation_keys(skeleton, _minors(skeleton, S))), ref)
     got = shift_orbits(skeleton, n, s_max)
     first = np.unique(ref, return_index=True)[1]
     assert np.array_equal(got, S[first])
