@@ -38,9 +38,13 @@ def force(net: PeriodicNetwork, v: int) -> np.ndarray:
     Each incident edge end contributes the unit vector pointing from the
     neighbour towards v; loops contribute both of their ends, which cancel.
     """
+    return force_all(net).forces[_known_vertex(net, v)]
+
+
+def _known_vertex(net: PeriodicNetwork, v: int) -> int:
     if not 0 <= v < net.graph.vertex_count:
         raise ValueError(f"unknown vertex id {v}")
-    return force_all(net).forces[v]
+    return v
 
 
 def force_all(net: PeriodicNetwork) -> ForceResult:
@@ -239,7 +243,7 @@ def lifted_neighbours(net: PeriodicNetwork, v: int) -> np.ndarray:
     role in rebalancing.
     """
     g = net.graph
-    edges, sign, _ = oriented_star(g, v)
+    edges, sign, _ = oriented_star(g, _known_vertex(net, v))
     ends = np.where(sign > 0, g.heads[edges], g.tails[edges])
     return net.positions[ends] + sign[:, None] * (g.shifts[edges] @ net.lattice.basis.T)
 

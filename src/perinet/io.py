@@ -4,8 +4,9 @@ The JSON document holds the dimension, the vertices with positions, the
 lattice basis column by column, and the shift-labeled edges.  Floats are
 written with 17 significant digits, which round-trips IEEE doubles
 exactly; the writer output is byte-stable for a given network.  JSON has
-no non-finite numbers: the writer refuses them and the reader refuses the
-``NaN`` and ``Infinity`` literals that Python's json module would accept.
+no non-finite numbers: the writer refuses them, and the reader refuses the
+``NaN`` and ``Infinity`` literals that Python's json module would accept
+and a number such as ``1e999`` that it would read as infinite.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ def _fnum(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _no_constant(name: str):
-    raise ValueError(f"not valid JSON: {name} is not a number")
+def _finite(text: str) -> float:
+    if not math.isfinite(x := float(text)):
+        raise ValueError(f"not valid JSON: {text} is not a number within the double range")
+    return x
 
 
-_DECODER = json.JSONDecoder(parse_constant=_no_constant)
+_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
 
 
 def _int(x, field: str) -> int:

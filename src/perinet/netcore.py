@@ -451,7 +451,7 @@ def with_positions(net: PeriodicNetwork, positions: np.ndarray) -> PeriodicNetwo
 
 def scaled(net: PeriodicNetwork, c: float) -> PeriodicNetwork:
     """Similarity image of the network: positions and basis scaled by c."""
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError(f"scale factor must be positive and finite, not {c}")
     return PeriodicNetwork(net.graph, Lattice(net.lattice.basis * c),
                            net.positions * c)

@@ -45,6 +45,7 @@ from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orb
 
 _STATUS_LABELS = {0: "max_iter", 1: "converged", 2: "collapsed_edge",
                   3: "degenerate_lattice", 5: "stalled", 6: "line_search_failed"}
+_START_CHECKS = ("basis determinant at most 0.1", "zero edge length", "parallel edge ends")
 
 _CHUNK = 1 << 16             # most instances descended in one batch
 _MAX_ITER = 50_000           # accepted steps at most per instance
@@ -348,12 +349,14 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
     :func:`random_network`.
 
     Basis: identity plus uniform(-0.3, 0.3) entries; positions uniform in
-    the unit cell; instances with |det B| <= 0.1 or a collapsed or
-    non-immersed star are redrawn, up to 100 rounds.
+    the unit cell; instances that fail a ``_START_CHECKS`` check (|det B|
+    <= 0.1, a collapsed or a non-immersed star) are redrawn, up to 100
+    rounds, and the error then names the checks the last draws failed.
     """
     n, V = g.dim, g.vertex_count
     B = np.empty((count, n, n))
     X = np.empty((count, V, n))
+    ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
     todo = np.arange(count)
     for _ in range(100):
         if len(todo) == 0:
@@ -363,19 +366,15 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
         frac = rng.uniform(0.0, 1.0, (m, V, n))
         Xc = np.einsum('aij,avj->avi', Bc, frac)
         B[todo], X[todo] = Bc, Xc
-        ok = _starts_valid(Bc, Xc, g, S_int[todo])
-        todo = todo[~ok]
+        vec = lifted_edges(Xc, Bc, ST[todo], g.tails, g.heads)
+        ell = edge_norms(vec)
+        faults = (np.abs(_det_batch(Bc)) <= 0.1, (ell <= 1e-9).any(axis=1),
+                  parallel_ends(vec, ell, g.facts().end_pairs).any(axis=1))
+        todo = todo[faults[0] | faults[1] | faults[2]]
     if len(todo):
-        raise RuntimeError("failed to draw a valid starting network in 100 rounds")
+        failed = ", ".join(c for c, hit in zip(_START_CHECKS, faults) if hit.any())
+        raise RuntimeError(f"failed to draw a valid starting network in 100 rounds: {failed}")
     return B, X
-
-
-def _starts_valid(B, X, g: QuotientGraph, S_int) -> np.ndarray:
-    ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
-    vec = lifted_edges(X, B, ST, g.tails, g.heads)
-    ell = edge_norms(vec)
-    crossed = parallel_ends(vec, ell, g.facts().end_pairs).any(axis=1)
-    return (np.abs(_det_batch(B)) > 0.1) & (ell > 1e-9).all(axis=1) & ~crossed
 
 
 def _objective(n: int, ell: np.ndarray, det: np.ndarray) -> np.ndarray:
@@ -474,18 +473,20 @@ def objective_and_gradient(net: PeriodicNetwork):
     return float(_objective(g.dim, ell, _det_batch(B))[0]), gX[0], gB[0]
 
 
-def _refuse_unrealizable(g: QuotientGraph) -> None:
-    """Refuse a zero-shift loop or a duplicate edge (a reversed copy included),
-    which no valid realization has, with the violation ``facts()`` lists."""
-    for fault in sum(g.facts().violations, ()):
-        if fault.startswith(("loop ", "duplicate edge ")):
-            raise ValueError(f"no valid realization: {fault}")
+def _refuse_invalid(g: QuotientGraph) -> None:
+    """Refuse a graph that fails a check of ``facts()``, with its first
+    violation: no realization of it is a valid network."""
+    faults = sum(g.facts().violations, ())
+    if faults:
+        raise ValueError(f"no valid realization: {faults[0]}")
 
 
 def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:
     """One random valid network on the given quotient graph (deterministic in
-    seed); a graph that has none is refused (``_refuse_unrealizable``)."""
-    _refuse_unrealizable(g)
+    seed).  A graph that fails a check of ``facts()`` has none and is refused
+    (``_refuse_invalid``); one with a cut edge is accepted, its networks
+    being valid though never balanced."""
+    _refuse_invalid(g)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA5)))
     B, X = _sample_starts(rng, 1, g, g.shifts[None, :, :])
     return PeriodicNetwork(g, Lattice(B[0]), X[0])
@@ -500,26 +501,16 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     the caller's (``_multistart``), and the best network is mapped back
     exactly onto ``g`` itself, whose shifts the result keeps.  At circuit
     rank r = n every basis has the same reduced frame, so the traces do not
-    depend on it at all.  A disconnected graph
-    is refused before any descent, since its rank test reads the cycles of
-    one component only.  So is a graph with a cut edge: summing the vertex
-    forces over the vertices on one side of the cut edge e, every other
-    edge cancels and +-u_e is left, so no realization with positive edge
-    lengths is balanced and every restart would collapse.  So is a graph
-    with no valid start to draw (``_refuse_unrealizable``).
+    depend on it at all.  Before any descent it refuses a graph that fails
+    a check of ``facts()`` (``_refuse_invalid``), and a graph with a cut
+    edge, which has no balanced realization (see ``min_vertex_count``), so
+    every restart would collapse.
     """
     cfg = cfg or OptimizeConfig()
-    facts = g.facts()
-    if not facts.connected:
-        raise ValueError("quotient graph disconnected: no periodic network")
-    factors = facts.invariant_factors
-    if factors != (1,) * g.dim:
-        raise ValueError(
-            f"graph is not a valid n-periodic quotient: rank {len(factors)} of "
-            f"{g.dim}, invariant factors {factors}")
-    if facts.cut_edges:
-        raise ValueError(f"no balanced realization: cut edge {facts.cut_edges[0]}")
-    _refuse_unrealizable(g)
+    _refuse_invalid(g)
+    cut = g.facts().cut_edges
+    if cut:
+        raise ValueError(f"no balanced realization: cut edge {cut[0]}")
     return _multistart(g, g.shifts[None], cfg)
 
 
@@ -575,8 +566,8 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     its position in ``reps``.
     """
     R = cfg.restarts
-    S_all = np.repeat(_reduced_frame(g, reps), R, axis=0)
-    N = len(S_all)
+    frames = _reduced_frame(g, reps)
+    N = len(reps) * R
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     values = np.empty(N)
     iters = np.empty(N, dtype=np.int32)
@@ -585,8 +576,9 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     leaders, networks = [], []      # best instance of each batch
     for lo in range(0, N, _CHUNK):
         hi = min(lo + _CHUNK, N)
-        B, X = _sample_starts(rng, hi - lo, g, S_all[lo:hi])
-        batch = _Batch(g, S_all[lo:hi], B, X)
+        S = frames[np.arange(lo, hi) // R]
+        B, X = _sample_starts(rng, hi - lo, g, S)
+        batch = _Batch(g, S, B, X)
         batch.run()
         with np.errstate(over='ignore'):
             values[lo:hi] = np.exp(batch.f)

@@ -575,3 +575,12 @@ def test_newton_tail_certifies_from_near_the_median():
         assert sum(d_out) <= d.sum() * (1 + 1e-12) + 1e-15
         certified += 1
     assert certified >= 20
+
+
+@pytest.mark.parametrize("v", [2, 7, -1])
+def test_vertex_ids_outside_the_graph_are_refused(v):
+    # dia has vertices 0 and 1; no other id has a force or a star
+    net, _ = catalog("dia")
+    for probe in (force, lifted_neighbours, rebalance_vertex):
+        with pytest.raises(ValueError, match=f"unknown vertex id {v}$"):
+            probe(net, v)

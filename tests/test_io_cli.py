@@ -69,6 +69,15 @@ def test_json_reader_refuses_non_finite_literals(literal):
         network_from_json(text.replace("0.25", literal, 1))
 
 
+@pytest.mark.parametrize("number", ["0.25", "0.5"], ids=["pos", "lattice"])
+def test_json_reader_refuses_numbers_beyond_the_double_range(number):
+    # Python's json module reads 1e999 as inf, which no JSON number is; in
+    # dia's text 0.25 first occurs in a position and 0.5 in the lattice
+    text = network_to_json(catalog("dia")[0])
+    with pytest.raises(ValueError, match="not valid JSON: 1e999 is not a number"):
+        network_from_json(text.replace(number, "1e999", 1))
+
+
 def test_json_file_io(tmp_path):
     net, _ = catalog("sqp")
     path = tmp_path / "sqp.json"
@@ -187,26 +196,25 @@ def test_cli_verify_invalid_network_exits_1(tmp_path, capsys, case):
     assert doc["note"].startswith("network fails validation")
 
 
-def test_cli_verify_infinite_position_exits_1(tmp_path, capsys):
-    # 1e999 is a JSON number, read as an infinite coordinate
-    path = tmp_path / "far.json"
-    path.write_text(network_to_json(catalog("dia")[0]).replace("0.25", "1e999", 1))
-    assert run(["verify", str(path)]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["applicable"] is False
-    assert doc["note"].startswith("network fails validation: non-finite edge length 0")
-
-
-def test_cli_eval_infinite_position_exits_1(tmp_path, capsys):
+def _infinite_position_exits_1(tmp_path, capsys, command):
+    # 1e999, which Python's json module reads as inf, is refused by the
+    # reader, so no infinite coordinate reaches the command
     path = tmp_path / "far.json"
     path.write_text(network_to_json(catalog("dia")[0]).replace("0.25", "1e999", 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(["eval", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "measures unavailable: non-finite edge length 0" in out
-    assert "L   =" not in out and "force[" not in out
-    assert "  violation: non-finite edge length 0" in out
+        assert run([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cannot read network: not valid JSON: 1e999 is not a number")
+
+
+def test_cli_verify_infinite_position_exits_1(tmp_path, capsys):
+    _infinite_position_exits_1(tmp_path, capsys, "verify")
+
+
+def test_cli_eval_infinite_position_exits_1(tmp_path, capsys):
+    _infinite_position_exits_1(tmp_path, capsys, "eval")
 
 
 @pytest.mark.parametrize("command", ["eval", "verify"])

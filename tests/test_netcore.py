@@ -208,6 +208,15 @@ def test_scaling_invariance():
             assert abs(q1 - q0) <= 1e-12 * q0
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+def test_scale_factor_must_be_positive_and_finite(c):
+    net, _ = catalog("dia")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="scale factor must be positive and finite"):
+            scaled(net, c)
+
+
 def test_shift_gauge_invariance():
     rng = np.random.default_rng(6)
     net, _ = catalog("bnn")

@@ -178,6 +178,8 @@ def test_cut_edge_graph_is_refused_before_descent(monkeypatch, name):
     monkeypatch.setattr(optimize, "_multistart", None)      # no descent may start
     with pytest.raises(ValueError, match=f"no balanced realization: cut edge {cut[0]}$"):
         minimize_fixed_shifts(g)
+    # its networks are valid, only never balanced
+    assert validate(random_network(g)).ok
 
 
 def test_disconnected_graph_is_refused_before_descent(monkeypatch):
@@ -187,7 +189,7 @@ def test_disconnected_graph_is_refused_before_descent(monkeypatch):
     g = QuotientGraph.from_edges(3, 2, [(v, v, s) for v in (0, 1) for s in loops])
     assert g.facts().invariant_factors == (1, 1, 1) and g.facts().cut_edges == ()
     monkeypatch.setattr(optimize, "_multistart", None)      # no descent may start
-    with pytest.raises(ValueError, match="quotient graph disconnected"):
+    with pytest.raises(ValueError, match="no valid realization: quotient graph disconnected$"):
         minimize_fixed_shifts(g)
 
 
@@ -314,17 +316,34 @@ def test_minimize_fixed_shifts_rejects_bad_graph():
          (0, 1, (0, 0, 1))], "duplicate edge (0, 1, (0, 0, 1))"),
     (1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0)), (0, 0, (0, 0, 1)), (0, 0, (0, 0, -1))],
      "duplicate edge (0, 0, (0, 0, -1))"),
-], ids=["zero-loop", "doubled-bridge", "reversed-loop-copy"])
+    (1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0))], "cycle-shift rank 2 < dimension 3"),
+    (2, [(v, v, s) for v in (0, 1) for s in [(1, 0), (0, 1)]], "quotient graph disconnected"),
+    (2, [(0, 0, (1, 0)), (0, 1, (0, 0)), (0, 1, (1, 0)), (0, 1, (0, 1))],
+     "degrees not regular: [5, 3]"),
+], ids=["zero-loop", "doubled-bridge", "reversed-loop-copy", "rank-2-bouquet",
+        "disconnected-bouquets", "irregular"])
 def test_unrealizable_graphs_are_refused_before_sampling(monkeypatch, vertices, edges, fault):
-    # a zero-shift loop has length zero, and an edge with a copy (reversed
-    # or not) leaves its end vertices in one direction, in every realization
+    # a zero-shift loop has length zero, an edge with a copy (reversed or
+    # not) leaves its end vertices in one direction, and no realization of
+    # a disconnected, irregular or rank-deficient quotient is a valid network
     def no_sampling(*args):
         raise AssertionError("starts sampled")
 
     monkeypatch.setattr(optimize, "_sample_starts", no_sampling)
-    g = QuotientGraph.from_edges(3, vertices, edges)
+    g = QuotientGraph.from_edges(len(edges[0][2]), vertices, edges)
     for solve in (random_network, minimize_fixed_shifts):
-        with pytest.raises(ValueError, match=re.escape(fault)):
+        with pytest.raises(ValueError, match=re.escape(f"no valid realization: {fault}")):
+            solve(g)
+
+
+def test_sampler_names_the_check_its_last_draws_failed():
+    # loops (1, 0, 0) and (2, 0, 0) leave the vertex in one direction in
+    # every realization, which no check on the graph alone sees
+    g = QuotientGraph.from_edges(3, 1, [(0, 0, (1, 0, 0)), (0, 0, (2, 0, 0)),
+                                        (0, 0, (0, 1, 0)), (0, 0, (0, 0, 1))])
+    assert g.facts().violations == ((), ())
+    for solve in (random_network, minimize_fixed_shifts):
+        with pytest.raises(RuntimeError, match="100 rounds: .*parallel edge ends"):
             solve(g)
 
 

@@ -11,6 +11,7 @@ from perinet import (
     classify,
     min_vertex_count,
     validate,
+    verify,
 )
 from perinet.intlinalg import det_int, det_int_batch, smith_invariant_factors
 from perinet.netcore import Lattice, PeriodicNetwork
@@ -289,6 +290,22 @@ def test_shift_orbits_key_distinct_relation_vectors_only(monkeypatch, tag, keyed
     shift_orbits(skeleton, 3, 1)
     assert rows == [keyed]
     assert len(enumerate_shift_arrays(skeleton, 3, 1)) == enumerated
+
+
+@pytest.mark.parametrize("tag,count", [("D5", 37), ("D1,3", 238)])
+def test_circuit_rank_n_plus_2_descends_every_assignment(tag, count):
+    # past r = n + 1 no orbit is folded: every enumerated assignment is its
+    # own class, and the search over them all ends on a valid network above
+    # the strict degree-floor bound
+    skeleton = build_abstract(tag, 2)
+    assert classify(skeleton).circuit_rank == 4
+    reps = shift_orbits(skeleton, 2, 1)
+    assert len(reps) == count
+    assert np.array_equal(reps, enumerate_shift_arrays(skeleton, 2, 1))
+    res = minimize_topology(tag, 2, OptimizeConfig(seed=1, restarts=4))
+    assert validate(res.network).ok
+    rep = verify(res.network)
+    assert rep.theorem == "degree-floor" and rep.strict and rep.slack > 0
 
 
 def _cycle_matrices(g, S):
