@@ -38,7 +38,8 @@ def force(net: PeriodicNetwork, v: int) -> np.ndarray:
     Each incident edge end contributes the unit vector pointing from the
     neighbour towards v; loops contribute both of their ends, which cancel.
     """
-    return force_all(net).forces[_known_vertex(net, v)]
+    v = _known_vertex(net, v)
+    return force_all(net).forces[v]
 
 
 def _known_vertex(net: PeriodicNetwork, v: int) -> int:

@@ -29,7 +29,7 @@ def _fnum(x: float) -> str:
 
 def _finite(text: str) -> float:
     if not math.isfinite(x := float(text)):
-        raise ValueError(f"not valid JSON: {text} is not a number within the double range")
+        raise ValueError(f"not valid JSON: {text} is not a finite double")
     return x
 
 

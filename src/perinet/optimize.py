@@ -568,6 +568,7 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     R = cfg.restarts
     frames = _reduced_frame(g, reps)
     N = len(reps) * R
+    assignment, restart = np.divmod(np.arange(N), R)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     values = np.empty(N)
     iters = np.empty(N, dtype=np.int32)
@@ -576,7 +577,7 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     leaders, networks = [], []      # best instance of each batch
     for lo in range(0, N, _CHUNK):
         hi = min(lo + _CHUNK, N)
-        S = frames[np.arange(lo, hi) // R]
+        S = frames[assignment[lo:hi]]
         B, X = _sample_starts(rng, hi - lo, g, S)
         batch = _Batch(g, S, B, X)
         batch.run()
@@ -590,8 +591,6 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
         networks.append(batch.network_at(i))
     lead = int(_near_best(values[leaders])[0])
     best = leaders[lead]
-    assignment = np.repeat(np.arange(len(reps)), R)
-    restart = np.tile(np.arange(R, dtype=np.int64), len(reps))
     traces = TraceTable(assignment, restart, values, iters, status, tail)
     shifts = np.array(reps[assignment[best]])
     home = g if np.array_equal(g.shifts, shifts) else \

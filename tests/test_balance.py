@@ -579,8 +579,11 @@ def test_newton_tail_certifies_from_near_the_median():
 
 @pytest.mark.parametrize("v", [2, 7, -1])
 def test_vertex_ids_outside_the_graph_are_refused(v):
-    # dia has vertices 0 and 1; no other id has a force or a star
+    # dia has vertices 0 and 1; no other id has a force or a star.  The two
+    # are put on one point, so the id must be checked before the zero-length
+    # edge 0 is found
     net, _ = catalog("dia")
+    net = with_positions(net, np.zeros_like(net.positions))
     for probe in (force, lifted_neighbours, rebalance_vertex):
         with pytest.raises(ValueError, match=f"unknown vertex id {v}$"):
             probe(net, v)

@@ -65,7 +65,7 @@ def test_json_writer_refuses_non_finite_numbers(entry, value):
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_json_reader_refuses_non_finite_literals(literal):
     text = network_to_json(catalog("dia")[0])
-    with pytest.raises(ValueError, match=f"not valid JSON: {literal} is not a number"):
+    with pytest.raises(ValueError, match=f"not valid JSON: {literal} is not a finite double"):
         network_from_json(text.replace("0.25", literal, 1))
 
 
@@ -74,7 +74,7 @@ def test_json_reader_refuses_numbers_beyond_the_double_range(number):
     # Python's json module reads 1e999 as inf, which no JSON number is; in
     # dia's text 0.25 first occurs in a position and 0.5 in the lattice
     text = network_to_json(catalog("dia")[0])
-    with pytest.raises(ValueError, match="not valid JSON: 1e999 is not a number"):
+    with pytest.raises(ValueError, match="not valid JSON: 1e999 is not a finite double"):
         network_from_json(text.replace(number, "1e999", 1))
 
 
@@ -196,25 +196,39 @@ def test_cli_verify_invalid_network_exits_1(tmp_path, capsys, case):
     assert doc["note"].startswith("network fails validation")
 
 
-def _infinite_position_exits_1(tmp_path, capsys, command):
-    # 1e999, which Python's json module reads as inf, is refused by the
-    # reader, so no infinite coordinate reaches the command
+def _far_vertex_file(tmp_path, coordinate: str) -> str:
     path = tmp_path / "far.json"
-    path.write_text(network_to_json(catalog("dia")[0]).replace("0.25", "1e999", 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run([command, str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("cannot read network: not valid JSON: 1e999 is not a number")
+    path.write_text(network_to_json(catalog("dia")[0]).replace("0.25", coordinate, 1))
+    return str(path)
 
 
 def test_cli_verify_infinite_position_exits_1(tmp_path, capsys):
-    _infinite_position_exits_1(tmp_path, capsys, "verify")
+    # a coordinate of 1e200 is finite, but the squared lengths of its
+    # edges overflow, so their lengths read as inf
+    assert run(["verify", _far_vertex_file(tmp_path, "1e200")]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["applicable"] is False
+    assert doc["note"].startswith("network fails validation: non-finite edge length 0")
 
 
 def test_cli_eval_infinite_position_exits_1(tmp_path, capsys):
-    _infinite_position_exits_1(tmp_path, capsys, "eval")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eval", _far_vertex_file(tmp_path, "1e200")]) == 1
+    out = capsys.readouterr().out
+    assert "measures unavailable: non-finite edge length 0" in out
+    assert "L   =" not in out and "force[" not in out
+    assert "  violation: non-finite edge length 0" in out
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_cli_refuses_a_number_beyond_the_double_range(tmp_path, capsys, command):
+    # Python's json module reads 1e999 as inf; the reader refuses it, so no
+    # infinite coordinate reaches the command
+    assert run([command, _far_vertex_file(tmp_path, "1e999")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cannot read network: not valid JSON: 1e999 is not a finite double")
 
 
 @pytest.mark.parametrize("command", ["eval", "verify"])
