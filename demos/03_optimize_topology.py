@@ -3,8 +3,10 @@
 For each admissible quotient topology the search takes one shift
 assignment per orbit under lattice basis changes and skeleton
 automorphisms (assignments of one orbit share a landscape), descends the
-scale-invariant objective from many random starts of each, and lands on
-the known sharp value.  Every case below has circuit rank n, so its one
+scale-invariant objective from one random start of each (the problem is
+convex for a fixed assignment; a start is redrawn, up to ``restarts``
+draws, only where it neither converged nor collapsed), and lands on the
+known sharp value.  Every case below has circuit rank n, so its one
 orbit's representative is built on the spanning tree, nothing enumerated.
 """
 
@@ -29,9 +31,9 @@ for tag, dim, target in CASES:
     n_orbits = len(set(res.traces.assignment_index.tolist()))
     print(f"{tag:5s} n={dim}: best {res.value:.9f} vs target {target:.9f} "
           f"(rel {abs(res.value - target) / target:.1e})")
-    print(f"      {n_orbits} orbits x {cfg.restarts} restarts "
-          f"= {len(res.traces)} runs in {dt:.1f}s; best run: "
-          f"orbit {res.assignment_index}, restart {res.restart_index}, "
+    print(f"      {n_orbits} orbits, at most {cfg.restarts} draws each: "
+          f"{len(res.traces)} runs in {dt:.1f}s; best run: "
+          f"orbit {res.assignment_index}, draw {res.restart_index}, "
           f"{res.termination}")
     print(f"      valid = {validate(res.network).ok}; bound slack = {rep.slack:+.2e}; "
           f"certificate = "

@@ -125,10 +125,10 @@ def _cmd_verify(args) -> int:
     net = _load(args.file)
     report = verify(net)
     doc = report.to_json()
-    for key in ("bound", "measured", "slack"):
+    for key in ("bound", "measured", "slack"):     # NaN and inf are not JSON
         if doc[key] is not None:
-            doc[key] = float(_f(doc[key]))
-    print(json.dumps(doc, indent=2))
+            doc[key] = float(_f(doc[key])) if np.isfinite(doc[key]) else None
+    print(json.dumps(doc, indent=2, allow_nan=False))
     return 0 if report.applicable and (report.slack is None or
                                        report.slack >= -SLACK_TOL) else 1
 
@@ -180,7 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--topology", required=True, help="tag like B3, D4, D1,3")
     c.add_argument("--dim", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--restarts", type=int, default=50)
+    c.add_argument("--restarts", type=int, default=50,
+                   help="most random starts drawn for one shift assignment; a start is "
+                        "redrawn only where the last neither converged nor collapsed")
     c.add_argument("--smax", type=int, default=1)
     c.add_argument("--out", default="optimized.json")
     c.set_defaults(fn=_cmd_optimize)

@@ -258,11 +258,11 @@ def parallel_ends(vec: np.ndarray, ell: np.ndarray, pairs) -> np.ndarray:
     Edge e leaves its tail along u_e = vec_e / ell_e and its head along
     -u_e (a loop does both at one vertex).  Two ends at a vertex are
     parallel when their directions differ by less than ``DIRECTION_TOL``
-    in max norm; zero-length edges have NaN directions, parallel to none.
+    in max norm; an edge of zero or non-finite length is parallel to none.
     """
     i, j, vertex = pairs
     with np.errstate(divide='ignore', invalid='ignore'):
-        units = vec / ell[..., None]
+        units = vec / np.where(np.isfinite(ell), ell, np.nan)[..., None]
     dirs = np.concatenate([units, -units], axis=1)
     par = np.abs(dirs[:, i] - dirs[:, j]).max(axis=2) < DIRECTION_TOL
     return par @ vertex
@@ -329,8 +329,9 @@ def _graph_facts(g: QuotientGraph) -> GraphFacts:
     Tiny graphs are the common case, so the walk runs on Python ints."""
     V, E = g.vertex_count, g.edge_count
     tails, heads = g.tails.tolist(), g.heads.tolist()
-    deg, loops, bare, repeated, seen = [0] * V, [0] * V, [], [], set()
+    deg, loops, bare, repeated, parallel, seen = [0] * V, [0] * V, [], [], [], set()
     star = [[] for _ in range(V)]       # (edge, +1 leaving / -1 entering, far end)
+    along = {}                          # (vertex, loop direction) -> first loop, its shift
     for e, (t, h, s) in enumerate(zip(tails, heads, map(tuple, g.shifts.tolist()))):
         deg[t] += 1
         deg[h] += 1
@@ -338,6 +339,11 @@ def _graph_facts(g: QuotientGraph) -> GraphFacts:
             loops[t] += 1
             if not any(s):      # a zero-length lift edge
                 bare.append(e)
+            else:   # loops with proportional shifts leave t in one direction
+                p = tuple(x // math.gcd(*s) for x in s)
+                f, s0 = along.setdefault((t, max(p, tuple(-x for x in p))), (e, s))
+                if s0 != s and s0 != tuple(-x for x in s):      # else a duplicate
+                    parallel.append(f"loop {e} parallel to loop {f}")
         else:
             star[t].append((e, 1, h))
             star[h].append((e, -1, t))
@@ -372,7 +378,7 @@ def _graph_facts(g: QuotientGraph) -> GraphFacts:
     connected = len(reached) == V
 
     before: list[str] = []
-    after = [f"duplicate edge {edge}" for edge in repeated]
+    after = [f"duplicate edge {edge}" for edge in repeated] + parallel
     regular = deg.count(deg[0]) == V
     degree = deg[0] if regular else None
     if not regular:

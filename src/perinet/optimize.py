@@ -17,16 +17,16 @@ Both are safeguarded by one Armijo backtracking line search, and a row
 whose damped system gives no descent direction, or a step that moves an
 edge vector by its length or more, takes the gradient step.
 
-Restarts are vectorized: a batch holds many instances of the same
+Instances are vectorized: a batch holds many instances of the same
 skeleton (possibly with different shift assignments) and all of them
 take descent steps simultaneously, each with its own backtracking step
-size.  There is one multistart: every shift assignment it is given is
-written in its reduced frame, descended there from ``restarts`` random
-starts to convergence, and the best network mapped back onto the
-assignment; traces record where every restart stopped.  A topology search
-hands it one representative per orbit of equivalent assignments
-(``shift_orbits``), since the assignments of an orbit share one
-landscape; a fixed graph is the case of a single assignment.  Results are
+size.  There is one multistart.  The problem is convex for a fixed
+assignment, so it descends one start of each assignment it is given, in
+its reduced frame, redrawing (up to ``restarts`` draws) only where an
+instance neither converged nor collapsed; traces record where every draw
+stopped.  A topology search hands it one representative per orbit of
+equivalent assignments (``shift_orbits``), which share one landscape; a
+fixed graph is the case of a single assignment.  Results are
 deterministic functions of (seed, config).
 """
 
@@ -66,7 +66,8 @@ _LIVE = ("X", "B", "S", "ST", "f", "ell", "t", "iters", "tail_steps",
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Search budget of the descent engine."""
+    """Search budget of the descent engine; ``restarts`` is the most starts
+    drawn for one assignment (see ``_multistart``)."""
 
     restarts: int = 50
     seed: int = 0
@@ -82,11 +83,12 @@ class OptimizeConfig:
 
 @dataclass(frozen=True)
 class TraceTable:
-    """Per-restart outcomes, stored columnwise.
+    """Per-draw outcomes, stored columnwise in (assignment, draw) order.
 
     ``assignment_index`` is the position of the descended assignment in
     the list handed to the multistart: the orbit representative from
     ``shift_orbits`` in a topology search, and 0 for a fixed graph.
+    ``restart_index`` numbers an assignment's draws from 0 (1 to ``restarts``).
     """
 
     assignment_index: np.ndarray
@@ -116,7 +118,7 @@ class TraceTable:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best network found, its quotient value, and all restart traces."""
+    """Best network found, its quotient value, and the traces of all draws."""
 
     network: PeriodicNetwork
     value: float
@@ -495,16 +497,15 @@ def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:
 def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -> OptimizeResult:
     """Minimize L^n/V over positions and lattice for one shift assignment.
 
-    Runs ``cfg.restarts`` random initializations to convergence and keeps
-    the best; ties go to the lowest restart index.  The starts near B = I
-    are drawn, and descended, in the graph's reduced frame rather than in
-    the caller's (``_multistart``), and the best network is mapped back
-    exactly onto ``g`` itself, whose shifts the result keeps.  At circuit
-    rank r = n every basis has the same reduced frame, so the traces do not
+    Descends one random start, and draws another, up to ``cfg.restarts``
+    in all, only while the last neither converged nor collapsed
+    (``_multistart``); the starts near B = I are drawn, and descended, in
+    the graph's reduced frame, and the best network is mapped back exactly
+    onto ``g`` itself, whose shifts the result keeps.  At circuit rank
+    r = n every basis has the same reduced frame, so the traces do not
     depend on it at all.  Before any descent it refuses a graph that fails
     a check of ``facts()`` (``_refuse_invalid``), and a graph with a cut
-    edge, which has no balanced realization (see ``min_vertex_count``), so
-    every restart would collapse.
+    edge, which has no balanced realization (see ``min_vertex_count``).
     """
     cfg = cfg or OptimizeConfig()
     _refuse_invalid(g)
@@ -520,12 +521,12 @@ def minimize_topology(tag: TopologyClass | str, n: int,
 
     Assignments related by a lattice basis change or a skeleton
     automorphism share one landscape, so only one representative per
-    orbit (``shift_orbits``) is descended, from ``cfg.restarts`` starts
-    each, in its reduced frame; the best network is mapped back onto its
+    orbit (``shift_orbits``) is descended, in its reduced frame, from one
+    start and up to ``cfg.restarts`` where no start converges or collapses
+    (``_multistart``); the best network is mapped back onto its
     representative.  Trace records and ``shifts`` name the representative
     by its position in ``shift_orbits``.  The returned best is
-    deterministic in (seed, config); ties go to the lowest (assignment,
-    restart) pair.
+    deterministic in (seed, config).
     """
     cfg = cfg or OptimizeConfig()
     top = TopologyClass.from_tag(tag) if isinstance(tag, str) else tag
@@ -551,56 +552,47 @@ def _reduced_frame(g: QuotientGraph, reps: np.ndarray) -> np.ndarray:
 
 
 def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> OptimizeResult:
-    """Descend ``cfg.restarts`` random starts of every assignment in ``reps``.
+    """Descend one random start of every assignment in ``reps``; redraw only
+    where an instance neither converged nor collapsed, up to ``cfg.restarts``
+    draws per assignment.
 
-    L^n/V does not depend on the lattice basis or vertex gauge an
-    assignment is written in, so each is descended in its reduced frame
-    (``_reduced_frame``), where the starts near B = I are drawn, and the
-    best network is mapped back exactly onto its own assignment, on ``g``
-    itself when that is ``g``'s.  Instances are ordered (assignment,
-    restart) and descended to convergence in batches of at most
-    ``_CHUNK``; their starts come from one ``SeedSequence((seed, 0))``
-    stream, drawn batch by batch.  The best is the lowest value, ties
-    within 1e-9 going to the first instance, first within each batch and
-    then across batches.  Traces and ``shifts`` name each assignment by
-    its position in ``reps``.
+    For one assignment L^n/V is convex in the gauge B = Q R: edge vectors
+    are linear in (X, R), L is a sum of norms, and sum log R_ii >= 0 is a
+    convex set.  So a converged instance has reached the one minimum value,
+    and a collapsed one a face where an edge has length 0: both are final.
+    Each assignment is descended in its reduced frame (``_reduced_frame``),
+    where the starts near B = I are drawn, and the best network is mapped
+    back exactly onto it, on ``g`` itself when that is ``g``'s.  A round of
+    draws runs in batches of at most ``_CHUNK``, with starts from one
+    ``SeedSequence((seed, 0))`` stream.  The best is the lowest value, ties
+    within 1e-9 going to the instance descended first.
     """
-    R = cfg.restarts
     frames = _reduced_frame(g, reps)
-    N = len(reps) * R
-    assignment, restart = np.divmod(np.arange(N), R)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-    values = np.empty(N)
-    iters = np.empty(N, dtype=np.int32)
-    tail = np.empty(N, dtype=np.int32)
-    status = np.empty(N, dtype=np.uint8)
-    leaders, networks = [], []      # best instance of each batch
-    for lo in range(0, N, _CHUNK):
-        hi = min(lo + _CHUNK, N)
-        S = frames[assignment[lo:hi]]
-        B, X = _sample_starts(rng, hi - lo, g, S)
-        batch = _Batch(g, S, B, X)
-        batch.run()
-        with np.errstate(over='ignore'):
-            values[lo:hi] = np.exp(batch.f)
-        iters[lo:hi] = batch.iters
-        tail[lo:hi] = batch.tail_steps
-        status[lo:hi] = batch.status
-        i = int(_near_best(values[lo:hi])[0])
-        leaders.append(lo + i)
-        networks.append(batch.network_at(i))
-    lead = int(_near_best(values[leaders])[0])
-    best = leaders[lead]
-    traces = TraceTable(assignment, restart, values, iters, status, tail)
-    shifts = np.array(reps[assignment[best]])
+    draw, todo, rows, best = 0, np.arange(len(reps)), [], None
+    while len(todo) and draw < cfg.restarts:
+        redo = []
+        for a in (todo[lo:lo + _CHUNK] for lo in range(0, len(todo), _CHUNK)):
+            S = frames[a]
+            batch = _Batch(g, S, *_sample_starts(rng, len(a), g, S))
+            batch.run()
+            with np.errstate(over='ignore'):
+                v = np.exp(batch.f)
+            rows.append((a, np.full(len(a), draw), v, batch.iters, batch.status, batch.tail_steps))
+            redo.append(a[~np.isin(batch.status, (1, 2))])
+            i = int(_near_best(v)[0])
+            if best is None or _near_best([best[0], v[i]])[0]:     # ties stay with the earlier
+                best = (v[i], batch.network_at(i), int(a[i]), draw, int(batch.status[i]))
+        todo, draw = np.concatenate(redo), draw + 1
+    cols = [np.concatenate(c) for c in zip(*rows)]
+    order = np.lexsort((cols[1], cols[0]))
+    value, net, k, restart, code = best
+    shifts = np.array(reps[k])
     home = g if np.array_equal(g.shifts, shifts) else \
         QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, shifts)
-    return OptimizeResult(network=_in_frame_of(home, networks[lead]),
-                          value=float(values[best]),
-                          termination=_STATUS_LABELS[int(status[best])],
-                          shifts=shifts, traces=traces,
-                          assignment_index=int(assignment[best]),
-                          restart_index=int(restart[best]))
+    return OptimizeResult(network=_in_frame_of(home, net), value=float(value),
+                          termination=_STATUS_LABELS[code], shifts=shifts, assignment_index=k,
+                          traces=TraceTable(*(c[order] for c in cols)), restart_index=restart)
 
 
 def _near_best(values: np.ndarray) -> np.ndarray:

@@ -204,11 +204,18 @@ def _far_vertex_file(tmp_path, coordinate: str) -> str:
 
 def test_cli_verify_infinite_position_exits_1(tmp_path, capsys):
     # a coordinate of 1e200 is finite, but the squared lengths of its
-    # edges overflow, so their lengths read as inf
+    # edges overflow, so their lengths read as inf; the report is strict
+    # JSON, with null for the measure it could not take, and no spurious
+    # parallel edges are read off the non-finite edge vectors
+    def no_constant(name):
+        raise AssertionError(f"{name} in the report")
+
     assert run(["verify", _far_vertex_file(tmp_path, "1e200")]) == 1
-    doc = json.loads(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
     assert doc["applicable"] is False
-    assert doc["note"].startswith("network fails validation: non-finite edge length 0")
+    assert doc["measured"] is None
+    assert doc["note"] == ("network fails validation: "
+                           + "; ".join(f"non-finite edge length {e}" for e in range(4)))
 
 
 def test_cli_eval_infinite_position_exits_1(tmp_path, capsys):
@@ -219,6 +226,7 @@ def test_cli_eval_infinite_position_exits_1(tmp_path, capsys):
     assert "measures unavailable: non-finite edge length 0" in out
     assert "L   =" not in out and "force[" not in out
     assert "  violation: non-finite edge length 0" in out
+    assert "parallel" not in out
 
 
 @pytest.mark.parametrize("command", ["eval", "verify"])

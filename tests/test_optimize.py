@@ -37,6 +37,22 @@ def b3_graph():
                                            (0, 0, (0, 0, 1))])
 
 
+def _assert_trace_shape(t, assignments, restarts):
+    """The traces of a multistart over ``assignments`` assignments: one row
+    per draw in (assignment, draw) order, at least one and at most
+    ``restarts`` rows per assignment, draws numbered from 0, and only an
+    assignment's last draw final (converged or collapsed), which it is
+    whenever the draw budget was not spent."""
+    counts = np.bincount(t.assignment_index, minlength=assignments)
+    assert len(counts) == assignments and 1 <= counts.min() and counts.max() <= restarts
+    ends = np.cumsum(counts)
+    assert np.array_equal(t.assignment_index, np.repeat(np.arange(assignments), counts))
+    assert np.array_equal(t.restart_index, np.arange(len(t)) - np.repeat(ends - counts, counts))
+    final = np.isin(t.termination, (1, 2))
+    assert final.sum() == final[ends - 1].sum()
+    assert final[ends - 1][counts < restarts].all()
+
+
 def test_random_network_valid_and_deterministic():
     g = dia_graph()
     a = random_network(g, seed=4)
@@ -140,9 +156,11 @@ def test_optimized_dia_matches_equality_certificate():
 
 
 def test_minimize_fixed_shifts_traces_and_best():
+    # a draw is made only while the last one found no final answer, so the
+    # traces hold between 1 and 10 rows, the row of draw k at position k
     cfg = OptimizeConfig(seed=9, restarts=10)
     res = minimize_fixed_shifts(dia_graph(), cfg)
-    assert len(res.traces) == 10
+    _assert_trace_shape(res.traces, 1, 10)
     finals = res.traces.final_value
     assert res.value <= finals.min() + 1e-12
     rec = res.traces.record(res.restart_index)
@@ -274,6 +292,9 @@ def test_termination_labels_name_their_outcome(monkeypatch):
             res = minimize_fixed_shifts(g, _config(m, seed=2, restarts=4, **kw))
         assert {r["termination"] for r in res.traces.to_json_records()} == {label}, kw
         assert res.termination == label
+        # an instance that found no final answer is redrawn, up to 4 draws
+        _assert_trace_shape(res.traces, 1, 4)
+        assert len(res.traces) == (1 if label == "converged" else 4)
 
 
 def test_iteration_cap_is_trace_code_0(monkeypatch):
@@ -320,12 +341,15 @@ def test_minimize_fixed_shifts_rejects_bad_graph():
     (2, [(v, v, s) for v in (0, 1) for s in [(1, 0), (0, 1)]], "quotient graph disconnected"),
     (2, [(0, 0, (1, 0)), (0, 1, (0, 0)), (0, 1, (1, 0)), (0, 1, (0, 1))],
      "degrees not regular: [5, 3]"),
+    (1, [(0, 0, (1, 0, 0)), (0, 0, (2, 0, 0)), (0, 0, (0, 1, 0)), (0, 0, (0, 0, 1))],
+     "loop 1 parallel to loop 0"),
 ], ids=["zero-loop", "doubled-bridge", "reversed-loop-copy", "rank-2-bouquet",
-        "disconnected-bouquets", "irregular"])
+        "disconnected-bouquets", "irregular", "proportional-loops"])
 def test_unrealizable_graphs_are_refused_before_sampling(monkeypatch, vertices, edges, fault):
     # a zero-shift loop has length zero, an edge with a copy (reversed or
-    # not) leaves its end vertices in one direction, and no realization of
-    # a disconnected, irregular or rank-deficient quotient is a valid network
+    # not) leaves its end vertices in one direction, and so do two loops
+    # with proportional shifts; no realization of a disconnected, irregular
+    # or rank-deficient quotient is a valid network
     def no_sampling(*args):
         raise AssertionError("starts sampled")
 
@@ -338,13 +362,14 @@ def test_unrealizable_graphs_are_refused_before_sampling(monkeypatch, vertices, 
 
 def test_sampler_names_the_check_its_last_draws_failed():
     # loops (1, 0, 0) and (2, 0, 0) leave the vertex in one direction in
-    # every realization, which no check on the graph alone sees
+    # every realization; the search refuses the graph before sampling (see
+    # above), and the sampler handed it names the check its draws failed
     g = QuotientGraph.from_edges(3, 1, [(0, 0, (1, 0, 0)), (0, 0, (2, 0, 0)),
                                         (0, 0, (0, 1, 0)), (0, 0, (0, 0, 1))])
-    assert g.facts().violations == ((), ())
-    for solve in (random_network, minimize_fixed_shifts):
-        with pytest.raises(RuntimeError, match="100 rounds: .*parallel edge ends"):
-            solve(g)
+    assert g.facts().violations == ((), ("loop 1 parallel to loop 0",))
+    S = np.broadcast_to(g.shifts, (2,) + g.shifts.shape)
+    with pytest.raises(RuntimeError, match="100 rounds: parallel edge ends$"):
+        _sample_starts(np.random.default_rng(0), 2, g, S)
 
 
 def test_minimize_fixed_shifts_descent_monotone(monkeypatch):
@@ -403,7 +428,7 @@ def test_minimize_topology_respects_bound():
 
 
 def test_minimize_topology_result_invariants():
-    # D4 is one orbit, so restarts=5 gives the 5 trace records read below
+    # D4 is one orbit, so restarts=5 gives 1 to 5 trace records, read below
     cfg = OptimizeConfig(seed=1, restarts=5)
     res = minimize_topology("D4", 3, cfg)
     finite = res.traces.final_value[np.isfinite(res.traces.final_value)]
@@ -412,29 +437,36 @@ def test_minimize_topology_result_invariants():
     if res.termination == "converged":
         assert force_all(res.network).max_norm <= optimize._G_TOL * 10
     assert res.shifts.shape == (4, 3)
+    _assert_trace_shape(res.traces, 1, 5)
     records = res.traces.to_json_records(limit=5)
-    assert len(records) == 5 and {"assignment", "restart", "final_value",
+    assert len(records) == len(res.traces) and {"assignment", "restart", "final_value",
                                   "iterations", "termination"} <= records[0].keys()
 
 
 def test_minimize_topology_across_batches(monkeypatch):
-    # D5 in R^3 has 30 orbits; batches of 2 put its 60 instances in 30
-    # batches, and the sharp value 405/8 lies on the second orbit
-    from perinet.topology import build_abstract, shift_orbits
-
-    monkeypatch.setattr(optimize, "_CHUNK", 2)
+    # D5 in R^3 has 30 orbits; batches of 1 put every draw in a batch of its
+    # own, and the sharp value 405/8 lies on the second orbit, so the best
+    # comes from the second batch and stands against every later one
+    monkeypatch.setattr(optimize, "_CHUNK", 1)
     res = minimize_topology("D5", 3, OptimizeConfig(seed=3, restarts=2))
     t = res.traces
-    assert len(t) == 60 and len(set(t.assignment_index.tolist())) == 30
+    _assert_trace_shape(t, 30, 2)
+    assert res.assignment_index == 1
     assert res.value == pytest.approx(405.0 / 8.0, rel=1e-9)
     finite = t.final_value[np.isfinite(t.final_value)]
     assert res.value <= finite.min() + 1e-9
     assert length_quotient(res.network) == pytest.approx(res.value, rel=1e-12)
     i = np.flatnonzero((t.assignment_index == res.assignment_index)
                        & (t.restart_index == res.restart_index))
-    assert len(i) == 1 and i[0] >= 2 and t.final_value[i[0]] == res.value
+    assert len(i) == 1 and t.final_value[i[0]] == res.value
     reps = shift_orbits(build_abstract("D5", 3), 3, 1)
     assert np.array_equal(res.shifts, reps[res.assignment_index])
+    # at an iteration cap of 12 steps some orbits end max_iter, and only
+    # those are redrawn, their rounds in batches of 1 as well
+    monkeypatch.setattr(optimize, "_MAX_ITER", 12)
+    t = minimize_topology("D5", 3, OptimizeConfig(seed=3, restarts=3)).traces
+    _assert_trace_shape(t, 30, 3)
+    assert 30 < len(t) < 90 and (t.restart_index == 2).any()
 
 
 def test_minimize_topology_b4_strictly_above_even_bound():
@@ -605,6 +637,7 @@ def test_rewritten_catalog_converges_on_every_restart(name, params):
     for seed in range(3):
         g = _rewritten(net, rng).graph
         res = minimize_fixed_shifts(g, OptimizeConfig(seed=seed, restarts=8))
+        assert len(res.traces) == 1, res.traces.to_json_records()
         assert (res.traces.termination == 1).all(), res.traces.to_json_records()
         assert np.allclose(res.traces.final_value, entry.expected_quotient,
                            rtol=1e-10, atol=0.0)
@@ -680,6 +713,29 @@ def test_batch_descends_the_shifts_it_was_handed():
     batch.run()
     assert np.array_equal(batch.S_int, S)
     assert (batch.status != 0).all()
+
+
+@pytest.mark.parametrize("tag,orbits", [("D5", 30), ("D1,3", 46)])
+def test_every_start_of_an_orbit_ends_at_its_one_value(tag, orbits):
+    # for one assignment L^n/V is convex in the gauge B = QR (edge vectors
+    # linear in the positions and R, under sum log R_ii >= 0), so every
+    # descent that converges reaches the assignment's one minimum value, and
+    # no start of an assignment with a minimum collapses an edge instead
+    g = build_abstract(tag, 3)
+    frames = optimize._reduced_frame(g, shift_orbits(g, 3))
+    assert len(frames) == orbits
+    S = np.repeat(frames, 10, axis=0)
+    rng = np.random.default_rng(np.random.SeedSequence((2024, 0)))
+    batch = _Batch(g, S, *_sample_starts(rng, len(S), g, S))
+    batch.run()
+    values = np.exp(batch.f).reshape(orbits, 10)
+    status = batch.status.reshape(orbits, 10)
+    converged, collapsed = (status == 1).any(1), (status == 2).any(1)
+    assert converged.any() and collapsed.any()
+    assert not (converged & collapsed).any()
+    for v, c in zip(values, status == 1):
+        if c.any():
+            assert np.ptp(v[c]) <= 1e-12 * v[c].min()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -848,8 +904,8 @@ ORACLE_GRAPHS = FIXED_SOLVE_GRAPHS + [("pcu", {"n": 2}), ("simplex_net", {"n": 2
 
 @pytest.fixture(scope="module")
 def tail_oracle():
-    """``minimize_fixed_shifts`` without and with the Newton tail on 792
-    instances: 11 catalog graphs x 3 rewrites x seeds 0-2 x 8 restarts."""
+    """``minimize_fixed_shifts`` without and with the Newton tail on 99
+    solves of up to 8 draws each: 11 catalog graphs x 3 rewrites x seeds 0-2."""
     graphs = []
     for name, params in ORACLE_GRAPHS:
         net, _ = catalog(name, **params)
@@ -867,12 +923,16 @@ def tail_oracle():
 
 
 def test_newton_tail_matches_tail_off_descent(tail_oracle):
+    # draw k of a solve starts from the same state with the tail on and off
     off, on = tail_oracle
-    assert sum(len(r.traces) for r in on) == 792
+    assert len(on) == len(off) == 99
     for a, b in zip(off, on):
+        _assert_trace_shape(a.traces, 1, 8)
+        _assert_trace_shape(b.traces, 1, 8)
         assert b.value == pytest.approx(a.value, rel=1e-9)
-        both = (a.traces.termination == 1) & (b.traces.termination == 1)
-        assert np.allclose(b.traces.final_value[both], a.traces.final_value[both],
+        m = min(len(a.traces), len(b.traces))
+        both = (a.traces.termination[:m] == 1) & (b.traces.termination[:m] == 1)
+        assert np.allclose(b.traces.final_value[:m][both], a.traces.final_value[:m][both],
                            rtol=1e-12, atol=0.0)
 
     def converged(results):
