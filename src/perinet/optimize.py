@@ -542,13 +542,12 @@ def minimize_topology(tag: TopologyClass | str, n: int,
 
 
 def _reduced_frame(g: QuotientGraph, reps: np.ndarray) -> np.ndarray:
-    """The stacked assignments ``reps`` of ``g``, each as the tree gauge of
-    C U, with C its cycle-shift matrix and U = C^-1 at circuit rank r = n,
-    greedily reducing the columns of C at r > n."""
-    C = g.facts().cycles @ reps
-    U = [int_solve(c, np.eye(g.dim, dtype=np.int64)) if len(c) == g.dim else greedy_reduce(c)[1]
-         for c in C]
-    return tree_gauge(g, C @ np.stack(U))
+    """Every assignment of ``reps`` as the tree gauge of C U, C its cycle-shift
+    matrix: I at circuit rank r = n (U = C^-1), greedily reduced at r > n."""
+    Z, n = g.facts().cycles, g.dim
+    if len(Z) == n:
+        return tree_gauge(g, np.broadcast_to(np.eye(n, dtype=np.int64), (len(reps), n, n)))
+    return tree_gauge(g, greedy_reduce(Z @ reps)[0])
 
 
 def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> OptimizeResult:
@@ -560,20 +559,19 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     are linear in (X, R), L is a sum of norms, and sum log R_ii >= 0 is a
     convex set.  So a converged instance has reached the one minimum value,
     and a collapsed one a face where an edge has length 0: both are final.
-    Each assignment is descended in its reduced frame (``_reduced_frame``),
-    where the starts near B = I are drawn, and the best network is mapped
-    back exactly onto it, on ``g`` itself when that is ``g``'s.  A round of
-    draws runs in batches of at most ``_CHUNK``, with starts from one
-    ``SeedSequence((seed, 0))`` stream.  The best is the lowest value, ties
-    within 1e-9 going to the instance descended first.
+    A round of draws runs in batches of at most ``_CHUNK``, each built in
+    its assignments' reduced frames in one pass (``_reduced_frame``), with
+    starts near B = I from one ``SeedSequence((seed, 0))`` stream; the best
+    network is mapped back exactly onto its assignment, on ``g`` itself when
+    that is ``g``'s.  The best is the lowest value, ties within 1e-9 going
+    to the instance descended first.
     """
-    frames = _reduced_frame(g, reps)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     draw, todo, rows, best = 0, np.arange(len(reps)), [], None
     while len(todo) and draw < cfg.restarts:
         redo = []
         for a in (todo[lo:lo + _CHUNK] for lo in range(0, len(todo), _CHUNK)):
-            S = frames[a]
+            S = _reduced_frame(g, reps[a])
             batch = _Batch(g, S, *_sample_starts(rng, len(a), g, S))
             batch.run()
             with np.errstate(over='ignore'):

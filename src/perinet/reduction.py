@@ -1,8 +1,8 @@
 """Small-dimension lattice basis reduction.
 
-Plane (Lagrange-Gauss) reduction for two generators, and a greedy
-size-reduction sweep for full bases.  Both return the unimodular
-transform actually applied, so callers can carry it to shift labels.
+Plane (Lagrange-Gauss) reduction for two generators, and an exact greedy
+size-reduction sweep for stacks of integer matrices.  Both return the
+unimodular transform actually applied, so callers can carry it to shift labels.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 _MAX_SWEEPS = 1000   # in practice a handful suffice
-_TIE_TOL = 1e-9      # a projection this close to 1/2 counts as size-reduced
 
 
 def lagrange_reduce_pair(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -40,33 +39,30 @@ def lagrange_reduce_pair(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return B, U
 
 
-def greedy_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise size-reduction sweep over all basis columns.
-
-    Repeatedly subtracts rounded projections of longer columns onto
-    shorter ones; adequate for the reduced frame of a cycle-shift matrix.
-    A projection within ``_TIE_TOL`` of +-1/2 is left alone: in a
-    symmetric lattice, columns of equal length would otherwise trade a
-    rounding-level 1/2 back and forth forever.  Returns (new_basis, U)
-    with new_basis = basis @ U.
+def greedy_reduce(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise size reduction of the columns of integer matrices, one or a
+    stack (..., m, n), all at once.  A sweep orders each matrix's columns by
+    norm and, for every ordered pair (i, j) of distinct columns in that
+    order, subtracts rint(c_i.c_j / c_i.c_i) c_i from c_j; a matrix is done
+    after a sweep that changes nothing.  An exact projection of +-1/2 rounds
+    to 0, and every change lowers the integer sum of squared norms, so the
+    sweeps end.  Returns (C U, U) in int64, with U unimodular.
     """
-    B = np.array(basis, dtype=np.float64)
-    n = B.shape[1]
-    U = np.eye(n, dtype=np.int64)
-    for _ in range(_MAX_SWEEPS):
-        changed = False
-        order = np.argsort(np.einsum('ij,ij->j', B, B))
-        for a in range(n):
-            for b in range(n):
-                i, j = int(order[a]), int(order[b])
-                if i == j:
-                    continue
-                proj = float(np.dot(B[:, i], B[:, j]) / np.dot(B[:, i], B[:, i]))
-                if abs(proj) > 0.5 + _TIE_TOL:
-                    mu = round(proj)
-                    B[:, j] -= mu * B[:, i]
-                    U[:, j] -= mu * U[:, i]
-                    changed = True
-        if not changed:
-            return B, U
-    raise RuntimeError("greedy reduction did not terminate")
+    C = np.asarray(C).astype(np.int64, casting='safe')
+    m, n = C.shape[-2:]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), C.shape[:-2] + (n, n))
+    M = np.concatenate([C, eye], axis=-2).reshape(-1, m + n, n)     # C over U
+    live, rows = np.arange(len(M)), np.arange(m + n)[:, None]   # matrices still changing
+    while len(live):
+        Q, k = M[live], np.arange(len(live))[:, None, None]
+        order = np.argsort(np.einsum('kij,kij->kj', Q[:, :m], Q[:, :m]), axis=1)[:, None]
+        P, moved = Q[k, rows, order], np.zeros(len(live), dtype=bool)  # columns in norm order
+        for a in range(n):      # pivot a's pairs (a, b) leave column a alone: all at once
+            p = (P[:, None, :m, a] @ P[:, :m])[:, 0]
+            mu = np.rint(p / p[:, a:a + 1]).astype(np.int64)
+            mu[:, a] = 0
+            P -= mu[:, None, :] * P[:, :, a:a + 1]
+            moved |= mu.any(axis=1)
+        M[live[:, None, None], rows, order] = P
+        live = live[moved]
+    return M[:, :m].reshape(C.shape), M[:, m:].reshape(eye.shape)

@@ -196,8 +196,8 @@ def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarr
     Returns the shift matrices stacked (N, E, n), each the tree gauge of
     its cycle-shift matrix (shift 0 on the first bridge); loop shifts are
     taken sign-canonically (a loop and its reverse are the same edge).
-    Kept assignments have full-rank, lattice-generating cycle shifts;
-    exact duplicates and global-negation duplicates are removed.
+    Kept assignments have lattice-generating cycle shifts and no two
+    proportional loops at a vertex; exact and negation duplicates are removed.
     """
     return tree_gauge(g, _screened_rows(g, n, s_max)[0])
 
@@ -221,12 +221,17 @@ def _screened_rows(g: QuotientGraph, n: int,
         raise RuntimeError(
             f"raw shift-assignment count {raw} exceeds limit {ENUMERATION_LIMIT}")
 
+    # loop sets with two proportional shifts, a ``facts()`` violation, are skipped
+    along = np.unique(classes // np.gcd.reduce(classes, axis=1, keepdims=True), axis=0,
+                      return_inverse=True)[1].ravel()      # the direction of each class
+    sets = [s[(np.diff(np.sort(along[s]), axis=1) != 0).all(axis=1)]
+            for s in (_combinations(len(classes), k[0]), _combinations(len(classes), k[1]))]
+    sets.append(_combinations(len(nonzero), k[2]))
+    raw = len(sets[0]) * len(sets[1]) * len(sets[2])
     # candidates in product order (loop set at 0, loop set at 1, free
     # bridge set), screened in blocks; negating the free bridges reverses
     # the order of ``nonzero``, so of a set and its negation (the same
     # assignment) the lexicographically first index tuple is kept
-    sets = (_combinations(len(classes), k[0]), _combinations(len(classes), k[1]),
-            _combinations(len(nonzero), k[2]))
     first = _lex_le(sets[2], (len(nonzero) - 1 - sets[2])[:, ::-1])
     tables = (classes[sets[0]], classes[sets[1]], nonzero[sets[2]])    # the shifts of each set
     # the tree is the first bridge, at shift 0: a cycle has its edge's shift

@@ -20,7 +20,9 @@ from perinet import (
 )
 from perinet import netcore, optimize
 from perinet.balance import force, force_all
-from perinet.topology import build_abstract, shift_orbits
+from perinet.intlinalg import int_solve
+from perinet.reduction import greedy_reduce
+from perinet.topology import build_abstract, shift_orbits, tree_gauge
 from perinet.netcore import as_stack, edge_norms, incidence, lifted_edges
 from perinet.optimize import (_SERVICE_EVERY, _Batch, _det_batch, _gradient, _hessian,
                               _newton_steps, _sample_starts)
@@ -800,30 +802,111 @@ def test_descent_matches_reference_when_resumed_step_by_step(monkeypatch):
     assert (a.status == 1).all() and a.iters.max() > 1
 
 
-def test_greedy_reduce_terminates_on_half_projections():
-    # a basis of the simplex_net(5) lattice as a Newton tail leaves it, to
-    # machine precision: once its columns have equal lengths, their
-    # projections sit a rounding error above or below 1/2 and used to be
-    # traded back and forth until the sweep limit raised
-    from perinet.reduction import greedy_reduce
-    B = np.array([
-        [1.270239269442784, 0.25787393842660566, -0.18388298505948775, 0.6780830192810892,
-         -0.48522790912763847],
-        [0.1256286709251941, 0.6856940913588935, 0.3057790325975806, 0.27303143651867096,
-         -0.6657465028101542],
-        [-0.4590616585072939, -0.4609854195428376, 3.4339794125708107, -1.3310167594087066,
-         -0.750022619545907],
-        [0.8350643573126167, 0.5945411369583433, -1.4040230584776894, 0.6994512490928557,
-         0.32162225147701623],
-        [-0.5078858369042689, -0.5431318089858175, -0.29280241078868896, -0.01131658239491544,
-         1.204437272260509]])
-    reduced, U = greedy_reduce(B)
-    assert abs(round(np.linalg.det(U))) == 1
-    assert np.allclose(B @ U, reduced, atol=1e-12)
-    norms = np.linalg.norm(reduced, axis=0)
-    assert norms.max() / norms.min() < 1 + 1e-9
-    gram = reduced.T @ reduced / norms[:, None] ** 2
-    assert (np.abs(gram - np.eye(5)) <= 0.5 + 1e-9).all()
+def _reference_greedy_reduce(C):
+    """The size-reduction sweep matrix by matrix, on floats: for each ordered
+    pair of distinct columns in norm order, a projection above 1/2 by more
+    than 1e-9 is subtracted, rounded, until a sweep changes nothing."""
+    B = np.array(C, dtype=np.float64)
+    n = B.shape[1]
+    U = np.eye(n, dtype=np.int64)
+    for _ in range(1000):
+        changed = False
+        order = np.argsort(np.einsum('ij,ij->j', B, B))
+        for a in range(n):
+            for b in range(n):
+                i, j = int(order[a]), int(order[b])
+                if i == j:
+                    continue
+                proj = float(np.dot(B[:, i], B[:, j]) / np.dot(B[:, i], B[:, i]))
+                if abs(proj) > 0.5 + 1e-9:
+                    mu = round(proj)
+                    B[:, j] -= mu * B[:, i]
+                    U[:, j] -= mu * U[:, i]
+                    changed = True
+        if not changed:
+            return B, U
+    raise RuntimeError("greedy reduction did not terminate")
+
+
+def _reference_frame(g, reps):
+    """``_reduced_frame`` assignment by assignment: U = C^-1 at circuit rank
+    r = n, the reference sweep's U at r > n."""
+    C = g.facts().cycles @ reps
+    U = [int_solve(c, np.eye(g.dim, dtype=np.int64)) if len(c) == g.dim
+         else _reference_greedy_reduce(c)[1] for c in C]
+    return tree_gauge(g, C @ np.stack(U))
+
+
+@pytest.mark.parametrize("tag,n,s_max", [("D1,3", 3, 1), ("D5", 3, 1), ("B4", 3, 1),
+                                         ("D1,3", 2, 1), ("D5", 2, 1), ("D1,3", 4, 1),
+                                         ("D5", 4, 1), ("D5", 3, 2)])
+def test_stacked_reduction_matches_the_matrix_by_matrix_sweep(tag, n, s_max):
+    # one stacked integer pass gives every matrix the (C U, U) of the
+    # float sweep, to the bit, and so the same frames
+    g = build_abstract(tag, n)
+    reps = shift_orbits(g, n, s_max)
+    C = g.facts().cycles @ reps
+    CU, U = greedy_reduce(C)
+    assert CU.dtype == U.dtype == np.int64
+    for c, cu, u in zip(C, CU, U):
+        ref_cu, ref_u = _reference_greedy_reduce(c)
+        assert np.array_equal(u, ref_u) and np.array_equal(cu, ref_cu)
+    frames = optimize._reduced_frame(g, reps)
+    ref = _reference_frame(g, reps)
+    assert frames.dtype == ref.dtype and np.array_equal(frames, ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_reduction_matches_on_random_integer_stacks(n):
+    # 300 random matrices of full column rank for each row count n + 1 to
+    # n + 3, entries up to +-4
+    rng = np.random.default_rng(n)
+    for m in range(n + 1, n + 4):
+        C = rng.integers(-4, 5, (1200, m, n))
+        C = C[np.linalg.matrix_rank(C) == n][:300]
+        assert len(C) == 300
+        CU, U = greedy_reduce(C)
+        for c, cu, u in zip(C, CU, U):
+            ref_cu, ref_u = _reference_greedy_reduce(c)
+            assert np.array_equal(u, ref_u) and np.array_equal(cu, ref_cu)
+        assert np.array_equal(C @ U, CU)
+        assert (np.abs(np.rint(np.linalg.det(U))) == 1).all()
+
+
+def test_greedy_reduce_leaves_half_projections_alone():
+    # columns of equal norm whose projections onto each other are exactly
+    # +-1/2 are size-reduced already: the A_4 root basis e_i - e_(i+1), and
+    # a copy with two columns negated and its rows permuted
+    A4 = np.eye(5, 4, dtype=np.int64) - np.eye(5, 4, -1, dtype=np.int64)
+    C = np.stack([A4, A4[::-1] * np.array([1, -1, 1, -1])])
+    p = np.einsum('kia,kib->kab', C, C) / np.einsum('kia,kia->ka', C, C)[:, :, None]
+    assert set(np.abs(p[:, [0, 1, 2], [1, 2, 3]]).ravel()) == {0.5}
+    CU, U = greedy_reduce(C)
+    assert np.array_equal(U, np.broadcast_to(np.eye(4, dtype=np.int64), (2, 4, 4)))
+    assert np.array_equal(CU, C)
+    with pytest.raises(TypeError):
+        greedy_reduce(C.astype(np.float64))
+
+
+def test_frames_are_built_in_one_pass_per_batch(monkeypatch):
+    # at circuit rank r > n every batch of a multistart reduces the frames
+    # of its own assignments, and only those, in one greedy_reduce call; at
+    # r = n the frame is I and nothing is reduced
+    sizes = {"greedy_reduce": [], "_sample_starts": []}
+    size_of = {"greedy_reduce": lambda C: len(C), "_sample_starts": lambda rng, count, g, S: count}
+    for name in sizes:
+        def counted(*args, _f=getattr(optimize, name), _name=name):
+            sizes[_name].append(size_of[_name](*args))
+            return _f(*args)
+        monkeypatch.setattr(optimize, name, counted)
+    monkeypatch.setattr(optimize, "_CHUNK", 16)
+    minimize_topology("D1,3", 3, OptimizeConfig(seed=1, restarts=3))
+    assert sizes["greedy_reduce"] == sizes["_sample_starts"]
+    assert len(sizes["greedy_reduce"]) >= 3 and max(sizes["greedy_reduce"]) == 16
+    sizes.update(greedy_reduce=[], _sample_starts=[])
+    minimize_topology("D4", 3, OptimizeConfig(seed=1, restarts=3))
+    minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=1, restarts=3))
+    assert sizes["greedy_reduce"] == [] and len(sizes["_sample_starts"]) >= 2
 
 
 def test_config_rejects_negative_seed():

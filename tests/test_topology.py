@@ -194,8 +194,9 @@ def _reference_shift_arrays(skeleton, n, s_max):
 
     Loop sets at each vertex (sign-canonical classes), then free bridge
     sets (the first bridge fixed at zero), all in lexicographic order; a
-    candidate is kept when its free rows have Smith factors all 1 and no
-    earlier candidate is its bridge negation.
+    candidate is kept when no two loops at one vertex have proportional
+    shifts, its free rows have Smith factors all 1 and no earlier candidate
+    is its bridge negation.
     """
     nonzero = [s for s in product(range(-s_max, s_max + 1), repeat=n) if any(s)]
     classes = sorted({max(s, tuple(-x for x in s)) for s in nonzero})
@@ -207,6 +208,8 @@ def _reference_shift_arrays(skeleton, n, s_max):
     for la in combinations(classes, len(loops0)):
         for lb in combinations(classes, len(loops1)):
             for br in combinations(nonzero, max(len(bridges) - 1, 0)):
+                if any(_proportional(s, t) for ls in (la, lb) for s, t in combinations(ls, 2)):
+                    continue
                 rows = la + lb + br
                 if len(rows) < n or smith_invariant_factors(rows) != (1,) * n:
                     continue
@@ -220,10 +223,15 @@ def _reference_shift_arrays(skeleton, n, s_max):
     return out
 
 
+def _proportional(s, t):
+    """Whether two shifts are proportional: every 2 x 2 minor of (s, t) is 0."""
+    return all(s[i] * t[j] == s[j] * t[i] for i, j in combinations(range(len(s)), 2))
+
+
 @pytest.mark.parametrize("tag,n,s_max", [
     ("B3", 3, 1), ("D4", 3, 1), ("D1,2", 3, 1), ("D5", 3, 1),
     ("D3", 2, 1), ("D3", 2, 2), ("B2", 2, 2), ("D1,1", 2, 2),
-    ("D1,2 reordered", 2, 1), ("D1,2 reordered", 2, 2),
+    ("D1,2 reordered", 2, 1), ("D1,2 reordered", 2, 2), ("B3", 2, 2),
 ])
 def test_enumerate_matches_reference(tag, n, s_max):
     skeleton = _skeleton(tag, n)
@@ -231,6 +239,21 @@ def test_enumerate_matches_reference(tag, n, s_max):
     got = enumerate_shift_arrays(skeleton, n, s_max)
     assert len(got) == len(ref)
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("tag,n,orbits", [("B3", 2, 17), ("B4", 3, 1444)])
+def test_orbits_at_s_max_2_have_valid_realizations(tag, n, orbits):
+    # two loops at one vertex with proportional shifts leave it in one
+    # direction in every realization; the enumeration skips such loop sets
+    # (one orbit of each topology here), so every representative passes
+    # facts() and the search returns
+    g = build_abstract(tag, n)
+    reps = shift_orbits(g, n, 2)
+    assert len(reps) == orbits
+    for S in reps:
+        assert not any(QuotientGraph(n, g.vertex_count, g.tails, g.heads, S).facts().violations)
+    res = minimize_topology(tag, n, OptimizeConfig(s_max=2, restarts=1))
+    assert validate(res.network).ok
 
 
 def test_enumerate_guard_trips():
