@@ -22,12 +22,16 @@ skeleton (possibly with different shift assignments) and all of them
 take descent steps simultaneously, each with its own backtracking step
 size.  There is one multistart.  The problem is convex for a fixed
 assignment, so it descends one start of each assignment it is given, in
-its reduced frame, redrawing (up to ``restarts`` draws) only where an
+its reduced frame: the assignment's standard realization (the least
+energy sum_e |v_e|^2 at unit volume, the minimizer itself on an
+edge-transitive net), or a random draw where that placement fails a start
+check.  It redraws at random (up to ``restarts`` draws) only where an
 instance neither converged nor collapsed; traces record where every draw
 stopped.  A topology search hands it one representative per orbit of
 equivalent assignments (``shift_orbits``), which share one landscape; a
 fixed graph is the case of a single assignment.  Results are
-deterministic functions of (seed, config).
+deterministic functions of (seed, config); the seed reaches only the
+random starts.
 """
 
 from __future__ import annotations
@@ -67,7 +71,9 @@ _LIVE = ("X", "B", "S", "ST", "f", "ell", "t", "iters", "tail_steps",
 @dataclass(frozen=True)
 class OptimizeConfig:
     """Search budget of the descent engine; ``restarts`` is the most starts
-    drawn for one assignment (see ``_multistart``)."""
+    descended for one assignment, and ``seed`` seeds the random ones: every
+    redraw, and a first start whose standard realization fails a start
+    check (see ``_multistart``)."""
 
     restarts: int = 50
     seed: int = 0
@@ -346,14 +352,25 @@ class _Batch:
         return PeriodicNetwork(g, Lattice(self.B[i]), self.X[i])
 
 
+def _start_faults(g: QuotientGraph, B: np.ndarray, X: np.ndarray, ST: np.ndarray):
+    """The (N,) flags of each ``_START_CHECKS`` check that stacked starts
+    over the skeleton of ``g``, with shifts ``ST`` (N, n, E), fail: |det B|
+    <= 0.1, an edge of length 1e-9 or less, and two edge ends that leave a
+    vertex in one direction."""
+    vec = lifted_edges(X, B, ST, g.tails, g.heads)
+    ell = edge_norms(vec)
+    return (np.abs(_det_batch(B)) <= 0.1, (ell <= 1e-9).any(axis=1),
+            parallel_ends(vec, ell, g.facts().end_pairs).any(axis=1))
+
+
 def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
     """Random valid starting states over the skeleton of ``g``, matching
     :func:`random_network`.
 
     Basis: identity plus uniform(-0.3, 0.3) entries; positions uniform in
-    the unit cell; instances that fail a ``_START_CHECKS`` check (|det B|
-    <= 0.1, a collapsed or a non-immersed star) are redrawn, up to 100
-    rounds, and the error then names the checks the last draws failed.
+    the unit cell; instances that fail a ``_START_CHECKS`` check
+    (``_start_faults``) are redrawn, up to 100 rounds, and the error then
+    names the checks the last draws failed.
     """
     n, V = g.dim, g.vertex_count
     B = np.empty((count, n, n))
@@ -368,14 +385,34 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
         frac = rng.uniform(0.0, 1.0, (m, V, n))
         Xc = np.einsum('aij,avj->avi', Bc, frac)
         B[todo], X[todo] = Bc, Xc
-        vec = lifted_edges(Xc, Bc, ST[todo], g.tails, g.heads)
-        ell = edge_norms(vec)
-        faults = (np.abs(_det_batch(Bc)) <= 0.1, (ell <= 1e-9).any(axis=1),
-                  parallel_ends(vec, ell, g.facts().end_pairs).any(axis=1))
+        faults = _start_faults(g, Bc, Xc, ST[todo])
         todo = todo[faults[0] | faults[1] | faults[2]]
     if len(todo):
         failed = ", ".join(c for c, hit in zip(_START_CHECKS, faults) if hit.any())
         raise RuntimeError(f"failed to draw a valid starting network in 100 rounds: {failed}")
+    return B, X
+
+
+def _standard_realization(g: QuotientGraph, S_int) -> tuple[np.ndarray, np.ndarray]:
+    """Kotani and Sunada's standard realization (B, X) of every assignment
+    of the stack ``S_int`` over the skeleton of ``g``: the least energy
+    sum_e |v_e|^2 = tr(Z^T G Z) at |det B| = 1, G = C^T C of the edge map
+    (``_edge_map``), vertex 0 at the origin.  Eliminating the free
+    positions, X[1:] = -G_xx^-1 G_xb B^T, leaves tr(B Q B^T) with Q the
+    Schur complement of G_xx, least at B = Q^(-1/2) scaled to unit volume.
+    It does not depend on how the assignment is written down, and on an
+    edge-transitive net it minimizes L^n/V."""
+    n, m = g.dim, g.vertex_count - 1
+    C = _edge_map(incidence(g.tails, g.heads, g.vertex_count),
+                  np.asarray(S_int, dtype=np.float64))
+    G = C.transpose(0, 2, 1) @ C
+    W = np.linalg.solve(G[:, :m, :m], G[:, :m, m:])
+    lam, U = np.linalg.eigh(G[:, m:, m:] - G[:, m:, :m] @ W)
+    # Q^(-1/2) times the root of the geometric mean of Q's eigenvalues: |det B| = 1
+    root = np.sqrt(np.exp(np.log(lam).mean(axis=1))[:, None] / lam)
+    B = (U * root[:, None, :]) @ U.transpose(0, 2, 1)
+    X = np.zeros((len(B), m + 1, n))
+    X[:, 1:] = -W @ B.transpose(0, 2, 1)
     return B, X
 
 
@@ -396,20 +433,26 @@ def _gradient(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray
     return F, gX, gB
 
 
+def _edge_map(P: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Edge map C (N, E, V - 1 + n) of stacked shifts ``S`` (N, E, n) over
+    incidence ``P``: edge e's vector is c_e^T Z with c_e = (P_e without
+    vertex 0, s_e) and Z = (X[1:]; B^T), vertex 0 pinned at the origin."""
+    return np.concatenate([np.broadcast_to(P[:, 1:], S.shape[:2] + (P.shape[1] - 1,)), S], axis=2)
+
+
 def _hessian(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray,
              ell: np.ndarray) -> np.ndarray:
     """Hessian (N, D, D) of n log L - log|det B| at unit edge vectors ``u``
     and edge lengths ``ell``, over the variables Z = (X[1:]; B^T) flattened
     row-major: the free vertex positions, then the columns of B.
 
-    Edge e's vector is c_e^T Z with c_e = (P_e without vertex 0, s_e), so
-    the Hessian of L is sum_e c_e c_e^T (x) M_e with M_e = (I - u_e u_e^T)
-    / ell_e; that of -log|det B| is (B^-1)_jk (B^-1)_li at the entries
-    (B_ij, B_kl).
+    Edge e's vector is c_e^T Z (``_edge_map``), so the Hessian of L is
+    sum_e c_e c_e^T (x) M_e with M_e = (I - u_e u_e^T) / ell_e; that of
+    -log|det B| is (B^-1)_jk (B^-1)_li at the entries (B_ij, B_kl).
     """
     N, E, _ = u.shape
     R = P.shape[1] - 1 + n                  # rows of Z
-    C = np.concatenate([np.broadcast_to(P[:, 1:], (N, E, R - n)), S], axis=2)
+    C = _edge_map(P, S)
     M = (np.eye(n) - u[..., :, None] * u[..., None, :]) / ell[..., None, None]
     CC = (C[..., :, None] * C[..., None, :]).reshape(N, E, R * R)
     H = (CC.transpose(0, 2, 1) @ M.reshape(N, E, n * n)).reshape(N, R, R, n, n)
@@ -497,13 +540,15 @@ def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:
 def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -> OptimizeResult:
     """Minimize L^n/V over positions and lattice for one shift assignment.
 
-    Descends one random start, and draws another, up to ``cfg.restarts``
-    in all, only while the last neither converged nor collapsed
-    (``_multistart``); the starts near B = I are drawn, and descended, in
-    the graph's reduced frame, and the best network is mapped back exactly
-    onto ``g`` itself, whose shifts the result keeps.  At circuit rank
-    r = n every basis has the same reduced frame, so the traces do not
-    depend on it at all.  Before any descent it refuses a graph that fails
+    Descends one start, the standard realization of ``g`` (a random draw
+    where that placement fails a start check), and draws another at
+    random, up to ``cfg.restarts`` in all, only while the last neither
+    converged nor collapsed (``_multistart``); ``cfg.seed`` reaches only
+    the random starts.  Every start is built, and descended, in the graph's
+    reduced frame, and the best network is mapped back exactly onto ``g``
+    itself, whose shifts the result keeps.  At circuit rank r = n every
+    basis has the same reduced frame, so the traces do not depend on it at
+    all.  Before any descent it refuses a graph that fails
     a check of ``facts()`` (``_refuse_invalid``), and a graph with a cut
     edge, which has no balanced realization (see ``min_vertex_count``).
     """
@@ -521,12 +566,14 @@ def minimize_topology(tag: TopologyClass | str, n: int,
 
     Assignments related by a lattice basis change or a skeleton
     automorphism share one landscape, so only one representative per
-    orbit (``shift_orbits``) is descended, in its reduced frame, from one
-    start and up to ``cfg.restarts`` where no start converges or collapses
-    (``_multistart``); the best network is mapped back onto its
-    representative.  Trace records and ``shifts`` name the representative
-    by its position in ``shift_orbits``.  The returned best is
-    deterministic in (seed, config).
+    orbit (``shift_orbits``) is descended, in its reduced frame, from its
+    standard realization (a random draw where that placement fails a start
+    check) and from random draws, up to ``cfg.restarts`` in all, where no
+    start converges or collapses (``_multistart``); the best network is
+    mapped back onto its representative.  Trace records and ``shifts``
+    name the representative by its position in ``shift_orbits``.  The
+    returned best is deterministic in (seed, config), and ``cfg.seed``
+    reaches only the random starts.
     """
     cfg = cfg or OptimizeConfig()
     top = TopologyClass.from_tag(tag) if isinstance(tag, str) else tag
@@ -551,9 +598,9 @@ def _reduced_frame(g: QuotientGraph, reps: np.ndarray) -> np.ndarray:
 
 
 def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> OptimizeResult:
-    """Descend one random start of every assignment in ``reps``; redraw only
-    where an instance neither converged nor collapsed, up to ``cfg.restarts``
-    draws per assignment.
+    """Descend one start of every assignment in ``reps``; redraw at random
+    only where an instance neither converged nor collapsed, up to
+    ``cfg.restarts`` draws per assignment.
 
     For one assignment L^n/V is convex in the gauge B = Q R: edge vectors
     are linear in (X, R), L is a sum of norms, and sum log R_ii >= 0 is a
@@ -561,10 +608,12 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     and a collapsed one a face where an edge has length 0: both are final.
     A round of draws runs in batches of at most ``_CHUNK``, each built in
     its assignments' reduced frames in one pass (``_reduced_frame``), with
-    starts near B = I from one ``SeedSequence((seed, 0))`` stream; the best
-    network is mapped back exactly onto its assignment, on ``g`` itself when
-    that is ``g``'s.  The best is the lowest value, ties within 1e-9 going
-    to the instance descended first.
+    random starts near B = I from one ``SeedSequence((seed, 0))`` stream;
+    draw 0 keeps them only where the standard realization
+    (``_standard_realization``) fails a ``_START_CHECKS`` check.  The best
+    network is mapped back exactly onto its assignment, on ``g`` itself
+    when that is ``g``'s.  The best is the lowest value, ties within 1e-9
+    going to the instance descended first.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     draw, todo, rows, best = 0, np.arange(len(reps)), [], None
@@ -572,7 +621,15 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
         redo = []
         for a in (todo[lo:lo + _CHUNK] for lo in range(0, len(todo), _CHUNK)):
             S = _reduced_frame(g, reps[a])
-            batch = _Batch(g, S, *_sample_starts(rng, len(a), g, S))
+            B, X = _sample_starts(rng, len(a), g, S)
+            if draw == 0:
+                # the standard realization, wherever it is a valid start; every
+                # row still takes its draw, so no later draw depends on which kept it
+                B0, X0 = _standard_realization(g, S)
+                det, zero, par = _start_faults(g, B0, X0, S.transpose(0, 2, 1).astype(np.float64))
+                ok = ~(det | zero | par)
+                B[ok], X[ok] = B0[ok], X0[ok]
+            batch = _Batch(g, S, B, X)
             batch.run()
             with np.errstate(over='ignore'):
                 v = np.exp(batch.f)

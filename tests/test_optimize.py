@@ -25,13 +25,20 @@ from perinet.reduction import greedy_reduce
 from perinet.topology import build_abstract, shift_orbits, tree_gauge
 from perinet.netcore import as_stack, edge_norms, incidence, lifted_edges
 from perinet.optimize import (_SERVICE_EVERY, _Batch, _det_batch, _gradient, _hessian,
-                              _newton_steps, _sample_starts)
+                              _newton_steps, _sample_starts, _standard_realization,
+                              _start_faults)
 from test_bounds import _rewritten
 
 
 def dia_graph():
     return QuotientGraph.from_edges(3, 2, [(0, 1, (0, 0, 0)), (0, 1, (-1, 0, 0)),
                                            (0, 1, (0, -1, 0)), (0, 1, (0, 0, -1))])
+
+
+def sqp_graph():
+    # its standard realization is not its minimizer, unlike dia's, so its
+    # descent takes steps from draw 0 on
+    return catalog("sqp")[0].graph
 
 
 def b3_graph():
@@ -287,7 +294,7 @@ def _config(monkeypatch, **kw):
 def test_termination_labels_name_their_outcome(monkeypatch):
     # the iteration cap, a plateau (an Armijo constant so strict that only
     # negligible steps pass) and a line search that never finds a step
-    g = dia_graph()
+    g = sqp_graph()
     for kw, label in [({"_MAX_ITER": 3}, "max_iter"), ({}, "converged"),
                       ({"_ARMIJO": 1e6}, "stalled"), ({"_ARMIJO": 1e30}, "line_search_failed")]:
         with monkeypatch.context() as m:
@@ -300,7 +307,7 @@ def test_termination_labels_name_their_outcome(monkeypatch):
 
 
 def test_iteration_cap_is_trace_code_0(monkeypatch):
-    res = minimize_fixed_shifts(dia_graph(), _config(monkeypatch, seed=2, restarts=4, _MAX_ITER=3))
+    res = minimize_fixed_shifts(sqp_graph(), _config(monkeypatch, seed=2, restarts=4, _MAX_ITER=3))
     assert (res.traces.termination == 0).all()
     assert res.termination == "max_iter"
 
@@ -644,6 +651,85 @@ def test_rewritten_catalog_converges_on_every_restart(name, params):
         assert np.allclose(res.traces.final_value, entry.expected_quotient,
                            rtol=1e-10, atol=0.0)
         assert length_quotient(res.network) == pytest.approx(res.value, rel=1e-12)
+
+
+def _standard_start(g, S):
+    """The standard realization of every assignment of the stack ``S`` over
+    ``g``, with the (3, N) flags of the start checks it fails."""
+    B, X = _standard_realization(g, S)
+    return B, X, np.array(_start_faults(g, B, X, S.transpose(0, 2, 1).astype(np.float64)))
+
+
+@pytest.mark.parametrize("name,params", FIXED_SOLVE_GRAPHS,
+                         ids=[f"{name}{params.get('n', '')}" for name, params in FIXED_SOLVE_GRAPHS])
+def test_standard_realization_does_not_depend_on_the_presentation(name, params):
+    # the start of a fixed solve, built in the graph's reduced frame, is one
+    # placement up to isometry however the graph is written down; on the
+    # edge-transitive nets it is the minimizer
+    net, entry = catalog(name, **params)
+    rng = np.random.default_rng(sum(map(ord, name)) + 11 * net.dim)
+
+    def placement(g):
+        S = optimize._reduced_frame(g, g.shifts[None])
+        B, X, faults = _standard_start(g, S)
+        assert not faults.any()
+        start = PeriodicNetwork(QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, S[0]),
+                                Lattice(B[0]), X[0])
+        return np.sort(netcore.edge_lengths(start)), length_quotient(start)
+
+    ref_lengths, ref_value = placement(net.graph)
+    if name in ("hcb", "dia", "pcu", "simplex_net"):
+        assert ref_value == pytest.approx(entry.expected_quotient, rel=1e-12)
+    for _ in range(20):
+        lengths, value = placement(_rewritten(net, rng).graph)
+        assert np.allclose(lengths, ref_lengths, rtol=1e-11, atol=0.0)
+        assert value == pytest.approx(ref_value, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_paper_minimizers_are_reached_without_a_step(n):
+    # the unique minimizers for d = n + 1 and d = 2n, the most symmetric
+    # placements of D_(n+1) and B_n, are their standard realizations: the
+    # search starts at them, takes no step, and meets the sharp bound with
+    # its equality certificate
+    for tag in (f"D{n + 1}", f"B{n}"):
+        res = minimize_topology(tag, n)
+        assert res.termination == "converged", tag
+        assert len(res.traces) == 1 and res.traces.iterations[0] == 0, tag
+        rep = verify(res.network)
+        assert rep.applicable and abs(rep.slack) <= 1e-12 * res.value, (tag, rep.slack)
+        assert rep.equality_certificate.passed, (tag, rep.equality_certificate.checks)
+
+
+def test_failed_standard_placements_start_from_random_draws(monkeypatch):
+    # D1,3 in R^2: the standard realization of 138 of the 238 orbits has a
+    # zero-length edge (54) or two edge ends that leave a vertex in one
+    # direction (104); those rows, and only those, start from the random
+    # draw of their batch, and every start passes the checks
+    g = build_abstract("D1,3", 2)
+    reps = shift_orbits(g, 2)
+    S = optimize._reduced_frame(g, reps)
+    B0, X0, faults = _standard_start(g, S)
+    fail = faults.any(axis=0)
+    assert len(reps) == 238 and faults.sum(axis=1).tolist() == [0, 54, 104]
+    assert fail.sum() == 138
+    starts = []
+
+    class Recorded(_Batch):
+        def __init__(self, g, S, B, X):
+            starts.append((S, B.copy(), X.copy()))
+            super().__init__(g, S, B, X)
+
+    monkeypatch.setattr(optimize, "_Batch", Recorded)
+    optimize._multistart(g, reps, OptimizeConfig(seed=5, restarts=1))
+    [(S1, B, X)] = starts
+    assert np.array_equal(S1, S)
+    rng = np.random.default_rng(np.random.SeedSequence((5, 0)))
+    Br, Xr = _sample_starts(rng, len(S), g, S)
+    assert np.array_equal(B[fail], Br[fail]) and np.array_equal(X[fail], Xr[fail])
+    assert np.array_equal(B[~fail], B0[~fail]) and np.array_equal(X[~fail], X0[~fail])
+    assert not np.any(_start_faults(g, B, X, S.transpose(0, 2, 1).astype(np.float64)))
+
 
 @pytest.mark.usefixtures("tail_off")
 @pytest.mark.parametrize("name,params", FIXED_SOLVE_GRAPHS,
@@ -1108,7 +1194,7 @@ def test_newton_step_clears_barzilai_borwein_memory(monkeypatch):
 
 
 def test_traces_count_tail_steps():
-    res = minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=3, restarts=6))
+    res = minimize_fixed_shifts(sqp_graph(), OptimizeConfig(seed=3, restarts=6))
     t = res.traces
     assert t.tail_steps.shape == t.iterations.shape
     assert (t.tail_steps > 0).any() and (t.tail_steps < t.iterations).all()
