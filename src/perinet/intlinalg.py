@@ -3,9 +3,9 @@
 Everything here except :func:`det_int_batch` and :func:`int_solve` runs on
 Python integers, so there is no overflow to detect; results are exact for
 arbitrary entry sizes.  ``det_int_batch`` vectorizes over many small
-matrices in int64, and the descent takes the determinants of its float
-bases from the same closed forms (``_det_int``).  ``int_solve`` solves in
-floats, rounds, and checks the rounded solution exactly.
+matrices in int64 with the same closed forms (``_det_int``), which serve
+integers only.  ``int_solve`` solves in floats, rounds, and checks the
+rounded solution exactly.
 """
 
 from math import gcd

@@ -26,7 +26,8 @@ its reduced frame: the assignment's standard realization (the least
 energy sum_e |v_e|^2 at unit volume, the minimizer itself on an
 edge-transitive net), or a random draw where that placement fails a start
 check.  It redraws at random (up to ``restarts`` draws) only where an
-instance neither converged nor collapsed; traces record where every draw
+instance neither converged nor collapsed, so random numbers are drawn
+only for those fallback rows and redraws; traces record where every draw
 stopped.  A topology search hands it one representative per orbit of
 equivalent assignments (``shift_orbits``), which share one landscape; a
 fixed graph is the case of a single assignment.  Results are
@@ -41,9 +42,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .intlinalg import _det_int, int_solve
-from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, as_stack, edge_norms,
-                      incidence, lifted_edges, parallel_ends, vertex_forces)
+from .intlinalg import int_solve
+from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _length_quotient, as_stack,
+                      edge_norms, incidence, lifted_edges, parallel_ends, vertex_forces)
 from .reduction import greedy_reduce
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits, tree_gauge
 
@@ -65,15 +66,15 @@ _NEWTON_ENTRY = 3e-2         # gradient max-norm below which a step is damped Ne
 _HESSIAN_BLOCK = 1 << 19     # Hessian entries assembled at once in the Newton tail
 # per-instance state that a descent step reads and writes
 _LIVE = ("X", "B", "S", "ST", "f", "ell", "t", "iters", "tail_steps",
-         "_gXo", "_gBo", "_gsqo", "_tacc", "_has_prev", "_stall", "_f_snap")
+         "_gXo", "_gBo", "_gsqo", "_tacc", "_stall", "_f_snap")
 
 
 @dataclass(frozen=True)
 class OptimizeConfig:
     """Search budget of the descent engine; ``restarts`` is the most starts
-    descended for one assignment, and ``seed`` seeds the random ones: every
-    redraw, and a first start whose standard realization fails a start
-    check (see ``_multistart``)."""
+    descended for one assignment, and ``seed`` seeds the random ones, which
+    are drawn only for redraws and for a first start whose standard
+    realization fails a start check (see ``_multistart``)."""
 
     restarts: int = 50
     seed: int = 0
@@ -135,29 +136,6 @@ class OptimizeResult:
     restart_index: int = 0
 
 
-def _det_batch(B: np.ndarray) -> np.ndarray:
-    if B.shape[-1] <= 3:
-        # the closed forms, on entry (i, j) of every stacked basis at once
-        return _det_int(B.transpose(1, 2, 0))
-    return np.linalg.det(B)
-
-
-def _invT_batch(B: np.ndarray, det: np.ndarray) -> np.ndarray:
-    n = B.shape[-1]
-    if n == 2:
-        out = np.stack([B[:, 1, 1], -B[:, 1, 0], -B[:, 0, 1], B[:, 0, 0]], axis=1)
-        return out.reshape(-1, 2, 2) / det[:, None, None]
-    if n == 3:
-        a, b, c = B[:, 0, 0], B[:, 0, 1], B[:, 0, 2]
-        d, e, f = B[:, 1, 0], B[:, 1, 1], B[:, 1, 2]
-        g, h, i = B[:, 2, 0], B[:, 2, 1], B[:, 2, 2]
-        out = np.stack([e * i - f * h, f * g - d * i, d * h - e * g,
-                        c * h - b * i, a * i - c * g, b * g - a * h,
-                        b * f - c * e, c * d - a * f, a * e - b * d], axis=1)
-        return out.reshape(-1, 3, 3) / det[:, None, None]
-    return np.transpose(np.linalg.inv(B), (0, 2, 1))
-
-
 def _in_frame_of(g: QuotientGraph, net: PeriodicNetwork) -> PeriodicNetwork:
     """``net``, over the skeleton of ``g`` in another frame, as the same
     periodic network on ``g`` itself.
@@ -195,7 +173,7 @@ class _Batch:
         self.S = self.S_int.astype(np.float64)
         self.ST = np.ascontiguousarray(self.S.transpose(0, 2, 1))
         with np.errstate(divide='ignore', invalid='ignore'):
-            c = np.abs(_det_batch(self.B)) ** (-1.0 / n)     # scale gauge
+            c = np.abs(np.linalg.det(self.B)) ** (-1.0 / n)     # scale gauge
             ok = np.isfinite(c)
             self.B[ok] *= c[ok, None, None]
             self.X[ok] *= c[ok, None, None]
@@ -205,18 +183,18 @@ class _Batch:
         self.status[collapsed] = 2
         self._f_snap = self.f.copy()
         self._stall = np.zeros(N, dtype=np.int16)
-        # previous-step memory for the Barzilai-Borwein step estimate
+        # previous-step memory for the Barzilai-Borwein step estimate; a
+        # stored step size of 0 stands for no previous step
         self._gXo = np.zeros_like(self.X)
         self._gBo = np.zeros_like(self.B)
         self._gsqo = np.zeros(N)
         self._tacc = np.zeros(N)
-        self._has_prev = np.zeros(N, dtype=bool)
 
     # -- low-level evaluation ------------------------------------------------
 
     def _eval(self, X, B, ST):
         """Objective, edge lengths and basis determinant of stacked states."""
-        ell, det = edge_norms(lifted_edges(X, B, ST, self.tails, self.heads)), _det_batch(B)
+        ell, det = edge_norms(lifted_edges(X, B, ST, self.tails, self.heads)), np.linalg.det(B)
         return _objective(self.n, ell, det), ell, det
 
     # -- stall and condition checks ------------------------------------------
@@ -271,7 +249,7 @@ class _Batch:
                 cross = (np.einsum('avi,avi->a', gX, w._gXo)
                          + np.einsum('aij,aij->a', gB, w._gBo))
                 t_bb = -w._tacc * (cross - w._gsqo) / (gsq - 2.0 * cross + w._gsqo)
-                use_bb = w._has_prev & np.isfinite(t_bb) & (t_bb > 0)
+                use_bb = np.isfinite(t_bb) & (t_bb > 0)
                 t = np.where(use_bb, np.clip(t_bb, 1e-12, 1e3), np.minimum(w.t * 2.0, 1e3))
                 # a trial state is (X, B) - t (qX, qB) with slope q.g: the
                 # gradient itself, or a damped-Newton step at t = 1 in the tail.
@@ -319,12 +297,13 @@ class _Batch:
                     raise RuntimeError("objective increased on an accepted step")
                 # scale gauge: renormalize to unit cell volume; f is invariant,
                 # and the stored step memory transforms as g -> g/c, t -> c^2 t;
-                # no Barzilai-Borwein estimate is taken across a Newton step
+                # a Newton step stores step size 0, so no Barzilai-Borwein
+                # estimate is taken across it
                 c = np.abs(dett) ** (-1.0 / n)
                 c2, c3 = c ** 2, c[:, None, None]
-                w.t, w.iters, w._has_prev = t, w.iters + 1, ~newton
-                w.tail_steps = w.tail_steps + newton
-                w._gXo, w._gBo, w._gsqo, w._tacc = gX / c3, gB / c3, gsq / c2, t * c2
+                w.t, w.iters, w.tail_steps = t, w.iters + 1, w.tail_steps + newton
+                w._gXo, w._gBo, w._gsqo = gX / c3, gB / c3, gsq / c2
+                w._tacc = np.where(newton, 0.0, t * c2)
                 w.B, w.X, w.ell = Bt * c3, Xt * c3, ellt * c[:, None]
                 w.f = n * np.log(w.ell.sum(1))
                 if not (np.abs(w.f - ft) <= 1e-11 * np.maximum(1.0, np.abs(w.f))).all():
@@ -352,14 +331,15 @@ class _Batch:
         return PeriodicNetwork(g, Lattice(self.B[i]), self.X[i])
 
 
-def _start_faults(g: QuotientGraph, B: np.ndarray, X: np.ndarray, ST: np.ndarray):
+def _start_faults(g: QuotientGraph, B: np.ndarray, X: np.ndarray, S_int):
     """The (N,) flags of each ``_START_CHECKS`` check that stacked starts
-    over the skeleton of ``g``, with shifts ``ST`` (N, n, E), fail: |det B|
-    <= 0.1, an edge of length 1e-9 or less, and two edge ends that leave a
-    vertex in one direction."""
+    over the skeleton of ``g``, with integer shifts ``S_int`` (N, E, n),
+    fail: |det B| <= 0.1, an edge of length 1e-9 or less, and two edge ends
+    that leave a vertex in one direction."""
+    ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
     vec = lifted_edges(X, B, ST, g.tails, g.heads)
     ell = edge_norms(vec)
-    return (np.abs(_det_batch(B)) <= 0.1, (ell <= 1e-9).any(axis=1),
+    return (np.abs(np.linalg.det(B)) <= 0.1, (ell <= 1e-9).any(axis=1),
             parallel_ends(vec, ell, g.facts().end_pairs).any(axis=1))
 
 
@@ -375,7 +355,6 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
     n, V = g.dim, g.vertex_count
     B = np.empty((count, n, n))
     X = np.empty((count, V, n))
-    ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
     todo = np.arange(count)
     for _ in range(100):
         if len(todo) == 0:
@@ -385,7 +364,7 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
         frac = rng.uniform(0.0, 1.0, (m, V, n))
         Xc = np.einsum('aij,avj->avi', Bc, frac)
         B[todo], X[todo] = Bc, Xc
-        faults = _start_faults(g, Bc, Xc, ST[todo])
+        faults = _start_faults(g, Bc, Xc, S_int[todo])
         todo = todo[faults[0] | faults[1] | faults[2]]
     if len(todo):
         failed = ", ".join(c for c, hit in zip(_START_CHECKS, faults) if hit.any())
@@ -429,7 +408,7 @@ def _gradient(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray
     F = vertex_forces(P, u)
     gX = (n / L)[:, None, None] * F
     gX[:, 0, :] = 0.0
-    gB = (n / L)[:, None, None] * (u.transpose(0, 2, 1) @ S) - _invT_batch(B, _det_batch(B))
+    gB = (n / L)[:, None, None] * (u.transpose(0, 2, 1) @ S) - np.linalg.inv(B).transpose(0, 2, 1)
     return F, gX, gB
 
 
@@ -506,16 +485,18 @@ def objective_and_gradient(net: PeriodicNetwork):
     Returns (f, position gradient, basis gradient); the gradient of the
     pinned vertex 0 is zeroed, matching the translation gauge of the
     descent.  The position gradient of L itself is the vertex force.
+    Raises ``ValueError`` where ``length_quotient`` does: on a zero-length
+    or non-finite edge, or a singular or non-finite basis.
     """
     g = net.graph
     X, B, ST = as_stack(net)
-    vec = lifted_edges(X, B, ST, g.tails, g.heads)
+    with np.errstate(invalid='ignore'):     # an infinite entry gives NaN
+        vec = lifted_edges(X, B, ST, g.tails, g.heads)
     ell = edge_norms(vec)
-    if np.any(ell == 0.0):
-        raise ValueError("zero-length edge")
+    _length_quotient(net, ell[0])
     _, gX, gB = _gradient(g.dim, incidence(g.tails, g.heads, g.vertex_count),
                           ST.transpose(0, 2, 1), B, vec / ell[..., None], ell.sum(1))
-    return float(_objective(g.dim, ell, _det_batch(B))[0]), gX[0], gB[0]
+    return float(_objective(g.dim, ell, np.linalg.det(B))[0]), gX[0], gB[0]
 
 
 def _refuse_invalid(g: QuotientGraph) -> None:
@@ -607,13 +588,13 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     convex set.  So a converged instance has reached the one minimum value,
     and a collapsed one a face where an edge has length 0: both are final.
     A round of draws runs in batches of at most ``_CHUNK``, each built in
-    its assignments' reduced frames in one pass (``_reduced_frame``), with
-    random starts near B = I from one ``SeedSequence((seed, 0))`` stream;
-    draw 0 keeps them only where the standard realization
-    (``_standard_realization``) fails a ``_START_CHECKS`` check.  The best
-    network is mapped back exactly onto its assignment, on ``g`` itself
-    when that is ``g``'s.  The best is the lowest value, ties within 1e-9
-    going to the instance descended first.
+    its assignments' reduced frames in one pass (``_reduced_frame``).  Draw
+    0 starts at the standard realization (``_standard_realization``), and
+    random starts near B = I, from one ``SeedSequence((seed, 0))`` stream,
+    are drawn only for the rows where it fails a ``_START_CHECKS`` check
+    and for every redraw.  The best network is mapped back exactly onto its
+    assignment, on ``g`` itself when that is ``g``'s.  The best is the
+    lowest value, ties within 1e-9 going to the instance descended first.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     draw, todo, rows, best = 0, np.arange(len(reps)), [], None
@@ -621,20 +602,17 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
         redo = []
         for a in (todo[lo:lo + _CHUNK] for lo in range(0, len(todo), _CHUNK)):
             S = _reduced_frame(g, reps[a])
-            B, X = _sample_starts(rng, len(a), g, S)
-            if draw == 0:
-                # the standard realization, wherever it is a valid start; every
-                # row still takes its draw, so no later draw depends on which kept it
-                B0, X0 = _standard_realization(g, S)
-                det, zero, par = _start_faults(g, B0, X0, S.transpose(0, 2, 1).astype(np.float64))
-                ok = ~(det | zero | par)
-                B[ok], X[ok] = B0[ok], X0[ok]
+            # the standard realization where it is a valid first start, a
+            # random draw in every other row
+            B, X = _standard_realization(g, S)
+            rand = np.any(_start_faults(g, B, X, S), axis=0) | (draw > 0)
+            B[rand], X[rand] = _sample_starts(rng, int(rand.sum()), g, S[rand])
             batch = _Batch(g, S, B, X)
             batch.run()
             with np.errstate(over='ignore'):
                 v = np.exp(batch.f)
             rows.append((a, np.full(len(a), draw), v, batch.iters, batch.status, batch.tail_steps))
-            redo.append(a[~np.isin(batch.status, (1, 2))])
+            redo.append(a[(batch.status != 1) & (batch.status != 2)])
             i = int(_near_best(v)[0])
             if best is None or _near_best([best[0], v[i]])[0]:     # ties stay with the earlier
                 best = (v[i], batch.network_at(i), int(a[i]), draw, int(batch.status[i]))

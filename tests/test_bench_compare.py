@@ -55,3 +55,20 @@ def test_a_side_without_files_is_refused(tmp_path, capsys):
     a = _run_file(tmp_path / "a.json", [40.0])
     for args in ([a], [a, "--"], ["--", a], [a, a, a]):
         assert bench_compare.main(args) == 2
+
+
+def test_several_parent_runs_print_their_interquartile_range(tmp_path, capsys):
+    # the medians must differ by more than the parent runs' interquartile
+    # range (statistics.quantiles, n=4) for the line to be marked
+    parents = _run_file(tmp_path / "p.json", [40, 42, 44, 46, 48])
+    out = _compare(capsys, parents, "--", _run_file(tmp_path / "a.json", [47, 50]))
+    # quartiles 41 and 47, medians 44 and 48.5
+    assert out[3].split() == ["parent", "IQR", "6,", "medians", "+4.5", "apart"]
+    out = _compare(capsys, parents, "--", _run_file(tmp_path / "b.json", [51, 52, 50]))
+    assert out[3].split()[-4:] == ["+7", "apart", "BEYOND", "IQR"]
+    out = _compare(capsys, parents, "--", _run_file(tmp_path / "c.json", [36]))
+    assert out[3].split()[-4:] == ["-8", "apart", "BEYOND", "IQR"]
+    # one parent run has no range to print
+    out = _compare(capsys, _run_file(tmp_path / "d.json", [40]), "--",
+                   _run_file(tmp_path / "e.json", [47, 50]))
+    assert len(out) == 3

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,8 @@ from perinet.intlinalg import int_solve
 from perinet.reduction import greedy_reduce
 from perinet.topology import build_abstract, shift_orbits, tree_gauge
 from perinet.netcore import as_stack, edge_norms, incidence, lifted_edges
-from perinet.optimize import (_SERVICE_EVERY, _Batch, _det_batch, _gradient, _hessian,
-                              _newton_steps, _sample_starts, _standard_realization,
-                              _start_faults)
+from perinet.optimize import (_SERVICE_EVERY, _Batch, _gradient, _hessian, _newton_steps,
+                              _sample_starts, _standard_realization, _start_faults)
 from test_bounds import _rewritten
 
 
@@ -85,6 +85,24 @@ def test_objective_value_matches_measures():
     net = random_network(dia_graph(), seed=1)
     f, _, _ = objective_and_gradient(net)
     assert math.exp(f) == pytest.approx(length_quotient(net), rel=1e-12)
+
+
+def test_objective_and_gradient_refuse_what_length_quotient_refuses():
+    # a singular basis, an infinite position and a zero-length edge raise
+    # one ValueError each, with no warning on the way
+    net = random_network(dia_graph(), seed=1)
+    g, B, X = net.graph, net.lattice.basis, net.positions
+    infinite = X.copy()
+    infinite[1, 0] = np.inf
+    collapsed = X.copy()
+    collapsed[1] = X[0] - B @ g.shifts[0]
+    for bad, match in [(PeriodicNetwork(g, Lattice(np.diag([1.0, 1.0, 0.0])), X), "singular"),
+                       (PeriodicNetwork(g, net.lattice, infinite), "non-finite edge length"),
+                       (PeriodicNetwork(g, net.lattice, collapsed), "zero-length edge 0")]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                objective_and_gradient(bad)
 
 
 def test_position_gradient_is_scaled_force():
@@ -550,7 +568,7 @@ def _reference_run(self):
         with np.errstate(divide='ignore', invalid='ignore'):
             t_bb = dxdg / dgdg
         fallback = np.minimum(self.t[sub] * 2.0, 1e3)
-        use_bb = self._has_prev[sub] & np.isfinite(t_bb) & (t_bb > 0)
+        use_bb = (self.iters[sub] > 0) & np.isfinite(t_bb) & (t_bb > 0)
         t = np.where(use_bb, np.clip(t_bb, 1e-12, 1e3), fallback)
         need = np.arange(len(sub))
         ft = np.empty_like(f)
@@ -587,13 +605,12 @@ def _reference_run(self):
         self.X[acc] = Xt[moved]
         self.B[acc] = Bt[moved]
         self.iters[acc] += 1
-        detn = _det_batch(Bt[moved])
+        detn = np.linalg.det(Bt[moved])
         c = np.abs(detn) ** (-1.0 / n)
         self._gXo[acc] = gX[moved] / c[:, None, None]
         self._gBo[acc] = gB[moved] / c[:, None, None]
         self._gsqo[acc] = gsq[moved] / c ** 2
         self._tacc[acc] = t[moved] * c ** 2
-        self._has_prev[acc] = True
         self.B[acc] *= c[:, None, None]
         self.X[acc] *= c[:, None, None]
         ell_new = ellt[moved] * c[:, None]
@@ -657,7 +674,7 @@ def _standard_start(g, S):
     """The standard realization of every assignment of the stack ``S`` over
     ``g``, with the (3, N) flags of the start checks it fails."""
     B, X = _standard_realization(g, S)
-    return B, X, np.array(_start_faults(g, B, X, S.transpose(0, 2, 1).astype(np.float64)))
+    return B, X, np.array(_start_faults(g, B, X, S))
 
 
 @pytest.mark.parametrize("name,params", FIXED_SOLVE_GRAPHS,
@@ -704,8 +721,8 @@ def test_paper_minimizers_are_reached_without_a_step(n):
 def test_failed_standard_placements_start_from_random_draws(monkeypatch):
     # D1,3 in R^2: the standard realization of 138 of the 238 orbits has a
     # zero-length edge (54) or two edge ends that leave a vertex in one
-    # direction (104); those rows, and only those, start from the random
-    # draw of their batch, and every start passes the checks
+    # direction (104); those rows, and only those, start from random draws,
+    # drawn for them alone, and every start passes the checks
     g = build_abstract("D1,3", 2)
     reps = shift_orbits(g, 2)
     S = optimize._reduced_frame(g, reps)
@@ -725,10 +742,42 @@ def test_failed_standard_placements_start_from_random_draws(monkeypatch):
     [(S1, B, X)] = starts
     assert np.array_equal(S1, S)
     rng = np.random.default_rng(np.random.SeedSequence((5, 0)))
-    Br, Xr = _sample_starts(rng, len(S), g, S)
-    assert np.array_equal(B[fail], Br[fail]) and np.array_equal(X[fail], Xr[fail])
+    Br, Xr = _sample_starts(rng, fail.sum(), g, S[fail])
+    assert np.array_equal(B[fail], Br) and np.array_equal(X[fail], Xr)
     assert np.array_equal(B[~fail], B0[~fail]) and np.array_equal(X[~fail], X0[~fail])
-    assert not np.any(_start_faults(g, B, X, S.transpose(0, 2, 1).astype(np.float64)))
+    assert not np.any(_start_faults(g, B, X, S))
+
+
+def test_random_starts_are_drawn_only_for_failed_placements_and_redraws(monkeypatch):
+    # dia's standard realization is a valid start, so its fixed solve draws
+    # no random start; sqp's takes 8 steps, so at a cap of 3 it ends
+    # max_iter and every redraw starts from a random draw of its own
+    counts, starts = [], []
+
+    def counted(rng, count, g, S):
+        counts.append(count)
+        return _sample_starts(rng, count, g, S)
+
+    class Recorded(_Batch):
+        def __init__(self, g, S, B, X):
+            starts.append(B.copy())
+            super().__init__(g, S, B, X)
+
+    monkeypatch.setattr(optimize, "_sample_starts", counted)
+    monkeypatch.setattr(optimize, "_Batch", Recorded)
+    minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=1, restarts=3))
+    assert counts == [0]
+    counts.clear()
+    starts.clear()
+    g = sqp_graph()
+    res = minimize_fixed_shifts(g, _config(monkeypatch, seed=1, restarts=4, _MAX_ITER=3))
+    assert res.traces.restart_index.tolist() == [0, 1, 2, 3]
+    assert counts == [0, 1, 1, 1]
+    S = optimize._reduced_frame(g, g.shifts[None])
+    rng = np.random.default_rng(np.random.SeedSequence((1, 0)))
+    assert np.array_equal(starts[0], _standard_realization(g, S)[0])
+    for B in starts[1:]:
+        assert np.array_equal(B, _sample_starts(rng, 1, g, S)[0])
 
 
 @pytest.mark.usefixtures("tail_off")
@@ -978,8 +1027,8 @@ def test_frames_are_built_in_one_pass_per_batch(monkeypatch):
     # at circuit rank r > n every batch of a multistart reduces the frames
     # of its own assignments, and only those, in one greedy_reduce call; at
     # r = n the frame is I and nothing is reduced
-    sizes = {"greedy_reduce": [], "_sample_starts": []}
-    size_of = {"greedy_reduce": lambda C: len(C), "_sample_starts": lambda rng, count, g, S: count}
+    sizes = {"greedy_reduce": [], "_standard_realization": []}
+    size_of = {"greedy_reduce": len, "_standard_realization": lambda g, S: len(S)}
     for name in sizes:
         def counted(*args, _f=getattr(optimize, name), _name=name):
             sizes[_name].append(size_of[_name](*args))
@@ -987,12 +1036,12 @@ def test_frames_are_built_in_one_pass_per_batch(monkeypatch):
         monkeypatch.setattr(optimize, name, counted)
     monkeypatch.setattr(optimize, "_CHUNK", 16)
     minimize_topology("D1,3", 3, OptimizeConfig(seed=1, restarts=3))
-    assert sizes["greedy_reduce"] == sizes["_sample_starts"]
+    assert sizes["greedy_reduce"] == sizes["_standard_realization"]
     assert len(sizes["greedy_reduce"]) >= 3 and max(sizes["greedy_reduce"]) == 16
-    sizes.update(greedy_reduce=[], _sample_starts=[])
+    sizes.update(greedy_reduce=[], _standard_realization=[])
     minimize_topology("D4", 3, OptimizeConfig(seed=1, restarts=3))
     minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=1, restarts=3))
-    assert sizes["greedy_reduce"] == [] and len(sizes["_sample_starts"]) >= 2
+    assert sizes["greedy_reduce"] == [] and len(sizes["_standard_realization"]) >= 2
 
 
 def test_config_rejects_negative_seed():
@@ -1189,8 +1238,8 @@ def test_newton_step_clears_barzilai_borwein_memory(monkeypatch):
     a.run()
     monkeypatch.setattr(optimize, "_NEWTON_ENTRY", 0.0)
     b.run()
-    assert (a.tail_steps == 1).all() and not a._has_prev.any()
-    assert (b.tail_steps == 0).all() and b._has_prev.all()
+    assert (a.tail_steps == 1).all() and (a._tacc == 0).all()
+    assert (b.tail_steps == 0).all() and (b._tacc > 0).all()
 
 
 def test_traces_count_tail_steps():

@@ -19,7 +19,11 @@ median over the runs, followed by its spread: the least and greatest
 value and the number of runs.  ``WORSE`` is applied to the medians.  When
 both sides hold the same number of runs, the i-th parent run and the i-th
 change run form a pair (run them interleaved), and the number of pairs in
-which the change is better is printed.  Uses the standard library only.
+which the change is better is printed.  With several parent runs the
+next line gives their interquartile range (``statistics.quantiles``,
+n=4) and how far apart the medians are, marked ``BEYOND IQR`` when that
+is more than the range: a gain is claimed only beyond it.  Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -102,6 +106,11 @@ def main(argv: list[str]) -> int:
                     wins = sum(sign * (b - a) > 0 for a, b in zip(olds, news))
                     spread += f"  better in {wins}/{len(olds)} pairs"
                 print(spread)
+            if len(olds) > 1:
+                q1, _, q3 = statistics.quantiles(olds, n=4)
+                iqr = (f"{'':44s}parent IQR {q3 - q1:.6g}, medians {new - old:+.6g} apart"
+                       + ("  BEYOND IQR" if abs(new - old) > q3 - q1 else ""))
+                print(iqr)
     where = "file" if len(parent_paths) == len(change_paths) == 1 else "side"
     for key in sorted(parent.keys() ^ change.keys()):
         print(f"{key[0]} (trace {key[1]}): in one {where} only")
