@@ -108,9 +108,8 @@ def main(argv: list[str]) -> int:
                 print(spread)
             if len(olds) > 1:
                 q1, _, q3 = statistics.quantiles(olds, n=4)
-                iqr = (f"{'':44s}parent IQR {q3 - q1:.6g}, medians {new - old:+.6g} apart"
-                       + ("  BEYOND IQR" if abs(new - old) > q3 - q1 else ""))
-                print(iqr)
+                beyond = "  BEYOND IQR" if abs(new - old) > q3 - q1 else ""
+                print(f"{'':44s}parent IQR {q3 - q1:.6g}, medians {new - old:+.6g} apart{beyond}")
     where = "file" if len(parent_paths) == len(change_paths) == 1 else "side"
     for key in sorted(parent.keys() ^ change.keys()):
         print(f"{key[0]} (trace {key[1]}): in one {where} only")
