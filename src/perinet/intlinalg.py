@@ -3,9 +3,9 @@
 Everything here except :func:`det_int_batch` and :func:`int_solve` runs on
 Python integers, so there is no overflow to detect; results are exact for
 arbitrary entry sizes.  ``det_int_batch`` vectorizes over many small
-matrices in int64 with the same closed forms (``_det_int``), which serve
-integers only.  ``int_solve`` solves in floats, rounds, and checks the
-rounded solution exactly.
+matrices in a fixed-width integer type with the same closed forms
+(``_det_int``), which serve integers only.  ``int_solve`` solves in
+floats, rounds, and checks the rounded solution exactly.
 """
 
 from math import gcd
@@ -110,23 +110,23 @@ def _det_int(rows) -> int:
     return det
 
 
-def det_int_batch(mats) -> np.ndarray:
+def det_int_batch(mats, dtype=np.int64) -> np.ndarray:
     """Exact determinants of a stack of small square integer matrices.
 
     The closed forms of :func:`_det_int` up to 3 x 3, cofactor expansion
-    along the first row above, vectorized over the leading axes in int64;
-    exact while the products fit, which they do by far for shift matrices
-    with small entries.
+    along the first row above, vectorized over the leading axes in the
+    integer type ``dtype``; exact while the products fit, which they do by
+    far in int64 for shift matrices with small entries.
     """
-    a = np.asarray(mats, dtype=np.int64)
+    a = np.asarray(mats).astype(dtype, copy=False)
     m = a.shape[-1]
     if 0 < m <= 3:
         # entry (i, j) of every stacked matrix at once, as rows[i][j]
         return _det_int(np.moveaxis(a, (-2, -1), (0, 1)))
-    det = np.zeros(a.shape[:-2], dtype=np.int64)
+    det = np.zeros(a.shape[:-2], dtype=dtype)
     for j in range(m):
         minor = np.delete(a[..., 1:, :], j, axis=-1)
-        det += (-1) ** j * a[..., 0, j] * det_int_batch(minor)
+        det += (-1) ** j * a[..., 0, j] * det_int_batch(minor, dtype)
     return det
 
 

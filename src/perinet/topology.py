@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import ceil, comb
+from math import ceil, comb, factorial
 
 import numpy as np
 
@@ -158,35 +158,41 @@ def _loop_classes(n: int, s_max: int) -> list[tuple[int, ...]]:
 
 def _combinations(m: int, k: int) -> np.ndarray:
     """All k-subsets of range(m) as rows, in lexicographic order."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
-    return np.fromiter(flat, dtype=np.int64, count=comb(m, k) * k).reshape(comb(m, k), k)
+    out = np.zeros((k, 1), dtype=np.int64)          # the empty subset, as a column
+    last = np.full(1, -1)
+    for j in range(k):
+        # each subset is followed by every entry that still leaves room
+        # for the k - 1 - j after it, in increasing order
+        counts = np.maximum(m - k + j - last, 0)
+        out = np.repeat(out, counts, axis=1)
+        last = np.repeat(last + 1 - np.cumsum(counts) + counts, counts)
+        last += np.arange(len(last))
+        out[j] = last
+    return out.T
 
 
-def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise lexicographic a <= b."""
-    # a sentinel column, smaller in a, settles rows that are equal
-    a = np.hstack([a, np.zeros((len(a), 1), a.dtype)])
-    b = np.hstack([b, np.ones((len(b), 1), b.dtype)])
-    col = (a != b).argmax(axis=1)
-    rows = np.arange(len(a))
-    return a[rows, col] < b[rows, col]
-
-
-def _rows_generate_zn(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per stacked row set: do the integer rows generate Z^n?  Returns that
-    mask and the n x n minors it was read from, one row of minors per
-    n-subset of the rows in lexicographic order, one column per row set.
+def _rows_generate_zn(rows: np.ndarray, n: int, s_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row set: do the integer rows, every entry at most ``s_max`` in
+    absolute value, generate Z^n?  ``rows`` is (r, n, N), one row set per
+    entry of the last axis.  Returns that mask and the n x n minors it was
+    read from, one row of minors per n-subset of the rows in lexicographic
+    order, one column per row set.
 
     The gcd of all n x n minors is 1 exactly when the rank is n and every
     Smith invariant factor is 1.  It screens up to ``ENUMERATION_LIMIT``
-    candidates with small bounded entries, vectorized in int64, which the
+    candidates with small bounded entries, vectorized, which the
     one-matrix-at-a-time Smith form of ``validate`` could not do at speed;
     its C(r, n) minors stay few because enumerated skeletons are small.
+    They are taken in int32 where n! s_max^n, which bounds every partial
+    sum of the cofactor expansion (Hadamard's bound on a minor itself is
+    n^(n/2) s_max^n), fits, and in int64 otherwise.
     """
-    subs = list(itertools.combinations(range(rows.shape[1]), n))
-    minors = np.empty((len(subs), len(rows)), dtype=np.int64)
+    dtype = np.int32 if factorial(n) * s_max ** n < 2 ** 31 else np.int64
+    rows = rows.astype(dtype)
+    subs = _combinations(len(rows), n)
+    minors = np.empty((len(subs), rows.shape[-1]), dtype=dtype)
     for k, sub in enumerate(subs):
-        minors[k] = det_int_batch(rows[:, sub])
+        minors[k] = det_int_batch(np.moveaxis(rows[sub], -1, 0), dtype)
     return np.gcd.reduce(minors, axis=0) == 1, minors
 
 
@@ -202,12 +208,20 @@ def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarr
     return tree_gauge(g, _screened_rows(g, n, s_max)[0])
 
 
-def _screened_rows(g: QuotientGraph, n: int,
-                   s_max: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _screened_rows(g: QuotientGraph, n: int, s_max: int,
+                   fold_swap: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """The assignments of :func:`enumerate_shift_arrays` as cycle-shift
     matrices (N, r, n), rows in ``facts().cycles`` order, and the n x n
     minors the lattice-generation screen took of them (``_rows_generate_zn``)
-    at r = n + 1, where the orbit fold reads them; None at other ranks."""
+    at r = n + 1, where the orbit fold reads them; None at other ranks.
+    The matrices are int8 while s_max < 128 (int64 above).
+
+    With ``fold_swap``, at r = n + 1 on two vertices only the loop-set
+    pairs (i0, i1) with i0 <= i1 are enumerated: swapping the vertices
+    maps candidate (i0, i1, B) onto (i1, i0, +-B), which lies in the same
+    orbit and passes the same screen, so the first member of every orbit
+    is kept, and in its place in the order.
+    """
     if classify(g).kind == "other":
         raise ValueError("shift enumeration supports one- and two-vertex skeletons only")
     bridges, _, loops0 = oriented_star(g, 0)
@@ -226,29 +240,42 @@ def _screened_rows(g: QuotientGraph, n: int,
                       return_inverse=True)[1].ravel()      # the direction of each class
     sets = [s[(np.diff(np.sort(along[s]), axis=1) != 0).all(axis=1)]
             for s in (_combinations(len(classes), k[0]), _combinations(len(classes), k[1]))]
-    sets.append(_combinations(len(nonzero), k[2]))
-    raw = len(sets[0]) * len(sets[1]) * len(sets[2])
-    # candidates in product order (loop set at 0, loop set at 1, free
-    # bridge set), screened in blocks; negating the free bridges reverses
-    # the order of ``nonzero``, so of a set and its negation (the same
-    # assignment) the lexicographically first index tuple is kept
-    first = _lex_le(sets[2], (len(nonzero) - 1 - sets[2])[:, ::-1])
-    tables = (classes[sets[0]], classes[sets[1]], nonzero[sets[2]])    # the shifts of each set
-    # the tree is the first bridge, at shift 0: a cycle has its edge's shift
+    # negating the free bridges reverses the order of ``nonzero``, so of a
+    # set and its negation (the same assignment) the lexicographically
+    # first is kept, compared column by column from the last
+    bridge_sets = _combinations(len(nonzero), k[2])
+    neg = len(nonzero) - 1 - bridge_sets[:, ::-1]
+    first = np.ones(len(neg), dtype=bool)
+    for a, b in zip(bridge_sets.T[::-1], neg.T[::-1]):
+        first = (a < b) | ((a == b) & first)
+    bridge_sets = bridge_sets[first]
+    r = sum(k)
+    if fold_swap and r == n + 1 and g.vertex_count == 2:
+        i0, i1 = np.triu_indices(len(sets[0]), m=len(sets[1]))
+    else:
+        i0, i1 = np.indices((len(sets[0]), len(sets[1]))).reshape(2, -1)
+    # the shifts of each loop-set pair and of each bridge set as rows of C,
+    # (rows, n, pairs or sets): a block of candidates gathers whole rows
+    dtype = np.int8 if s_max < 2 ** 7 else np.int64
+    tables = [np.ascontiguousarray(t.transpose(1, 2, 0), dtype=dtype) for t in
+              (np.concatenate([classes[sets[0][i0]], classes[sets[1][i1]]], axis=1),
+               nonzero[bridge_sets])]
+    # candidates in product order (loop-set pair, free bridge set),
+    # screened in blocks and kept as (r, n, N); the tree is the first
+    # bridge, at shift 0: a cycle has its edge's shift
     to_cycles = np.argsort(np.concatenate([loops0, loops1, bridges[1:]]))
-    r = len(to_cycles)
-    blocks = [np.zeros((0, r, n), dtype=np.int64)]
-    minors = [np.zeros((r, 0), dtype=np.int64)] if r == n + 1 else None
-    for lo in range(0, raw, _ENUM_BLOCK):
-        flat = np.arange(lo, min(lo + _ENUM_BLOCK, raw))
-        i0, i1, ib = np.unravel_index(flat, [len(x) for x in sets])
-        i0, i1, ib = i0[first[ib]], i1[first[ib]], ib[first[ib]]
-        C = np.concatenate([tables[0][i0], tables[1][i1], tables[2][ib]], axis=1)[:, to_cycles]
-        ok, m = _rows_generate_zn(C, n)
-        blocks.append(C[ok])
+    count = len(i0) * len(bridge_sets)
+    blocks, minors = [], ([] if r == n + 1 else None)
+    for lo in range(0, max(count, 1), _ENUM_BLOCK):    # an empty first block at least
+        ip, ib = np.divmod(np.arange(lo, min(lo + _ENUM_BLOCK, count)), len(bridge_sets))
+        C = np.concatenate([np.take(tables[0], ip, axis=2),
+                            np.take(tables[1], ib, axis=2)])[to_cycles]
+        ok, m = _rows_generate_zn(C, n, s_max)
+        blocks.append(np.compress(ok, C, axis=2))
         if minors is not None:
-            minors.append(m[:, ok])
-    return np.concatenate(blocks), None if minors is None else np.concatenate(minors, axis=1)
+            minors.append(np.compress(ok, m, axis=1))
+    C = np.moveaxis(np.concatenate(blocks, axis=2), 2, 0)
+    return C, None if minors is None else np.concatenate(minors, axis=1)
 
 
 def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
@@ -269,12 +296,14 @@ def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
 
     The relation vector is a function of the maximal minors the
     enumeration's screen took, so only the first assignment with each
-    distinct minor vector is keyed (984 of the 19,380 assignments of D1,3
-    in R^3, 654 of the 5,590 of D5), found by a stable sort and a scan.
+    distinct minor vector is keyed, found by a stable sort and a scan;
+    on two vertices the enumeration leaves out the loop-set pairs that a
+    vertex swap maps onto earlier ones (``_screened_rows``).  D1,3 in R^3
+    keys 766 of 10,125 such assignments (19,380 in all), D5 654 of 5,590.
     """
     if classify(g).circuit_rank == n:
         return tree_gauge(g, np.eye(n, dtype=np.int64)[None])
-    C, minors = _screened_rows(g, n, s_max)
+    C, minors = _screened_rows(g, n, s_max, fold_swap=True)
     if minors is None or not len(C):
         return tree_gauge(g, C)
     if np.abs(minors).max() < 2 ** 15:

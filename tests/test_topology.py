@@ -1,4 +1,5 @@
 from itertools import combinations, permutations, product
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -300,11 +301,13 @@ def test_shift_orbit_counts(tag, n, count):
         assert np.array_equal(first, np.sort(first))
 
 
-@pytest.mark.parametrize("tag,keyed,enumerated", [("D1,3", 984, 19380), ("D5", 654, 5590)])
+@pytest.mark.parametrize("tag,keyed,enumerated", [("D1,3", 766, 19380), ("D5", 654, 5590)])
 def test_shift_orbits_key_distinct_relation_vectors_only(monkeypatch, tag, keyed, enumerated):
     # the relation vector is a function of the maximal minors the
     # enumeration's screen takes, so one assignment per distinct minor
-    # vector is keyed, not every enumerated one
+    # vector is keyed, not every enumerated one; on two vertices with loops
+    # (D1,3) only the loop-set pairs of one order under the vertex swap are
+    # enumerated for the orbits
     rows = []
     keys = topology._relation_keys
     monkeypatch.setattr(topology, "_relation_keys",
@@ -519,6 +522,33 @@ def test_circuit_rank_n_orbit_is_built_not_enumerated(monkeypatch, tag, n):
     res = minimize_topology(tag, n, OptimizeConfig(seed=0, restarts=4))
     assert np.array_equal(res.shifts, reps[0]) and res.assignment_index == 0
     assert np.isfinite(res.value) and validate(res.network).ok
+
+
+def test_combinations_match_itertools():
+    cases = [(m, k) for m in range(9) for k in range(m + 2)] + [(26, 4), (124, 2)]
+    for m, k in cases:
+        got = topology._combinations(m, k)
+        assert got.shape == (comb(m, k), k)
+        assert list(map(tuple, got.tolist())) == list(combinations(range(m), k))
+
+
+@pytest.mark.parametrize("n,s", [(2, 15), (3, 3), (4, 2)])
+def test_screen_minors_are_exact_in_small_integer_types(n, s):
+    # int8 rows at the largest entries a feasible enumeration reaches in
+    # each dimension, half of them with every entry at +-s, where minors
+    # are largest; the minors come out in int32 and equal det_int's
+    rng = np.random.default_rng(n)
+    rows = np.concatenate([rng.integers(-s, s + 1, size=(n + 2, n, 100)),
+                           s * rng.choice([-1, 1], size=(n + 2, n, 100))], axis=2)
+    ok, minors = topology._rows_generate_zn(rows.astype(np.int8), n, s)
+    assert minors.dtype == np.int32
+    ref = [[det_int(rows[list(sub), :, a]) for a in range(rows.shape[2])]
+           for sub in combinations(range(n + 2), n)]
+    assert minors.tolist() == ref
+    assert ok.tolist() == [gcd(*col) == 1 for col in zip(*ref)]
+    # past the int32 bound the minors are taken in int64
+    big = np.array([[40000, -40000], [40000, 40000]])[:, :, None]
+    assert topology._rows_generate_zn(big, 2, 40000)[1].tolist() == [[det_int(big[:, :, 0])]]
 
 
 def test_det_int_batch_matches_det_int():
