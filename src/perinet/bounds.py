@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .intlinalg import det_int, int_solve
-from .netcore import PeriodicNetwork, _length_quotient, _validate, edge_vectors, oriented_star
+from .netcore import PeriodicNetwork, _length_quotient, _validate, oriented_star
 from .topology import TopologyClass, classify
 
 SLACK_TOL = 1e-9         # inequality slack tolerance
@@ -246,10 +246,11 @@ class CertificateResult:
     checks: dict = field(default_factory=dict)
 
 
-def _oriented_star(net: PeriodicNetwork, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Outgoing non-loop edge vectors at v, and loop vectors at v."""
+def _oriented_star(net: PeriodicNetwork, vecs: np.ndarray,
+                   v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outgoing non-loop edge vectors at v, and loop vectors at v, among the
+    network's edge vectors ``vecs``."""
     edges, sign, loops = oriented_star(net.graph, v)
-    vecs = edge_vectors(net)
     return sign[:, None] * vecs[edges], vecs[loops]
 
 
@@ -266,10 +267,10 @@ def _regular_simplex_checks(star: np.ndarray) -> dict:
     }
 
 
-def _cert_regular_simplex(net: PeriodicNetwork) -> CertificateResult:
+def _cert_regular_simplex(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
     """Neighbours of each vertex form a regular simplex centred on it (for
     n = 2, the planar tripod with equal legs at 120 degrees)."""
-    star, _ = _oriented_star(net, 0)
+    star, _ = _oriented_star(net, vecs, 0)
     checks = _regular_simplex_checks(star)
     if net.dim == 3:
         # the differences b_i - b_0 are cycle translations, so they span a
@@ -281,10 +282,10 @@ def _cert_regular_simplex(net: PeriodicNetwork) -> CertificateResult:
     return CertificateResult("regular-simplex", all(checks.values()), checks)
 
 
-def _cert_cds_family(net: PeriodicNetwork) -> CertificateResult:
+def _cert_cds_family(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
     """One-parameter equality family: x1 = x2 = x3 + x4, orthogonal axes."""
-    bridges, loops0 = _oriented_star(net, 0)
-    _, loops1 = _oriented_star(net, 1)
+    bridges, loops0 = _oriented_star(net, vecs, 0)
+    _, loops1 = _oriented_star(net, vecs, 1)
     a, b = loops0[0], loops1[0]
     c1, c2 = bridges[0], bridges[1]
     axis = c1 - c2          # net bridge-cycle vector, a lattice generator
@@ -303,10 +304,10 @@ def _cert_cds_family(net: PeriodicNetwork) -> CertificateResult:
     return CertificateResult("cds-family", all(checks.values()), checks)
 
 
-def _cert_bnn(net: PeriodicNetwork) -> CertificateResult:
+def _cert_bnn(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
     """Prismatic honeycomb relations 2y + 2z = 3 x1 = 3 x2 = 3 x3, y = z."""
-    bridges, loops0 = _oriented_star(net, 0)
-    _, loops1 = _oriented_star(net, 1)
+    bridges, loops0 = _oriented_star(net, vecs, 0)
+    _, loops1 = _oriented_star(net, vecs, 1)
     x = np.linalg.norm(bridges, axis=1)
     y = float(np.linalg.norm(loops0[0]))
     z = float(np.linalg.norm(loops1[0]))
@@ -325,9 +326,8 @@ def _cert_bnn(net: PeriodicNetwork) -> CertificateResult:
     return CertificateResult("prismatic-honeycomb", all(checks.values()), checks)
 
 
-def _cert_primitive(net: PeriodicNetwork) -> CertificateResult:
+def _cert_primitive(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
     """Loop vectors orthogonal and of equal length (primitive lattice)."""
-    vecs = edge_vectors(net)
     gram = vecs @ vecs.T
     norms = np.sqrt(np.diag(gram))
     off = gram[~np.eye(len(vecs), dtype=bool)]
@@ -338,9 +338,9 @@ def _cert_primitive(net: PeriodicNetwork) -> CertificateResult:
     return CertificateResult("primitive-cubic", all(checks.values()), checks)
 
 
-def _cert_sqp(net: PeriodicNetwork) -> CertificateResult:
+def _cert_sqp(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
     """Square pyramid: x1..x4 = (8/13) x0, probe height x1/4, apex height L/3."""
-    star, _ = _oriented_star(net, 0)
+    star, _ = _oriented_star(net, vecs, 0)
     r = np.linalg.norm(star, axis=1)
     apex = int(np.argmax(r))
     base = np.delete(star, apex, axis=0)
@@ -447,7 +447,7 @@ def verify(net: PeriodicNetwork) -> BoundReport:
     ``"unclassified"`` when the graph is disconnected or irregular.
     """
     with np.errstate(invalid='ignore'):     # non-finite geometry fails validation
-        rep, ell = _validate(net)
+        rep, ell, vecs = _validate(net)
         try:
             measured = _length_quotient(net, ell)
         except ValueError:
@@ -475,7 +475,7 @@ def verify(net: PeriodicNetwork) -> BoundReport:
         notes.append(f"no balanced realization: cut edge {cut[0]}")
     cert = None
     if cert_builder is not None and slack <= 1e-6:
-        cert = cert_builder(net)
+        cert = cert_builder(net, vecs)
     return BoundReport(True, theorem, value, expr, measured, slack, strict,
                        sharp, top.tag, cert, note="; ".join(notes))
 

@@ -415,9 +415,9 @@ def validate(net: PeriodicNetwork) -> ValidityReport:
         return _validate(net)[0]
 
 
-def _validate(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray]:
-    """``validate`` and the edge lengths it measured; its callers silence
-    the invalid-value warnings that infinite entries raise."""
+def _validate(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray, np.ndarray]:
+    """``validate`` and the edge lengths and edge vectors it measured; its
+    callers silence the invalid-value warnings that infinite entries raise."""
     g = net.graph
     facts = g.facts()
     vecs = edge_vectors(net)
@@ -447,7 +447,7 @@ def _validate(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray]:
         lift_connected=factors == (1,) * g.dim,
         invariant_factors=factors,
         violations=before + tuple(geometric) + after,
-    ), ell
+    ), ell, vecs
 
 
 def with_positions(net: PeriodicNetwork, positions: np.ndarray) -> PeriodicNetwork:

@@ -12,27 +12,27 @@ and edge collapse stops a run instead of being traversed.
 Steps follow the negative gradient with Barzilai-Borwein step sizes until
 an instance's gradient max-norm falls below ``_NEWTON_ENTRY``; from there
 its direction is the damped-Newton step -(H + |g| I)^-1 g on the analytic
-Hessian, which converges quadratically near a nondegenerate minimizer.
-Both are safeguarded by one Armijo backtracking line search, and a row
-whose damped system gives no descent direction, or a step that moves an
-edge vector by its length or more, takes the gradient step.
+Hessian, which converges quadratically near a nondegenerate minimizer.  A
+row whose damped system gives no descent direction, or a step that moves
+an edge vector by its length or more, takes the gradient step.  One Armijo
+line search guards both: it halves a failed step a block of halvings at a
+time, and each instance takes its first that passes, as one at a time would.
 
-Instances are vectorized: a batch holds many instances of the same
-skeleton (possibly with different shift assignments) and all of them
-take descent steps simultaneously, each with its own backtracking step
-size.  There is one multistart.  The problem is convex for a fixed
-assignment, so it descends one start of each assignment it is given, in
-its reduced frame: the assignment's standard realization (the least
-energy sum_e |v_e|^2 at unit volume, the minimizer itself on an
-edge-transitive net), or a random draw where that placement fails a start
-check.  It redraws at random (up to ``restarts`` draws) only where an
-instance neither converged nor collapsed, so random numbers are drawn
-only for those fallback rows and redraws; traces record where every draw
-stopped.  A topology search hands it one representative per orbit of
-equivalent assignments (``shift_orbits``), which share one landscape; a
-fixed graph is the case of a single assignment.  Results are
-deterministic functions of (seed, config); the seed reaches only the
-random starts.
+Instances are vectorized: a batch holds many instances of one skeleton
+(possibly with different shift assignments), all stepping at once, each
+with its own step size.  There is one multistart.  The problem is convex
+for a fixed assignment, so it descends one start of each assignment it is
+given, in its reduced frame: the standard realization (the least energy
+sum_e |v_e|^2 at unit volume, the minimizer itself on an edge-transitive
+net), or a random draw where that placement fails a start check.  It
+redraws (up to ``restarts`` draws) only where an instance neither
+converged nor collapsed, so random numbers are drawn, and their stream
+made, only for those rows and redraws; traces record where every draw
+stopped.  The best instance is mapped back exactly from its arrays onto
+its assignment.  A topology search hands it one representative per orbit
+of equivalent assignments (``shift_orbits``), which share one landscape; a
+fixed graph is the case of one assignment.  Results are deterministic in
+(seed, config); the seed reaches only the random starts.
 """
 
 from __future__ import annotations
@@ -136,21 +136,28 @@ class OptimizeResult:
     restart_index: int = 0
 
 
-def _in_frame_of(g: QuotientGraph, net: PeriodicNetwork) -> PeriodicNetwork:
-    """``net``, over the skeleton of ``g`` in another frame, as the same
-    periodic network on ``g`` itself.
+def _in_frame_of(g: QuotientGraph, S: np.ndarray, B: np.ndarray, X: np.ndarray) -> PeriodicNetwork:
+    """The network (B, X) on shifts ``S`` over the skeleton of ``g``, in
+    another frame, as the same periodic network on ``g`` itself.
 
-    The integer U with C_g U = C_net (the cycle-shift matrices) gives the
+    The integer U with C_g U = C_S (the cycle-shift matrices) gives the
     basis B U^T, which carries every cycle to the same translation.  Then
-    S_g U - S_net has no cycle shift, so it is the coboundary of an integer
-    vertex potential k with k_0 = 0, and x_v - B k_v keeps every edge
-    vector.  Both solutions are checked exactly.
+    D = S_g U - S has no cycle shift, so it is the coboundary of an integer
+    vertex potential k with k_0 = 0, walked along the spanning tree, and
+    x_v - B k_v keeps every edge vector.  Both are checked exactly.
     """
-    Z, S, B = g.facts().cycles, net.graph.shifts, net.lattice.basis
-    U = int_solve(Z @ g.shifts, Z @ S)
-    k = int_solve(incidence(g.tails, g.heads, g.vertex_count)[:, 1:], g.shifts @ U - S)
-    X = net.positions.copy()
-    X[1:] -= k @ B.T
+    facts, tails, heads = g.facts(), g.tails, g.heads
+    U = int_solve(facts.cycles @ g.shifts, facts.cycles @ S)
+    D = g.shifts @ U - S
+    k, placed = np.zeros((g.vertex_count, g.dim), dtype=np.int64), {0}
+    for e in facts.tree:        # walk order: one end of each edge is placed
+        old, new, s = (tails[e], heads[e], 1) if tails[e] in placed else (heads[e], tails[e], -1)
+        k[new] = k[old] + s * D[e]
+        placed.add(new)
+    if not np.array_equal(k[heads] - k[tails], D):
+        raise RuntimeError("map back failed: the shifts differ by no vertex potential")
+    X = X.copy()
+    X[1:] -= k[1:] @ B.T
     return PeriodicNetwork(g, Lattice(B @ U.T), X)
 
 
@@ -219,38 +226,32 @@ class _Batch:
     def run(self):
         """Advance every active instance by up to ``_MAX_ITER`` accepted steps.
 
-        The live instances' state is gathered once into contiguous working
-        arrays, and an instance's state is written back when it leaves the
-        live set, by one path whatever its code.  The bookkeeping changes no
-        instance's arithmetic.
+        The live instances' state is gathered once into working arrays (views
+        of the batch's own when every instance is live: no step writes into
+        them in place), and an instance's state is written back when it leaves
+        the live set, by one path whatever its code.  The bookkeeping changes
+        no instance's arithmetic.
         """
         n = self.n
-        idx = np.flatnonzero(self.status == 0)
-        w = SimpleNamespace(**{k: getattr(self, k)[idx] for k in _LIVE})
+        idx = (self.status == 0).nonzero()[0]
+        live = slice(None) if len(idx) == len(self.status) else idx
+        w = SimpleNamespace(**{k: getattr(self, k)[live] for k in _LIVE})
         with np.errstate(divide='ignore', invalid='ignore'):
             for step in range(_MAX_ITER):
                 if len(idx) == 0:
                     return
                 u = lifted_edges(w.X, w.B, w.ST, self.tails, self.heads) / w.ell[..., None]
                 F, gX, gB = _gradient(n, self.P, w.S, w.B, u, w.ell.sum(1))
-                force_max = np.sqrt(np.einsum('avi,avi->av', F, F)).max(1)
                 gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
-                ginf = np.maximum(np.abs(gX).reshape(len(idx), -1).max(1),
-                                  np.abs(gB).reshape(len(idx), -1).max(1))
-                done = (ginf <= _G_TOL) & (force_max <= _G_TOL)
+                ginf = np.maximum(np.abs(gX).max((1, 2)), np.abs(gB).max((1, 2)))
+                done = ginf <= _G_TOL
+                if done.any():      # the forces are measured only where the gradient is small
+                    done &= np.sqrt(np.einsum('avi,avi->av', F, F)).max(1) <= _G_TOL
                 if done.any():
                     idx, w = self._retire(idx, w, done, 1)
-                    u, gX, gB, gsq, ginf = (a[~done] for a in (u, gX, gB, gsq, ginf))
                     if len(idx) == 0:
                         continue
-                # Barzilai-Borwein step estimate from the last accepted step,
-                # with doubling of the previous step as the fallback; the line
-                # search below safeguards both
-                cross = (np.einsum('avi,avi->a', gX, w._gXo)
-                         + np.einsum('aij,aij->a', gB, w._gBo))
-                t_bb = -w._tacc * (cross - w._gsqo) / (gsq - 2.0 * cross + w._gsqo)
-                use_bb = np.isfinite(t_bb) & (t_bb > 0)
-                t = np.where(use_bb, np.clip(t_bb, 1e-12, 1e3), np.minimum(w.t * 2.0, 1e3))
+                    u, gX, gB, gsq, ginf = (a[~done] for a in (u, gX, gB, gsq, ginf))
                 # a trial state is (X, B) - t (qX, qB) with slope q.g: the
                 # gradient itself, or a damped-Newton step at t = 1 in the tail.
                 # The Taylor series of |v| converges only for |dv| < |v|, so a
@@ -259,32 +260,49 @@ class _Batch:
                 qX, qB, slope = gX, gB, gsq
                 newton = ginf < _NEWTON_ENTRY
                 if newton.any():
-                    rows = np.flatnonzero(newton)
+                    rows = slice(None) if newton.all() else np.flatnonzero(newton)
                     pX, pB, gp = _newton_steps(n, self.P, w.S[rows], w.B[rows], u[rows],
                                                w.ell[rows], gX[rows], gB[rows], gsq[rows])
                     moved = edge_norms(lifted_edges(pX, pB, w.ST[rows], self.tails, self.heads))
                     ok = np.isfinite(gp) & (moved < w.ell[rows]).all(1)
-                    newton[rows[~ok]] = False
-                    rows = rows[ok]
+                    newton[rows] = ok
                     qX, qB, slope = gX.copy(), gB.copy(), gsq.copy()
-                    qX[rows], qB[rows], slope[rows] = -pX[ok], -pB[ok], -gp[ok]
-                    t[rows] = 1.0
-                # 80 trials at most: the first on every live instance, the
-                # rest on those that failed the Armijo test at their own t
+                    qX[newton], qB[newton], slope[newton] = -pX[ok], -pB[ok], -gp[ok]
+                t = np.ones(len(idx))
+                if not newton.all():
+                    # a gradient step's size is the Barzilai-Borwein estimate
+                    # from the last accepted step, with doubling of the previous
+                    # step as the fallback; the line search safeguards both
+                    cross = (np.einsum('avi,avi->a', gX, w._gXo)
+                             + np.einsum('aij,aij->a', gB, w._gBo))
+                    t_bb = -w._tacc * (cross - w._gsqo) / (gsq - 2.0 * cross + w._gsqo)
+                    t = np.where(np.isfinite(t_bb) & (t_bb > 0), np.clip(t_bb, 1e-12, 1e3),
+                                 np.minimum(w.t * 2.0, 1e3))
+                    t[newton] = 1.0
+                # Armijo backtracking: a first trial on every live instance, then up to 79
+                # halvings of t where it fails, in blocks (4, then twice as many; at most 4
+                # trials per live instance and 64 in all, about two calls' overhead, unless
+                # one halving of the failing rows is more); each row takes its first to pass
                 tol = 1e-15 * np.maximum(1.0, np.abs(w.f))
                 Xt, Bt = w.X - t[:, None, None] * qX, w.B - t[:, None, None] * qB
                 ft, ellt, dett = self._eval(Xt, Bt, w.ST)
-                need = np.flatnonzero(~((ft <= w.f - _ARMIJO * t * slope + tol)
-                                        & np.isfinite(ft)))
-                for _ in range(79):
-                    if len(need) == 0:
-                        break
-                    t[need] *= _BACKTRACK
-                    Xt[need] = w.X[need] - t[need, None, None] * qX[need]
-                    Bt[need] = w.B[need] - t[need, None, None] * qB[need]
-                    ft[need], ellt[need], dett[need] = self._eval(Xt[need], Bt[need], w.ST[need])
-                    ok = ft[need] <= w.f[need] - _ARMIJO * t[need] * slope[need] + tol[need]
-                    need = need[~(ok & np.isfinite(ft[need]))]
+                need = (~((ft <= w.f - _ARMIJO * t * slope + tol) & np.isfinite(ft))).nonzero()[0]
+                left, K = 79, 2
+                while len(need) and left:
+                    m, K = len(need), min(2 * K, left, max(1, min(4 * len(t), 64) // len(need)))
+                    r = need.repeat(K)          # the row of each trial, K halvings in turn
+                    tk = np.column_stack([t[need], np.full((m, K), _BACKTRACK)])
+                    tk = tk.cumprod(1)[:, 1:].ravel()
+                    Xk, Bk = w.X[r] - tk[:, None, None] * qX[r], w.B[r] - tk[:, None, None] * qB[r]
+                    fk, ellk, detk = self._eval(Xk, Bk, w.ST[r])
+                    ok = (fk <= w.f[r] - _ARMIJO * tk * slope[r] + tol[r]) & np.isfinite(fk)
+                    ok = ok.reshape(m, K)
+                    # each row's first passing trial, or its last to go on from
+                    c = np.arange(m) * K + np.where(ok.any(1), ok.argmax(1), K - 1)
+                    t[need], hit = tk[c], ok.ravel()[c]
+                    a, c = need[hit], c[hit]
+                    Xt[a], Bt[a], ft[a], ellt[a], dett[a] = Xk[c], Bk[c], fk[c], ellk[c], detk[c]
+                    need, left = need[~hit], left - K
                 if len(need):
                     # the line search exhausted its budget without a usable step
                     failed = np.isin(np.arange(len(idx)), need)
@@ -315,20 +333,19 @@ class _Batch:
                     code = self._service(w, check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
                     if code.any():
                         idx, w = self._retire(idx, w, code > 0, code[code > 0])
-        self._retire(idx, w, np.ones(len(idx), dtype=bool), 0)    # the iteration cap
+        if len(idx):        # the iteration cap
+            self._retire(idx, w, np.ones(len(idx), dtype=bool), 0)
 
     def _retire(self, idx, w, out, code):
         """Write back the state of the instances ``out`` with status ``code``
         (one or one each) and return the indices and working state of the others."""
+        whole = out.all()       # then the working state is written back as it stands
+        rows = (slice(None) if len(idx) == len(self.status) else idx) if whole else idx[out]
         for k in _LIVE:
-            getattr(self, k)[idx[out]] = getattr(w, k)[out]
-        self.status[idx[out]] = code
-        return idx[~out], SimpleNamespace(**{k: getattr(w, k)[~out] for k in _LIVE})
-
-    def network_at(self, i: int) -> PeriodicNetwork:
-        """Instance ``i`` as a network on its own shifts."""
-        g = QuotientGraph(self.n, self.V, self.tails, self.heads, self.S_int[i])
-        return PeriodicNetwork(g, Lattice(self.B[i]), self.X[i])
+            getattr(self, k)[rows] = getattr(w, k) if whole else getattr(w, k)[out]
+        self.status[rows] = code
+        return (idx[:0], w) if whole else \
+            (idx[~out], SimpleNamespace(**{k: getattr(w, k)[~out] for k in _LIVE}))
 
 
 def _start_faults(g: QuotientGraph, B: np.ndarray, X: np.ndarray, S_int):
@@ -405,10 +422,10 @@ def _gradient(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray
               L: np.ndarray):
     """Vertex forces and the gradient (gX, gB) of n log L - log|det B| at unit
     edge vectors ``u``; the gradient of the pinned vertex 0 is zeroed."""
-    F = vertex_forces(P, u)
-    gX = (n / L)[:, None, None] * F
+    F, scale = vertex_forces(P, u), (n / L)[:, None, None]
+    gX = scale * F
     gX[:, 0, :] = 0.0
-    gB = (n / L)[:, None, None] * (u.transpose(0, 2, 1) @ S) - np.linalg.inv(B).transpose(0, 2, 1)
+    gB = scale * (u.transpose(0, 2, 1) @ S) - np.linalg.inv(B).transpose(0, 2, 1)
     return F, gX, gB
 
 
@@ -438,10 +455,11 @@ def _hessian(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray,
     H = H.transpose(0, 1, 3, 2, 4).reshape(N, R * n, R * n)
     gL = (C.transpose(0, 2, 1) @ u).reshape(N, R * n)      # gradient of L
     L = ell.sum(1)[:, None, None]
-    H = (n / L) * (H - np.einsum('ai,aj->aij', gL, gL) / L)
+    H = (n / L) * (H - gL[:, :, None] * gL[:, None, :] / L)
     Binv = np.linalg.inv(B)
     m = (R - n) * n
-    H[:, m:, m:] += np.einsum('ajk,ali->ajilk', Binv, Binv).reshape(N, n * n, n * n)
+    H[:, m:, m:] += (Binv[:, :, None, None, :] * Binv.transpose(0, 2, 1)[:, None, :, :, None]
+                     ).reshape(N, n * n, n * n)
     return H
 
 
@@ -457,7 +475,7 @@ def _newton_steps(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.nda
     N, V = len(B), P.shape[1]
     g = np.concatenate([gX[:, 1:].reshape(N, -1), gB.transpose(0, 2, 1).reshape(N, -1)], axis=1)
     D = g.shape[1]
-    p = np.full_like(g, np.nan)
+    p = np.full(g.shape, np.nan)
     per = max(1, _HESSIAN_BLOCK // (D * D))
     for lo in range(0, N, per):
         hi = min(lo + per, N)
@@ -474,7 +492,7 @@ def _newton_steps(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.nda
                     pass
     gp = np.einsum('ad,ad->a', g, p)
     gp[~(np.isfinite(p).all(1) & (gp < 0))] = np.nan
-    pX = np.zeros_like(gX)
+    pX = np.zeros(gX.shape)
     pX[:, 1:] = p[:, :(V - 1) * n].reshape(N, V - 1, n)
     return pX, p[:, (V - 1) * n:].reshape(N, n, n).transpose(0, 2, 1), gp
 
@@ -589,24 +607,25 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     and a collapsed one a face where an edge has length 0: both are final.
     A round of draws runs in batches of at most ``_CHUNK``, each built in
     its assignments' reduced frames in one pass (``_reduced_frame``).  Draw
-    0 starts at the standard realization (``_standard_realization``), and
-    random starts near B = I, from one ``SeedSequence((seed, 0))`` stream,
-    are drawn only for the rows where it fails a ``_START_CHECKS`` check
-    and for every redraw.  The best network is mapped back exactly onto its
-    assignment, on ``g`` itself when that is ``g``'s.  The best is the
-    lowest value, ties within 1e-9 going to the instance descended first.
+    0 starts at the standard realization (``_standard_realization``); random
+    starts near B = I, from one ``SeedSequence((seed, 0))`` stream made at
+    its first draw, are drawn only for rows where it fails a
+    ``_START_CHECKS`` check and for every redraw.  The best, the lowest value
+    with ties within 1e-9 going to the instance descended first, is mapped
+    back exactly (``_in_frame_of``) onto its assignment, ``g`` if ``g``'s.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-    draw, todo, rows, best = 0, np.arange(len(reps)), [], None
+    rng, draw, todo, rows, best = None, 0, np.arange(len(reps)), [], None
     while len(todo) and draw < cfg.restarts:
         redo = []
         for a in (todo[lo:lo + _CHUNK] for lo in range(0, len(todo), _CHUNK)):
             S = _reduced_frame(g, reps[a])
             # the standard realization where it is a valid first start, a
-            # random draw in every other row
+            # random draw in every other row; the stream is made at its first draw
             B, X = _standard_realization(g, S)
-            rand = np.any(_start_faults(g, B, X, S), axis=0) | (draw > 0)
-            B[rand], X[rand] = _sample_starts(rng, int(rand.sum()), g, S[rand])
+            rand = np.logical_or.reduce(_start_faults(g, B, X, S)) | (draw > 0)
+            if rand.any():
+                rng = rng or np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
+                B[rand], X[rand] = _sample_starts(rng, int(rand.sum()), g, S[rand])
             batch = _Batch(g, S, B, X)
             batch.run()
             with np.errstate(over='ignore'):
@@ -615,15 +634,16 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
             redo.append(a[(batch.status != 1) & (batch.status != 2)])
             i = int(_near_best(v)[0])
             if best is None or _near_best([best[0], v[i]])[0]:     # ties stay with the earlier
-                best = (v[i], batch.network_at(i), int(a[i]), draw, int(batch.status[i]))
+                best = (v[i], *(np.array(c[i]) for c in (batch.S_int, batch.B, batch.X)),
+                        int(a[i]), draw, int(batch.status[i]))
         todo, draw = np.concatenate(redo), draw + 1
     cols = [np.concatenate(c) for c in zip(*rows)]
     order = np.lexsort((cols[1], cols[0]))
-    value, net, k, restart, code = best
+    value, S, B, X, k, restart, code = best
     shifts = np.array(reps[k])
     home = g if np.array_equal(g.shifts, shifts) else \
         QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, shifts)
-    return OptimizeResult(network=_in_frame_of(home, net), value=float(value),
+    return OptimizeResult(network=_in_frame_of(home, S, B, X), value=float(value),
                           termination=_STATUS_LABELS[code], shifts=shifts, assignment_index=k,
                           traces=TraceTable(*(c[order] for c in cols)), restart_index=restart)
 
@@ -631,4 +651,4 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
 def _near_best(values: np.ndarray) -> np.ndarray:
     """Indices within 1e-9 of the least finite value (all, if none is finite)."""
     v = np.where(np.isfinite(values), values, np.inf)
-    return np.flatnonzero(v <= v.min() + 1e-9)
+    return (v <= v.min() + 1e-9).nonzero()[0]

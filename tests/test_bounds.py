@@ -23,7 +23,8 @@ from perinet import (
     with_positions,
 )
 from perinet.construct import regular_simplex_vertices
-from perinet.netcore import Lattice, QuotientGraph
+from perinet import netcore
+from perinet.netcore import Lattice, QuotientGraph, edge_vectors
 
 
 def test_bound_dipole_values():
@@ -331,6 +332,23 @@ def test_verify_independent_of_presentation(name, params):
         assert rep.equality_certificate.passed, rep.equality_certificate.checks
 
 
+@pytest.mark.parametrize("name,params", SHARP_CATALOG,
+                         ids=[name for name, _ in SHARP_CATALOG])
+def test_verify_measures_the_edge_vectors_once(monkeypatch, name, params):
+    # the equality certificate reads the edge vectors that validation measured
+    net, _ = catalog(name, **params)
+    calls = []
+
+    def counted(*args, real=netcore.lifted_edges):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(netcore, "lifted_edges", counted)
+    rep = verify(net)
+    assert rep.equality_certificate is not None and rep.equality_certificate.passed
+    assert len(calls) == 1
+
+
 def test_fcc_check_rejects_sublattice():
     # the diamond star over a lattice twice as fine: the cycle translations
     # span an index-2 sublattice, so the lift is two interpenetrating copies
@@ -343,7 +361,7 @@ def test_fcc_check_rejects_sublattice():
                              Lattice(net.lattice.basis @ np.linalg.inv(A)),
                              net.positions)
     assert length_quotient(twin) == pytest.approx(2 * length_quotient(net))
-    cert = _cert_regular_simplex(twin)
+    cert = _cert_regular_simplex(twin, edge_vectors(twin))
     assert cert.checks["equal_edge_lengths"] and cert.checks["simplex_angles"]
     assert not cert.checks["fcc_lattice"] and not cert.passed
     rep = verify(twin)

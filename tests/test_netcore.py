@@ -711,7 +711,8 @@ def _assert_verify_matches_reference(net, monkeypatch):
     ``classify``; a network with a zero-length edge measures NaN."""
     with monkeypatch.context() as m:
         m.setattr(bounds, "_validate", lambda net: (_reference_validate(net),
-                                                    edge_norms(edge_vectors(net)[None])[0]))
+                                                    edge_norms(edge_vectors(net)[None])[0],
+                                                    edge_vectors(net)))
         m.setattr(bounds, "classify", _reference_classify)
         want = verify(_fresh(net))
     got = verify(net)

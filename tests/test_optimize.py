@@ -749,9 +749,9 @@ def test_failed_standard_placements_start_from_random_draws(monkeypatch):
 
 
 def test_random_starts_are_drawn_only_for_failed_placements_and_redraws(monkeypatch):
-    # dia's standard realization is a valid start, so its fixed solve draws
-    # no random start; sqp's takes 8 steps, so at a cap of 3 it ends
-    # max_iter and every redraw starts from a random draw of its own
+    # dia's standard realization is a valid start, so its fixed solve calls
+    # no sampler; sqp's takes 8 steps, so at a cap of 3 it ends max_iter and
+    # every redraw starts from a random draw of its own
     counts, starts = [], []
 
     def counted(rng, count, g, S):
@@ -766,18 +766,74 @@ def test_random_starts_are_drawn_only_for_failed_placements_and_redraws(monkeypa
     monkeypatch.setattr(optimize, "_sample_starts", counted)
     monkeypatch.setattr(optimize, "_Batch", Recorded)
     minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=1, restarts=3))
-    assert counts == [0]
+    assert counts == []
     counts.clear()
     starts.clear()
     g = sqp_graph()
     res = minimize_fixed_shifts(g, _config(monkeypatch, seed=1, restarts=4, _MAX_ITER=3))
     assert res.traces.restart_index.tolist() == [0, 1, 2, 3]
-    assert counts == [0, 1, 1, 1]
+    assert counts == [1, 1, 1]
     S = optimize._reduced_frame(g, g.shifts[None])
     rng = np.random.default_rng(np.random.SeedSequence((1, 0)))
     assert np.array_equal(starts[0], _standard_realization(g, S)[0])
     for B in starts[1:]:
         assert np.array_equal(B, _sample_starts(rng, 1, g, S)[0])
+
+
+def _count_streams(monkeypatch):
+    """The names of the random-stream constructors called from now on."""
+    made = []
+    for name in ("SeedSequence", "default_rng"):
+        def counted(*args, real=getattr(np.random, name), name=name, **kw):
+            made.append(name)
+            return real(*args, **kw)
+        monkeypatch.setattr(np.random, name, counted)
+    return made
+
+
+def test_draw_free_solves_make_no_random_stream(monkeypatch):
+    # every rewritten fixed-solve graph, and recover's D4, starts at its
+    # standard realization and converges there, so no row draws and no
+    # SeedSequence or generator is made
+    rng = np.random.default_rng(13)
+    made = _count_streams(monkeypatch)
+    for name, params in FIXED_SOLVE_GRAPHS:
+        net, _ = catalog(name, **params)
+        for seed in range(2):
+            res = minimize_fixed_shifts(_rewritten(net, rng).graph, OptimizeConfig(seed=seed))
+            assert len(res.traces) == 1 and res.termination == "converged", name
+    res = minimize_topology("D4", 3, OptimizeConfig(seed=2024, restarts=10))
+    assert len(res.traces) == 1 and res.termination == "converged"
+    assert made == []
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_failed_placement_takes_the_first_draw_of_the_stream(monkeypatch, seed):
+    # a fixed graph whose standard realization fails a start check starts
+    # from the first draw of the SeedSequence((seed, 0)) stream, and every
+    # redraw from the next ones: the stream is made once, at the first draw
+    g = build_abstract("D1,3", 2)
+    reps = shift_orbits(g, 2)
+    S = optimize._reduced_frame(g, reps)
+    fail = np.flatnonzero(_standard_start(g, S)[2].any(axis=0))
+    g = QuotientGraph(2, g.vertex_count, g.tails, g.heads, reps[fail[0]])
+    S = optimize._reduced_frame(g, g.shifts[None])
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    draws = [_sample_starts(rng, 1, g, S)[0] for _ in range(3)]
+    starts = []
+
+    class Recorded(_Batch):
+        def __init__(self, g, S, B, X):
+            starts.append(B.copy())
+            super().__init__(g, S, B, X)
+
+    monkeypatch.setattr(optimize, "_Batch", Recorded)
+    made = _count_streams(monkeypatch)
+    res = minimize_fixed_shifts(g, _config(monkeypatch, seed=seed, restarts=3, _MAX_ITER=2))
+    assert res.traces.restart_index.tolist() == [0, 1, 2]
+    assert made == ["SeedSequence", "default_rng"]
+    for B, want in zip(starts, draws):
+        assert np.array_equal(B, want)
 
 
 @pytest.mark.usefixtures("tail_off")
@@ -935,6 +991,89 @@ def test_descent_matches_reference_when_resumed_step_by_step(monkeypatch):
         _reference_run(b)
         _assert_same_descent(a, b)
     assert (a.status == 1).all() and a.iters.max() > 1
+
+
+@pytest.mark.usefixtures("tail_off")
+def test_block_line_search_matches_halving_one_at_a_time(monkeypatch):
+    # the first step of 64 dia rows at _ARMIJO = 1e6, placed so that chosen
+    # rows first pass after given numbers of halvings (80: none passes) and
+    # the others pass their first trial.  With two rows backtracking the
+    # blocks are 4, 8, 16, 32 and 19 halvings long, ending after halvings 4,
+    # 12, 28, 60 and 79, and the pairs pass on either side of each end; with
+    # 40 rows backtracking a block is one halving
+    g = dia_graph()
+    cfg = _config(monkeypatch, seed=3, restarts=64, _ARMIJO=1e6, _MAX_ITER=1)
+
+    def halvings(t_first, run=_reference_run):
+        """The halvings of each row's first step from a first trial at
+        ``t_first`` (80 where none passes), and the batch."""
+        batch = _twin_batches(g, cfg)[0]
+        batch.t[:] = t_first / 2        # a first step doubles the previous step size
+        run(batch)
+        return np.where(batch.status == 6, 80, np.rint(np.log2(t_first / batch.t))), batch
+
+    # the halvings from 1e3 to each row's least passing step, 80 and more
+    # where none passes from 1e3
+    first = halvings(1e3)[0]
+    first = np.where(first < 80, first, halvings(1e3 * 2.0 ** -20)[0] + 20)
+    never = np.flatnonzero(first >= 80)
+    for targets in ([4, 5], [12, 13], [28, 29], [60, 61], [79, 80], list(range(1, 41))):
+        want = np.zeros(64)
+        want[never[:len(targets)]] = targets
+        t_first = 1e3 * 2.0 ** (np.minimum(want, 79) - first)
+        t_first[want == 80] = 1e3
+        got, a = halvings(t_first, _Batch.run)
+        ref, b = halvings(t_first)
+        _assert_same_descent(a, b)
+        assert np.array_equal(got, want) and np.array_equal(ref, want), targets
+        assert np.array_equal(a.status == 6, want == 80), targets
+
+
+def _reference_in_frame_of(g, S, B, X):
+    """The former map-back of (B, X) on the frame ``S`` onto ``g``: the vertex
+    potential by a second integer solve, on a network built over the frame."""
+    net = PeriodicNetwork(QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, S),
+                          Lattice(B), X)
+    Z, S, B = g.facts().cycles, net.graph.shifts, net.lattice.basis
+    U = int_solve(Z @ g.shifts, Z @ S)
+    k = int_solve(incidence(g.tails, g.heads, g.vertex_count)[:, 1:], g.shifts @ U - S)
+    X = net.positions.copy()
+    X[1:] -= k @ B.T
+    return PeriodicNetwork(g, Lattice(B @ U.T), X)
+
+
+@pytest.mark.parametrize("name,params", [("dia", {}), ("cds", {"t": 0.5}), ("bnn", {}),
+                                         ("sqp", {})])
+def test_map_back_walks_the_tree_as_the_second_solve_did(name, params):
+    # circuit rank r = n (dia, cds) and r > n (bnn, sqp): the map-back of a
+    # descended network from its reduced frame equals, bit for bit, the one
+    # that solved for the vertex potential.  At r = n + 1 the cycle shifts
+    # of every frame obey the relation mu of C_g, so a frame with one shift
+    # row changed on an edge that mu weighs has no map-back, and it raises;
+    # at r = n every integer frame solves (C_g is unimodular) and the two
+    # maps still agree
+    net, _ = catalog(name, **params)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(4):
+        g = _rewritten(net, rng).graph
+        Z = g.facts().cycles
+        S = optimize._reduced_frame(g, g.shifts[None])
+        batch = _Batch(g, S, *_standard_realization(g, S))
+        batch.run()
+        B, X = batch.B[0], batch.X[0]
+        weight = np.abs(np.linalg.svd((Z @ g.shifts).T)[2][-1] @ Z)    # |mu| on the edges
+        bad = S[0].copy()
+        bad[int(np.argmax(weight))] += rng.choice([-1, 1], size=g.dim)
+        for frame in (S[0], bad):
+            if frame is bad and len(Z) > g.dim:
+                with pytest.raises(RuntimeError):
+                    optimize._in_frame_of(g, frame, B, X)
+                continue
+            got = optimize._in_frame_of(g, frame, B, X)
+            want = _reference_in_frame_of(g, frame, B, X)
+            assert got.graph is g
+            assert np.array_equal(got.lattice.basis, want.lattice.basis)
+            assert np.array_equal(got.positions, want.positions)
 
 
 def _reference_greedy_reduce(C):
