@@ -160,11 +160,12 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
 
     Returns the minimizer and, when it coincides with an input point, the
     index of that point (vertex optimality: the unit vectors towards the
-    remaining points sum to norm <= the point's multiplicity).  Uses
-    Weiszfeld iteration from the mean with the standard restart off
-    non-optimal input points.  The vertex gaps and multiplicities depend
-    on the input points only, so they are tabulated once per call and
-    every iterate costs one distance evaluation, shared by the
+    remaining points sum to norm <= the point's multiplicity).  The vertex
+    condition is a global optimality certificate (Vardi and Zhang), so it
+    is tested once, on the input points, before any step: the
+    vertex-optimal point nearest the mean is returned at once.  Otherwise
+    Weiszfeld iterates from the mean with the standard restart off input
+    points, and every iterate costs one distance evaluation, shared by the
     nearest-point test, the weights, the monotonicity check and the
     objective.  Weiszfeld converges only linearly, at a rate near one when
     the minimizer is close to an input point.  Once its step falls below
@@ -195,19 +196,18 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
         return np.array(mean), None
 
     gaps, sums = _vertex_gaps(P)
-    # a point given m times is optimal iff its gap is at most m
-    optimal = [gap <= P.count(q) + 1e-12 for gap, q in zip(gaps, P)]
-    unit_scale = max(scale, 1.0)
     p = mean
     d = [math.dist(p, q) for q in P]
+    # a point given m times is optimal iff its gap is at most m; iterates
+    # would approach it only sublinearly
+    optimal = [i for i, (gap, q) in enumerate(zip(gaps, P)) if gap <= P.count(q) + 1e-12]
+    if optimal:
+        i = min(optimal, key=d.__getitem__)
+        return pts[i].copy(), i
+    unit_scale = max(scale, 1.0)
     obj = sum(d)
     for it in range(max_iter):
-        # the vertex condition is a global optimality certificate, so the
-        # nearest input point can be returned as soon as it holds; without
-        # this, iterates approach a vertex-optimal point only sublinearly
         i = d.index(min(d))
-        if optimal[i]:
-            return pts[i].copy(), i
         if d[i] < _SNAP * unit_scale:
             p = [x + _NUDGE * s / gaps[i] for x, s in zip(P[i], sums[i])]
             d = [math.dist(p, q) for q in P]
@@ -229,9 +229,6 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
             obj = sum(d)
             if on_step is not None:
                 on_step(np.array(p), obj)
-            i = d.index(min(d))
-            if d[i] <= 1e-6 * unit_scale and optimal[i]:
-                return pts[i].copy(), i
             if gnorm <= max(tol, 1e-12):
                 return np.array(p), None
     raise RuntimeError(f"geometric median did not converge in {max_iter} iterations")

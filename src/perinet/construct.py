@@ -16,7 +16,6 @@ import numpy as np
 
 from .balance import geometric_median
 from .netcore import DIRECTION_TOL, Lattice, PeriodicNetwork, QuotientGraph
-from .reduction import lagrange_reduce_pair
 from .topology import TopologyClass, _loop_classes, classify
 
 
@@ -115,6 +114,26 @@ def construct_bouquet(n: int, d: int, lattice: Lattice) -> PeriodicNetwork:
     return _net(n, 1, edges, B, np.zeros((1, n)))
 
 
+def _lagrange_reduce_pair(basis: np.ndarray) -> np.ndarray:
+    """The basis with its first two columns Lagrange-Gauss reduced within
+    their plane, by a unimodular change of those two only: the reduced pair
+    satisfies |g1| <= |g2| <= |g2 +- g1| and encloses an angle in [60, 90]
+    degrees.  In practice a handful of sweeps suffice."""
+    B = np.array(basis, dtype=np.float64)
+    for _ in range(1000):
+        if np.dot(B[:, 0], B[:, 0]) > np.dot(B[:, 1], B[:, 1]):
+            B[:, [0, 1]] = B[:, [1, 0]]
+        mu = round(float(np.dot(B[:, 0], B[:, 1]) / np.dot(B[:, 0], B[:, 0])))
+        if mu == 0:
+            break
+        B[:, 1] -= mu * B[:, 0]
+    else:
+        raise RuntimeError("plane reduction did not terminate")
+    if np.dot(B[:, 0], B[:, 1]) < 0:
+        B[:, 1] = -B[:, 1]
+    return B
+
+
 def construct_odd(n: int, d: int, lattice: Lattice) -> PeriodicNetwork:
     """Two-vertex balanced network of odd degree d >= n+1 over ``lattice``.
 
@@ -127,7 +146,7 @@ def construct_odd(n: int, d: int, lattice: Lattice) -> PeriodicNetwork:
         raise ValueError("odd construction needs odd degree d >= n+1")
     if lattice.dim != n:
         raise ValueError("lattice dimension mismatch")
-    B, _ = lagrange_reduce_pair(lattice.basis)
+    B = _lagrange_reduce_pair(lattice.basis)
     g1, g2 = B[:, 0], B[:, 1]
     tripod = np.array([np.zeros(n), g1, g2])
     q, at_vertex = geometric_median(tripod, tol=1e-13)

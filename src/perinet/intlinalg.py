@@ -1,11 +1,12 @@
 """Exact integer linear algebra for cycle-shift matrices.
 
-Everything here except :func:`det_int_batch` and :func:`int_solve` runs on
-Python integers, so there is no overflow to detect; results are exact for
-arbitrary entry sizes.  ``det_int_batch`` vectorizes over many small
-matrices in a fixed-width integer type with the same closed forms
-(``_det_int``), which serve integers only.  ``int_solve`` solves in
-floats, rounds, and checks the rounded solution exactly.
+Smith form and ``det_int`` run on Python integers, so there is no
+overflow to detect; results are exact for arbitrary entry sizes.
+``det_int_batch`` vectorizes over many small matrices in a fixed-width
+integer type with the same closed forms (``_det_int``), which serve
+integers only.  ``int_solve`` solves in floats, rounds, and checks the
+rounded solution exactly.  ``greedy_reduce`` size-reduces stacks of
+integer matrices in int64 and returns the unimodular transform applied.
 """
 
 from math import gcd
@@ -110,23 +111,23 @@ def _det_int(rows) -> int:
     return det
 
 
-def det_int_batch(mats, dtype=np.int64) -> np.ndarray:
+def det_int_batch(mats) -> np.ndarray:
     """Exact determinants of a stack of small square integer matrices.
 
     The closed forms of :func:`_det_int` up to 3 x 3, cofactor expansion
     along the first row above, vectorized over the leading axes in the
-    integer type ``dtype``; exact while the products fit, which they do by
-    far in int64 for shift matrices with small entries.
+    integer type of ``mats``; exact while the products fit, which they do
+    by far in int64 for shift matrices with small entries.
     """
-    a = np.asarray(mats).astype(dtype, copy=False)
+    a = np.asarray(mats)
     m = a.shape[-1]
     if 0 < m <= 3:
         # entry (i, j) of every stacked matrix at once, as rows[i][j]
         return _det_int(np.moveaxis(a, (-2, -1), (0, 1)))
-    det = np.zeros(a.shape[:-2], dtype=dtype)
+    det = np.zeros(a.shape[:-2], dtype=a.dtype)
     for j in range(m):
         minor = np.delete(a[..., 1:, :], j, axis=-1)
-        det += (-1) ** j * a[..., 0, j] * det_int_batch(minor, dtype)
+        det += (-1) ** j * a[..., 0, j] * det_int_batch(minor)
     return det
 
 
@@ -145,3 +146,32 @@ def int_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not np.array_equal(A @ x, b):
         raise RuntimeError("integer solve failed: no integer solution")
     return x
+
+
+def greedy_reduce(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise size reduction of the columns of integer matrices, one or a
+    stack (..., m, n), all at once.  A sweep orders each matrix's columns by
+    norm and, for every ordered pair (i, j) of distinct columns in that
+    order, subtracts rint(c_i.c_j / c_i.c_i) c_i from c_j; a matrix is done
+    after a sweep that changes nothing.  An exact projection of +-1/2 rounds
+    to 0, and every change lowers the integer sum of squared norms, so the
+    sweeps end.  Returns (C U, U) in int64, with U unimodular.
+    """
+    C = np.asarray(C).astype(np.int64, casting='safe')
+    m, n = C.shape[-2:]
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), C.shape[:-2] + (n, n))
+    M = np.concatenate([C, eye], axis=-2).reshape(-1, m + n, n)     # C over U
+    live, rows = np.arange(len(M)), np.arange(m + n)[:, None]   # matrices still changing
+    while len(live):
+        Q, k = M[live], np.arange(len(live))[:, None, None]
+        order = np.argsort(np.einsum('kij,kij->kj', Q[:, :m], Q[:, :m]), axis=1)[:, None]
+        P, moved = Q[k, rows, order], np.zeros(len(live), dtype=bool)  # columns in norm order
+        for a in range(n):      # pivot a's pairs (a, b) leave column a alone: all at once
+            p = (P[:, None, :m, a] @ P[:, :m])[:, 0]
+            mu = np.rint(p / p[:, a:a + 1]).astype(np.int64)
+            mu[:, a] = 0
+            P -= mu[:, None, :] * P[:, :, a:a + 1]
+            moved |= mu.any(axis=1)
+        M[live[:, None, None], rows, order] = P
+        live = live[moved]
+    return M[:, :m].reshape(C.shape), M[:, m:].reshape(eye.shape)

@@ -42,10 +42,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .intlinalg import int_solve
+from .intlinalg import greedy_reduce, int_solve
 from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _length_quotient, as_stack,
                       edge_norms, incidence, lifted_edges, parallel_ends, vertex_forces)
-from .reduction import greedy_reduce
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits, tree_gauge
 
 _STATUS_LABELS = {0: "max_iter", 1: "converged", 2: "collapsed_edge",
@@ -118,9 +117,8 @@ class TraceTable:
             "tail_steps": int(self.tail_steps[i]),
         }
 
-    def to_json_records(self, limit: int | None = None) -> list[dict]:
-        m = len(self) if limit is None else min(limit, len(self))
-        return [self.record(i) for i in range(m)]
+    def to_json_records(self) -> list[dict]:
+        return [self.record(i) for i in range(len(self))]
 
 
 @dataclass(frozen=True)
@@ -164,11 +162,10 @@ def _in_frame_of(g: QuotientGraph, S: np.ndarray, B: np.ndarray, X: np.ndarray) 
 class _Batch:
     """A batch of descent instances over the skeleton of graph ``g``."""
 
-    def __init__(self, g: QuotientGraph, S_int: np.ndarray, B: np.ndarray, X: np.ndarray):
+    def __init__(self, g: QuotientGraph, S: np.ndarray, B: np.ndarray, X: np.ndarray):
         n = self.n = g.dim
         self.tails, self.heads, self.V = g.tails, g.heads, g.vertex_count
         N = len(B)
-        self.S_int = np.array(S_int, dtype=np.int64)
         self.B = np.array(B, dtype=np.float64)
         self.X = np.array(X, dtype=np.float64)
         self.X -= self.X[:, :1, :]          # translation gauge
@@ -177,7 +174,7 @@ class _Batch:
         self.iters = np.zeros(N, dtype=np.int32)
         self.tail_steps = np.zeros(N, dtype=np.int32)
         self.P = incidence(self.tails, self.heads, self.V)
-        self.S = self.S_int.astype(np.float64)
+        self.S = np.array(S, dtype=np.float64)
         self.ST = np.ascontiguousarray(self.S.transpose(0, 2, 1))
         with np.errstate(divide='ignore', invalid='ignore'):
             c = np.abs(np.linalg.det(self.B)) ** (-1.0 / n)     # scale gauge
@@ -634,7 +631,7 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
             redo.append(a[(batch.status != 1) & (batch.status != 2)])
             i = int(_near_best(v)[0])
             if best is None or _near_best([best[0], v[i]])[0]:     # ties stay with the earlier
-                best = (v[i], *(np.array(c[i]) for c in (batch.S_int, batch.B, batch.X)),
+                best = (v[i], *(np.array(c[i]) for c in (S, batch.B, batch.X)),
                         int(a[i]), draw, int(batch.status[i]))
         todo, draw = np.concatenate(redo), draw + 1
     cols = [np.concatenate(c) for c in zip(*rows)]

@@ -192,7 +192,7 @@ def _rows_generate_zn(rows: np.ndarray, n: int, s_max: int) -> tuple[np.ndarray,
     subs = _combinations(len(rows), n)
     minors = np.empty((len(subs), rows.shape[-1]), dtype=dtype)
     for k, sub in enumerate(subs):
-        minors[k] = det_int_batch(np.moveaxis(rows[sub], -1, 0), dtype)
+        minors[k] = det_int_batch(np.moveaxis(rows[sub], -1, 0))
     return np.gcd.reduce(minors, axis=0) == 1, minors
 
 

@@ -1,0 +1,143 @@
+"""Boundary refusals of the public API and the command line, one row each.
+
+A row is a call and what it must do: raise the exception type with part of
+its message, or, for the command line, exit with the code and print the
+text.  Internal invariants that no input reaches (an objective that
+increased, a plane reduction that did not terminate) have no row.
+"""
+
+import io
+import json
+import re
+import sys
+
+import numpy as np
+import pytest
+
+from perinet import (Lattice, PeriodicNetwork, PyramidInstance, QuotientGraph, TopologyClass,
+                     bound_even, build_abstract, catalog, check_simplex, classify,
+                     construct_bouquet, construct_even_two_vertex, construct_odd, export_obj,
+                     geometric_median, monotonicity_table, network_from_json, network_to_json,
+                     read_network, write_network)
+from perinet.cli import run
+from perinet.intlinalg import det_int
+from perinet.topology import enumerate_shift_arrays
+from test_bounds import _unclassifiable_network
+
+
+def _dia():
+    return catalog("dia")[0]
+
+
+def _dia_json(edit):
+    """dia's JSON with ``edit`` applied to the parsed document."""
+    doc = json.loads(network_to_json(_dia()))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _triangle():
+    """A connected 4-regular graph on three vertices: classified ``other``."""
+    return QuotientGraph.from_edges(2, 3, [(0, 1, (0, 0)), (1, 2, (0, 0)), (2, 0, (1, 0))] * 2)
+
+
+def _cli(argv, net):
+    """A command-line row: ``argv`` run in a fresh directory, with ``FILE``
+    the path of ``net`` written there and ``net`` on standard input."""
+    def call(tmp_path, monkeypatch):
+        path = tmp_path / "net.json"
+        write_network(net(), str(path))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        monkeypatch.chdir(tmp_path)
+        return run([str(path) if a == "FILE" else a for a in argv])
+    return call
+
+
+ROWS = {
+    "graph-dim-1": (lambda: QuotientGraph(1, 1, [0], [0], [[1]]),
+                    ValueError, "ambient dimension must be >= 2"),
+    "graph-no-vertex": (lambda: QuotientGraph(2, 0, [], [], np.zeros((0, 2))),
+                        ValueError, "need at least one vertex"),
+    "graph-tails-heads": (lambda: QuotientGraph(2, 1, [0, 0], [0], [[1, 0], [0, 1]]),
+                          ValueError, "tail/head arrays differ in length"),
+    "graph-endpoint": (lambda: QuotientGraph(2, 1, [0], [1], [[1, 0]]),
+                       ValueError, "edge endpoint out of range"),
+    "lattice-not-square": (lambda: Lattice(np.ones((2, 3))),
+                           ValueError, "lattice basis must be a square matrix"),
+    "network-positions": (lambda: PeriodicNetwork(_dia().graph, _dia().lattice, np.zeros((3, 3))),
+                          ValueError, "positions must be (vertex_count, dim)"),
+    "network-lattice-dim": (lambda: PeriodicNetwork(_dia().graph, Lattice(np.eye(2)),
+                                                    _dia().positions),
+                            ValueError, "lattice dimension does not match graph"),
+    "json-duplicate-ids": (lambda: network_from_json(_dia_json(
+                               lambda doc: doc["vertices"][1].__setitem__("id", 0))),
+                           ValueError, "duplicate vertex ids"),
+    "json-position-dim": (lambda: network_from_json(_dia_json(
+                              lambda doc: doc["vertices"][0].__setitem__("pos", [0.0, 0.0]))),
+                          ValueError, "position has wrong dimension"),
+    "json-lattice-shape": (lambda: network_from_json(_dia_json(
+                               lambda doc: doc.__setitem__("lattice", doc["lattice"][:2]))),
+                           ValueError, "lattice must hold dim columns of length dim"),
+    "read-file-object": (lambda: read_network(io.StringIO('{"dim": 3}')),
+                         ValueError, "missing network field"),
+    "obj-no-cells": (lambda: export_obj(_dia(), io.StringIO(), cells=0),
+                     ValueError, "cells must be at least 1"),
+    "bouquet-lattice-dim": (lambda: construct_bouquet(3, 6, Lattice(np.eye(2))),
+                            ValueError, "lattice dimension mismatch"),
+    "odd-lattice-dim": (lambda: construct_odd(3, 5, Lattice(np.eye(2))),
+                        ValueError, "lattice dimension mismatch"),
+    "even-lattice-dim": (lambda: construct_even_two_vertex(3, 4, Lattice(np.eye(2))),
+                         ValueError, "lattice dimension mismatch"),
+    "pcu-n-1": (lambda: catalog("pcu", n=1), ValueError, "pcu needs dimension n >= 2"),
+    "simplex-net-n-1": (lambda: catalog("simplex_net", n=1),
+                        ValueError, "simplex_net needs dimension n >= 2"),
+    "median-tol-0": (lambda: geometric_median(np.eye(3), tol=0),
+                     ValueError, "tolerance must be positive"),
+    "bouquet-0": (lambda: TopologyClass.bouquet(0), ValueError, "bouquet needs at least one loop"),
+    "double-bouquet-loops": (lambda: TopologyClass.double_bouquet(-1, 2),
+                             ValueError, "double bouquet needs loops >= 0 and bridges >= 1"),
+    "tag-Bx": (lambda: TopologyClass.from_tag("Bx"), ValueError, "cannot parse topology tag 'Bx'"),
+    "abstract-other": (lambda: build_abstract(classify(_triangle()), 2),
+                       ValueError, "cannot build abstract graph for kind 'other'"),
+    "enumerate-three-vertices": (lambda: enumerate_shift_arrays(_triangle(), 2),
+                                 ValueError, "one- and two-vertex skeletons only"),
+    "det-not-square": (lambda: det_int(np.ones((2, 3), dtype=int)),
+                       ValueError, "determinant requires a square matrix"),
+    "bound-even-n-1": (lambda: bound_even(1, 4), ValueError, "dimension must be >= 2"),
+    "monotonicity-odd": (lambda: monotonicity_table(3, 7),
+                         ValueError, "d_max must be even and at least 2n"),
+    "simplex-n-points": (lambda: check_simplex(np.eye(3)), ValueError, "need n+1 points in R^n"),
+    "pyramid-shapes": (lambda: PyramidInstance(np.zeros(3), np.zeros((4, 2)), np.zeros(3)),
+                       ValueError, "inconsistent pyramid data"),
+    "pyramid-few-base": (lambda: PyramidInstance(np.zeros(3), np.eye(3)[:2], np.zeros(3)),
+                         ValueError, "need at least n base vertices"),
+    "pyramid-not-coplanar": (lambda: PyramidInstance(np.full(3, 2.0),
+                                                     np.vstack([np.zeros(3), np.eye(3)]),
+                                                     np.zeros(3)),
+                             ValueError, "base vertices are not coplanar"),
+    "pyramid-collinear-base": (lambda: PyramidInstance(np.full(3, 2.0),
+                                                       np.outer([0, 1, 2], [1, 0, 0]),
+                                                       np.zeros(3)),
+                               ValueError, "degenerate base"),
+    "cli-eval-stdin": (_cli(["eval", "-"], _dia), 0, "valid = True"),
+    "cli-verify-stdin": (_cli(["verify", "-"], _dia), 0, '"theorem": "dipole-simplex"'),
+    "cli-classify-stdin": (_cli(["classify", "-"], _dia), 0, "topology = D4"),
+    "cli-classify-irregular": (_cli(["classify", "FILE"],
+                                    lambda: _unclassifiable_network("irregular")),
+                               1, "graph is not regular"),
+    "cli-export-4d": (_cli(["export", "FILE", "--obj", "out.obj"],
+                           lambda: catalog("pcu", n=4)[0]),
+                      1, "OBJ export supports dimensions 2 and 3 only"),
+}
+
+
+@pytest.mark.parametrize("case", ROWS)
+def test_refusal(case, tmp_path, monkeypatch, capsys):
+    call, expect, message = ROWS[case]
+    if isinstance(expect, int):
+        assert call(tmp_path, monkeypatch) == expect
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+    else:
+        with pytest.raises(expect, match=re.escape(message)):
+            call()
