@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -93,7 +94,7 @@ def check_simplex(points) -> SimplexCheck:
     rhs = math.factorial(n) * bound_dipole(n)
     holds = lhs >= rhs * (1 - 1e-12)
     equality = (abs(lhs - rhs) <= EQUALITY_VALUE_TOL * rhs
-                and all(_regular_simplex_checks(pts).values()))
+                and all(_regular_simplex_checks(pts.tolist()).values()))
     return SimplexCheck(lhs, rhs, holds, bool(equality))
 
 
@@ -246,125 +247,148 @@ class CertificateResult:
     checks: dict = field(default_factory=dict)
 
 
-def _oriented_star(net: PeriodicNetwork, vecs: np.ndarray,
-                   v: int) -> tuple[np.ndarray, np.ndarray]:
+# A star has a few vectors of length n <= 7, so the certificates work on
+# Python floats, where numpy's per-call overhead would dominate.  A check
+# that divides by a zero length reads NaN there and fails, as it does in
+# numpy, and nothing raises.
+
+def _dot(u: list[float], w: list[float]) -> float:
+    return sum(map(operator.mul, u, w))
+
+
+def _unit(u: list[float], r: float) -> list[float]:
+    """u / r, all NaN for r = 0."""
+    return [x / r for x in u] if r else [math.nan] * len(u)
+
+
+def _mean(xs: list[float]) -> float:
+    return sum(xs) / len(xs)
+
+
+def _oriented_star(net: PeriodicNetwork, rows: list[list[float]],
+                   v: int) -> tuple[list[list[float]], list[list[float]]]:
     """Outgoing non-loop edge vectors at v, and loop vectors at v, among the
-    network's edge vectors ``vecs``."""
+    network's edge vectors ``rows`` (``vecs.tolist()``)."""
     edges, sign, loops = oriented_star(net.graph, v)
-    return sign[:, None] * vecs[edges], vecs[loops]
+    out = [rows[e] if s > 0 else [-x for x in rows[e]]
+           for e, s in zip(edges.tolist(), sign.tolist())]
+    return out, [rows[e] for e in loops.tolist()]
 
 
-def _regular_simplex_checks(star: np.ndarray) -> dict:
+def _regular_simplex_checks(star: list[list[float]]) -> dict:
     """Are the n+1 vectors of ``star`` the corners of a regular simplex
     centred on their origin: equal lengths, pairwise cosines -1/n?"""
-    n = star.shape[1]
-    r = np.linalg.norm(star, axis=1)
-    units = star / r[:, None]
-    off = (units @ units.T)[~np.eye(len(star), dtype=bool)]
+    n = len(star[0])
+    r = [math.hypot(*p) for p in star]
+    units = [_unit(p, rp) for p, rp in zip(star, r)]
     return {
-        "equal_edge_lengths": float(r.max() - r.min()) <= CERT_TOL * r.mean(),
-        "simplex_angles": float(np.abs(off + 1.0 / n).max()) <= CERT_TOL,
+        "equal_edge_lengths": max(r) - min(r) <= CERT_TOL * _mean(r),
+        "simplex_angles": all(abs(_dot(u, w) + 1.0 / n) <= CERT_TOL
+                              for u, w in itertools.combinations(units, 2)),
     }
+
+
+def _cross(a: list[float], b: list[float]) -> list[float]:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
 def _cert_regular_simplex(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
     """Neighbours of each vertex form a regular simplex centred on it (for
     n = 2, the planar tripod with equal legs at 120 degrees)."""
-    star, _ = _oriented_star(net, vecs, 0)
+    star, _ = _oriented_star(net, vecs.tolist(), 0)
     checks = _regular_simplex_checks(star)
     if net.dim == 3:
         # the differences b_i - b_0 are cycle translations, so they span a
         # sublattice of index |det D| / |det B|; with a regular-simplex star
         # the lattice is the diamond's FCC lattice exactly when that is 1
-        diffs = star[1:] - star[0]
-        vol = abs(float(np.linalg.det(net.lattice.basis)))
-        checks["fcc_lattice"] = abs(abs(float(np.linalg.det(diffs))) - vol) <= CERT_TOL * vol
+        d1, d2, d3 = ([x - y for x, y in zip(p, star[0])] for p in star[1:])
+        vol = net.lattice.volume()
+        checks["fcc_lattice"] = abs(abs(_dot(_cross(d1, d2), d3)) - vol) <= CERT_TOL * vol
     return CertificateResult("regular-simplex", all(checks.values()), checks)
 
 
 def _cert_cds_family(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
     """One-parameter equality family: x1 = x2 = x3 + x4, orthogonal axes."""
-    bridges, loops0 = _oriented_star(net, vecs, 0)
-    _, loops1 = _oriented_star(net, vecs, 1)
+    rows = vecs.tolist()
+    bridges, loops0 = _oriented_star(net, rows, 0)
+    _, loops1 = _oriented_star(net, rows, 1)
     a, b = loops0[0], loops1[0]
     c1, c2 = bridges[0], bridges[1]
-    axis = c1 - c2          # net bridge-cycle vector, a lattice generator
-    x1, x2 = np.linalg.norm(a), np.linalg.norm(b)
-    x34 = np.linalg.norm(c1) + np.linalg.norm(c2)
+    axis = [x - y for x, y in zip(c1, c2)]   # net bridge-cycle vector, a lattice generator
+    x1, x2, xa = math.hypot(*a), math.hypot(*b), math.hypot(*axis)
+    x34 = math.hypot(*c1) + math.hypot(*c2)
     scale = max(x1, x2, x34)
-    dirs = np.array([a / x1, b / x2, axis / np.linalg.norm(axis)])
-    gram = np.abs(dirs @ dirs.T - np.eye(3))
+    dirs = [_unit(a, x1), _unit(b, x2), _unit(axis, xa)]
     checks = {
         "x1_eq_x2": abs(x1 - x2) <= CERT_TOL * scale,
         "x1_eq_x3_plus_x4": abs(x1 - x34) <= CERT_TOL * scale,
-        "collinear_bridges": abs(np.linalg.norm(axis) - x34) <= CERT_TOL * scale,
-        "orthogonal_axes": float(gram.max()) <= CERT_TOL,
-        "equal_generators": abs(np.linalg.norm(axis) - x1) <= CERT_TOL * scale,
+        "collinear_bridges": abs(xa - x34) <= CERT_TOL * scale,
+        "orthogonal_axes": all(abs(_dot(u, w) - (i == j)) <= CERT_TOL
+                               for i, u in enumerate(dirs) for j, w in enumerate(dirs)),
+        "equal_generators": abs(xa - x1) <= CERT_TOL * scale,
     }
     return CertificateResult("cds-family", all(checks.values()), checks)
 
 
 def _cert_bnn(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
     """Prismatic honeycomb relations 2y + 2z = 3 x1 = 3 x2 = 3 x3, y = z."""
-    bridges, loops0 = _oriented_star(net, vecs, 0)
-    _, loops1 = _oriented_star(net, vecs, 1)
-    x = np.linalg.norm(bridges, axis=1)
-    y = float(np.linalg.norm(loops0[0]))
-    z = float(np.linalg.norm(loops1[0]))
-    normal = np.cross(bridges[0], bridges[1])
-    normal /= np.linalg.norm(normal)
-    planar0 = abs(float(bridges[2] @ normal))
+    rows = vecs.tolist()
+    bridges, loops0 = _oriented_star(net, rows, 0)
+    _, loops1 = _oriented_star(net, rows, 1)
+    x = [math.hypot(*c) for c in bridges]
+    xm = _mean(x)
+    y, z = math.hypot(*loops0[0]), math.hypot(*loops1[0])
+    cross = _cross(bridges[0], bridges[1])
+    normal = _unit(cross, math.hypot(*cross))
     checks = {
-        "equal_bridges": float(x.max() - x.min()) <= CERT_TOL * x.mean(),
-        "coplanar_bridges": planar0 <= CERT_TOL * x.mean(),
-        "loop_relation": abs(2 * y + 2 * z - 3 * x.mean()) <= CERT_TOL * x.mean(),
-        "equal_loops": abs(y - z) <= CERT_TOL * x.mean(),
-        "loops_perpendicular": max(
-            abs(abs(float(loops0[0] @ normal)) - y),
-            abs(abs(float(loops1[0] @ normal)) - z)) <= CERT_TOL * x.mean(),
+        "equal_bridges": max(x) - min(x) <= CERT_TOL * xm,
+        "coplanar_bridges": abs(_dot(bridges[2], normal)) <= CERT_TOL * xm,
+        "loop_relation": abs(2 * y + 2 * z - 3 * xm) <= CERT_TOL * xm,
+        "equal_loops": abs(y - z) <= CERT_TOL * xm,
+        "loops_perpendicular": (abs(abs(_dot(loops0[0], normal)) - y) <= CERT_TOL * xm
+                                and abs(abs(_dot(loops1[0], normal)) - z) <= CERT_TOL * xm),
     }
     return CertificateResult("prismatic-honeycomb", all(checks.values()), checks)
 
 
 def _cert_primitive(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
-    """Loop vectors orthogonal and of equal length (primitive lattice)."""
-    gram = vecs @ vecs.T
-    norms = np.sqrt(np.diag(gram))
-    off = gram[~np.eye(len(vecs), dtype=bool)]
+    """Loop vectors orthogonal and of equal length (primitive lattice); on
+    the one vertex of a bouquet the edge vectors are the whole star."""
+    loops = vecs.tolist()
+    norms = [math.hypot(*u) for u in loops]
+    m = _mean(norms)
     checks = {
-        "equal_lengths": float(norms.max() - norms.min()) <= CERT_TOL * norms.mean(),
-        "orthogonal": float(np.abs(off).max()) <= CERT_TOL * norms.mean() ** 2,
+        "equal_lengths": max(norms) - min(norms) <= CERT_TOL * m,
+        "orthogonal": all(abs(_dot(u, w)) <= CERT_TOL * m * m
+                          for u, w in itertools.combinations(loops, 2)),
     }
     return CertificateResult("primitive-cubic", all(checks.values()), checks)
 
 
 def _cert_sqp(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
     """Square pyramid: x1..x4 = (8/13) x0, probe height x1/4, apex height L/3."""
-    star, _ = _oriented_star(net, vecs, 0)
-    r = np.linalg.norm(star, axis=1)
-    apex = int(np.argmax(r))
-    base = np.delete(star, apex, axis=0)
-    x0 = float(r[apex])
-    xb = np.delete(r, apex)
-    centroid = base.mean(axis=0)
-    rel = base - centroid
-    _, sv, vt = np.linalg.svd(rel)
-    normal = vt[-1]
-    planar = abs(rel @ normal).max()
-    h = abs(float(centroid @ normal))       # probe (vertex 0) to base plane
-    apex_h = abs(float((star[apex] - centroid) @ normal))
-    L = float(r.sum())
-    iu = np.triu_indices(4, 1)
-    dist = np.sort(np.linalg.norm(base[:, None, :] - base[None, :, :], axis=2)[iu])
+    star, _ = _oriented_star(net, vecs.tolist(), 0)
+    r = [math.hypot(*p) for p in star]
+    L = sum(r)
+    apex = r.index(max(r))
+    base = star[:apex] + star[apex + 1:]
+    x0, xb = r[apex], r[:apex] + r[apex + 1:]
+    xm = _mean(xb)
+    centroid = [_mean(c) for c in zip(*base)]
+    rel = [[x - c for x, c in zip(p, centroid)] for p in base]
+    normal = np.linalg.svd(rel)[2][-1].tolist()        # least-squares base plane
+    h = abs(_dot(centroid, normal))         # probe (vertex 0) to base plane
+    apex_h = abs(_dot([x - c for x, c in zip(star[apex], centroid)], normal))
+    # 6 pairwise distances of a square: 4 sides then 2 diagonals
+    dist = sorted(math.dist(p, q) for p, q in itertools.combinations(base, 2))
     checks = {
-        "equal_base_edges": float(xb.max() - xb.min()) <= CERT_TOL * xb.mean(),
-        "base_coplanar": planar <= CERT_TOL * xb.mean(),
-        "base_ratio": abs(xb.mean() - 8.0 / 13.0 * x0) <= CERT_TOL * xb.mean(),
-        "probe_height": abs(h - xb.mean() / 4) <= CERT_TOL * xb.mean(),
+        "equal_base_edges": max(xb) - min(xb) <= CERT_TOL * xm,
+        "base_coplanar": all(abs(_dot(u, normal)) <= CERT_TOL * xm for u in rel),
+        "base_ratio": abs(xm - 8.0 / 13.0 * x0) <= CERT_TOL * xm,
+        "probe_height": abs(h - xm / 4) <= CERT_TOL * xm,
         "apex_height_L_over_3": abs(apex_h - L / 3) <= CERT_TOL * L,
-        # 6 pairwise distances of a square: 4 sides then 2 diagonals
-        "square_base": abs(dist[:4].mean() * math.sqrt(2) - dist[4:].mean())
-                       <= CERT_TOL * dist.mean(),
+        "square_base": abs(_mean(dist[:4]) * math.sqrt(2) - _mean(dist[4:]))
+                       <= CERT_TOL * _mean(dist),
     }
     return CertificateResult("square-pyramid", all(checks.values()), checks)
 

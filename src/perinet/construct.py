@@ -151,6 +151,10 @@ def construct_odd(n: int, d: int, lattice: Lattice) -> PeriodicNetwork:
     tripod = np.array([np.zeros(n), g1, g2])
     q, at_vertex = geometric_median(tripod, tol=1e-13)
     if at_vertex is not None:
+        # no input reaches this: the reduced pair encloses 60 to 90 degrees
+        # and |g2 - g1| is the longest side, so no angle of the triangle
+        # exceeds 90 degrees, and the unit vectors at a vertex sum to norm
+        # at least sqrt(2) > 1, which the vertex test needs to stop there
         raise RuntimeError("Fermat point degenerated to a triangle vertex")
 
     per_vertex = (d - 3) // 2

@@ -42,12 +42,12 @@ def _int(x, field: str) -> int:
     return int(x)
 
 
-def _floats(xs, field: str) -> list[float]:
-    """A JSON list of numbers as floats; booleans and strings are refused,
-    where ``np.asarray`` would read them as 1.0 and as their value."""
-    if type(xs) is not list or not all(type(x) in (int, float) for x in xs):
+def _floats(xs, field: str) -> list:
+    """A JSON list of numbers, checked in bulk; booleans and strings are
+    refused, where ``np.asarray`` would read them as 1.0 and as their value."""
+    if type(xs) is not list or not set(map(type, xs)) <= {int, float}:
         raise ValueError(f"{field} must be a list of numbers, not {json.dumps(xs)}")
-    return [float(x) for x in xs]
+    return xs
 
 
 def network_to_json(net: PeriodicNetwork) -> str:
@@ -90,27 +90,31 @@ def network_from_json(text: str) -> PeriodicNetwork:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
         index = {vid: i for i, vid in enumerate(sorted(ids))}
-        positions = np.zeros((len(ids), dim))
+        rows = [None] * len(ids)
         for vid, v in zip(ids, vertices):
             pos = _floats(v["pos"], "pos")
             if len(pos) != dim:
                 raise ValueError(f"vertex {vid} position has wrong dimension")
-            positions[index[vid]] = pos
+            rows[index[vid]] = pos
         if len(lattice) != dim or any(len(column) != dim for column in lattice):
             raise ValueError("lattice must hold dim columns of length dim")
-        edge_list = []
+        tails, heads, shifts = [], [], []
         for e in doc["edges"]:
-            shift = [_int(x, "shift") for x in e["shift"]]
+            shift = e["shift"]
+            if type(shift) is not list or not set(map(type, shift)) <= {int}:
+                shift = [_int(x, "shift") for x in shift]   # integral floats read as ints
             if len(shift) != dim:
                 raise ValueError("edge shift has wrong dimension")
-            edge_list.append((*(index[_int(e[k], k)] for k in ("tail", "head")), shift))
-        graph = QuotientGraph.from_edges(dim, len(ids), edge_list)
+            tails.append(index[_int(e["tail"], "tail")])
+            heads.append(index[_int(e["head"], "head")])
+            shifts.append(shift)
+        graph = QuotientGraph(dim, len(ids), tails, heads, shifts)
+        # stored column by column; transpose back into a basis matrix
+        return PeriodicNetwork(graph, Lattice(list(zip(*lattice))), rows)
     except KeyError as exc:
         raise ValueError(f"missing network field or unknown vertex id: {exc}") from exc
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed network field: {exc}") from exc
-    # stored column by column; transpose back into a basis matrix
-    return PeriodicNetwork(graph, Lattice(np.array(lattice).T), positions)
 
 
 def _write_text(path_or_file: str | IO[str], text: str) -> None:

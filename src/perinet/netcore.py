@@ -22,8 +22,15 @@ from .intlinalg import smith_invariant_factors
 DIRECTION_TOL = 1e-9
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, order="C")        # copy, so the caller's array stays writable
+def _freeze(a, dtype=None, shape=None) -> np.ndarray:
+    """A read-only C-ordered copy of ``a`` in ``dtype``, reshaped to ``shape``.
+    It owns its data: one copy, and a second only where the shape changes,
+    since a view would keep its base alive as a second array."""
+    a = np.array(a, dtype=dtype, order="C")    # copy, so the caller's array stays writable
+    if shape is not None:
+        view = a.reshape(shape)
+        if view.shape != a.shape:
+            a = view.copy()
     a.flags.writeable = False
     return a
 
@@ -48,27 +55,24 @@ class QuotientGraph:
             raise ValueError("ambient dimension must be >= 2")
         if self.vertex_count < 1:
             raise ValueError("need at least one vertex")
-        tails = np.asarray(self.tails, dtype=np.int64).ravel()
-        heads = np.asarray(self.heads, dtype=np.int64).ravel()
-        shifts = np.asarray(self.shifts, dtype=np.int64).reshape(len(tails), self.dim)
+        tails = _freeze(self.tails, np.int64, -1)
+        heads = _freeze(self.heads, np.int64, -1)
+        shifts = _freeze(self.shifts, np.int64, (len(tails), self.dim))
         if len(heads) != len(tails):
             raise ValueError("tail/head arrays differ in length")
-        for arr in (tails, heads):
-            if len(arr) and (arr.min() < 0 or arr.max() >= self.vertex_count):
-                raise ValueError("edge endpoint out of range")
-        object.__setattr__(self, "tails", _freeze(tails))
-        object.__setattr__(self, "heads", _freeze(heads))
-        object.__setattr__(self, "shifts", _freeze(shifts))
+        ends = tails.tolist() + heads.tolist()      # a few edges: cheaper than numpy's min
+        if ends and (min(ends) < 0 or max(ends) >= self.vertex_count):
+            raise ValueError("edge endpoint out of range")
+        object.__setattr__(self, "tails", tails)
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "shifts", shifts)
 
     @classmethod
     def from_edges(cls, dim: int, vertex_count: int,
                    edges: Iterable[tuple[int, int, Sequence[int]]]) -> "QuotientGraph":
         edges = list(edges)
-        tails = [e[0] for e in edges]
-        heads = [e[1] for e in edges]
-        shifts = [list(e[2]) for e in edges] if edges else np.zeros((0, dim), int)
-        return cls(dim, vertex_count, np.array(tails, int), np.array(heads, int),
-                   np.array(shifts, int).reshape(len(edges), dim))
+        return cls(dim, vertex_count, [e[0] for e in edges], [e[1] for e in edges],
+                   [list(e[2]) for e in edges])
 
     @property
     def edge_count(self) -> int:
@@ -110,10 +114,10 @@ class Lattice:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.float64)
+        b = _freeze(self.basis, np.float64)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("lattice basis must be a square matrix")
-        object.__setattr__(self, "basis", _freeze(b))
+        object.__setattr__(self, "basis", b)
 
     @property
     def dim(self) -> int:
@@ -141,12 +145,12 @@ class PeriodicNetwork:
     positions: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.positions, dtype=np.float64)
+        p = _freeze(self.positions, np.float64)
         if p.shape != (self.graph.vertex_count, self.graph.dim):
             raise ValueError("positions must be (vertex_count, dim)")
         if self.lattice.dim != self.graph.dim:
             raise ValueError("lattice dimension does not match graph")
-        object.__setattr__(self, "positions", _freeze(p))
+        object.__setattr__(self, "positions", p)
 
     @property
     def dim(self) -> int:
@@ -235,10 +239,19 @@ def vertex_forces(P: np.ndarray, units: np.ndarray) -> np.ndarray:
 
 def oriented_star(g: QuotientGraph, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges at vertex ``v``: its non-loop edges in edge order, their
-    signs (+1 where the edge leaves v, -1 where it enters), and its loops."""
-    at_tail, at_head = g.tails == v, g.heads == v
-    edges = (at_tail ^ at_head).nonzero()[0]
-    return edges, 2 * at_tail[edges] - 1, (at_tail & at_head).nonzero()[0]
+    signs (+1 where the edge leaves v, -1 where it enters), and its loops.
+    A star has a few edges, so one pass over Python ints costs less than
+    numpy's masks."""
+    edges, sign, loops = [], [], []
+    for e, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
+        if t == h:
+            if t == v:
+                loops.append(e)
+        elif t == v or h == v:
+            edges.append(e)
+            sign.append(1 if t == v else -1)
+    return (np.array(edges, dtype=np.int64), np.array(sign, dtype=np.int64),
+            np.array(loops, dtype=np.int64))
 
 
 def end_pairs(tails: np.ndarray, heads: np.ndarray,

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from perinet import (
     with_positions,
 )
 from perinet.construct import regular_simplex_vertices
-from perinet import netcore
+from perinet import bounds, netcore
 from perinet.netcore import Lattice, QuotientGraph, edge_vectors
 
 
@@ -451,3 +452,167 @@ def test_bound_report_json_key_order():
     assert list(at_bound["equality_certificate"]) == ["name", "passed", "checks"]
     invalid = verify(with_positions(catalog("dia")[0], np.zeros((2, 3)))).to_json()
     assert list(invalid) == keys and invalid["equality_certificate"] is None
+
+
+# ---------------------------------------------------------------------------
+# the equality certificates against their first numpy formulas
+
+
+def _ref_star(net, vecs, v):
+    edges, sign, loops = netcore.oriented_star(net.graph, v)
+    return sign[:, None] * vecs[edges], vecs[loops]
+
+
+def _ref_simplex_checks(star):
+    n = star.shape[1]
+    r = np.linalg.norm(star, axis=1)
+    units = star / r[:, None]
+    off = (units @ units.T)[~np.eye(len(star), dtype=bool)]
+    return {
+        "equal_edge_lengths": float(r.max() - r.min()) <= bounds.CERT_TOL * r.mean(),
+        "simplex_angles": float(np.abs(off + 1.0 / n).max()) <= bounds.CERT_TOL,
+    }
+
+
+def _ref_regular_simplex(net, vecs):
+    star, _ = _ref_star(net, vecs, 0)
+    checks = _ref_simplex_checks(star)
+    if net.dim == 3:
+        vol = abs(float(np.linalg.det(net.lattice.basis)))
+        checks["fcc_lattice"] = (abs(abs(float(np.linalg.det(star[1:] - star[0]))) - vol)
+                                 <= bounds.CERT_TOL * vol)
+    return checks
+
+
+def _ref_cds_family(net, vecs):
+    tol = bounds.CERT_TOL
+    bridges, loops0 = _ref_star(net, vecs, 0)
+    _, loops1 = _ref_star(net, vecs, 1)
+    a, b = loops0[0], loops1[0]
+    axis = bridges[0] - bridges[1]
+    x1, x2 = np.linalg.norm(a), np.linalg.norm(b)
+    x34 = np.linalg.norm(bridges[0]) + np.linalg.norm(bridges[1])
+    scale = max(x1, x2, x34)
+    dirs = np.array([a / x1, b / x2, axis / np.linalg.norm(axis)])
+    gram = np.abs(dirs @ dirs.T - np.eye(3))
+    return {
+        "x1_eq_x2": abs(x1 - x2) <= tol * scale,
+        "x1_eq_x3_plus_x4": abs(x1 - x34) <= tol * scale,
+        "collinear_bridges": abs(np.linalg.norm(axis) - x34) <= tol * scale,
+        "orthogonal_axes": float(gram.max()) <= tol,
+        "equal_generators": abs(np.linalg.norm(axis) - x1) <= tol * scale,
+    }
+
+
+def _ref_bnn(net, vecs):
+    tol = bounds.CERT_TOL
+    bridges, loops0 = _ref_star(net, vecs, 0)
+    _, loops1 = _ref_star(net, vecs, 1)
+    x = np.linalg.norm(bridges, axis=1)
+    y, z = float(np.linalg.norm(loops0[0])), float(np.linalg.norm(loops1[0]))
+    normal = np.cross(bridges[0], bridges[1])
+    normal /= np.linalg.norm(normal)
+    return {
+        "equal_bridges": float(x.max() - x.min()) <= tol * x.mean(),
+        "coplanar_bridges": abs(float(bridges[2] @ normal)) <= tol * x.mean(),
+        "loop_relation": abs(2 * y + 2 * z - 3 * x.mean()) <= tol * x.mean(),
+        "equal_loops": abs(y - z) <= tol * x.mean(),
+        "loops_perpendicular": max(abs(abs(float(loops0[0] @ normal)) - y),
+                                   abs(abs(float(loops1[0] @ normal)) - z)) <= tol * x.mean(),
+    }
+
+
+def _ref_primitive(net, vecs):
+    gram = vecs @ vecs.T
+    norms = np.sqrt(np.diag(gram))
+    off = gram[~np.eye(len(vecs), dtype=bool)]
+    return {
+        "equal_lengths": float(norms.max() - norms.min()) <= bounds.CERT_TOL * norms.mean(),
+        "orthogonal": float(np.abs(off).max()) <= bounds.CERT_TOL * norms.mean() ** 2,
+    }
+
+
+def _ref_sqp(net, vecs):
+    tol = bounds.CERT_TOL
+    star, _ = _ref_star(net, vecs, 0)
+    r = np.linalg.norm(star, axis=1)
+    apex = int(np.argmax(r))
+    base = np.delete(star, apex, axis=0)
+    x0, xb = float(r[apex]), np.delete(r, apex)
+    centroid = base.mean(axis=0)
+    rel = base - centroid
+    normal = np.linalg.svd(rel)[2][-1]
+    h = abs(float(centroid @ normal))
+    apex_h = abs(float((star[apex] - centroid) @ normal))
+    L = float(r.sum())
+    dist = np.sort(np.linalg.norm(base[:, None, :] - base[None, :, :], axis=2)[np.triu_indices(4, 1)])
+    return {
+        "equal_base_edges": float(xb.max() - xb.min()) <= tol * xb.mean(),
+        "base_coplanar": abs(rel @ normal).max() <= tol * xb.mean(),
+        "base_ratio": abs(xb.mean() - 8.0 / 13.0 * x0) <= tol * xb.mean(),
+        "probe_height": abs(h - xb.mean() / 4) <= tol * xb.mean(),
+        "apex_height_L_over_3": abs(apex_h - L / 3) <= tol * L,
+        "square_base": abs(dist[:4].mean() * math.sqrt(2) - dist[4:].mean()) <= tol * dist.mean(),
+    }
+
+
+REFERENCE_CERTIFICATES = {
+    bounds._cert_regular_simplex: _ref_regular_simplex, bounds._cert_cds_family: _ref_cds_family,
+    bounds._cert_bnn: _ref_bnn, bounds._cert_primitive: _ref_primitive, bounds._cert_sqp: _ref_sqp,
+}
+
+
+@pytest.mark.parametrize("name,params", SHARP_CATALOG,
+                         ids=[name for name, _ in SHARP_CATALOG])
+def test_certificates_match_their_numpy_formulas(name, params):
+    # 40 rewrites, each as it is and with its positions and basis perturbed
+    # at 1e-8, 1e-6 and 1e-4: the last two straddle CERT_TOL, so checks fail
+    net, _ = catalog(name, **params)
+    top = bounds.classify(net.graph)
+    build = bounds._select_bound(net.dim, top.degree, top)[5]
+    reference = REFERENCE_CERTIFICATES[build]
+    rng = np.random.default_rng(sum(map(ord, name)) + 7)
+    failed = {eps: 0 for eps in (0.0, 1e-8, 1e-6, 1e-4)}
+    for _ in range(40):
+        m = _rewritten(net, rng)
+        for eps in failed:
+            moved = PeriodicNetwork(
+                m.graph, Lattice(m.lattice.basis + eps * rng.normal(size=(net.dim, net.dim))),
+                m.positions + eps * rng.normal(size=m.positions.shape))
+            vecs = edge_vectors(moved)
+            cert = build(moved, vecs)
+            want = {k: bool(v) for k, v in reference(moved, vecs).items()}
+            assert cert.checks == want, (eps, cert.checks, want)
+            assert cert.passed == all(want.values())
+            failed[eps] += not cert.passed
+    assert failed[0.0] == 0 < failed[1e-4]
+
+
+def _two_vertex(edges, x1):
+    g = QuotientGraph.from_edges(3, 2, edges)
+    return PeriodicNetwork(g, Lattice(np.eye(3)), np.array([[0.0, 0.0, 0.0], x1]))
+
+
+DEGENERATE_STARS = {
+    # the first two bridges antiparallel: their cross product is zero
+    "bnn": (bounds._cert_bnn,
+            _two_vertex([(0, 1, (1, 0, 0)), (0, 1, (-1, 0, 0)), (0, 1, (0, 1, 0)),
+                         (0, 0, (0, 0, 1)), (1, 1, (0, 0, 1))], [0.0, 0.0, 0.0])),
+    # coincident bridges: the bridge-cycle axis is zero
+    "cds": (bounds._cert_cds_family,
+            _two_vertex([(0, 0, (1, 0, 0)), (1, 1, (0, 1, 0)), (0, 1, (0, 0, 0)),
+                         (0, 1, (0, 0, 0))], [0.0, 0.0, 0.5])),
+    # the four base vectors on one line, the fifth the longest
+    "sqp": (bounds._cert_sqp,
+            _two_vertex([(0, 1, (k, 0, 0)) for k in range(4)] + [(0, 1, (0, 0, 5))],
+                        [0.0, 0.3, 0.2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_STARS))
+def test_certificate_on_a_degenerate_star_fails_quietly(case):
+    build, net = DEGENERATE_STARS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = build(net, edge_vectors(net))
+    assert cert.passed is False

@@ -3,7 +3,9 @@
 A row is a call and what it must do: raise the exception type with part of
 its message, or, for the command line, exit with the code and print the
 text.  Internal invariants that no input reaches (an objective that
-increased, a plane reduction that did not terminate) have no row.
+increased, a plane reduction that did not terminate, a Fermat point on a
+vertex of ``construct_odd``'s triangle) have no row; a comment at the
+raise says why.
 """
 
 import io
@@ -16,9 +18,10 @@ import pytest
 
 from perinet import (Lattice, PeriodicNetwork, PyramidInstance, QuotientGraph, TopologyClass,
                      bound_even, build_abstract, catalog, check_simplex, classify,
-                     construct_bouquet, construct_even_two_vertex, construct_odd, export_obj,
-                     geometric_median, monotonicity_table, network_from_json, network_to_json,
-                     read_network, write_network)
+                     construct_bouquet, construct_even_two_vertex, construct_odd,
+                     dipole5_coefficients, export_obj, geometric_median, minimize_topology,
+                     monotonicity_table, network_from_json, network_to_json, read_network,
+                     write_network)
 from perinet.cli import run
 from perinet.intlinalg import det_int
 from perinet.topology import enumerate_shift_arrays
@@ -27,6 +30,15 @@ from test_bounds import _unclassifiable_network
 
 def _dia():
     return catalog("dia")[0]
+
+
+def _sqp_doubled():
+    """sqp with its shifts doubled: they span an index-8 sublattice, so no
+    triple of neighbour differences is unimodular."""
+    net = catalog("sqp")[0]
+    g = net.graph
+    return PeriodicNetwork(QuotientGraph(3, 2, g.tails, g.heads, 2 * g.shifts),
+                           net.lattice, net.positions)
 
 
 def _dia_json(edit):
@@ -107,6 +119,19 @@ ROWS = {
     "monotonicity-odd": (lambda: monotonicity_table(3, 7),
                          ValueError, "d_max must be even and at least 2n"),
     "simplex-n-points": (lambda: check_simplex(np.eye(3)), ValueError, "need n+1 points in R^n"),
+    "dipole5-sublattice": (lambda: dipole5_coefficients(_sqp_doubled()),
+                           ValueError, "shift bookkeeping inconsistent"),
+    # k < n base vertices: every draw is refused, so the sampler gives up
+    "pyramid-random-few-base": (lambda: PyramidInstance.random(np.random.default_rng(0), 3, 2),
+                                RuntimeError, "failed to sample a nondegenerate pyramid"),
+    # R^2 has 8 pairwise non-parallel shift classes with entries in [-2, 2],
+    # and a degree-18 bouquet needs 9 loops
+    "bouquet-pool-exhausted": (lambda: construct_bouquet(2, 18, Lattice(np.eye(2))),
+                               RuntimeError, "shift pool exhausted while placing loops"),
+    # B5 in R^2 needs 5 pairwise non-parallel loop shifts, and entries in
+    # [-1, 1] give 4 classes
+    "topology-no-assignment": (lambda: minimize_topology("B5", 2), ValueError,
+                               "no valid shift assignment exists for this topology"),
     "pyramid-shapes": (lambda: PyramidInstance(np.zeros(3), np.zeros((4, 2)), np.zeros(3)),
                        ValueError, "inconsistent pyramid data"),
     "pyramid-few-base": (lambda: PyramidInstance(np.zeros(3), np.eye(3)[:2], np.zeros(3)),
