@@ -56,6 +56,7 @@ from .bounds import (
     check_simplex,
     dipole5_coefficients,
     monotonicity_table,
+    stress_bound,
     verify,
 )
 from .optimize import (

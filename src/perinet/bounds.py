@@ -5,7 +5,9 @@ degree n+1, (d/2 - n + 1) n^n for even degree d >= 2n, and for three
 dimensions the degree-4 and degree-5 values 12 sqrt(3), 27, 27 sqrt(3),
 405/8, with 405/8 a strict bound for every irreducible topology of
 degree >= 7.  Checkers for the simplex and pyramid estimates evaluate
-both sides directly and certify the equality configurations.
+both sides directly and certify the equality configurations.  The stress
+bound n^n |det(u^T S)| of a balanced stress u bounds every realization of
+one shift assignment.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .intlinalg import det_int, int_solve
-from .netcore import PeriodicNetwork, _length_quotient, _validate, oriented_star
+from .netcore import (PeriodicNetwork, _balancing_projector, _length_quotient, _stress_bounds,
+                      _validate, as_stack, edge_norms, incidence, lifted_edges, oriented_star)
 from .topology import TopologyClass, classify
 
 SLACK_TOL = 1e-9         # inequality slack tolerance
@@ -391,6 +394,35 @@ def _cert_sqp(net: PeriodicNetwork, vecs: np.ndarray) -> CertificateResult:
                        <= CERT_TOL * _mean(dist),
     }
     return CertificateResult("square-pyramid", all(checks.values()), checks)
+
+
+# ---------------------------------------------------------------------------
+# stress lower bound of one assignment
+
+class StressBound(NamedTuple):
+    bound: float        # at most L^n/V of every realization of the network's shifts
+    gap: float          # the network's L^n/V minus the bound
+
+
+def stress_bound(net: PeriodicNetwork) -> StressBound:
+    """The lower bound n^n |det(u^T S)| on L^n/V over every realization of
+    ``net``'s shift assignment, from the stress u of ``net``'s own unit edge
+    vectors (``_stress_bounds``), and its gap to ``net``'s L^n/V.
+
+    Every network of the assignment bounds it, and the gap closes at its
+    minimizer: there the edge directions are balanced and the bound is the
+    value.  Raises ``ValueError`` where ``length_quotient`` does; the bound
+    is NaN where no stress is left after the projection.
+    """
+    g = net.graph
+    X, B, ST = as_stack(net)
+    proj = _balancing_projector(incidence(g.tails, g.heads, g.vertex_count))
+    with np.errstate(invalid='ignore'):     # an infinite entry, or no stress left, gives NaN
+        vec = lifted_edges(X, B, ST, g.tails, g.heads)
+        ell = edge_norms(vec)
+        value = _length_quotient(net, ell[0])
+        bound = float(_stress_bounds(proj, vec / ell[..., None], ST.transpose(0, 2, 1))[0])
+    return StressBound(bound, value - bound)
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,10 @@ def _cmd_optimize(args) -> int:
         result = minimize_topology(args.topology, args.dim, cfg)
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc))
+    bounded = int((result.traces.termination == 4).sum())
     print(f"best {_f(result.value)} "
           f"(assignment {result.assignment_index}, restart {result.restart_index}, "
-          f"{result.termination}, {len(result.traces)} runs)")
+          f"{result.termination}, {len(result.traces)} runs, {bounded} bounded)")
     netio.write_network(result.network, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -237,6 +237,31 @@ def vertex_forces(P: np.ndarray, units: np.ndarray) -> np.ndarray:
     return np.einsum('ev,aei->avi', P, units)
 
 
+def _balancing_projector(P: np.ndarray) -> np.ndarray:
+    """(E, E) orthogonal projector I - P P^+ onto the edge stresses u with
+    P^T u = 0, balanced at every vertex; a loop's stress passes unchanged."""
+    return np.eye(len(P)) - P @ np.linalg.pinv(P)
+
+
+def _stress_bounds(proj: np.ndarray, units: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Lower bounds (N,) on L^n/V over every realization of the stacked
+    shifts ``S`` (N, E, n), from unit edge vectors ``units`` (N, E, n).
+
+    The units are projected onto balanced stresses by ``proj``
+    (``_balancing_projector``) and scaled to max |u_e| = 1.  Then L >=
+    sum_e u_e . v_e = tr(B M^T) with M = u^T S, for every rotation of a
+    realization, and the largest trace over rotations, the sum of B M^T's
+    singular values, is at least n |det B M^T|^(1/n) by AM-GM: L^n/V >=
+    n^n |det M|, whatever the frame of ``S``.  At a critical point the
+    units are balanced already and the bound is the value itself; a
+    zero-length edge gives NaN.
+    """
+    u = proj @ units
+    u /= edge_norms(u).max(axis=1)[:, None, None]
+    n = S.shape[2]
+    return n ** n * np.abs(np.linalg.det(u.transpose(0, 2, 1) @ S))
+
+
 def oriented_star(g: QuotientGraph, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges at vertex ``v``: its non-loop edges in edge order, their
     signs (+1 where the edge leaves v, -1 where it enters), and its loops.

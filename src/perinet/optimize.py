@@ -33,6 +33,13 @@ its assignment.  A topology search hands it one representative per orbit
 of equivalent assignments (``shift_orbits``), which share one landscape; a
 fixed graph is the case of one assignment.  Results are deterministic in
 (seed, config); the seed reaches only the random starts.
+
+Over more than one assignment the search is a branch and bound: every
+step retires, as bounded, the instances whose assignment's stress lower
+bound (``_stress_bounds``) already exceeds a value the search reached.  A
+bounded instance's final value is where it stopped, above its orbit's
+least value, and it is never redrawn.  The best instance is never bounded
+and steps as it would alone, so the answer is the one without bounds.
 """
 
 from __future__ import annotations
@@ -43,12 +50,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from .intlinalg import greedy_reduce, int_solve
-from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _length_quotient, as_stack,
-                      edge_norms, incidence, lifted_edges, parallel_ends, vertex_forces)
+from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _balancing_projector,
+                      _length_quotient, _stress_bounds, as_stack, edge_norms, incidence,
+                      lifted_edges, parallel_ends, vertex_forces)
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits, tree_gauge
 
+# a bounded run stopped where its orbit's stress bound passed a value the
+# search had reached: its final value is where it stopped, above its orbit's least
 _STATUS_LABELS = {0: "max_iter", 1: "converged", 2: "collapsed_edge",
-                  3: "degenerate_lattice", 5: "stalled", 6: "line_search_failed"}
+                  3: "degenerate_lattice", 4: "bounded", 5: "stalled", 6: "line_search_failed"}
 _START_CHECKS = ("basis determinant at most 0.1", "zero edge length", "parallel edge ends")
 
 _CHUNK = 1 << 16             # most instances descended in one batch
@@ -63,6 +73,7 @@ _STALL_PATIENCE = 128        # services without progress before a plateau stop
 _COND_LIMIT = 1e6
 _NEWTON_ENTRY = 3e-2         # gradient max-norm below which a step is damped Newton
 _HESSIAN_BLOCK = 1 << 19     # Hessian entries assembled at once in the Newton tail
+_TIE = 1e-9                  # values this close to the least tie, the earlier descended winning
 # per-instance state that a descent step reads and writes
 _LIVE = ("X", "B", "S", "ST", "f", "ell", "t", "iters", "tail_steps",
          "_gXo", "_gBo", "_gsqo", "_tacc", "_stall", "_f_snap")
@@ -95,6 +106,8 @@ class TraceTable:
     the list handed to the multistart: the orbit representative from
     ``shift_orbits`` in a topology search, and 0 for a fixed graph.
     ``restart_index`` numbers an assignment's draws from 0 (1 to ``restarts``).
+    ``final_value`` is where a draw stopped: its assignment's least value
+    where it converged, and above it where it was bounded.
     """
 
     assignment_index: np.ndarray
@@ -220,24 +233,41 @@ class _Batch:
 
     # -- descent -------------------------------------------------------------
 
-    def run(self):
+    def run(self, ub=None):
         """Advance every active instance by up to ``_MAX_ITER`` accepted steps.
 
         The live instances' state is gathered once into working arrays (views
         of the batch's own when every instance is live: no step writes into
         them in place), and an instance's state is written back when it leaves
         the live set, by one path whatever its code.  The bookkeeping changes
-        no instance's arithmetic.
+        no instance's arithmetic, and no instance's steps depend on the others.
+
+        ``ub`` is None in a search of one assignment.  Otherwise it is the
+        least value the search reached before this batch (inf if none), and
+        each step retires as bounded (code 4) every live instance whose
+        stress bound (``_stress_bounds``) exceeds the least value reached by
+        more than ``_TIE``: no realization of its assignment gets that low, so
+        it cannot be, or tie with, the best.  A NaN bound retires nothing.
         """
         n = self.n
         idx = (self.status == 0).nonzero()[0]
         live = slice(None) if len(idx) == len(self.status) else idx
         w = SimpleNamespace(**{k: getattr(self, k)[live] for k in _LIVE})
-        with np.errstate(divide='ignore', invalid='ignore'):
+        if ub is not None:
+            proj = _balancing_projector(self.P)
+        with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
             for step in range(_MAX_ITER):
                 if len(idx) == 0:
                     return
                 u = lifted_edges(w.X, w.B, w.ST, self.tails, self.heads) / w.ell[..., None]
+                if ub is not None:
+                    ub = min(ub, np.exp(w.f.min()))
+                    out = _stress_bounds(proj, u, w.S) > ub + _TIE
+                    if out.any():
+                        idx, w = self._retire(idx, w, out, 4)
+                        if len(idx) == 0:
+                            continue
+                        u = u[~out]
                 F, gX, gB = _gradient(n, self.P, w.S, w.B, u, w.ell.sum(1))
                 gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
                 ginf = np.maximum(np.abs(gX).max((1, 2)), np.abs(gB).max((1, 2)))
@@ -595,20 +625,22 @@ def _reduced_frame(g: QuotientGraph, reps: np.ndarray) -> np.ndarray:
 
 def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> OptimizeResult:
     """Descend one start of every assignment in ``reps``; redraw at random
-    only where an instance neither converged nor collapsed, up to
-    ``cfg.restarts`` draws per assignment.
+    only where an instance neither converged, collapsed nor was bounded, up
+    to ``cfg.restarts`` draws per assignment.
 
     For one assignment L^n/V is convex in the gauge B = Q R: edge vectors
     are linear in (X, R), L is a sum of norms, and sum log R_ii >= 0 is a
     convex set.  So a converged instance has reached the one minimum value,
     and a collapsed one a face where an edge has length 0: both are final.
+    So is a bounded one: no realization of its assignment reaches the best
+    (``_Batch.run``), to which every batch is handed the best value before it.
     A round of draws runs in batches of at most ``_CHUNK``, each built in
     its assignments' reduced frames in one pass (``_reduced_frame``).  Draw
     0 starts at the standard realization (``_standard_realization``); random
     starts near B = I, from one ``SeedSequence((seed, 0))`` stream made at
     its first draw, are drawn only for rows where it fails a
     ``_START_CHECKS`` check and for every redraw.  The best, the lowest value
-    with ties within 1e-9 going to the instance descended first, is mapped
+    with ties within ``_TIE`` going to the instance descended first, is mapped
     back exactly (``_in_frame_of``) onto its assignment, ``g`` if ``g``'s.
     """
     rng, draw, todo, rows, best = None, 0, np.arange(len(reps)), [], None
@@ -624,11 +656,12 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
                 rng = rng or np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
                 B[rand], X[rand] = _sample_starts(rng, int(rand.sum()), g, S[rand])
             batch = _Batch(g, S, B, X)
-            batch.run()
+            batch.run(None if len(reps) == 1 else np.inf if best is None else best[0])
             with np.errstate(over='ignore'):
                 v = np.exp(batch.f)
             rows.append((a, np.full(len(a), draw), v, batch.iters, batch.status, batch.tail_steps))
-            redo.append(a[(batch.status != 1) & (batch.status != 2)])
+            final = (batch.status == 1) | (batch.status == 2) | (batch.status == 4)
+            redo.append(a[~final])
             i = int(_near_best(v)[0])
             if best is None or _near_best([best[0], v[i]])[0]:     # ties stay with the earlier
                 best = (v[i], *(np.array(c[i]) for c in (S, batch.B, batch.X)),
@@ -646,6 +679,6 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
 
 
 def _near_best(values: np.ndarray) -> np.ndarray:
-    """Indices within 1e-9 of the least finite value (all, if none is finite)."""
+    """Indices within ``_TIE`` of the least finite value (all, if none is finite)."""
     v = np.where(np.isfinite(values), values, np.inf)
-    return (v <= v.min() + 1e-9).nonzero()[0]
+    return (v <= v.min() + _TIE).nonzero()[0]

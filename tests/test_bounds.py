@@ -20,6 +20,8 @@ from perinet import (
     dipole5_coefficients,
     length_quotient,
     monotonicity_table,
+    random_network,
+    stress_bound,
     verify,
     with_positions,
 )
@@ -616,3 +618,31 @@ def test_certificate_on_a_degenerate_star_fails_quietly(case):
         warnings.simplefilter("error")
         cert = build(net, edge_vectors(net))
     assert cert.passed is False
+
+
+@pytest.mark.parametrize("name,params", SHARP_CATALOG,
+                         ids=[name for name, _ in SHARP_CATALOG])
+def test_stress_bound_closes_at_the_minimizer_and_bounds_every_realization(name, params):
+    # a minimizer's edge directions are a balanced stress, so its bound is its
+    # value; any other network of the same shifts is bounded by its own
+    # stress, and a rewritten presentation leaves the bound where it was
+    net, _ = catalog(name, **params)
+    value = length_quotient(net)
+    rep = stress_bound(net)
+    assert abs(rep.gap) <= 1e-12 * value and rep.bound + rep.gap == pytest.approx(value)
+    assert stress_bound(_rewritten(net, np.random.default_rng(5))).bound == \
+        pytest.approx(rep.bound, rel=1e-12)
+    for seed in range(20):
+        other = stress_bound(random_network(net.graph, seed=seed))
+        assert 0 <= other.bound and other.gap > 0
+
+
+def test_stress_bound_refuses_a_zero_length_edge():
+    net, _ = catalog("dia")
+    g, B = net.graph, net.lattice.basis
+    X = net.positions.copy()
+    X[1] = X[0] - B @ g.shifts[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="zero-length edge 0"):
+            stress_bound(PeriodicNetwork(g, net.lattice, X))

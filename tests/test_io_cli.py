@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from perinet import Lattice, PeriodicNetwork, catalog, length, length_quotient, volume
+from perinet import (Lattice, OptimizeConfig, PeriodicNetwork, catalog, length, length_quotient,
+                     minimize_topology, volume)
 from perinet.cli import run
 from perinet.io import export_obj, network_from_json, network_to_json, read_network, write_network
 from test_bounds import UNCLASSIFIABLE, _unclassifiable_network
@@ -288,6 +289,21 @@ def test_cli_optimize_documented_example(tmp_path, capsys):
     assert abs(value - 20.7846097) <= 1e-4 * 20.7846097
     back = read_network(str(out))
     assert length_quotient(back) == pytest.approx(value, rel=1e-9)
+
+
+def test_cli_optimize_counts_bounded_runs(tmp_path, capsys):
+    # D5 in R^3 has 30 orbits: the run at the sharp value 405/8 is the one
+    # descended to the end, and every other orbit's stress bound passes it
+    assert run(["optimize", "--topology", "D5", "--dim", "3", "--seed", "2024",
+                "--out", str(tmp_path / "d5.json")]) == 0
+    printed = capsys.readouterr().out
+    res = minimize_topology("D5", 3, OptimizeConfig(seed=2024))
+    bounded = int((res.traces.termination == 4).sum())
+    assert bounded == 29
+    assert f"{len(res.traces)} runs, {bounded} bounded)" in printed.splitlines()[0]
+    assert run(["optimize", "--topology", "D3", "--dim", "2",
+                "--out", str(tmp_path / "d3.json")]) == 0
+    assert "1 runs, 0 bounded)" in capsys.readouterr().out
 
 
 def test_module_entry_point_runs_table_optimize_verify(tmp_path):

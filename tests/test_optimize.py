@@ -49,14 +49,14 @@ def _assert_trace_shape(t, assignments, restarts):
     """The traces of a multistart over ``assignments`` assignments: one row
     per draw in (assignment, draw) order, at least one and at most
     ``restarts`` rows per assignment, draws numbered from 0, and only an
-    assignment's last draw final (converged or collapsed), which it is
-    whenever the draw budget was not spent."""
+    assignment's last draw final (converged, collapsed or bounded), which it
+    is whenever the draw budget was not spent."""
     counts = np.bincount(t.assignment_index, minlength=assignments)
     assert len(counts) == assignments and 1 <= counts.min() and counts.max() <= restarts
     ends = np.cumsum(counts)
     assert np.array_equal(t.assignment_index, np.repeat(np.arange(assignments), counts))
     assert np.array_equal(t.restart_index, np.arange(len(t)) - np.repeat(ends - counts, counts))
-    final = np.isin(t.termination, (1, 2))
+    final = np.isin(t.termination, (1, 2, 4))
     assert final.sum() == final[ends - 1].sum()
     assert final[ends - 1][counts < restarts].all()
 
@@ -487,12 +487,72 @@ def test_minimize_topology_across_batches(monkeypatch):
     assert len(i) == 1 and t.final_value[i[0]] == res.value
     reps = shift_orbits(build_abstract("D5", 3), 3, 1)
     assert np.array_equal(res.shifts, reps[res.assignment_index])
-    # at an iteration cap of 12 steps some orbits end max_iter, and only
-    # those are redrawn, their rounds in batches of 1 as well
+    # at an iteration cap of 12 steps some draws end max_iter, and only those
+    # are redrawn, their rounds in batches of 1 as well.  One assignment
+    # repeated is a stack where no row can bound another: every bound is at
+    # most the one least value they share.  This orbit's standard realization
+    # fails a start check, so its draws are random from the first on
     monkeypatch.setattr(optimize, "_MAX_ITER", 12)
-    t = minimize_topology("D5", 3, OptimizeConfig(seed=3, restarts=3)).traces
+    stack = np.repeat(reps[26:27], 30, axis=0)
+    t = optimize._multistart(build_abstract("D5", 3), stack,
+                             OptimizeConfig(seed=3, restarts=3)).traces
     _assert_trace_shape(t, 30, 3)
     assert 30 < len(t) < 90 and (t.restart_index == 2).any()
+    assert not (t.termination == 4).any()
+
+
+@pytest.mark.parametrize("tag,n", [("D1,3", 3), ("D5", 3), ("B4", 3), ("D5", 2), ("D1,3", 2)])
+def test_stress_bound_is_a_lower_bound_on_every_orbit(tag, n):
+    # each orbit descended to the end with no bounding: its bound at the
+    # standard realization, and at every final state, is at most where the
+    # orbit ends, and at convergence it is the converged value itself
+    g = build_abstract(tag, n)
+    S = optimize._reduced_frame(g, shift_orbits(g, n))
+    B, X = _standard_realization(g, S)
+    proj = netcore._balancing_projector(incidence(g.tails, g.heads, g.vertex_count))
+    ST = S.transpose(0, 2, 1).astype(np.float64)
+
+    def bound(X, B):
+        vec = lifted_edges(X, B, ST, g.tails, g.heads)
+        with np.errstate(invalid='ignore'):     # a zero-length edge gives NaN
+            return netcore._stress_bounds(proj, vec / edge_norms(vec)[..., None], S)
+
+    start = bound(X, B)
+    faulty = np.logical_or.reduce(_start_faults(g, B, X, S))
+    assert np.isfinite(start[~faulty]).all()
+    B[faulty], X[faulty] = _sample_starts(np.random.default_rng(1), int(faulty.sum()), g, S[faulty])
+    batch = _Batch(g, S, B, X)
+    batch.run()
+    value = np.exp(batch.f)
+    conv = batch.status == 1
+    assert conv.sum() >= 2 and not (batch.status == 4).any()
+    sharp = conv & np.isfinite(start)
+    assert (start[sharp] <= value[sharp] * (1 + 1e-12)).all()
+    end = bound(batch.X, batch.B)
+    assert (end <= value * (1 + 1e-12)).all()
+    assert (np.abs(end[conv] - value[conv]) <= 1e-9 * value[conv]).all()
+
+
+@pytest.mark.parametrize("tag,n", [("D1,3", 3), ("D5", 3), ("D5", 2)])
+def test_bounding_leaves_the_answer_bit_equal(monkeypatch, tag, n):
+    # the oracle is the same search with every bound -inf, which retires no
+    # row: its answer is the bounded search's, bit for bit, and every row the
+    # bounded search retired ends there above the answer
+    cfg = OptimizeConfig(seed=2024)
+    res = minimize_topology(tag, n, cfg)
+    monkeypatch.setattr(optimize, "_stress_bounds", lambda proj, u, S: np.full(len(u), -np.inf))
+    ref = minimize_topology(tag, n, cfg)
+    assert res.value == ref.value and res.termination == ref.termination
+    assert (res.assignment_index, res.restart_index) == (ref.assignment_index, ref.restart_index)
+    assert np.array_equal(res.shifts, ref.shifts)
+    assert np.array_equal(res.network.positions, ref.network.positions)
+    assert np.array_equal(res.network.lattice.basis, ref.network.lattice.basis)
+    t, u = res.traces, ref.traces
+    assert not (u.termination == 4).any() and (t.termination == 4).sum() >= len(t) // 2
+    for i in np.flatnonzero(t.termination == 4):
+        j = np.flatnonzero((u.assignment_index == t.assignment_index[i])
+                           & (u.restart_index == t.restart_index[i]))
+        assert len(j) == 1 and u.final_value[j[0]] > res.value + optimize._TIE
 
 
 def test_minimize_topology_b4_strictly_above_even_bound():
