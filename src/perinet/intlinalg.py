@@ -140,9 +140,15 @@ def det_int(mat) -> int:
 
 
 def int_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The integer solution x of A x = b, for A of full column rank; raises
-    unless it exists.  With b = I it is the inverse of a unimodular A."""
-    x = np.rint(np.linalg.lstsq(A, b, rcond=None)[0]).astype(np.int64)
+    """The integer solution x of A x = b, for A of full column rank, or of
+    each of a stack of square A; raises unless it exists.  With b = I it is
+    the inverse of a unimodular A.  A square A is solved by LU, a tall one
+    by least squares."""
+    if A.shape[-1] == A.shape[-2]:
+        x = np.linalg.solve(A, b)
+    else:
+        x = np.linalg.lstsq(A, b, rcond=None)[0]
+    x = np.rint(x).astype(np.int64)
     if not np.array_equal(A @ x, b):
         raise RuntimeError("integer solve failed: no integer solution")
     return x

@@ -147,18 +147,19 @@ class OptimizeResult:
     restart_index: int = 0
 
 
-def _in_frame_of(g: QuotientGraph, S: np.ndarray, B: np.ndarray, X: np.ndarray) -> PeriodicNetwork:
+def _in_frame_of(g: QuotientGraph, S: np.ndarray, U: np.ndarray, B: np.ndarray,
+                 X: np.ndarray) -> PeriodicNetwork:
     """The network (B, X) on shifts ``S`` over the skeleton of ``g``, in
     another frame, as the same periodic network on ``g`` itself.
 
-    The integer U with C_g U = C_S (the cycle-shift matrices) gives the
-    basis B U^T, which carries every cycle to the same translation.  Then
-    D = S_g U - S has no cycle shift, so it is the coboundary of an integer
-    vertex potential k with k_0 = 0, walked along the spanning tree, and
-    x_v - B k_v keeps every edge vector.  Both are checked exactly.
+    The unimodular U with C_g U = C_S (the cycle-shift matrices), the one
+    ``_reduced_frame`` applied, gives the basis B U^T, which carries every
+    cycle to the same translation.  Then D = S_g U - S has no cycle shift,
+    so it is the coboundary of an integer vertex potential k with k_0 = 0,
+    walked along the spanning tree, and x_v - B k_v keeps every edge
+    vector.  The walk checks D exactly, and with it C_g U = C_S.
     """
     facts, tails, heads = g.facts(), g.tails, g.heads
-    U = int_solve(facts.cycles @ g.shifts, facts.cycles @ S)
     D = g.shifts @ U - S
     k, placed = np.zeros((g.vertex_count, g.dim), dtype=np.int64), {0}
     for e in facts.tree:        # walk order: one end of each edge is placed
@@ -614,13 +615,17 @@ def minimize_topology(tag: TopologyClass | str, n: int,
     return _multistart(skeleton, reps, cfg)
 
 
-def _reduced_frame(g: QuotientGraph, reps: np.ndarray) -> np.ndarray:
+def _reduced_frame(g: QuotientGraph, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every assignment of ``reps`` as the tree gauge of C U, C its cycle-shift
-    matrix: I at circuit rank r = n (U = C^-1), greedily reduced at r > n."""
+    matrix, and the unimodular U: C U = I at circuit rank r = n (U = C^-1, I
+    for a ``shift_orbits`` representative), greedily reduced at r > n."""
     Z, n = g.facts().cycles, g.dim
+    C = Z @ reps
     if len(Z) == n:
-        return tree_gauge(g, np.broadcast_to(np.eye(n, dtype=np.int64), (len(reps), n, n)))
-    return tree_gauge(g, greedy_reduce(Z @ reps)[0])
+        eye = np.broadcast_to(np.eye(n, dtype=np.int64), C.shape)
+        return tree_gauge(g, eye), int_solve(C, eye)
+    CU, U = greedy_reduce(C)
+    return tree_gauge(g, CU), U
 
 
 def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> OptimizeResult:
@@ -647,7 +652,7 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     while len(todo) and draw < cfg.restarts:
         redo = []
         for a in (todo[lo:lo + _CHUNK] for lo in range(0, len(todo), _CHUNK)):
-            S = _reduced_frame(g, reps[a])
+            S, U = _reduced_frame(g, reps[a])
             # the standard realization where it is a valid first start, a
             # random draw in every other row; the stream is made at its first draw
             B, X = _standard_realization(g, S)
@@ -664,16 +669,16 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
             redo.append(a[~final])
             i = int(_near_best(v)[0])
             if best is None or _near_best([best[0], v[i]])[0]:     # ties stay with the earlier
-                best = (v[i], *(np.array(c[i]) for c in (S, batch.B, batch.X)),
+                best = (v[i], *(np.array(c[i]) for c in (S, U, batch.B, batch.X)),
                         int(a[i]), draw, int(batch.status[i]))
         todo, draw = np.concatenate(redo), draw + 1
     cols = [np.concatenate(c) for c in zip(*rows)]
     order = np.lexsort((cols[1], cols[0]))
-    value, S, B, X, k, restart, code = best
+    value, S, U, B, X, k, restart, code = best
     shifts = np.array(reps[k])
     home = g if np.array_equal(g.shifts, shifts) else \
         QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, shifts)
-    return OptimizeResult(network=_in_frame_of(home, S, B, X), value=float(value),
+    return OptimizeResult(network=_in_frame_of(home, S, U, B, X), value=float(value),
                           termination=_STATUS_LABELS[code], shifts=shifts, assignment_index=k,
                           traces=TraceTable(*(c[order] for c in cols)), restart_index=restart)
 

@@ -8,6 +8,7 @@ and one representative per orbit of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import ceil, comb, factorial
@@ -156,19 +157,114 @@ def _loop_classes(n: int, s_max: int) -> list[tuple[int, ...]]:
     return sorted({max(s, tuple(-x for x in s)) for s in _nonzero_shifts(n, s_max)})
 
 
+@functools.lru_cache
+def _box_maps(n: int, s_max: int) -> tuple[np.ndarray, ...]:
+    """The nonzero shifts of the box in product order, the loop classes
+    their second half; the class index of each class's direction, on two
+    copies of the classes, the second shifted by N/2; the signed coordinate
+    permutations W, 2^n n! maps, the identity first and -w half of them
+    after w, as permutations of the shift indices (G, N); as loop maps
+    (G, N), w on both copies, then exchanging them, as a vertex swap does (w
+    and -w agree on classes); and the masks (``_masks``) of both.  Indices
+    are read off base-(2 s_max + 1) codes, which count the box in product
+    order; -s has code N - code.
+    """
+    P = np.array(_nonzero_shifts(n, s_max))
+    half, digits = len(P) // 2, (2 * s_max + 1) ** np.arange(n - 1, -1, -1)
+    signs = np.array(list(itertools.product((1, -1), repeat=n - 1)))
+    signs = np.concatenate([np.hstack([np.ones_like(signs[:, :1]), signs])] * 2) * \
+        np.repeat([1, -1], len(signs))[:, None]
+    images = P[:, list(itertools.permutations(range(n)))] * signs[:, None, None]
+    code = ((images + s_max) @ digits).transpose(0, 2, 1).reshape(-1, len(P))
+    along = (P[half:] // np.gcd.reduce(P[half:], axis=1, keepdims=True) + s_max) @ digits - half - 1
+    classes = np.maximum(code, len(P) - code)[:len(code) // 2, half:] - half - 1
+    both = np.hstack([classes, classes + half])
+    maps, loops = code - (code > half), np.concatenate([both, (both + half) % len(P)])
+    out = (P, np.concatenate([along, along + half]), maps, loops, _masks(maps), _masks(loops))
+    for a in out:       # kept per (n, s_max), shared by every call
+        a.flags.writeable = False
+    return out
+
+
+def _masks(maps: np.ndarray) -> np.ndarray:
+    """Reverse bitmasks of the image of each element under each map of
+    ``maps`` (G, N), in words of b bits: (N, words, G).  Element e sets bit
+    b - 1 - e % b of word e // b, so of two sorted sets of one size, their
+    masks summed and compared word by word from the first, the larger is
+    the lexicographically earlier.  Words are int32 of 31 bits where one
+    word holds range(N), int64 of 62 bits otherwise."""
+    b = 31 if maps.shape[1] <= 31 else 62
+    img, words = maps.T[:, None, :], np.arange(-(-maps.shape[1] // b))[:, None]
+    return np.where(img // b == words, 1 << (b - 1 - img % b),
+                    0).astype(np.int32 if b == 31 else np.int64, order='C')
+
+
+def _extend(rows: np.ndarray, lo: int, hi: int,
+            along: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each sorted row of ``rows`` (M, j) followed by every larger element
+    e with lo <= e < hi, with ``along`` only by those of another class of
+    it than the row's, as (parent row, element); rows in lexicographic
+    order stay in it."""
+    e = np.arange(lo, hi)
+    ok = e > (rows[:, -1:] if rows.shape[1] else np.full((len(rows), 1), -1))
+    if along is not None:
+        ok &= (along[rows][:, :, None] != along[e]).all(axis=1)
+    parent, i = np.nonzero(ok)
+    return parent, e[i]
+
+
 def _combinations(m: int, k: int) -> np.ndarray:
     """All k-subsets of range(m) as rows, in lexicographic order."""
-    out = np.zeros((k, 1), dtype=np.int64)          # the empty subset, as a column
-    last = np.full(1, -1)
+    rows = np.zeros((1, 0), dtype=np.int64)
     for j in range(k):
-        # each subset is followed by every entry that still leaves room
-        # for the k - 1 - j after it, in increasing order
-        counts = np.maximum(m - k + j - last, 0)
-        out = np.repeat(out, counts, axis=1)
-        last = np.repeat(last + 1 - np.cumsum(counts) + counts, counts)
-        last += np.arange(len(last))
-        out[j] = last
-    return out.T
+        parent, e = _extend(rows, 0, m - k + j + 1)
+        rows = np.column_stack([rows[parent], e])
+    return rows
+
+
+def _negation_first(sets: np.ndarray, N: int) -> np.ndarray:
+    """Per sorted row of ``sets``: does it come, lexicographically, no later
+    than its negation, N - 1 - the row reversed?  Compared column by column
+    from the last."""
+    first = np.ones(len(sets), dtype=bool)
+    for a, b in zip(sets.T[::-1], N - 1 - sets.T):
+        first = (a < b) | ((a == b) & first)
+    return first
+
+
+def _least_sets(bits: np.ndarray, parts: list[tuple[int, int]], owners: np.ndarray | None = None,
+                along: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The sets least among their sorted images under G maps, permutations
+    of range(N) with the identity first given by their masks ``bits``
+    (``_masks``), built level by level: each prefix of a least set is least,
+    as the i-th smallest element of a superset's image is at most the
+    subset's.  A set takes k elements of each part (size, k) of range(N) in
+    turn; ``owners`` (P, G) marks the maps of each of P owners (one with
+    every map if None); with ``along`` no set holds two elements of one
+    class of it.  Returns (owner, sorted rows), owner-major, then in
+    lexicographic order.
+    """
+    barred = None if owners is None else ~owners
+    P = 1 if owners is None else len(owners)
+    owner, rows, lo = np.arange(P), np.zeros((P, 0), dtype=np.int64), 0
+    for size, k in parts:
+        for j in range(k):
+            parent, e = _extend(rows, lo, lo + size - k + j + 1, along)
+            prefix = bits[rows].sum(axis=1, dtype=bits.dtype)
+            least = np.empty(len(e), dtype=bool)
+            for c in range(0, len(e), _ENUM_BLOCK):     # (block, words, G) keys at a time
+                p, x = parent[c:c + _ENUM_BLOCK], e[c:c + _ENUM_BLOCK]
+                keys = prefix[p] + bits[x]
+                le = keys[:, -1] <= keys[:, -1, :1]     # no image earlier, word by word
+                for w in range(keys.shape[1] - 2, -1, -1):
+                    le = (keys[:, w] < keys[:, w, :1]) | (keys[:, w] == keys[:, w, :1]) & le
+                if barred is not None:
+                    le |= barred[owner[p]]
+                least[c:c + _ENUM_BLOCK] = le.all(axis=1)
+            keep = parent[least]
+            owner, rows = owner[keep], np.column_stack([rows[keep], e[least]])
+        lo += size
+    return owner, rows
 
 
 def _rows_generate_zn(rows: np.ndarray, n: int, s_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,11 +284,8 @@ def _rows_generate_zn(rows: np.ndarray, n: int, s_max: int) -> tuple[np.ndarray,
     n^(n/2) s_max^n), fits, and in int64 otherwise.
     """
     dtype = np.int32 if factorial(n) * s_max ** n < 2 ** 31 else np.int64
-    rows = rows.astype(dtype)
-    subs = _combinations(len(rows), n)
-    minors = np.empty((len(subs), rows.shape[-1]), dtype=dtype)
-    for k, sub in enumerate(subs):
-        minors[k] = det_int_batch(np.moveaxis(rows[sub], -1, 0))
+    subs = list(itertools.combinations(range(len(rows)), n))
+    minors = det_int_batch(np.moveaxis(rows.astype(dtype, order='C')[subs], -1, 1))
     return np.gcd.reduce(minors, axis=0) == 1, minors
 
 
@@ -209,61 +302,72 @@ def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarr
 
 
 def _screened_rows(g: QuotientGraph, n: int, s_max: int,
-                   fold_swap: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+                   orbits: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """The assignments of :func:`enumerate_shift_arrays` as cycle-shift
     matrices (N, r, n), rows in ``facts().cycles`` order, and the n x n
     minors the lattice-generation screen took of them (``_rows_generate_zn``)
     at r = n + 1, where the orbit fold reads them; None at other ranks.
-    The matrices are int8 while s_max < 128 (int64 above).
+    The matrices are int8 while s_max < 128 (int64 above).  A candidate is
+    a pair of loop sets and a set of free bridge shifts, in product order.
 
-    With ``fold_swap``, at r = n + 1 on two vertices only the loop-set
-    pairs (i0, i1) with i0 <= i1 are enumerated: swapping the vertices
-    maps candidate (i0, i1, B) onto (i1, i0, +-B), which lies in the same
-    orbit and passes the same screen, so the first member of every orbit
-    is kept, and in its place in the order.
+    With ``orbits``, at r = n + 1 only candidates that no signed coordinate
+    permutation w maps earlier are built.  S -> S w^T is a basis change that
+    keeps the box, the folds and the screen, so every folded image of an
+    orbit's first member is a kept member, no earlier: first members are
+    built.  Loop sets are least under W and the vertex swap, bridge sets
+    under the maps fixing them, the last element under -I alone.
     """
     if classify(g).kind == "other":
         raise ValueError("shift enumeration supports one- and two-vertex skeletons only")
     bridges, _, loops0 = oriented_star(g, 0)
     loops1 = oriented_star(g, 1)[2]
 
-    classes = np.array(_loop_classes(n, s_max))
-    nonzero = np.array(_nonzero_shifts(n, s_max))
+    nonzero, along, _, _, bits, loop_bits = _box_maps(n, s_max)
+    N, Nc = len(nonzero), len(nonzero) // 2
     k = (len(loops0), len(loops1), max(len(bridges) - 1, 0))
-    raw = comb(len(classes), k[0]) * comb(len(classes), k[1]) * comb(len(nonzero), k[2])
+    raw = comb(Nc, k[0]) * comb(Nc, k[1]) * comb(N, k[2])
     if raw > ENUMERATION_LIMIT:
         raise RuntimeError(
             f"raw shift-assignment count {raw} exceeds limit {ENUMERATION_LIMIT}")
-
-    # loop sets with two proportional shifts, a ``facts()`` violation, are skipped
-    along = np.unique(classes // np.gcd.reduce(classes, axis=1, keepdims=True), axis=0,
-                      return_inverse=True)[1].ravel()      # the direction of each class
-    sets = [s[(np.diff(np.sort(along[s]), axis=1) != 0).all(axis=1)]
-            for s in (_combinations(len(classes), k[0]), _combinations(len(classes), k[1]))]
-    # negating the free bridges reverses the order of ``nonzero``, so of a
-    # set and its negation (the same assignment) the lexicographically
-    # first is kept, compared column by column from the last
-    bridge_sets = _combinations(len(nonzero), k[2])
-    neg = len(nonzero) - 1 - bridge_sets[:, ::-1]
-    first = np.ones(len(neg), dtype=bool)
-    for a, b in zip(bridge_sets.T[::-1], neg.T[::-1]):
-        first = (a < b) | ((a == b) & first)
-    bridge_sets = bridge_sets[first]
     r = sum(k)
-    if fold_swap and r == n + 1 and g.vertex_count == 2:
-        i0, i1 = np.triu_indices(len(sets[0]), m=len(sets[1]))
-    else:
-        i0, i1 = np.indices((len(sets[0]), len(sets[1]))).reshape(2, -1)
+    # the shifts of the classes, then of the free bridges, as rows of C; the
+    # tree is the first bridge, at shift 0: a cycle has its edge's shift
+    table = np.concatenate([nonzero[Nc:], nonzero]).astype(np.int8 if s_max < 2 ** 7 else np.int64)
+    to_cycles = np.argsort(np.concatenate([loops0, loops1, bridges[1:]]))
+
+    if orbits and r == n + 1:
+        # both loop sets as one set on two copies of the classes, then the
+        # bridge sets under the maps whose action on the classes fixes it
+        H = bits.shape[2] // 2
+        loop_bits = loop_bits if k[1] else loop_bits[:Nc, :, :H]
+        q = _least_sets(loop_bits, [(Nc, k[0]), (Nc, k[1])], along=along)[1]
+        keys = loop_bits[q].sum(axis=1)
+        fixing = (keys == keys[..., :1]).all(axis=1)
+        fixing = fixing[:, :H] | fixing[:, H:] if k[1] else fixing
+        owner, b = _least_sets(bits, [(N, max(k[2] - 1, 0))], np.tile(fixing, 2))
+        if k[2]:
+            parent, e = _extend(b, 0, N)
+            owner, b = owner[parent], np.column_stack([b[parent], e])
+            first = _negation_first(b, N)
+            owner, b = owner[first], b[first]
+        C = table[np.concatenate([(q % Nc)[owner], b + Nc], axis=1)[:, to_cycles]]
+        ok, minors = _rows_generate_zn(C.transpose(1, 2, 0), n, s_max)
+        return C[ok], minors[:, ok]
+
+    # every valid loop set; of a bridge set and its negation (the same
+    # assignment) the lexicographically first, compared column by column from
+    # the last, as negation reverses the order of ``nonzero``
+    sets = [_least_sets(loop_bits[..., :1], [(Nc, k[v])], along=along)[1] for v in (0, 1)]
+    bridge_sets = _combinations(N, k[2])
+    bridge_sets = bridge_sets[_negation_first(bridge_sets, N)]
+    i0, i1 = np.indices((len(sets[0]), len(sets[1]))).reshape(2, -1)
     # the shifts of each loop-set pair and of each bridge set as rows of C,
     # (rows, n, pairs or sets): a block of candidates gathers whole rows
-    dtype = np.int8 if s_max < 2 ** 7 else np.int64
-    tables = [np.ascontiguousarray(t.transpose(1, 2, 0), dtype=dtype) for t in
-              (np.concatenate([classes[sets[0][i0]], classes[sets[1][i1]]], axis=1),
-               nonzero[bridge_sets])]
+    tables = [np.ascontiguousarray(t.transpose(1, 2, 0)) for t in
+              (np.concatenate([table[sets[0][i0]], table[sets[1][i1]]], axis=1),
+               table[bridge_sets + Nc])]
     # candidates in product order (loop-set pair, free bridge set),
-    # screened in blocks and kept as (r, n, N); the tree is the first
-    # bridge, at shift 0: a cycle has its edge's shift
-    to_cycles = np.argsort(np.concatenate([loops0, loops1, bridges[1:]]))
+    # screened in blocks and kept as (r, n, N)
     count = len(i0) * len(bridge_sets)
     blocks, minors = [], ([] if r == n + 1 else None)
     for lo in range(0, max(count, 1), _ENUM_BLOCK):    # an empty first block at least
@@ -289,32 +393,22 @@ def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
     cycle-shift matrix (:func:`tree_gauge`).  At circuit rank r = n there
     is one class, as a surjection Z^r -> Z^n is fixed up to a basis change
     by its kernel; its representative is built, nothing enumerated: its
-    cycle-shift matrix is I_n.  At r = n + 1 the enumerated assignments
-    are classed by :func:`_relation_keys`, the first member of each class
-    representing it; at larger r every enumerated assignment is its own
-    class.  Enumerated classes come in first-member order.
-
-    The relation vector is a function of the maximal minors the
-    enumeration's screen took, so only the first assignment with each
-    distinct minor vector is keyed, found by a stable sort and a scan;
-    on two vertices the enumeration leaves out the loop-set pairs that a
-    vertex swap maps onto earlier ones (``_screened_rows``).  D1,3 in R^3
-    keys 766 of 10,125 such assignments (19,380 in all), D5 654 of 5,590.
+    cycle-shift matrix is I_n.  At r = n + 1 the class of an enumerated
+    assignment is keyed by :func:`_relation_keys`, and its first member in
+    the enumeration's order represents it.  Only candidates that no signed
+    coordinate permutation maps earlier are built (``_screened_rows``),
+    every first member among them, and each kept one is keyed once: D1,3
+    in R^3 screens 1,308 candidates in place of 15,379 and keys 786, D5
+    screens 769 in place of 7,514 and keys 531.  At larger r every
+    enumerated assignment is its own class.  Classes come in first-member
+    order.
     """
     if classify(g).circuit_rank == n:
         return tree_gauge(g, np.eye(n, dtype=np.int64)[None])
-    C, minors = _screened_rows(g, n, s_max, fold_swap=True)
-    if minors is None or not len(C):
-        return tree_gauge(g, C)
-    if np.abs(minors).max() < 2 ** 15:
-        minors = minors.astype(np.int16)    # exact, and sorted by radix
-    order = np.lexsort(minors[::-1])
-    ranked = minors[:, order]
-    new = np.ones(len(C), dtype=bool)
-    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-    keyed = np.sort(order[new])             # the least index of each
-    first = np.unique(_relation_keys(g, minors[:, keyed]), return_index=True)[1]
-    return tree_gauge(g, C[keyed[np.sort(first)]])
+    C, minors = _screened_rows(g, n, s_max, orbits=True)
+    if minors is not None:
+        C = C[np.sort(np.unique(_relation_keys(g, minors), return_index=True)[1])]
+    return tree_gauge(g, C)
 
 
 def tree_gauge(g: QuotientGraph, C: np.ndarray) -> np.ndarray:
@@ -339,24 +433,23 @@ def _relation_keys(g: QuotientGraph, minors: np.ndarray) -> np.ndarray:
     change.  Automorphisms act on mu by reversing loops (|mu| on loops),
     permuting within an edge class (sorting) and, on two vertices,
     exchanging the loop classes and reversing the bridges.  The key is the
-    lexicographic rank of the least image, ranked by one sort and a scan.
+    least image with its entries as the digits of one integer in base
+    2B + 1, B the largest |mu_e|, whose order is the lexicographic.
     """
     Z = g.facts().cycles
+    # primitive: the gcd of the minors is 1 on every assignment the screen keeps
     mu = ((-1) ** np.arange(len(Z)) * minors[::-1].T) @ Z
-    mu //= np.gcd.reduce(mu, axis=1, keepdims=True)
 
     bridges, sign, _ = oriented_star(g, 0)
     mu_b = mu[:, bridges] * sign        # oriented 0 -> 1
     loops = [np.sort(np.abs(mu[:, oriented_star(g, v)[2]]), axis=1)
              for v in range(g.vertex_count)]
-    pos, neg = np.sort(mu_b, axis=1), np.sort(-mu_b, axis=1)
+    pos = np.sort(mu_b, axis=1)
+    neg = -pos[:, ::-1]
     images = [np.hstack(loops + [pos]), np.hstack(loops + [neg])]
     if g.vertex_count == 2:
         images += [np.hstack(loops[::-1] + [neg]), np.hstack(loops[::-1] + [pos])]
-    images = np.stack(images, axis=1)
-    rows = images.reshape(-1, images.shape[2])
-    order = np.lexsort(rows.T[::-1])            # the first column is the primary key
-    ranked = rows[order]
-    rank = np.empty(len(rows), dtype=np.int64)
-    rank[order] = np.diff(ranked, axis=0, prepend=ranked[:1]).any(axis=1).cumsum()
-    return rank.reshape(images.shape[:2]).min(axis=1)
+    base, E = 2 * int(np.abs(mu).max(initial=0)) + 1, mu.shape[1]
+    if base ** E > 2 ** 63:     # |mu_e| <= r n! s_max^n: no skeleton under ENUMERATION_LIMIT
+        raise RuntimeError(f"relation vectors up to {base // 2} overflow a {E}-digit key")
+    return (np.stack(images) @ base ** np.arange(E - 1, -1, -1)).min(axis=0)

@@ -507,7 +507,7 @@ def test_stress_bound_is_a_lower_bound_on_every_orbit(tag, n):
     # standard realization, and at every final state, is at most where the
     # orbit ends, and at convergence it is the converged value itself
     g = build_abstract(tag, n)
-    S = optimize._reduced_frame(g, shift_orbits(g, n))
+    S = optimize._reduced_frame(g, shift_orbits(g, n))[0]
     B, X = _standard_realization(g, S)
     proj = netcore._balancing_projector(incidence(g.tails, g.heads, g.vertex_count))
     ST = S.transpose(0, 2, 1).astype(np.float64)
@@ -746,7 +746,7 @@ def test_standard_realization_does_not_depend_on_the_presentation(name, params):
     rng = np.random.default_rng(sum(map(ord, name)) + 11 * net.dim)
 
     def placement(g):
-        S = optimize._reduced_frame(g, g.shifts[None])
+        S = optimize._reduced_frame(g, g.shifts[None])[0]
         B, X, faults = _standard_start(g, S)
         assert not faults.any()
         start = PeriodicNetwork(QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, S[0]),
@@ -784,7 +784,7 @@ def test_failed_standard_placements_start_from_random_draws(monkeypatch):
     # drawn for them alone, and every start passes the checks
     g = build_abstract("D1,3", 2)
     reps = shift_orbits(g, 2)
-    S = optimize._reduced_frame(g, reps)
+    S = optimize._reduced_frame(g, reps)[0]
     B0, X0, faults = _standard_start(g, S)
     fail = faults.any(axis=0)
     assert len(reps) == 238 and faults.sum(axis=1).tolist() == [0, 54, 104]
@@ -832,7 +832,7 @@ def test_random_starts_are_drawn_only_for_failed_placements_and_redraws(monkeypa
     res = minimize_fixed_shifts(g, _config(monkeypatch, seed=1, restarts=4, _MAX_ITER=3))
     assert res.traces.restart_index.tolist() == [0, 1, 2, 3]
     assert counts == [1, 1, 1]
-    S = optimize._reduced_frame(g, g.shifts[None])
+    S = optimize._reduced_frame(g, g.shifts[None])[0]
     rng = np.random.default_rng(np.random.SeedSequence((1, 0)))
     assert np.array_equal(starts[0], _standard_realization(g, S)[0])
     for B in starts[1:]:
@@ -873,10 +873,10 @@ def test_failed_placement_takes_the_first_draw_of_the_stream(monkeypatch, seed):
     # redraw from the next ones: the stream is made once, at the first draw
     g = build_abstract("D1,3", 2)
     reps = shift_orbits(g, 2)
-    S = optimize._reduced_frame(g, reps)
+    S = optimize._reduced_frame(g, reps)[0]
     fail = np.flatnonzero(_standard_start(g, S)[2].any(axis=0))
     g = QuotientGraph(2, g.vertex_count, g.tails, g.heads, reps[fail[0]])
-    S = optimize._reduced_frame(g, g.shifts[None])
+    S = optimize._reduced_frame(g, g.shifts[None])[0]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     draws = [_sample_starts(rng, 1, g, S)[0] for _ in range(3)]
     starts = []
@@ -974,7 +974,7 @@ def test_every_start_of_an_orbit_ends_at_its_one_value(tag, orbits):
     # descent that converges reaches the assignment's one minimum value, and
     # no start of an assignment with a minimum collapses an edge instead
     g = build_abstract(tag, 3)
-    frames = optimize._reduced_frame(g, shift_orbits(g, 3))
+    frames = optimize._reduced_frame(g, shift_orbits(g, 3))[0]
     assert len(frames) == orbits
     S = np.repeat(frames, 10, axis=0)
     rng = np.random.default_rng(np.random.SeedSequence((2024, 0)))
@@ -1105,20 +1105,21 @@ def _reference_in_frame_of(g, S, B, X):
                                          ("sqp", {})])
 def test_map_back_walks_the_tree_as_the_second_solve_did(name, params):
     # circuit rank r = n (dia, cds) and r > n (bnn, sqp): the map-back of a
-    # descended network from its reduced frame equals, bit for bit, the one
-    # that solved for the vertex potential.  At r = n + 1 the cycle shifts
-    # of every frame obey the relation mu of C_g, so a frame with one shift
-    # row changed on an edge that mu weighs has no map-back: the exact
-    # check of int_solve refuses it, as C_g U = C_S has no integer U.  The
-    # vertex-potential check after it cannot fire once that check holds
-    # (D = S_g U - S then has no cycle shift).  At r = n every integer
-    # frame solves (C_g is unimodular) and the two maps still agree
+    # descended network from its reduced frame, with the U that frame
+    # applied, equals, bit for bit, the one that solved for U and for the
+    # vertex potential.  At r = n + 1 the cycle shifts of every frame obey
+    # the relation mu of C_g, so a frame with one shift row changed on an
+    # edge that mu weighs has no map-back: no integer U solves C_g U = C_S,
+    # and with the reduced frame's U the walk's exact check refuses it, as
+    # D = S_g U - S keeps a cycle shift.  At r = n every integer frame
+    # solves (C_g is unimodular) and the two maps still agree
     net, _ = catalog(name, **params)
     rng = np.random.default_rng(sum(map(ord, name)))
     for _ in range(4):
         g = _rewritten(net, rng).graph
         Z = g.facts().cycles
-        S = optimize._reduced_frame(g, g.shifts[None])
+        S, U = optimize._reduced_frame(g, g.shifts[None])
+        assert np.array_equal(U[0], int_solve(Z @ g.shifts, Z @ S[0]))
         batch = _Batch(g, S, *_standard_realization(g, S))
         batch.run()
         B, X = batch.B[0], batch.X[0]
@@ -1128,9 +1129,11 @@ def test_map_back_walks_the_tree_as_the_second_solve_did(name, params):
         for frame in (S[0], bad):
             if frame is bad and len(Z) > g.dim:
                 with pytest.raises(RuntimeError, match="integer solve failed"):
-                    optimize._in_frame_of(g, frame, B, X)
+                    int_solve(Z @ g.shifts, Z @ frame)
+                with pytest.raises(RuntimeError, match="map back failed"):
+                    optimize._in_frame_of(g, frame, U[0], B, X)
                 continue
-            got = optimize._in_frame_of(g, frame, B, X)
+            got = optimize._in_frame_of(g, frame, int_solve(Z @ g.shifts, Z @ frame), B, X)
             want = _reference_in_frame_of(g, frame, B, X)
             assert got.graph is g
             assert np.array_equal(got.lattice.basis, want.lattice.basis)
@@ -1167,9 +1170,9 @@ def _reference_frame(g, reps):
     """``_reduced_frame`` assignment by assignment: U = C^-1 at circuit rank
     r = n, the reference sweep's U at r > n."""
     C = g.facts().cycles @ reps
-    U = [int_solve(c, np.eye(g.dim, dtype=np.int64)) if len(c) == g.dim
-         else _reference_greedy_reduce(c)[1] for c in C]
-    return tree_gauge(g, C @ np.stack(U))
+    U = np.stack([int_solve(c, np.eye(g.dim, dtype=np.int64)) if len(c) == g.dim
+                  else _reference_greedy_reduce(c)[1] for c in C])
+    return tree_gauge(g, C @ U), U
 
 
 @pytest.mark.parametrize("tag,n,s_max", [("D1,3", 3, 1), ("D5", 3, 1), ("B4", 3, 1),
@@ -1186,9 +1189,10 @@ def test_stacked_reduction_matches_the_matrix_by_matrix_sweep(tag, n, s_max):
     for c, cu, u in zip(C, CU, U):
         ref_cu, ref_u = _reference_greedy_reduce(c)
         assert np.array_equal(u, ref_u) and np.array_equal(cu, ref_cu)
-    frames = optimize._reduced_frame(g, reps)
-    ref = _reference_frame(g, reps)
+    frames, U = optimize._reduced_frame(g, reps)
+    ref, ref_u = _reference_frame(g, reps)
     assert frames.dtype == ref.dtype and np.array_equal(frames, ref)
+    assert U.dtype == ref_u.dtype and np.array_equal(U, ref_u)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

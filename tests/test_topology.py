@@ -301,20 +301,22 @@ def test_shift_orbit_counts(tag, n, count):
         assert np.array_equal(first, np.sort(first))
 
 
-@pytest.mark.parametrize("tag,keyed,enumerated", [("D1,3", 766, 19380), ("D5", 654, 5590)])
-def test_shift_orbits_key_distinct_relation_vectors_only(monkeypatch, tag, keyed, enumerated):
-    # the relation vector is a function of the maximal minors the
-    # enumeration's screen takes, so one assignment per distinct minor
-    # vector is keyed, not every enumerated one; on two vertices with loops
-    # (D1,3) only the loop-set pairs of one order under the vertex swap are
-    # enumerated for the orbits
-    rows = []
-    keys = topology._relation_keys
+@pytest.mark.parametrize("tag,screened,keyed,enumerated", [("D1,3", 1308, 786, 19380),
+                                                           ("D5", 769, 531, 5590)])
+def test_shift_orbits_screen_and_key_the_folded_candidates_once(monkeypatch, tag, screened,
+                                                                keyed, enumerated):
+    # the orbit search builds only the candidates that no signed coordinate
+    # permutation maps earlier, screens them in one pass and keys every kept
+    # one once, a small share of the assignments the enumeration keeps
+    rows, keys = [], []
+    screen, relation_keys = topology._rows_generate_zn, topology._relation_keys
+    monkeypatch.setattr(topology, "_rows_generate_zn",
+                        lambda C, n, s_max: rows.append(C.shape[-1]) or screen(C, n, s_max))
     monkeypatch.setattr(topology, "_relation_keys",
-                        lambda g, minors: rows.append(minors.shape[1]) or keys(g, minors))
+                        lambda g, minors: keys.append(minors.shape[1]) or relation_keys(g, minors))
     skeleton = build_abstract(tag, 3)
     shift_orbits(skeleton, 3, 1)
-    assert rows == [keyed]
+    assert rows == [screened] and keys == [keyed]
     assert len(enumerate_shift_arrays(skeleton, 3, 1)) == enumerated
 
 
@@ -522,6 +524,135 @@ def test_circuit_rank_n_orbit_is_built_not_enumerated(monkeypatch, tag, n):
     res = minimize_topology(tag, n, OptimizeConfig(seed=0, restarts=4))
     assert np.array_equal(res.shifts, reps[0]) and res.assignment_index == 0
     assert np.isfinite(res.value) and validate(res.network).ok
+
+
+def _rows(sets, k):
+    """Index sets of size k as the rows of an int64 array."""
+    sets = list(sets)
+    return np.array(sets, dtype=np.int64).reshape(len(sets), k)
+
+
+def _signed_permutation_actions(n, s_max):
+    """Every signed coordinate permutation w of Z^n as permutations of the
+    indices of the nonzero shifts of the box (product order) and of the
+    sign-canonical loop classes, built from the matrices one by one."""
+    nonzero = [s for s in product(range(-s_max, s_max + 1), repeat=n) if any(s)]
+    classes = sorted({max(s, tuple(-x for x in s)) for s in nonzero})
+    at, cls = {s: i for i, s in enumerate(nonzero)}, {c: i for i, c in enumerate(classes)}
+    shifts, loops = [], []
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            w = np.eye(n, dtype=np.int64)[list(perm)] * np.array(signs)[:, None]
+            images = [tuple((w @ s).tolist()) for s in nonzero]
+            shifts.append([at[s] for s in images])
+            loops.append([cls[max(s, tuple(-x for x in s))] for s in images[len(classes):]])
+    return np.array(shifts), np.array(loops)
+
+
+def _lex_index(sets, base):
+    """Sorted index rows as integers whose order is the lexicographic."""
+    return sets @ base ** np.arange(sets.shape[1] - 1, -1, -1)
+
+
+@pytest.mark.parametrize("tag,n,s_max", [
+    ("D5", 3, 1), ("D1,3", 3, 1), ("D2,1", 3, 1), ("B4", 3, 1),
+    ("D4", 2, 1), ("D4", 2, 2), ("D1,2", 2, 1), ("D1,2", 2, 2), ("B3", 2, 1), ("B3", 2, 2),
+])
+def test_signed_permutations_map_the_folded_enumeration_onto_itself(tag, n, s_max):
+    # the premise of the orbit search's fold: for every signed coordinate
+    # permutation w, the image of each candidate of the enumeration (loop
+    # sets on sign-canonical classes, q0 <= q1 on two vertices, a bridge set
+    # no later than its negation), folded by loop sign, bridge negation and
+    # vertex swap, is a candidate with the same screen verdict; and the maps
+    # the search takes (_box_maps) are these, the identity first and -w
+    # half of them after w
+    g = build_abstract(tag, n)
+    top = classify(g)
+    shifts, loops = _signed_permutation_actions(n, s_max)
+    _, _, maps, loop_maps, _, _ = topology._box_maps(n, s_max)
+    G, N = shifts.shape
+    Nc = N // 2
+    assert sorted(map(tuple, maps.tolist())) == sorted(map(tuple, shifts.tolist()))
+    assert np.array_equal(maps[0], np.arange(N))
+    assert np.array_equal(maps[G // 2:], N - 1 - maps[:G // 2])
+    assert sorted(map(tuple, loop_maps[:G // 2, :Nc].tolist())) == \
+        sorted(set(map(tuple, loops.tolist())))
+    assert np.array_equal(loop_maps[G // 2:], np.roll(loop_maps[:G // 2], Nc, axis=1))
+
+    classes = np.array(sorted({max(s, tuple(-x for x in s)) for s in
+                               product(range(-s_max, s_max + 1), repeat=n) if any(s)}))
+    nonzero = np.array([s for s in product(range(-s_max, s_max + 1), repeat=n) if any(s)])
+    sets = [c for c in combinations(range(Nc), top.loops)
+            if not any(_proportional(classes[a], classes[b]) for a, b in combinations(c, 2))]
+    pairs = [(a, b) for i, a in enumerate(sets) for b in sets[i:]] if top.vertex_count == 2 \
+        else [(a, ()) for a in sets]
+    free = max(top.bridges - 1, 0)
+    bridge_sets = [b for b in combinations(range(N), free)
+                   if b <= tuple(sorted(N - 1 - x for x in b))]
+    q0, q1, b = (_rows(x, k) for x, k in
+                 (([p[0] for p in pairs for _ in bridge_sets], top.loops),
+                  ([p[1] for p in pairs for _ in bridge_sets], top.loops * (top.vertex_count - 1)),
+                  ([x for _ in pairs for x in bridge_sets], free)))
+    C = np.concatenate([classes[q0], classes[q1], nonzero[b]], axis=1)
+    minors = np.stack([det_int_batch(C[:, list(sub)])
+                       for sub in combinations(range(C.shape[1]), n)])
+    verdict = np.gcd.reduce(minors, axis=0) == 1
+    base = N + 1
+
+    def code(q0, q1, b):
+        return (_lex_index(q0, base) * base ** q1.shape[1] + _lex_index(q1, base)) \
+            * base ** b.shape[1] + _lex_index(b, base)
+
+    codes = code(q0, q1, b)
+    order = np.argsort(codes)
+    assert len(np.unique(codes)) == len(codes)
+    for w in range(G):
+        i0, i1 = np.sort(loops[w][q0], axis=1), np.sort(loops[w][q1], axis=1)
+        if top.vertex_count == 2:
+            swap = _lex_index(i1, base) < _lex_index(i0, base)
+            i0[swap], i1[swap] = i1[swap], i0[swap]
+        ib, neg = np.sort(shifts[w][b], axis=1), np.sort(N - 1 - shifts[w][b], axis=1)
+        ib = np.where((_lex_index(neg, base) < _lex_index(ib, base))[:, None], neg, ib)
+        image = code(i0, i1, ib)
+        pos = order[np.minimum(np.searchsorted(codes, image, sorter=order), len(codes) - 1)]
+        assert np.array_equal(codes[pos], image), w
+        assert np.array_equal(verdict[pos], verdict), w
+
+
+def _least_by_brute_force(maps, subsets, owners):
+    """Per owner (row of ``owners``), the rows of ``subsets`` (M, k), sorted
+    index sets, that no map the owner takes sends to a lexicographically
+    earlier sorted set."""
+    if not subsets.shape[1]:
+        return [subsets for _ in owners]
+    diff = np.sign(np.sort(maps[:, subsets], axis=2) - subsets)          # (G, M, k)
+    first = np.take_along_axis(diff, (diff != 0).argmax(axis=2)[..., None], 2)[..., 0]
+    return [subsets[~((first < 0) & own[:, None]).any(axis=0)] for own in owners]
+
+
+@pytest.mark.parametrize("n,s_max,k_max", [(2, 1, 4), (2, 2, 4), (3, 1, 4), (3, 2, 2)])
+def test_least_sets_match_an_exhaustive_check(n, s_max, k_max):
+    # the level-by-level generator against every k-subset checked under
+    # every map: the full group W on the nonzero shifts and the stabilizer
+    # of shift 0, as two owners and as one; and on the loop classes, with
+    # proportional classes kept apart.  N = 124 at n = 3, s_max = 2 takes
+    # two words of mask; N = 8, 24 and 26 below take one
+    _, along, maps, loop_maps, bits, _ = topology._box_maps(n, s_max)
+    G, N = maps.shape
+    owners = np.stack([np.ones(G, dtype=bool), maps[:, 0] == 0])
+    classes = loop_maps[:G // 2, :N // 2]
+    class_bits = topology._masks(classes)
+    for k in range(k_max + 1):
+        subsets = _rows(combinations(range(N), k), k)
+        want = _least_by_brute_force(maps, subsets, owners)
+        owner, got = topology._least_sets(bits, [(N, k)], owners)
+        assert np.array_equal(owner, np.repeat([0, 1], [len(w) for w in want]))
+        assert np.array_equal(got, np.concatenate(want))
+        assert np.array_equal(topology._least_sets(bits, [(N, k)])[1], want[0])
+        subsets = _rows([c for c in combinations(range(N // 2), k)
+                         if len(set(along[list(c)].tolist())) == k], k)
+        want = _least_by_brute_force(classes, subsets, owners[:1, :G // 2])[0]
+        assert np.array_equal(topology._least_sets(class_bits, [(N // 2, k)], along=along)[1], want)
 
 
 def test_combinations_match_itertools():
