@@ -171,9 +171,8 @@ def _box_maps(n: int, s_max: int) -> tuple[np.ndarray, ...]:
     """
     P = np.array(_nonzero_shifts(n, s_max))
     half, digits = len(P) // 2, (2 * s_max + 1) ** np.arange(n - 1, -1, -1)
-    signs = np.array(list(itertools.product((1, -1), repeat=n - 1)))
-    signs = np.concatenate([np.hstack([np.ones_like(signs[:, :1]), signs])] * 2) * \
-        np.repeat([1, -1], len(signs))[:, None]
+    signs = np.array([(1,) + s for s in itertools.product((1, -1), repeat=n - 1)])
+    signs = np.concatenate([signs, -signs])
     images = P[:, list(itertools.permutations(range(n)))] * signs[:, None, None]
     code = ((images + s_max) @ digits).transpose(0, 2, 1).reshape(-1, len(P))
     along = (P[half:] // np.gcd.reduce(P[half:], axis=1, keepdims=True) + s_max) @ digits - half - 1
@@ -284,8 +283,9 @@ def _rows_generate_zn(rows: np.ndarray, n: int, s_max: int) -> tuple[np.ndarray,
     n^(n/2) s_max^n), fits, and in int64 otherwise.
     """
     dtype = np.int32 if factorial(n) * s_max ** n < 2 ** 31 else np.int64
-    subs = list(itertools.combinations(range(len(rows)), n))
-    minors = det_int_batch(np.moveaxis(rows.astype(dtype, order='C')[subs], -1, 1))
+    rows = rows.astype(dtype, order='C')
+    minors = np.stack([det_int_batch(np.moveaxis(rows[list(sub)], -1, 0))
+                       for sub in itertools.combinations(range(len(rows)), n)])
     return np.gcd.reduce(minors, axis=0) == 1, minors
 
 
@@ -354,9 +354,8 @@ def _screened_rows(g: QuotientGraph, n: int, s_max: int,
         ok, minors = _rows_generate_zn(C.transpose(1, 2, 0), n, s_max)
         return C[ok], minors[:, ok]
 
-    # every valid loop set; of a bridge set and its negation (the same
-    # assignment) the lexicographically first, compared column by column from
-    # the last, as negation reverses the order of ``nonzero``
+    # every valid loop set, and of a bridge set and its negation (the same
+    # assignment) the first
     sets = [_least_sets(loop_bits[..., :1], [(Nc, k[v])], along=along)[1] for v in (0, 1)]
     bridge_sets = _combinations(N, k[2])
     bridge_sets = bridge_sets[_negation_first(bridge_sets, N)]
