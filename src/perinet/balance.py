@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (PeriodicNetwork, as_stack, edge_norms, incidence, lifted_edges,
-                      oriented_star, vertex_forces, with_positions)
+from .netcore import (PeriodicNetwork, as_stack, edge_norms, lifted_edges, oriented_star,
+                      vertex_forces, with_positions)
 
 MEDIAN_TOL = 1e-10
 MEDIAN_MAX_ITER = 10_000
@@ -43,9 +43,15 @@ def force(net: PeriodicNetwork, v: int) -> np.ndarray:
 
 
 def _known_vertex(net: PeriodicNetwork, v: int) -> int:
-    if not 0 <= v < net.graph.vertex_count:
+    """``v`` as a Python int, refused unless it is an integer (not a bool,
+    which numpy would read as a mask) naming a vertex of the graph."""
+    try:
+        i = None if isinstance(v, (bool, np.bool_)) else operator.index(v)
+    except TypeError:
+        i = None
+    if i is None or not 0 <= i < net.graph.vertex_count:
         raise ValueError(f"unknown vertex id {v}")
-    return v
+    return i
 
 
 def force_all(net: PeriodicNetwork) -> ForceResult:
@@ -54,13 +60,13 @@ def force_all(net: PeriodicNetwork) -> ForceResult:
     ell = edge_norms(vecs)
     if not ell.all():
         raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
-    out = vertex_forces(incidence(g.tails, g.heads, g.vertex_count), vecs / ell[..., None])[0]
+    out = vertex_forces(g.skeleton().incidence, vecs / ell[..., None])[0]
     return ForceResult(forces=out, max_norm=float(np.linalg.norm(out, axis=1).max()))
 
 
 def is_balanced(net: PeriodicNetwork, tol: float = 1e-9) -> bool:
     """True iff every vertex force norm is at most ``tol``."""
-    if tol <= 0:
+    if not tol > 0:     # NaN too
         raise ValueError("tolerance must be positive")
     return force_all(net).max_norm <= tol
 
@@ -183,7 +189,7 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
         raise ValueError("need at least two points")
     if not np.isfinite(pts).all():
         raise ValueError("non-finite point coordinates")
-    if tol <= 0:
+    if not tol > 0:     # NaN too
         raise ValueError("tolerance must be positive")
     P = pts.tolist()
     cols = list(zip(*P))
@@ -253,6 +259,7 @@ def rebalance_vertex(net: PeriodicNetwork, v: int) -> tuple[PeriodicNetwork, boo
     the median lands on a neighbour, so that an incident edge collapsed.
     Loop-only vertices are already critical and are returned unchanged.
     """
+    v = _known_vertex(net, v)
     pts = lifted_neighbours(net, v)
     if len(pts) == 0:
         return net, False

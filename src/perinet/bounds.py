@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .intlinalg import det_int, int_solve
-from .netcore import (PeriodicNetwork, _balancing_projector, _length_quotient, _stress_bounds,
-                      _validate, as_stack, edge_norms, incidence, lifted_edges, oriented_star)
+from .netcore import (PeriodicNetwork, _length_quotient, _stress_bounds, _validate, as_stack,
+                      edge_norms, lifted_edges, oriented_star)
 from .topology import TopologyClass, classify
 
 SLACK_TOL = 1e-9         # inequality slack tolerance
@@ -416,7 +416,7 @@ def stress_bound(net: PeriodicNetwork) -> StressBound:
     """
     g = net.graph
     X, B, ST = as_stack(net)
-    proj = _balancing_projector(incidence(g.tails, g.heads, g.vertex_count))
+    proj = g.skeleton().projector()
     with np.errstate(invalid='ignore'):     # an infinite entry, or no stress left, gives NaN
         vec = lifted_edges(X, B, ST, g.tails, g.heads)
         ell = edge_norms(vec)

@@ -10,6 +10,7 @@ for every integer vector k, where B is the basis matrix.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -88,7 +89,7 @@ class QuotientGraph:
         return np.bincount(self.tails, minlength=V) + np.bincount(self.heads, minlength=V)
 
     def is_connected(self) -> bool:
-        return self.facts().connected
+        return self.skeleton().connected
 
     def cycle_shift_matrix(self) -> np.ndarray:
         """Net shifts around the fundamental cycles of a spanning tree.
@@ -97,11 +98,23 @@ class QuotientGraph:
         non-tree edge closes.  For a connected graph the row count is the
         circuit rank.
         """
-        return self.facts().cycles @ self.shifts
+        return self.skeleton().cycles @ self.shifts
+
+    def skeleton(self) -> "Skeleton":
+        """The record of the graph's skeleton (vertex count, tails, heads),
+        looked up on the first request and kept: one record is shared by
+        every graph over the skeleton (``Skeleton``)."""
+        if "_skeleton" not in self.__dict__:
+            key = (self.vertex_count, tuple(self.tails.tolist()), tuple(self.heads.tolist()))
+            record = _SKELETONS.get(key) or \
+                _SKELETONS.setdefault(key, _skeleton(*key, self.tails, self.heads))
+            object.__setattr__(self, "_skeleton", record)
+        return self.__dict__["_skeleton"]
 
     def facts(self) -> "GraphFacts":
-        """The graph's combinatorial facts, computed in one pass on the first
-        request and kept; the graph is frozen, so they never go stale."""
+        """The graph's combinatorial facts: its skeleton's record and one
+        pass over its shifts, made on the first request and kept; the graph
+        is frozen, so they never go stale."""
         if "_facts" not in self.__dict__:
             object.__setattr__(self, "_facts", _graph_facts(self))
         return self.__dict__["_facts"]
@@ -192,7 +205,9 @@ class GraphFacts:
     ``cut_edges`` are the tree edges on no cycle (the bridges of a
     connected graph), in edge order; ``end_pairs`` are the pairs of edge
     ends of the immersion test (see :func:`end_pairs`); ``loops`` counts
-    the loops at each vertex.
+    the loops at each vertex.  Those six and ``degree`` and ``connected``
+    are the skeleton's (``Skeleton``), the same objects for every graph
+    over it; the rest reads the shifts.
     """
 
     degree: int | None
@@ -205,6 +220,106 @@ class GraphFacts:
     cut_edges: tuple[int, ...]
     end_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
     loops: tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class Skeleton:
+    """What the checks ask of a skeleton (vertex count, tails, heads), the
+    quotient graph without its shifts: one record per skeleton, held by
+    every graph over it (``QuotientGraph.skeleton``) and kept while one
+    lives.  The same edges in another order are another skeleton.
+
+    ``tails`` and ``heads`` are Python ints; ``degree``, ``connected``,
+    ``tree``, ``cycles``, ``cut_edges``, ``end_pairs`` and ``loops`` are the
+    :class:`GraphFacts` fields of every graph over it; ``stars`` are the
+    oriented stars of the vertices (:func:`oriented_star`); ``incidence``
+    is the (E, V) signed incidence (:func:`incidence`); ``faults`` are the
+    violation strings of degree and connectivity, which ``validate`` lists
+    first.  Every array is read-only.
+    """
+
+    vertex_count: int
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    degree: int | None
+    connected: bool
+    tree: tuple[int, ...]
+    cycles: np.ndarray
+    cut_edges: tuple[int, ...]
+    end_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    loops: tuple[int, ...]
+    stars: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    incidence: np.ndarray
+    faults: tuple[str, ...]
+
+    def projector(self) -> np.ndarray:
+        """The balancing projector of ``incidence`` (``_balancing_projector``),
+        built on the first request and kept, read-only."""
+        if "_projector" not in self.__dict__:
+            object.__setattr__(self, "_projector", _freeze(_balancing_projector(self.incidence)))
+        return self.__dict__["_projector"]
+
+
+# the record of every skeleton some live graph holds, by (vertex count,
+# tails, heads); an entry goes with the last graph holding its record
+_SKELETONS: "weakref.WeakValueDictionary[tuple, Skeleton]" = weakref.WeakValueDictionary()
+
+
+def _skeleton(V: int, tails: tuple[int, ...], heads: tuple[int, ...],
+              tail_array: np.ndarray, head_array: np.ndarray) -> Skeleton:
+    """The record of a skeleton from one pass over its edge list and one
+    spanning-tree walk.  Tiny graphs are the common case, so the walk runs
+    on Python ints."""
+    E = len(tails)
+    star = [[] for _ in range(V)]       # (edge, +1 leaving / -1 entering, far end)
+    at = [[] for _ in range(V)]         # the loops at each vertex
+    for e, (t, h) in enumerate(zip(tails, heads)):
+        if t == h:
+            at[t].append(e)
+        else:
+            star[t].append((e, 1, h))
+            star[h].append((e, -1, t))
+    deg = [len(s) + 2 * len(a) for s, a in zip(star, at)]
+
+    # path[v]: the signed edges of the tree path from vertex 0 to v
+    path = [[0] * E for _ in range(V)]
+    reached, tree, stack = {0}, [], [0]
+    # once every vertex is reached, no edge is left to join the tree
+    while stack and len(reached) < V:
+        v = stack.pop()
+        for e, sign, w in star[v]:
+            if w in reached:
+                continue
+            reached.add(w)
+            tree.append(e)
+            path[w] = path[v].copy()
+            path[w][e] += sign
+            stack.append(w)
+    in_tree = set(tree)
+    rows = []
+    for e in range(E):
+        if e not in in_tree:
+            rows.append([p - q for p, q in zip(path[tails[e]], path[heads[e]])])
+            rows[-1][e] += 1
+    connected = len(reached) == V
+
+    faults = []
+    regular = deg.count(deg[0]) == V
+    degree = deg[0] if regular else None
+    if not regular:
+        faults.append(f"degrees not regular: {deg}")
+    elif degree < 3:
+        faults.append(f"degree {degree} < 3")
+    if not connected:
+        faults.append("quotient graph disconnected")
+    stars = tuple((_freeze([e for e, _, _ in s], np.int64),
+                   _freeze([sign for _, sign, _ in s], np.int64), _freeze(a, np.int64))
+                  for s, a in zip(star, at))
+    return Skeleton(
+        V, tails, heads, degree, connected, tuple(tree), _freeze(rows, np.int64, (len(rows), E)),
+        tuple(sorted(e for e in tree if not any(row[e] for row in rows))),
+        tuple(map(_freeze, end_pairs(tail_array, head_array, V))), tuple(map(len, at)), stars,
+        _freeze(incidence(tail_array, head_array, V)), tuple(faults))
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +377,16 @@ def _stress_bounds(proj: np.ndarray, units: np.ndarray, S: np.ndarray) -> np.nda
     return n ** n * np.abs(np.linalg.det(u.transpose(0, 2, 1) @ S))
 
 
+_NO_STAR = tuple(_freeze([], np.int64) for _ in range(3))
+
+
 def oriented_star(g: QuotientGraph, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges at vertex ``v``: its non-loop edges in edge order, their
-    signs (+1 where the edge leaves v, -1 where it enters), and its loops.
-    A star has a few edges, so one pass over Python ints costs less than
-    numpy's masks."""
-    edges, sign, loops = [], [], []
-    for e, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
-        if t == h:
-            if t == v:
-                loops.append(e)
-        elif t == v or h == v:
-            edges.append(e)
-            sign.append(1 if t == v else -1)
-    return (np.array(edges, dtype=np.int64), np.array(sign, dtype=np.int64),
-            np.array(loops, dtype=np.int64))
+    signs (+1 where the edge leaves v, -1 where it enters), and its loops;
+    all three empty for a vertex the graph lacks.  They are read off the
+    skeleton's record (``Skeleton.stars``), read-only and shared."""
+    stars = g.skeleton().stars
+    return stars[v] if 0 <= v < len(stars) else _NO_STAR
 
 
 def end_pairs(tails: np.ndarray, heads: np.ndarray,
@@ -362,19 +472,14 @@ def _length_quotient(net: PeriodicNetwork, ell: np.ndarray) -> float:
 
 
 def _graph_facts(g: QuotientGraph) -> GraphFacts:
-    """The facts of ``g`` from one pass over its edge list and one
-    spanning-tree walk, its violation strings in ``validate``'s order.
-    Tiny graphs are the common case, so the walk runs on Python ints."""
-    V, E = g.vertex_count, g.edge_count
-    tails, heads = g.tails.tolist(), g.heads.tolist()
-    deg, loops, bare, repeated, parallel, seen = [0] * V, [0] * V, [], [], [], set()
-    star = [[] for _ in range(V)]       # (edge, +1 leaving / -1 entering, far end)
+    """The facts of ``g``: its skeleton's record (``QuotientGraph.skeleton``)
+    and what one pass over its shifts adds, the violation strings in
+    ``validate``'s order."""
+    sk = g.skeleton()
+    bare, repeated, parallel, seen = [], [], [], set()
     along = {}                          # (vertex, loop direction) -> first loop, its shift
-    for e, (t, h, s) in enumerate(zip(tails, heads, map(tuple, g.shifts.tolist()))):
-        deg[t] += 1
-        deg[h] += 1
+    for e, (t, h, s) in enumerate(zip(sk.tails, sk.heads, map(tuple, g.shifts.tolist()))):
         if t == h:
-            loops[t] += 1
             if not any(s):      # a zero-length lift edge
                 bare.append(e)
             else:   # loops with proportional shifts leave t in one direction
@@ -382,60 +487,21 @@ def _graph_facts(g: QuotientGraph) -> GraphFacts:
                 f, s0 = along.setdefault((t, max(p, tuple(-x for x in p))), (e, s))
                 if s0 != s and s0 != tuple(-x for x in s):      # else a duplicate
                     parallel.append(f"loop {e} parallel to loop {f}")
-        else:
-            star[t].append((e, 1, h))
-            star[h].append((e, -1, t))
         # an edge read backwards, (h, t, -s), is the same edge
         key = min((t, h, s), (h, t, tuple(-x for x in s)))
         if key in seen:
             repeated.append((t, h, s))
         seen.add(key)
+    factors = smith_invariant_factors(sk.cycles @ g.shifts)
 
-    # path[v]: the signed edges of the tree path from vertex 0 to v
-    path = [[0] * E for _ in range(V)]
-    reached, tree, stack = {0}, [], [0]
-    # once every vertex is reached, no edge is left to join the tree
-    while stack and len(reached) < V:
-        v = stack.pop()
-        for e, sign, w in star[v]:
-            if w in reached:
-                continue
-            reached.add(w)
-            tree.append(e)
-            path[w] = path[v].copy()
-            path[w][e] += sign
-            stack.append(w)
-    in_tree = set(tree)
-    rows = []
-    for e in range(E):
-        if e not in in_tree:
-            rows.append([p - q for p, q in zip(path[tails[e]], path[heads[e]])])
-            rows[-1][e] += 1
-    cycles = np.array(rows, dtype=np.int64).reshape(len(rows), E)
-    factors = smith_invariant_factors(cycles @ g.shifts)
-    connected = len(reached) == V
-
-    before: list[str] = []
+    before = sk.faults + tuple(f"loop {e} has zero shift" for e in bare)
     after = [f"duplicate edge {edge}" for edge in repeated] + parallel
-    regular = deg.count(deg[0]) == V
-    degree = deg[0] if regular else None
-    if not regular:
-        before.append(f"degrees not regular: {deg}")
-    elif degree < 3:
-        before.append(f"degree {degree} < 3")
-    if not connected:
-        before.append("quotient graph disconnected")
-    before += [f"loop {e} has zero shift" for e in bare]
     if len(factors) != g.dim:
         after.append(f"cycle-shift rank {len(factors)} < dimension {g.dim}")
     elif factors != (1,) * g.dim:
         after.append(f"lift disconnected: invariant factors {factors}")
-
-    return GraphFacts(
-        degree, connected, not repeated, factors, (tuple(before), tuple(after)),
-        tuple(tree), _freeze(cycles),
-        tuple(sorted(e for e in tree if not any(row[e] for row in rows))),
-        tuple(map(_freeze, end_pairs(g.tails, g.heads, V))), tuple(loops))
+    return GraphFacts(sk.degree, sk.connected, not repeated, factors, (before, tuple(after)),
+                      sk.tree, sk.cycles, sk.cut_edges, sk.end_pairs, sk.loops)
 
 
 def validate(net: PeriodicNetwork) -> ValidityReport:

@@ -50,9 +50,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .intlinalg import greedy_reduce, int_solve
-from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _balancing_projector,
-                      _length_quotient, _stress_bounds, as_stack, edge_norms, incidence,
-                      lifted_edges, parallel_ends, vertex_forces)
+from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _length_quotient,
+                      _stress_bounds, as_stack, edge_norms, lifted_edges, parallel_ends,
+                      vertex_forces)
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits, tree_gauge
 
 # a bounded run stopped where its orbit's stress bound passed a value the
@@ -159,10 +159,10 @@ def _in_frame_of(g: QuotientGraph, S: np.ndarray, U: np.ndarray, B: np.ndarray,
     walked along the spanning tree, and x_v - B k_v keeps every edge
     vector.  The walk checks D exactly, and with it C_g U = C_S.
     """
-    facts, tails, heads = g.facts(), g.tails, g.heads
+    tails, heads = g.tails, g.heads
     D = g.shifts @ U - S
     k, placed = np.zeros((g.vertex_count, g.dim), dtype=np.int64), {0}
-    for e in facts.tree:        # walk order: one end of each edge is placed
+    for e in g.skeleton().tree:     # walk order: one end of each edge is placed
         old, new, s = (tails[e], heads[e], 1) if tails[e] in placed else (heads[e], tails[e], -1)
         k[new] = k[old] + s * D[e]
         placed.add(new)
@@ -178,7 +178,7 @@ class _Batch:
 
     def __init__(self, g: QuotientGraph, S: np.ndarray, B: np.ndarray, X: np.ndarray):
         n = self.n = g.dim
-        self.tails, self.heads, self.V = g.tails, g.heads, g.vertex_count
+        self.tails, self.heads, self.skeleton = g.tails, g.heads, g.skeleton()
         N = len(B)
         self.B = np.array(B, dtype=np.float64)
         self.X = np.array(X, dtype=np.float64)
@@ -187,7 +187,7 @@ class _Batch:
         self.status = np.zeros(N, dtype=np.uint8)
         self.iters = np.zeros(N, dtype=np.int32)
         self.tail_steps = np.zeros(N, dtype=np.int32)
-        self.P = incidence(self.tails, self.heads, self.V)
+        self.P = self.skeleton.incidence
         self.S = np.array(S, dtype=np.float64)
         self.ST = np.ascontiguousarray(self.S.transpose(0, 2, 1))
         with np.errstate(divide='ignore', invalid='ignore'):
@@ -255,7 +255,7 @@ class _Batch:
         live = slice(None) if len(idx) == len(self.status) else idx
         w = SimpleNamespace(**{k: getattr(self, k)[live] for k in _LIVE})
         if ub is not None:
-            proj = _balancing_projector(self.P)
+            proj = self.skeleton.projector()
         with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
             for step in range(_MAX_ITER):
                 if len(idx) == 0:
@@ -385,7 +385,7 @@ def _start_faults(g: QuotientGraph, B: np.ndarray, X: np.ndarray, S_int):
     vec = lifted_edges(X, B, ST, g.tails, g.heads)
     ell = edge_norms(vec)
     return (np.abs(np.linalg.det(B)) <= 0.1, (ell <= 1e-9).any(axis=1),
-            parallel_ends(vec, ell, g.facts().end_pairs).any(axis=1))
+            parallel_ends(vec, ell, g.skeleton().end_pairs).any(axis=1))
 
 
 def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
@@ -427,8 +427,7 @@ def _standard_realization(g: QuotientGraph, S_int) -> tuple[np.ndarray, np.ndarr
     It does not depend on how the assignment is written down, and on an
     edge-transitive net it minimizes L^n/V."""
     n, m = g.dim, g.vertex_count - 1
-    C = _edge_map(incidence(g.tails, g.heads, g.vertex_count),
-                  np.asarray(S_int, dtype=np.float64))
+    C = _edge_map(g.skeleton().incidence, np.asarray(S_int, dtype=np.float64))
     G = C.transpose(0, 2, 1) @ C
     W = np.linalg.solve(G[:, :m, :m], G[:, :m, m:])
     lam, U = np.linalg.eigh(G[:, m:, m:] - G[:, m:, :m] @ W)
@@ -540,8 +539,8 @@ def objective_and_gradient(net: PeriodicNetwork):
         vec = lifted_edges(X, B, ST, g.tails, g.heads)
     ell = edge_norms(vec)
     _length_quotient(net, ell[0])
-    _, gX, gB = _gradient(g.dim, incidence(g.tails, g.heads, g.vertex_count),
-                          ST.transpose(0, 2, 1), B, vec / ell[..., None], ell.sum(1))
+    _, gX, gB = _gradient(g.dim, g.skeleton().incidence, ST.transpose(0, 2, 1), B,
+                          vec / ell[..., None], ell.sum(1))
     return float(_objective(g.dim, ell, np.linalg.det(B))[0]), gX[0], gB[0]
 
 
@@ -557,7 +556,10 @@ def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:
     """One random valid network on the given quotient graph (deterministic in
     seed).  A graph that fails a check of ``facts()`` has none and is refused
     (``_refuse_invalid``); one with a cut edge is accepted, its networks
-    being valid though never balanced."""
+    being valid though never balanced.  A negative seed is refused as
+    ``OptimizeConfig`` refuses it."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     _refuse_invalid(g)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA5)))
     B, X = _sample_starts(rng, 1, g, g.shifts[None, :, :])
@@ -619,7 +621,7 @@ def _reduced_frame(g: QuotientGraph, reps: np.ndarray) -> tuple[np.ndarray, np.n
     """Every assignment of ``reps`` as the tree gauge of C U, C its cycle-shift
     matrix, and the unimodular U: C U = I at circuit rank r = n (U = C^-1, I
     for a ``shift_orbits`` representative), greedily reduced at r > n."""
-    Z, n = g.facts().cycles, g.dim
+    Z, n = g.skeleton().cycles, g.dim
     C = Z @ reps
     if len(Z) == n:
         eye = np.broadcast_to(np.eye(n, dtype=np.int64), C.shape)

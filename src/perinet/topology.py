@@ -86,13 +86,13 @@ class TopologyClass:
 
 def classify(g: QuotientGraph) -> TopologyClass:
     """Exact structural match against the bouquet/double-bouquet families,
-    read off the graph's kept ``facts``."""
-    facts = g.facts()
-    if not facts.connected:
+    read off the record of the graph's skeleton (``QuotientGraph.skeleton``)."""
+    sk = g.skeleton()
+    if not sk.connected:
         raise ValueError("classification requires a connected graph")
-    if facts.degree is None:
+    if sk.degree is None:
         raise ValueError(f"graph is not regular: degrees {g.degrees().tolist()}")
-    d, V, loops = facts.degree, g.vertex_count, facts.loops
+    d, V, loops = sk.degree, g.vertex_count, sk.loops
     rank = g.edge_count - V + 1         # the circuit rank, g being connected
     bridges = g.edge_count - sum(loops)
     if V == 1:
@@ -416,7 +416,7 @@ def tree_gauge(g: QuotientGraph, C: np.ndarray) -> np.ndarray:
     shift 0 on the tree edges and the rows of each C, in order, on the
     others (the order of the rows of ``facts().cycles``)."""
     S = np.zeros(C.shape[:-2] + (g.edge_count, C.shape[-1]), dtype=np.int64)
-    S[..., np.delete(np.arange(g.edge_count), g.facts().tree), :] = C
+    S[..., np.delete(np.arange(g.edge_count), g.skeleton().tree), :] = C
     return S
 
 
@@ -435,7 +435,7 @@ def _relation_keys(g: QuotientGraph, minors: np.ndarray) -> np.ndarray:
     least image with its entries as the digits of one integer in base
     2B + 1, B the largest |mu_e|, whose order is the lexicographic.
     """
-    Z = g.facts().cycles
+    Z = g.skeleton().cycles
     # primitive: the gcd of the minors is 1 on every assignment the screen keeps
     mu = ((-1) ** np.arange(len(Z)) * minors[::-1].T) @ Z
 

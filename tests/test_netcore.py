@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -547,9 +548,16 @@ def test_validate_classify_verify_walk_the_spanning_tree_once(monkeypatch, name,
     assert len(calls) == 1
 
 
+def _has_record(g):
+    """Does some live graph hold the record of ``g``'s skeleton already?"""
+    return (g.vertex_count, tuple(g.tails.tolist()), tuple(g.heads.tolist())) in netcore._SKELETONS
+
+
 @pytest.mark.parametrize("name,params", SHARP_CATALOG,
                          ids=[name for name, _ in SHARP_CATALOG])
 def test_graph_facts_computed_once_per_graph(monkeypatch, name, params):
+    # the Smith form reads the shifts: once per graph; the end pairs are the
+    # skeleton's: once per skeleton, and an equal graph shares them
     calls = []
     smith, pairs = netcore.smith_invariant_factors, netcore.end_pairs
     monkeypatch.setattr(netcore, "smith_invariant_factors",
@@ -557,25 +565,31 @@ def test_graph_facts_computed_once_per_graph(monkeypatch, name, params):
     monkeypatch.setattr(netcore, "end_pairs",
                         lambda *args: calls.append("pairs") or pairs(*args))
     net = _fresh(catalog(name, **params)[0])
+    built = [] if _has_record(net.graph) else ["pairs"]
     calls.clear()
     for _ in range(2):
         assert validate(net).ok
         classify(net.graph)
         assert verify(net).applicable
-    assert sorted(calls) == ["pairs", "smith"]
-    # an equal graph is another object: it computes its own, nothing is shared
+    assert sorted(calls) == built + ["smith"]
+    # an equal graph is another object: it makes its own facts over the same record
     twin = _fresh(net)
     assert validate(twin) == validate(net)
     assert classify(twin.graph) == classify(net.graph)
     assert verify(twin) == verify(net)
-    assert sorted(calls) == ["pairs", "pairs", "smith", "smith"]
+    assert sorted(calls) == built + ["smith", "smith"]
+    assert twin.graph.skeleton() is net.graph.skeleton()
+    assert twin.graph.facts() is not net.graph.facts()
 
 
 def test_sweep_operation_builds_facts_once(monkeypatch):
-    # random_network -> rebalance -> verify on a fresh graph: the sampler's
-    # immersion test builds the graph's facts, and verify reads them
-    pairs, facts = netcore.end_pairs, netcore._graph_facts
+    # random_network -> rebalance -> verify on a fresh graph over a live
+    # skeleton: the sampler's immersion test and verify read the skeleton's
+    # record, and the graph's own facts take one Smith form
+    smith, pairs, facts = netcore.smith_invariant_factors, netcore.end_pairs, netcore._graph_facts
     calls = []
+    monkeypatch.setattr(netcore, "smith_invariant_factors",
+                        lambda M: calls.append("smith") or smith(M))
     monkeypatch.setattr(netcore, "end_pairs", lambda *a: calls.append("pairs") or pairs(*a))
     monkeypatch.setattr(netcore, "_graph_facts", lambda g: calls.append("facts") or facts(g))
     rng = np.random.default_rng(43)
@@ -587,11 +601,178 @@ def test_sweep_operation_builds_facts_once(monkeypatch):
                               shifts[int(rng.integers(len(shifts)))])
             calls.clear()
             net = random_network(g, seed=int(rng.integers(1 << 62)))
-            assert calls == ["facts", "pairs"]
+            assert calls == ["facts", "smith"]
             if g.vertex_count == 2:
                 net, _ = rebalance_vertex(net, 1)
             verify(net)
-            assert calls == ["facts", "pairs"], tag
+            assert calls == ["facts", "smith"], tag
+            assert g.skeleton() is skeleton.skeleton()
+
+
+def _reference_graph_facts(g):
+    """The facts of ``g`` computed for ``g`` alone: one pass over its edge
+    list and one spanning-tree walk, as before the skeleton record."""
+    V, E = g.vertex_count, g.edge_count
+    tails, heads = g.tails.tolist(), g.heads.tolist()
+    deg, loops, bare, repeated, parallel, seen = [0] * V, [0] * V, [], [], [], set()
+    star = [[] for _ in range(V)]       # (edge, +1 leaving / -1 entering, far end)
+    along = {}                          # (vertex, loop direction) -> first loop, its shift
+    for e, (t, h, s) in enumerate(zip(tails, heads, map(tuple, g.shifts.tolist()))):
+        deg[t] += 1
+        deg[h] += 1
+        if t == h:
+            loops[t] += 1
+            if not any(s):      # a zero-length lift edge
+                bare.append(e)
+            else:   # loops with proportional shifts leave t in one direction
+                p = tuple(x // math.gcd(*s) for x in s)
+                f, s0 = along.setdefault((t, max(p, tuple(-x for x in p))), (e, s))
+                if s0 != s and s0 != tuple(-x for x in s):      # else a duplicate
+                    parallel.append(f"loop {e} parallel to loop {f}")
+        else:
+            star[t].append((e, 1, h))
+            star[h].append((e, -1, t))
+        # an edge read backwards, (h, t, -s), is the same edge
+        key = min((t, h, s), (h, t, tuple(-x for x in s)))
+        if key in seen:
+            repeated.append((t, h, s))
+        seen.add(key)
+
+    # path[v]: the signed edges of the tree path from vertex 0 to v
+    path = [[0] * E for _ in range(V)]
+    reached, tree, stack = {0}, [], [0]
+    # once every vertex is reached, no edge is left to join the tree
+    while stack and len(reached) < V:
+        v = stack.pop()
+        for e, sign, w in star[v]:
+            if w in reached:
+                continue
+            reached.add(w)
+            tree.append(e)
+            path[w] = path[v].copy()
+            path[w][e] += sign
+            stack.append(w)
+    in_tree = set(tree)
+    rows = []
+    for e in range(E):
+        if e not in in_tree:
+            rows.append([p - q for p, q in zip(path[tails[e]], path[heads[e]])])
+            rows[-1][e] += 1
+    cycles = np.array(rows, dtype=np.int64).reshape(len(rows), E)
+    factors = smith_invariant_factors(cycles @ g.shifts)
+    connected = len(reached) == V
+
+    before: list[str] = []
+    after = [f"duplicate edge {edge}" for edge in repeated] + parallel
+    regular = deg.count(deg[0]) == V
+    degree = deg[0] if regular else None
+    if not regular:
+        before.append(f"degrees not regular: {deg}")
+    elif degree < 3:
+        before.append(f"degree {degree} < 3")
+    if not connected:
+        before.append("quotient graph disconnected")
+    before += [f"loop {e} has zero shift" for e in bare]
+    if len(factors) != g.dim:
+        after.append(f"cycle-shift rank {len(factors)} < dimension {g.dim}")
+    elif factors != (1,) * g.dim:
+        after.append(f"lift disconnected: invariant factors {factors}")
+
+    return netcore.GraphFacts(
+        degree, connected, not repeated, factors, (tuple(before), tuple(after)),
+        tuple(tree), cycles,
+        tuple(sorted(e for e in tree if not any(row[e] for row in rows))),
+        netcore.end_pairs(g.tails, g.heads, V), tuple(loops))
+
+
+def _assert_facts_equal(got, want):
+    for f in dataclasses.fields(netcore.GraphFacts):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name in ("cycles", "end_pairs"):
+            for x, y in zip(*((a, b) if f.name == "end_pairs" else ((a,), (b,)))):
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert a == b, f.name
+
+
+def _small_multigraphs(seed, count):
+    """Random multigraphs as in test_immersion_matches_reference_on_small_graphs:
+    disconnected, non-regular, with loops, repeated and zero-shift edges."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        V, E = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        yield QuotientGraph(2, V, rng.integers(0, V, E), rng.integers(0, V, E),
+                            rng.integers(-1, 2, (E, 2)))
+
+
+def test_graph_facts_match_the_per_graph_reference():
+    kinds = set()
+    graphs = list(_small_multigraphs(47, 300))
+    graphs += [net.graph for net in _catalog_and_rewrites(3, 83)]
+    for g in graphs:
+        want = _reference_graph_facts(g)
+        _assert_facts_equal(g.facts(), want)
+        kinds |= {bool(want.violations[0]), bool(want.violations[1]), not want.connected}
+    assert kinds == {True, False}
+    assert len(graphs) > 350
+
+
+def test_graphs_over_one_skeleton_share_one_record():
+    # two assignments over one skeleton, and a graph built from another's arrays
+    skeleton = build_abstract("D1,3", 3)
+    shifts = enumerate_shift_arrays(skeleton, 3, 1)[:2]
+    graphs = [QuotientGraph(3, 2, skeleton.tails, skeleton.heads, S) for S in shifts]
+    graphs.append(QuotientGraph(3, 2, list(skeleton.tails), np.array(skeleton.heads), shifts[0]))
+    record = skeleton.skeleton()
+    for g in graphs:
+        assert g.skeleton() is record
+        facts = g.facts()
+        for name in ("tree", "cycles", "cut_edges", "end_pairs", "loops"):
+            assert getattr(facts, name) is getattr(record, name)
+        assert netcore.oriented_star(g, 0) is record.stars[0]
+    assert graphs[0].facts() is not graphs[1].facts()
+    # the skeleton has no dimension; another vertex count is another skeleton
+    assert QuotientGraph(2, 2, skeleton.tails, skeleton.heads,
+                         np.zeros((5, 2))).skeleton() is record
+    assert QuotientGraph(3, 3, skeleton.tails, skeleton.heads,
+                         shifts[0]).skeleton() is not record
+
+
+def test_skeleton_record_goes_with_its_last_graph():
+    g = QuotientGraph.from_edges(3, 4, [(0, 1, (0, 0, 0)), (1, 2, (0, 0, 0)),
+                                        (2, 3, (0, 0, 0)), (3, 0, (1, 0, 0))])
+    key = (4, (0, 1, 2, 3), (1, 2, 3, 0))
+    record = g.skeleton()
+    assert netcore._SKELETONS[key] is record
+    del g, record
+    assert key not in netcore._SKELETONS
+
+
+def test_skeleton_record_arrays_are_read_only():
+    g = catalog("bnn")[0].graph
+    record = g.skeleton()
+    record.projector()
+    arrays = [record.cycles, record.incidence, record.projector(), *record.end_pairs]
+    arrays += [a for star in record.stars for a in star] + list(netcore.oriented_star(g, 5))
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.tree = ()
+
+
+def test_same_edges_in_another_order_get_their_own_record():
+    g = catalog("cds", t=0.3)[0].graph
+    for order in ([1, 0, 2, 3], [3, 2, 1, 0]):
+        h = QuotientGraph(3, 2, g.tails[order], g.heads[order], g.shifts[order])
+        assert h.skeleton() is not g.skeleton()
+        assert h.skeleton().tails == tuple(g.tails[order].tolist())
+        _assert_facts_equal(h.facts(), _reference_graph_facts(h))
+    # the edges reversed, too
+    r = QuotientGraph(3, 2, g.heads, g.tails, -g.shifts)
+    assert r.skeleton() is not g.skeleton()
+    assert r.facts().invariant_factors == g.facts().invariant_factors
 
 
 def _measured_cases():

@@ -19,9 +19,9 @@ import pytest
 from perinet import (Lattice, PeriodicNetwork, PyramidInstance, QuotientGraph, TopologyClass,
                      bound_even, build_abstract, catalog, check_simplex, classify,
                      construct_bouquet, construct_even_two_vertex, construct_odd,
-                     dipole5_coefficients, export_obj, geometric_median, minimize_topology,
-                     monotonicity_table, network_from_json, network_to_json, read_network,
-                     write_network)
+                     dipole5_coefficients, export_obj, force, geometric_median, is_balanced,
+                     minimize_topology, monotonicity_table, network_from_json, network_to_json,
+                     random_network, read_network, rebalance_vertex, write_network)
 from perinet.cli import run
 from perinet.intlinalg import det_int
 from perinet.topology import enumerate_shift_arrays
@@ -105,6 +105,18 @@ ROWS = {
                         ValueError, "simplex_net needs dimension n >= 2"),
     "median-tol-0": (lambda: geometric_median(np.eye(3), tol=0),
                      ValueError, "tolerance must be positive"),
+    # a NaN tolerance compares false both ways: it must not run the iteration cap out
+    "median-tol-nan": (lambda: geometric_median(np.eye(3), tol=float("nan")),
+                       ValueError, "tolerance must be positive"),
+    "balanced-tol-nan": (lambda: is_balanced(_dia(), float("nan")),
+                         ValueError, "tolerance must be positive"),
+    # a bool is a mask to numpy: True would move, or take the force of, every vertex
+    "rebalance-vertex-bool": (lambda: rebalance_vertex(_dia(), True),
+                              ValueError, "unknown vertex id True"),
+    "force-vertex-bool": (lambda: force(_dia(), True), ValueError, "unknown vertex id True"),
+    "force-vertex-float": (lambda: force(_dia(), 1.0), ValueError, "unknown vertex id 1.0"),
+    "random-network-seed": (lambda: random_network(_dia().graph, seed=-1),
+                            ValueError, "seed must be non-negative"),
     "bouquet-0": (lambda: TopologyClass.bouquet(0), ValueError, "bouquet needs at least one loop"),
     "double-bouquet-loops": (lambda: TopologyClass.double_bouquet(-1, 2),
                              ValueError, "double bouquet needs loops >= 0 and bridges >= 1"),
