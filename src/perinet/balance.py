@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (PeriodicNetwork, as_stack, edge_norms, lifted_edges, oriented_star,
-                      vertex_forces, with_positions)
+from .netcore import (PeriodicNetwork, _integer, as_stack, edge_norms, lifted_edges,
+                      oriented_star, vertex_forces, with_positions)
 
 MEDIAN_TOL = 1e-10
 MEDIAN_MAX_ITER = 10_000
@@ -43,12 +43,9 @@ def force(net: PeriodicNetwork, v: int) -> np.ndarray:
 
 
 def _known_vertex(net: PeriodicNetwork, v: int) -> int:
-    """``v`` as a Python int, refused unless it is an integer (not a bool,
-    which numpy would read as a mask) naming a vertex of the graph."""
-    try:
-        i = None if isinstance(v, (bool, np.bool_)) else operator.index(v)
-    except TypeError:
-        i = None
+    """``v`` as a Python int, refused unless it is an integer (``_integer``)
+    naming a vertex of the graph."""
+    i = _integer(v)
     if i is None or not 0 <= i < net.graph.vertex_count:
         raise ValueError(f"unknown vertex id {v}")
     return i

@@ -10,6 +10,7 @@ for every integer vector k, where B is the basis matrix.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -422,11 +423,21 @@ def as_stack(net: PeriodicNetwork):
             net.graph.shifts.T[None].astype(np.float64))
 
 
+def _integer(value) -> int | None:
+    """``value`` as a Python int, or None unless it is an integer; a bool is
+    none, since numpy would read it as a mask."""
+    try:
+        return None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        return None
+
+
 def edge_vector(net: PeriodicNetwork, e: int) -> np.ndarray:
     """Cartesian vector of quotient edge ``e``: pos[head] + B shift - pos[tail]."""
-    if not 0 <= e < net.graph.edge_count:
+    i = _integer(e)
+    if i is None or not 0 <= i < net.graph.edge_count:
         raise ValueError(f"unknown edge id {e}")
-    return edge_vectors(net)[e]
+    return edge_vectors(net)[i]
 
 
 def edge_vectors(net: PeriodicNetwork) -> np.ndarray:

@@ -3,8 +3,10 @@
 For a fixed shift-labeled quotient graph the objective is descended in
 log form, f = n log L - log|det B|, over vertex positions and the basis
 B jointly; the log form makes the scale gauge exact and keeps large
-dimensions away from overflow.  One vertex is pinned at the origin
-(translation gauge) and the basis is rescaled to unit volume after every
+dimensions away from overflow.  With vertex 0 pinned at the origin
+(translation gauge) an instance's state is one array Z = (X[1:]; B^T), and
+edge e's vector is c_e^T Z, c_e a row of its fixed edge map C
+(``_edge_map``).  The basis is rescaled to unit volume after every
 accepted step (scale gauge).  Each instance keeps the shifts it was
 handed; a degenerating lattice stops its run at a condition-number bailout,
 and edge collapse stops a run instead of being traversed.
@@ -28,7 +30,7 @@ net), or a random draw where that placement fails a start check.  It
 redraws (up to ``restarts`` draws) only where an instance neither
 converged nor collapsed, so random numbers are drawn, and their stream
 made, only for those rows and redraws; traces record where every draw
-stopped.  The best instance is mapped back exactly from its arrays onto
+stopped.  The best instance is read off its Z and mapped back exactly onto
 its assignment.  A topology search hands it one representative per orbit
 of equivalent assignments (``shift_orbits``), which share one landscape; a
 fixed graph is the case of one assignment.  Results are deterministic in
@@ -50,7 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .intlinalg import greedy_reduce, int_solve
-from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _length_quotient,
+from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _integer, _length_quotient,
                       _stress_bounds, as_stack, edge_norms, lifted_edges, parallel_ends,
                       vertex_forces)
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits, tree_gauge
@@ -74,9 +76,9 @@ _COND_LIMIT = 1e6
 _NEWTON_ENTRY = 3e-2         # gradient max-norm below which a step is damped Newton
 _HESSIAN_BLOCK = 1 << 19     # Hessian entries assembled at once in the Newton tail
 _TIE = 1e-9                  # values this close to the least tie, the earlier descended winning
-# per-instance state that a descent step reads and writes
-_LIVE = ("X", "B", "S", "ST", "f", "ell", "t", "iters", "tail_steps",
-         "_gXo", "_gBo", "_gsqo", "_tacc", "_stall", "_f_snap")
+# per-instance state that a descent step writes, and reads with the fixed edge map C
+_LIVE = ("Z", "u", "f", "ell", "t", "iters", "tail_steps", "_gZo", "_gsqo", "_tacc", "_stall",
+         "_f_snap")
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,17 @@ class OptimizeConfig:
     """Search budget of the descent engine; ``restarts`` is the most starts
     descended for one assignment, and ``seed`` seeds the random ones, which
     are drawn only for redraws and for a first start whose standard
-    realization fails a start check (see ``_multistart``)."""
+    realization fails a start check (see ``_multistart``).  Each field is
+    an integer (``_integer``: numpy integers pass, bools and floats not)."""
 
     restarts: int = 50
     seed: int = 0
     s_max: int = 1
 
     def __post_init__(self):
+        for name in ("restarts", "s_max", "seed"):
+            if _integer(getattr(self, name)) is None:
+                raise ValueError(f"{name} must be an integer")
         for name in ("restarts", "s_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -147,10 +153,10 @@ class OptimizeResult:
     restart_index: int = 0
 
 
-def _in_frame_of(g: QuotientGraph, S: np.ndarray, U: np.ndarray, B: np.ndarray,
-                 X: np.ndarray) -> PeriodicNetwork:
-    """The network (B, X) on shifts ``S`` over the skeleton of ``g``, in
-    another frame, as the same periodic network on ``g`` itself.
+def _in_frame_of(g: QuotientGraph, S: np.ndarray, U: np.ndarray, Z: np.ndarray) -> PeriodicNetwork:
+    """The network of state Z = (X[1:]; B^T) (``_state``) on shifts ``S``
+    over the skeleton of ``g``, in another frame, as the same periodic
+    network on ``g`` itself.
 
     The unimodular U with C_g U = C_S (the cycle-shift matrices), the one
     ``_reduced_frame`` applied, gives the basis B U^T, which carries every
@@ -168,34 +174,32 @@ def _in_frame_of(g: QuotientGraph, S: np.ndarray, U: np.ndarray, B: np.ndarray,
         placed.add(new)
     if not np.array_equal(k[heads] - k[tails], D):
         raise RuntimeError("map back failed: the shifts differ by no vertex potential")
-    X = X.copy()
-    X[1:] -= k[1:] @ B.T
-    return PeriodicNetwork(g, Lattice(B @ U.T), X)
+    m = g.vertex_count - 1
+    X = np.vstack([np.zeros(g.dim), Z[:m] - k[1:] @ Z[m:]])
+    return PeriodicNetwork(g, Lattice(Z[m:].T @ U.T), X)
 
 
 class _Batch:
-    """A batch of descent instances over the skeleton of graph ``g``."""
+    """A batch of descent instances over the skeleton of graph ``g``: each the
+    state Z = (X[1:]; B^T) (``_state``) of one network, with its edge map C."""
 
-    def __init__(self, g: QuotientGraph, S: np.ndarray, B: np.ndarray, X: np.ndarray):
+    def __init__(self, g: QuotientGraph, C: np.ndarray, Z: np.ndarray):
         n = self.n = g.dim
-        self.tails, self.heads, self.skeleton = g.tails, g.heads, g.skeleton()
-        N = len(B)
-        self.B = np.array(B, dtype=np.float64)
-        self.X = np.array(X, dtype=np.float64)
-        self.X -= self.X[:, :1, :]          # translation gauge
+        m = self.m = g.vertex_count - 1
+        self.skeleton = g.skeleton()
+        N = len(Z)
+        self.C = C
+        self.Z = np.array(Z, dtype=np.float64, order='C')  # as gathers are: matmul rounds by layout
         self.t = np.full(N, _STEP0)
         self.status = np.zeros(N, dtype=np.uint8)
         self.iters = np.zeros(N, dtype=np.int32)
         self.tail_steps = np.zeros(N, dtype=np.int32)
-        self.P = self.skeleton.incidence
-        self.S = np.array(S, dtype=np.float64)
-        self.ST = np.ascontiguousarray(self.S.transpose(0, 2, 1))
         with np.errstate(divide='ignore', invalid='ignore'):
-            c = np.abs(np.linalg.det(self.B)) ** (-1.0 / n)     # scale gauge
+            c = np.abs(np.linalg.det(self.Z[:, m:])) ** (-1.0 / n)     # scale gauge
             ok = np.isfinite(c)
-            self.B[ok] *= c[ok, None, None]
-            self.X[ok] *= c[ok, None, None]
-            self.f, self.ell, _ = self._eval(self.X, self.B, self.ST)
+            self.Z[ok] *= c[ok, None, None]
+            self.f, vec, self.ell, _ = _eval(n, C, self.Z)
+            self.u = vec / self.ell[..., None]
         self.status[~ok | ~np.isfinite(self.f)] = 3
         collapsed = (self.ell.min(axis=1) < _EPS_EDGE) & (self.status == 0)
         self.status[collapsed] = 2
@@ -203,27 +207,16 @@ class _Batch:
         self._stall = np.zeros(N, dtype=np.int16)
         # previous-step memory for the Barzilai-Borwein step estimate; a
         # stored step size of 0 stands for no previous step
-        self._gXo = np.zeros_like(self.X)
-        self._gBo = np.zeros_like(self.B)
+        self._gZo = np.zeros_like(self.Z)
         self._gsqo = np.zeros(N)
         self._tacc = np.zeros(N)
 
-    # -- low-level evaluation ------------------------------------------------
-
-    def _eval(self, X, B, ST):
-        """Objective, edge lengths and basis determinant of stacked states."""
-        ell, det = edge_norms(lifted_edges(X, B, ST, self.tails, self.heads)), np.linalg.det(B)
-        return _objective(self.n, ell, det), ell, det
-
-    # -- stall and condition checks ------------------------------------------
-
-    @staticmethod
-    def _service(w, check_cond: bool) -> np.ndarray:
+    def _service(self, w, check_cond: bool) -> np.ndarray:
         """The code each instance of the working state ``w`` leaves with, its
         stall count updated: 3 degenerate lattice, 5 plateau, 0 stays."""
         code = np.zeros(len(w.f), dtype=np.uint8)
         if check_cond:
-            sv = np.linalg.svd(w.B, compute_uv=False)
+            sv = np.linalg.svd(w.Z[:, self.m:], compute_uv=False)
             code[sv[:, 0] / sv[:, -1] > _COND_LIMIT] = 3
         # plateau cutoff: instances that stopped improving burn no more budget
         drop = np.abs(w.f - w._f_snap) <= 1e-14 * np.maximum(1.0, np.abs(w.f))
@@ -231,8 +224,6 @@ class _Batch:
         code[(w._stall >= _STALL_PATIENCE) & (code == 0)] = 5
         w._f_snap = w.f
         return code
-
-    # -- descent -------------------------------------------------------------
 
     def run(self, ub=None):
         """Advance every active instance by up to ``_MAX_ITER`` accepted steps.
@@ -242,6 +233,8 @@ class _Batch:
         them in place), and an instance's state is written back when it leaves
         the live set, by one path whatever its code.  The bookkeeping changes
         no instance's arithmetic, and no instance's steps depend on the others.
+        Each step evaluates its trials as C Z, and the accepted trial's edge
+        vectors give the next step's units ``u``.
 
         ``ub`` is None in a search of one assignment.  Otherwise it is the
         least value the search reached before this batch (inf if none), and
@@ -250,59 +243,55 @@ class _Batch:
         more than ``_TIE``: no realization of its assignment gets that low, so
         it cannot be, or tie with, the best.  A NaN bound retires nothing.
         """
-        n = self.n
+        n, m, P = self.n, self.m, self.skeleton.incidence
         idx = (self.status == 0).nonzero()[0]
         live = slice(None) if len(idx) == len(self.status) else idx
-        w = SimpleNamespace(**{k: getattr(self, k)[live] for k in _LIVE})
+        w = SimpleNamespace(**{k: getattr(self, k)[live] for k in ("C", *_LIVE)})
         if ub is not None:
             proj = self.skeleton.projector()
         with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
             for step in range(_MAX_ITER):
                 if len(idx) == 0:
                     return
-                u = lifted_edges(w.X, w.B, w.ST, self.tails, self.heads) / w.ell[..., None]
                 if ub is not None:
                     ub = min(ub, np.exp(w.f.min()))
-                    out = _stress_bounds(proj, u, w.S) > ub + _TIE
+                    out = _stress_bounds(proj, w.u, w.C[..., m:]) > ub + _TIE
                     if out.any():
                         idx, w = self._retire(idx, w, out, 4)
                         if len(idx) == 0:
                             continue
-                        u = u[~out]
-                F, gX, gB = _gradient(n, self.P, w.S, w.B, u, w.ell.sum(1))
-                gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
-                ginf = np.maximum(np.abs(gX).max((1, 2)), np.abs(gB).max((1, 2)))
+                Binv = np.linalg.inv(w.Z[:, m:]).transpose(0, 2, 1)
+                g = _gradient(n, w.C, Binv, w.u, w.ell.sum(1))
+                gsq, ginf = np.einsum('arj,arj->a', g, g), np.abs(g).max((1, 2))
                 done = ginf <= _G_TOL
                 if done.any():      # the forces are measured only where the gradient is small
-                    done &= np.sqrt(np.einsum('avi,avi->av', F, F)).max(1) <= _G_TOL
+                    done[done] = edge_norms(vertex_forces(P, w.u[done])).max(1) <= _G_TOL
                 if done.any():
                     idx, w = self._retire(idx, w, done, 1)
                     if len(idx) == 0:
                         continue
-                    u, gX, gB, gsq, ginf = (a[~done] for a in (u, gX, gB, gsq, ginf))
-                # a trial state is (X, B) - t (qX, qB) with slope q.g: the
-                # gradient itself, or a damped-Newton step at t = 1 in the tail.
-                # The Taylor series of |v| converges only for |dv| < |v|, so a
-                # Newton step that moves an edge vector by its length or more
-                # is outside its model, and the row takes the gradient step
-                qX, qB, slope = gX, gB, gsq
+                    Binv, g, gsq, ginf = (a[~done] for a in (Binv, g, gsq, ginf))
+                # a trial state is Z - t q with slope q.g: the gradient itself,
+                # or a damped-Newton step at t = 1 in the tail.  The Taylor
+                # series of |v| converges only for |dv| < |v|, so a Newton step
+                # that moves an edge vector by its length or more is outside
+                # its model, and the row takes the gradient step
+                q, slope = g, gsq
                 newton = ginf < _NEWTON_ENTRY
                 if newton.any():
                     rows = slice(None) if newton.all() else np.flatnonzero(newton)
-                    pX, pB, gp = _newton_steps(n, self.P, w.S[rows], w.B[rows], u[rows],
-                                               w.ell[rows], gX[rows], gB[rows], gsq[rows])
-                    moved = edge_norms(lifted_edges(pX, pB, w.ST[rows], self.tails, self.heads))
-                    ok = np.isfinite(gp) & (moved < w.ell[rows]).all(1)
+                    C, ell = w.C[rows], w.ell[rows]
+                    p, gp = _newton_steps(n, C, Binv[rows], w.u[rows], ell, g[rows], gsq[rows])
+                    ok = np.isfinite(gp) & (edge_norms(C @ p) < ell).all(1)
                     newton[rows] = ok
-                    qX, qB, slope = gX.copy(), gB.copy(), gsq.copy()
-                    qX[newton], qB[newton], slope[newton] = -pX[ok], -pB[ok], -gp[ok]
+                    q, slope = g.copy(), gsq.copy()
+                    q[newton], slope[newton] = -p[ok], -gp[ok]
                 t = np.ones(len(idx))
                 if not newton.all():
                     # a gradient step's size is the Barzilai-Borwein estimate
                     # from the last accepted step, with doubling of the previous
                     # step as the fallback; the line search safeguards both
-                    cross = (np.einsum('avi,avi->a', gX, w._gXo)
-                             + np.einsum('aij,aij->a', gB, w._gBo))
+                    cross = np.einsum('arj,arj->a', g, w._gZo)
                     t_bb = -w._tacc * (cross - w._gsqo) / (gsq - 2.0 * cross + w._gsqo)
                     t = np.where(np.isfinite(t_bb) & (t_bb > 0), np.clip(t_bb, 1e-12, 1e3),
                                  np.minimum(w.t * 2.0, 1e3))
@@ -312,24 +301,24 @@ class _Batch:
                 # trials per live instance and 64 in all, about two calls' overhead, unless
                 # one halving of the failing rows is more); each row takes its first to pass
                 tol = 1e-15 * np.maximum(1.0, np.abs(w.f))
-                Xt, Bt = w.X - t[:, None, None] * qX, w.B - t[:, None, None] * qB
-                ft, ellt, dett = self._eval(Xt, Bt, w.ST)
+                Zt = w.Z - t[:, None, None] * q
+                ft, vt, ellt, dett = _eval(n, w.C, Zt)
                 need = (~((ft <= w.f - _ARMIJO * t * slope + tol) & np.isfinite(ft))).nonzero()[0]
                 left, K = 79, 2
                 while len(need) and left:
-                    m, K = len(need), min(2 * K, left, max(1, min(4 * len(t), 64) // len(need)))
+                    nb, K = len(need), min(2 * K, left, max(1, min(4 * len(t), 64) // len(need)))
                     r = need.repeat(K)          # the row of each trial, K halvings in turn
-                    tk = np.column_stack([t[need], np.full((m, K), _BACKTRACK)])
+                    tk = np.column_stack([t[need], np.full((nb, K), _BACKTRACK)])
                     tk = tk.cumprod(1)[:, 1:].ravel()
-                    Xk, Bk = w.X[r] - tk[:, None, None] * qX[r], w.B[r] - tk[:, None, None] * qB[r]
-                    fk, ellk, detk = self._eval(Xk, Bk, w.ST[r])
+                    Zk = w.Z[r] - tk[:, None, None] * q[r]
+                    fk, vk, ellk, detk = _eval(n, w.C[r], Zk)
                     ok = (fk <= w.f[r] - _ARMIJO * tk * slope[r] + tol[r]) & np.isfinite(fk)
-                    ok = ok.reshape(m, K)
+                    ok = ok.reshape(nb, K)
                     # each row's first passing trial, or its last to go on from
-                    c = np.arange(m) * K + np.where(ok.any(1), ok.argmax(1), K - 1)
+                    c = np.arange(nb) * K + np.where(ok.any(1), ok.argmax(1), K - 1)
                     t[need], hit = tk[c], ok.ravel()[c]
                     a, c = need[hit], c[hit]
-                    Xt[a], Bt[a], ft[a], ellt[a], dett[a] = Xk[c], Bk[c], fk[c], ellk[c], detk[c]
+                    Zt[a], ft[a], vt[a], ellt[a], dett[a] = Zk[c], fk[c], vk[c], ellk[c], detk[c]
                     need, left = need[~hit], left - K
                 if len(need):
                     # the line search exhausted its budget without a usable step
@@ -337,20 +326,20 @@ class _Batch:
                     idx, w = self._retire(idx, w, failed, 6)
                     if len(idx) == 0:
                         continue
-                    t, Xt, Bt, ft, ellt, dett, gX, gB, gsq, newton = (
-                        a[~failed] for a in (t, Xt, Bt, ft, ellt, dett, gX, gB, gsq, newton))
+                    t, Zt, ft, vt, ellt, dett, g, gsq, newton = (
+                        a[~failed] for a in (t, Zt, ft, vt, ellt, dett, g, gsq, newton))
                 if not (ft <= w.f + 1e-12 * np.abs(w.f) + 1e-12).all():
                     raise RuntimeError("objective increased on an accepted step")
-                # scale gauge: renormalize to unit cell volume; f is invariant,
-                # and the stored step memory transforms as g -> g/c, t -> c^2 t;
-                # a Newton step stores step size 0, so no Barzilai-Borwein
-                # estimate is taken across it
+                # scale gauge: renormalize to unit cell volume; f and the unit
+                # edge vectors are invariant, and the stored step memory
+                # transforms as g -> g/c, t -> c^2 t; a Newton step stores step
+                # size 0, so no Barzilai-Borwein estimate is taken across it
                 c = np.abs(dett) ** (-1.0 / n)
                 c2, c3 = c ** 2, c[:, None, None]
                 w.t, w.iters, w.tail_steps = t, w.iters + 1, w.tail_steps + newton
-                w._gXo, w._gBo, w._gsqo = gX / c3, gB / c3, gsq / c2
+                w._gZo, w._gsqo = g / c3, gsq / c2
                 w._tacc = np.where(newton, 0.0, t * c2)
-                w.B, w.X, w.ell = Bt * c3, Xt * c3, ellt * c[:, None]
+                w.Z, w.u, w.ell = Zt * c3, vt / ellt[..., None], ellt * c[:, None]
                 w.f = n * np.log(w.ell.sum(1))
                 if not (np.abs(w.f - ft) <= 1e-11 * np.maximum(1.0, np.abs(w.f))).all():
                     raise RuntimeError("scale gauge changed the objective")
@@ -373,24 +362,21 @@ class _Batch:
             getattr(self, k)[rows] = getattr(w, k) if whole else getattr(w, k)[out]
         self.status[rows] = code
         return (idx[:0], w) if whole else \
-            (idx[~out], SimpleNamespace(**{k: getattr(w, k)[~out] for k in _LIVE}))
+            (idx[~out], SimpleNamespace(**{k: getattr(w, k)[~out] for k in ("C", *_LIVE)}))
 
 
-def _start_faults(g: QuotientGraph, B: np.ndarray, X: np.ndarray, S_int):
-    """The (N,) flags of each ``_START_CHECKS`` check that stacked starts
-    over the skeleton of ``g``, with integer shifts ``S_int`` (N, E, n),
-    fail: |det B| <= 0.1, an edge of length 1e-9 or less, and two edge ends
-    that leave a vertex in one direction."""
-    ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
-    vec = lifted_edges(X, B, ST, g.tails, g.heads)
-    ell = edge_norms(vec)
-    return (np.abs(np.linalg.det(B)) <= 0.1, (ell <= 1e-9).any(axis=1),
+def _start_faults(g: QuotientGraph, vec: np.ndarray, ell: np.ndarray, det: np.ndarray):
+    """The (N,) flags of each ``_START_CHECKS`` check that stacked starts over
+    the skeleton of ``g``, with edge vectors ``vec``, lengths ``ell`` and basis
+    determinants ``det``, fail: |det B| <= 0.1, an edge of length 1e-9 or
+    less, and two edge ends that leave a vertex in one direction."""
+    return (np.abs(det) <= 0.1, (ell <= 1e-9).any(axis=1),
             parallel_ends(vec, ell, g.skeleton().end_pairs).any(axis=1))
 
 
 def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
-    """Random valid starting states over the skeleton of ``g``, matching
-    :func:`random_network`.
+    """Random valid starting states (B, X) over the skeleton of ``g``,
+    matching :func:`random_network`.
 
     Basis: identity plus uniform(-0.3, 0.3) entries; positions uniform in
     the unit cell; instances that fail a ``_START_CHECKS`` check
@@ -400,6 +386,7 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
     n, V = g.dim, g.vertex_count
     B = np.empty((count, n, n))
     X = np.empty((count, V, n))
+    ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
     todo = np.arange(count)
     for _ in range(100):
         if len(todo) == 0:
@@ -409,7 +396,8 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
         frac = rng.uniform(0.0, 1.0, (m, V, n))
         Xc = np.einsum('aij,avj->avi', Bc, frac)
         B[todo], X[todo] = Bc, Xc
-        faults = _start_faults(g, Bc, Xc, S_int[todo])
+        vec = lifted_edges(Xc, Bc, ST[todo], g.tails, g.heads)
+        faults = _start_faults(g, vec, edge_norms(vec), np.linalg.det(Bc))
         todo = todo[faults[0] | faults[1] | faults[2]]
     if len(todo):
         failed = ", ".join(c for c, hit in zip(_START_CHECKS, faults) if hit.any())
@@ -417,43 +405,46 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
     return B, X
 
 
-def _standard_realization(g: QuotientGraph, S_int) -> tuple[np.ndarray, np.ndarray]:
-    """Kotani and Sunada's standard realization (B, X) of every assignment
-    of the stack ``S_int`` over the skeleton of ``g``: the least energy
-    sum_e |v_e|^2 = tr(Z^T G Z) at |det B| = 1, G = C^T C of the edge map
-    (``_edge_map``), vertex 0 at the origin.  Eliminating the free
-    positions, X[1:] = -G_xx^-1 G_xb B^T, leaves tr(B Q B^T) with Q the
-    Schur complement of G_xx, least at B = Q^(-1/2) scaled to unit volume.
-    It does not depend on how the assignment is written down, and on an
-    edge-transitive net it minimizes L^n/V."""
-    n, m = g.dim, g.vertex_count - 1
-    C = _edge_map(g.skeleton().incidence, np.asarray(S_int, dtype=np.float64))
+def _state(B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The descent state Z = (X[1:] - x_0; B^T) (N, V - 1 + n, n) of stacked
+    networks (B, X): vertex 0 moved to the origin, the translation gauge."""
+    return np.concatenate([X[:, 1:] - X[:, :1], B.transpose(0, 2, 1)], axis=1)
+
+
+def _standard_realization(C: np.ndarray, n: int) -> np.ndarray:
+    """Kotani and Sunada's standard realization, as the state Z (``_state``),
+    of every network of the stack of edge maps ``C`` (``_edge_map``) in
+    R^n: the least energy sum_e |v_e|^2 = tr(Z^T G Z) at |det B| = 1, G =
+    C^T C.  Eliminating the free positions, X[1:] = -G_xx^-1 G_xb B^T,
+    leaves tr(B Q B^T) with Q the Schur complement of G_xx, least at B =
+    Q^(-1/2) scaled to unit volume.  It does not depend on how the
+    assignment is written down, and on an edge-transitive net it minimizes
+    L^n/V."""
+    m = C.shape[2] - n
     G = C.transpose(0, 2, 1) @ C
     W = np.linalg.solve(G[:, :m, :m], G[:, :m, m:])
     lam, U = np.linalg.eigh(G[:, m:, m:] - G[:, m:, :m] @ W)
     # Q^(-1/2) times the root of the geometric mean of Q's eigenvalues: |det B| = 1
     root = np.sqrt(np.exp(np.log(lam).mean(axis=1))[:, None] / lam)
-    B = (U * root[:, None, :]) @ U.transpose(0, 2, 1)
-    X = np.zeros((len(B), m + 1, n))
-    X[:, 1:] = -W @ B.transpose(0, 2, 1)
-    return B, X
+    BT = ((U * root[:, None, :]) @ U.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return np.concatenate([-W @ BT, BT], axis=1)
 
 
-def _objective(n: int, ell: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """n log L - log|det B| of stacked networks with edge lengths ``ell`` and
-    basis determinants ``det``."""
-    return n * np.log(ell.sum(1)) - np.log(np.abs(det))
+def _eval(n: int, C: np.ndarray, Z: np.ndarray):
+    """Objective n log L - log|det B|, edge vectors C Z, edge lengths and
+    basis determinants of stacked states ``Z`` in R^n with edge maps ``C``."""
+    vec = C @ Z
+    ell, det = edge_norms(vec), np.linalg.det(Z[:, -n:])
+    return n * np.log(ell.sum(1)) - np.log(np.abs(det)), vec, ell, det
 
 
-def _gradient(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray,
-              L: np.ndarray):
-    """Vertex forces and the gradient (gX, gB) of n log L - log|det B| at unit
-    edge vectors ``u``; the gradient of the pinned vertex 0 is zeroed."""
-    F, scale = vertex_forces(P, u), (n / L)[:, None, None]
-    gX = scale * F
-    gX[:, 0, :] = 0.0
-    gB = scale * (u.transpose(0, 2, 1) @ S) - np.linalg.inv(B).transpose(0, 2, 1)
-    return F, gX, gB
+def _gradient(n: int, C: np.ndarray, Binv: np.ndarray, u: np.ndarray, L: np.ndarray):
+    """Gradient (N, R, n) of n log L - log|det B| over states Z with edge maps
+    ``C``, at unit edge vectors ``u``, total lengths ``L`` and inverse bases
+    ``Binv``: (n/L) C^T u - (0; B^-1), n/L times the forces on vertices 1 on."""
+    g = (n / L)[:, None, None] * (C.transpose(0, 2, 1) @ u)
+    g[:, -n:] -= Binv
+    return g
 
 
 def _edge_map(P: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -463,19 +454,17 @@ def _edge_map(P: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.concatenate([np.broadcast_to(P[:, 1:], S.shape[:2] + (P.shape[1] - 1,)), S], axis=2)
 
 
-def _hessian(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray,
+def _hessian(n: int, C: np.ndarray, Binv: np.ndarray, u: np.ndarray,
              ell: np.ndarray) -> np.ndarray:
-    """Hessian (N, D, D) of n log L - log|det B| at unit edge vectors ``u``
-    and edge lengths ``ell``, over the variables Z = (X[1:]; B^T) flattened
-    row-major: the free vertex positions, then the columns of B.
+    """Hessian (N, D, D) of n log L - log|det B| at unit edge vectors ``u``,
+    edge lengths ``ell`` and inverse bases ``Binv`` over states Z with edge
+    maps ``C``, flattened row-major: free vertex positions, then B's columns.
 
-    Edge e's vector is c_e^T Z (``_edge_map``), so the Hessian of L is
-    sum_e c_e c_e^T (x) M_e with M_e = (I - u_e u_e^T) / ell_e; that of
-    -log|det B| is (B^-1)_jk (B^-1)_li at the entries (B_ij, B_kl).
+    Edge e's vector is c_e^T Z, so the Hessian of L is sum_e c_e c_e^T (x)
+    M_e with M_e = (I - u_e u_e^T) / ell_e; that of -log|det B| is
+    (B^-1)_jk (B^-1)_li at the entries (B_ij, B_kl).
     """
-    N, E, _ = u.shape
-    R = P.shape[1] - 1 + n                  # rows of Z
-    C = _edge_map(P, S)
+    N, E, R = C.shape
     M = (np.eye(n) - u[..., :, None] * u[..., None, :]) / ell[..., None, None]
     CC = (C[..., :, None] * C[..., None, :]).reshape(N, E, R * R)
     H = (CC.transpose(0, 2, 1) @ M.reshape(N, E, n * n)).reshape(N, R, R, n, n)
@@ -483,30 +472,29 @@ def _hessian(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray,
     gL = (C.transpose(0, 2, 1) @ u).reshape(N, R * n)      # gradient of L
     L = ell.sum(1)[:, None, None]
     H = (n / L) * (H - gL[:, :, None] * gL[:, None, :] / L)
-    Binv = np.linalg.inv(B)
     m = (R - n) * n
     H[:, m:, m:] += (Binv[:, :, None, None, :] * Binv.transpose(0, 2, 1)[:, None, :, :, None]
                      ).reshape(N, n * n, n * n)
     return H
 
 
-def _newton_steps(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.ndarray,
-                  ell: np.ndarray, gX: np.ndarray, gB: np.ndarray, gsq: np.ndarray):
-    """Damped-Newton steps p = -(H + |g| I)^-1 g of stacked instances.
+def _newton_steps(n: int, C: np.ndarray, Binv: np.ndarray, u: np.ndarray, ell: np.ndarray,
+                  g: np.ndarray, gsq: np.ndarray):
+    """Damped-Newton steps p = -(H + |g| I)^-1 g of stacked instances, with
+    their gradients ``g`` (N, R, n) over Z.
 
-    Returns the position and basis parts of p and the slope g.p, which is
-    NaN on rows whose damped system is singular, or whose p is not finite
-    or no descent direction.  The Hessians are assembled a block of rows at
-    a time, so their memory stays bounded on wide batches.
+    Returns p, shaped as ``g``, and the slope g.p, which is NaN on rows
+    whose damped system is singular, or whose p is not finite or no descent
+    direction.  The Hessians are assembled a block of rows at a time, so
+    their memory stays bounded on wide batches.
     """
-    N, V = len(B), P.shape[1]
-    g = np.concatenate([gX[:, 1:].reshape(N, -1), gB.transpose(0, 2, 1).reshape(N, -1)], axis=1)
-    D = g.shape[1]
+    N, D = len(g), g[0].size
+    g = g.reshape(N, D)
     p = np.full(g.shape, np.nan)
     per = max(1, _HESSIAN_BLOCK // (D * D))
     for lo in range(0, N, per):
         hi = min(lo + per, N)
-        A = _hessian(n, P, S[lo:hi], B[lo:hi], u[lo:hi], ell[lo:hi])
+        A = _hessian(n, C[lo:hi], Binv[lo:hi], u[lo:hi], ell[lo:hi])
         A.reshape(hi - lo, -1)[:, ::D + 1] += np.sqrt(gsq[lo:hi])[:, None]
         try:
             p[lo:hi] = np.linalg.solve(A, -g[lo:hi, :, None])[..., 0]
@@ -519,29 +507,29 @@ def _newton_steps(n: int, P: np.ndarray, S: np.ndarray, B: np.ndarray, u: np.nda
                     pass
     gp = np.einsum('ad,ad->a', g, p)
     gp[~(np.isfinite(p).all(1) & (gp < 0))] = np.nan
-    pX = np.zeros(gX.shape)
-    pX[:, 1:] = p[:, :(V - 1) * n].reshape(N, V - 1, n)
-    return pX, p[:, (V - 1) * n:].reshape(N, n, n).transpose(0, 2, 1), gp
+    return p.reshape(N, -1, n), gp
 
 
 def objective_and_gradient(net: PeriodicNetwork):
     """Descent objective n log L - log|det B| with its analytic gradient.
 
-    Returns (f, position gradient, basis gradient); the gradient of the
+    Returns (f, position gradient, basis gradient), read off the gradient
+    over Z that the descent takes (``_gradient``); the gradient of the
     pinned vertex 0 is zeroed, matching the translation gauge of the
     descent.  The position gradient of L itself is the vertex force.
     Raises ``ValueError`` where ``length_quotient`` does: on a zero-length
     or non-finite edge, or a singular or non-finite basis.
     """
-    g = net.graph
+    g, n, m = net.graph, net.dim, net.graph.vertex_count - 1
     X, B, ST = as_stack(net)
     with np.errstate(invalid='ignore'):     # an infinite entry gives NaN
         vec = lifted_edges(X, B, ST, g.tails, g.heads)
     ell = edge_norms(vec)
     _length_quotient(net, ell[0])
-    _, gX, gB = _gradient(g.dim, g.skeleton().incidence, ST.transpose(0, 2, 1), B,
-                          vec / ell[..., None], ell.sum(1))
-    return float(_objective(g.dim, ell, np.linalg.det(B))[0]), gX[0], gB[0]
+    C = _edge_map(g.skeleton().incidence, ST.transpose(0, 2, 1))
+    gZ = _gradient(n, C, np.linalg.inv(B), vec / ell[..., None], ell.sum(1))[0]
+    gX = np.vstack([np.zeros(n), gZ[:m]])
+    return float(n * np.log(ell.sum()) - np.log(abs(np.linalg.det(B[0])))), gX, gZ[m:].T
 
 
 def _refuse_invalid(g: QuotientGraph) -> None:
@@ -642,27 +630,30 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     So is a bounded one: no realization of its assignment reaches the best
     (``_Batch.run``), to which every batch is handed the best value before it.
     A round of draws runs in batches of at most ``_CHUNK``, each built in
-    its assignments' reduced frames in one pass (``_reduced_frame``).  Draw
+    its assignments' reduced frames in one pass (``_reduced_frame``), with
+    one edge map per row that the start and the descent share.  Draw
     0 starts at the standard realization (``_standard_realization``); random
     starts near B = I, from one ``SeedSequence((seed, 0))`` stream made at
     its first draw, are drawn only for rows where it fails a
     ``_START_CHECKS`` check and for every redraw.  The best, the lowest value
-    with ties within ``_TIE`` going to the instance descended first, is mapped
-    back exactly (``_in_frame_of``) onto its assignment, ``g`` if ``g``'s.
+    with ties within ``_TIE`` going to the instance descended first, is read
+    off its state and mapped back exactly (``_in_frame_of``) onto its
+    assignment, ``g`` if ``g``'s.
     """
     rng, draw, todo, rows, best = None, 0, np.arange(len(reps)), [], None
     while len(todo) and draw < cfg.restarts:
         redo = []
         for a in (todo[lo:lo + _CHUNK] for lo in range(0, len(todo), _CHUNK)):
             S, U = _reduced_frame(g, reps[a])
+            C = _edge_map(g.skeleton().incidence, S)
             # the standard realization where it is a valid first start, a
             # random draw in every other row; the stream is made at its first draw
-            B, X = _standard_realization(g, S)
-            rand = np.logical_or.reduce(_start_faults(g, B, X, S)) | (draw > 0)
+            Z = _standard_realization(C, g.dim)
+            rand = np.logical_or.reduce(_start_faults(g, *_eval(g.dim, C, Z)[1:])) | (draw > 0)
             if rand.any():
                 rng = rng or np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-                B[rand], X[rand] = _sample_starts(rng, int(rand.sum()), g, S[rand])
-            batch = _Batch(g, S, B, X)
+                Z[rand] = _state(*_sample_starts(rng, int(rand.sum()), g, S[rand]))
+            batch = _Batch(g, C, Z)
             batch.run(None if len(reps) == 1 else np.inf if best is None else best[0])
             with np.errstate(over='ignore'):
                 v = np.exp(batch.f)
@@ -671,16 +662,16 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
             redo.append(a[~final])
             i = int(_near_best(v)[0])
             if best is None or _near_best([best[0], v[i]])[0]:     # ties stay with the earlier
-                best = (v[i], *(np.array(c[i]) for c in (S, U, batch.B, batch.X)),
+                best = (v[i], *(np.array(c[i]) for c in (S, U, batch.Z)),
                         int(a[i]), draw, int(batch.status[i]))
         todo, draw = np.concatenate(redo), draw + 1
     cols = [np.concatenate(c) for c in zip(*rows)]
     order = np.lexsort((cols[1], cols[0]))
-    value, S, U, B, X, k, restart, code = best
+    value, S, U, Z, k, restart, code = best
     shifts = np.array(reps[k])
     home = g if np.array_equal(g.shifts, shifts) else \
         QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, shifts)
-    return OptimizeResult(network=_in_frame_of(home, S, U, B, X), value=float(value),
+    return OptimizeResult(network=_in_frame_of(home, S, U, Z), value=float(value),
                           termination=_STATUS_LABELS[code], shifts=shifts, assignment_index=k,
                           traces=TraceTable(*(c[order] for c in cols)), restart_index=restart)
 

@@ -21,11 +21,13 @@ from perinet import (
 )
 from perinet import netcore, optimize
 from perinet.balance import force, force_all
+from perinet.construct import CATALOG_NAMES
 from perinet.intlinalg import greedy_reduce, int_solve
 from perinet.topology import build_abstract, shift_orbits, tree_gauge
 from perinet.netcore import as_stack, edge_norms, incidence, lifted_edges
-from perinet.optimize import (_SERVICE_EVERY, _Batch, _gradient, _hessian, _newton_steps,
-                              _sample_starts, _standard_realization, _start_faults)
+from perinet.optimize import (_SERVICE_EVERY, _Batch, _edge_map, _eval, _gradient, _hessian,
+                              _newton_steps, _sample_starts, _standard_realization, _start_faults,
+                              _state)
 from test_bounds import _rewritten
 
 
@@ -43,6 +45,19 @@ def sqp_graph():
 def b3_graph():
     return QuotientGraph.from_edges(3, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0)),
                                            (0, 0, (0, 0, 1))])
+
+
+def _read_back(Z, n):
+    """The (B, X) of stacked descent states ``Z`` in R^n, vertex 0 at the origin."""
+    m = Z.shape[1] - n
+    X = np.zeros((len(Z), m + 1, n))
+    X[:, 1:] = Z[:, :m]
+    return Z[:, m:].transpose(0, 2, 1).copy(), X
+
+
+def _batch(g, S, B, X):
+    """A descent batch over ``g`` with shifts ``S`` from the networks (B, X)."""
+    return _Batch(g, _edge_map(g.skeleton().incidence, S), _state(B, X))
 
 
 def _assert_trace_shape(t, assignments, restarts):
@@ -405,7 +420,7 @@ def test_minimize_fixed_shifts_descent_monotone(monkeypatch):
     S = np.broadcast_to(g.shifts, (4,) + g.shifts.shape)
     rng = np.random.default_rng(0)
     B, X = _sample_starts(rng, 4, g, S)
-    batch = _Batch(g, S, B, X)
+    batch = _batch(g, S, B, X)
     f_prev = batch.f.copy()
     for _ in range(60):
         batch.run()
@@ -421,7 +436,7 @@ def test_engine_detects_edge_collapse(monkeypatch):
     monkeypatch.setattr(optimize, "_EPS_EDGE", 0.1)
     monkeypatch.setattr(optimize, "_MAX_ITER", 50)
     S = g.shifts[None, :, :]
-    batch = _Batch(g, S, net.lattice.basis[None], net.positions[None])
+    batch = _batch(g, S, net.lattice.basis[None], net.positions[None])
     batch.run()
     assert batch.status[0] == 2
 
@@ -508,7 +523,7 @@ def test_stress_bound_is_a_lower_bound_on_every_orbit(tag, n):
     # orbit ends, and at convergence it is the converged value itself
     g = build_abstract(tag, n)
     S = optimize._reduced_frame(g, shift_orbits(g, n))[0]
-    B, X = _standard_realization(g, S)
+    B, X, faults = _standard_start(g, S)
     proj = netcore._balancing_projector(incidence(g.tails, g.heads, g.vertex_count))
     ST = S.transpose(0, 2, 1).astype(np.float64)
 
@@ -518,17 +533,17 @@ def test_stress_bound_is_a_lower_bound_on_every_orbit(tag, n):
             return netcore._stress_bounds(proj, vec / edge_norms(vec)[..., None], S)
 
     start = bound(X, B)
-    faulty = np.logical_or.reduce(_start_faults(g, B, X, S))
+    faulty = faults.any(axis=0)
     assert np.isfinite(start[~faulty]).all()
     B[faulty], X[faulty] = _sample_starts(np.random.default_rng(1), int(faulty.sum()), g, S[faulty])
-    batch = _Batch(g, S, B, X)
+    batch = _batch(g, S, B, X)
     batch.run()
     value = np.exp(batch.f)
     conv = batch.status == 1
     assert conv.sum() >= 2 and not (batch.status == 4).any()
     sharp = conv & np.isfinite(start)
     assert (start[sharp] <= value[sharp] * (1 + 1e-12)).all()
-    end = bound(batch.X, batch.B)
+    end = bound(*_read_back(batch.Z, n)[::-1])
     assert (end <= value * (1 + 1e-12)).all()
     assert (np.abs(end[conv] - value[conv]) <= 1e-9 * value[conv]).all()
 
@@ -581,7 +596,7 @@ def _reference_service(self, idx, check_cond: bool):
     and write the batch's own arrays at the instances ``idx``."""
     o = optimize
     if check_cond:
-        sv = np.linalg.svd(self.B[idx], compute_uv=False)
+        sv = np.linalg.svd(self.Z[idx][:, self.m:], compute_uv=False)
         degen = sv[:, 0] / sv[:, -1] > o._COND_LIMIT
         self.status[idx[degen]] = 3
     drop = np.abs(self.f[idx] - self._f_snap[idx]) \
@@ -597,19 +612,18 @@ def _reference_run(self):
     state from the batch and scatters it back, and the accepted basis's
     determinant is computed a second time for the scale gauge."""
     o = optimize
-    n = self.n
+    n, m = self.n, self.m
     for step in range(o._MAX_ITER):
         idx = np.flatnonzero(self.status == 0)
         if len(idx) == 0:
             return
-        X, B, ST = self.X[idx], self.B[idx], self.ST[idx]
+        Z, C, u = self.Z[idx], self.C[idx], self.u[idx]
         f, ell = self.f[idx], self.ell[idx]
-        u = lifted_edges(X, B, ST, self.tails, self.heads) / ell[..., None]
-        F, gX, gB = _gradient(n, self.P, self.S[idx], B, u, ell.sum(1))
+        g = _gradient(n, C, np.linalg.inv(Z[:, m:]).transpose(0, 2, 1), u, ell.sum(1))
+        F = netcore.vertex_forces(self.skeleton.incidence, u)
         force_max = np.sqrt(np.einsum('avi,avi->av', F, F)).max(1)
-        gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
-        ginf = np.maximum(np.abs(gX).reshape(len(idx), -1).max(1),
-                          np.abs(gB).reshape(len(idx), -1).max(1))
+        gsq = np.einsum('arj,arj->a', g, g)
+        ginf = np.abs(g).reshape(len(idx), -1).max(1)
 
         done = (ginf <= o._G_TOL) & (force_max <= o._G_TOL)
         self.status[idx[done]] = 1
@@ -617,11 +631,9 @@ def _reference_run(self):
         if not live.any():
             continue
         sub = idx[live]
-        X, B, gX, gB, gsq, f = X[live], B[live], gX[live], gB[live], gsq[live], f[live]
-        ST = ST[live]
+        Z, C, g, gsq, f = Z[live], C[live], g[live], gsq[live], f[live]
 
-        cross = (np.einsum('avi,avi->a', gX, self._gXo[sub])
-                 + np.einsum('aij,aij->a', gB, self._gBo[sub]))
+        cross = np.einsum('arj,arj->a', g, self._gZo[sub])
         dxdg = -self._tacc[sub] * (cross - self._gsqo[sub])
         dgdg = gsq - 2.0 * cross + self._gsqo[sub]
         with np.errstate(divide='ignore', invalid='ignore'):
@@ -631,15 +643,15 @@ def _reference_run(self):
         t = np.where(use_bb, np.clip(t_bb, 1e-12, 1e3), fallback)
         need = np.arange(len(sub))
         ft = np.empty_like(f)
-        Xt = np.empty_like(X)
-        Bt = np.empty_like(B)
+        Zt = np.empty_like(Z)
+        vect = np.empty_like(self.u[sub])
         ellt = np.empty_like(self.ell[sub])
         for _ in range(80):
-            Xt[need] = X[need] - t[need, None, None] * gX[need]
-            Bt[need] = B[need] - t[need, None, None] * gB[need]
+            Zt[need] = Z[need] - t[need, None, None] * g[need]
             with np.errstate(divide='ignore', invalid='ignore'):
-                ft_need, ell_need, _ = self._eval(Xt[need], Bt[need], ST[need])
+                ft_need, vec_need, ell_need, _ = _eval(n, C[need], Zt[need])
             ft[need] = ft_need
+            vect[need] = vec_need
             ellt[need] = ell_need
             with np.errstate(invalid='ignore'):
                 ok = ft[need] <= (f[need] - o._ARMIJO * t[need] * gsq[need]
@@ -661,17 +673,15 @@ def _reference_run(self):
         if not (ft[moved] <= f[moved] + 1e-12 * np.abs(f[moved]) + 1e-12).all():
             raise RuntimeError("objective increased on an accepted step")
         self.t[acc] = t[moved]
-        self.X[acc] = Xt[moved]
-        self.B[acc] = Bt[moved]
+        self.Z[acc] = Zt[moved]
         self.iters[acc] += 1
-        detn = np.linalg.det(Bt[moved])
+        detn = np.linalg.det(Zt[moved][:, m:])
         c = np.abs(detn) ** (-1.0 / n)
-        self._gXo[acc] = gX[moved] / c[:, None, None]
-        self._gBo[acc] = gB[moved] / c[:, None, None]
+        self._gZo[acc] = g[moved] / c[:, None, None]
         self._gsqo[acc] = gsq[moved] / c ** 2
         self._tacc[acc] = t[moved] * c ** 2
-        self.B[acc] *= c[:, None, None]
-        self.X[acc] *= c[:, None, None]
+        self.Z[acc] *= c[:, None, None]
+        self.u[acc] = vect[moved] / ellt[moved][..., None]
         ell_new = ellt[moved] * c[:, None]
         f_new = n * np.log(ell_new.sum(1))
         if not (np.abs(f_new - ft[moved]) <= 1e-11 * np.maximum(1.0, np.abs(f_new))).all():
@@ -693,11 +703,11 @@ def _twin_batches(g, cfg, B=None, X=None):
     S = np.broadcast_to(g.shifts, (N,) + g.shifts.shape)
     if B is None:
         B, X = _sample_starts(np.random.default_rng(cfg.seed), N, g, S)
-    return tuple(_Batch(g, S, B, X) for _ in range(2))
+    return tuple(_batch(g, S, B, X) for _ in range(2))
 
 
 def _assert_same_descent(a, b):
-    for name in ("f", "ell", "X", "B", "S", "iters", "status", "t"):
+    for name in ("f", "ell", "Z", "u", "C", "iters", "status", "t"):
         assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
@@ -732,8 +742,9 @@ def test_rewritten_catalog_converges_on_every_restart(name, params):
 def _standard_start(g, S):
     """The standard realization of every assignment of the stack ``S`` over
     ``g``, with the (3, N) flags of the start checks it fails."""
-    B, X = _standard_realization(g, S)
-    return B, X, np.array(_start_faults(g, B, X, S))
+    C = _edge_map(g.skeleton().incidence, S)
+    Z = _standard_realization(C, g.dim)
+    return (*_read_back(Z, g.dim), np.array(_start_faults(g, *_eval(g.dim, C, Z)[1:])))
 
 
 @pytest.mark.parametrize("name,params", FIXED_SOLVE_GRAPHS,
@@ -792,19 +803,19 @@ def test_failed_standard_placements_start_from_random_draws(monkeypatch):
     starts = []
 
     class Recorded(_Batch):
-        def __init__(self, g, S, B, X):
-            starts.append((S, B.copy(), X.copy()))
-            super().__init__(g, S, B, X)
+        def __init__(self, g, C, Z):
+            starts.append((C, Z.copy()))
+            super().__init__(g, C, Z)
 
     monkeypatch.setattr(optimize, "_Batch", Recorded)
     optimize._multistart(g, reps, OptimizeConfig(seed=5, restarts=1))
-    [(S1, B, X)] = starts
-    assert np.array_equal(S1, S)
+    [(C, Z)] = starts
+    assert np.array_equal(C, _edge_map(g.skeleton().incidence, S))
     rng = np.random.default_rng(np.random.SeedSequence((5, 0)))
     Br, Xr = _sample_starts(rng, fail.sum(), g, S[fail])
-    assert np.array_equal(B[fail], Br) and np.array_equal(X[fail], Xr)
-    assert np.array_equal(B[~fail], B0[~fail]) and np.array_equal(X[~fail], X0[~fail])
-    assert not np.any(_start_faults(g, B, X, S))
+    assert np.array_equal(Z[fail], _state(Br, Xr))
+    assert np.array_equal(Z[~fail], _state(B0, X0)[~fail])
+    assert not np.any(_start_faults(g, *_eval(2, C, Z)[1:]))
 
 
 def test_random_starts_are_drawn_only_for_failed_placements_and_redraws(monkeypatch):
@@ -818,9 +829,9 @@ def test_random_starts_are_drawn_only_for_failed_placements_and_redraws(monkeypa
         return _sample_starts(rng, count, g, S)
 
     class Recorded(_Batch):
-        def __init__(self, g, S, B, X):
-            starts.append(B.copy())
-            super().__init__(g, S, B, X)
+        def __init__(self, g, C, Z):
+            starts.append(Z.copy())
+            super().__init__(g, C, Z)
 
     monkeypatch.setattr(optimize, "_sample_starts", counted)
     monkeypatch.setattr(optimize, "_Batch", Recorded)
@@ -834,9 +845,10 @@ def test_random_starts_are_drawn_only_for_failed_placements_and_redraws(monkeypa
     assert counts == [1, 1, 1]
     S = optimize._reduced_frame(g, g.shifts[None])[0]
     rng = np.random.default_rng(np.random.SeedSequence((1, 0)))
-    assert np.array_equal(starts[0], _standard_realization(g, S)[0])
-    for B in starts[1:]:
-        assert np.array_equal(B, _sample_starts(rng, 1, g, S)[0])
+    assert np.array_equal(starts[0], _standard_realization(_edge_map(g.skeleton().incidence, S),
+                                                           g.dim))
+    for Z in starts[1:]:
+        assert np.array_equal(Z, _state(*_sample_starts(rng, 1, g, S)))
 
 
 def _count_streams(monkeypatch):
@@ -878,21 +890,21 @@ def test_failed_placement_takes_the_first_draw_of_the_stream(monkeypatch, seed):
     g = QuotientGraph(2, g.vertex_count, g.tails, g.heads, reps[fail[0]])
     S = optimize._reduced_frame(g, g.shifts[None])[0]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    draws = [_sample_starts(rng, 1, g, S)[0] for _ in range(3)]
+    draws = [_state(*_sample_starts(rng, 1, g, S)) for _ in range(3)]
     starts = []
 
     class Recorded(_Batch):
-        def __init__(self, g, S, B, X):
-            starts.append(B.copy())
-            super().__init__(g, S, B, X)
+        def __init__(self, g, C, Z):
+            starts.append(Z.copy())
+            super().__init__(g, C, Z)
 
     monkeypatch.setattr(optimize, "_Batch", Recorded)
     made = _count_streams(monkeypatch)
     res = minimize_fixed_shifts(g, _config(monkeypatch, seed=seed, restarts=3, _MAX_ITER=2))
     assert res.traces.restart_index.tolist() == [0, 1, 2]
     assert made == ["SeedSequence", "default_rng"]
-    for B, want in zip(starts, draws):
-        assert np.array_equal(B, want)
+    for Z, want in zip(starts, draws):
+        assert np.array_equal(Z, want)
 
 
 @pytest.mark.usefixtures("tail_off")
@@ -949,7 +961,38 @@ def test_descent_matches_reference_from_a_sheared_start():
     _reference_run(b)
     _assert_same_descent(a, b)
     assert (a.status == 1).all()
-    assert (a.S == g.shifts).all()
+    assert (a.C[..., a.m:] == g.shifts).all()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_batch_state_is_the_network_it_was_handed(name):
+    # the descent evaluates its state Z = (X[1:]; B^T) as C Z, where every
+    # network given as (X, B) is evaluated by lifted_edges: on the catalog
+    # network, three rewrites of it and 8 random starts of each, the two
+    # agree to 1e-13 relative, and the (B, X) that the map-back reads off a
+    # batch's Z is the network handed in, moved to the translation and scale
+    # gauges
+    net, _ = catalog(name)
+    n = net.dim
+    rng = np.random.default_rng(sum(map(ord, name)))
+    cases = [(net.graph, net.lattice.basis[None], net.positions[None])]
+    for _ in range(3):
+        rw = _rewritten(net, rng)
+        S = np.broadcast_to(rw.graph.shifts, (8,) + rw.graph.shifts.shape)
+        cases += [(rw.graph, rw.lattice.basis[None], rw.positions[None]),
+                  (rw.graph, *_sample_starts(rng, 8, rw.graph, S))]
+    for g, B, X in cases:
+        S = np.broadcast_to(g.shifts, (len(B),) + g.shifts.shape)
+        C = _edge_map(g.skeleton().incidence, S)
+        want = lifted_edges(X, B, S.transpose(0, 2, 1).astype(np.float64), g.tails, g.heads)
+        got = _eval(n, C, _state(B, X))[1]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        batch = _Batch(g, C, _state(B, X))
+        c = np.abs(np.linalg.det(B.transpose(0, 2, 1))) ** (-1.0 / n)
+        for i, Z in enumerate(batch.Z):
+            back = optimize._in_frame_of(g, g.shifts, np.eye(n, dtype=np.int64), Z)
+            assert np.array_equal(back.lattice.basis, B[i] * c[i])
+            assert np.array_equal(back.positions, (X[i] - X[i, :1]) * c[i])
 
 
 def test_batch_descends_the_shifts_it_was_handed():
@@ -961,9 +1004,9 @@ def test_batch_descends_the_shifts_it_was_handed():
     S = np.repeat(reps, 10, axis=0)
     rng = np.random.default_rng(np.random.SeedSequence((1, 0)))
     B, X = _sample_starts(rng, len(S), g, S)
-    batch = _Batch(g, S, B, X)
+    batch = _batch(g, S, B, X)
     batch.run()
-    assert np.array_equal(batch.S, S)
+    assert np.array_equal(batch.C[..., batch.m:], S)
     assert (batch.status != 0).all()
 
 
@@ -978,7 +1021,7 @@ def test_every_start_of_an_orbit_ends_at_its_one_value(tag, orbits):
     assert len(frames) == orbits
     S = np.repeat(frames, 10, axis=0)
     rng = np.random.default_rng(np.random.SeedSequence((2024, 0)))
-    batch = _Batch(g, S, *_sample_starts(rng, len(S), g, S))
+    batch = _batch(g, S, *_sample_starts(rng, len(S), g, S))
     batch.run()
     values = np.exp(batch.f).reshape(orbits, 10)
     status = batch.status.reshape(orbits, 10)
@@ -1120,9 +1163,11 @@ def test_map_back_walks_the_tree_as_the_second_solve_did(name, params):
         Z = g.facts().cycles
         S, U = optimize._reduced_frame(g, g.shifts[None])
         assert np.array_equal(U[0], int_solve(Z @ g.shifts, Z @ S[0]))
-        batch = _Batch(g, S, *_standard_realization(g, S))
+        C = _edge_map(g.skeleton().incidence, S)
+        batch = _Batch(g, C, _standard_realization(C, g.dim))
         batch.run()
-        B, X = batch.B[0], batch.X[0]
+        state = batch.Z[0]
+        (B,), (X,) = _read_back(batch.Z[:1], g.dim)
         weight = np.abs(np.linalg.svd((Z @ g.shifts).T)[2][-1] @ Z)    # |mu| on the edges
         bad = S[0].copy()
         bad[int(np.argmax(weight))] += rng.choice([-1, 1], size=g.dim)
@@ -1131,9 +1176,9 @@ def test_map_back_walks_the_tree_as_the_second_solve_did(name, params):
                 with pytest.raises(RuntimeError, match="integer solve failed"):
                     int_solve(Z @ g.shifts, Z @ frame)
                 with pytest.raises(RuntimeError, match="map back failed"):
-                    optimize._in_frame_of(g, frame, U[0], B, X)
+                    optimize._in_frame_of(g, frame, U[0], state)
                 continue
-            got = optimize._in_frame_of(g, frame, int_solve(Z @ g.shifts, Z @ frame), B, X)
+            got = optimize._in_frame_of(g, frame, int_solve(Z @ g.shifts, Z @ frame), state)
             want = _reference_in_frame_of(g, frame, B, X)
             assert got.graph is g
             assert np.array_equal(got.lattice.basis, want.lattice.basis)
@@ -1232,7 +1277,7 @@ def test_frames_are_built_in_one_pass_per_batch(monkeypatch):
     # of its own assignments, and only those, in one greedy_reduce call; at
     # r = n the frame is I and nothing is reduced
     sizes = {"greedy_reduce": [], "_standard_realization": []}
-    size_of = {"greedy_reduce": len, "_standard_realization": lambda g, S: len(S)}
+    size_of = {"greedy_reduce": len, "_standard_realization": lambda C, n: len(C)}
     for name in sizes:
         def counted(*args, _f=getattr(optimize, name), _name=name):
             sizes[_name].append(size_of[_name](*args))
@@ -1256,24 +1301,22 @@ def test_config_rejects_negative_seed():
 # -- the damped-Newton tail ----------------------------------------------------
 
 def _tail_state(g, X, B):
-    """Unit edge vectors, edge lengths, the gradient (gX, gB) and its squared
-    norm of stacked states over ``g``, the way ``_Batch.run`` computes them."""
+    """Edge maps, inverse bases, unit edge vectors, edge lengths, the gradient
+    over Z and its squared norm of stacked states over ``g``, the way
+    ``_Batch.run`` computes them."""
     S = np.broadcast_to(g.shifts, (len(B),) + g.shifts.shape)
-    vec = lifted_edges(X, B, S.transpose(0, 2, 1), g.tails, g.heads)
-    ell = edge_norms(vec)
+    C, Z = _edge_map(g.skeleton().incidence, S), _state(B, X)
+    _, vec, ell, _ = _eval(g.dim, C, Z)
     u = vec / ell[..., None]
-    _, gX, gB = _gradient(g.dim, incidence(g.tails, g.heads, g.vertex_count), S, B, u,
-                          ell.sum(1))
-    gsq = np.einsum('avi,avi->a', gX, gX) + np.einsum('aij,aij->a', gB, gB)
-    return S, u, ell, gX, gB, gsq
+    Binv = np.linalg.inv(Z[:, g.vertex_count - 1:]).transpose(0, 2, 1)
+    grad = _gradient(g.dim, C, Binv, u, ell.sum(1))
+    return C, Binv, u, ell, grad, np.einsum('arj,arj->a', grad, grad)
 
 
 def _flat_gradient(g, X, B):
     """The gradient in the variable order of ``_hessian``: X[1:] row-major,
     then B column by column."""
-    _, _, _, gX, gB, _ = _tail_state(g, X, B)
-    return np.concatenate([gX[:, 1:].reshape(len(B), -1),
-                           gB.transpose(0, 2, 1).reshape(len(B), -1)], axis=1)
+    return _tail_state(g, X, B)[4].reshape(len(B), -1)
 
 
 HESSIAN_GRAPHS = [("hcb", {}), ("pcu", {"n": 2}), ("simplex_net", {"n": 2}), ("dia", {}),
@@ -1303,8 +1346,8 @@ def test_hessian_matches_finite_differences(name, params):
         g = case.graph
         X, B, _ = as_stack(case)
         X = X - X[:, :1]
-        S, u, ell, _, _, _ = _tail_state(g, X, B)
-        H = _hessian(n, incidence(g.tails, g.heads, V), S, B, u, ell)[0]
+        C, Binv, u, ell, _, _ = _tail_state(g, X, B)
+        H = _hessian(n, C, Binv, u, ell)[0]
         D = (V - 1 + n) * n
         assert H.shape == (D, D)
         Xs = np.repeat(X, 2 * D, axis=0)
@@ -1383,18 +1426,17 @@ def _near_dia(count, seed):
 
 def test_newton_steps_guard_singular_and_ascent_rows(monkeypatch):
     g, X, B = _near_dia(4, seed=3)
-    S, u, ell, gX, gB, gsq = _tail_state(g, X, B)
-    P = incidence(g.tails, g.heads, g.vertex_count)
-    H = _hessian(3, P, S, B, u, ell)
+    C, Binv, u, ell, grad, gsq = _tail_state(g, X, B)
+    H = _hessian(3, C, Binv, u, ell)
     eye, lam = np.eye(H.shape[1]), np.sqrt(gsq)
     H[1] = -lam[1] * eye                # H + |g| I is the zero matrix
     H[2] = np.nan
     H[3] = -(lam[3] + 1.0) * eye        # H + |g| I = -I: p = g goes uphill
     monkeypatch.setattr(optimize, "_hessian", lambda *args: H)
-    pX, pB, gp = _newton_steps(3, P, S, B, u, ell, gX, gB, gsq)
+    p, gp = _newton_steps(3, C, Binv, u, ell, grad, gsq)
     assert gp[0] < 0 and np.isnan(gp[1:]).all()
-    assert np.isfinite(pX[0]).all() and np.isfinite(pB[0]).all()
-    assert (pX[:, 0] == 0).all()
+    assert np.isfinite(p[0]).all()
+    assert p.shape == grad.shape        # no row for the pinned vertex 0
 
 
 @pytest.mark.parametrize("bad", ["nan", "ascent", "far"])
@@ -1406,17 +1448,17 @@ def test_newton_fallback_rows_take_the_gradient_step(monkeypatch, bad):
     a, b = _twin_batches(g, _config(monkeypatch, _MAX_ITER=40), B, X)
     newton_steps = optimize._newton_steps
 
-    def hessian(n, P, S, B, u, ell):
-        D = (P.shape[1] - 1 + n) * n
+    def hessian(n, C, Binv, u, ell):
+        D = C.shape[2] * n
         if bad == "nan":
-            return np.full((len(B), D, D), np.nan)
-        return np.broadcast_to(-1e6 * np.eye(D), (len(B), D, D)).copy()
+            return np.full((len(C), D, D), np.nan)
+        return np.broadcast_to(-1e6 * np.eye(D), (len(C), D, D)).copy()
 
     def far_steps(*args):
         # the Newton directions, stretched to a max-norm of 10
-        pX, pB, gp = newton_steps(*args)
-        c = 10.0 / np.maximum(np.abs(pX).max(axis=(1, 2)), np.abs(pB).max(axis=(1, 2)))
-        return c[:, None, None] * pX, c[:, None, None] * pB, c * gp
+        p, gp = newton_steps(*args)
+        c = 10.0 / np.abs(p).max(axis=(1, 2))
+        return c[:, None, None] * p, c * gp
 
     with monkeypatch.context() as mp:
         mp.setattr(optimize, "_NEWTON_ENTRY", np.inf)

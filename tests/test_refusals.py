@@ -16,10 +16,10 @@ import sys
 import numpy as np
 import pytest
 
-from perinet import (Lattice, PeriodicNetwork, PyramidInstance, QuotientGraph, TopologyClass,
-                     bound_even, build_abstract, catalog, check_simplex, classify,
+from perinet import (Lattice, OptimizeConfig, PeriodicNetwork, PyramidInstance, QuotientGraph,
+                     TopologyClass, bound_even, build_abstract, catalog, check_simplex, classify,
                      construct_bouquet, construct_even_two_vertex, construct_odd,
-                     dipole5_coefficients, export_obj, force, geometric_median, is_balanced,
+                     dipole5_coefficients, edge_vector, export_obj, force, geometric_median, is_balanced,
                      minimize_topology, monotonicity_table, network_from_json, network_to_json,
                      random_network, read_network, rebalance_vertex, write_network)
 from perinet.cli import run
@@ -115,8 +115,22 @@ ROWS = {
                               ValueError, "unknown vertex id True"),
     "force-vertex-bool": (lambda: force(_dia(), True), ValueError, "unknown vertex id True"),
     "force-vertex-float": (lambda: force(_dia(), 1.0), ValueError, "unknown vertex id 1.0"),
+    "edge-vector-bool": (lambda: edge_vector(_dia(), True), ValueError, "unknown edge id True"),
+    "edge-vector-float": (lambda: edge_vector(_dia(), 1.0), ValueError, "unknown edge id 1.0"),
     "random-network-seed": (lambda: random_network(_dia().graph, seed=-1),
                             ValueError, "seed must be non-negative"),
+    # a NaN passes the "< 1" check, and a float or a bool would reach range()
+    # or the random stream, or run as the integer it stands for
+    "config-restarts-nan": (lambda: OptimizeConfig(restarts=float("nan")),
+                            ValueError, "restarts must be an integer"),
+    "config-restarts-bool": (lambda: OptimizeConfig(restarts=True),
+                             ValueError, "restarts must be an integer"),
+    "config-s-max-float": (lambda: OptimizeConfig(s_max=1.5), ValueError,
+                           "s_max must be an integer"),
+    "config-s-max-bool": (lambda: OptimizeConfig(s_max=True), ValueError,
+                          "s_max must be an integer"),
+    "config-seed-float": (lambda: OptimizeConfig(seed=1.5), ValueError, "seed must be an integer"),
+    "config-seed-bool": (lambda: OptimizeConfig(seed=True), ValueError, "seed must be an integer"),
     "bouquet-0": (lambda: TopologyClass.bouquet(0), ValueError, "bouquet needs at least one loop"),
     "double-bouquet-loops": (lambda: TopologyClass.double_bouquet(-1, 2),
                              ValueError, "double bouquet needs loops >= 0 and bridges >= 1"),
