@@ -179,7 +179,8 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
     The point sets are vertex stars of a few points in a few dimensions,
     so the work is done in plain floats, where numpy's per-call overhead
     would dominate.  ``on_step(p, obj)``, when given, is called after
-    every iterate.
+    every iterate.  A tolerance that is not positive and a ``max_iter``
+    that is not a positive integer are refused.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or len(pts) < 2:
@@ -188,6 +189,8 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
         raise ValueError("non-finite point coordinates")
     if not tol > 0:     # NaN too
         raise ValueError("tolerance must be positive")
+    if _integer(max_iter) is None or max_iter < 1:
+        raise ValueError("max_iter must be a positive integer")
     P = pts.tolist()
     cols = list(zip(*P))
     mean = [sum(col) / len(P) for col in cols]

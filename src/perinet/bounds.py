@@ -500,7 +500,10 @@ def verify(net: PeriodicNetwork) -> BoundReport:
     measured like any other, and its note says that no realization of its
     quotient is balanced.  A network that fails validation gets the
     not-applicable report with the violations; its topology reads
-    ``"unclassified"`` when the graph is disconnected or irregular.
+    ``"unclassified"`` when the graph is disconnected or irregular.  The
+    edge vectors that validation measured are the ones the certificate
+    reads, and called right after ``validate`` on the same network object,
+    or right before it, the two measure the network once (``_validate``).
     """
     with np.errstate(invalid='ignore'):     # non-finite geometry fails validation
         rep, ell, vecs = _validate(net)

@@ -37,6 +37,18 @@ def _freeze(a, dtype=None, shape=None) -> np.ndarray:
     return a
 
 
+def _integers(a, name: str) -> np.ndarray:
+    """``a`` as an array, refused unless its entries are integers: integral
+    floats pass, as the JSON reader reads them; bools, fractions and
+    non-finite entries, which the cast to int64 would mangle, do not.  An
+    integer array passes as it is, with no copy."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu" and not (a.dtype.kind == "f" and np.isfinite(a).all()
+                                         and (np.trunc(a) == a).all()):
+        raise ValueError(f"{name} must be integers")
+    return a
+
+
 @dataclass(frozen=True)
 class QuotientGraph:
     """Finite multigraph with an integer shift vector on every edge.
@@ -53,13 +65,16 @@ class QuotientGraph:
     shifts: np.ndarray
 
     def __post_init__(self):
+        for name in ("dim", "vertex_count"):
+            if _integer(getattr(self, name)) is None:
+                raise ValueError(f"{name} must be an integer")
         if self.dim < 2:
             raise ValueError("ambient dimension must be >= 2")
         if self.vertex_count < 1:
             raise ValueError("need at least one vertex")
-        tails = _freeze(self.tails, np.int64, -1)
-        heads = _freeze(self.heads, np.int64, -1)
-        shifts = _freeze(self.shifts, np.int64, (len(tails), self.dim))
+        tails = _freeze(_integers(self.tails, "tails"), np.int64, -1)
+        heads = _freeze(_integers(self.heads, "heads"), np.int64, -1)
+        shifts = _freeze(_integers(self.shifts, "shifts"), np.int64, (len(tails), self.dim))
         if len(heads) != len(tails):
             raise ValueError("tail/head arrays differ in length")
         ends = tails.tolist() + heads.tolist()      # a few edges: cheaper than numpy's min
@@ -523,20 +538,40 @@ def validate(net: PeriodicNetwork) -> ValidityReport:
     outgoing directions at each vertex), quotient connectivity,
     quotient-level simplicity, the rational rank of the cycle-shift
     matrix, and lift connectivity (all Smith invariant factors 1).  The
-    checks on the graph alone are its kept ``facts``; only the edge vectors
-    (and, once per lattice, its volume) are measured on every call.
+    checks on the graph alone are its kept ``facts``; the edge vectors (and,
+    once per lattice, its volume) are measured once for back-to-back calls
+    on one network, by ``validate`` or ``verify`` (``_validate``).
     """
     with np.errstate(invalid='ignore'):     # an infinite entry gives NaN, reported as such
         return _validate(net)[0]
 
 
+# the network ``_validate`` measured last, by weak reference, and what it
+# measured; a call on any other network replaces it, so it keeps no network
+# alive and holds one network's two small arrays at most
+_LAST: tuple = (lambda: None, None)
+
+
 def _validate(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray, np.ndarray]:
-    """``validate`` and the edge lengths and edge vectors it measured; its
-    callers silence the invalid-value warnings that infinite entries raise."""
+    """``validate`` and the edge lengths and edge vectors it measured, both
+    read-only; its callers silence the invalid-value warnings that infinite
+    entries raise.  A network is frozen, so what was measured for the same
+    object last (``_LAST``) is returned as it is."""
+    global _LAST
+    ref, found = _LAST      # one read: another thread may replace the slot
+    if ref() is not net:
+        found = _measure(net)
+        _LAST = (weakref.ref(net), found)
+    return found
+
+
+def _measure(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray, np.ndarray]:
+    """What ``_validate`` returns, measured anew."""
     g = net.graph
     facts = g.facts()
     vecs = edge_vectors(net)
     ell = edge_norms(vecs[None])[0]
+    vecs.flags.writeable = ell.flags.writeable = False
     lengths = ell.tolist()
     geometric = [f"zero-length edge {e}" for e, x in enumerate(lengths) if x == 0.0]
     geometric += [f"non-finite edge length {e}" for e, x in enumerate(lengths)

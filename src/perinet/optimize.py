@@ -544,8 +544,10 @@ def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:
     """One random valid network on the given quotient graph (deterministic in
     seed).  A graph that fails a check of ``facts()`` has none and is refused
     (``_refuse_invalid``); one with a cut edge is accepted, its networks
-    being valid though never balanced.  A negative seed is refused as
-    ``OptimizeConfig`` refuses it."""
+    being valid though never balanced.  A seed that is no integer, or is
+    negative, is refused as ``OptimizeConfig`` refuses it."""
+    if _integer(seed) is None:
+        raise ValueError("seed must be an integer")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     _refuse_invalid(g)
@@ -635,10 +637,11 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
     0 starts at the standard realization (``_standard_realization``); random
     starts near B = I, from one ``SeedSequence((seed, 0))`` stream made at
     its first draw, are drawn only for rows where it fails a
-    ``_START_CHECKS`` check and for every redraw.  The best, the lowest value
-    with ties within ``_TIE`` going to the instance descended first, is read
-    off its state and mapped back exactly (``_in_frame_of``) onto its
-    assignment, ``g`` if ``g``'s.
+    ``_START_CHECKS`` check and for every redraw, whose rounds build no
+    standard realization.  The best, the lowest value with ties within
+    ``_TIE`` going to the instance descended first, is read off its state
+    and mapped back exactly (``_in_frame_of``) onto its assignment, ``g``
+    if ``g``'s.
     """
     rng, draw, todo, rows, best = None, 0, np.arange(len(reps)), [], None
     while len(todo) and draw < cfg.restarts:
@@ -647,9 +650,13 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
             S, U = _reduced_frame(g, reps[a])
             C = _edge_map(g.skeleton().incidence, S)
             # the standard realization where it is a valid first start, a
-            # random draw in every other row; the stream is made at its first draw
-            Z = _standard_realization(C, g.dim)
-            rand = np.logical_or.reduce(_start_faults(g, *_eval(g.dim, C, Z)[1:])) | (draw > 0)
+            # random draw in every other row and every redraw; the stream is
+            # made at its first draw
+            if draw == 0:
+                Z = _standard_realization(C, g.dim)
+                rand = np.logical_or.reduce(_start_faults(g, *_eval(g.dim, C, Z)[1:]))
+            else:
+                Z, rand = np.empty((len(a), C.shape[2], g.dim)), np.ones(len(a), dtype=bool)
             if rand.any():
                 rng = rng or np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
                 Z[rand] = _state(*_sample_starts(rng, int(rand.sum()), g, S[rand]))

@@ -1,6 +1,10 @@
 import dataclasses
+import gc
 import math
+import sys
+import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -896,9 +900,13 @@ def _assert_verify_matches_reference(net, monkeypatch):
                                                     edge_vectors(net)))
         m.setattr(bounds, "classify", _reference_classify)
         want = verify(_fresh(net))
-    got = verify(net)
-    assert replace(got, measured=0.0) == replace(want, measured=0.0)
-    assert np.array_equal(got.measured, want.measured, equal_nan=True)
+    _same_verify(verify(net), want)
+
+
+def _same_verify(a, b):
+    """Equal bound reports, a NaN measure equal to a NaN."""
+    assert replace(a, measured=0.0) == replace(b, measured=0.0)
+    assert np.array_equal(a.measured, b.measured, equal_nan=True)
 
 
 def _catalog_and_rewrites(copies, seed):
@@ -962,6 +970,116 @@ def test_validate_matches_reference_on_random_multigraphs(monkeypatch):
                      ("rank-deficient", not rep.rank_full),
                      ("lift-disconnected", rep.rank_full and not rep.lift_connected)}
     assert len(verdicts) == 12, sorted(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# the validation slot: back-to-back validate and verify measure a network once
+
+def _copy(net):
+    """Another network object over the same graph, lattice and positions."""
+    return PeriodicNetwork(net.graph, net.lattice, net.positions)
+
+
+def _invalid_networks():
+    """dia with a zero-length edge, with a NaN position, on a singular basis."""
+    net = catalog("dia")[0]
+    nan = net.positions.copy()
+    nan[1, 0] = np.nan
+    return [PeriodicNetwork(net.graph, net.lattice, np.zeros((2, 3))),
+            PeriodicNetwork(net.graph, net.lattice, nan),
+            PeriodicNetwork(net.graph, Lattice(np.zeros((3, 3))), net.positions)]
+
+
+def _counting_measures(monkeypatch):
+    calls = []
+    monkeypatch.setattr(netcore, "parallel_ends",
+                        lambda *a, real=netcore.parallel_ends: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name,params", SHARP_CATALOG,
+                         ids=[name for name, _ in SHARP_CATALOG])
+def test_validate_and_verify_back_to_back_measure_once(monkeypatch, name, params):
+    calls = _counting_measures(monkeypatch)
+    net = catalog(name, **params)[0]
+    assert validate(net).ok
+    classify(net.graph)
+    assert verify(net).equality_certificate.passed
+    assert len(calls) == 1
+    net = catalog(name, **params)[0]
+    assert verify(net).equality_certificate.passed
+    assert validate(net).ok
+    assert len(calls) == 2
+
+
+def test_validation_slot_measures_every_other_network_anew(monkeypatch):
+    calls = _counting_measures(monkeypatch)
+    a, b = catalog("dia")[0], catalog("sqp")[0]
+    validate(a)
+    validate(_copy(a))          # equal, but another object
+    assert len(calls) == 2
+    validate(b)
+    verify(a)                   # b replaced a
+    validate(a)
+    assert len(calls) == 4
+
+
+def test_validation_slot_keeps_no_network_alive():
+    net = catalog("dia")[0]
+    probe = weakref.ref(net)
+    validate(net)
+    assert netcore._LAST[0]() is net
+    del net
+    gc.collect()
+    assert probe() is None and netcore._LAST[0]() is None
+
+
+def test_validation_slot_returns_what_a_fresh_measure_returns():
+    nets = list(_catalog_and_rewrites(3, 89)) + _invalid_networks()
+    for net in nets:
+        want, want_ell, want_vecs = netcore._measure(net)
+        for first in (validate, verify):
+            twin = _copy(net)
+            first(twin)
+            rep, ell, vecs = netcore._validate(twin)       # from the slot
+            assert rep == want and validate(twin) == want
+            assert np.array_equal(ell, want_ell, equal_nan=True)
+            assert np.array_equal(vecs, want_vecs, equal_nan=True)
+            assert not ell.flags.writeable and not vecs.flags.writeable
+            _same_verify(verify(twin), verify(_copy(net)))
+    assert sum(not validate(net).ok for net in nets) == 3
+
+
+def test_threads_validating_different_networks_get_their_own_reports():
+    # more threads than cores, switching often: a slot read twice, once for
+    # its key and once for its value, hands some thread another's report
+    nets = [catalog("dia")[0]] + _invalid_networks()
+    want = [netcore._measure(net) for net in nets]
+    assert len({rep.violations for rep, _, _ in want}) == len(nets)
+    wrong, done, start = [], [], threading.Barrier(len(nets))
+
+    def work(net, rep):
+        start.wait(timeout=60)
+        for _ in range(1000):
+            twin = _copy(net)
+            for _ in range(300):        # all but the first from the slot, if it is kept
+                got = netcore._validate(twin)[0]
+                if got != rep:
+                    wrong.append(got)
+        done.append(net)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(net, rep))
+                   for net, (rep, _, _) in zip(nets, want)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(done) == len(nets) and not wrong
 
 
 def test_cut_edges_are_the_edges_whose_removal_disconnects():

@@ -1293,6 +1293,24 @@ def test_frames_are_built_in_one_pass_per_batch(monkeypatch):
     assert sizes["greedy_reduce"] == [] and len(sizes["_standard_realization"]) >= 2
 
 
+def test_redraw_rounds_build_no_standard_realization(monkeypatch):
+    # a redraw overwrites every row of its batch with a random start, so
+    # only the batches of draw 0 build and check the standard realization
+    sizes = {"_reduced_frame": [], "_standard_realization": []}
+    for name in sizes:
+        def counted(*args, _f=getattr(optimize, name), _name=name):
+            sizes[_name].append(len(args[_name == "_reduced_frame"]))
+            return _f(*args)
+        monkeypatch.setattr(optimize, name, counted)
+    monkeypatch.setattr(optimize, "_CHUNK", 16)
+    monkeypatch.setattr(optimize, "_MAX_ITER", 2)     # too few steps to converge: redraws
+    res = minimize_topology("D1,3", 3, OptimizeConfig(seed=1, restarts=3))
+    first = len(sizes["_standard_realization"])
+    assert res.traces.restart_index.max() == 2 and len(sizes["_reduced_frame"]) > first
+    assert sizes["_standard_realization"] == sizes["_reduced_frame"][:first]
+    assert sum(sizes["_standard_realization"]) == np.count_nonzero(res.traces.restart_index == 0)
+
+
 def test_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be non-negative"):
         OptimizeConfig(seed=-1)

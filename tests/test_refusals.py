@@ -32,6 +32,14 @@ def _dia():
     return catalog("dia")[0]
 
 
+def _dia_graph(**fields):
+    """dia's quotient graph with ``fields`` replaced."""
+    g = _dia().graph
+    args = dict(dim=g.dim, vertex_count=g.vertex_count, tails=g.tails, heads=g.heads,
+                shifts=g.shifts)
+    return QuotientGraph(**{**args, **fields})
+
+
 def _sqp_doubled():
     """sqp with its shifts doubled: they span an index-8 sublattice, so no
     triple of neighbour differences is unimodular."""
@@ -74,6 +82,18 @@ ROWS = {
                           ValueError, "tail/head arrays differ in length"),
     "graph-endpoint": (lambda: QuotientGraph(2, 1, [0], [1], [[1, 0]]),
                        ValueError, "edge endpoint out of range"),
+    # the cast to int64 would truncate a fraction and read a bool as 0 or 1
+    "graph-shifts-fraction": (lambda: _dia_graph(shifts=_dia().graph.shifts + 0.5),
+                              ValueError, "shifts must be integers"),
+    "graph-tails-fraction": (lambda: _dia_graph(tails=[0, 0.9, 0, 0]),
+                             ValueError, "tails must be integers"),
+    "graph-heads-bool": (lambda: _dia_graph(heads=_dia().graph.heads.astype(bool)),
+                         ValueError, "heads must be integers"),
+    "graph-vertex-count-float": (lambda: _dia_graph(vertex_count=2.0),
+                                 ValueError, "vertex_count must be an integer"),
+    "graph-vertex-count-bool": (lambda: _dia_graph(vertex_count=True),
+                                ValueError, "vertex_count must be an integer"),
+    "graph-dim-float": (lambda: _dia_graph(dim=3.0), ValueError, "dim must be an integer"),
     "lattice-not-square": (lambda: Lattice(np.ones((2, 3))),
                            ValueError, "lattice basis must be a square matrix"),
     "network-positions": (lambda: PeriodicNetwork(_dia().graph, _dia().lattice, np.zeros((3, 3))),
@@ -108,6 +128,10 @@ ROWS = {
     # a NaN tolerance compares false both ways: it must not run the iteration cap out
     "median-tol-nan": (lambda: geometric_median(np.eye(3), tol=float("nan")),
                        ValueError, "tolerance must be positive"),
+    "median-max-iter-0": (lambda: geometric_median(np.eye(3), max_iter=0),
+                          ValueError, "max_iter must be a positive integer"),
+    "median-max-iter-negative": (lambda: geometric_median(np.eye(3), max_iter=-1),
+                                 ValueError, "max_iter must be a positive integer"),
     "balanced-tol-nan": (lambda: is_balanced(_dia(), float("nan")),
                          ValueError, "tolerance must be positive"),
     # a bool is a mask to numpy: True would move, or take the force of, every vertex
@@ -119,6 +143,10 @@ ROWS = {
     "edge-vector-float": (lambda: edge_vector(_dia(), 1.0), ValueError, "unknown edge id 1.0"),
     "random-network-seed": (lambda: random_network(_dia().graph, seed=-1),
                             ValueError, "seed must be non-negative"),
+    "random-network-seed-bool": (lambda: random_network(_dia().graph, seed=True),
+                                 ValueError, "seed must be an integer"),
+    "random-network-seed-float": (lambda: random_network(_dia().graph, seed=1.5),
+                                  ValueError, "seed must be an integer"),
     # a NaN passes the "< 1" check, and a float or a bool would reach range()
     # or the random stream, or run as the integer it stands for
     "config-restarts-nan": (lambda: OptimizeConfig(restarts=float("nan")),
