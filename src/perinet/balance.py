@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (PeriodicNetwork, _integer, as_stack, edge_norms, lifted_edges,
-                      oriented_star, vertex_forces, with_positions)
+from .netcore import (PeriodicNetwork, _integer, _validate, oriented_star, vertex_forces,
+                      with_positions)
 
 MEDIAN_TOL = 1e-10
 MEDIAN_MAX_ITER = 10_000
@@ -52,12 +52,12 @@ def _known_vertex(net: PeriodicNetwork, v: int) -> int:
 
 
 def force_all(net: PeriodicNetwork) -> ForceResult:
-    g = net.graph
-    vecs = lifted_edges(*as_stack(net), g.tails, g.heads)
-    ell = edge_norms(vecs)
-    if not ell.all():
-        raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
-    out = vertex_forces(g.skeleton().incidence, vecs / ell[..., None])[0]
+    """The forces at every vertex, from what validation measured (``_validate``)."""
+    with np.errstate(invalid='ignore'):     # non-finite geometry gives NaN forces
+        _, ell, vecs = _validate(net)
+        if not ell.all():
+            raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
+        out = vertex_forces(net.graph.skeleton().incidence, (vecs / ell[:, None])[None])[0]
     return ForceResult(forces=out, max_norm=float(np.linalg.norm(out, axis=1).max()))
 
 

@@ -507,8 +507,9 @@ def verify(net: PeriodicNetwork) -> BoundReport:
     """
     with np.errstate(invalid='ignore'):     # non-finite geometry fails validation
         rep, ell, vecs = _validate(net)
-        try:
-            measured = _length_quotient(net, ell)
+        try:    # a valid network's lengths are finite and nonzero: the sum is all it takes
+            measured = float(ell.sum()) ** net.dim / net.lattice.volume() if rep.ok \
+                else _length_quotient(net, ell)
         except ValueError:
             measured = float("nan")
     if not rep.ok:

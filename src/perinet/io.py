@@ -21,12 +21,6 @@ import numpy as np
 from .netcore import Lattice, PeriodicNetwork, QuotientGraph
 
 
-def _fnum(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number {x} has no JSON form")
-    return format(float(x), ".17g")
-
-
 def _finite(text: str) -> float:
     if not math.isfinite(x := float(text)):
         raise ValueError(f"not valid JSON: {text} is not a finite double")
@@ -52,28 +46,23 @@ def _floats(xs, field: str) -> list:
 
 def network_to_json(net: PeriodicNetwork) -> str:
     """Serialize a network to its canonical JSON text."""
-    g = net.graph
-    parts = ['{\n  "dim": %d,\n  "vertices": [\n' % g.dim]
-    vrows = []
+    g, n = net.graph, net.dim
     # Python floats: the finiteness check and the formatting cost less on them
-    for v, row in enumerate(net.positions.tolist()):
-        pos = ", ".join(_fnum(x) for x in row)
-        vrows.append('    {"id": %d, "pos": [%s]}' % (v, pos))
-    parts.append(",\n".join(vrows))
-    parts.append('\n  ],\n  "lattice": [\n')
-    cols = []
-    for column in net.lattice.basis.T.tolist():
-        col = ", ".join(_fnum(x) for x in column)
-        cols.append("    [%s]" % col)
-    parts.append(",\n".join(cols))
-    parts.append('\n  ],\n  "edges": [\n')
-    erows = []
-    for t, h, s in g.edges:
-        erows.append('    {"tail": %d, "head": %d, "shift": [%s]}'
-                     % (t, h, ", ".join(str(x) for x in s)))
-    parts.append(",\n".join(erows))
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
+    pos, cols = net.positions.tolist(), net.lattice.basis.T.tolist()
+    for x in itertools.chain(*pos, *cols):
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite number {x} has no JSON form")
+    point = ", ".join(["%.17g"] * n)        # as format(x, ".17g")
+    vertex, column = '    {"id": %d, "pos": [' + point + ']}', "    [" + point + "]"
+    edge = '    {"tail": %d, "head": %d, "shift": [' + ", ".join(["%d"] * n) + "]}"
+    return "".join(['{\n  "dim": %d,\n  "vertices": [\n' % n,
+                    ",\n".join([vertex % (v, *row) for v, row in enumerate(pos)]),
+                    '\n  ],\n  "lattice": [\n',
+                    ",\n".join([column % tuple(c) for c in cols]),
+                    '\n  ],\n  "edges": [\n',
+                    ",\n".join([edge % (t, h, *s) for t, h, s in
+                                zip(g.tails.tolist(), g.heads.tolist(), g.shifts.tolist())]),
+                    "\n  ]\n}\n"])
 
 
 def network_from_json(text: str) -> PeriodicNetwork:

@@ -187,29 +187,40 @@ class _Batch:
         n = self.n = g.dim
         m = self.m = g.vertex_count - 1
         self.skeleton = g.skeleton()
-        N = len(Z)
+        N, E = C.shape[:2]
         self.C = C
-        self.Z = np.array(Z, dtype=np.float64, order='C')  # as gathers are: matmul rounds by layout
+        self.Z = np.empty((N, m + n, n))
         self.t = np.full(N, _STEP0)
         self.status = np.zeros(N, dtype=np.uint8)
         self.iters = np.zeros(N, dtype=np.int32)
         self.tail_steps = np.zeros(N, dtype=np.int32)
-        with np.errstate(divide='ignore', invalid='ignore'):
-            c = np.abs(np.linalg.det(self.Z[:, m:])) ** (-1.0 / n)     # scale gauge
-            ok = np.isfinite(c)
-            self.Z[ok] *= c[ok, None, None]
-            self.f, vec, self.ell, _ = _eval(n, C, self.Z)
-            self.u = vec / self.ell[..., None]
-        self.status[~ok | ~np.isfinite(self.f)] = 3
-        collapsed = (self.ell.min(axis=1) < _EPS_EDGE) & (self.status == 0)
-        self.status[collapsed] = 2
-        self._f_snap = self.f.copy()
+        self.f, self._f_snap, self.det = np.empty(N), np.empty(N), np.empty(N)
+        self.ell, self.u = np.empty((N, E)), np.empty((N, E, n))
+        self.place(slice(None), Z)
         self._stall = np.zeros(N, dtype=np.int16)
         # previous-step memory for the Barzilai-Borwein step estimate; a
         # stored step size of 0 stands for no previous step
         self._gZo = np.zeros_like(self.Z)
         self._gsqo = np.zeros(N)
         self._tacc = np.zeros(N)
+
+    def place(self, rows, Z):
+        """Start the instances ``rows`` at the states ``Z``, scaled to unit
+        volume where they can be, and evaluated once: ``det`` keeps their
+        basis determinants from before the scaling, ``u`` and ``ell`` their
+        unit edge vectors and lengths after it (``_start_faults``)."""
+        n = self.n
+        Z = np.array(Z, dtype=np.float64, order='C')  # as gathers are: matmul rounds by layout
+        with np.errstate(divide='ignore', invalid='ignore'):
+            det = np.linalg.det(Z[:, self.m:])
+            c = np.abs(det) ** (-1.0 / n)     # scale gauge
+            ok = np.isfinite(c)
+            Z[ok] *= c[ok, None, None]
+            f, vec, ell, _ = _eval(n, self.C[rows], Z)
+            self.u[rows] = vec / ell[..., None]
+        status = np.where(~ok | ~np.isfinite(f), 3, np.where(ell.min(axis=1) < _EPS_EDGE, 2, 0))
+        self.Z[rows], self.det[rows], self.f[rows], self._f_snap[rows] = Z, det, f, f
+        self.ell[rows], self.status[rows] = ell, status
 
     def _service(self, w, check_cond: bool) -> np.ndarray:
         """The code each instance of the working state ``w`` leaves with, its
@@ -365,13 +376,14 @@ class _Batch:
             (idx[~out], SimpleNamespace(**{k: getattr(w, k)[~out] for k in ("C", *_LIVE)}))
 
 
-def _start_faults(g: QuotientGraph, vec: np.ndarray, ell: np.ndarray, det: np.ndarray):
+def _start_faults(g: QuotientGraph, u: np.ndarray, ell: np.ndarray, det: np.ndarray):
     """The (N,) flags of each ``_START_CHECKS`` check that stacked starts over
-    the skeleton of ``g``, with edge vectors ``vec``, lengths ``ell`` and basis
-    determinants ``det``, fail: |det B| <= 0.1, an edge of length 1e-9 or
-    less, and two edge ends that leave a vertex in one direction."""
-    return (np.abs(det) <= 0.1, (ell <= 1e-9).any(axis=1),
-            parallel_ends(vec, ell, g.skeleton().end_pairs).any(axis=1))
+    the skeleton of ``g``, with unit edge vectors ``u`` = vec / ell, lengths
+    ``ell`` and basis determinants ``det``, fail: |det B| <= 0.1, an edge of
+    length 1e-9 or less, and two edge ends that leave a vertex in one
+    direction (``parallel_ends`` of vec and ell, whose directions are ``u``)."""
+    ends = parallel_ends(u, np.where(np.isfinite(ell), 1.0, ell), g.skeleton().end_pairs)
+    return np.abs(det) <= 0.1, (ell <= 1e-9).any(axis=1), ends.any(axis=1)
 
 
 def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
@@ -397,7 +409,9 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
         Xc = np.einsum('aij,avj->avi', Bc, frac)
         B[todo], X[todo] = Bc, Xc
         vec = lifted_edges(Xc, Bc, ST[todo], g.tails, g.heads)
-        faults = _start_faults(g, vec, edge_norms(vec), np.linalg.det(Bc))
+        ell = edge_norms(vec)
+        with np.errstate(divide='ignore', invalid='ignore'):
+            faults = _start_faults(g, vec / ell[..., None], ell, np.linalg.det(Bc))
         todo = todo[faults[0] | faults[1] | faults[2]]
     if len(todo):
         failed = ", ".join(c for c, hit in zip(_START_CHECKS, faults) if hit.any())
@@ -649,18 +663,22 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
         for a in (todo[lo:lo + _CHUNK] for lo in range(0, len(todo), _CHUNK)):
             S, U = _reduced_frame(g, reps[a])
             C = _edge_map(g.skeleton().incidence, S)
-            # the standard realization where it is a valid first start, a
-            # random draw in every other row and every redraw; the stream is
-            # made at its first draw
+            # the standard realization, checked on its batch's one evaluation,
+            # where it is a valid first start; a random draw in every other row,
+            # evaluated again alone, and every redraw; the stream is made at
+            # its first draw
             if draw == 0:
-                Z = _standard_realization(C, g.dim)
-                rand = np.logical_or.reduce(_start_faults(g, *_eval(g.dim, C, Z)[1:]))
+                batch = _Batch(g, C, _standard_realization(C, g.dim))
+                rand = np.logical_or.reduce(_start_faults(g, batch.u, batch.ell, batch.det))
             else:
-                Z, rand = np.empty((len(a), C.shape[2], g.dim)), np.ones(len(a), dtype=bool)
+                batch, rand = None, np.ones(len(a), dtype=bool)
             if rand.any():
                 rng = rng or np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-                Z[rand] = _state(*_sample_starts(rng, int(rand.sum()), g, S[rand]))
-            batch = _Batch(g, C, Z)
+                Z = _state(*_sample_starts(rng, int(rand.sum()), g, S[rand]))
+                if batch is None:
+                    batch = _Batch(g, C, Z)
+                else:
+                    batch.place(rand, Z)
             batch.run(None if len(reps) == 1 else np.inf if best is None else best[0])
             with np.errstate(over='ignore'):
                 v = np.exp(batch.f)

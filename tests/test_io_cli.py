@@ -14,6 +14,7 @@ from perinet import (Lattice, OptimizeConfig, PeriodicNetwork, catalog, length, 
 from perinet.cli import run
 from perinet.io import export_obj, network_from_json, network_to_json, read_network, write_network
 from test_bounds import UNCLASSIFIABLE, _unclassifiable_network
+from test_netcore import _catalog_and_rewrites
 
 
 def test_json_roundtrip_preserves_measures():
@@ -53,14 +54,80 @@ def test_json_reader_rejects_malformed():
         network_from_json(json.dumps(doc))
 
 
+def _fnum(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x} has no JSON form")
+    return format(float(x), ".17g")
+
+
+def _reference_json(net):
+    """The former writer: every number checked and formatted on its own."""
+    g = net.graph
+    parts = ['{\n  "dim": %d,\n  "vertices": [\n' % g.dim]
+    vrows = []
+    for v, row in enumerate(net.positions.tolist()):
+        pos = ", ".join(_fnum(x) for x in row)
+        vrows.append('    {"id": %d, "pos": [%s]}' % (v, pos))
+    parts.append(",\n".join(vrows))
+    parts.append('\n  ],\n  "lattice": [\n')
+    cols = []
+    for column in net.lattice.basis.T.tolist():
+        col = ", ".join(_fnum(x) for x in column)
+        cols.append("    [%s]" % col)
+    parts.append(",\n".join(cols))
+    parts.append('\n  ],\n  "edges": [\n')
+    erows = []
+    for t, h, s in g.edges:
+        erows.append('    {"tail": %d, "head": %d, "shift": [%s]}'
+                     % (t, h, ", ".join(str(x) for x in s)))
+    parts.append(",\n".join(erows))
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
+
+
+def test_json_writer_matches_the_per_number_writer():
+    count = 0
+    for net in _catalog_and_rewrites(4, 35):
+        assert network_to_json(net) == _reference_json(net)
+        count += 1
+    assert count == 5 * 18
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_json_writer_formats_edge_values_as_the_per_number_writer(n):
+    # signed zero, the least subnormal, the extremes of the exponent range,
+    # a number with no short binary form and integral floats
+    values = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 1.0, -3.0, 2.0 ** 60, -1e-300, -5e-324]
+    net = catalog("pcu", n=n)[0]
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        positions = rng.choice(values, net.positions.shape)
+        basis = rng.choice(values, (n, n))
+        odd = PeriodicNetwork(net.graph, Lattice(basis), positions)
+        text = network_to_json(odd)
+        assert text == _reference_json(odd)
+        back = network_from_json(text)
+        assert np.array_equal(back.positions, positions)
+        assert np.array_equal(back.lattice.basis, basis)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("entry", ["position", "basis"])
 def test_json_writer_refuses_non_finite_numbers(entry, value):
+    # the message names the first non-finite number, positions before the
+    # basis, as the per-number writer's did
     net, _ = catalog("dia")
-    positions, basis = np.array(net.positions), np.array(net.lattice.basis)
-    (positions if entry == "position" else basis)[1, 0] = value
-    with pytest.raises(ValueError, match="non-finite"):
-        network_to_json(PeriodicNetwork(net.graph, Lattice(basis), positions))
+    for i, j, other in [(1, 0, None), (0, 2, None), (1, 0, -value)]:
+        positions, basis = np.array(net.positions), np.array(net.lattice.basis)
+        (positions if entry == "position" else basis)[i, j] = value
+        if other is not None:       # a second one in the other part
+            (basis if entry == "position" else positions)[0, 1] = other
+        odd = PeriodicNetwork(net.graph, Lattice(basis), positions)
+        with pytest.raises(ValueError) as want:
+            _reference_json(odd)
+        with pytest.raises(ValueError, match="^non-finite number .* has no JSON form$") as got:
+            network_to_json(odd)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

@@ -21,7 +21,9 @@ from perinet import (
     edge_vector,
     edge_vectors,
     edge_lengths,
+    force,
     force_all,
+    is_balanced,
     length,
     length_quotient,
     random_network,
@@ -31,10 +33,11 @@ from perinet import (
     verify,
     volume,
 )
-from perinet import bounds, netcore
+from perinet import balance, bounds, netcore
 from perinet.intlinalg import smith_invariant_factors
 from perinet.netcore import (
     ValidityReport,
+    as_stack,
     edge_norms,
     incidence,
     lifted_edges,
@@ -787,22 +790,44 @@ def _measured_cases():
 
 
 def test_verify_measures_the_length_quotient_bit_for_bit():
-    count = 0
-    for net in _measured_cases():
+    # from 8 terms up numpy's pairwise sum and a sequential one round apart,
+    # as they do on some random networks over simplex_net(n=7)'s 8 edges
+    g7 = catalog("simplex_net", n=7)[0].graph
+    count = differ = 0
+    for net in _measured_cases() + [random_network(g7, seed=seed) for seed in range(20)]:
         assert verify(net).measured == length_quotient(net)
+        validate(twin := _copy(net))
+        assert verify(twin).measured == length_quotient(net)
+        ell = edge_lengths(net)
+        differ += sum(ell.tolist()) != float(ell.sum())
         count += 1
-    assert count >= 90
-    # a zero-length edge and a singular basis measure NaN, where
-    # length_quotient raises
+    assert count >= 110 and differ >= 3
+    # a zero-length edge, a NaN position and a singular basis measure NaN,
+    # where length_quotient raises
     net, _ = catalog("cds", t=0.5)
     positions = np.array(net.positions)
     positions[1] = positions[0]
     collapsed = PeriodicNetwork(net.graph, net.lattice, positions)
     flat = PeriodicNetwork(net.graph, Lattice(np.diag([1.0, 1.0, 0.0])), net.positions)
-    for bad in (collapsed, flat):
+    for bad in [collapsed, flat] + _invalid_networks():
         with pytest.raises(ValueError):
             length_quotient(bad)
-        assert math.isnan(verify(bad).measured)
+        rep = verify(bad)
+        assert not rep.applicable and math.isnan(rep.measured)
+        assert rep.note == "network fails validation: " + "; ".join(validate(bad).violations)
+    # an invalid network with finite, nonzero lengths and a basis measures its value
+    rng = np.random.default_rng(97)
+    measured = 0
+    for _ in range(200):
+        net = _random_multigraph(rng)
+        try:
+            want = length_quotient(net)
+        except ValueError:
+            assert math.isnan(verify(net).measured)
+        else:
+            assert verify(net).measured == want
+            measured += not validate(net).ok
+    assert measured >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -1080,6 +1105,81 @@ def test_threads_validating_different_networks_get_their_own_reports():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(done) == len(nets) and not wrong
+
+
+def _counting_measure_calls(monkeypatch):
+    """The ``_measure`` calls from now on, and the edge vector computations,
+    wherever ``lifted_edges`` is called from."""
+    calls, lifts = [], []
+    monkeypatch.setattr(netcore, "_measure",
+                        lambda net, real=netcore._measure: calls.append(net) or real(net))
+    counted = lambda *a, real=netcore.lifted_edges: lifts.append(1) or real(*a)  # noqa: E731
+    monkeypatch.setattr(netcore, "lifted_edges", counted)
+    monkeypatch.setattr(balance, "lifted_edges", counted, raising=False)
+    return calls, lifts
+
+
+@pytest.mark.parametrize("name,params", SHARP_CATALOG,
+                         ids=[name for name, _ in SHARP_CATALOG])
+def test_force_check_next_to_validation_measures_once(monkeypatch, name, params):
+    calls, lifts = _counting_measure_calls(monkeypatch)
+    net = catalog(name, **params)[0]
+    assert is_balanced(net)             # the sweep's order
+    assert verify(net).applicable
+    assert len(calls) == len(lifts) == 1
+    net = _copy(net)
+    assert validate(net).ok             # perinet eval's order
+    assert force_all(net).max_norm <= 1e-9
+    assert len(calls) == len(lifts) == 2
+
+
+def _reference_forces(net):
+    """The former ``force_all``: the network measured on its own."""
+    g = net.graph
+    vecs = lifted_edges(*as_stack(net), g.tails, g.heads)
+    ell = edge_norms(vecs)
+    if not ell.all():
+        raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
+    out = vertex_forces(g.skeleton().incidence, vecs / ell[..., None])[0]
+    return out, float(np.linalg.norm(out, axis=1).max())
+
+
+def test_forces_equal_a_fresh_measure_bit_for_bit():
+    nets = _measured_cases()
+    nets += [random_network(g, seed=seed) for seed in range(3)
+             for g in (catalog("simplex_net", n=7)[0].graph, catalog("cds", t=0.35)[0].graph)]
+    for net in nets:
+        want, want_max = _reference_forces(net)
+        for twin in (net, _copy(net)):
+            if twin is not net:
+                validate(twin)          # from the slot
+            got = force_all(twin)
+            assert np.array_equal(got.forces, want) and got.max_norm == want_max
+    assert len(nets) >= 90
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", ["position", "basis"])
+def test_force_on_non_finite_geometry_warns_nothing(entry, value):
+    net, _ = catalog("dia")
+    positions, basis = np.array(net.positions), np.array(net.lattice.basis)
+    (positions if entry == "position" else basis)[0, 0] = value
+    bad = PeriodicNetwork(net.graph, Lattice(basis), positions)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want, want_max = _reference_forces(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in range(2):
+            assert np.array_equal(force(bad, v), want[v], equal_nan=True)
+        assert not is_balanced(bad)
+        assert np.isnan(force_all(bad).max_norm) and np.isnan(want_max)
+    # a zero-length edge is refused, by its index, as before
+    collapsed = PeriodicNetwork(net.graph, net.lattice, np.zeros((2, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^zero-length edge 0$"):
+            force(collapsed, 0)
 
 
 def test_cut_edges_are_the_edges_whose_removal_disconnects():

@@ -55,6 +55,14 @@ def _read_back(Z, n):
     return Z[:, m:].transpose(0, 2, 1).copy(), X
 
 
+def _faults(g, C, Z):
+    """The (3, N) flags of the start checks that the states ``Z`` with edge
+    maps ``C`` fail, measured as they are."""
+    vec, ell, det = _eval(g.dim, C, Z)[1:]
+    with np.errstate(invalid='ignore'):     # 0 / 0 on a zero-length edge
+        return np.array(_start_faults(g, vec / ell[..., None], ell, det))
+
+
 def _batch(g, S, B, X):
     """A descent batch over ``g`` with shifts ``S`` from the networks (B, X)."""
     return _Batch(g, _edge_map(g.skeleton().incidence, S), _state(B, X))
@@ -744,7 +752,7 @@ def _standard_start(g, S):
     ``g``, with the (3, N) flags of the start checks it fails."""
     C = _edge_map(g.skeleton().incidence, S)
     Z = _standard_realization(C, g.dim)
-    return (*_read_back(Z, g.dim), np.array(_start_faults(g, *_eval(g.dim, C, Z)[1:])))
+    return (*_read_back(Z, g.dim), _faults(g, C, Z))
 
 
 @pytest.mark.parametrize("name,params", FIXED_SOLVE_GRAPHS,
@@ -803,19 +811,45 @@ def test_failed_standard_placements_start_from_random_draws(monkeypatch):
     starts = []
 
     class Recorded(_Batch):
-        def __init__(self, g, C, Z):
-            starts.append((C, Z.copy()))
-            super().__init__(g, C, Z)
+        def place(self, rows, Z):
+            starts.append((self.C, rows, Z.copy()))
+            super().place(rows, Z)
 
     monkeypatch.setattr(optimize, "_Batch", Recorded)
     optimize._multistart(g, reps, OptimizeConfig(seed=5, restarts=1))
-    [(C, Z)] = starts
+    # one batch: it places every standard realization, then the failed rows' draws
+    [(C, every, Z), (Cr, rows, Zr)] = starts
+    assert Cr is C and every == slice(None) and np.array_equal(rows, fail)
     assert np.array_equal(C, _edge_map(g.skeleton().incidence, S))
+    assert np.array_equal(Z, _state(B0, X0))
     rng = np.random.default_rng(np.random.SeedSequence((5, 0)))
     Br, Xr = _sample_starts(rng, fail.sum(), g, S[fail])
-    assert np.array_equal(Z[fail], _state(Br, Xr))
-    assert np.array_equal(Z[~fail], _state(B0, X0)[~fail])
-    assert not np.any(_start_faults(g, *_eval(2, C, Z)[1:]))
+    assert np.array_equal(Zr, _state(Br, Xr))
+    Z[fail] = Zr
+    assert not np.any(_faults(g, C, Z))
+
+
+def test_rows_placed_later_start_as_in_a_batch_built_at_once():
+    # the failed rows of D1,3 in R^2, placed after the batch evaluated its
+    # standard realizations, hold what a batch built from the final starts
+    # holds, bit for bit: the start checks read the one evaluation
+    g = build_abstract("D1,3", 2)
+    reps = shift_orbits(g, 2)
+    S = optimize._reduced_frame(g, reps)[0]
+    C = _edge_map(g.skeleton().incidence, S)
+    Z0 = _standard_realization(C, 2)
+    batch = _Batch(g, C, Z0)
+    fail = np.logical_or.reduce(_start_faults(g, batch.u, batch.ell, batch.det))
+    assert np.array_equal(fail, _faults(g, C, Z0).any(axis=0)) and fail.sum() == 138
+    assert np.array_equal(batch.det, np.linalg.det(Z0[:, -2:]))
+    Zr = _state(*_sample_starts(np.random.default_rng(3), int(fail.sum()), g, S[fail]))
+    batch.place(fail, Zr)
+    Z = Z0.copy()
+    Z[fail] = Zr
+    whole = _Batch(g, C, Z)
+    for k in ("Z", "u", "f", "ell", "det", "status", "_f_snap"):
+        assert np.array_equal(getattr(batch, k), getattr(whole, k), equal_nan=True), k
+    assert not batch.status.any()
 
 
 def test_random_starts_are_drawn_only_for_failed_placements_and_redraws(monkeypatch):
@@ -894,16 +928,22 @@ def test_failed_placement_takes_the_first_draw_of_the_stream(monkeypatch, seed):
     starts = []
 
     class Recorded(_Batch):
-        def __init__(self, g, C, Z):
-            starts.append(Z.copy())
-            super().__init__(g, C, Z)
+        def place(self, rows, Z):
+            starts.append((rows, Z.copy()))
+            super().place(rows, Z)
 
     monkeypatch.setattr(optimize, "_Batch", Recorded)
     made = _count_streams(monkeypatch)
     res = minimize_fixed_shifts(g, _config(monkeypatch, seed=seed, restarts=3, _MAX_ITER=2))
     assert res.traces.restart_index.tolist() == [0, 1, 2]
     assert made == ["SeedSequence", "default_rng"]
-    for Z, want in zip(starts, draws):
+    # draw 0 places the standard realization, then the first draw in its one
+    # row; every redraw's batch places its own draw
+    C = _edge_map(g.skeleton().incidence, S)
+    assert len(starts) == 4 and np.array_equal(starts[0][1], _standard_realization(C, 2))
+    assert [rows.tolist() if isinstance(rows, np.ndarray) else rows for rows, _ in starts] == \
+        [slice(None), [True], slice(None), slice(None)]
+    for (_, Z), want in zip(starts[1:], draws):
         assert np.array_equal(Z, want)
 
 
