@@ -3,7 +3,8 @@
 The JSON document holds the dimension, the vertices with positions, the
 lattice basis column by column, and the shift-labeled edges.  Floats are
 written with 17 significant digits, which round-trips IEEE doubles
-exactly; the writer output is byte-stable for a given network.  JSON has
+exactly, and a negative zero as -0.0; the writer output is byte-stable
+for a given network.  JSON has
 no non-finite numbers: the writer refuses them, and the reader refuses the
 ``NaN`` and ``Infinity`` literals that Python's json module would accept
 and a number such as ``1e999`` that it would read as infinite.
@@ -55,10 +56,12 @@ def network_to_json(net: PeriodicNetwork) -> str:
     point = ", ".join(["%.17g"] * n)        # as format(x, ".17g")
     vertex, column = '    {"id": %d, "pos": [' + point + ']}', "    [" + point + "]"
     edge = '    {"tail": %d, "head": %d, "shift": [' + ", ".join(["%d"] * n) + "]}"
+    floats = "".join([",\n".join([vertex % (v, *row) for v, row in enumerate(pos)]),
+                      '\n  ],\n  "lattice": [\n',
+                      ",\n".join([column % tuple(c) for c in cols])])
+    # "%.17g" writes -0.0 as -0, which JSON reads as the integer 0
     return "".join(['{\n  "dim": %d,\n  "vertices": [\n' % n,
-                    ",\n".join([vertex % (v, *row) for v, row in enumerate(pos)]),
-                    '\n  ],\n  "lattice": [\n',
-                    ",\n".join([column % tuple(c) for c in cols]),
+                    floats.replace("-0,", "-0.0,").replace("-0]", "-0.0]"),
                     '\n  ],\n  "edges": [\n',
                     ",\n".join([edge % (t, h, *s) for t, h, s in
                                 zip(g.tails.tolist(), g.heads.tolist(), g.shifts.tolist())]),

@@ -212,15 +212,6 @@ def _extend(rows: np.ndarray, lo: int, hi: int,
     return parent, e[i]
 
 
-def _combinations(m: int, k: int) -> np.ndarray:
-    """All k-subsets of range(m) as rows, in lexicographic order."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    for j in range(k):
-        parent, e = _extend(rows, 0, m - k + j + 1)
-        rows = np.column_stack([rows[parent], e])
-    return rows
-
-
 def _negation_first(sets: np.ndarray, N: int) -> np.ndarray:
     """Per sorted row of ``sets``: does it come, lexicographically, no later
     than its negation, N - 1 - the row reversed?  Compared column by column
@@ -308,14 +299,16 @@ def _screened_rows(g: QuotientGraph, n: int, s_max: int,
     minors the lattice-generation screen took of them (``_rows_generate_zn``)
     at r = n + 1, where the orbit fold reads them; None at other ranks.
     The matrices are int8 while s_max < 128 (int64 above).  A candidate is
-    a pair of loop sets and a set of free bridge shifts, in product order.
+    a pair of loop sets and a set of free bridge shifts, in product order,
+    built and screened about ``_ENUM_BLOCK`` at a time.
 
-    With ``orbits``, at r = n + 1 only candidates that no signed coordinate
-    permutation w maps earlier are built.  S -> S w^T is a basis change that
-    keeps the box, the folds and the screen, so every folded image of an
-    orbit's first member is a kept member, no earlier: first members are
-    built.  Loop sets are least under W and the vertex swap, bridge sets
-    under the maps fixing them, the last element under -I alone.
+    Only candidates that no map of a group maps earlier are built: of the
+    identity alone, every candidate; with ``orbits``, of the signed
+    coordinate permutations w, at any rank.  S -> S w^T is a basis change
+    that keeps the box, the folds and the screen, so every folded image of
+    an orbit's first member is a kept member, no earlier: first members are
+    built.  Loop sets are least under the maps and the vertex swap, bridge
+    sets under the maps fixing them, the last element under -I alone.
     """
     if classify(g).kind == "other":
         raise ValueError("shift enumeration supports one- and two-vertex skeletons only")
@@ -335,50 +328,39 @@ def _screened_rows(g: QuotientGraph, n: int, s_max: int,
     table = np.concatenate([nonzero[Nc:], nonzero]).astype(np.int8 if s_max < 2 ** 7 else np.int64)
     to_cycles = np.argsort(np.concatenate([loops0, loops1, bridges[1:]]))
 
-    if orbits and r == n + 1:
-        # both loop sets as one set on two copies of the classes, then the
-        # bridge sets under the maps whose action on the classes fixes it
-        H = bits.shape[2] // 2
-        loop_bits = loop_bits if k[1] else loop_bits[:Nc, :, :H]
-        q = _least_sets(loop_bits, [(Nc, k[0]), (Nc, k[1])], along=along)[1]
-        keys = loop_bits[q].sum(axis=1)
-        fixing = (keys == keys[..., :1]).all(axis=1)
-        fixing = fixing[:, :H] | fixing[:, H:] if k[1] else fixing
-        owner, b = _least_sets(bits, [(N, max(k[2] - 1, 0))], np.tile(fixing, 2))
+    # both loop sets as one set on two copies of the classes, then the
+    # bridge sets under the maps whose action on the classes fixes it; the
+    # loop maps are the H maps w on the classes (where w and -w agree), then
+    # each with the vertex swap
+    G = bits.shape[2] if orbits else 1
+    H, swap = max(G // 2, 1), orbits and k[1] > 0
+    loop_bits = loop_bits if swap else loop_bits[..., :H]
+    q = _least_sets(loop_bits, [(Nc, k[0]), (Nc, k[1])], along=along)[1]
+    keys = np.zeros((len(q),) + loop_bits.shape[1:], dtype=loop_bits.dtype)
+    for col in q.T:     # a column at a time: q holds every loop-set pair at G = 1
+        keys += loop_bits.take(col, axis=0)
+    fixing = (keys == keys[..., :1]).all(axis=1)
+    fixing = fixing[:, :H] | fixing[:, H:] if swap else fixing
+    owner, b = _least_sets(bits[..., :G], [(N, max(k[2] - 1, 0))], np.tile(fixing, 2)[:, :G])
+    # the last bridge element, its negation fold and the screen, a block of
+    # prefixes at a time: 4 _ENUM_BLOCK / N prefixes take fewer than
+    # 4 _ENUM_BLOCK last elements, about half of which pass the fold
+    step = max(4 * _ENUM_BLOCK // N, 1) if k[2] else _ENUM_BLOCK
+    loop_rows, blocks, minors = table.take(q % Nc, axis=0), [], ([] if r == n + 1 else None)
+    for lo in range(0, max(len(b), 1), step):       # an empty first block at least
+        o, c = owner[lo:lo + step], b[lo:lo + step]
         if k[2]:
-            parent, e = _extend(b, 0, N)
-            owner, b = owner[parent], np.column_stack([b[parent], e])
-            first = _negation_first(b, N)
-            owner, b = owner[first], b[first]
-        C = table[np.concatenate([(q % Nc)[owner], b + Nc], axis=1)[:, to_cycles]]
-        ok, minors = _rows_generate_zn(C.transpose(1, 2, 0), n, s_max)
-        return C[ok], minors[:, ok]
-
-    # every valid loop set, and of a bridge set and its negation (the same
-    # assignment) the first
-    sets = [_least_sets(loop_bits[..., :1], [(Nc, k[v])], along=along)[1] for v in (0, 1)]
-    bridge_sets = _combinations(N, k[2])
-    bridge_sets = bridge_sets[_negation_first(bridge_sets, N)]
-    i0, i1 = np.indices((len(sets[0]), len(sets[1]))).reshape(2, -1)
-    # the shifts of each loop-set pair and of each bridge set as rows of C,
-    # (rows, n, pairs or sets): a block of candidates gathers whole rows
-    tables = [np.ascontiguousarray(t.transpose(1, 2, 0)) for t in
-              (np.concatenate([table[sets[0][i0]], table[sets[1][i1]]], axis=1),
-               table[bridge_sets + Nc])]
-    # candidates in product order (loop-set pair, free bridge set),
-    # screened in blocks and kept as (r, n, N)
-    count = len(i0) * len(bridge_sets)
-    blocks, minors = [], ([] if r == n + 1 else None)
-    for lo in range(0, max(count, 1), _ENUM_BLOCK):    # an empty first block at least
-        ip, ib = np.divmod(np.arange(lo, min(lo + _ENUM_BLOCK, count)), len(bridge_sets))
-        C = np.concatenate([np.take(tables[0], ip, axis=2),
-                            np.take(tables[1], ib, axis=2)])[to_cycles]
-        ok, m = _rows_generate_zn(C, n, s_max)
-        blocks.append(np.compress(ok, C, axis=2))
+            parent, e = _extend(c, 0, N)
+            c = np.column_stack([c[parent], e])
+            first = _negation_first(c, N)
+            o, c = o[parent[first]], c[first]
+        C = np.concatenate([loop_rows.take(o, axis=0), table.take(c + Nc, axis=0)],
+                           axis=1)[:, to_cycles]
+        ok, m = _rows_generate_zn(C.transpose(1, 2, 0), n, s_max)
+        blocks.append(C[ok])
         if minors is not None:
-            minors.append(np.compress(ok, m, axis=1))
-    C = np.moveaxis(np.concatenate(blocks, axis=2), 2, 0)
-    return C, None if minors is None else np.concatenate(minors, axis=1)
+            minors.append(m[:, ok])
+    return np.concatenate(blocks), None if minors is None else np.concatenate(minors, axis=1)
 
 
 def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
@@ -398,9 +380,10 @@ def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
     coordinate permutation maps earlier are built (``_screened_rows``),
     every first member among them, and each kept one is keyed once: D1,3
     in R^3 screens 1,308 candidates in place of 15,379 and keys 786, D5
-    screens 769 in place of 7,514 and keys 531.  At larger r every
-    enumerated assignment is its own class.  Classes come in first-member
-    order.
+    screens 769 in place of 7,514 and keys 531.  At larger r nothing is
+    keyed: the folded assignments represent the classes, some more than
+    once (D1,5 in R^3: 34,541 of the 1,182,925 enumerated).  Classes come
+    in first-member order.
     """
     if classify(g).circuit_rank == n:
         return tree_gauge(g, np.eye(n, dtype=np.int64)[None])

@@ -797,17 +797,17 @@ def test_paper_minimizers_are_reached_without_a_step(n):
 
 
 def test_failed_standard_placements_start_from_random_draws(monkeypatch):
-    # D1,3 in R^2: the standard realization of 138 of the 238 orbits has a
-    # zero-length edge (54) or two edge ends that leave a vertex in one
-    # direction (104); those rows, and only those, start from random draws,
+    # D1,3 in R^2: the standard realization of 32 of the 60 orbits has a
+    # zero-length edge (10) or two edge ends that leave a vertex in one
+    # direction (25); those rows, and only those, start from random draws,
     # drawn for them alone, and every start passes the checks
     g = build_abstract("D1,3", 2)
     reps = shift_orbits(g, 2)
     S = optimize._reduced_frame(g, reps)[0]
     B0, X0, faults = _standard_start(g, S)
     fail = faults.any(axis=0)
-    assert len(reps) == 238 and faults.sum(axis=1).tolist() == [0, 54, 104]
-    assert fail.sum() == 138
+    assert len(reps) == 60 and faults.sum(axis=1).tolist() == [0, 10, 25]
+    assert fail.sum() == 32
     starts = []
 
     class Recorded(_Batch):
@@ -840,7 +840,7 @@ def test_rows_placed_later_start_as_in_a_batch_built_at_once():
     Z0 = _standard_realization(C, 2)
     batch = _Batch(g, C, Z0)
     fail = np.logical_or.reduce(_start_faults(g, batch.u, batch.ell, batch.det))
-    assert np.array_equal(fail, _faults(g, C, Z0).any(axis=0)) and fail.sum() == 138
+    assert np.array_equal(fail, _faults(g, C, Z0).any(axis=0)) and fail.sum() == 32
     assert np.array_equal(batch.det, np.linalg.det(Z0[:, -2:]))
     Zr = _state(*_sample_starts(np.random.default_rng(3), int(fail.sum()), g, S[fail]))
     batch.place(fail, Zr)

@@ -1,5 +1,5 @@
 from itertools import combinations, permutations, product
-from math import comb, gcd
+from math import gcd
 
 import numpy as np
 import pytest
@@ -320,16 +320,34 @@ def test_shift_orbits_screen_and_key_the_folded_candidates_once(monkeypatch, tag
     assert len(enumerate_shift_arrays(skeleton, 3, 1)) == enumerated
 
 
-@pytest.mark.parametrize("tag,count", [("D5", 37), ("D1,3", 238)])
-def test_circuit_rank_n_plus_2_descends_every_assignment(tag, count):
-    # past r = n + 1 no orbit is folded: every enumerated assignment is its
-    # own class, and the search over them all ends on a valid network above
-    # the strict degree-floor bound
+@pytest.mark.parametrize("tag,count", [("D5", 18), ("D1,3", 60), ("D7", 8)])
+def test_circuit_rank_past_n_plus_1_folds_by_signed_permutations(tag, count):
+    # past r = n + 1 nothing is keyed: the assignments the signed coordinate
+    # permutations fold to are the representatives, each an enumerated one
+    # in the enumeration's order, and every enumerated assignment maps onto
+    # one of them by a skeleton automorphism and a unimodular basis change
+    # (two may be related: the last bridge is folded by -I alone); the
+    # search over them ends on a valid network above the strict
+    # degree-floor bound
     skeleton = build_abstract(tag, 2)
-    assert classify(skeleton).circuit_rank == 4
+    top = classify(skeleton)
+    assert top.circuit_rank >= 4
+    S = enumerate_shift_arrays(skeleton, 2, 1)
     reps = shift_orbits(skeleton, 2, 1)
     assert len(reps) == count
-    assert np.array_equal(reps, enumerate_shift_arrays(skeleton, 2, 1))
+    at = {a.tobytes(): i for i, a in enumerate(S)}
+    pos = np.array([at.get(a.tobytes(), -1) for a in reps])
+    assert pos[0] >= 0 and (np.diff(pos) > 0).all()
+    targets = _cycle_rows(reps, top.loops)
+    found = np.zeros(len(S), dtype=bool)
+    for order, signs in _dipole_automorphisms(top.loops, top.bridges):
+        todo = np.flatnonzero(~found)
+        if not len(todo):
+            break
+        C = _cycle_rows(np.array(signs)[None, :, None] * S[todo][:, order], top.loops)
+        match = _unimodular_match(np.repeat(C, count, axis=0), np.tile(targets, (len(todo), 1, 1)))
+        found[todo] = match.reshape(len(todo), count).any(axis=1)
+    assert found.all(), np.flatnonzero(~found)[:10]
     res = minimize_topology(tag, 2, OptimizeConfig(seed=1, restarts=4))
     assert validate(res.network).ok
     rep = verify(res.network)
@@ -653,14 +671,6 @@ def test_least_sets_match_an_exhaustive_check(n, s_max, k_max):
                          if len(set(along[list(c)].tolist())) == k], k)
         want = _least_by_brute_force(classes, subsets, owners[:1, :G // 2])[0]
         assert np.array_equal(topology._least_sets(class_bits, [(N // 2, k)], along=along)[1], want)
-
-
-def test_combinations_match_itertools():
-    cases = [(m, k) for m in range(9) for k in range(m + 2)] + [(26, 4), (124, 2)]
-    for m, k in cases:
-        got = topology._combinations(m, k)
-        assert got.shape == (comb(m, k), k)
-        assert list(map(tuple, got.tolist())) == list(combinations(range(m), k))
 
 
 @pytest.mark.parametrize("n,s", [(2, 15), (3, 3), (4, 2)])
