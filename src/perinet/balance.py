@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (PeriodicNetwork, _integer, _validate, oriented_star, vertex_forces,
-                      with_positions)
+from .netcore import (PeriodicNetwork, _edge_faults, _integer, _measured, oriented_star,
+                      vertex_forces, with_positions)
 
 MEDIAN_TOL = 1e-10
 MEDIAN_MAX_ITER = 10_000
@@ -52,12 +52,15 @@ def _known_vertex(net: PeriodicNetwork, v: int) -> int:
 
 
 def force_all(net: PeriodicNetwork) -> ForceResult:
-    """The forces at every vertex, from what validation measured (``_validate``)."""
+    """The forces at every vertex, from the network's one measurement
+    (``_measured``); refuses a zero-length edge (``_edge_faults``)."""
+    slot = _measured(net)
+    zero = _edge_faults(slot.ell)[0]
+    if zero:
+        raise ValueError(zero[0])
     with np.errstate(invalid='ignore'):     # non-finite geometry gives NaN forces
-        _, ell, vecs = _validate(net)
-        if not ell.all():
-            raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
-        out = vertex_forces(net.graph.skeleton().incidence, (vecs / ell[:, None])[None])[0]
+        units = (slot.vecs / slot.ell[:, None])[None]
+    out = vertex_forces(net.graph.skeleton().incidence, units)[0]
     return ForceResult(forces=out, max_norm=float(np.linalg.norm(out, axis=1).max()))
 
 

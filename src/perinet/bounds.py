@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .intlinalg import det_int, int_solve
-from .netcore import (PeriodicNetwork, _length_quotient, _stress_bounds, _validate, as_stack,
-                      edge_norms, lifted_edges, oriented_star)
+from .netcore import (PeriodicNetwork, _length_quotient, _measured, _stress_bounds, _validate,
+                      oriented_star)
 from .topology import TopologyClass, classify
 
 SLACK_TOL = 1e-9         # inequality slack tolerance
@@ -415,13 +415,12 @@ def stress_bound(net: PeriodicNetwork) -> StressBound:
     is NaN where no stress is left after the projection.
     """
     g = net.graph
-    X, B, ST = as_stack(net)
-    proj = g.skeleton().projector()
-    with np.errstate(invalid='ignore'):     # an infinite entry, or no stress left, gives NaN
-        vec = lifted_edges(X, B, ST, g.tails, g.heads)
-        ell = edge_norms(vec)
-        value = _length_quotient(net, ell[0])
-        bound = float(_stress_bounds(proj, vec / ell[..., None], ST.transpose(0, 2, 1))[0])
+    slot = _measured(net)
+    value = _length_quotient(net, slot.ell)
+    units = (slot.vecs / slot.ell[:, None])[None]
+    with np.errstate(invalid='ignore'):     # no stress left gives NaN
+        bound = float(_stress_bounds(g.skeleton().projector(), units,
+                                     g.shifts[None].astype(np.float64))[0])
     return StressBound(bound, value - bound)
 
 
@@ -503,15 +502,13 @@ def verify(net: PeriodicNetwork) -> BoundReport:
     ``"unclassified"`` when the graph is disconnected or irregular.  The
     edge vectors that validation measured are the ones the certificate
     reads, and called right after ``validate`` on the same network object,
-    or right before it, the two measure the network once (``_validate``).
+    or right before it, the two measure it and report once (``_validate``).
     """
-    with np.errstate(invalid='ignore'):     # non-finite geometry fails validation
-        rep, ell, vecs = _validate(net)
-        try:    # a valid network's lengths are finite and nonzero: the sum is all it takes
-            measured = float(ell.sum()) ** net.dim / net.lattice.volume() if rep.ok \
-                else _length_quotient(net, ell)
-        except ValueError:
-            measured = float("nan")
+    rep, ell, vecs = _validate(net)
+    try:
+        measured = _length_quotient(net, ell)
+    except ValueError:      # non-finite geometry fails validation
+        measured = float("nan")
     if not rep.ok:
         try:
             tag = classify(net.graph).tag
@@ -530,7 +527,7 @@ def verify(net: PeriodicNetwork) -> BoundReport:
     notes = []
     if strict and slack <= 0:
         notes.append("strict bound violated: slack must be positive")
-    cut = net.graph.facts().cut_edges
+    cut = net.graph.skeleton().cut_edges
     if cut:         # the cut-edge lemma, see ``min_vertex_count``
         notes.append(f"no balanced realization: cut edge {cut[0]}")
     cert = None

@@ -13,6 +13,7 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -128,9 +129,9 @@ class QuotientGraph:
         return self.__dict__["_skeleton"]
 
     def facts(self) -> "GraphFacts":
-        """The graph's combinatorial facts: its skeleton's record and one
-        pass over its shifts, made on the first request and kept; the graph
-        is frozen, so they never go stale."""
+        """What one pass over the graph's shifts decides (``GraphFacts``),
+        made on the first request and kept; the graph is frozen, so they
+        never go stale."""
         if "_facts" not in self.__dict__:
             object.__setattr__(self, "_facts", _graph_facts(self))
         return self.__dict__["_facts"]
@@ -208,34 +209,16 @@ class ValidityReport:
 
 @dataclass(frozen=True, eq=False)
 class GraphFacts:
-    """What the checks ask of a quotient graph alone (``QuotientGraph.facts``).
-
-    ``degree`` is the common degree, None for an irregular graph.
-    ``violations`` holds the graph's violation strings in two parts, those
-    that ``validate`` lists before the geometric ones and those it lists
-    after them.  ``tree`` holds the edges of a depth-first spanning tree
-    from vertex 0 in walk order.  ``cycles`` is the signed cycle-edge
-    incidence: row i is the cycle that the i-th non-tree edge e closes,
-    unit(e) + path(tail) - path(head) with path(v) the signed tree path
-    from vertex 0 to v, so ``cycles @ shifts`` are the cycle shifts.
-    ``cut_edges`` are the tree edges on no cycle (the bridges of a
-    connected graph), in edge order; ``end_pairs`` are the pairs of edge
-    ends of the immersion test (see :func:`end_pairs`); ``loops`` counts
-    the loops at each vertex.  Those six and ``degree`` and ``connected``
-    are the skeleton's (``Skeleton``), the same objects for every graph
-    over it; the rest reads the shifts.
+    """What the checks ask of a quotient graph's shifts (``QuotientGraph.facts``),
+    the rest being its skeleton's (``Skeleton``): ``simple`` (no edge
+    repeats), the Smith ``invariant_factors`` of the cycle shifts, and the
+    graph's ``violations`` in two parts, those that ``validate`` lists
+    before the geometric ones and those it lists after them.
     """
 
-    degree: int | None
-    connected: bool
     simple: bool
     invariant_factors: tuple[int, ...]
     violations: tuple[tuple[str, ...], tuple[str, ...]]
-    tree: tuple[int, ...]
-    cycles: np.ndarray
-    cut_edges: tuple[int, ...]
-    end_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
-    loops: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,13 +228,18 @@ class Skeleton:
     every graph over it (``QuotientGraph.skeleton``) and kept while one
     lives.  The same edges in another order are another skeleton.
 
-    ``tails`` and ``heads`` are Python ints; ``degree``, ``connected``,
-    ``tree``, ``cycles``, ``cut_edges``, ``end_pairs`` and ``loops`` are the
-    :class:`GraphFacts` fields of every graph over it; ``stars`` are the
-    oriented stars of the vertices (:func:`oriented_star`); ``incidence``
-    is the (E, V) signed incidence (:func:`incidence`); ``faults`` are the
-    violation strings of degree and connectivity, which ``validate`` lists
-    first.  Every array is read-only.
+    ``tails`` and ``heads`` are Python ints; ``degree`` is the common
+    degree, None for an irregular graph; ``tree`` holds the edges of a
+    depth-first spanning tree from vertex 0 in walk order.  Row i of
+    ``cycles`` is the cycle that the i-th non-tree edge e closes, unit(e) +
+    path(tail) - path(head) with path(v) the signed tree path from vertex 0
+    to v, so ``cycles @ shifts`` are the cycle shifts.  ``cut_edges`` are the
+    tree edges on no cycle (the bridges of a connected graph), in edge
+    order; ``end_pairs`` are those of :func:`end_pairs`; ``loops`` counts the
+    loops at each vertex; ``stars`` are the oriented stars (:func:`oriented_star`);
+    ``incidence`` is the (E, V) signed incidence (:func:`incidence`);
+    ``faults`` are the violation strings of degree and connectivity, which
+    ``validate`` lists first.  Every array is read-only.
     """
 
     vertex_count: int
@@ -344,7 +332,8 @@ def _skeleton(V: int, tails: tuple[int, ...], heads: tuple[int, ...],
 # Every measure of a network is built from its lifted edges
 # x_head + B s - x_tail.  The kernel works on a stack of N networks over
 # one skeleton (tails, heads): positions X (N, V, n), bases B (N, n, n)
-# and transposed shifts ST (N, n, E).  A single network is a stack of one.
+# and transposed shifts ST (N, n, E).  A single network is a stack of one,
+# measured once per network object (``_measured``).
 
 def lifted_edges(X: np.ndarray, B: np.ndarray, ST: np.ndarray,
                  tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -418,7 +407,7 @@ def end_pairs(tails: np.ndarray, heads: np.ndarray,
 def parallel_ends(vec: np.ndarray, ell: np.ndarray, pairs) -> np.ndarray:
     """(N, V) flags of the vertices where two edge ends leave in one direction.
 
-    ``pairs`` are the end pairs of :func:`end_pairs` (``facts().end_pairs``).
+    ``pairs`` are the end pairs of :func:`end_pairs` (``skeleton().end_pairs``).
     Edge e leaves its tail along u_e = vec_e / ell_e and its head along
     -u_e (a loop does both at one vertex).  Two ends at a vertex are
     parallel when their directions differ by less than ``DIRECTION_TOL``
@@ -430,12 +419,6 @@ def parallel_ends(vec: np.ndarray, ell: np.ndarray, pairs) -> np.ndarray:
     dirs = np.concatenate([units, -units], axis=1)
     par = np.abs(dirs[:, i] - dirs[:, j]).max(axis=2) < DIRECTION_TOL
     return par @ vertex
-
-
-def as_stack(net: PeriodicNetwork):
-    """(X, B, ST) of one network, as a stack of one."""
-    return (net.positions[None], net.lattice.basis[None],
-            net.graph.shifts.T[None].astype(np.float64))
 
 
 def _integer(value) -> int | None:
@@ -456,27 +439,35 @@ def edge_vector(net: PeriodicNetwork, e: int) -> np.ndarray:
 
 
 def edge_vectors(net: PeriodicNetwork) -> np.ndarray:
-    """All edge vectors as an (E, dim) array."""
-    return lifted_edges(*as_stack(net), net.graph.tails, net.graph.heads)[0]
+    """All edge vectors as an (E, dim) array, a copy of ``_measured``'s."""
+    return _measured(net).vecs.copy()
 
 
 def edge_lengths(net: PeriodicNetwork) -> np.ndarray:
-    """All edge lengths; NaN or inf, with no warning, for non-finite geometry."""
-    with np.errstate(invalid='ignore'):     # an infinite entry gives NaN
-        return edge_norms(edge_vectors(net)[None])[0]
+    """All edge lengths, a copy of ``_measured``'s; NaN or inf for non-finite geometry."""
+    return _measured(net).ell.copy()
 
 
 def length(net: PeriodicNetwork) -> float:
     """Total length of the quotient network; raises on a zero-length or
     non-finite edge length."""
-    return _total_length(edge_lengths(net))
+    return _total_length(_measured(net).ell)
+
+
+def _edge_faults(ell: np.ndarray) -> tuple[list[str], list[str]]:
+    """The violation strings of the zero-length edges and of the non-finite
+    edge lengths among ``ell``, each in edge order: ``validate`` reports
+    them all, and a measure refuses the first."""
+    lengths = ell.tolist()
+    return ([f"zero-length edge {e}" for e, x in enumerate(lengths) if x == 0.0],
+            [f"non-finite edge length {e}" for e, x in enumerate(lengths)
+             if not math.isfinite(x)])
 
 
 def _total_length(ell: np.ndarray) -> float:
-    if np.any(ell == 0.0):
-        raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
-    if not np.isfinite(ell).all():
-        raise ValueError(f"non-finite edge length {int(np.argmin(np.isfinite(ell)))}")
+    zero, infinite = _edge_faults(ell)
+    if zero or infinite:
+        raise ValueError((zero + infinite)[0])
     return float(ell.sum())
 
 
@@ -488,7 +479,7 @@ def volume(net: PeriodicNetwork) -> float:
 def length_quotient(net: PeriodicNetwork) -> float:
     """Scaling-invariant objective L^n / V; raises where ``length`` or
     ``volume`` does."""
-    return _length_quotient(net, edge_lengths(net))
+    return _length_quotient(net, _measured(net).ell)
 
 
 def _length_quotient(net: PeriodicNetwork, ell: np.ndarray) -> float:
@@ -498,9 +489,9 @@ def _length_quotient(net: PeriodicNetwork, ell: np.ndarray) -> float:
 
 
 def _graph_facts(g: QuotientGraph) -> GraphFacts:
-    """The facts of ``g``: its skeleton's record (``QuotientGraph.skeleton``)
-    and what one pass over its shifts adds, the violation strings in
-    ``validate``'s order."""
+    """The facts of ``g``: what one pass over its shifts adds to its
+    skeleton's record (``QuotientGraph.skeleton``), the violation strings
+    in ``validate``'s order."""
     sk = g.skeleton()
     bare, repeated, parallel, seen = [], [], [], set()
     along = {}                          # (vertex, loop direction) -> first loop, its shift
@@ -526,8 +517,7 @@ def _graph_facts(g: QuotientGraph) -> GraphFacts:
         after.append(f"cycle-shift rank {len(factors)} < dimension {g.dim}")
     elif factors != (1,) * g.dim:
         after.append(f"lift disconnected: invariant factors {factors}")
-    return GraphFacts(sk.degree, sk.connected, not repeated, factors, (before, tuple(after)),
-                      sk.tree, sk.cycles, sk.cut_edges, sk.end_pairs, sk.loops)
+    return GraphFacts(not repeated, factors, (before, tuple(after)))
 
 
 def validate(net: PeriodicNetwork) -> ValidityReport:
@@ -538,66 +528,75 @@ def validate(net: PeriodicNetwork) -> ValidityReport:
     outgoing directions at each vertex), quotient connectivity,
     quotient-level simplicity, the rational rank of the cycle-shift
     matrix, and lift connectivity (all Smith invariant factors 1).  The
-    checks on the graph alone are its kept ``facts``; the edge vectors (and,
-    once per lattice, its volume) are measured once for back-to-back calls
-    on one network, by ``validate`` or ``verify`` (``_validate``).
+    checks on the graph alone are its skeleton's record and its kept
+    ``facts``; the edges are those of the network's one measurement
+    (``_measured``), and the report made from it is kept with it for
+    back-to-back calls of ``validate`` or ``verify`` (``_validate``).
     """
-    with np.errstate(invalid='ignore'):     # an infinite entry gives NaN, reported as such
-        return _validate(net)[0]
+    return _validate(net)[0]
 
 
-# the network ``_validate`` measured last, by weak reference, and what it
-# measured; a call on any other network replaces it, so it keeps no network
-# alive and holds one network's two small arrays at most
-_LAST: tuple = (lambda: None, None)
+# the last network's measurement, naming it by weak reference (``ref``); a
+# call on any other network replaces it, so it keeps no network alive
+_LAST = SimpleNamespace(ref=lambda: None)
+
+
+def _measured(net: PeriodicNetwork) -> SimpleNamespace:
+    """The slot of ``net`` (``_LAST``): what was measured for the same object
+    last, as it is, or else a new measurement (``_measure``).  A network is
+    frozen, so its measurement never goes stale."""
+    global _LAST
+    slot = _LAST        # one read: another thread may replace the slot
+    if slot.ref() is not net:
+        slot = _LAST = _measure(net)
+    return slot
+
+
+def _measure(net: PeriodicNetwork) -> SimpleNamespace:
+    """A new slot for ``net``: edge vectors ``vecs`` and lengths ``ell``,
+    read-only, NaN or inf with no warning for non-finite geometry, and no
+    ``report`` yet.  Every measure of one network reads its edges here."""
+    g = net.graph
+    with np.errstate(invalid='ignore'):     # an infinite entry gives NaN
+        vecs = lifted_edges(net.positions[None], net.lattice.basis[None],
+                            g.shifts.T[None].astype(np.float64), g.tails, g.heads)[0]
+        ell = edge_norms(vecs[None])[0]
+    vecs.flags.writeable = ell.flags.writeable = False
+    return SimpleNamespace(ref=weakref.ref(net), vecs=vecs, ell=ell, report=None)
 
 
 def _validate(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray, np.ndarray]:
-    """``validate`` and the edge lengths and edge vectors it measured, both
-    read-only; its callers silence the invalid-value warnings that infinite
-    entries raise.  A network is frozen, so what was measured for the same
-    object last (``_LAST``) is returned as it is."""
-    global _LAST
-    ref, found = _LAST      # one read: another thread may replace the slot
-    if ref() is not net:
-        found = _measure(net)
-        _LAST = (weakref.ref(net), found)
-    return found
-
-
-def _measure(net: PeriodicNetwork) -> tuple[ValidityReport, np.ndarray, np.ndarray]:
-    """What ``_validate`` returns, measured anew."""
-    g = net.graph
-    facts = g.facts()
-    vecs = edge_vectors(net)
-    ell = edge_norms(vecs[None])[0]
-    vecs.flags.writeable = ell.flags.writeable = False
-    lengths = ell.tolist()
-    geometric = [f"zero-length edge {e}" for e, x in enumerate(lengths) if x == 0.0]
-    geometric += [f"non-finite edge length {e}" for e, x in enumerate(lengths)
-                  if not math.isfinite(x)]
-    try:
-        net.lattice.volume()
-    except ValueError as exc:       # a non-finite or singular basis
-        geometric.append(str(exc))
-    crossed = np.flatnonzero(parallel_ends(vecs[None], ell[None], facts.end_pairs)[0])
-    if len(crossed):
-        geometric.append(f"parallel outgoing edges at vertex {crossed[0]}")
-
-    factors = facts.invariant_factors
-    before, after = facts.violations
-    return ValidityReport(
-        degree_regular=facts.degree is not None,
-        degree=facts.degree,
-        immersed=not len(crossed),
-        quotient_connected=facts.connected,
-        simple=facts.simple,
-        cycle_rank=len(factors),
-        rank_full=len(factors) == g.dim,
-        lift_connected=factors == (1,) * g.dim,
-        invariant_factors=factors,
-        violations=before + tuple(geometric) + after,
-    ), ell, vecs
+    """``validate`` and the edge lengths and vectors it read, from the slot of
+    ``net``: the report is made from them on the first request, then kept."""
+    slot = _measured(net)
+    vecs, ell = slot.vecs, slot.ell
+    if slot.report is None:
+        g = net.graph
+        sk, facts = g.skeleton(), g.facts()
+        zero, infinite = _edge_faults(ell)
+        geometric = zero + infinite
+        try:
+            net.lattice.volume()
+        except ValueError as exc:       # a non-finite or singular basis
+            geometric.append(str(exc))
+        crossed = np.flatnonzero(parallel_ends(vecs[None], ell[None], sk.end_pairs)[0])
+        if len(crossed):
+            geometric.append(f"parallel outgoing edges at vertex {crossed[0]}")
+        factors = facts.invariant_factors
+        before, after = facts.violations
+        slot.report = ValidityReport(
+            degree_regular=sk.degree is not None,
+            degree=sk.degree,
+            immersed=not len(crossed),
+            quotient_connected=sk.connected,
+            simple=facts.simple,
+            cycle_rank=len(factors),
+            rank_full=len(factors) == g.dim,
+            lift_connected=factors == (1,) * g.dim,
+            invariant_factors=factors,
+            violations=before + tuple(geometric) + after,
+        )
+    return slot.report, ell, vecs
 
 
 def with_positions(net: PeriodicNetwork, positions: np.ndarray) -> PeriodicNetwork:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .intlinalg import greedy_reduce, int_solve
 from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _integer, _length_quotient,
-                      _stress_bounds, as_stack, edge_norms, lifted_edges, parallel_ends,
+                      _measured, _stress_bounds, edge_norms, lifted_edges, parallel_ends,
                       vertex_forces)
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits, tree_gauge
 
@@ -535,12 +535,10 @@ def objective_and_gradient(net: PeriodicNetwork):
     or non-finite edge, or a singular or non-finite basis.
     """
     g, n, m = net.graph, net.dim, net.graph.vertex_count - 1
-    X, B, ST = as_stack(net)
-    with np.errstate(invalid='ignore'):     # an infinite entry gives NaN
-        vec = lifted_edges(X, B, ST, g.tails, g.heads)
-    ell = edge_norms(vec)
-    _length_quotient(net, ell[0])
-    C = _edge_map(g.skeleton().incidence, ST.transpose(0, 2, 1))
+    slot = _measured(net)
+    _length_quotient(net, slot.ell)
+    vec, ell, B = slot.vecs[None], slot.ell[None], net.lattice.basis[None]
+    C = _edge_map(g.skeleton().incidence, g.shifts[None].astype(np.float64))
     gZ = _gradient(n, C, np.linalg.inv(B), vec / ell[..., None], ell.sum(1))[0]
     gX = np.vstack([np.zeros(n), gZ[:m]])
     return float(n * np.log(ell.sum()) - np.log(abs(np.linalg.det(B[0])))), gX, gZ[m:].T
@@ -587,7 +585,7 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     """
     cfg = cfg or OptimizeConfig()
     _refuse_invalid(g)
-    cut = g.facts().cut_edges
+    cut = g.skeleton().cut_edges
     if cut:
         raise ValueError(f"no balanced realization: cut edge {cut[0]}")
     return _multistart(g, g.shifts[None], cfg)

@@ -295,7 +295,7 @@ def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarr
 def _screened_rows(g: QuotientGraph, n: int, s_max: int,
                    orbits: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """The assignments of :func:`enumerate_shift_arrays` as cycle-shift
-    matrices (N, r, n), rows in ``facts().cycles`` order, and the n x n
+    matrices (N, r, n), rows in ``skeleton().cycles`` order, and the n x n
     minors the lattice-generation screen took of them (``_rows_generate_zn``)
     at r = n + 1, where the orbit fold reads them; None at other ranks.
     The matrices are int8 while s_max < 128 (int64 above).  A candidate is
@@ -397,7 +397,7 @@ def tree_gauge(g: QuotientGraph, C: np.ndarray) -> np.ndarray:
     """The assignments (..., E, n) of ``g`` with the stacked cycle-shift
     matrices ``C`` (..., r, n), in the vertex gauge of its spanning tree:
     shift 0 on the tree edges and the rows of each C, in order, on the
-    others (the order of the rows of ``facts().cycles``)."""
+    others (the order of the rows of ``skeleton().cycles``)."""
     S = np.zeros(C.shape[:-2] + (g.edge_count, C.shape[-1]), dtype=np.int64)
     S[..., np.delete(np.arange(g.edge_count), g.skeleton().tree), :] = C
     return S
@@ -410,7 +410,7 @@ def _relation_keys(g: QuotientGraph, minors: np.ndarray) -> np.ndarray:
 
     The signed maximal minors span the left kernel of C: mu_i is (-1)^i
     times the minor that leaves out row i, the (r-1-i)-th subset.  Carried
-    to the edges by ``facts().cycles`` they give the primitive relation mu
+    to the edges by ``skeleton().cycles`` they give the primitive relation mu
     (mu^T S = 0), free of the spanning tree and fixed up to sign by a basis
     change.  Automorphisms act on mu by reversing loops (|mu| on loops),
     permuting within an edge class (sorting) and, on two vertices,

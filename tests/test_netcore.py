@@ -6,6 +6,7 @@ import threading
 import warnings
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,11 +34,10 @@ from perinet import (
     verify,
     volume,
 )
-from perinet import balance, bounds, netcore
+from perinet import balance, bounds, netcore, optimize
 from perinet.intlinalg import smith_invariant_factors
 from perinet.netcore import (
     ValidityReport,
-    as_stack,
     edge_norms,
     incidence,
     lifted_edges,
@@ -485,18 +485,18 @@ def test_cycles_are_the_fundamental_cycles():
         g = QuotientGraph(3, V, tails, heads, rng.integers(-2, 3, (E, 3)))
         if not g.is_connected():
             continue
-        facts = g.facts()
-        Z = facts.cycles
+        sk = g.skeleton()
+        Z = sk.cycles
         assert Z.shape == (E - V + 1, E)
         assert not (Z @ incidence(g.tails, g.heads, V)).any()       # every row is closed
         assert len(Z) == 0 or np.linalg.matrix_rank(Z) == len(Z)
-        rest = np.delete(np.arange(E), facts.tree)
+        rest = np.delete(np.arange(E), sk.tree)
         assert np.array_equal(Z[:, rest], np.eye(len(rest), dtype=np.int64))
         assert np.array_equal(Z @ g.shifts, _reference_cycle_shift_matrix(g)[0])
         bridges = tuple(e for e in range(E)
                         if not QuotientGraph(3, V, np.delete(tails, e), np.delete(heads, e),
                                              np.zeros((E - 1, 3), dtype=np.int64)).is_connected())
-        assert facts.cut_edges == bridges
+        assert sk.cut_edges == bridges
         seen |= {("edgeless", E == 0), ("bridged", len(bridges) > 0)}
     assert len(seen) == 4, sorted(seen)
 
@@ -685,21 +685,31 @@ def _reference_graph_facts(g):
     elif factors != (1,) * g.dim:
         after.append(f"lift disconnected: invariant factors {factors}")
 
-    return netcore.GraphFacts(
-        degree, connected, not repeated, factors, (tuple(before), tuple(after)),
-        tuple(tree), cycles,
-        tuple(sorted(e for e in tree if not any(row[e] for row in rows))),
-        netcore.end_pairs(g.tails, g.heads, V), tuple(loops))
+    return SimpleNamespace(
+        simple=not repeated, invariant_factors=factors, violations=(tuple(before), tuple(after)),
+        degree=degree, connected=connected, tree=tuple(tree), cycles=cycles,
+        cut_edges=tuple(sorted(e for e in tree if not any(row[e] for row in rows))),
+        end_pairs=netcore.end_pairs(g.tails, g.heads, V), loops=tuple(loops))
 
 
-def _assert_facts_equal(got, want):
-    for f in dataclasses.fields(netcore.GraphFacts):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name in ("cycles", "end_pairs"):
-            for x, y in zip(*((a, b) if f.name == "end_pairs" else ((a,), (b,)))):
-                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+# the reference facts that the shifts decide, held by ``facts()``, and those
+# of the skeleton alone, held by its record
+_SHIFT_FACTS = ("simple", "invariant_factors", "violations")
+_SKELETON_FACTS = ("degree", "connected", "tree", "cycles", "cut_edges", "end_pairs", "loops")
+
+
+def _assert_facts_equal(g, want):
+    """The shift fields of ``g.facts()`` and the skeleton fields of
+    ``g.skeleton()`` equal the reference facts ``want``."""
+    assert tuple(f.name for f in dataclasses.fields(netcore.GraphFacts)) == _SHIFT_FACTS
+    for name in _SHIFT_FACTS + _SKELETON_FACTS:
+        a = getattr(g.facts() if name in _SHIFT_FACTS else g.skeleton(), name)
+        b = getattr(want, name)
+        if name in ("cycles", "end_pairs"):
+            for x, y in zip(*((a, b) if name == "end_pairs" else ((a,), (b,)))):
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
         else:
-            assert a == b, f.name
+            assert a == b, name
 
 
 def _small_multigraphs(seed, count):
@@ -718,7 +728,7 @@ def test_graph_facts_match_the_per_graph_reference():
     graphs += [net.graph for net in _catalog_and_rewrites(3, 83)]
     for g in graphs:
         want = _reference_graph_facts(g)
-        _assert_facts_equal(g.facts(), want)
+        _assert_facts_equal(g, want)
         kinds |= {bool(want.violations[0]), bool(want.violations[1]), not want.connected}
     assert kinds == {True, False}
     assert len(graphs) > 350
@@ -733,9 +743,6 @@ def test_graphs_over_one_skeleton_share_one_record():
     record = skeleton.skeleton()
     for g in graphs:
         assert g.skeleton() is record
-        facts = g.facts()
-        for name in ("tree", "cycles", "cut_edges", "end_pairs", "loops"):
-            assert getattr(facts, name) is getattr(record, name)
         assert netcore.oriented_star(g, 0) is record.stars[0]
     assert graphs[0].facts() is not graphs[1].facts()
     # the skeleton has no dimension; another vertex count is another skeleton
@@ -775,7 +782,7 @@ def test_same_edges_in_another_order_get_their_own_record():
         h = QuotientGraph(3, 2, g.tails[order], g.heads[order], g.shifts[order])
         assert h.skeleton() is not g.skeleton()
         assert h.skeleton().tails == tuple(g.tails[order].tolist())
-        _assert_facts_equal(h.facts(), _reference_graph_facts(h))
+        _assert_facts_equal(h, _reference_graph_facts(h))
     # the edges reversed, too
     r = QuotientGraph(3, 2, g.heads, g.tails, -g.shifts)
     assert r.skeleton() is not g.skeleton()
@@ -1053,16 +1060,20 @@ def test_validation_slot_keeps_no_network_alive():
     net = catalog("dia")[0]
     probe = weakref.ref(net)
     validate(net)
-    assert netcore._LAST[0]() is net
+    assert netcore._LAST.ref() is net
     del net
     gc.collect()
-    assert probe() is None and netcore._LAST[0]() is None
+    assert probe() is None and netcore._LAST.ref() is None
 
 
 def test_validation_slot_returns_what_a_fresh_measure_returns():
     nets = list(_catalog_and_rewrites(3, 89)) + _invalid_networks()
     for net in nets:
-        want, want_ell, want_vecs = netcore._measure(net)
+        fresh = netcore._measure(net)           # a new slot
+        assert fresh.ref() is net and fresh.report is None     # no report until asked for
+        want, want_ell, want_vecs = netcore._validate(_copy(net))   # measured anew
+        assert np.array_equal(fresh.ell, want_ell, equal_nan=True)
+        assert np.array_equal(fresh.vecs, want_vecs, equal_nan=True)
         for first in (validate, verify):
             twin = _copy(net)
             first(twin)
@@ -1079,7 +1090,7 @@ def test_threads_validating_different_networks_get_their_own_reports():
     # more threads than cores, switching often: a slot read twice, once for
     # its key and once for its value, hands some thread another's report
     nets = [catalog("dia")[0]] + _invalid_networks()
-    want = [netcore._measure(net) for net in nets]
+    want = [netcore._validate(_copy(net)) for net in nets]
     assert len({rep.violations for rep, _, _ in want}) == len(nets)
     wrong, done, start = [], [], threading.Barrier(len(nets))
 
@@ -1136,7 +1147,8 @@ def test_force_check_next_to_validation_measures_once(monkeypatch, name, params)
 def _reference_forces(net):
     """The former ``force_all``: the network measured on its own."""
     g = net.graph
-    vecs = lifted_edges(*as_stack(net), g.tails, g.heads)
+    vecs = lifted_edges(net.positions[None], net.lattice.basis[None],
+                        g.shifts.T[None].astype(np.float64), g.tails, g.heads)
     ell = edge_norms(vecs)
     if not ell.all():
         raise ValueError(f"zero-length edge {int(np.argmin(ell))}")
@@ -1182,6 +1194,65 @@ def test_force_on_non_finite_geometry_warns_nothing(entry, value):
             force(collapsed, 0)
 
 
+def _every_reader(net):
+    """Every measure of one network that reads its edges, in turn."""
+    return [edge_lengths(net), edge_vectors(net), edge_vector(net, 0), length(net),
+            length_quotient(net), validate(net), verify(net), force_all(net),
+            force(net, 0), is_balanced(net), bounds.stress_bound(net),
+            optimize.objective_and_gradient(net)]
+
+
+@pytest.mark.parametrize("name,params", SHARP_CATALOG,
+                         ids=[name for name, _ in SHARP_CATALOG])
+def test_every_reader_of_one_network_measures_it_once(monkeypatch, name, params):
+    calls, lifts = _counting_measure_calls(monkeypatch)
+    monkeypatch.setattr(bounds, "lifted_edges", netcore.lifted_edges, raising=False)
+    monkeypatch.setattr(optimize, "lifted_edges", netcore.lifted_edges)
+    net = _fresh(catalog(name, **params)[0])
+    assert _every_reader(net)[5].ok
+    assert len(calls) == len(lifts) == 1
+    for _ in range(2):          # again, in the reverse order
+        assert _every_reader(net)[::-1]
+    assert len(calls) == len(lifts) == 1
+    twin = _copy(net)           # equal, but another object
+    _every_reader(twin)
+    assert len(calls) == len(lifts) == 2 and calls == [net, twin]
+
+
+@pytest.mark.parametrize("name,params", SHARP_CATALOG,
+                         ids=[name for name, _ in SHARP_CATALOG])
+def test_forces_on_a_fresh_graph_build_no_facts(name, params):
+    # forces read the measurement and the skeleton's incidence, never the
+    # shift facts that only the validity report needs
+    net = _fresh(catalog(name, **params)[0])
+    assert is_balanced(net)
+    assert force_all(net).max_norm <= 1e-9 and force(net, 0).shape == (net.dim,)
+    assert "_facts" not in net.graph.__dict__
+    assert validate(net).ok and "_facts" in net.graph.__dict__
+
+
+def test_a_zero_length_edge_next_to_a_nan_one_is_named_alike_everywhere():
+    # a loop at a NaN position has length NaN; edge 1 joins two coincident
+    # vertices.  With the loop first or last, every refusal names edge 1,
+    # as validation does, never the NaN edge
+    loop, tied, free = (2, 2, (1, 0)), (0, 1, (0, 0)), (0, 1, (0, 1))
+    for edges, nan_edge in (([loop, tied, free], 0), ([free, tied, loop], 2)):
+        g = QuotientGraph.from_edges(2, 3, edges)
+        net = PeriodicNetwork(g, Lattice(np.eye(2)), [[0.0, 0.0], [0.0, 0.0], [np.nan, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ell = edge_lengths(net)
+            assert math.isnan(ell[nan_edge]) and ell[1] == 0.0
+            edge_faults = [v for v in validate(net).violations
+                           if v.startswith(("zero", "non-finite edge"))]
+            assert edge_faults == ["zero-length edge 1", f"non-finite edge length {nan_edge}"]
+            for measure in (length, length_quotient, force_all, lambda n: force(n, 0),
+                            is_balanced, bounds.stress_bound, optimize.objective_and_gradient):
+                with pytest.raises(ValueError, match="^zero-length edge 1$"):
+                    measure(_copy(net))
+            assert math.isnan(verify(net).measured)
+
+
 def test_cut_edges_are_the_edges_whose_removal_disconnects():
     rng = np.random.default_rng(83)
     seen = set()
@@ -1194,7 +1265,7 @@ def test_cut_edges_are_the_edges_whose_removal_disconnects():
         want = tuple(e for e in range(E)
                      if not QuotientGraph(2, V, np.delete(tails, e), np.delete(heads, e),
                                           np.zeros((E - 1, 2), dtype=np.int64)).is_connected())
-        assert g.facts().cut_edges == want
+        assert g.skeleton().cut_edges == want
         seen.add(len(want) > 0)
     assert seen == {True, False}
 

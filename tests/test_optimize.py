@@ -24,7 +24,7 @@ from perinet.balance import force, force_all
 from perinet.construct import CATALOG_NAMES
 from perinet.intlinalg import greedy_reduce, int_solve
 from perinet.topology import build_abstract, shift_orbits, tree_gauge
-from perinet.netcore import as_stack, edge_norms, incidence, lifted_edges
+from perinet.netcore import edge_norms, incidence, lifted_edges
 from perinet.optimize import (_SERVICE_EVERY, _Batch, _edge_map, _eval, _gradient, _hessian,
                               _newton_steps, _sample_starts, _standard_realization, _start_faults,
                               _state)
@@ -241,7 +241,7 @@ def _cubic4(name):
 def test_cut_edge_graph_is_refused_before_descent(monkeypatch, name):
     g = _cubic4(name)
     cut = CUBIC4[name][1]
-    assert g.facts().cut_edges == cut
+    assert g.skeleton().cut_edges == cut
     monkeypatch.setattr(optimize, "_multistart", None)      # no descent may start
     with pytest.raises(ValueError, match=f"no balanced realization: cut edge {cut[0]}$"):
         minimize_fixed_shifts(g)
@@ -254,7 +254,7 @@ def test_disconnected_graph_is_refused_before_descent(monkeypatch):
     # only the first, whose loops alone have Smith factors (1, 1, 1)
     loops = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     g = QuotientGraph.from_edges(3, 2, [(v, v, s) for v in (0, 1) for s in loops])
-    assert g.facts().invariant_factors == (1, 1, 1) and g.facts().cut_edges == ()
+    assert g.facts().invariant_factors == (1, 1, 1) and g.skeleton().cut_edges == ()
     monkeypatch.setattr(optimize, "_multistart", None)      # no descent may start
     with pytest.raises(ValueError, match="no valid realization: quotient graph disconnected$"):
         minimize_fixed_shifts(g)
@@ -317,7 +317,7 @@ def test_fixed_solve_does_not_depend_on_the_lattice_basis(name, params, exact):
 
 def test_bridgeless_cubic_skeletons_still_descend():
     k4 = _cubic4("K4")
-    assert k4.facts().cut_edges == () == _cubic4("C4-doubled").facts().cut_edges
+    assert k4.skeleton().cut_edges == () == _cubic4("C4-doubled").skeleton().cut_edges
     res = minimize_fixed_shifts(k4, OptimizeConfig(seed=1, restarts=4))
     assert res.termination == "converged"
     assert res.value == pytest.approx(13.5 * math.sqrt(2), rel=1e-9)   # srs
@@ -1111,7 +1111,7 @@ def test_multistart_does_not_depend_on_the_presentation(tag, n, orbit):
     cfg = OptimizeConfig(seed=4, restarts=8)
     ref = optimize._multistart(g, rep[None], cfg)
     rng = np.random.default_rng(sum(map(ord, tag)) + n)
-    exact = len(g.facts().cycles) == n
+    exact = len(g.skeleton().cycles) == n
     for _ in range(3):
         S = _presentation_rewrite(g, rep, rng)
         res = optimize._multistart(g, S[None], cfg)
@@ -1176,7 +1176,7 @@ def _reference_in_frame_of(g, S, B, X):
     potential by a second integer solve, on a network built over the frame."""
     net = PeriodicNetwork(QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, S),
                           Lattice(B), X)
-    Z, S, B = g.facts().cycles, net.graph.shifts, net.lattice.basis
+    Z, S, B = g.skeleton().cycles, net.graph.shifts, net.lattice.basis
     U = int_solve(Z @ g.shifts, Z @ S)
     k = int_solve(incidence(g.tails, g.heads, g.vertex_count)[:, 1:], g.shifts @ U - S)
     X = net.positions.copy()
@@ -1200,7 +1200,7 @@ def test_map_back_walks_the_tree_as_the_second_solve_did(name, params):
     rng = np.random.default_rng(sum(map(ord, name)))
     for _ in range(4):
         g = _rewritten(net, rng).graph
-        Z = g.facts().cycles
+        Z = g.skeleton().cycles
         S, U = optimize._reduced_frame(g, g.shifts[None])
         assert np.array_equal(U[0], int_solve(Z @ g.shifts, Z @ S[0]))
         C = _edge_map(g.skeleton().incidence, S)
@@ -1254,7 +1254,7 @@ def _reference_greedy_reduce(C):
 def _reference_frame(g, reps):
     """``_reduced_frame`` assignment by assignment: U = C^-1 at circuit rank
     r = n, the reference sweep's U at r > n."""
-    C = g.facts().cycles @ reps
+    C = g.skeleton().cycles @ reps
     U = np.stack([int_solve(c, np.eye(g.dim, dtype=np.int64)) if len(c) == g.dim
                   else _reference_greedy_reduce(c)[1] for c in C])
     return tree_gauge(g, C @ U), U
@@ -1268,7 +1268,7 @@ def test_stacked_reduction_matches_the_matrix_by_matrix_sweep(tag, n, s_max):
     # float sweep, to the bit, and so the same frames
     g = build_abstract(tag, n)
     reps = shift_orbits(g, n, s_max)
-    C = g.facts().cycles @ reps
+    C = g.skeleton().cycles @ reps
     CU, U = greedy_reduce(C)
     assert CU.dtype == U.dtype == np.int64
     for c, cu, u in zip(C, CU, U):
@@ -1402,7 +1402,7 @@ def test_hessian_matches_finite_differences(name, params):
     step = 1e-6
     for case in cases:
         g = case.graph
-        X, B, _ = as_stack(case)
+        X, B = case.positions[None], case.lattice.basis[None]
         X = X - X[:, :1]
         C, Binv, u, ell, _, _ = _tail_state(g, X, B)
         H = _hessian(n, C, Binv, u, ell)[0]

@@ -114,6 +114,12 @@ ROWS = {
                          ValueError, "missing network field"),
     "obj-no-cells": (lambda: export_obj(_dia(), io.StringIO(), cells=0),
                      ValueError, "cells must be at least 1"),
+    "obj-fractional-cells": (lambda: export_obj(_dia(), io.StringIO(), cells=1.5),
+                             ValueError, "cells must be an integer"),
+    "obj-float-cells": (lambda: export_obj(_dia(), io.StringIO(), cells=2.0),
+                        ValueError, "cells must be an integer"),
+    "obj-bool-cells": (lambda: export_obj(_dia(), io.StringIO(), cells=True),
+                       ValueError, "cells must be an integer"),
     "bouquet-lattice-dim": (lambda: construct_bouquet(3, 6, Lattice(np.eye(2))),
                             ValueError, "lattice dimension mismatch"),
     "odd-lattice-dim": (lambda: construct_odd(3, 5, Lattice(np.eye(2))),
