@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (PeriodicNetwork, _edge_faults, _integer, _measured, oriented_star,
-                      vertex_forces, with_positions)
+from .netcore import (PeriodicNetwork, _count, _edge_faults, _known_id, _measured, _real,
+                      oriented_star, vertex_forces, with_positions)
 
 MEDIAN_TOL = 1e-10
 MEDIAN_MAX_ITER = 10_000
 _SNAP = 1e-12          # iterate this close to an input point is treated as on it
-_NUDGE = 1e-6          # restart displacement off a non-optimal input point
+_NUDGE = 1e-6          # restart step off a non-optimal input point, per its nearest-point distance
 _NEWTON_ENTRY = 1e-3   # Weiszfeld step / point-set scale that starts the Newton tail
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -38,17 +38,8 @@ def force(net: PeriodicNetwork, v: int) -> np.ndarray:
     Each incident edge end contributes the unit vector pointing from the
     neighbour towards v; loops contribute both of their ends, which cancel.
     """
-    v = _known_vertex(net, v)
+    v = _known_id(v, net.graph.vertex_count, "vertex")
     return force_all(net).forces[v]
-
-
-def _known_vertex(net: PeriodicNetwork, v: int) -> int:
-    """``v`` as a Python int, refused unless it is an integer (``_integer``)
-    naming a vertex of the graph."""
-    i = _integer(v)
-    if i is None or not 0 <= i < net.graph.vertex_count:
-        raise ValueError(f"unknown vertex id {v}")
-    return i
 
 
 def force_all(net: PeriodicNetwork) -> ForceResult:
@@ -65,9 +56,8 @@ def force_all(net: PeriodicNetwork) -> ForceResult:
 
 
 def is_balanced(net: PeriodicNetwork, tol: float = 1e-9) -> bool:
-    """True iff every vertex force norm is at most ``tol``."""
-    if not tol > 0:     # NaN too
-        raise ValueError("tolerance must be positive")
+    """True iff every vertex force norm is at most ``tol`` (``_real``)."""
+    tol = _real(tol, "tolerance")
     return force_all(net).max_norm <= tol
 
 
@@ -182,18 +172,15 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
     The point sets are vertex stars of a few points in a few dimensions,
     so the work is done in plain floats, where numpy's per-call overhead
     would dominate.  ``on_step(p, obj)``, when given, is called after
-    every iterate.  A tolerance that is not positive and a ``max_iter``
-    that is not a positive integer are refused.
+    every iterate.  ``tol`` passes ``_real`` and ``max_iter`` ``_count``; a
+    restart off an input point scales with its nearest-point distance.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or len(pts) < 2:
         raise ValueError("need at least two points")
     if not np.isfinite(pts).all():
         raise ValueError("non-finite point coordinates")
-    if not tol > 0:     # NaN too
-        raise ValueError("tolerance must be positive")
-    if _integer(max_iter) is None or max_iter < 1:
-        raise ValueError("max_iter must be a positive integer")
+    tol, max_iter = _real(tol, "tolerance"), _count(max_iter, "max_iter", 1)
     P = pts.tolist()
     cols = list(zip(*P))
     mean = [sum(col) / len(P) for col in cols]
@@ -218,7 +205,8 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
     for it in range(max_iter):
         i = d.index(min(d))
         if d[i] < _SNAP * unit_scale:
-            p = [x + _NUDGE * s / gaps[i] for x, s in zip(P[i], sums[i])]
+            step = _NUDGE * min(r for q in P if (r := math.dist(P[i], q))) / gaps[i]
+            p = [x + step * s for x, s in zip(P[i], sums[i])]
             d = [math.dist(p, q) for q in P]
         w = [1.0 / dk for dk in d]
         wsum = sum(w)
@@ -250,7 +238,7 @@ def lifted_neighbours(net: PeriodicNetwork, v: int) -> np.ndarray:
     role in rebalancing.
     """
     g = net.graph
-    edges, sign, _ = oriented_star(g, _known_vertex(net, v))
+    edges, sign, _ = oriented_star(g, _known_id(v, g.vertex_count, "vertex"))
     ends = np.where(sign > 0, g.heads[edges], g.tails[edges])
     return net.positions[ends] + sign[:, None] * (g.shifts[edges] @ net.lattice.basis.T)
 
@@ -262,7 +250,7 @@ def rebalance_vertex(net: PeriodicNetwork, v: int) -> tuple[PeriodicNetwork, boo
     the median lands on a neighbour, so that an incident edge collapsed.
     Loop-only vertices are already critical and are returned unchanged.
     """
-    v = _known_vertex(net, v)
+    v = _known_id(v, net.graph.vertex_count, "vertex")
     pts = lifted_neighbours(net, v)
     if len(pts) == 0:
         return net, False

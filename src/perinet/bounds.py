@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .intlinalg import det_int, int_solve
-from .netcore import (PeriodicNetwork, _length_quotient, _measured, _stress_bounds, _validate,
-                      oriented_star)
+from .netcore import (PeriodicNetwork, _count, _length_quotient, _measured, _stress_bounds,
+                      _validate, oriented_star)
 from .topology import TopologyClass, classify
 
 SLACK_TOL = 1e-9         # inequality slack tolerance
@@ -35,15 +35,13 @@ CERT_TOL = 1e-6          # structural tolerance of equality certificates
 
 def bound_dipole(n: int) -> float:
     """Sharp lower bound on L^n/V for irreducible networks of degree n+1."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    n = _count(n, "dimension n", 2)
     return math.sqrt((n + 1) ** (n - 1) * n ** n)
 
 
 def bound_even(n: int, d: int) -> float:
     """Sharp lower bound (d/2 - n + 1) n^n for even degree d >= 2n."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    n, d = _count(n, "dimension n", 2), _count(d, "degree d", 3)
     if d % 2 != 0 or d < 2 * n:
         raise ValueError("bound requires even degree d >= 2n")
     return (d / 2 - n + 1) * float(n) ** n
@@ -52,7 +50,7 @@ def bound_even(n: int, d: int) -> float:
 def bound_degree3d(d: int, topology: TopologyClass | str) -> float:
     """Three-dimensional bounds by degree and quotient topology."""
     top = TopologyClass.from_tag(topology) if isinstance(topology, str) else topology
-    sel = _select_bound(3, d, top)
+    sel = _select_bound(3, _count(d, "degree d", 3), top)
     if sel is None:
         raise ValueError(f"no bound for degree {d} with topology {top.tag}")
     return sel[1]
@@ -60,6 +58,7 @@ def bound_degree3d(d: int, topology: TopologyClass | str) -> float:
 
 def monotonicity_table(n: int, d_max: int) -> list[tuple[int, float]]:
     """(d, bound) for even d from 2n to d_max; strictly increasing in d."""
+    n, d_max = _count(n, "dimension n", 2), _count(d_max, "d_max", 3)
     if d_max < 2 * n or d_max % 2 != 0:
         raise ValueError("d_max must be even and at least 2n")
     return [(d, bound_even(n, d)) for d in range(2 * n, d_max + 1, 2)]
@@ -179,6 +178,8 @@ class PyramidInstance:
         beyond it the harmonic-mean step of the estimate has no force.
         A random rigid motion is applied at the end.
         """
+        n = _count(n, "dimension n", 2)
+        k = _count(k, "k", n)
         for _ in range(100):
             base_flat = rng.normal(size=(k, n - 1)) * rng.uniform(0.5, 2.0)
             planar = rng.normal(size=n - 1) * 0.7
@@ -195,6 +196,7 @@ class PyramidInstance:
                            probe=Q @ probe + shift)
             except ValueError:
                 continue
+        # no input reaches this: a normal draw is degenerate with probability 0
         raise RuntimeError("failed to sample a nondegenerate pyramid")
 
 

@@ -50,8 +50,9 @@ def _cmd_catalog(args) -> int:
         return 0
     params = {}
     if args.param is not None:
+        key, parse = ("t", float) if args.name == "cds" else ("n", int)
         try:
-            params["t" if args.name == "cds" else "n"] = float(args.param)
+            params[key] = parse(args.param)
         except ValueError:
             return _fail(f"cannot parse --param value {args.param!r}")
     try:
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("catalog", help="print a catalog network as JSON")
     c.add_argument("--name", choices=CATALOG_NAMES)
-    c.add_argument("--param", help="t for cds, dimension n for pcu/simplex_net/cube_net")
+    c.add_argument("--param", help="t for cds, integer dimension n for pcu/simplex_net/cube_net")
     c.set_defaults(fn=_cmd_catalog)
 
     c = sub.add_parser("eval", help="measure a network file")

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .balance import geometric_median
-from .netcore import DIRECTION_TOL, Lattice, PeriodicNetwork, QuotientGraph
-from .topology import TopologyClass, _loop_classes, classify
+from .netcore import (DIRECTION_TOL, Lattice, PeriodicNetwork, QuotientGraph, _count, _direction,
+                      _real)
+from .topology import TopologyClass, _nonzero_shifts, classify
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,10 @@ def _net(dim, vertex_count, edges, basis, positions) -> PeriodicNetwork:
                            np.asarray(positions, float))
 
 
-def _parallel_int(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
-    # integer vectors are parallel iff all 2x2 cross terms vanish
-    return all(s[i] * t[j] == s[j] * t[i] for i in range(len(s)) for j in range(i + 1, len(s)))
-
-
 def _shift_pool(n: int, basis: np.ndarray, span: int = 2) -> list[tuple[int, ...]]:
-    """Sign-canonical candidate shifts ordered by lattice-vector norm."""
-    return sorted(_loop_classes(n, span),
+    """The loop classes (``_box_maps``) ordered by lattice-vector norm."""
+    shifts = _nonzero_shifts(n, span)
+    return sorted(shifts[len(shifts) // 2:],
                   key=lambda s: (float(np.linalg.norm(basis @ np.array(s, float))),
                                  tuple(-x for x in s)))
 
@@ -65,8 +62,8 @@ def _pick_loops(n: int, basis: np.ndarray, per_vertex: int, required: list,
     if out_of_plane:
         pool = [s for s in pool if any(s[i] for i in range(n) if i not in skip_axes)]
     else:
-        pool = [s for s in pool
-                if not any(_parallel_int(s, _unit_shift(n, i)) for i in skip_axes)]
+        axes = {_unit_shift(n, i) for i in skip_axes}      # their own directions
+        pool = [s for s in pool if _direction(s) not in axes]
     return [(v, v, s) for v in range(2)
             for s in _top_up(required[v::2], per_vertex, pool, basis, avoid_dirs)]
 
@@ -80,7 +77,7 @@ def _top_up(chosen: list, count: int, pool: list, basis: np.ndarray,
     for cand in pool:
         if len(chosen) == count:
             break
-        if any(_parallel_int(cand, s) for s in chosen):
+        if _direction(cand) in map(_direction, chosen):
             continue
         vec = basis @ np.array(cand, float)
         u = vec / np.linalg.norm(vec)
@@ -104,6 +101,7 @@ def construct_bouquet(n: int, d: int, lattice: Lattice) -> PeriodicNetwork:
     the shortest lattice vectors that are not parallel to any loop already
     chosen, so the star of the single vertex stays embedded.
     """
+    n, d = _count(n, "dimension n", 2), _count(d, "degree d", 3)
     if d % 2 != 0 or d < 2 * n:
         raise ValueError("bouquet construction needs even degree d >= 2n")
     if lattice.dim != n:
@@ -142,6 +140,7 @@ def construct_odd(n: int, d: int, lattice: Lattice) -> PeriodicNetwork:
     (0, g1, g2) in its interior; three bridges meet there at 120 degrees
     and the remaining degree comes from loops in opposite pairs.
     """
+    n, d = _count(n, "dimension n", 2), _count(d, "degree d", 3)
     if d % 2 != 1 or d < n + 1:
         raise ValueError("odd construction needs odd degree d >= n+1")
     if lattice.dim != n:
@@ -177,12 +176,12 @@ def construct_even_two_vertex(n: int, d: int, lattice: Lattice,
     to g1, splitting it into two opposite bridges; all remaining degree
     comes from loops covering the other generators.
     """
+    n, d = _count(n, "dimension n", 2), _count(d, "degree d", 3)
     if d % 2 != 0 or d < n + 1:
         raise ValueError("even two-vertex construction needs even degree d >= n+1")
     if lattice.dim != n:
         raise ValueError("lattice dimension mismatch")
-    if not 0.0 < q_param < 1.0:
-        raise ValueError("q_param must lie strictly between 0 and 1")
+    q_param = _real(q_param, "q_param", 1.0)
     B = lattice.basis
     per_vertex = d // 2 - 1
     required = [_unit_shift(n, i) for i in range(1, n)]
@@ -215,8 +214,7 @@ def _catalog_hcb():
 
 
 def _catalog_pcu(n: int = 3):
-    if n < 2:
-        raise ValueError("pcu needs dimension n >= 2")
+    n = _count(n, "dimension n", 2)
     net = _net(n, 1, [(0, 0, _unit_shift(n, i)) for i in range(n)],
                np.eye(n), np.zeros((1, n)))
     return _entry("pcu", net, {"n": n}, float(n) ** n, f"{n}^{n}")
@@ -242,8 +240,7 @@ def _catalog_dia():
 
 
 def _catalog_cds(t: float = 0.5):
-    if not 0.0 < t < 1.0:
-        raise ValueError("cds parameter t must lie strictly in (0, 1)")
+    t = _real(t, "cds parameter t", 1.0)
     net = _net(3, 2,
                [(0, 0, (1, 0, 0)), (1, 1, (0, 1, 0)),
                 (0, 1, (0, 0, 0)), (0, 1, (0, 0, -1))],
@@ -279,6 +276,7 @@ def regular_simplex_vertices(n: int) -> np.ndarray:
     Built from the Gram matrix with unit diagonal and off-diagonal -1/n
     via Cholesky, so the construction is dimension-generic.
     """
+    n = _count(n, "dimension n", 1)
     gram = -np.ones((n, n)) / n + np.eye(n) * (1 + 1.0 / n)
     chol = np.linalg.cholesky(gram)
     verts = chol  # rows are v_1..v_n with <v_i, v_j> = gram[i, j]
@@ -287,8 +285,7 @@ def regular_simplex_vertices(n: int) -> np.ndarray:
 
 
 def _catalog_simplex_net(n: int = 3):
-    if n < 2:
-        raise ValueError("simplex_net needs dimension n >= 2")
+    n = _count(n, "dimension n", 2)
     verts = regular_simplex_vertices(n)
     v0, rest = verts[0], verts[1:]
     basis = (rest - v0).T          # columns g_i = v_i - v_0
@@ -320,8 +317,8 @@ def catalog(name: str, **params) -> tuple[PeriodicNetwork, CatalogEntry]:
     """Build a catalog network by name.
 
     Parameters: ``cds`` takes ``t`` in (0,1); ``pcu``, ``cube_net`` and
-    ``simplex_net`` take the dimension ``n``, an integer.  A parameter the
-    network does not take raises ``ValueError``.
+    ``simplex_net`` take the dimension ``n``, an integer (``_count``: not
+    4.0).  A parameter the network does not take raises ``ValueError``.
     """
     try:
         builder = _CATALOG[name]
@@ -331,8 +328,4 @@ def catalog(name: str, **params) -> tuple[PeriodicNetwork, CatalogEntry]:
     for key in params:
         if key not in inspect.signature(builder).parameters:
             raise ValueError(f"catalog network {name!r} takes no parameter {key!r}")
-    if "n" in params:
-        if not float(params["n"]).is_integer():
-            raise ValueError(f"dimension n must be an integer, not {params['n']!r}")
-        params["n"] = int(params["n"])
     return builder(**params)

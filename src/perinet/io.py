@@ -19,7 +19,7 @@ from typing import IO
 
 import numpy as np
 
-from .netcore import Lattice, PeriodicNetwork, QuotientGraph, _integer
+from .netcore import Lattice, PeriodicNetwork, QuotientGraph, _count
 
 
 def _finite(text: str) -> float:
@@ -136,10 +136,7 @@ def export_obj(net: PeriodicNetwork, path_or_file: str | IO[str],
     2-dimensional networks are padded with z = 0.  Returns the number of
     line records written.
     """
-    if _integer(cells) is None:
-        raise ValueError("cells must be an integer")
-    if cells < 1:
-        raise ValueError("cells must be at least 1")
+    cells = _count(cells, "cells", 1)
     n = net.dim
     if n not in (2, 3):
         raise ValueError("OBJ export supports dimensions 2 and 3 only")

@@ -10,6 +10,7 @@ for every integer vector k, where B is the basis matrix.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import weakref
 from dataclasses import dataclass, field
@@ -50,6 +51,47 @@ def _integers(a, name: str) -> np.ndarray:
     return a
 
 
+def _integer(value) -> int | None:
+    """``value`` as a Python int, or None unless it is an integer; a bool is
+    none, since numpy would read it as a mask."""
+    try:
+        return None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as a Python int, refused with a ``ValueError`` naming the
+    argument ``name`` unless it is an integer (``_integer``: no bool, float
+    or string) of at least ``least``: the gate of every integer argument of
+    the public API but the ids, which pass ``_known_id``."""
+    i = _integer(value)
+    if i is None:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if i < least:
+        raise ValueError(f"{name} must be at least {least}, not {i}")
+    return i
+
+
+def _known_id(value, count: int, kind: str) -> int:
+    """``value`` as a Python int, refused unless it is an integer id of ``count`` ``kind``s."""
+    i = _integer(value)
+    if i is None or not 0 <= i < count:
+        raise ValueError(f"unknown {kind} id {value}")
+    return i
+
+
+def _real(value, name: str, high: float = math.inf) -> float:
+    """``value`` as a Python float, refused as ``_count`` refuses unless it
+    is a real number (no bool or string) in (0, ``high``): the gate of every
+    real argument of the public API with a range."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+            and 0.0 < float(value) < high):
+        raise ValueError(f"{name} must " + ("be positive and finite" if high == math.inf else
+                         f"lie strictly between 0 and {high:g}") + f", not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class QuotientGraph:
     """Finite multigraph with an integer shift vector on every edge.
@@ -66,13 +108,8 @@ class QuotientGraph:
     shifts: np.ndarray
 
     def __post_init__(self):
-        for name in ("dim", "vertex_count"):
-            if _integer(getattr(self, name)) is None:
-                raise ValueError(f"{name} must be an integer")
-        if self.dim < 2:
-            raise ValueError("ambient dimension must be >= 2")
-        if self.vertex_count < 1:
-            raise ValueError("need at least one vertex")
+        object.__setattr__(self, "dim", _count(self.dim, "dim", 2))
+        object.__setattr__(self, "vertex_count", _count(self.vertex_count, "vertex_count", 1))
         tails = _freeze(_integers(self.tails, "tails"), np.int64, -1)
         heads = _freeze(_integers(self.heads, "heads"), np.int64, -1)
         shifts = _freeze(_integers(self.shifts, "shifts"), np.int64, (len(tails), self.dim))
@@ -421,21 +458,9 @@ def parallel_ends(vec: np.ndarray, ell: np.ndarray, pairs) -> np.ndarray:
     return par @ vertex
 
 
-def _integer(value) -> int | None:
-    """``value`` as a Python int, or None unless it is an integer; a bool is
-    none, since numpy would read it as a mask."""
-    try:
-        return None if isinstance(value, (bool, np.bool_)) else operator.index(value)
-    except TypeError:
-        return None
-
-
 def edge_vector(net: PeriodicNetwork, e: int) -> np.ndarray:
     """Cartesian vector of quotient edge ``e``: pos[head] + B shift - pos[tail]."""
-    i = _integer(e)
-    if i is None or not 0 <= i < net.graph.edge_count:
-        raise ValueError(f"unknown edge id {e}")
-    return edge_vectors(net)[i]
+    return edge_vectors(net)[_known_id(e, net.graph.edge_count, "edge")]
 
 
 def edge_vectors(net: PeriodicNetwork) -> np.ndarray:
@@ -488,6 +513,14 @@ def _length_quotient(net: PeriodicNetwork, ell: np.ndarray) -> float:
     return _total_length(ell) ** net.dim / volume(net)
 
 
+def _direction(s: Sequence[int]) -> tuple[int, ...]:
+    """Nonzero integer ``s`` over its gcd, signed so its first nonzero entry is
+    positive: two shifts are parallel iff their directions are equal."""
+    g = math.gcd(*s)
+    p = tuple(x // g for x in s)
+    return max(p, tuple(-x for x in p))
+
+
 def _graph_facts(g: QuotientGraph) -> GraphFacts:
     """The facts of ``g``: what one pass over its shifts adds to its
     skeleton's record (``QuotientGraph.skeleton``), the violation strings
@@ -500,8 +533,7 @@ def _graph_facts(g: QuotientGraph) -> GraphFacts:
             if not any(s):      # a zero-length lift edge
                 bare.append(e)
             else:   # loops with proportional shifts leave t in one direction
-                p = tuple(x // math.gcd(*s) for x in s)
-                f, s0 = along.setdefault((t, max(p, tuple(-x for x in p))), (e, s))
+                f, s0 = along.setdefault((t, _direction(s)), (e, s))
                 if s0 != s and s0 != tuple(-x for x in s):      # else a duplicate
                     parallel.append(f"loop {e} parallel to loop {f}")
         # an edge read backwards, (h, t, -s), is the same edge
@@ -606,7 +638,6 @@ def with_positions(net: PeriodicNetwork, positions: np.ndarray) -> PeriodicNetwo
 
 def scaled(net: PeriodicNetwork, c: float) -> PeriodicNetwork:
     """Similarity image of the network: positions and basis scaled by c."""
-    if not (c > 0 and math.isfinite(c)):
-        raise ValueError(f"scale factor must be positive and finite, not {c}")
+    c = _real(c, "scale factor")
     return PeriodicNetwork(net.graph, Lattice(net.lattice.basis * c),
                            net.positions * c)

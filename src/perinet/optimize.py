@@ -52,7 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .intlinalg import greedy_reduce, int_solve
-from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _integer, _length_quotient,
+from .netcore import (Lattice, PeriodicNetwork, QuotientGraph, _count, _length_quotient,
                       _measured, _stress_bounds, edge_norms, lifted_edges, parallel_ends,
                       vertex_forces)
 from .topology import TopologyClass, build_abstract, min_vertex_count, shift_orbits, tree_gauge
@@ -87,21 +87,15 @@ class OptimizeConfig:
     descended for one assignment, and ``seed`` seeds the random ones, which
     are drawn only for redraws and for a first start whose standard
     realization fails a start check (see ``_multistart``).  Each field is
-    an integer (``_integer``: numpy integers pass, bools and floats not)."""
+    an integer (``_count``), ``restarts`` and ``s_max`` at least 1."""
 
     restarts: int = 50
     seed: int = 0
     s_max: int = 1
 
     def __post_init__(self):
-        for name in ("restarts", "s_max", "seed"):
-            if _integer(getattr(self, name)) is None:
-                raise ValueError(f"{name} must be an integer")
-        for name in ("restarts", "s_max"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, least in (("restarts", 1), ("s_max", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
 
 
 @dataclass(frozen=True)
@@ -558,10 +552,7 @@ def random_network(g: QuotientGraph, seed: int = 0) -> PeriodicNetwork:
     (``_refuse_invalid``); one with a cut edge is accepted, its networks
     being valid though never balanced.  A seed that is no integer, or is
     negative, is refused as ``OptimizeConfig`` refuses it."""
-    if _integer(seed) is None:
-        raise ValueError("seed must be an integer")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    seed = _count(seed, "seed", 0)
     _refuse_invalid(g)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA5)))
     B, X = _sample_starts(rng, 1, g, g.shifts[None, :, :])

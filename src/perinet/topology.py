@@ -16,7 +16,7 @@ from math import ceil, comb, factorial
 import numpy as np
 
 from .intlinalg import det_int_batch
-from .netcore import QuotientGraph, oriented_star
+from .netcore import QuotientGraph, _count, oriented_star
 
 ENUMERATION_LIMIT = 10 ** 7
 _ENUM_BLOCK = 1 << 13         # candidates screened per vectorized block
@@ -40,14 +40,12 @@ class TopologyClass:
 
     @staticmethod
     def bouquet(loops: int) -> "TopologyClass":
-        if loops < 1:
-            raise ValueError("bouquet needs at least one loop")
+        loops = _count(loops, "loops", 1)
         return TopologyClass("bouquet", loops, 0, loops, 2 * loops, 1)
 
     @staticmethod
     def double_bouquet(loops: int, bridges: int) -> "TopologyClass":
-        if loops < 0 or bridges < 1:
-            raise ValueError("double bouquet needs loops >= 0 and bridges >= 1")
+        loops, bridges = _count(loops, "loops", 0), _count(bridges, "bridges", 1)
         kind = "dipole" if loops == 0 else "double_bouquet"
         return TopologyClass(kind, loops, bridges, 2 * loops + bridges - 1,
                              2 * loops + bridges, 2)
@@ -115,10 +113,7 @@ def min_vertex_count(n: int, d: int) -> tuple[int, list[TopologyClass]]:
     +-u_e, so a quotient with a cut edge has no balanced realization with
     positive edge lengths and no minimizer.
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    if d < 3:
-        raise ValueError("degree must be >= 3")
+    n, d = _count(n, "dimension n", 2), _count(d, "degree d", 3)
     if d % 2 == 0 and d >= 2 * n:
         return 1, [TopologyClass.bouquet(d // 2)]
     if d >= n + 1:
@@ -134,7 +129,7 @@ def build_abstract(tag: TopologyClass | str, dim: int) -> QuotientGraph:
     first bridge doubles as the spanning-tree edge in enumeration.
     """
     top = TopologyClass.from_tag(tag) if isinstance(tag, str) else tag
-    z = [0] * dim
+    z = [0] * _count(dim, "dim", 2)
     if top.kind == "bouquet":
         edges = [(0, 0, z) for _ in range(top.loops)]
         return QuotientGraph.from_edges(dim, 1, edges)
@@ -149,12 +144,6 @@ def build_abstract(tag: TopologyClass | str, dim: int) -> QuotientGraph:
 def _nonzero_shifts(n: int, s_max: int) -> list[tuple[int, ...]]:
     return [s for s in itertools.product(range(-s_max, s_max + 1), repeat=n)
             if any(s)]
-
-
-def _loop_classes(n: int, s_max: int) -> list[tuple[int, ...]]:
-    # of s and -s, the sign-canonical one (first nonzero entry positive) is
-    # the lexicographically larger
-    return sorted({max(s, tuple(-x for x in s)) for s in _nonzero_shifts(n, s_max)})
 
 
 @functools.lru_cache
@@ -289,6 +278,7 @@ def enumerate_shift_arrays(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarr
     Kept assignments have lattice-generating cycle shifts and no two
     proportional loops at a vertex; exact and negation duplicates are removed.
     """
+    n, s_max = _count(n, "dimension n", 2), _count(s_max, "s_max", 1)
     return tree_gauge(g, _screened_rows(g, n, s_max)[0])
 
 
@@ -385,6 +375,7 @@ def shift_orbits(g: QuotientGraph, n: int, s_max: int = 1) -> np.ndarray:
     once (D1,5 in R^3: 34,541 of the 1,182,925 enumerated).  Classes come
     in first-member order.
     """
+    n, s_max = _count(n, "dimension n", 2), _count(s_max, "s_max", 1)
     if classify(g).circuit_rank == n:
         return tree_gauge(g, np.eye(n, dtype=np.int64)[None])
     C, minors = _screened_rows(g, n, s_max, orbits=True)

@@ -245,7 +245,9 @@ def _reference_geometric_median(points, tol=1e-10, max_iter=10_000):
         if gap <= 1.0 + 1e-12:
             return pts[i].copy(), i
         if d[i] < 1e-12 * max(scale, 1.0):
-            p = pts[i] + 1e-6 * s / gap
+            # restart off the point by 1e-6 of its distance to the nearest other point
+            near = np.linalg.norm(pts - pts[i], axis=1)
+            p = pts[i] + 1e-6 * near[near > 0].min() * s / gap
             d = np.linalg.norm(pts - p, axis=1)
         w = 1.0 / d
         p_new = (pts * w[:, None]).sum(axis=0) / w.sum()
@@ -313,6 +315,30 @@ def test_median_matches_reference():
     for pts in vertex_sets:
         _, at_vertex = _assert_matches_reference(pts)
         assert at_vertex is not None
+
+
+# seven points in R^2: the 7th Weiszfeld iterate lands 8.6e-20 from point
+# 1, which is no median (its vertex gap is 1.0048), and its nearest other
+# point is 1.42e-5 away
+_NEAR_POINT_SET = np.array([
+    [2.8884478428630246e+02, -1.0196877594499495e+02], [2.2116386001514755e-05, -1.3018860342206849e-05],
+    [-1.3322231825508130e-01, 1.3233387991310935e-01], [4.4048361122027524e+00, -2.9972063014559227e+00],
+    [-1.5349044304394666e-04, 4.8217203142405207e-06], [5.9250471994902791e-02, 1.8144631448466586e-01],
+    [7.9412938835366543e-06, -1.4037737664443692e-05]])
+
+
+def test_restart_off_an_input_point_scales_with_the_set():
+    # a restart step of fixed size overshot the nearby points and raised
+    # "Weiszfeld objective increased" at scales 1 and 1e-3
+    medians = []
+    for c in (1.0, 1e-3, 1e3):
+        pts = _NEAR_POINT_SET * c
+        p, at_vertex = _assert_matches_reference(pts)
+        assert at_vertex is None
+        units = (pts - p) / np.linalg.norm(pts - p, axis=1)[:, None]
+        assert np.linalg.norm(units.sum(axis=0)) <= 1e-10
+        medians.append(p / c)
+    np.testing.assert_allclose(medians, [medians[0]] * 3, rtol=1e-9, atol=0)
 
 
 def _criterion_4_sets():

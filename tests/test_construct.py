@@ -70,9 +70,12 @@ def test_catalog_refuses_parameters_it_does_not_take(name, params, message):
 
 
 def test_catalog_takes_an_integral_dimension():
-    net, entry = catalog("pcu", n=4.0)
+    # a numpy integer is an integer; 4.0 is refused, as QuotientGraph(dim=4.0) is
+    net, entry = catalog("pcu", n=np.int64(4))
     assert entry.parameters == {"n": 4} and type(entry.parameters["n"]) is int
     assert network_to_json(net) == network_to_json(catalog("pcu", n=4)[0])
+    with pytest.raises(ValueError, match=re.escape("dimension n must be an integer, not 4.0")):
+        catalog("pcu", n=4.0)
 
 
 def test_catalog_cds_parameter_range():

@@ -396,7 +396,7 @@ def test_module_entry_point_runs_table_optimize_verify(tmp_path):
 
 @pytest.mark.parametrize("flag,value,message", [("--restarts", "0", "restarts must be at least 1"),
                                                  ("--smax", "0", "s_max must be at least 1"),
-                                                 ("--seed", "-1", "seed must be non-negative")])
+                                                 ("--seed", "-1", "seed must be at least 0")])
 def test_cli_optimize_bad_config_fails_cleanly(tmp_path, capsys, flag, value, message):
     out = tmp_path / "never.json"
     assert run(["optimize", "--topology", "D3", "--dim", "2", flag, value,
@@ -412,7 +412,8 @@ def test_cli_catalog_bad_param(capsys):
 
 @pytest.mark.parametrize("name,param,message", [
     ("dia", "3", "catalog network 'dia' takes no parameter 'n'"),
-    ("pcu", "3.7", "dimension n must be an integer, not 3.7"),
+    ("pcu", "3.7", "cannot parse --param value '3.7'"),
+    ("pcu", "4.0", "cannot parse --param value '4.0'"),
 ])
 def test_cli_catalog_refuses_a_parameter_it_does_not_take(capsys, name, param, message):
     assert run(["catalog", "--name", name, "--param", param]) == 1

@@ -1352,7 +1352,7 @@ def test_redraw_rounds_build_no_standard_realization(monkeypatch):
 
 
 def test_config_rejects_negative_seed():
-    with pytest.raises(ValueError, match="seed must be non-negative"):
+    with pytest.raises(ValueError, match="seed must be at least 0"):
         OptimizeConfig(seed=-1)
 
 
