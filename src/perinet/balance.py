@@ -182,11 +182,11 @@ def geometric_median(points, tol: float = MEDIAN_TOL,
         raise ValueError("non-finite point coordinates")
     tol, max_iter = _real(tol, "tolerance"), _count(max_iter, "max_iter", 1)
     P = pts.tolist()
+    if P.count(P[0]) == len(P):
+        raise ValueError("all points identical")
     cols = list(zip(*P))
     mean = [sum(col) / len(P) for col in cols]
     scale = max(math.dist(q, mean) for q in P)
-    if scale == 0.0:
-        raise ValueError("all points identical")
     if len(P) == 2:
         # every point of the segment minimizes; take the midpoint
         return np.array(mean), None
@@ -254,9 +254,12 @@ def rebalance_vertex(net: PeriodicNetwork, v: int) -> tuple[PeriodicNetwork, boo
     pts = lifted_neighbours(net, v)
     if len(pts) == 0:
         return net, False
-    if len(pts) == 1 or np.linalg.norm(pts - pts[0], axis=1).max() == 0.0:
-        raise ValueError("all neighbours of the vertex coincide")
-    median, at_vertex = geometric_median(pts)
+    try:
+        median, at_vertex = geometric_median(pts)
+    except ValueError as exc:   # one neighbour or all at one point; non-finite ones pass
+        if str(exc) not in ("need at least two points", "all points identical"):
+            raise
+        raise ValueError("all neighbours of the vertex coincide") from None
     positions = np.array(net.positions)
     positions[v] = median
     return with_positions(net, positions), at_vertex is not None

@@ -33,10 +33,23 @@ CERT_TOL = 1e-6          # structural tolerance of equality certificates
 # ---------------------------------------------------------------------------
 # closed-form bounds
 
+def _float_bound(name: str, bound) -> float:
+    """``bound()``, a closed form in floats, refused with a ``ValueError``
+    naming the argument ``name`` where it overflows the float range."""
+    try:
+        value = bound()
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"{name} too large: the bound overflows a float")
+    return value
+
+
 def bound_dipole(n: int) -> float:
     """Sharp lower bound on L^n/V for irreducible networks of degree n+1."""
     n = _count(n, "dimension n", 2)
-    return math.sqrt((n + 1) ** (n - 1) * n ** n)
+    _float_bound("dimension n", lambda: float(n) ** n)     # before the exact product grows
+    return _float_bound("dimension n", lambda: math.sqrt((n + 1) ** (n - 1) * n ** n))
 
 
 def bound_even(n: int, d: int) -> float:
@@ -44,7 +57,8 @@ def bound_even(n: int, d: int) -> float:
     n, d = _count(n, "dimension n", 2), _count(d, "degree d", 3)
     if d % 2 != 0 or d < 2 * n:
         raise ValueError("bound requires even degree d >= 2n")
-    return (d / 2 - n + 1) * float(n) ** n
+    power = _float_bound("dimension n", lambda: float(n) ** n)
+    return _float_bound("degree d", lambda: (d / 2 - n + 1) * power)
 
 
 def bound_degree3d(d: int, topology: TopologyClass | str) -> float:
@@ -61,6 +75,7 @@ def monotonicity_table(n: int, d_max: int) -> list[tuple[int, float]]:
     n, d_max = _count(n, "dimension n", 2), _count(d_max, "d_max", 3)
     if d_max < 2 * n or d_max % 2 != 0:
         raise ValueError("d_max must be even and at least 2n")
+    bound_even(n, d_max)        # the last bound is the largest: refused before the table is built
     return [(d, bound_even(n, d)) for d in range(2 * n, d_max + 1, 2)]
 
 

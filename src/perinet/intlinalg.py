@@ -15,7 +15,8 @@ import numpy as np
 
 
 def _as_int_rows(mat) -> list[list[int]]:
-    return [[int(x) for x in row] for row in np.asarray(mat).tolist()]
+    a = np.asarray(mat)     # an integer array's entries come out as Python ints
+    return a.tolist() if a.dtype.kind in "iu" else [[int(x) for x in row] for row in a.tolist()]
 
 
 def smith_invariant_factors(mat) -> tuple[int, ...]:
@@ -25,17 +26,19 @@ def smith_invariant_factors(mat) -> tuple[int, ...]:
     smallest nonzero entry: exact, and polynomial in the matrix size, so
     it decides lattice generation for networks that come from outside the
     program (``validate``), where a bouquet read from a file may have many
-    cycles.  The gcd of the maximal minors (``topology._rows_generate_zn``)
-    answers the same question faster on small matrices but needs
-    C(r, n) minors of an r x n matrix.
+    cycles.  Their product divides every maximal minor, so an r x n matrix
+    with r <= n + 1 and one of its at most n + 1 minors +-1 has all factors
+    1 at once (the screen of ``topology._rows_generate_zn``).
     """
     a = _as_int_rows(mat)
     if not a or not a[0]:
         return ()
     rows, cols = len(a), len(a[0])
+    minors = [a[:i] + a[i + 1:] for i in range(rows)] if rows == cols + 1 else [a] * (rows == cols)
+    if any(abs(_det_int(m)) == 1 for m in minors):
+        return (1,) * cols
     diag = []
-    s = 0
-    while s < min(rows, cols):
+    for s in range(min(rows, cols)):
         piv = None
         best = None
         for i in range(s, rows):
@@ -78,17 +81,12 @@ def smith_invariant_factors(mat) -> tuple[int, ...]:
             if not dirty:
                 break
         diag.append(abs(a[s][s]))
-        s += 1
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i] != 0:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
+    # enforce the divisibility chain: once entry i has met every later one
+    # by gcd and lcm, it divides them all, and their multiples stay so
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return tuple(d for d in diag if d != 0)
 
 

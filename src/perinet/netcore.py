@@ -529,15 +529,15 @@ def _graph_facts(g: QuotientGraph) -> GraphFacts:
     bare, repeated, parallel, seen = [], [], [], set()
     along = {}                          # (vertex, loop direction) -> first loop, its shift
     for e, (t, h, s) in enumerate(zip(sk.tails, sk.heads, map(tuple, g.shifts.tolist()))):
+        # an edge read backwards, (h, t, -s), is the same edge: at t < h the key is s as it is
+        key = (t, h, s) if t < h else min((t, h, s), (h, t, back := tuple(-x for x in s)))
         if t == h:
             if not any(s):      # a zero-length lift edge
                 bare.append(e)
             else:   # loops with proportional shifts leave t in one direction
                 f, s0 = along.setdefault((t, _direction(s)), (e, s))
-                if s0 != s and s0 != tuple(-x for x in s):      # else a duplicate
+                if s0 != s and s0 != back:      # else a duplicate
                     parallel.append(f"loop {e} parallel to loop {f}")
-        # an edge read backwards, (h, t, -s), is the same edge
-        key = min((t, h, s), (h, t, tuple(-x for x in s)))
         if key in seen:
             repeated.append((t, h, s))
         seen.add(key)

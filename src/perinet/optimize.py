@@ -385,32 +385,31 @@ def _sample_starts(rng, count: int, g: QuotientGraph, S_int):
     matching :func:`random_network`.
 
     Basis: identity plus uniform(-0.3, 0.3) entries; positions uniform in
-    the unit cell; instances that fail a ``_START_CHECKS`` check
-    (``_start_faults``) are redrawn, up to 100 rounds, and the error then
-    names the checks the last draws failed.
+    the unit cell.  The first round is drawn straight into the outputs; the
+    instances that fail a ``_START_CHECKS`` check (``_start_faults``) are
+    redrawn, those alone, up to 100 rounds in all, and the error then names
+    the checks the last draws failed.
     """
     n, V = g.dim, g.vertex_count
-    B = np.empty((count, n, n))
-    X = np.empty((count, V, n))
     ST = np.asarray(S_int, dtype=np.float64).transpose(0, 2, 1)
-    todo = np.arange(count)
+    todo = None                 # the rows of a redraw round; all rows in the first
     for _ in range(100):
-        if len(todo) == 0:
-            break
-        m = len(todo)
+        m = count if todo is None else len(todo)
         Bc = np.eye(n) + rng.uniform(-0.3, 0.3, (m, n, n))
-        frac = rng.uniform(0.0, 1.0, (m, V, n))
-        Xc = np.einsum('aij,avj->avi', Bc, frac)
-        B[todo], X[todo] = Bc, Xc
-        vec = lifted_edges(Xc, Bc, ST[todo], g.tails, g.heads)
+        Xc = np.einsum('aij,avj->avi', Bc, rng.uniform(0.0, 1.0, (m, V, n)))
+        vec = lifted_edges(Xc, Bc, ST if todo is None else ST[todo], g.tails, g.heads)
         ell = edge_norms(vec)
         with np.errstate(divide='ignore', invalid='ignore'):
             faults = _start_faults(g, vec / ell[..., None], ell, np.linalg.det(Bc))
-        todo = todo[faults[0] | faults[1] | faults[2]]
-    if len(todo):
-        failed = ", ".join(c for c, hit in zip(_START_CHECKS, faults) if hit.any())
-        raise RuntimeError(f"failed to draw a valid starting network in 100 rounds: {failed}")
-    return B, X
+        bad = faults[0] | faults[1] | faults[2]
+        if todo is None:
+            B, X, todo = Bc, Xc, bad.nonzero()[0]
+        else:
+            B[todo], X[todo], todo = Bc, Xc, todo[bad]
+        if not len(todo):
+            return B, X
+    failed = ", ".join(c for c, hit in zip(_START_CHECKS, faults) if hit.any())
+    raise RuntimeError(f"failed to draw a valid starting network in 100 rounds: {failed}")
 
 
 def _state(B: np.ndarray, X: np.ndarray) -> np.ndarray:

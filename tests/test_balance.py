@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from perinet import (
     CATALOG_NAMES,
+    Lattice,
     PeriodicNetwork,
     QuotientGraph,
     catalog,
@@ -18,7 +20,7 @@ from perinet import (
     rebalance_vertex,
     with_positions,
 )
-from perinet import balance
+from perinet import balance, verify
 from perinet.balance import _newton_tail, _vertex_gaps
 from perinet.topology import build_abstract, enumerate_shift_arrays
 
@@ -536,6 +538,63 @@ def test_rebalance_identical_neighbours_raises():
     net = PeriodicNetwork(g, Lattice(np.eye(2)), np.array([[0.0, 0.0], [0.4, 0.3]]))
     with pytest.raises(ValueError):
         rebalance_vertex(net, 0)
+
+
+@pytest.mark.parametrize("edges,far,message", [
+    # three copies of one lifted neighbour, whose mean in floats is not that point
+    ([(0, 1, (0, 0, 0))] * 3, [0.1, 0.2, 0.7], "all neighbours of the vertex coincide"),
+    ([(0, 1, (0, 0, 0))] * 2, [0.1, 0.2, 0.7], "all neighbours of the vertex coincide"),
+    ([(0, 1, (0, 0, 0))], [0.1, 0.2, 0.7], "all neighbours of the vertex coincide"),
+    ([(0, 1, (0, 0, 0)), (0, 1, (1, 0, 0))], [np.nan, 0.2, 0.7], "non-finite point coordinates"),
+    ([(0, 1, (0, 0, 0))] * 3, [np.inf, 0.2, 0.7], "non-finite point coordinates"),
+    ([(0, 1, (0, 0, 0))], [np.inf, 0.2, 0.7], "all neighbours of the vertex coincide"),
+], ids=["three-coincide", "two-coincide", "single", "nan", "inf-coincide", "inf-single"])
+def test_rebalance_refuses_coincident_single_and_non_finite_neighbours(edges, far, message):
+    # vertex 0 also carries loops, which play no part; the refusals are the
+    # median's, but for one neighbour or all at one point, which name the vertex
+    loops = [(0, 0, (0, 1, 0)), (0, 0, (0, 0, 1)), (1, 1, (0, 1, 0))]
+    g = QuotientGraph.from_edges(3, 2, edges + loops)
+    net = PeriodicNetwork(g, Lattice(np.eye(3)), np.array([[0.0, 0.0, 0.0], far]))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rebalance_vertex(net, 0)
+
+
+def _bits(*parts) -> str:
+    """A sha-256 prefix of arrays' float64 bytes and other values' reprs."""
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p.tobytes() if isinstance(p, np.ndarray) else repr(p).encode())
+    return h.hexdigest()[:20]
+
+
+# criterion 4's sweep path on eight drawn networks per topology: the
+# positions and basis random_network draws, the network rebalance_vertex
+# makes and its flag, and what verify measures, as computed on x86-64 with
+# CPython 3.11 and numpy 2.4 (CPython 3.12's compensated sum moves a
+# median's last bits); D4 and D1,3 each land a median on a neighbour
+SWEEP_PINS = {"D4": "703be602100b521101ce", "D1,2": "16e2b60ba7e35b3004be",
+              "D5": "9a0724e9188d15dcc06c", "D1,3": "69c5e871c984a081fb66",
+              "B3": "d17f91d60bcc8e83e975"}
+
+
+@pytest.mark.parametrize("k,tag", enumerate(SWEEP_PINS))
+def test_sweep_path_is_pinned_bit_for_bit(k, tag):
+    skeleton = build_abstract(tag, 3)
+    shifts = enumerate_shift_arrays(skeleton, 3, 1)
+    rng = np.random.default_rng((39, k))
+    parts, flags = [], []
+    for _ in range(8):
+        g = QuotientGraph(3, skeleton.vertex_count, skeleton.tails, skeleton.heads,
+                          shifts[int(rng.integers(len(shifts)))])
+        net = random_network(g, seed=int(rng.integers(1 << 62)))
+        parts += [net.positions, net.lattice.basis]
+        if g.vertex_count == 2:
+            net, flag = rebalance_vertex(net, 1)
+            parts += [net.positions, flag]
+            flags.append(flag)
+        parts.append(verify(net).measured)
+    assert _bits(*parts) == SWEEP_PINS[tag]
+    assert (True in flags) == (tag in ("D4", "D1,3"))
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ from perinet import netcore, optimize
 from perinet.balance import force, force_all
 from perinet.construct import CATALOG_NAMES
 from perinet.intlinalg import greedy_reduce, int_solve
-from perinet.topology import build_abstract, shift_orbits, tree_gauge
+from perinet.topology import build_abstract, enumerate_shift_arrays, shift_orbits, tree_gauge
 from perinet.netcore import edge_norms, incidence, lifted_edges
 from perinet.optimize import (_SERVICE_EVERY, _Batch, _edge_map, _eval, _gradient, _hessian,
                               _newton_steps, _sample_starts, _standard_realization, _start_faults,
                               _state)
+from test_balance import _bits
 from test_bounds import _rewritten
 
 
@@ -370,6 +371,38 @@ def test_start_basis_below_the_determinant_floor_is_redrawn():
     rng = SingularFirstBasis()
     B, X = _sample_starts(rng, 4, g, np.broadcast_to(g.shifts, (4,) + g.shifts.shape))
     assert rng.calls > 2 and (np.abs(np.linalg.det(B)) > 0.1).all()
+
+
+@pytest.mark.parametrize("tag,bits", [("D5", "d1467f189f75018e195b"),
+                                      ("B3", "6d17d620c88c57e0bf93")])
+def test_sampler_redraws_only_the_failing_rows_bit_for_bit(monkeypatch, tag, bits):
+    # bases 0 and 2 of the first round and base 1 of the second (row 2 of
+    # the whole) are the zero matrix, so three rounds draw 4, 2 and 1 rows;
+    # the states are pinned as sha-256 prefixes of their float64 bytes
+    # (``test_balance._bits``)
+    class SingularBases:
+        def __init__(self):
+            self.rng, self.calls = np.random.default_rng(7), 0
+
+        def uniform(self, lo, hi, size):
+            out = self.rng.uniform(lo, hi, size)
+            self.calls += 1
+            if self.calls == 1:
+                out[[0, 2]] = -np.eye(size[-1])
+            if self.calls == 3:
+                out[1] = -np.eye(size[-1])
+            return out
+
+    rounds = []
+    monkeypatch.setattr(optimize, "_start_faults",
+                        lambda g, u, *rest: rounds.append(len(u)) or _start_faults(g, u, *rest))
+    skeleton = build_abstract(tag, 3)
+    S = enumerate_shift_arrays(skeleton, 3, 1)[:4]
+    g = QuotientGraph(3, skeleton.vertex_count, skeleton.tails, skeleton.heads, S[0])
+    rng = SingularBases()
+    B, X = _sample_starts(rng, 4, g, S)
+    assert rounds == [4, 2, 1] and rng.calls == 6
+    assert _bits(B, X) == bits
 
 
 def test_minimize_fixed_shifts_rejects_bad_graph():

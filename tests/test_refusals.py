@@ -195,6 +195,18 @@ ROWS = {
     "bound-even-n-1": (lambda: bound_even(1, 4), ValueError, "dimension n must be at least 2, not 1"),
     "monotonicity-odd": (lambda: monotonicity_table(3, 7),
                          ValueError, "d_max must be even and at least 2n"),
+    # past the float range a closed-form bound names the argument that took it
+    # there; the table and the three-dimensional bound refuse through bound_even
+    "bound-dipole-overflow": (lambda: bound_dipole(200), ValueError,
+                              "dimension n too large: the bound overflows a float"),
+    "bound-even-n-overflow": (lambda: bound_even(200, 400), ValueError,
+                              "dimension n too large: the bound overflows a float"),
+    "bound-even-d-overflow": (lambda: bound_even(3, 10**400), ValueError,
+                              "degree d too large: the bound overflows a float"),
+    "monotonicity-overflow": (lambda: monotonicity_table(3, 10**400), ValueError,
+                              "degree d too large: the bound overflows a float"),
+    "bound-degree3d-overflow": (lambda: bound_degree3d(10**400, TopologyClass.bouquet(5 * 10**399)),
+                                ValueError, "degree d too large: the bound overflows a float"),
     "simplex-n-points": (lambda: check_simplex(np.eye(3)), ValueError, "need n+1 points in R^n"),
     "dipole5-sublattice": (lambda: dipole5_coefficients(_sqp_doubled()),
                            ValueError, "shift bookkeeping inconsistent"),

@@ -1,3 +1,5 @@
+import hashlib
+import math
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -701,3 +703,57 @@ def test_det_int_batch_matches_det_int():
             assert got.shape == lead
             ref = [det_int(a) for a in mats.reshape(-1, m, m)]
             assert got.ravel().tolist() == ref
+
+
+def _smith_samples():
+    """(kind, matrix) pairs with n = 2..5 columns, r = n..n + 4 rows and
+    entries within +-50, given as int64 arrays, integral floats or lists of
+    Python ints: ``unit`` has an identity block under unimodular column
+    operations and shuffled rows, ``scaled`` one of its columns times 2 to
+    4, ``deficient`` a column that combines two others, ``random`` uniform
+    entries."""
+    rng = np.random.default_rng(39)
+    out = []
+    for n in range(2, 6):
+        for r in range(n, n + 5):
+            for _ in range(4):
+                M = np.vstack([np.eye(n, dtype=np.int64), rng.integers(-3, 4, (r - n, n))])
+                for _ in range(2 * n):
+                    i, j = rng.choice(n, 2, replace=False)
+                    M[:, i] += int(rng.integers(-2, 3)) * M[:, j]
+                M = M[rng.permutation(r)]
+                D = M.copy()
+                D[:, int(rng.integers(n))] *= int(rng.integers(2, 5))
+                K = rng.integers(-9, 10, (r, n))
+                K[:, 0] = 2 * K[:, 1] - K[:, -1]
+                W = rng.integers(-50, 51, (r, n))
+                out += [("unit", M), ("unit", (-M).tolist()), ("unit", M.astype(np.float64)),
+                        ("scaled", D), ("deficient", K), ("random", W),
+                        ("random", -W.astype(np.float64))]
+    return [(kind, m) for kind, m in out if np.abs(np.asarray(m)).max() <= 50]
+
+
+def test_smith_form_matches_the_elimination_on_every_kind_of_matrix():
+    # the factors of 542 matrices, pinned by a digest of what the elimination
+    # alone gives; each is a divisibility chain of rank-many factors whose
+    # product is the gcd of the maximal minors
+    samples = _smith_samples()
+    got = [smith_invariant_factors(m) for _, m in samples]
+    assert hashlib.sha256(repr(got).encode()).hexdigest()[:20] == "f71df18a5319a3ef95f9"
+    paths = set()
+    for (kind, m), factors in zip(samples, got):
+        a = np.asarray(m).astype(np.int64)
+        r, n = a.shape
+        assert all(type(f) is int and f > 0 for f in factors)
+        assert all(g % f == 0 for f, g in zip(factors, factors[1:]))
+        assert len(factors) == np.linalg.matrix_rank(a)
+        minors = [det_int(a[list(rows)]) for rows in combinations(range(r), n)]
+        if len(factors) == n:
+            assert math.prod(factors) == gcd(*minors)
+        unit = r <= n + 1 and 1 in map(abs, minors)
+        paths.add((kind, unit, r <= n + 1))
+        assert kind != "scaled" or factors[-1] > 1
+        assert kind != "deficient" or len(factors) < n
+    # the unit-minor exit, and the elimination at r <= n + 1 and past it
+    assert {("unit", True, True), ("scaled", False, True), ("random", False, True),
+            ("deficient", False, True), ("unit", False, False)} <= paths
