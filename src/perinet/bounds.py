@@ -49,7 +49,8 @@ def bound_dipole(n: int) -> float:
     """Sharp lower bound on L^n/V for irreducible networks of degree n+1."""
     n = _count(n, "dimension n", 2)
     _float_bound("dimension n", lambda: float(n) ** n)     # before the exact product grows
-    return _float_bound("dimension n", lambda: math.sqrt((n + 1) ** (n - 1) * n ** n))
+    exact = (n + 1) ** (n - 1) * n ** n     # past the float range from n = 82, unlike its root
+    return math.sqrt(exact) if exact < 2 ** 1023 else float(math.isqrt(exact))
 
 
 def bound_even(n: int, d: int) -> float:

@@ -147,7 +147,7 @@ def int_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     else:
         x = np.linalg.lstsq(A, b, rcond=None)[0]
     x = np.rint(x).astype(np.int64)
-    if not np.array_equal(A @ x, b):
+    if not (A @ x == b).all():
         raise RuntimeError("integer solve failed: no integer solution")
     return x
 
@@ -157,25 +157,28 @@ def greedy_reduce(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack (..., m, n), all at once.  A sweep orders each matrix's columns by
     norm and, for every ordered pair (i, j) of distinct columns in that
     order, subtracts rint(c_i.c_j / c_i.c_i) c_i from c_j; a matrix is done
-    after a sweep that changes nothing.  An exact projection of +-1/2 rounds
-    to 0, and every change lowers the integer sum of squared norms, so the
-    sweeps end.  Returns (C U, U) in int64, with U unimodular.
+    when no such projection in its Gram matrix rounds off 0, as a sweep then
+    changes nothing.  An exact projection of +-1/2 rounds to 0, and every
+    change lowers the integer sum of squared norms, so the sweeps end.
+    Returns (C U, U) in int64, with U unimodular.
     """
     C = np.asarray(C).astype(np.int64, casting='safe')
     m, n = C.shape[-2:]
     eye = np.broadcast_to(np.eye(n, dtype=np.int64), C.shape[:-2] + (n, n))
     M = np.concatenate([C, eye], axis=-2).reshape(-1, m + n, n)     # C over U
-    live, rows = np.arange(len(M)), np.arange(m + n)[:, None]   # matrices still changing
-    while len(live):
-        Q, k = M[live], np.arange(len(live))[:, None, None]
-        order = np.argsort(np.einsum('kij,kij->kj', Q[:, :m], Q[:, :m]), axis=1)[:, None]
-        P, moved = Q[k, rows, order], np.zeros(len(live), dtype=bool)  # columns in norm order
+    live, rows, d = np.arange(len(M)), np.arange(m + n)[:, None], np.arange(n)
+    while True:
+        Q = M[live, :m]
+        G = Q.transpose(0, 2, 1) @ Q                # c_i . c_j
+        moving = (np.rint(G / G[:, d, d, None]) != np.eye(n)).any(axis=(1, 2))
+        if not moving.any():        # a sweep would change none of them
+            return M[:, :m].reshape(C.shape), M[:, m:].reshape(eye.shape)
+        live, G = live[moving], G[moving]
+        order = np.argsort(G[:, d, d], axis=1)[:, None]
+        P = M[live[:, None, None], rows, order]     # columns in norm order
         for a in range(n):      # pivot a's pairs (a, b) leave column a alone: all at once
             p = (P[:, None, :m, a] @ P[:, :m])[:, 0]
             mu = np.rint(p / p[:, a:a + 1]).astype(np.int64)
             mu[:, a] = 0
             P -= mu[:, None, :] * P[:, :, a:a + 1]
-            moved |= mu.any(axis=1)
         M[live[:, None, None], rows, order] = P
-        live = live[moved]
-    return M[:, :m].reshape(C.shape), M[:, m:].reshape(eye.shape)

@@ -166,10 +166,10 @@ def _in_frame_of(g: QuotientGraph, S: np.ndarray, U: np.ndarray, Z: np.ndarray) 
         old, new, s = (tails[e], heads[e], 1) if tails[e] in placed else (heads[e], tails[e], -1)
         k[new] = k[old] + s * D[e]
         placed.add(new)
-    if not np.array_equal(k[heads] - k[tails], D):
+    if not (k[heads] - k[tails] == D).all():
         raise RuntimeError("map back failed: the shifts differ by no vertex potential")
     m = g.vertex_count - 1
-    X = np.vstack([np.zeros(g.dim), Z[:m] - k[1:] @ Z[m:]])
+    X = np.concatenate([np.zeros((1, g.dim)), Z[:m] - k[1:] @ Z[m:]])
     return PeriodicNetwork(g, Lattice(Z[m:].T @ U.T), X)
 
 
@@ -194,7 +194,7 @@ class _Batch:
         self._stall = np.zeros(N, dtype=np.int16)
         # previous-step memory for the Barzilai-Borwein step estimate; a
         # stored step size of 0 stands for no previous step
-        self._gZo = np.zeros_like(self.Z)
+        self._gZo = np.zeros(self.Z.shape)
         self._gsqo = np.zeros(N)
         self._tacc = np.zeros(N)
 
@@ -207,12 +207,12 @@ class _Batch:
         Z = np.array(Z, dtype=np.float64, order='C')  # as gathers are: matmul rounds by layout
         with np.errstate(divide='ignore', invalid='ignore'):
             det = np.linalg.det(Z[:, self.m:])
-            c = np.abs(det) ** (-1.0 / n)     # scale gauge
+            c = np.abs(det) ** (-1.0 / n)     # scale gauge, where it is finite
             ok = np.isfinite(c)
-            Z[ok] *= c[ok, None, None]
+            Z *= np.where(ok, c, 1.0)[:, None, None]
             f, vec, ell, _ = _eval(n, self.C[rows], Z)
             self.u[rows] = vec / ell[..., None]
-        status = np.where(~ok | ~np.isfinite(f), 3, np.where(ell.min(axis=1) < _EPS_EDGE, 2, 0))
+        status = np.where(ok & np.isfinite(f), 2 * (ell.min(axis=1) < _EPS_EDGE), 3)
         self.Z[rows], self.det[rows], self.f[rows], self._f_snap[rows] = Z, det, f, f
         self.ell[rows], self.status[rows] = ell, status
 
@@ -233,10 +233,10 @@ class _Batch:
     def run(self, ub=None):
         """Advance every active instance by up to ``_MAX_ITER`` accepted steps.
 
-        The live instances' state is gathered once into working arrays (views
-        of the batch's own when every instance is live: no step writes into
-        them in place), and an instance's state is written back when it leaves
-        the live set, by one path whatever its code.  The bookkeeping changes
+        The live instances' state is gathered once into working arrays (the
+        batch's own when every instance is live: no step writes into them in
+        place), and an instance's state is written back when it leaves the
+        live set, by one path whatever its code.  The bookkeeping changes
         no instance's arithmetic, and no instance's steps depend on the others.
         Each step evaluates its trials as C Z, and the accepted trial's edge
         vectors give the next step's units ``u``.
@@ -250,8 +250,9 @@ class _Batch:
         """
         n, m, P = self.n, self.m, self.skeleton.incidence
         idx = (self.status == 0).nonzero()[0]
-        live = slice(None) if len(idx) == len(self.status) else idx
-        w = SimpleNamespace(**{k: getattr(self, k)[live] for k in ("C", *_LIVE)})
+        every = len(idx) == len(self.status)
+        w = SimpleNamespace(**{k: getattr(self, k) if every else getattr(self, k)[idx]
+                               for k in ("C", *_LIVE)})
         if ub is not None:
             proj = self.skeleton.projector()
         with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
@@ -364,7 +365,9 @@ class _Batch:
         whole = out.all()       # then the working state is written back as it stands
         rows = (slice(None) if len(idx) == len(self.status) else idx) if whole else idx[out]
         for k in _LIVE:
-            getattr(self, k)[rows] = getattr(w, k) if whole else getattr(w, k)[out]
+            a = getattr(w, k)
+            if a is not getattr(self, k):       # else it is the batch's own: no step replaced it
+                getattr(self, k)[rows] = a if whole else a[out]
         self.status[rows] = code
         return (idx[:0], w) if whole else \
             (idx[~out], SimpleNamespace(**{k: getattr(w, k)[~out] for k in ("C", *_LIVE)}))
@@ -429,10 +432,10 @@ def _standard_realization(C: np.ndarray, n: int) -> np.ndarray:
     L^n/V."""
     m = C.shape[2] - n
     G = C.transpose(0, 2, 1) @ C
-    W = np.linalg.solve(G[:, :m, :m], G[:, :m, m:])
+    W = np.linalg.solve(G[:, :m, :m], G[:, :m, m:]) if m else G[:, :m, m:]   # a bouquet has none
     lam, U = np.linalg.eigh(G[:, m:, m:] - G[:, m:, :m] @ W)
     # Q^(-1/2) times the root of the geometric mean of Q's eigenvalues: |det B| = 1
-    root = np.sqrt(np.exp(np.log(lam).mean(axis=1))[:, None] / lam)
+    root = np.sqrt(np.exp(np.log(lam).sum(axis=1) / n)[:, None] / lam)
     BT = ((U * root[:, None, :]) @ U.transpose(0, 2, 1)).transpose(0, 2, 1)
     return np.concatenate([-W @ BT, BT], axis=1)
 
@@ -458,7 +461,7 @@ def _edge_map(P: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Edge map C (N, E, V - 1 + n) of stacked shifts ``S`` (N, E, n) over
     incidence ``P``: edge e's vector is c_e^T Z with c_e = (P_e without
     vertex 0, s_e) and Z = (X[1:]; B^T), vertex 0 pinned at the origin."""
-    return np.concatenate([np.broadcast_to(P[:, 1:], S.shape[:2] + (P.shape[1] - 1,)), S], axis=2)
+    return np.concatenate([P[None, :, 1:].repeat(len(S), axis=0), S], axis=2)
 
 
 def _hessian(n: int, C: np.ndarray, Binv: np.ndarray, u: np.ndarray,
@@ -616,7 +619,7 @@ def _reduced_frame(g: QuotientGraph, reps: np.ndarray) -> tuple[np.ndarray, np.n
     Z, n = g.skeleton().cycles, g.dim
     C = Z @ reps
     if len(Z) == n:
-        eye = np.broadcast_to(np.eye(n, dtype=np.int64), C.shape)
+        eye = np.eye(n, dtype=np.int64)[None].repeat(len(C), axis=0)
         return tree_gauge(g, eye), int_solve(C, eye)
     CU, U = greedy_reduce(C)
     return tree_gauge(g, CU), U
@@ -678,8 +681,9 @@ def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> Opti
                 best = (v[i], *(np.array(c[i]) for c in (S, U, batch.Z)),
                         int(a[i]), draw, int(batch.status[i]))
         todo, draw = np.concatenate(redo), draw + 1
-    cols = [np.concatenate(c) for c in zip(*rows)]
-    order = np.lexsort((cols[1], cols[0]))
+    # blocks come draw by draw; traces go in (assignment, draw) order, a lone block's already
+    cols = [np.concatenate(c) for c in zip(*rows)] if len(rows) > 1 else rows[0]
+    order = np.lexsort((cols[1], cols[0])) if len(rows) > 1 else slice(None)
     value, S, U, Z, k, restart, code = best
     shifts = np.array(reps[k])
     home = g if np.array_equal(g.shifts, shifts) else \

@@ -390,7 +390,7 @@ def tree_gauge(g: QuotientGraph, C: np.ndarray) -> np.ndarray:
     shift 0 on the tree edges and the rows of each C, in order, on the
     others (the order of the rows of ``skeleton().cycles``)."""
     S = np.zeros(C.shape[:-2] + (g.edge_count, C.shape[-1]), dtype=np.int64)
-    S[..., np.delete(np.arange(g.edge_count), g.skeleton().tree), :] = C
+    S[..., sorted(set(range(g.edge_count)) - set(g.skeleton().tree)), :] = C
     return S
 
 

@@ -41,6 +41,27 @@ def test_bound_dipole_values():
         bound_dipole(1)
 
 
+@pytest.mark.parametrize("n", [81, 82, 143])
+def test_bound_dipole_takes_the_root_of_an_exact_product_past_the_float_range(n):
+    # (n+1)^(n-1) n^n passes the float range from n = 82, and its root only
+    # with n^n from n = 144; through n = 81 the bound is the float root of
+    # the product, as it always was
+    exact = (n + 1) ** (n - 1) * n ** n
+    b = bound_dipole(n)
+    if n == 81:
+        assert b == math.sqrt(float(exact)) == pytest.approx(7.017741388334147e+153, rel=1e-15)
+    assert math.isfinite(b) and b < float(n) ** n
+    assert abs(int(b) - math.isqrt(exact)) <= math.ulp(b)
+    logs = ((n - 1) * math.log(n + 1) + n * math.log(n)) / 2
+    assert math.log(b) == pytest.approx(logs, rel=1e-14)
+    assert bound_dipole(n) > bound_dipole(n - 1)
+
+
+def test_bound_dipole_refuses_from_n_144():
+    with pytest.raises(ValueError, match="^dimension n too large: the bound overflows a float$"):
+        bound_dipole(144)
+
+
 def test_bound_even_values():
     assert bound_even(3, 6) == 27.0
     assert bound_even(3, 8) == 54.0

@@ -1587,3 +1587,49 @@ def test_traces_count_tail_steps():
     records = t.to_json_records()
     assert [r["tail_steps"] for r in records] == t.tail_steps.tolist()
     assert [r["iterations"] for r in records] == t.iterations.tolist()
+
+
+# -- the search outputs, pinned bit for bit ----------------------------------
+
+def _search_bits(res) -> str:
+    """A sha-256 prefix of what a search returns: its value and termination,
+    every trace column, the best network's positions and basis, and what
+    ``verify`` measures on it."""
+    t = res.traces
+    return _bits(res.value, res.termination, t.assignment_index, t.restart_index,
+                 t.final_value, t.iterations, t.termination, t.tail_steps,
+                 res.network.positions, res.network.lattice.basis, verify(res.network).measured)
+
+
+# the fixed solves of four rewrites of each fixed-solve graph (seeds 0 to 3,
+# 8 restarts), and the six acceptance searches at seeds 2024 and 7 (50
+# restarts), as computed on x86-64 with CPython 3.11 and numpy 2.4.6; D4,
+# D1,2, B3 and D3 in R^2 draw no random start, so their two seeds agree
+FIXED_SOLVE_PINS = {"hcb": "74ced840530b6cea587c", "dia": "45c8440e6215c04a1a31",
+                    "cds": "2a05096457e0291dfd0b", "bnn": "54b3ea6aa3fb441cb4c9",
+                    "sqp": "4b422e4c7b19bc66d5fd", "pcu3": "de3203aaaa028d7a8a17",
+                    "simplex_net4": "1d0da2c5f81066eb8996", "pcu4": "14dc1ccba8b25e14f6c1",
+                    "simplex_net5": "6be1ebc7dd4deb7b962f"}
+SEARCH_PINS = {("D4", 3, 2024): "b7157f8dee4b6441ac4c", ("D1,2", 3, 2024): "927a0d70dea91bf657fa",
+               ("D1,3", 3, 2024): "6da23e2fbad9304cb65f", ("D5", 3, 2024): "9d282ae466e112540f42",
+               ("B3", 3, 2024): "69df920cd5860f62140e", ("D3", 2, 2024): "e96212bbf7ecbcb5346a",
+               ("D4", 3, 7): "b7157f8dee4b6441ac4c", ("D1,2", 3, 7): "927a0d70dea91bf657fa",
+               ("D1,3", 3, 7): "7e44c33904ab56a862e1", ("D5", 3, 7): "7c947141ee129c5dcf46",
+               ("B3", 3, 7): "69df920cd5860f62140e", ("D3", 2, 7): "e96212bbf7ecbcb5346a"}
+
+
+@pytest.mark.parametrize("name,params", FIXED_SOLVE_GRAPHS,
+                         ids=[f"{name}{params.get('n', '')}" for name, params in FIXED_SOLVE_GRAPHS])
+def test_fixed_solves_are_pinned_bit_for_bit(name, params):
+    net, _ = catalog(name, **params)
+    rng = np.random.default_rng(sum(map(ord, name)) + 5 * net.dim)
+    digests = [_search_bits(minimize_fixed_shifts(_rewritten(net, rng).graph,
+                                                  OptimizeConfig(seed=k, restarts=8)))
+               for k in range(4)]
+    assert _bits(*digests) == FIXED_SOLVE_PINS[f"{name}{params.get('n', '')}"]
+
+
+@pytest.mark.parametrize("tag,n,seed", SEARCH_PINS, ids=[f"{t}-n{n}-{s}" for t, n, s in SEARCH_PINS])
+def test_topology_searches_are_pinned_bit_for_bit(tag, n, seed):
+    res = minimize_topology(tag, n, OptimizeConfig(seed=seed, restarts=50))
+    assert _search_bits(res) == SEARCH_PINS[tag, n, seed]
