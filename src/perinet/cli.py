@@ -92,15 +92,18 @@ def _cmd_eval(args) -> int:
 
 def _cmd_optimize(args) -> int:
     try:
-        cfg = OptimizeConfig(seed=args.seed, restarts=args.restarts, s_max=args.smax)
+        cfg = OptimizeConfig(seed=args.seed, s_max=args.smax)
         result = minimize_topology(args.topology, args.dim, cfg)
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc))
     bounded = int((result.traces.termination == 4).sum())
     print(f"best {_f(result.value)} "
-          f"(assignment {result.assignment_index}, restart {result.restart_index}, "
-          f"{result.termination}, {len(result.traces)} runs, {bounded} bounded)")
-    netio.write_network(result.network, args.out)
+          f"(assignment {result.assignment_index}, {result.termination}, "
+          f"{len(result.traces)} orbits, {bounded} bounded)")
+    try:
+        netio.write_network(result.network, args.out)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}")
     print(f"wrote {args.out}")
     return 0
 
@@ -159,6 +162,8 @@ def _cmd_export(args) -> int:
         count = netio.export_obj(net, args.obj, cells=args.cells)
     except ValueError as exc:
         return _fail(str(exc))
+    except OSError as exc:
+        return _fail(f"cannot write {args.obj}: {exc}")
     print(f"wrote {args.obj} ({count} line records)")
     return 0
 
@@ -182,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--topology", required=True, help="tag like B3, D4, D1,3")
     c.add_argument("--dim", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--restarts", type=int, default=50,
-                   help="most random starts drawn for one shift assignment; a start is "
-                        "redrawn only where the last neither converged nor collapsed")
     c.add_argument("--smax", type=int, default=1)
     c.add_argument("--out", default="optimized.json")
     c.set_defaults(fn=_cmd_optimize)

@@ -24,24 +24,23 @@ Instances are vectorized: a batch holds many instances of one skeleton
 (possibly with different shift assignments), all stepping at once, each
 with its own step size.  There is one multistart.  The problem is convex
 for a fixed assignment, so it descends one start of each assignment it is
-given, in its reduced frame: the standard realization (the least energy
-sum_e |v_e|^2 at unit volume, the minimizer itself on an edge-transitive
-net), or a random draw where that placement fails a start check.  It
-redraws (up to ``restarts`` draws) only where an instance neither
-converged nor collapsed, so random numbers are drawn, and their stream
-made, only for those rows and redraws; traces record where every draw
-stopped.  The best instance is read off its Z and mapped back exactly onto
-its assignment.  A topology search hands it one representative per orbit
-of equivalent assignments (``shift_orbits``), which share one landscape; a
-fixed graph is the case of one assignment.  Results are deterministic in
-(seed, config); the seed reaches only the random starts.
+given, once, in its reduced frame: the standard realization (the least
+energy sum_e |v_e|^2 at unit volume, the minimizer itself on an
+edge-transitive net), or a random draw where that placement fails a start
+check, so random numbers are drawn, and their stream made, only for those
+rows; the traces hold one row per assignment.  The best instance is read
+off its Z and mapped back exactly onto its assignment.  A topology search
+hands it one representative per orbit of equivalent assignments
+(``shift_orbits``), which share one landscape; a fixed graph is the case of
+one assignment.  Results are deterministic in (seed, config); the seed
+reaches only the random starts.
 
 Over more than one assignment the search is a branch and bound: every
 step retires, as bounded, the instances whose assignment's stress lower
 bound (``_stress_bounds``) already exceeds a value the search reached.  A
 bounded instance's final value is where it stopped, above its orbit's
-least value, and it is never redrawn.  The best instance is never bounded
-and steps as it would alone, so the answer is the one without bounds.
+least value.  The best instance is never bounded and steps as it would
+alone, so the answer is the one without bounds.
 """
 
 from __future__ import annotations
@@ -83,11 +82,11 @@ _LIVE = ("Z", "u", "f", "ell", "t", "iters", "tail_steps", "_gZo", "_gsqo", "_ta
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Search budget of the descent engine; ``restarts`` is the most starts
-    descended for one assignment, and ``seed`` seeds the random ones, which
-    are drawn only for redraws and for a first start whose standard
-    realization fails a start check (see ``_multistart``).  Each field is
-    an integer (``_count``), ``restarts`` and ``s_max`` at least 1."""
+    """Search budget of the descent engine: ``seed`` seeds the random
+    starts, drawn only where a standard realization fails a start check
+    (see ``_multistart``), and ``s_max`` bounds a topology search's shifts.
+    Nothing reads ``restarts``: every assignment is descended once.  Each
+    field is an integer (``_count``), ``restarts`` and ``s_max`` at least 1."""
 
     restarts: int = 50
     seed: int = 0
@@ -100,18 +99,16 @@ class OptimizeConfig:
 
 @dataclass(frozen=True)
 class TraceTable:
-    """Per-draw outcomes, stored columnwise in (assignment, draw) order.
+    """Per-assignment outcomes, stored columnwise, one row per assignment.
 
     ``assignment_index`` is the position of the descended assignment in
     the list handed to the multistart: the orbit representative from
     ``shift_orbits`` in a topology search, and 0 for a fixed graph.
-    ``restart_index`` numbers an assignment's draws from 0 (1 to ``restarts``).
-    ``final_value`` is where a draw stopped: its assignment's least value
-    where it converged, and above it where it was bounded.
+    ``final_value`` is where its descent stopped: its assignment's least
+    value where it converged, and above it where it was bounded.
     """
 
     assignment_index: np.ndarray
-    restart_index: np.ndarray
     final_value: np.ndarray
     iterations: np.ndarray       # accepted steps, Newton steps included
     termination: np.ndarray      # status codes, see _STATUS_LABELS
@@ -123,7 +120,6 @@ class TraceTable:
     def record(self, i: int) -> dict:
         return {
             "assignment": int(self.assignment_index[i]),
-            "restart": int(self.restart_index[i]),
             "final_value": float(self.final_value[i]),
             "iterations": int(self.iterations[i]),
             "termination": _STATUS_LABELS[int(self.termination[i])],
@@ -136,7 +132,7 @@ class TraceTable:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best network found, its quotient value, and the traces of all draws."""
+    """Best network found, its quotient value, and the traces of all descents."""
 
     network: PeriodicNetwork
     value: float
@@ -144,7 +140,7 @@ class OptimizeResult:
     shifts: np.ndarray           # shift assignment that seeded the best
     traces: TraceTable
     assignment_index: int = 0    # its position among the descended assignments
-    restart_index: int = 0
+    restart_index: int = 0       # always 0: no assignment is descended twice
 
 
 def _in_frame_of(g: QuotientGraph, S: np.ndarray, U: np.ndarray, Z: np.ndarray) -> PeriodicNetwork:
@@ -565,16 +561,15 @@ def minimize_fixed_shifts(g: QuotientGraph, cfg: OptimizeConfig | None = None) -
     """Minimize L^n/V over positions and lattice for one shift assignment.
 
     Descends one start, the standard realization of ``g`` (a random draw
-    where that placement fails a start check), and draws another at
-    random, up to ``cfg.restarts`` in all, only while the last neither
-    converged nor collapsed (``_multistart``); ``cfg.seed`` reaches only
-    the random starts.  Every start is built, and descended, in the graph's
-    reduced frame, and the best network is mapped back exactly onto ``g``
-    itself, whose shifts the result keeps.  At circuit rank r = n every
-    basis has the same reduced frame, so the traces do not depend on it at
-    all.  Before any descent it refuses a graph that fails
-    a check of ``facts()`` (``_refuse_invalid``), and a graph with a cut
-    edge, which has no balanced realization (see ``min_vertex_count``).
+    where that placement fails a start check, ``_multistart``);
+    ``cfg.seed`` reaches only the random start.  The start is built, and
+    descended, in the graph's reduced frame, and the network is mapped
+    back exactly onto ``g`` itself, whose shifts the result keeps.  At
+    circuit rank r = n every basis has the same reduced frame, so the
+    traces do not depend on it at all.  Before any descent it refuses a
+    graph that fails a check of ``facts()`` (``_refuse_invalid``), and a
+    graph with a cut edge, which has no balanced realization (see
+    ``min_vertex_count``).
     """
     cfg = cfg or OptimizeConfig()
     _refuse_invalid(g)
@@ -590,14 +585,13 @@ def minimize_topology(tag: TopologyClass | str, n: int,
 
     Assignments related by a lattice basis change or a skeleton
     automorphism share one landscape, so only one representative per
-    orbit (``shift_orbits``) is descended, in its reduced frame, from its
-    standard realization (a random draw where that placement fails a start
-    check) and from random draws, up to ``cfg.restarts`` in all, where no
-    start converges or collapses (``_multistart``); the best network is
-    mapped back onto its representative.  Trace records and ``shifts``
-    name the representative by its position in ``shift_orbits``.  The
-    returned best is deterministic in (seed, config), and ``cfg.seed``
-    reaches only the random starts.
+    orbit (``shift_orbits``) is descended once, in its reduced frame, from
+    its standard realization (a random draw where that placement fails a
+    start check, ``_multistart``); the best network is mapped back onto its
+    representative.  Trace records and ``shifts`` name the representative
+    by its position in ``shift_orbits``.  The returned best is
+    deterministic in (seed, config), and ``cfg.seed`` reaches only the
+    random starts.
     """
     cfg = cfg or OptimizeConfig()
     top = TopologyClass.from_tag(tag) if isinstance(tag, str) else tag
@@ -626,71 +620,52 @@ def _reduced_frame(g: QuotientGraph, reps: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _multistart(g: QuotientGraph, reps: np.ndarray, cfg: OptimizeConfig) -> OptimizeResult:
-    """Descend one start of every assignment in ``reps``; redraw at random
-    only where an instance neither converged, collapsed nor was bounded, up
-    to ``cfg.restarts`` draws per assignment.
+    """Descend one start of every assignment in ``reps``, once.
 
     For one assignment L^n/V is convex in the gauge B = Q R: edge vectors
     are linear in (X, R), L is a sum of norms, and sum log R_ii >= 0 is a
     convex set.  So a converged instance has reached the one minimum value,
-    and a collapsed one a face where an edge has length 0: both are final.
-    So is a bounded one: no realization of its assignment reaches the best
-    (``_Batch.run``), to which every batch is handed the best value before it.
-    A round of draws runs in batches of at most ``_CHUNK``, each built in
-    its assignments' reduced frames in one pass (``_reduced_frame``), with
-    one edge map per row that the start and the descent share.  Draw
-    0 starts at the standard realization (``_standard_realization``); random
-    starts near B = I, from one ``SeedSequence((seed, 0))`` stream made at
-    its first draw, are drawn only for rows where it fails a
-    ``_START_CHECKS`` check and for every redraw, whose rounds build no
-    standard realization.  The best, the lowest value with ties within
+    and a collapsed one a face where an edge has length 0.  A bounded one
+    cannot reach the best (``_Batch.run``), to which every batch is handed
+    the best value before it.  An instance that ends otherwise keeps its
+    label.  The assignments run in batches of at most ``_CHUNK``, each built
+    in its assignments' reduced frames in one pass (``_reduced_frame``),
+    with one edge map per row that the start and the descent share.  Each
+    row starts at the standard realization (``_standard_realization``);
+    random starts near B = I, from one ``SeedSequence((seed, 0))`` stream
+    made at its first draw, are drawn only for rows where it fails a
+    ``_START_CHECKS`` check.  The best, the lowest value with ties within
     ``_TIE`` going to the instance descended first, is read off its state
     and mapped back exactly (``_in_frame_of``) onto its assignment, ``g``
     if ``g``'s.
     """
-    rng, draw, todo, rows, best = None, 0, np.arange(len(reps)), [], None
-    while len(todo) and draw < cfg.restarts:
-        redo = []
-        for a in (todo[lo:lo + _CHUNK] for lo in range(0, len(todo), _CHUNK)):
-            S, U = _reduced_frame(g, reps[a])
-            C = _edge_map(g.skeleton().incidence, S)
-            # the standard realization, checked on its batch's one evaluation,
-            # where it is a valid first start; a random draw in every other row,
-            # evaluated again alone, and every redraw; the stream is made at
-            # its first draw
-            if draw == 0:
-                batch = _Batch(g, C, _standard_realization(C, g.dim))
-                rand = np.logical_or.reduce(_start_faults(g, batch.u, batch.ell, batch.det))
-            else:
-                batch, rand = None, np.ones(len(a), dtype=bool)
-            if rand.any():
-                rng = rng or np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-                Z = _state(*_sample_starts(rng, int(rand.sum()), g, S[rand]))
-                if batch is None:
-                    batch = _Batch(g, C, Z)
-                else:
-                    batch.place(rand, Z)
-            batch.run(None if len(reps) == 1 else np.inf if best is None else best[0])
-            with np.errstate(over='ignore'):
-                v = np.exp(batch.f)
-            rows.append((a, np.full(len(a), draw), v, batch.iters, batch.status, batch.tail_steps))
-            final = (batch.status == 1) | (batch.status == 2) | (batch.status == 4)
-            redo.append(a[~final])
-            i = int(_near_best(v)[0])
-            if best is None or _near_best([best[0], v[i]])[0]:     # ties stay with the earlier
-                best = (v[i], *(np.array(c[i]) for c in (S, U, batch.Z)),
-                        int(a[i]), draw, int(batch.status[i]))
-        todo, draw = np.concatenate(redo), draw + 1
-    # blocks come draw by draw; traces go in (assignment, draw) order, a lone block's already
-    cols = [np.concatenate(c) for c in zip(*rows)] if len(rows) > 1 else rows[0]
-    order = np.lexsort((cols[1], cols[0])) if len(rows) > 1 else slice(None)
-    value, S, U, Z, k, restart, code = best
+    rng, rows, best = None, [], None
+    for lo in range(0, len(reps), _CHUNK):
+        S, U = _reduced_frame(g, reps[lo:lo + _CHUNK])
+        C = _edge_map(g.skeleton().incidence, S)
+        # the standard realization, checked on its batch's one evaluation,
+        # where it is a valid start; a random draw in every other row,
+        # evaluated again alone; the stream is made at its first draw
+        batch = _Batch(g, C, _standard_realization(C, g.dim))
+        rand = np.logical_or.reduce(_start_faults(g, batch.u, batch.ell, batch.det))
+        if rand.any():
+            rng = rng or np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
+            batch.place(rand, _state(*_sample_starts(rng, int(rand.sum()), g, S[rand])))
+        batch.run(None if len(reps) == 1 else np.inf if best is None else best[0])
+        with np.errstate(over='ignore'):
+            v = np.exp(batch.f)
+        rows.append((v, batch.iters, batch.status, batch.tail_steps))
+        i = int(_near_best(v)[0])
+        if best is None or _near_best([best[0], v[i]])[0]:     # ties stay with the earlier
+            best = (v[i], *(np.array(c[i]) for c in (S, U, batch.Z)), lo + i, int(batch.status[i]))
+    cols = rows[0] if len(rows) == 1 else [np.concatenate(c) for c in zip(*rows)]
+    value, S, U, Z, k, code = best
     shifts = np.array(reps[k])
     home = g if np.array_equal(g.shifts, shifts) else \
         QuotientGraph(g.dim, g.vertex_count, g.tails, g.heads, shifts)
     return OptimizeResult(network=_in_frame_of(home, S, U, Z), value=float(value),
                           termination=_STATUS_LABELS[code], shifts=shifts, assignment_index=k,
-                          traces=TraceTable(*(c[order] for c in cols)), restart_index=restart)
+                          traces=TraceTable(np.arange(len(reps)), *cols))
 
 
 def _near_best(values: np.ndarray) -> np.ndarray:

@@ -105,7 +105,7 @@ RECOVERY = [
                          ids=[f"{t}-n{n}" for t, n, _, _ in RECOVERY])
 def test_criterion_3_optimizer_recovery(tag, dim, target, tol):
     with criterion(3, f"optimizer recovery {tag} in dimension {dim}", 60.0):
-        result = minimize_topology(tag, dim, OptimizeConfig(seed=2024, restarts=50))
+        result = minimize_topology(tag, dim, OptimizeConfig(seed=2024))
         assert abs(result.value - target) <= tol * target, \
             (tag, result.value, target)
         rep = validate(result.network)
@@ -161,7 +161,7 @@ def test_criterion_4_bound_soundness_sweep(monkeypatch):
                               skeleton.heads, assignments[0])
             for max_iter in (3, 12, 50, 50_000):
                 monkeypatch.setattr(optimize, "_MAX_ITER", max_iter)
-                res = minimize_fixed_shifts(g, OptimizeConfig(seed=17, restarts=6))
+                res = minimize_fixed_shifts(g, OptimizeConfig(seed=17))
                 assert res.value >= bound - 1e-9, (tag, max_iter, res.value)
                 finite = res.traces.final_value[
                     np.isfinite(res.traces.final_value)]

@@ -337,9 +337,32 @@ def test_cli_export(tmp_path, capsys):
     assert out_obj.exists()
 
 
+def test_cli_export_to_an_unwritable_path_exits_1(tmp_path, capsys):
+    path = tmp_path / "pcu.json"
+    write_network(catalog("pcu", n=3)[0], str(path))
+    out_obj = tmp_path / "missing" / "pcu.obj"
+    assert run(["export", str(path), "--obj", str(out_obj)]) == 1
+    assert f"cannot write {out_obj}: " in capsys.readouterr().err
+
+
+def test_cli_optimize_to_an_unwritable_path_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "d3.json"
+    assert run(["optimize", "--topology", "D3", "--dim", "2", "--out", str(out)]) == 1
+    assert f"cannot write {out}: " in capsys.readouterr().err
+
+
+def test_cli_optimize_has_no_restarts_flag(tmp_path, capsys):
+    # every orbit is descended once, so there is no count of starts to pass
+    with pytest.raises(SystemExit) as exc:
+        run(["optimize", "--topology", "D3", "--dim", "2", "--restarts", "1",
+             "--out", str(tmp_path / "d3.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --restarts 1" in capsys.readouterr().err
+
+
 def test_cli_optimize_deterministic(tmp_path, capsys):
     args = ["optimize", "--topology", "D3", "--dim", "2", "--seed", "3",
-            "--restarts", "8", "--out", str(tmp_path / "d3.json")]
+            "--out", str(tmp_path / "d3.json")]
     assert run(args) == 0
     first = capsys.readouterr().out
     assert run(args) == 0
@@ -370,10 +393,10 @@ def test_cli_optimize_counts_bounded_runs(tmp_path, capsys):
     res = minimize_topology("D5", 3, OptimizeConfig(seed=2024))
     bounded = int((res.traces.termination == 4).sum())
     assert bounded == 29
-    assert f"{len(res.traces)} runs, {bounded} bounded)" in printed.splitlines()[0]
+    assert f"{len(res.traces)} orbits, {bounded} bounded)" in printed.splitlines()[0]
     assert run(["optimize", "--topology", "D3", "--dim", "2",
                 "--out", str(tmp_path / "d3.json")]) == 0
-    assert "1 runs, 0 bounded)" in capsys.readouterr().out
+    assert "1 orbits, 0 bounded)" in capsys.readouterr().out
 
 
 def test_module_entry_point_runs_table_optimize_verify(tmp_path):
@@ -385,8 +408,7 @@ def test_module_entry_point_runs_table_optimize_verify(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "best.json"
     for args in (["table", "--dim", "3"],
-                 ["optimize", "--topology", "D3", "--dim", "2", "--restarts", "2",
-                  "--out", str(out)],
+                 ["optimize", "--topology", "D3", "--dim", "2", "--out", str(out)],
                  ["verify", str(out)]):
         proc = subprocess.run([sys.executable, "-m", "perinet", *args], env=env,
                               capture_output=True, text=True, timeout=300)
@@ -394,8 +416,7 @@ def test_module_entry_point_runs_table_optimize_verify(tmp_path):
     assert json.loads(proc.stdout)["applicable"]
 
 
-@pytest.mark.parametrize("flag,value,message", [("--restarts", "0", "restarts must be at least 1"),
-                                                 ("--smax", "0", "s_max must be at least 1"),
+@pytest.mark.parametrize("flag,value,message", [("--smax", "0", "s_max must be at least 1"),
                                                  ("--seed", "-1", "seed must be at least 0")])
 def test_cli_optimize_bad_config_fails_cleanly(tmp_path, capsys, flag, value, message):
     out = tmp_path / "never.json"

@@ -39,7 +39,7 @@ def dia_graph():
 
 def sqp_graph():
     # its standard realization is not its minimizer, unlike dia's, so its
-    # descent takes steps from draw 0 on
+    # descent takes steps from its start on
     return catalog("sqp")[0].graph
 
 
@@ -67,22 +67,6 @@ def _faults(g, C, Z):
 def _batch(g, S, B, X):
     """A descent batch over ``g`` with shifts ``S`` from the networks (B, X)."""
     return _Batch(g, _edge_map(g.skeleton().incidence, S), _state(B, X))
-
-
-def _assert_trace_shape(t, assignments, restarts):
-    """The traces of a multistart over ``assignments`` assignments: one row
-    per draw in (assignment, draw) order, at least one and at most
-    ``restarts`` rows per assignment, draws numbered from 0, and only an
-    assignment's last draw final (converged, collapsed or bounded), which it
-    is whenever the draw budget was not spent."""
-    counts = np.bincount(t.assignment_index, minlength=assignments)
-    assert len(counts) == assignments and 1 <= counts.min() and counts.max() <= restarts
-    ends = np.cumsum(counts)
-    assert np.array_equal(t.assignment_index, np.repeat(np.arange(assignments), counts))
-    assert np.array_equal(t.restart_index, np.arange(len(t)) - np.repeat(ends - counts, counts))
-    final = np.isin(t.termination, (1, 2, 4))
-    assert final.sum() == final[ends - 1].sum()
-    assert final[ends - 1][counts < restarts].all()
 
 
 def test_random_network_valid_and_deterministic():
@@ -176,7 +160,7 @@ def test_gradients_match_finite_differences():
 
 
 def test_minimize_fixed_shifts_dia():
-    res = minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=3, restarts=12))
+    res = minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=3))
     assert res.value == pytest.approx(12 * math.sqrt(3), rel=1e-6)
     assert res.termination == "converged"
     assert force_all(res.network).max_norm <= 1e-9
@@ -184,7 +168,7 @@ def test_minimize_fixed_shifts_dia():
 
 
 def test_minimize_fixed_shifts_bouquet():
-    res = minimize_fixed_shifts(b3_graph(), OptimizeConfig(seed=1, restarts=8))
+    res = minimize_fixed_shifts(b3_graph(), OptimizeConfig(seed=1))
     assert res.value == pytest.approx(27.0, rel=1e-9)
 
 
@@ -192,13 +176,13 @@ def test_minimize_fixed_shifts_sqp_pattern():
     g = QuotientGraph.from_edges(3, 2, [(0, 1, (0, 0, 0)), (0, 1, (1, 0, 0)),
                                         (0, 1, (0, 1, 0)), (0, 1, (0, 0, 1)),
                                         (0, 1, (1, -1, 1))])
-    res = minimize_fixed_shifts(g, OptimizeConfig(seed=6, restarts=12))
+    res = minimize_fixed_shifts(g, OptimizeConfig(seed=6))
     assert res.value == pytest.approx(405.0 / 8.0, rel=1e-4)
 
 
 def test_optimized_dia_matches_equality_certificate():
     from perinet import verify
-    res = minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=0, restarts=10))
+    res = minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=0))
     rep = verify(res.network)
     assert rep.applicable and abs(rep.slack) <= 1e-8
     assert rep.equality_certificate is not None
@@ -206,14 +190,13 @@ def test_optimized_dia_matches_equality_certificate():
 
 
 def test_minimize_fixed_shifts_traces_and_best():
-    # a draw is made only while the last one found no final answer, so the
-    # traces hold between 1 and 10 rows, the row of draw k at position k
-    cfg = OptimizeConfig(seed=9, restarts=10)
+    # one assignment is descended once, so the traces hold one row
+    cfg = OptimizeConfig(seed=9)
     res = minimize_fixed_shifts(dia_graph(), cfg)
-    _assert_trace_shape(res.traces, 1, 10)
+    assert np.array_equal(res.traces.assignment_index, [0])
     finals = res.traces.final_value
     assert res.value <= finals.min() + 1e-12
-    rec = res.traces.record(res.restart_index)
+    rec = res.traces.record(res.assignment_index)
     assert rec["final_value"] == pytest.approx(res.value)
     assert rec["termination"] in ("converged", "max_iter", "stalled",
                                   "line_search_failed", "collapsed_edge",
@@ -273,7 +256,7 @@ def test_result_network_keeps_the_input_graph(monkeypatch):
         g = QuotientGraph(3, net.graph.vertex_count, net.graph.tails, net.graph.heads,
                           net.graph.shifts)
         builds.clear()
-        res = minimize_fixed_shifts(g, OptimizeConfig(seed=3, restarts=4))
+        res = minimize_fixed_shifts(g, OptimizeConfig(seed=3))
         assert res.network.graph is g, name
         assert np.array_equal(res.shifts, g.shifts)
         assert verify(res.network).applicable
@@ -300,7 +283,7 @@ def test_fixed_solve_does_not_depend_on_the_lattice_basis(name, params, exact):
     # is the same to the bit; at r > n the reduced frames differ, the value not
     net, entry = catalog(name, **params)
     rng = np.random.default_rng(sum(map(ord, name)))
-    cfg = OptimizeConfig(seed=5, restarts=6)
+    cfg = OptimizeConfig(seed=5)
     ref = minimize_fixed_shifts(net.graph, cfg)
     assert ref.value == pytest.approx(entry.expected_quotient, rel=1e-9)
     for _ in range(3):
@@ -319,7 +302,7 @@ def test_fixed_solve_does_not_depend_on_the_lattice_basis(name, params, exact):
 def test_bridgeless_cubic_skeletons_still_descend():
     k4 = _cubic4("K4")
     assert k4.skeleton().cut_edges == () == _cubic4("C4-doubled").skeleton().cut_edges
-    res = minimize_fixed_shifts(k4, OptimizeConfig(seed=1, restarts=4))
+    res = minimize_fixed_shifts(k4, OptimizeConfig(seed=1))
     assert res.termination == "converged"
     assert res.value == pytest.approx(13.5 * math.sqrt(2), rel=1e-9)   # srs
 
@@ -339,17 +322,16 @@ def test_termination_labels_name_their_outcome(monkeypatch):
     for kw, label in [({"_MAX_ITER": 3}, "max_iter"), ({}, "converged"),
                       ({"_ARMIJO": 1e6}, "stalled"), ({"_ARMIJO": 1e30}, "line_search_failed")]:
         with monkeypatch.context() as m:
-            res = minimize_fixed_shifts(g, _config(m, seed=2, restarts=4, **kw))
+            res = minimize_fixed_shifts(g, _config(m, seed=2, **kw))
         assert {r["termination"] for r in res.traces.to_json_records()} == {label}, kw
         assert res.termination == label
-        # an instance that found no final answer is redrawn, up to 4 draws
-        _assert_trace_shape(res.traces, 1, 4)
-        assert len(res.traces) == (1 if label == "converged" else 4)
+        # an instance that found no final answer keeps its label: no redraw
+        assert np.array_equal(res.traces.assignment_index, [0])
 
 
 def test_iteration_cap_is_trace_code_0(monkeypatch):
-    res = minimize_fixed_shifts(sqp_graph(), _config(monkeypatch, seed=2, restarts=4, _MAX_ITER=3))
-    assert (res.traces.termination == 0).all()
+    res = minimize_fixed_shifts(sqp_graph(), _config(monkeypatch, seed=2, _MAX_ITER=3))
+    assert res.traces.termination.tolist() == [0]
     assert res.termination == "max_iter"
 
 
@@ -490,7 +472,6 @@ def test_minimize_topology_deterministic():
     assert np.array_equal(a.traces.final_value, b.traces.final_value)
     assert np.array_equal(a.network.positions, b.network.positions)
     assert a.assignment_index == b.assignment_index
-    assert a.restart_index == b.restart_index
 
 
 def test_minimize_topology_inadmissible():
@@ -502,7 +483,7 @@ def test_minimize_topology_inadmissible():
 
 def test_minimize_topology_respects_bound():
     from perinet import bound_dipole
-    cfg = OptimizeConfig(seed=5, restarts=6)
+    cfg = OptimizeConfig(seed=5)
     res = minimize_topology("D3", 2, cfg)
     finite = res.traces.final_value[np.isfinite(res.traces.final_value)]
     assert (finite >= bound_dipole(2) - 1e-6).all()
@@ -510,8 +491,8 @@ def test_minimize_topology_respects_bound():
 
 
 def test_minimize_topology_result_invariants():
-    # D4 is one orbit, so restarts=5 gives 1 to 5 trace records, read below
-    cfg = OptimizeConfig(seed=1, restarts=5)
+    # D4 is one orbit, so its one trace record is read below
+    cfg = OptimizeConfig(seed=1)
     res = minimize_topology("D4", 3, cfg)
     finite = res.traces.final_value[np.isfinite(res.traces.final_value)]
     assert res.value <= finite.min() + 1e-9
@@ -519,42 +500,38 @@ def test_minimize_topology_result_invariants():
     if res.termination == "converged":
         assert force_all(res.network).max_norm <= optimize._G_TOL * 10
     assert res.shifts.shape == (4, 3)
-    _assert_trace_shape(res.traces, 1, 5)
-    records = res.traces.to_json_records()[:5]
-    assert len(records) == len(res.traces) and {"assignment", "restart", "final_value",
-                                  "iterations", "termination"} <= records[0].keys()
+    assert np.array_equal(res.traces.assignment_index, [0])
+    records = res.traces.to_json_records()
+    assert len(records) == 1 and records[0].keys() == {"assignment", "final_value", "iterations",
+                                                       "termination", "tail_steps"}
 
 
 def test_minimize_topology_across_batches(monkeypatch):
-    # D5 in R^3 has 30 orbits; batches of 1 put every draw in a batch of its
+    # D5 in R^3 has 30 orbits; batches of 1 put every orbit in a batch of its
     # own, and the sharp value 405/8 lies on the second orbit, so the best
     # comes from the second batch and stands against every later one
     monkeypatch.setattr(optimize, "_CHUNK", 1)
-    res = minimize_topology("D5", 3, OptimizeConfig(seed=3, restarts=2))
+    res = minimize_topology("D5", 3, OptimizeConfig(seed=3))
     t = res.traces
-    _assert_trace_shape(t, 30, 2)
+    assert np.array_equal(t.assignment_index, np.arange(30))
     assert res.assignment_index == 1
     assert res.value == pytest.approx(405.0 / 8.0, rel=1e-9)
     finite = t.final_value[np.isfinite(t.final_value)]
     assert res.value <= finite.min() + 1e-9
     assert length_quotient(res.network) == pytest.approx(res.value, rel=1e-12)
-    i = np.flatnonzero((t.assignment_index == res.assignment_index)
-                       & (t.restart_index == res.restart_index))
-    assert len(i) == 1 and t.final_value[i[0]] == res.value
+    assert t.final_value[res.assignment_index] == res.value
     reps = shift_orbits(build_abstract("D5", 3), 3, 1)
     assert np.array_equal(res.shifts, reps[res.assignment_index])
-    # at an iteration cap of 12 steps some draws end max_iter, and only those
-    # are redrawn, their rounds in batches of 1 as well.  One assignment
+    # at an iteration cap of 12 steps some rows end max_iter, and keep that
+    # label: one row per assignment, in batches of 1 as well.  One assignment
     # repeated is a stack where no row can bound another: every bound is at
     # most the one least value they share.  This orbit's standard realization
-    # fails a start check, so its draws are random from the first on
+    # fails a start check, so every row starts from its own random draw
     monkeypatch.setattr(optimize, "_MAX_ITER", 12)
     stack = np.repeat(reps[26:27], 30, axis=0)
-    t = optimize._multistart(build_abstract("D5", 3), stack,
-                             OptimizeConfig(seed=3, restarts=3)).traces
-    _assert_trace_shape(t, 30, 3)
-    assert 30 < len(t) < 90 and (t.restart_index == 2).any()
-    assert not (t.termination == 4).any()
+    t = optimize._multistart(build_abstract("D5", 3), stack, OptimizeConfig(seed=3)).traces
+    assert np.array_equal(t.assignment_index, np.arange(30))
+    assert (t.termination == 0).any() and not (t.termination == 4).any()
 
 
 @pytest.mark.parametrize("tag,n", [("D1,3", 3), ("D5", 3), ("B4", 3), ("D5", 2), ("D1,3", 2)])
@@ -599,23 +576,21 @@ def test_bounding_leaves_the_answer_bit_equal(monkeypatch, tag, n):
     monkeypatch.setattr(optimize, "_stress_bounds", lambda proj, u, S: np.full(len(u), -np.inf))
     ref = minimize_topology(tag, n, cfg)
     assert res.value == ref.value and res.termination == ref.termination
-    assert (res.assignment_index, res.restart_index) == (ref.assignment_index, ref.restart_index)
+    assert res.assignment_index == ref.assignment_index
     assert np.array_equal(res.shifts, ref.shifts)
     assert np.array_equal(res.network.positions, ref.network.positions)
     assert np.array_equal(res.network.lattice.basis, ref.network.lattice.basis)
     t, u = res.traces, ref.traces
+    assert np.array_equal(t.assignment_index, u.assignment_index)
     assert not (u.termination == 4).any() and (t.termination == 4).sum() >= len(t) // 2
-    for i in np.flatnonzero(t.termination == 4):
-        j = np.flatnonzero((u.assignment_index == t.assignment_index[i])
-                           & (u.restart_index == t.restart_index[i]))
-        assert len(j) == 1 and u.final_value[j[0]] > res.value + optimize._TIE
+    assert (u.final_value[t.termination == 4] > res.value + optimize._TIE).all()
 
 
 def test_minimize_topology_b4_strictly_above_even_bound():
     # the even-degree bound (d/2 - n + 1) n^n is strict for d > 2n; the
     # actual degree-8 bouquet minimum is the hexagonal-prism value
     # 81 sqrt(3) / 2, well above the bound 54
-    res = minimize_topology("B4", 3, OptimizeConfig(seed=0, restarts=20))
+    res = minimize_topology("B4", 3, OptimizeConfig(seed=0))
     assert res.value > 54.0 + 10.0
     assert res.value == pytest.approx(81 * math.sqrt(3) / 2, rel=1e-6)
 
@@ -737,10 +712,10 @@ def _reference_run(self):
                 _reference_service(self, alive, check_cond=(step + 1) % (2 * _SERVICE_EVERY) == 0)
 
 
-def _twin_batches(g, cfg, B=None, X=None):
-    """Two equal batches over ``g``: from (B, X), or from ``cfg.restarts``
-    random starts drawn with ``cfg.seed``."""
-    N = cfg.restarts if B is None else len(B)
+def _twin_batches(g, cfg, B=None, X=None, rows=None):
+    """Two equal batches over ``g``: from (B, X), or from ``rows`` random
+    starts drawn with ``cfg.seed``."""
+    N = rows if B is None else len(B)
     S = np.broadcast_to(g.shifts, (N,) + g.shifts.shape)
     if B is None:
         B, X = _sample_starts(np.random.default_rng(cfg.seed), N, g, S)
@@ -766,13 +741,13 @@ FIXED_SOLVE_GRAPHS = [("hcb", {}), ("dia", {}), ("cds", {"t": 0.5}), ("bnn", {})
 @pytest.mark.parametrize("name,params", FIXED_SOLVE_GRAPHS,
                          ids=[f"{name}{params.get('n', '')}" for name, params in FIXED_SOLVE_GRAPHS])
 def test_rewritten_catalog_converges_on_every_restart(name, params):
-    # however a catalog network is written down, every restart of its
-    # fixed-shift descent ends converged at the catalog value
+    # however a catalog network is written down, its one fixed-shift
+    # descent ends converged at the catalog value
     net, entry = catalog(name, **params)
     rng = np.random.default_rng(sum(map(ord, name)) + 7 * net.dim)
     for seed in range(3):
         g = _rewritten(net, rng).graph
-        res = minimize_fixed_shifts(g, OptimizeConfig(seed=seed, restarts=8))
+        res = minimize_fixed_shifts(g, OptimizeConfig(seed=seed))
         assert len(res.traces) == 1, res.traces.to_json_records()
         assert (res.traces.termination == 1).all(), res.traces.to_json_records()
         assert np.allclose(res.traces.final_value, entry.expected_quotient,
@@ -849,7 +824,7 @@ def test_failed_standard_placements_start_from_random_draws(monkeypatch):
             super().place(rows, Z)
 
     monkeypatch.setattr(optimize, "_Batch", Recorded)
-    optimize._multistart(g, reps, OptimizeConfig(seed=5, restarts=1))
+    optimize._multistart(g, reps, OptimizeConfig(seed=5))
     # one batch: it places every standard realization, then the failed rows' draws
     [(C, every, Z), (Cr, rows, Zr)] = starts
     assert Cr is C and every == slice(None) and np.array_equal(rows, fail)
@@ -885,10 +860,10 @@ def test_rows_placed_later_start_as_in_a_batch_built_at_once():
     assert not batch.status.any()
 
 
-def test_random_starts_are_drawn_only_for_failed_placements_and_redraws(monkeypatch):
+def test_random_starts_are_drawn_only_for_failed_placements(monkeypatch):
     # dia's standard realization is a valid start, so its fixed solve calls
-    # no sampler; sqp's takes 8 steps, so at a cap of 3 it ends max_iter and
-    # every redraw starts from a random draw of its own
+    # no sampler; sqp's is valid too and takes 8 steps, so at a cap of 3 it
+    # ends max_iter, keeps that label and draws no random start either
     counts, starts = [], []
 
     def counted(rng, count, g, S):
@@ -902,20 +877,17 @@ def test_random_starts_are_drawn_only_for_failed_placements_and_redraws(monkeypa
 
     monkeypatch.setattr(optimize, "_sample_starts", counted)
     monkeypatch.setattr(optimize, "_Batch", Recorded)
-    minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=1, restarts=3))
+    minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=1))
     assert counts == []
     counts.clear()
     starts.clear()
     g = sqp_graph()
-    res = minimize_fixed_shifts(g, _config(monkeypatch, seed=1, restarts=4, _MAX_ITER=3))
-    assert res.traces.restart_index.tolist() == [0, 1, 2, 3]
-    assert counts == [1, 1, 1]
+    res = minimize_fixed_shifts(g, _config(monkeypatch, seed=1, _MAX_ITER=3))
+    assert res.traces.termination.tolist() == [0] and counts == []
     S = optimize._reduced_frame(g, g.shifts[None])[0]
-    rng = np.random.default_rng(np.random.SeedSequence((1, 0)))
+    assert len(starts) == 1
     assert np.array_equal(starts[0], _standard_realization(_edge_map(g.skeleton().incidence, S),
                                                            g.dim))
-    for Z in starts[1:]:
-        assert np.array_equal(Z, _state(*_sample_starts(rng, 1, g, S)))
 
 
 def _count_streams(monkeypatch):
@@ -940,7 +912,7 @@ def test_draw_free_solves_make_no_random_stream(monkeypatch):
         for seed in range(2):
             res = minimize_fixed_shifts(_rewritten(net, rng).graph, OptimizeConfig(seed=seed))
             assert len(res.traces) == 1 and res.termination == "converged", name
-    res = minimize_topology("D4", 3, OptimizeConfig(seed=2024, restarts=10))
+    res = minimize_topology("D4", 3, OptimizeConfig(seed=2024))
     assert len(res.traces) == 1 and res.termination == "converged"
     assert made == []
 
@@ -948,8 +920,8 @@ def test_draw_free_solves_make_no_random_stream(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_failed_placement_takes_the_first_draw_of_the_stream(monkeypatch, seed):
     # a fixed graph whose standard realization fails a start check starts
-    # from the first draw of the SeedSequence((seed, 0)) stream, and every
-    # redraw from the next ones: the stream is made once, at the first draw
+    # from the first draw of the SeedSequence((seed, 0)) stream, made at
+    # that draw; at a cap of 2 steps it ends max_iter and is not redrawn
     g = build_abstract("D1,3", 2)
     reps = shift_orbits(g, 2)
     S = optimize._reduced_frame(g, reps)[0]
@@ -957,7 +929,7 @@ def test_failed_placement_takes_the_first_draw_of_the_stream(monkeypatch, seed):
     g = QuotientGraph(2, g.vertex_count, g.tails, g.heads, reps[fail[0]])
     S = optimize._reduced_frame(g, g.shifts[None])[0]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    draws = [_state(*_sample_starts(rng, 1, g, S)) for _ in range(3)]
+    first = _state(*_sample_starts(rng, 1, g, S))
     starts = []
 
     class Recorded(_Batch):
@@ -967,17 +939,51 @@ def test_failed_placement_takes_the_first_draw_of_the_stream(monkeypatch, seed):
 
     monkeypatch.setattr(optimize, "_Batch", Recorded)
     made = _count_streams(monkeypatch)
-    res = minimize_fixed_shifts(g, _config(monkeypatch, seed=seed, restarts=3, _MAX_ITER=2))
-    assert res.traces.restart_index.tolist() == [0, 1, 2]
+    res = minimize_fixed_shifts(g, _config(monkeypatch, seed=seed, _MAX_ITER=2))
+    assert res.traces.termination.tolist() == [0]
     assert made == ["SeedSequence", "default_rng"]
-    # draw 0 places the standard realization, then the first draw in its one
-    # row; every redraw's batch places its own draw
+    # the batch places the standard realization, then the first draw in its one row
     C = _edge_map(g.skeleton().incidence, S)
-    assert len(starts) == 4 and np.array_equal(starts[0][1], _standard_realization(C, 2))
-    assert [rows.tolist() if isinstance(rows, np.ndarray) else rows for rows, _ in starts] == \
-        [slice(None), [True], slice(None), slice(None)]
-    for (_, Z), want in zip(starts[1:], draws):
-        assert np.array_equal(Z, want)
+    assert len(starts) == 2 and np.array_equal(starts[0][1], _standard_realization(C, 2))
+    assert starts[0][0] == slice(None) and starts[1][0].tolist() == [True]
+    assert np.array_equal(starts[1][1], first)
+
+
+@pytest.mark.parametrize("cap,codes", [(2, {0: [0, 1, 14, 21, 24]}), (12, {1: [0, 1]})])
+def test_capped_search_reports_each_orbit_once(monkeypatch, cap, codes):
+    # at a cap of a few steps and batches of 1, the D5-in-R^3 search descends
+    # each of its 30 orbits once, and each row keeps the label its batch gave
+    # it: at 2 steps five orbits end max_iter, at 12 the first two converge,
+    # and every other orbit is bounded.  Only an orbit whose standard
+    # realization fails a start check draws, so the one random stream is
+    # made in the first such orbit's batch, no earlier
+    g = build_abstract("D5", 3)
+    fail = _standard_start(g, optimize._reduced_frame(g, shift_orbits(g, 3))[0])[2].any(axis=0)
+    status, streams, draws = [], [], []
+    made = _count_streams(monkeypatch)
+
+    class Recorded(_Batch):
+        def run(self, ub=None):
+            streams.append(len(made))
+            super().run(ub)
+            status.append(self.status.copy())
+
+    def counted(rng, count, g, S):
+        draws.append(count)
+        return _sample_starts(rng, count, g, S)
+
+    monkeypatch.setattr(optimize, "_Batch", Recorded)
+    monkeypatch.setattr(optimize, "_sample_starts", counted)
+    t = minimize_topology("D5", 3, _config(monkeypatch, seed=3, _MAX_ITER=cap, _CHUNK=1)).traces
+    assert len(t) == 30 and np.array_equal(t.assignment_index, np.arange(30))
+    assert np.array_equal(t.termination, np.concatenate(status))
+    want = np.full(30, 4)
+    for code, rows in codes.items():
+        want[rows] = code
+    assert np.array_equal(t.termination, want)
+    k = int(fail.argmax())
+    assert fail.any() and draws == [1] * int(fail.sum())
+    assert streams == [0] * k + [2] * (30 - k)
 
 
 @pytest.mark.usefixtures("tail_off")
@@ -987,7 +993,7 @@ def test_descent_matches_reference_on_rewritten_catalog(name, params):
     net, _ = catalog(name, **params)
     rng = np.random.default_rng(sum(map(ord, name)) + net.dim)
     for k in range(2):
-        a, b = _twin_batches(_rewritten(net, rng).graph, OptimizeConfig(seed=k, restarts=8))
+        a, b = _twin_batches(_rewritten(net, rng).graph, OptimizeConfig(seed=k), rows=8)
         a.run()
         _reference_run(b)
         _assert_same_descent(a, b)
@@ -998,7 +1004,7 @@ def test_descent_matches_reference_on_rewritten_catalog(name, params):
 @pytest.mark.parametrize("kw,code", [({"_MAX_ITER": 3}, 0), ({}, 1), ({"_ARMIJO": 1e6}, 5),
                                      ({"_ARMIJO": 1e30}, 6)])
 def test_descent_matches_reference_at_each_termination(monkeypatch, kw, code):
-    a, b = _twin_batches(dia_graph(), _config(monkeypatch, seed=2, restarts=4, **kw))
+    a, b = _twin_batches(dia_graph(), _config(monkeypatch, seed=2, **kw), rows=4)
     a.run()
     _reference_run(b)
     _assert_same_descent(a, b)
@@ -1020,7 +1026,7 @@ def test_descent_matches_reference_on_edge_collapse(monkeypatch):
 def test_descent_matches_reference_from_a_sheared_start():
     # dia written in a sheared basis (ratio of column norms > 3) with
     # jittered positions: the descent keeps the shifts it was handed and
-    # still converges on every restart
+    # still converges in every row
     net, _ = catalog("dia")
     U = np.array([[1, 6, 0], [0, 1, 0], [0, 0, 1]])
     g = net.graph
@@ -1108,7 +1114,7 @@ def test_every_start_of_an_orbit_ends_at_its_one_value(tag, orbits):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_topology_result_network_carries_the_result_shifts(seed):
-    res = minimize_topology("D1,3", 3, OptimizeConfig(seed=seed, restarts=10))
+    res = minimize_topology("D1,3", 3, OptimizeConfig(seed=seed))
     assert np.array_equal(res.network.graph.shifts, res.shifts)
 
 
@@ -1141,7 +1147,7 @@ def test_multistart_does_not_depend_on_the_presentation(tag, n, orbit):
     # same to the bit; at r > n the greedy frames may differ, the value not
     g = build_abstract(tag, n)
     rep = shift_orbits(g, n)[orbit]
-    cfg = OptimizeConfig(seed=4, restarts=8)
+    cfg = OptimizeConfig(seed=4)
     ref = optimize._multistart(g, rep[None], cfg)
     rng = np.random.default_rng(sum(map(ord, tag)) + n)
     exact = len(g.skeleton().cycles) == n
@@ -1160,7 +1166,7 @@ def test_multistart_does_not_depend_on_the_presentation(tag, n, orbit):
 
 @pytest.mark.usefixtures("tail_off")
 def test_descent_matches_reference_when_resumed_step_by_step(monkeypatch):
-    a, b = _twin_batches(dia_graph(), _config(monkeypatch, seed=2, restarts=4, _MAX_ITER=1))
+    a, b = _twin_batches(dia_graph(), _config(monkeypatch, seed=2, _MAX_ITER=1), rows=4)
     for _ in range(60):
         a.run()
         _reference_run(b)
@@ -1177,12 +1183,12 @@ def test_block_line_search_matches_halving_one_at_a_time(monkeypatch):
     # 12, 28, 60 and 79, and the pairs pass on either side of each end; with
     # 40 rows backtracking a block is one halving
     g = dia_graph()
-    cfg = _config(monkeypatch, seed=3, restarts=64, _ARMIJO=1e6, _MAX_ITER=1)
+    cfg = _config(monkeypatch, seed=3, _ARMIJO=1e6, _MAX_ITER=1)
 
     def halvings(t_first, run=_reference_run):
         """The halvings of each row's first step from a first trial at
         ``t_first`` (80 where none passes), and the batch."""
-        batch = _twin_batches(g, cfg)[0]
+        batch = _twin_batches(g, cfg, rows=64)[0]
         batch.t[:] = t_first / 2        # a first step doubles the previous step size
         run(batch)
         return np.where(batch.status == 6, 80, np.rint(np.log2(t_first / batch.t))), batch
@@ -1357,31 +1363,13 @@ def test_frames_are_built_in_one_pass_per_batch(monkeypatch):
             return _f(*args)
         monkeypatch.setattr(optimize, name, counted)
     monkeypatch.setattr(optimize, "_CHUNK", 16)
-    minimize_topology("D1,3", 3, OptimizeConfig(seed=1, restarts=3))
+    minimize_topology("D1,3", 3, OptimizeConfig(seed=1))
     assert sizes["greedy_reduce"] == sizes["_standard_realization"]
     assert len(sizes["greedy_reduce"]) >= 3 and max(sizes["greedy_reduce"]) == 16
     sizes.update(greedy_reduce=[], _standard_realization=[])
-    minimize_topology("D4", 3, OptimizeConfig(seed=1, restarts=3))
-    minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=1, restarts=3))
+    minimize_topology("D4", 3, OptimizeConfig(seed=1))
+    minimize_fixed_shifts(dia_graph(), OptimizeConfig(seed=1))
     assert sizes["greedy_reduce"] == [] and len(sizes["_standard_realization"]) >= 2
-
-
-def test_redraw_rounds_build_no_standard_realization(monkeypatch):
-    # a redraw overwrites every row of its batch with a random start, so
-    # only the batches of draw 0 build and check the standard realization
-    sizes = {"_reduced_frame": [], "_standard_realization": []}
-    for name in sizes:
-        def counted(*args, _f=getattr(optimize, name), _name=name):
-            sizes[_name].append(len(args[_name == "_reduced_frame"]))
-            return _f(*args)
-        monkeypatch.setattr(optimize, name, counted)
-    monkeypatch.setattr(optimize, "_CHUNK", 16)
-    monkeypatch.setattr(optimize, "_MAX_ITER", 2)     # too few steps to converge: redraws
-    res = minimize_topology("D1,3", 3, OptimizeConfig(seed=1, restarts=3))
-    first = len(sizes["_standard_realization"])
-    assert res.traces.restart_index.max() == 2 and len(sizes["_reduced_frame"]) > first
-    assert sizes["_standard_realization"] == sizes["_reduced_frame"][:first]
-    assert sum(sizes["_standard_realization"]) == np.count_nonzero(res.traces.restart_index == 0)
 
 
 def test_config_rejects_negative_seed():
@@ -1461,7 +1449,7 @@ ORACLE_GRAPHS = FIXED_SOLVE_GRAPHS + [("pcu", {"n": 2}), ("simplex_net", {"n": 2
 @pytest.fixture(scope="module")
 def tail_oracle():
     """``minimize_fixed_shifts`` without and with the Newton tail on 99
-    solves of up to 8 draws each: 11 catalog graphs x 3 rewrites x seeds 0-2."""
+    solves: 11 catalog graphs x 3 rewrites x seeds 0-2."""
     graphs = []
     for name, params in ORACLE_GRAPHS:
         net, _ = catalog(name, **params)
@@ -1469,7 +1457,7 @@ def tail_oracle():
         graphs += [_rewritten(net, rng).graph for _ in range(3)]
 
     def solve_all():
-        return [minimize_fixed_shifts(g, OptimizeConfig(seed=seed, restarts=8))
+        return [minimize_fixed_shifts(g, OptimizeConfig(seed=seed))
                 for g in graphs for seed in range(3)]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1479,16 +1467,15 @@ def tail_oracle():
 
 
 def test_newton_tail_matches_tail_off_descent(tail_oracle):
-    # draw k of a solve starts from the same state with the tail on and off
+    # a solve descends its one start from the same state with the tail on and off
     off, on = tail_oracle
     assert len(on) == len(off) == 99
     for a, b in zip(off, on):
-        _assert_trace_shape(a.traces, 1, 8)
-        _assert_trace_shape(b.traces, 1, 8)
+        assert np.array_equal(a.traces.assignment_index, [0])
+        assert np.array_equal(b.traces.assignment_index, [0])
         assert b.value == pytest.approx(a.value, rel=1e-9)
-        m = min(len(a.traces), len(b.traces))
-        both = (a.traces.termination[:m] == 1) & (b.traces.termination[:m] == 1)
-        assert np.allclose(b.traces.final_value[:m][both], a.traces.final_value[:m][both],
+        both = (a.traces.termination == 1) & (b.traces.termination == 1)
+        assert np.allclose(b.traces.final_value[both], a.traces.final_value[both],
                            rtol=1e-12, atol=0.0)
 
     def converged(results):
@@ -1580,7 +1567,7 @@ def test_newton_step_clears_barzilai_borwein_memory(monkeypatch):
 
 
 def test_traces_count_tail_steps():
-    res = minimize_fixed_shifts(sqp_graph(), OptimizeConfig(seed=3, restarts=6))
+    res = minimize_fixed_shifts(sqp_graph(), OptimizeConfig(seed=3))
     t = res.traces
     assert t.tail_steps.shape == t.iterations.shape
     assert (t.tail_steps > 0).any() and (t.tail_steps < t.iterations).all()
@@ -1594,16 +1581,16 @@ def test_traces_count_tail_steps():
 def _search_bits(res) -> str:
     """A sha-256 prefix of what a search returns: its value and termination,
     every trace column, the best network's positions and basis, and what
-    ``verify`` measures on it."""
+    ``verify`` measures on it.  The zero column stands where the traces kept
+    each row's draw number, 0 on every pinned search, so the pins still hold."""
     t = res.traces
-    return _bits(res.value, res.termination, t.assignment_index, t.restart_index,
+    return _bits(res.value, res.termination, t.assignment_index, np.zeros(len(t), np.int64),
                  t.final_value, t.iterations, t.termination, t.tail_steps,
                  res.network.positions, res.network.lattice.basis, verify(res.network).measured)
 
 
-# the fixed solves of four rewrites of each fixed-solve graph (seeds 0 to 3,
-# 8 restarts), and the six acceptance searches at seeds 2024 and 7 (50
-# restarts), as computed on x86-64 with CPython 3.11 and numpy 2.4.6; D4,
+# the fixed solves of four rewrites of each fixed-solve graph (seeds 0 to 3),
+# and the six acceptance searches at seeds 2024 and 7, as computed on x86-64 with CPython 3.11 and numpy 2.4.6; D4,
 # D1,2, B3 and D3 in R^2 draw no random start, so their two seeds agree
 FIXED_SOLVE_PINS = {"hcb": "74ced840530b6cea587c", "dia": "45c8440e6215c04a1a31",
                     "cds": "2a05096457e0291dfd0b", "bnn": "54b3ea6aa3fb441cb4c9",
@@ -1624,12 +1611,12 @@ def test_fixed_solves_are_pinned_bit_for_bit(name, params):
     net, _ = catalog(name, **params)
     rng = np.random.default_rng(sum(map(ord, name)) + 5 * net.dim)
     digests = [_search_bits(minimize_fixed_shifts(_rewritten(net, rng).graph,
-                                                  OptimizeConfig(seed=k, restarts=8)))
+                                                  OptimizeConfig(seed=k)))
                for k in range(4)]
     assert _bits(*digests) == FIXED_SOLVE_PINS[f"{name}{params.get('n', '')}"]
 
 
 @pytest.mark.parametrize("tag,n,seed", SEARCH_PINS, ids=[f"{t}-n{n}-{s}" for t, n, s in SEARCH_PINS])
 def test_topology_searches_are_pinned_bit_for_bit(tag, n, seed):
-    res = minimize_topology(tag, n, OptimizeConfig(seed=seed, restarts=50))
+    res = minimize_topology(tag, n, OptimizeConfig(seed=seed))
     assert _search_bits(res) == SEARCH_PINS[tag, n, seed]

@@ -255,7 +255,7 @@ def test_orbits_at_s_max_2_have_valid_realizations(tag, n, orbits):
     assert len(reps) == orbits
     for S in reps:
         assert not any(QuotientGraph(n, g.vertex_count, g.tails, g.heads, S).facts().violations)
-    res = minimize_topology(tag, n, OptimizeConfig(s_max=2, restarts=1))
+    res = minimize_topology(tag, n, OptimizeConfig(s_max=2))
     assert validate(res.network).ok
 
 
@@ -350,7 +350,7 @@ def test_circuit_rank_past_n_plus_1_folds_by_signed_permutations(tag, count):
         match = _unimodular_match(np.repeat(C, count, axis=0), np.tile(targets, (len(todo), 1, 1)))
         found[todo] = match.reshape(len(todo), count).any(axis=1)
     assert found.all(), np.flatnonzero(~found)[:10]
-    res = minimize_topology(tag, 2, OptimizeConfig(seed=1, restarts=4))
+    res = minimize_topology(tag, 2, OptimizeConfig(seed=1))
     assert validate(res.network).ok
     rep = verify(res.network)
     assert rep.theorem == "degree-floor" and rep.strict and rep.slack > 0
@@ -541,7 +541,7 @@ def test_circuit_rank_n_orbit_is_built_not_enumerated(monkeypatch, tag, n):
     assert len(reps) == 1
     g = QuotientGraph(n, skeleton.vertex_count, skeleton.tails, skeleton.heads, reps[0])
     assert np.array_equal(g.cycle_shift_matrix(), np.eye(n, dtype=np.int64))
-    res = minimize_topology(tag, n, OptimizeConfig(seed=0, restarts=4))
+    res = minimize_topology(tag, n, OptimizeConfig(seed=0))
     assert np.array_equal(res.shifts, reps[0]) and res.assignment_index == 0
     assert np.isfinite(res.value) and validate(res.network).ok
 
