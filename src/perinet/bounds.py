@@ -463,6 +463,8 @@ class BoundReport:
 
     def to_json(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update({key: None for key in ("bound", "measured", "slack")   # NaN, inf: not JSON
+                    if out[key] is not None and not math.isfinite(out[key])})
         cert = self.equality_certificate
         if cert is not None:
             out["equality_certificate"] = {

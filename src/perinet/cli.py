@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation or computation failure, 2 usage
-error.  Numeric output uses 10 significant digits; network JSON uses the
-canonical 17-digit format.
+Exit codes: 0 success; 1 a failure, which a command raises as ``ValueError``
+or ``RuntimeError`` and ``run`` prints, or a reader that closed stdout; 2 usage
+error.  Numeric output uses 10 significant digits; network JSON uses 17.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -32,12 +34,20 @@ def _load(path: str):
             return netio.network_from_json(sys.stdin.read())
         return netio.read_network(path)
     except (OSError, ValueError) as exc:
-        raise SystemExit(_fail(f"cannot read network: {exc}"))
+        raise ValueError(f"cannot read network: {exc}") from None
 
 
-def _fail(msg: str) -> int:
-    print(msg, file=sys.stderr)
-    return 1
+def _write(path: str, text: str | None = None) -> None:
+    """Write text to path, or with no text check that path can be written:
+    an existing file keeps its bytes and a file the check made is removed."""
+    try:
+        existed = os.path.lexists(path)
+        with open(path, "a" if text is None else "w") as fh:
+            fh.write(text or "")
+        if not existed and text is None:
+            os.remove(path)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_catalog(args) -> int:
@@ -54,11 +64,8 @@ def _cmd_catalog(args) -> int:
         try:
             params[key] = parse(args.param)
         except ValueError:
-            return _fail(f"cannot parse --param value {args.param!r}")
-    try:
-        net, entry = catalog(args.name, **params)
-    except (TypeError, ValueError) as exc:
-        return _fail(str(exc))
+            raise ValueError(f"cannot parse --param value {args.param!r}") from None
+    net, entry = catalog(args.name, **params)
     doc = json.loads(netio.network_to_json(net))
     doc["expected_quotient"] = entry.expected_quotient
     doc["expected_expr"] = entry.expected_expr
@@ -91,29 +98,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    try:
-        cfg = OptimizeConfig(seed=args.seed, s_max=args.smax)
-        result = minimize_topology(args.topology, args.dim, cfg)
-    except (ValueError, RuntimeError) as exc:
-        return _fail(str(exc))
+    cfg = OptimizeConfig(seed=args.seed, s_max=args.smax)
+    _write(args.out)                # before the search, not after it
+    result = minimize_topology(args.topology, args.dim, cfg)
     bounded = int((result.traces.termination == 4).sum())
     print(f"best {_f(result.value)} "
           f"(assignment {result.assignment_index}, {result.termination}, "
           f"{len(result.traces)} orbits, {bounded} bounded)")
-    try:
-        netio.write_network(result.network, args.out)
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}")
+    _write(args.out, netio.network_to_json(result.network))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_classify(args) -> int:
     net = _load(args.file)
-    try:
-        top = classify(net.graph)
-    except ValueError as exc:
-        return _fail(str(exc))
+    top = classify(net.graph)
     count, admissible = min_vertex_count(net.dim, top.degree)
     irreducible = (net.graph.vertex_count == count
                    and (not admissible or any(t == top for t in admissible)))
@@ -130,9 +129,8 @@ def _cmd_verify(args) -> int:
     net = _load(args.file)
     report = verify(net)
     doc = report.to_json()
-    for key in ("bound", "measured", "slack"):     # NaN and inf are not JSON
-        if doc[key] is not None:
-            doc[key] = float(_f(doc[key])) if np.isfinite(doc[key]) else None
+    doc.update({key: float(_f(doc[key])) for key in ("bound", "measured", "slack")
+                if doc[key] is not None})
     print(json.dumps(doc, indent=2, allow_nan=False))
     return 0 if report.applicable and (report.slack is None or
                                        report.slack >= -SLACK_TOL) else 1
@@ -142,12 +140,10 @@ def _cmd_table(args) -> int:
     if args.dim != 3:
         print("table is defined for --dim 3", file=sys.stderr)
         return 2
-    rows = [("dia", {}), ("cds", {"t": 0.5}), ("bnn", {}), ("sqp", {}),
-            ("pcu", {"n": 3})]
     base = None
     print(f"{'net':6s} {'L^3/V':>12s} {'L/V^(1/3)':>10s} {'vs dia':>8s}")
-    for name, params in rows:
-        _, entry = catalog(name, **params)
+    for name in ("dia", "cds", "bnn", "sqp", "pcu"):
+        _, entry = catalog(name)
         q = entry.expected_quotient
         root = q ** (1.0 / 3.0)
         if base is None:
@@ -158,12 +154,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_export(args) -> int:
     net = _load(args.file)
-    try:
-        count = netio.export_obj(net, args.obj, cells=args.cells)
-    except ValueError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
-        return _fail(f"cannot write {args.obj}: {exc}")
+    count = netio.export_obj(net, obj := io.StringIO(), cells=args.cells)
+    _write(args.obj, obj.getvalue())
     print(f"wrote {args.obj} ({count} line records)")
     return 0
 
@@ -216,13 +208,19 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+    except (ValueError, RuntimeError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:     # a closed reader; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -72,3 +72,22 @@ def test_several_parent_runs_print_their_interquartile_range(tmp_path, capsys):
     out = _compare(capsys, _run_file(tmp_path / "d.json", [40]), "--",
                    _run_file(tmp_path / "e.json", [47, 50]))
     assert len(out) == 3
+
+
+def test_one_file_of_interleaved_sides_is_compared_parent_to_change(tmp_path, capsys):
+    # a committed file holds the runs of a commit and of its parent, each
+    # detail line naming its side: alone it is compared parent to change, and
+    # beside another file it stands for its change runs
+    lines = []
+    for side, value in [("parent", 40), ("change", 50), ("change", 52), ("parent", 42),
+                        ("parent", 44), ("change", 54)]:
+        lines.append(json.dumps({"workload": "recover", "trace": 0, "side": side}))
+        lines.append(json.dumps({"metrics": {"ops_per_s": {"value": value, "unit": "1/s"}}}))
+    both = tmp_path / "both.json"
+    both.write_text("\n".join(lines) + "\n")
+    out = _compare(capsys, str(both))
+    assert out[1].split()[:5] == ["ops_per_s", "42", "->", "52", "+23.8%"]
+    assert out[2].endswith("n=3 -> [50, 54] n=3  better in 3/3 pairs")
+    assert out[3].split()[:3] == ["parent", "IQR", "4,"]
+    out = _compare(capsys, str(both), _run_file(tmp_path / "next.json", [26]))
+    assert out[1].split()[:4] == ["ops_per_s", "52", "->", "26"]

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -308,6 +309,19 @@ def test_verify_report_serializes():
     assert doc["theorem"] == "dipole-simplex"
     assert doc["bound_expr"] == "12*sqrt(3)"
     assert doc["equality_certificate"]["passed"] is True
+
+
+def test_verify_report_is_strict_json_with_none_for_a_non_finite_number():
+    # a coordinate of 1e200 is finite, but the squared lengths of its edges
+    # overflow: the measured value is not finite, and JSON has no literal for it
+    net = catalog("dia")[0]
+    positions = net.positions.copy()
+    positions[1, 0] = 1e200
+    rep = verify(with_positions(net, positions))
+    assert not math.isfinite(rep.measured)
+    doc = rep.to_json()
+    assert doc["measured"] is None
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
 
 
 SHARP_CATALOG = [("dia", {}), ("cds", {"t": 0.35}), ("bnn", {}), ("sqp", {}),

@@ -351,6 +351,44 @@ def test_cli_optimize_to_an_unwritable_path_exits_1(tmp_path, capsys):
     assert f"cannot write {out}: " in capsys.readouterr().err
 
 
+def test_cli_optimize_checks_its_out_path_before_the_search(tmp_path, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran before --out was checked")
+
+    monkeypatch.setattr("perinet.cli.minimize_topology", no_search)
+    out = tmp_path / "missing" / "x.json"
+    assert run(["optimize", "--topology", "D1,2", "--dim", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"cannot write {out}: ")
+
+
+def test_cli_failed_search_leaves_its_out_path_as_it_was(tmp_path, capsys):
+    # D3 is not an admissible topology in R^3, so the search fails after
+    # --out was checked: an existing file keeps its bytes, a new one is not made
+    kept, missing = tmp_path / "kept.json", tmp_path / "missing.json"
+    kept.write_bytes(b"earlier bytes\n")
+    for out in (kept, missing):
+        assert run(["optimize", "--topology", "D3", "--dim", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err != ""
+    assert kept.read_bytes() == b"earlier bytes\n"
+    assert not missing.exists()
+
+
+def test_module_entry_point_exits_1_quietly_when_its_reader_has_gone():
+    import perinet
+
+    src = os.path.dirname(os.path.dirname(perinet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "perinet", "catalog"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()         # long before the interpreter has started
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert err == b""
+
+
 def test_cli_optimize_has_no_restarts_flag(tmp_path, capsys):
     # every orbit is descended once, so there is no count of starts to pass
     with pytest.raises(SystemExit) as exc:

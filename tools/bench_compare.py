@@ -3,11 +3,16 @@
     python3 perfbench/run.py --workload all > CHANGE.json
     python3 tools/bench_compare.py PARENT.json CHANGE.json
     python3 tools/bench_compare.py PARENT_1.json PARENT_2.json ... -- CHANGE_1.json ...
+    python3 tools/bench_compare.py BOTH.json
 
 Each file holds what ``perfbench/run.py`` prints: a stream of JSON
 objects, a run's detail (with its ``workload`` and ``trace``) followed by
 its result line (with its ``metrics``), and for ``--workload all`` a
-summary at the end.  Every metric of every run is printed as
+summary at the end.  A detail line may name its run's ``side``,
+``parent`` or ``change``, when one file holds the interleaved runs of a
+commit and of its parent: such a file given alone is compared parent to
+change, and among several files it stands for its change runs, those
+of the commit it belongs to.  Every metric of every run is printed as
 ``parent -> change``, with the relative change and, for the end-to-end
 metrics of the untraced runs, the bound that ``BENCHMARK.json`` sets on
 it.  A metric that is worse than the parent's by more than its bound is
@@ -36,8 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_runs(path: str) -> dict[tuple[str, int], list[dict]]:
-    """(workload, trace) -> metrics of each of its runs, from a benchmark output file."""
+def load_runs(path: str) -> dict[tuple[str | None, str, int], list[dict]]:
+    """(side, workload, trace) -> metrics of each of its runs, from a benchmark
+    output file; side is the detail line's ``side``, or None where it has none."""
     text, decoder = Path(path).read_text(), json.JSONDecoder()
     runs, pos, current = {}, 0, None
     while True:
@@ -47,20 +53,22 @@ def load_runs(path: str) -> dict[tuple[str, int], list[dict]]:
             return runs
         obj, pos = decoder.raw_decode(text, pos)
         if "workload" in obj:
-            current = (obj["workload"], int(obj["trace"]))
+            current = (obj.get("side"), obj["workload"], int(obj["trace"]))
         elif "metrics" in obj and current is not None:
             runs.setdefault(current, []).append(
                 {k: m["value"] for k, m in obj["metrics"].items()})
             current = None
 
 
-def load_side(paths: list[str]) -> dict[tuple[str, int], list[dict]]:
-    """The runs of every file of one side, in the order given."""
-    side: dict[tuple[str, int], list[dict]] = {}
+def load_side(paths: list[str], side: str = "change") -> dict[tuple[str, int], list[dict]]:
+    """(workload, trace) -> the runs of every file of one side, in the order
+    given; of the runs that name a side, those of ``side``."""
+    out: dict[tuple[str, int], list[dict]] = {}
     for path in paths:
-        for key, runs in load_runs(path).items():
-            side.setdefault(key, []).extend(runs)
-    return side
+        for (tag, *key), runs in load_runs(path).items():
+            if tag in (None, side):
+                out.setdefault(tuple(key), []).extend(runs)
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -69,6 +77,8 @@ def main(argv: list[str]) -> int:
         parent_paths, change_paths = argv[:cut], argv[cut + 1:]
     elif len(argv) == 2:
         parent_paths, change_paths = argv[:1], argv[1:]
+    elif len(argv) == 1 and any(tag for tag, *_ in load_runs(argv[0])):
+        parent_paths = change_paths = argv     # one file of both sides
     else:
         parent_paths = change_paths = []
     if not parent_paths or not change_paths:
@@ -77,7 +87,8 @@ def main(argv: list[str]) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    parent, change = load_side(parent_paths), load_side(change_paths)
+    parent = load_side(parent_paths, "parent" if len(argv) == 1 else "change")
+    change = load_side(change_paths)
     for key in sorted(parent.keys() & change.keys(), key=lambda k: (k[1], k[0])):
         workload, trace = key
         print(f"{workload} ({'traced' if trace else 'untraced'})")
@@ -110,7 +121,7 @@ def main(argv: list[str]) -> int:
                 q1, _, q3 = statistics.quantiles(olds, n=4)
                 beyond = "  BEYOND IQR" if abs(new - old) > q3 - q1 else ""
                 print(f"{'':44s}parent IQR {q3 - q1:.6g}, medians {new - old:+.6g} apart{beyond}")
-    where = "file" if len(parent_paths) == len(change_paths) == 1 else "side"
+    where = "file" if len(argv) == 2 and "--" not in argv else "side"
     for key in sorted(parent.keys() ^ change.keys()):
         print(f"{key[0]} (trace {key[1]}): in one {where} only")
     return 0
