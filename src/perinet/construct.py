@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .balance import geometric_median
+from .bounds import bound_dipole, bound_even
 from .netcore import (DIRECTION_TOL, Lattice, PeriodicNetwork, QuotientGraph, _count, _direction,
                       _real)
 from .topology import TopologyClass, _nonzero_shifts, classify
@@ -215,9 +216,10 @@ def _catalog_hcb():
 
 def _catalog_pcu(n: int = 3):
     n = _count(n, "dimension n", 2)
+    expected = bound_even(n, 2 * n)      # n^n, refused before the build where it overflows
     net = _net(n, 1, [(0, 0, _unit_shift(n, i)) for i in range(n)],
                np.eye(n), np.zeros((1, n)))
-    return _entry("pcu", net, {"n": n}, float(n) ** n, f"{n}^{n}")
+    return _entry("pcu", net, {"n": n}, expected, f"{n}^{n}")
 
 
 def _catalog_cube_net(n: int = 3):
@@ -286,6 +288,7 @@ def regular_simplex_vertices(n: int) -> np.ndarray:
 
 def _catalog_simplex_net(n: int = 3):
     n = _count(n, "dimension n", 2)
+    expected = bound_dipole(n)      # refused before the build where it overflows
     verts = regular_simplex_vertices(n)
     v0, rest = verts[0], verts[1:]
     basis = (rest - v0).T          # columns g_i = v_i - v_0
@@ -293,7 +296,6 @@ def _catalog_simplex_net(n: int = 3):
     edges += [(0, 1, _unit_shift(n, i)) for i in range(n)]
     positions = np.vstack([np.zeros(n), v0])
     net = _net(n, 2, edges, basis, positions)
-    expected = math.sqrt((n + 1) ** (n - 1) * n ** n)
     return _entry("simplex_net", net, {"n": n}, expected,
                   f"sqrt({n + 1}^{n - 1} * {n}^{n})")
 

@@ -299,29 +299,23 @@ class _Batch:
                                  np.minimum(w.t * 2.0, 1e3))
                     t[newton] = 1.0
                 # Armijo backtracking: a first trial on every live instance, then up to 79
-                # halvings of t where it fails, in blocks (4, then twice as many; at most 4
-                # trials per live instance and 64 in all, about two calls' overhead, unless
-                # one halving of the failing rows is more); each row takes its first to pass
+                # halvings of t on the rows still failing, one evaluation each; each row
+                # takes its first trial to pass
                 tol = 1e-15 * np.maximum(1.0, np.abs(w.f))
                 Zt = w.Z - t[:, None, None] * q
                 ft, vt, ellt, dett = _eval(n, w.C, Zt)
                 need = (~((ft <= w.f - _ARMIJO * t * slope + tol) & np.isfinite(ft))).nonzero()[0]
-                left, K = 79, 2
-                while len(need) and left:
-                    nb, K = len(need), min(2 * K, left, max(1, min(4 * len(t), 64) // len(need)))
-                    r = need.repeat(K)          # the row of each trial, K halvings in turn
-                    tk = np.column_stack([t[need], np.full((nb, K), _BACKTRACK)])
-                    tk = tk.cumprod(1)[:, 1:].ravel()
-                    Zk = w.Z[r] - tk[:, None, None] * q[r]
-                    fk, vk, ellk, detk = _eval(n, w.C[r], Zk)
-                    ok = (fk <= w.f[r] - _ARMIJO * tk * slope[r] + tol[r]) & np.isfinite(fk)
-                    ok = ok.reshape(nb, K)
-                    # each row's first passing trial, or its last to go on from
-                    c = np.arange(nb) * K + np.where(ok.any(1), ok.argmax(1), K - 1)
-                    t[need], hit = tk[c], ok.ravel()[c]
-                    a, c = need[hit], c[hit]
-                    Zt[a], ft[a], vt[a], ellt[a], dett[a] = Zk[c], fk[c], vk[c], ellk[c], detk[c]
-                    need, left = need[~hit], left - K
+                for _ in range(79):
+                    if not len(need):
+                        break
+                    t[need] *= _BACKTRACK
+                    tk = t[need]
+                    Zk = w.Z[need] - tk[:, None, None] * q[need]
+                    fk, vk, ellk, detk = _eval(n, w.C[need], Zk)
+                    hit = (fk <= w.f[need] - _ARMIJO * tk * slope[need] + tol[need]) & np.isfinite(fk)
+                    a = need[hit]
+                    Zt[a], ft[a], vt[a], ellt[a], dett[a] = Zk[hit], fk[hit], vk[hit], ellk[hit], detk[hit]
+                    need = need[~hit]
                 if len(need):
                     # the line search exhausted its budget without a usable step
                     failed = np.isin(np.arange(len(idx)), need)

@@ -305,13 +305,14 @@ def _screened_rows(g: QuotientGraph, n: int, s_max: int,
     bridges, _, loops0 = oriented_star(g, 0)
     loops1 = oriented_star(g, 1)[2]
 
-    nonzero, along, _, _, bits, loop_bits = _box_maps(n, s_max)
-    N, Nc = len(nonzero), len(nonzero) // 2
+    N = (2 * s_max + 1) ** n - 1        # the box's nonzero shifts, counted before it is built
+    Nc = N // 2
     k = (len(loops0), len(loops1), max(len(bridges) - 1, 0))
     raw = comb(Nc, k[0]) * comb(Nc, k[1]) * comb(N, k[2])
     if raw > ENUMERATION_LIMIT:
         raise RuntimeError(
             f"raw shift-assignment count {raw} exceeds limit {ENUMERATION_LIMIT}")
+    nonzero, along, _, _, bits, loop_bits = _box_maps(n, s_max)
     r = sum(k)
     # the shifts of the classes, then of the free bridges, as rows of C; the
     # tree is the first bridge, at shift 0: a cycle has its edge's shift

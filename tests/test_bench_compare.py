@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_compare.py"
@@ -91,3 +93,20 @@ def test_one_file_of_interleaved_sides_is_compared_parent_to_change(tmp_path, ca
     assert out[3].split()[:3] == ["parent", "IQR", "4,"]
     out = _compare(capsys, str(both), _run_file(tmp_path / "next.json", [26]))
     assert out[1].split()[:4] == ["ops_per_s", "52", "->", "26"]
+
+
+def test_a_closed_reader_ends_the_tool_quietly(tmp_path):
+    # more output than a pipe holds, so the tool writes into the closed
+    # pipe whenever it starts: exit code 1 and no traceback, as the CLI
+    lines = []
+    for i in range(2000):
+        lines.append(json.dumps({"workload": f"w{i}", "trace": 0}))
+        lines.append(json.dumps({"metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}}}))
+    a = tmp_path / "a.json"
+    a.write_text("\n".join(lines) + "\n")
+    proc = subprocess.Popen([sys.executable, str(TOOL), str(a), str(a)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

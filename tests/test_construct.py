@@ -6,6 +6,8 @@ import pytest
 
 from perinet import (
     Lattice,
+    bound_dipole,
+    bound_even,
     catalog,
     classify,
     construct_bouquet,
@@ -76,6 +78,22 @@ def test_catalog_takes_an_integral_dimension():
     assert network_to_json(net) == network_to_json(catalog("pcu", n=4)[0])
     with pytest.raises(ValueError, match=re.escape("dimension n must be an integer, not 4.0")):
         catalog("pcu", n=4.0)
+
+
+def test_catalog_takes_its_values_from_the_bounds():
+    for n in (4, 5, 6, 10, 30, 81):
+        assert catalog("pcu", n=n)[1].expected_quotient == bound_even(n, 2 * n) == float(n) ** n
+        assert catalog("cube_net", n=n)[1].expected_quotient == float(n) ** n
+        assert catalog("simplex_net", n=n)[1].expected_quotient == bound_dipole(n) \
+            == math.sqrt((n + 1) ** (n - 1) * n ** n)
+
+
+def test_simplex_net_builds_past_the_float_range_of_its_product():
+    # (n+1)^(n-1) n^n overflows a float from n = 82; its root does not
+    net, entry = catalog("simplex_net", n=82)
+    assert entry.expected_quotient == bound_dipole(82)
+    assert validate(net).ok
+    assert length_quotient(net) == pytest.approx(entry.expected_quotient, rel=1e-13)
 
 
 def test_catalog_cds_parameter_range():

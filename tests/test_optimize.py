@@ -1178,10 +1178,9 @@ def test_descent_matches_reference_when_resumed_step_by_step(monkeypatch):
 def test_block_line_search_matches_halving_one_at_a_time(monkeypatch):
     # the first step of 64 dia rows at _ARMIJO = 1e6, placed so that chosen
     # rows first pass after given numbers of halvings (80: none passes) and
-    # the others pass their first trial.  With two rows backtracking the
-    # blocks are 4, 8, 16, 32 and 19 halvings long, ending after halvings 4,
-    # 12, 28, 60 and 79, and the pairs pass on either side of each end; with
-    # 40 rows backtracking a block is one halving
+    # the others pass their first trial.  The pairs pass on either side of
+    # halvings 4, 12, 28, 60 and 79, where the blocks of the former block
+    # search ended, and 40 rows pass after 1 to 40 halvings
     g = dia_graph()
     cfg = _config(monkeypatch, seed=3, _ARMIJO=1e6, _MAX_ITER=1)
 

@@ -207,6 +207,14 @@ ROWS = {
                               "degree d too large: the bound overflows a float"),
     "bound-degree3d-overflow": (lambda: bound_degree3d(10**400, TopologyClass.bouquet(5 * 10**399)),
                                 ValueError, "degree d too large: the bound overflows a float"),
+    # a catalog entry's value is its bound, taken before the network is
+    # built: n^n leaves the float range at n = 144
+    "catalog-pcu-overflow": (lambda: catalog("pcu", n=144), ValueError,
+                             "dimension n too large: the bound overflows a float"),
+    "catalog-cube-net-overflow": (lambda: catalog("cube_net", n=144), ValueError,
+                                  "dimension n too large: the bound overflows a float"),
+    "catalog-simplex-net-overflow": (lambda: catalog("simplex_net", n=144), ValueError,
+                                     "dimension n too large: the bound overflows a float"),
     "simplex-n-points": (lambda: check_simplex(np.eye(3)), ValueError, "need n+1 points in R^n"),
     "dipole5-sublattice": (lambda: dipole5_coefficients(_sqp_doubled()),
                            ValueError, "shift bookkeeping inconsistent"),
@@ -239,6 +247,9 @@ ROWS = {
     "cli-classify-irregular": (_cli(["classify", "FILE"],
                                     lambda: _unclassifiable_network("irregular")),
                                1, "graph is not regular"),
+    # the bound is refused before the network is built, as a ValueError
+    "cli-catalog-overflow": (_cli(["catalog", "--name", "pcu", "--param", "144"], _dia),
+                             1, "dimension n too large: the bound overflows a float"),
     "cli-export-4d": (_cli(["export", "FILE", "--obj", "out.obj"],
                            lambda: catalog("pcu", n=4)[0]),
                       1, "OBJ export supports dimensions 2 and 3 only"),

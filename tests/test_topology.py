@@ -264,6 +264,17 @@ def test_enumerate_guard_trips():
         enumerate_shift_arrays(build_abstract("D5", 3), 3, 3)
 
 
+def test_enumerate_guard_trips_before_the_shift_box_is_built(monkeypatch):
+    # at s_max = 10^4 the box holds 8e12 shifts in R^3: the raw count is
+    # taken from its size alone, and the refusal comes without listing it
+    def box_maps(n, s_max):
+        raise AssertionError("the shift box was built")
+    monkeypatch.setattr(topology, "_box_maps", box_maps)
+    for search in (enumerate_shift_arrays, shift_orbits):
+        with pytest.raises(RuntimeError, match=f"exceeds limit {topology.ENUMERATION_LIMIT}$"):
+            search(build_abstract("D5", 3), 3, 10 ** 4)
+
+
 def test_admissible_topologies_have_assignments():
     # existence of a full-rank, lattice-generating assignment for every
     # admissible type whose orbits are found under ENUMERATION_LIMIT

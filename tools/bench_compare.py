@@ -34,6 +34,7 @@ standard library only.
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -72,6 +73,16 @@ def load_side(paths: list[str], side: str = "change") -> dict[tuple[str, int], l
 
 
 def main(argv: list[str]) -> int:
+    try:
+        code = compare(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:     # a closed reader; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    return code
+
+
+def compare(argv: list[str]) -> int:
     if "--" in argv:
         cut = argv.index("--")
         parent_paths, change_paths = argv[:cut], argv[cut + 1:]
