@@ -1,12 +1,12 @@
 """Exact integer linear algebra for cycle-shift matrices.
 
 Smith form and ``det_int`` run on Python integers, so there is no
-overflow to detect; results are exact for arbitrary entry sizes.
-``det_int_batch`` vectorizes over many small matrices in a fixed-width
-integer type with the same closed forms (``_det_int``), which serve
-integers only.  ``int_solve`` solves in floats, rounds, and checks the
-rounded solution exactly.  ``greedy_reduce`` size-reduces stacks of
-integer matrices in int64 and returns the unimodular transform applied.
+overflow to detect; results are exact for arbitrary entry sizes, and an
+entry that is not integral is refused, not truncated.  ``det_int_batch``
+runs the same expansion (``_det_int``) on many small matrices at once, in
+a fixed-width integer type.  ``int_solve`` solves in floats, rounds, and
+checks the rounded solution exactly.  ``greedy_reduce`` size-reduces
+stacks of integer matrices in int64 and returns the unimodular transform.
 """
 
 from math import gcd
@@ -16,7 +16,14 @@ import numpy as np
 
 def _as_int_rows(mat) -> list[list[int]]:
     a = np.asarray(mat)     # an integer array's entries come out as Python ints
-    return a.tolist() if a.dtype.kind in "iu" else [[int(x) for x in row] for row in a.tolist()]
+    return a.tolist() if a.dtype.kind in "iu" else [[_integral(x) for x in row] for row in a.tolist()]
+
+
+def _integral(x) -> int:
+    # an integral float reads as an int; a fraction, NaN or infinity is refused
+    if isinstance(x, float) and not x.is_integer() or (i := int(x)) != x:
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return i
 
 
 def smith_invariant_factors(mat) -> tuple[int, ...]:
@@ -39,47 +46,27 @@ def smith_invariant_factors(mat) -> tuple[int, ...]:
         return (1,) * cols
     diag = []
     for s in range(min(rows, cols)):
-        piv = None
-        best = None
-        for i in range(s, rows):
-            for j in range(s, cols):
-                v = abs(a[i][j])
-                if v != 0 and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[s], a[i0] = a[i0], a[s]
-        for row in a:
-            row[s], row[j0] = row[j0], row[s]
-        # clear row and column s; restart if a remainder creates a smaller pivot
-        while True:
-            p = a[s][s]
-            dirty = False
-            for i in range(s + 1, rows):
-                q = a[i][s] // p
-                if q:
+        # the least nonzero entry of the block is the pivot, its column and row
+        # are reduced by it, and the least remainder is the next, until none is left
+        nonzero = [(abs(x), i, j) for i in range(s, rows) for j, x in enumerate(a[i][s:], s) if x]
+        while nonzero:
+            _, i0, j0 = min(nonzero)
+            a[s], a[i0] = a[i0], a[s]
+            for row in a:
+                row[s], row[j0] = row[j0], row[s]
+            top, p = a[s], a[s][s]
+            for row in a[s + 1:]:
+                if q := row[s] // p:
                     for j in range(s, cols):
-                        a[i][j] -= q * a[s][j]
-                if a[i][s] != 0:
-                    a[s], a[i] = a[i], a[s]
-                    dirty = True
-                    break
-            if dirty:
-                continue
+                        row[j] -= q * top[j]
             for j in range(s + 1, cols):
-                q = a[s][j] // p
-                if q:
-                    for i in range(s, rows):
-                        a[i][j] -= q * a[i][s]
-                if a[s][j] != 0:
-                    for row in a:
-                        row[s], row[j] = row[j], row[s]
-                    dirty = True
-                    break
-            if not dirty:
-                break
+                if q := top[j] // p:
+                    for row in a[s:]:
+                        row[j] -= q * row[s]
+            nonzero = ([(abs(row[s]), i, s) for i, row in enumerate(a[s + 1:], s + 1) if row[s]]
+                       + [(abs(x), s, j) for j, x in enumerate(top[s + 1:], s + 1) if x])
+        if not a[s][s]:
+            break
         diag.append(abs(a[s][s]))
     # enforce the divisibility chain: once entry i has met every later one
     # by gcd and lcm, it divides them all, and their multiples stay so
@@ -90,7 +77,7 @@ def smith_invariant_factors(mat) -> tuple[int, ...]:
     return tuple(d for d in diag if d != 0)
 
 
-def _det_int(rows) -> int:
+def _det_int(rows):
     m = len(rows)
     if m == 1:
         return rows[0][0]
@@ -101,39 +88,27 @@ def _det_int(rows) -> int:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     det = 0
-    for j in range(m):
-        if rows[0][j] == 0:
+    for j, x in enumerate(rows[0]):
+        if isinstance(x, int) and not x:    # a Python-int zero; stacked entries are all expanded
             continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        det += (-1) ** j * rows[0][j] * _det_int(minor)
+        det += (-1) ** j * x * _det_int([r[:j] + r[j + 1:] for r in rows[1:]])
     return det
 
 
 def det_int_batch(mats) -> np.ndarray:
-    """Exact determinants of a stack of small square integer matrices.
-
-    The closed forms of :func:`_det_int` up to 3 x 3, cofactor expansion
-    along the first row above, vectorized over the leading axes in the
-    integer type of ``mats``; exact while the products fit, which they do
-    by far in int64 for shift matrices with small entries.
-    """
-    a = np.asarray(mats)
-    m = a.shape[-1]
-    if 0 < m <= 3:
-        # entry (i, j) of every stacked matrix at once, as rows[i][j]
-        return _det_int(np.moveaxis(a, (-2, -1), (0, 1)))
-    det = np.zeros(a.shape[:-2], dtype=a.dtype)
-    for j in range(m):
-        minor = np.delete(a[..., 1:, :], j, axis=-1)
-        det += (-1) ** j * a[..., 0, j] * det_int_batch(minor)
-    return det
+    """Exact determinants of a stack of small square integer matrices: the
+    closed forms of :func:`_det_int` up to 3 x 3, its cofactor expansion along
+    the first row above, on entry (i, j) of every stacked matrix at once, in
+    the integer type of ``mats``; exact while the products fit, which they do
+    by far in int64 for shift matrices with small entries."""
+    return _det_int([list(r) for r in np.moveaxis(np.asarray(mats), (-2, -1), (0, 1))])
 
 
 def det_int(mat) -> int:
-    """Exact determinant of a square integer matrix."""
+    """Exact determinant of a nonempty square integer matrix."""
     rows = _as_int_rows(mat)
-    if len(rows) != len(rows[0]):
-        raise ValueError("determinant requires a square matrix")
+    if not rows or len(rows) != len(rows[0]):
+        raise ValueError(f"determinant requires a {'square' if rows else 'nonempty'} matrix")
     return _det_int(rows)
 
 

@@ -25,7 +25,7 @@ from perinet import (Lattice, OptimizeConfig, PeriodicNetwork, PyramidInstance, 
                      random_network, read_network, rebalance_vertex, regular_simplex_vertices,
                      scaled, write_network)
 from perinet.cli import run
-from perinet.intlinalg import det_int
+from perinet.intlinalg import det_int, smith_invariant_factors
 from perinet.topology import enumerate_shift_arrays, shift_orbits
 from test_bounds import _unclassifiable_network
 
@@ -192,6 +192,17 @@ ROWS = {
                                  ValueError, "one- and two-vertex skeletons only"),
     "det-not-square": (lambda: det_int(np.ones((2, 3), dtype=int)),
                        ValueError, "determinant requires a square matrix"),
+    "det-empty": (lambda: det_int([]), ValueError, "determinant requires a nonempty matrix"),
+    # a fractional or non-finite entry is refused, not truncated to an int:
+    # truncated, these read det 0, det 1 and the factors (1, 1)
+    "det-fractional": (lambda: det_int([[0.5, 0], [0, 2]]), ValueError,
+                       "matrix entry 0.5 is not an integer"),
+    "det-fractional-unit": (lambda: det_int([[2.9, 1], [1, 1]]), ValueError,
+                            "matrix entry 2.9 is not an integer"),
+    "smith-fractional": (lambda: smith_invariant_factors([[1.5, 0], [0, 1]]), ValueError,
+                         "matrix entry 1.5 is not an integer"),
+    "smith-nan": (lambda: smith_invariant_factors(np.array([[1, 0], [0, np.nan]])), ValueError,
+                  "matrix entry nan is not an integer"),
     "bound-even-n-1": (lambda: bound_even(1, 4), ValueError, "dimension n must be at least 2, not 1"),
     "monotonicity-odd": (lambda: monotonicity_table(3, 7),
                          ValueError, "d_max must be even and at least 2n"),

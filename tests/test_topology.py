@@ -707,13 +707,19 @@ def test_screen_minors_are_exact_in_small_integer_types(n, s):
 
 def test_det_int_batch_matches_det_int():
     rng = np.random.default_rng(61)
-    for m in range(1, 6):
+    for m in range(1, 8):
         for lead in [(40,), (3, 7), (0,), (2, 0, 3)]:
             mats = rng.integers(-4, 5, size=lead + (m, m))
             got = det_int_batch(mats)
             assert got.shape == lead
             ref = [det_int(a) for a in mats.reshape(-1, m, m)]
             assert got.ravel().tolist() == ref
+            # a stack comes back in its own integer type: in int32 every
+            # partial sum of the first-row expansion is within m! 4^m < 2^31,
+            # as _rows_generate_zn's bound assumes; int8 wraps past m = 2
+            narrow = det_int_batch(mats.astype(np.int32))
+            assert narrow.dtype == np.int32 and narrow.ravel().tolist() == ref
+            assert det_int_batch(mats.astype(np.int8)).dtype == np.int8
 
 
 def _smith_samples():
